@@ -81,6 +81,8 @@ def cmd_solve(args) -> int:
 
     sol = solve(socp.program, SolverConfig(max_iters=args.max_iters))
     print(f"status      {sol.status.value}")
+    if not sol.optimal:
+        print(f"reason      {sol.reason}")
     print(f"objective   {sol.objective:.12g}")
     print(f"iterations  {sol.iterations}")
     print(f"residuals   primal {sol.res_primal:.3e}  dual {sol.res_dual:.3e}  "
@@ -398,16 +400,22 @@ def make_parser() -> argparse.ArgumentParser:
                          help="comma-separated horizon list, e.g. 10,20,30")
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--out", default=None, help="CSV output path")
-    group = p_bench.add_mutually_exclusive_group()
-    group.add_argument("--serial", action="store_true", default=True,
-                       help="run rows one at a time (default; clean timings)")
-    group.add_argument("--parallel", action="store_true", default=False,
-                       help="run rows concurrently (timings indicative only)")
+    p_bench.add_argument("--parallel", action="store_true",
+                         help="run rows concurrently (timings indicative only)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value that starts with "-" and is not a plain number,
+    # such as "-1,0.5", as an option; attaching it to --x0 lets the
+    # space-separated form take any initial state
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] == "--x0":
+            argv[i : i + 2] = [f"--x0={argv[i + 1]}"]
+        i += 1
     args = make_parser().parse_args(argv)
     return args.func(args)
 

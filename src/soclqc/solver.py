@@ -6,14 +6,31 @@ after the conic solver of Vandenberghe's coneprog notes.  The program
     min c^T x   s.t.  eq_A x = eq_b,   s_i = M_i x + v_i in K_i
 
 is solved in the slack form ``G x + s = h`` with ``G = -stack(M_i)``,
-``h = stack(v_i)``.  Search directions come from one dense LU factorization
-of the statically regularized quasidefinite KKT system per iteration,
-polished by iterative refinement against the unregularized system (the
-normal-equation route squares the scaling's condition number and loses the
-dual residual near convergence).  Infeasibility is detected by a certificate
-heuristic on the iterates (no homogeneous embedding): an approximate Farkas
-ray of the duals flags primal infeasibility, a divergent primal ray with
-negative objective flags dual infeasibility.
+``h = stack(v_i)``.  Each Newton system
+
+    [ 0  A'  G'  ] [dx]   [r_x]
+    [ A  0   0   ] [dy] = [r_y]
+    [ G  0  -W^2 ] [dz]   [r_z]
+
+is reduced by eliminating ``dz = W^-2 (G dx - r_z)``: one LU factorization
+per iteration of the (n+p) matrix ``[[H + D, A'], [A, -delta I]]`` with
+``H = (W^-1 G)'(W^-1 G)`` gives dx and dy (Andersen, Roos & Terlaky, Math.
+Prog. 2003).  On its own this route loses accuracy near convergence: H
+carries the squared condition number of the scaling, and the small
+regularization D, delta (relative to diag(H), because [G; A] may lack full
+column rank) biases the step.  Each solve is therefore refined against the
+full, unregularized three-block system.  Its residual needs only products
+with G, G', A, A' and W, and each correction reuses the same factorization.
+Refinement converges while the reduced solve is right to better than one
+digit, and its limit is set by how exactly that residual is computed, not by
+the conditioning of H; so the refined step has the accuracy of the full
+quasidefinite system.  Refinement stops once a correction no longer halves
+the residual, after at most seven corrections.
+
+Infeasibility is detected by a certificate heuristic on the iterates (no
+homogeneous embedding): an approximate Farkas ray of the duals flags primal
+infeasibility, a divergent primal ray with negative objective flags dual
+infeasibility.
 """
 
 from __future__ import annotations
@@ -62,6 +79,7 @@ class Solution:
     res_primal: float
     res_dual: float
     res_gap: float
+    reason: str = ""  # the guard that ended a non-optimal solve
 
     @property
     def optimal(self) -> bool:
@@ -73,36 +91,68 @@ class Solution:
 
 
 class _Cones:
-    """Stacked cone operations; dims[i] = (kind, size) per block."""
+    """Cone operations on slack vectors laid out group by group.
+
+    The solver orders the slack rows as all nonnegative entries first, then
+    the second-order blocks grouped by dimension, block after block.  Each
+    group of k blocks of dimension d is then a contiguous ``(k, d)`` view
+    (``(k, d, n)`` for a matrix of columns), head first, and every operation
+    is one numpy pass per group.  ``order`` maps these rows to the stacked
+    rows of the program's blocks.
+
+    The NT scaling of a second-order block, ``W = beta (2 v v' - J)`` with
+    ``v' J v = 1`` and ``J = diag(1, -I)``, is kept as explicit W and W^-1.
+    W^2 is never formed: squaring the scaling loses the accuracy that the
+    Newton systems need near convergence.
+    """
 
     def __init__(self, blocks: tuple[ConeBlock, ...]):
-        self.dims = [(blk.kind, blk.dim) for blk in blocks]
-        self.total = sum(d for _, d in self.dims)
-        self.offsets = np.cumsum([0] + [d for _, d in self.dims])[:-1]
-        self.num_blocks = len(self.dims)
-        self._slices = [
-            (kind, slice(off, off + d))
-            for (kind, d), off in zip(self.dims, self.offsets)
-        ]
+        dims = np.array([blk.dim for blk in blocks], dtype=int)
+        self.offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
+        self.total = int(dims.sum())
+        self.num_blocks = len(blocks)
+        soc = np.array([blk.kind != NONNEG for blk in blocks], dtype=bool)
+        rows = [self.offsets[~soc]]
+        self.nn = len(rows[0])
+        self.groups = []  # (slice, k, d, diagonal of J) per block dimension d
+        start = self.nn
+        for d in np.unique(dims[soc]).tolist():
+            heads = self.offsets[soc & (dims == d)]
+            rows.append((heads[:, None] + np.arange(d)).ravel())
+            sign = np.where(np.arange(d) == 0, 1.0, -1.0)
+            self.groups.append((slice(start, start + heads.size * d), heads.size, d, sign))
+            start += heads.size * d
+        self.order = np.concatenate(rows)
 
-    def slices(self):
-        return self._slices
+    def _soc(self, *arrays):
+        """Per group, the diagonal of J and the (k, d) views of each vector's
+        second-order rows."""
+        for sl, k, d, sign in self.groups:
+            yield (sign,) + tuple([u[sl].reshape(k, d) for u in arrays])
+
+    @staticmethod
+    def _tail_norm(U: np.ndarray) -> np.ndarray:
+        return np.sqrt((U[:, 1:] * U[:, 1:]).sum(1))
+
+    def split(self, u: np.ndarray) -> list[np.ndarray]:
+        """Per-block pieces of u, in the program's block order."""
+        stacked = np.empty_like(u)
+        stacked[self.order] = u
+        return np.split(stacked, self.offsets[1:])
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.total)
-        for kind, sl in self.slices():
-            e[sl.start] = 1.0
+        e[: self.nn] = 1.0
+        for _, E in self._soc(e):
+            E[:, 0] = 1.0
         return e
 
     def inside(self, u: np.ndarray, margin: float = 0.0) -> bool:
-        for kind, sl in self.slices():
-            blk = u[sl]
-            if kind == NONNEG:
-                if blk[0] <= margin:
-                    return False
-            else:
-                if blk[0] - np.linalg.norm(blk[1:]) <= margin:
-                    return False
+        if not (u[: self.nn] > margin).all():
+            return False
+        for _, U in self._soc(u):
+            if not (U[:, 0] - self._tail_norm(U) > margin).all():
+                return False
         return True
 
     def shift_inside(self, u: np.ndarray, pad: float = 1.0) -> np.ndarray:
@@ -112,158 +162,109 @@ class _Cones:
         large blocks nearly on the boundary and the first steps collapse.
         """
         out = u.copy()
-        for kind, sl in self.slices():
-            blk = out[sl]
-            if kind == NONNEG:
-                deficit = pad - blk[0]
-            else:
-                tail = np.linalg.norm(blk[1:])
-                deficit = tail + pad * (1.0 + tail) - blk[0]
-            if deficit > 0:
-                blk[0] += deficit
+        out[: self.nn] += np.maximum(pad - u[: self.nn], 0.0)
+        for _, U in self._soc(out):
+            tail = self._tail_norm(U)
+            U[:, 0] += np.maximum(tail + pad * (1.0 + tail) - U[:, 0], 0.0)
         return out
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
-        """Largest a >= 0 with u + a*du still in the cone (inf if unbounded)."""
-        alpha = np.inf
-        for kind, sl in self.slices():
-            b, db = u[sl], du[sl]
-            if kind == NONNEG:
-                if db[0] < 0:
-                    alpha = min(alpha, -b[0] / db[0])
-                continue
-            # roots of |b0+a*db0|^2 - ||b1+a*db1||^2, the boundary crossing;
-            # a0 in factored form to limit cancellation near the boundary
-            nb = np.linalg.norm(b[1:])
-            a2 = db[0] ** 2 - db[1:] @ db[1:]
-            a1 = 2.0 * (b[0] * db[0] - b[1:] @ db[1:])
-            a0 = (b[0] - nb) * (b[0] + nb)
-            roots = []
-            if abs(a2) < 1e-14 * max(1.0, abs(a1), abs(a0)):
-                if a1 < 0:
-                    roots.append(-a0 / a1)
-            else:
-                disc = a1 * a1 - 4.0 * a2 * a0
-                if disc >= 0:
-                    sq = np.sqrt(disc)
-                    roots.extend([(-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2)])
-            pos = [r for r in roots if r > 0]
-            if pos:
-                alpha = min(alpha, min(pos))
-        return alpha
+        """Largest a >= 0 with u + a*du still in the cone, for u interior
+        (inf if unbounded, nan if du is not finite)."""
+        if not np.isfinite(du).all():
+            return np.nan
+        b, db = u[: self.nn], du[: self.nn]
+        falling = db < 0
+        alpha = (-b[falling] / db[falling]).min(initial=np.inf)
+        for sign, B, D in self._soc(u, du):
+            # first root of a2 a^2 + a1 a + a0 = (b0+a db0)^2 - ||b1+a db1||^2,
+            # where a0 > 0 (factored to limit cancellation near the boundary);
+            # 2 a0 / (sqrt(disc) - a1) is that root without cancellation, and
+            # there is none when disc < 0 or the denominator is not positive
+            nb = self._tail_norm(B)
+            a0 = (B[:, 0] - nb) * (B[:, 0] + nb)
+            a1 = 2.0 * ((B * D) @ sign)
+            a2 = (D * D) @ sign
+            disc = a1 * a1 - 4.0 * a2 * a0
+            den = np.sqrt(np.maximum(disc, 0.0)) - a1
+            hit = (disc >= 0) & (den > 0)
+            alpha = min(alpha, (2.0 * a0[hit] / den[hit]).min(initial=np.inf))
+        return float(alpha)
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """Euclidean projection onto the cone, per block."""
         out = u.copy()
-        for kind, sl in self.slices():
-            blk = out[sl]
-            if kind == NONNEG:
-                blk[0] = max(0.0, blk[0])
-                continue
-            tail = np.linalg.norm(blk[1:])
-            if blk[0] >= tail:
-                continue
-            if blk[0] <= -tail:
-                blk[:] = 0.0
-            else:
-                coef = (blk[0] + tail) / 2.0
-                blk[0] = coef
-                if tail > 0:
-                    blk[1:] *= coef / tail
+        out[: self.nn] = np.maximum(u[: self.nn], 0.0)
+        for _, U in self._soc(out):
+            head = U[:, 0].copy()
+            tail = self._tail_norm(U)
+            keep = head >= tail
+            zero = head <= -tail
+            coef = 0.5 * (head + tail)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                U[:, 1:] *= np.where(keep, 1.0, np.where(zero, 0.0, coef / tail))[:, None]
+            U[:, 0] = np.where(keep, head, np.where(zero, 0.0, coef))
         return out
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product per block."""
         out = np.empty_like(u)
-        for kind, sl in self.slices():
-            a, b = u[sl], v[sl]
-            if kind == NONNEG:
-                out[sl] = a * b
-            else:
-                out[sl.start] = a @ b
-                out[sl.start + 1 : sl.stop] = a[0] * b[1:] + b[0] * a[1:]
+        out[: self.nn] = u[: self.nn] * v[: self.nn]
+        for _, O, U, V in self._soc(out, u, v):
+            O[:, 0] = (U * V).sum(1)
+            O[:, 1:] = U[:, :1] * V[:, 1:] + V[:, :1] * U[:, 1:]
         return out
 
     def solve_product(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Solve lam o x = d per block (arrow-matrix inverse)."""
         out = np.empty_like(d)
-        for kind, sl in self.slices():
-            l, r = lam[sl], d[sl]
-            if kind == NONNEG:
-                out[sl] = r / l
-            else:
-                det = l[0] ** 2 - l[1:] @ l[1:]
-                x0 = (l[0] * r[0] - l[1:] @ r[1:]) / det
-                out[sl.start] = x0
-                out[sl.start + 1 : sl.stop] = (r[1:] - x0 * l[1:]) / l[0]
-        return out
-
-    def w_squared(self, params) -> np.ndarray:
-        """Dense block-diagonal W^2 (for the quasidefinite KKT system)."""
-        out = np.zeros((self.total, self.total))
-        for p, (kind, sl) in zip(params, self.slices()):
-            if p[0] == "n":
-                out[sl.start, sl.start] = p[1] ** 2
-            else:
-                beta, v = p[1], p[2]
-                d = sl.stop - sl.start
-                J = np.eye(d)
-                J[1:, 1:] *= -1.0
-                Wb = beta * (2.0 * np.outer(v, v) - J)
-                out[sl, sl] = Wb @ Wb
+        out[: self.nn] = d[: self.nn] / lam[: self.nn]
+        for sign, O, L, R in self._soc(out, lam, d):
+            O[:, 0] = ((L * R) @ sign) / ((L * L) @ sign)
+            O[:, 1:] = (R[:, 1:] - O[:, :1] * L[:, 1:]) / L[:, :1]
         return out
 
     def nt_scaling(self, s: np.ndarray, z: np.ndarray):
-        """Per-block NT scaling; returns list of block parameters.
-
-        For nonneg blocks the entry is ('n', w) with W = w; for SOC blocks it
-        is ('q', beta, v) with W = beta * (2 v v^T - J), v^T J v = 1, and
-        J = diag(1, -I).
-        """
-        params = []
-        for kind, sl in self.slices():
-            sb, zb = s[sl], z[sl]
-            if kind == NONNEG:
-                params.append(("n", np.sqrt(sb[0] / zb[0])))
-                continue
-            nsb = np.linalg.norm(sb[1:])
-            nzb = np.linalg.norm(zb[1:])
-            ds = (sb[0] - nsb) * (sb[0] + nsb)
-            dz = (zb[0] - nzb) * (zb[0] + nzb)
-            if ds <= 0 or dz <= 0:
+        """NT scaling ``(w, [(W, W^-1) per group])``: W = w on the nonnegative
+        entries and one ``(k, d, d)`` pair per second-order group."""
+        sn, zn = s[: self.nn], z[: self.nn]
+        if not ((sn > 0).all() and (zn > 0).all()):
+            raise FloatingPointError("iterate left the cone interior")
+        mats = []
+        for sign, S, Z in self._soc(s, z):
+            nsb, nzb = self._tail_norm(S), self._tail_norm(Z)
+            ds = (S[:, 0] - nsb) * (S[:, 0] + nsb)
+            dz = (Z[:, 0] - nzb) * (Z[:, 0] + nzb)
+            if not ((ds > 0).all() and (dz > 0).all()):
                 raise FloatingPointError("iterate left the cone interior")
-            sbar = sb / np.sqrt(ds)
-            zbar = zb / np.sqrt(dz)
-            gamma = np.sqrt((1.0 + sbar @ zbar) / 2.0)
-            wbar = np.empty_like(sb)
-            wbar[0] = (sbar[0] + zbar[0]) / (2 * gamma)
-            wbar[1:] = (sbar[1:] - zbar[1:]) / (2 * gamma)
-            v = wbar.copy()
-            v[0] += 1.0
-            v /= np.sqrt(2.0 * (wbar[0] + 1.0))
-            params.append(("q", (ds / dz) ** 0.25, v))
-        return params
+            sbar = S / np.sqrt(ds)[:, None]
+            zbar = Z / np.sqrt(dz)[:, None]
+            gamma2 = 0.5 * (1.0 + (sbar * zbar).sum(1))
+            if not (gamma2 > 0).all():
+                raise FloatingPointError("iterate left the cone interior")
+            # scaling point wbar = (sbar + J zbar) / (2 gamma), and
+            # v = (wbar + e) / sqrt(2 (wbar_0 + 1))
+            v = (sbar + zbar * sign) / (2.0 * np.sqrt(gamma2))[:, None]
+            v[:, 0] += 1.0
+            v /= np.sqrt(2.0 * v[:, :1])
+            beta = ((ds / dz) ** 0.25)[:, None, None]
+            # W = beta (2 v v' - J) and W^-1 = J W J / beta^2
+            W = beta * (2.0 * v[:, :, None] * v[:, None, :] - np.diag(sign))
+            mats.append((W, W * (np.outer(sign, sign) / beta**2)))
+        return np.sqrt(sn / zn), mats
 
-    @staticmethod
-    def _apply_soc(beta: float, v: np.ndarray, u: np.ndarray, inverse: bool) -> np.ndarray:
-        # W u = beta (2 v (v.u) - J u);  W^{-1} u = (2 Jv (v.Ju) - Ju)/beta
-        Ju = u.copy()
-        Ju[1:] *= -1.0
-        if not inverse:
-            return beta * (2.0 * v * (v @ u) - Ju)
-        Jv = v.copy()
-        Jv[1:] *= -1.0
-        return (2.0 * Jv * (v @ Ju) - Ju) / beta
-
-    def apply_w(self, params, u: np.ndarray, inverse: bool = False) -> np.ndarray:
+    def apply_w(self, scaling, u: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """W u (or W^-1 u) for a slack vector or a matrix of slack columns."""
+        w, mats = scaling
         out = np.empty_like(u)
-        for p, (kind, sl) in zip(params, self.slices()):
-            if p[0] == "n":
-                w = p[1]
-                out[sl] = u[sl] / w if inverse else u[sl] * w
-            else:
-                out[sl] = self._apply_soc(p[1], p[2], u[sl], inverse)
+        if u.ndim > 1:
+            w = w[:, None]
+        out[: self.nn] = u[: self.nn] / w if inverse else u[: self.nn] * w
+        for (sl, k, d, _), (W, W_inv) in zip(self.groups, mats):
+            np.matmul(W_inv if inverse else W, u[sl].reshape(k, d, -1),
+                      out=out[sl].reshape(k, d, -1))
         return out
+
 
 # ---------------------------------------------------------------------------
 
@@ -272,11 +273,8 @@ def _compile(program: ConicProgram):
     cones = _Cones(program.blocks)
     if cones.num_blocks == 0:
         raise ValueError("program has no cone blocks; nothing for the solver to do")
-    G = np.zeros((cones.total, program.num_vars))
-    h = np.zeros(cones.total)
-    for blk, off in zip(program.blocks, cones.offsets):
-        G[off : off + blk.dim] = -blk.A
-        h[off : off + blk.dim] = blk.b
+    G = -np.concatenate([blk.A for blk in program.blocks])[cones.order]
+    h = np.concatenate([blk.b for blk in program.blocks])[cones.order]
     return cones, G, h
 
 
@@ -303,7 +301,11 @@ def _initial_point(c, A, b, G, h, cones, reg):
 
 
 def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution:
-    """Solve a conic program; see :class:`Status` for termination meanings."""
+    """Solve a conic program; see :class:`Status` for termination meanings.
+
+    A status other than ``Optimal`` comes with a ``reason`` naming the guard
+    that fired, and the returned iterate is always finite.
+    """
     cfg = config or SolverConfig()
     cones, G, h = _compile(program)
     c = program.obj
@@ -311,10 +313,10 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     n, p = program.num_vars, len(b)
 
     def primal_infeas_quality(y, z):
-        denom = -(float(h @ z) + (float(b @ y) if p else 0.0))
+        denom = -(float(h @ z) + float(b @ y))
         if denom <= 0:
             return np.inf
-        return np.linalg.norm((A.T @ y if p else 0.0) + G.T @ z) / denom
+        return np.linalg.norm(A.T @ y + G.T @ z) / denom
 
     def dual_infeas_quality(x, s):
         denom = -float(c @ x)
@@ -370,16 +372,19 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         resid = np.linalg.norm(A @ x2) if p else 0.0
         return denom > 1e-7 * scale and resid <= 1e-7 * denom
 
-    def finish(status, x, y, z, s, it, rp, rd, rg):
+    def finish(status, reason=""):
+        """Solution at the current iterate, which is always finite."""
         if status in (Status.NUMERICAL_FAILURE, Status.MAX_ITERATIONS):
             # a stalled run may still carry an exact Farkas ray after projection
             if rp > 10 * cfg.tol_feas and purified_primal_certificate(y, z):
                 status = Status.PRIMAL_INFEASIBLE
+                reason += "; projected dual ray certifies primal infeasibility"
             elif rg > 10 * cfg.tol_gap and purified_dual_certificate(x):
                 status = Status.DUAL_INFEASIBLE
-        zs = [z[off : off + blk.dim] for blk, off in zip(program.blocks, cones.offsets)]
+                reason += "; projected primal ray certifies dual infeasibility"
+        zs = cones.split(z)
         obj = float(c @ x) + program.obj_offset
-        return Solution(status, x.copy(), y.copy(), zs, obj, it, rp, rd, rg)
+        return Solution(status, x.copy(), y.copy(), zs, obj, it, rp, rd, rg, reason)
 
     reg = 1e-10
     x, y, s, z = _initial_point(c, A, b, G, h, cones, reg)
@@ -388,15 +393,20 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
     f2b = cfg.fraction_to_boundary
-    rp = rd = rg = np.inf
+    # reduced KKT matrix [[H + D, A'], [A, -reg I]]; only the H block changes
+    kkt_base = np.zeros((n + p, n + p))
+    kkt_base[:n, n:] = A.T
+    kkt_base[n:, :n] = A
+    kkt_base[np.arange(n, n + p), np.arange(n, n + p)] = -reg
+    diag_x = np.arange(n)
 
-    for it in range(cfg.max_iters):
-        r_eq = (A @ x - b) if p else np.zeros(0)
+    for it in range(cfg.max_iters + 1):
+        r_eq = A @ x - b
         r_cone = G @ x + s - h
-        r_dual = (A.T @ y if p else 0.0) + G.T @ z + c
+        r_dual = A.T @ y + G.T @ z + c
         gap = float(s @ z)
         pobj = float(c @ x)
-        dobj = -float(b @ y) - float(h @ z) if p else -float(h @ z)
+        dobj = -float(b @ y) - float(h @ z)
 
         rp = max(
             np.linalg.norm(r_eq) / norm_b if p else 0.0,
@@ -406,75 +416,95 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         rg = abs(pobj - dobj) / max(1.0, abs(pobj))
 
         if rp <= cfg.tol_feas and rd <= cfg.tol_feas and rg <= cfg.tol_gap:
-            return finish(Status.OPTIMAL, x, y, z, s, it, rp, rd, rg)
+            return finish(Status.OPTIMAL)
 
         # infeasibility certificates (heuristic; quantities are scale-free)
         if primal_infeas_quality(y, z) <= cfg.tol_feas and rp > 10 * cfg.tol_feas:
-            return finish(Status.PRIMAL_INFEASIBLE, x, y, z, s, it, rp, rd, rg)
+            return finish(Status.PRIMAL_INFEASIBLE, "dual iterate is a Farkas ray")
         if dual_infeas_quality(x, s) <= cfg.tol_feas and rg > 10 * cfg.tol_gap:
-            return finish(Status.DUAL_INFEASIBLE, x, y, z, s, it, rp, rd, rg)
+            return finish(Status.DUAL_INFEASIBLE, "primal iterate is an improving ray")
+        if it == cfg.max_iters:
+            return finish(Status.MAX_ITERATIONS, "iteration limit")
 
         mu = gap / cones.num_blocks
 
         try:
-            params = cones.nt_scaling(s, z)
+            scaling = cones.nt_scaling(s, z)
         except FloatingPointError:
-            return finish(Status.NUMERICAL_FAILURE, x, y, z, s, it, rp, rd, rg)
-        lam = cones.apply_w(params, z)
+            return finish(Status.NUMERICAL_FAILURE, "scaling left the cone")
+        lam = cones.apply_w(scaling, z)
 
-        # quasidefinite KKT system in (dx, dy, dz); regularization enters the
-        # factorization only and is removed by refining against the exact system
-        W2 = cones.w_squared(params)
-        m = cones.total
-        kkt = np.zeros((n + p + m, n + p + m))
-        if p:
-            kkt[n : n + p, :n] = A
-            kkt[:n, n : n + p] = A.T
-        kkt[n + p :, :n] = G
-        kkt[:n, n + p :] = G.T
-        kkt[n + p :, n + p :] = -W2
-        kkt_reg = kkt.copy()
-        kkt_reg[np.arange(n), np.arange(n)] += reg
-        kkt_reg[np.arange(n, n + p + m), np.arange(n, n + p + m)] -= reg
+        # eliminate dz = W^-2 (G dx - r_z): the reduced matrix needs
+        # H = (W^-1 G)'(W^-1 G).  The regularization is relative to diag(H),
+        # whose entries reach 1/mu, because [G; A] may lack full column rank;
+        # it enters the factorization only
+        Gw = cones.apply_w(scaling, G, inverse=True)
+        H = Gw.T @ Gw
+        kkt = kkt_base.copy()
+        kkt[:n, :n] = H
+        kkt[diag_x, diag_x] += np.maximum(reg, 1e-14 * np.diagonal(H))
         try:
-            lu = scipy.linalg.lu_factor(kkt_reg, check_finite=False)
+            lu = scipy.linalg.lu_factor(kkt, overwrite_a=True, check_finite=False)
         except (scipy.linalg.LinAlgError, ValueError):
-            return finish(Status.NUMERICAL_FAILURE, x, y, z, s, it, rp, rd, rg)
+            return finish(Status.NUMERICAL_FAILURE, "factorization failed")
+        if not np.all(np.abs(np.diagonal(lu[0])) > 0):  # zero or nan pivot
+            return finish(Status.NUMERICAL_FAILURE, "factorization failed")
 
-        def solve_kkt(rhs):
-            sol = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-            for _ in range(3):
-                resid = rhs - kkt @ sol
-                if np.linalg.norm(resid) <= 1e-14 * max(1.0, np.linalg.norm(rhs)):
+        def solve_reduced(r_x, r_y, r_z):
+            wr = cones.apply_w(scaling, r_z, inverse=True)
+            sol = scipy.linalg.lu_solve(
+                lu, np.concatenate([r_x + Gw.T @ wr, r_y]), check_finite=False
+            )
+            dx = sol[:n]
+            return dx, sol[n:], cones.apply_w(scaling, Gw @ dx - wr, inverse=True)
+
+        def kkt_residual(r, d):
+            """r minus the unregularized full system applied to d = (dx, dy, dz)."""
+            dx, dy, dz = d
+            W2dz = cones.apply_w(scaling, cones.apply_w(scaling, dz))
+            e = (r[0] - A.T @ dy - G.T @ dz, r[1] - A @ dx, r[2] - G @ dx + W2dz)
+            return e, np.sqrt(sum(v @ v for v in e))
+
+        def solve_kkt(*r):
+            """Solve [[0, A', G'], [A, 0, 0], [G, 0, -W^2]] (dx, dy, dz) = r,
+            refining against this system while each step halves the residual."""
+            d = solve_reduced(*r)
+            e, err = kkt_residual(r, d)
+            tol = 1e-14 * max(1.0, np.sqrt(sum(v @ v for v in r)))
+            for _ in range(7):
+                if err <= tol:
                     break
-                sol = sol + scipy.linalg.lu_solve(lu, resid, check_finite=False)
-            return sol
+                trial = tuple(u + du for u, du in zip(d, solve_reduced(*e)))
+                e_trial, err_trial = kkt_residual(r, trial)
+                if err_trial < err:
+                    d, e = trial, e_trial
+                if err_trial > 0.5 * err:
+                    break
+                err = err_trial
+            return d
 
         def direction(d_lam):
             """Newton direction for complementarity target -d_lam."""
-            wd = cones.apply_w(params, d_lam)
-            rhs = np.concatenate([-r_dual, -r_eq, -r_cone + wd])
-            sol = solve_kkt(rhs)
-            dx = sol[:n]
-            dy = sol[n : n + p]
-            dz = sol[n + p :]
-            ds = -r_cone - G @ dx
-            return dx, dy, dz, ds
+            dx, dy, dz = solve_kkt(-r_dual, -r_eq, -r_cone + cones.apply_w(scaling, d_lam))
+            return dx, dy, dz, -r_cone - G @ dx
+
+        def step_length(ds, dz, frac):
+            # np.min keeps a nan step length, where min() would return 1.0
+            return float(np.min([1.0, frac * cones.max_step(s, ds),
+                                 frac * cones.max_step(z, dz)]))
 
         # predictor
         dx_a, dy_a, dz_a, ds_a = direction(lam)
-        alpha_a = min(
-            1.0,
-            cones.max_step(s, ds_a),
-            cones.max_step(z, dz_a),
-        )
+        alpha_a = step_length(ds_a, dz_a, 1.0)
+        if not np.isfinite(alpha_a):
+            return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
         gap_a = float((s + alpha_a * ds_a) @ (z + alpha_a * dz_a))
         sigma = min(1.0, max(0.0, gap_a / gap)) ** 3
 
         # corrector (Mehrotra second order term in the scaled space); the
         # corrector is damped when it chokes the step near a degenerate face
         corr = cones.product(
-            cones.apply_w(params, ds_a, inverse=True), cones.apply_w(params, dz_a)
+            cones.apply_w(scaling, ds_a, inverse=True), cones.apply_w(scaling, dz_a)
         )
         lam2 = cones.product(lam, lam)
         center = sigma * mu * cones.identity()
@@ -482,12 +512,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         def corrected(eta):
             d_lam = cones.solve_product(lam, lam2 + eta * corr - center)
             dxyz = direction(d_lam)
-            a = min(
-                1.0,
-                f2b * cones.max_step(s, dxyz[3]),
-                f2b * cones.max_step(z, dxyz[2]),
-            )
-            return a, dxyz
+            return step_length(dxyz[3], dxyz[2], f2b), dxyz
 
         alpha, step = corrected(1.0)
         if alpha < min(0.5 * alpha_a, 0.2):
@@ -497,7 +522,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
                     alpha, step = a2, step2
         dx, dy, dz, ds = step
         if not np.isfinite(alpha) or alpha <= 1e-14:
-            return finish(Status.NUMERICAL_FAILURE, x, y, z, s, it, rp, rd, rg)
+            return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
 
         # guard against rounding in the boundary-step roots
         for _ in range(60):
@@ -505,14 +530,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
                 break
             alpha *= 0.9
         else:
-            return finish(Status.NUMERICAL_FAILURE, x, y, z, s, it, rp, rd, rg)
+            return finish(Status.NUMERICAL_FAILURE, "60 line-search shrinks")
 
-        x = x + alpha * dx
-        if p:
-            y = y + alpha * dy
-        s = s + alpha * ds
-        z = z + alpha * dz
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s)) and np.all(np.isfinite(z))):
-            return finish(Status.NUMERICAL_FAILURE, x, y, z, s, it, rp, rd, rg)
-
-    return finish(Status.MAX_ITERATIONS, x, y, z, s, cfg.max_iters, rp, rd, rg)
+        new = (x + alpha * dx, y + alpha * dy, s + alpha * ds, z + alpha * dz)
+        if not all(np.all(np.isfinite(v)) for v in new):
+            return finish(Status.NUMERICAL_FAILURE, "non-finite iterate")
+        x, y, s, z = new

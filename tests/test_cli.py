@@ -55,6 +55,19 @@ class TestSolve:
         assert result["status"] == "Optimal"
         assert len(result["states"]) == 9
 
+    def test_negative_first_entry_space_separated(self, mpc_file, tmp_path, capsys):
+        out = str(tmp_path / "res.json")
+        code = main(["solve", mpc_file, "--mode", "mpc", "--x0", "-1,0.5",
+                     "--out", out])
+        assert code == 0
+        assert json.load(open(out))["x0"] == [-1.0, 0.5]
+
+    def test_non_optimal_prints_reason(self, lqc_file, capsys):
+        code = main(["solve", lqc_file, "--mode", "robust", "--x0", "-1",
+                     "--max-iters", "1"])
+        assert code == 1
+        assert "reason      iteration limit" in capsys.readouterr().out
+
     def test_malformed_dims_exit_two(self, tmp_path, capsys):
         tree = json.loads(open_render())
         tree["B"][0]["data"] = [1.0, 2.0, 3.0]

@@ -163,6 +163,7 @@ class TestSolutionContract:
             assert sol.res_primal <= cfg.tol_feas
             assert sol.res_dual <= cfg.tol_feas
             assert sol.res_gap <= cfg.tol_gap
+            assert sol.reason == ""
 
     def test_feasibility_round_trip(self, rng):
         for _ in range(10):
@@ -195,6 +196,7 @@ class TestSolutionContract:
         sol = solve(prog, SolverConfig(max_iters=1))
         assert sol.status is Status.MAX_ITERATIONS
         assert sol.iterations == 1
+        assert sol.reason == "iteration limit"
 
 
 class TestInfeasibility:
@@ -236,3 +238,113 @@ class TestConcurrency:
             assert abs(sol.objective - expected) <= 1e-6 * max(1.0, abs(expected))
         # deterministic: same iterate path in every thread
         assert all(np.array_equal(s.x, sols[0].x) for s in sols)
+
+
+class TestConeKernels:
+    """Batched cone kernels against per-block references (tolerance 1e-12)."""
+
+    LAYOUT = [("nonneg", 1), ("soc", 3), ("soc", 2), ("nonneg", 1), ("soc", 5),
+              ("soc", 3), ("soc", 2), ("soc", 3)]
+
+    @pytest.fixture
+    def cones(self):
+        from soclqc.solver import _Cones
+
+        return _Cones(tuple(ConeBlock(k, np.zeros((d, 1)), np.zeros(d)) for k, d in self.LAYOUT))
+
+    def interior(self, rng, cones):
+        """A random interior point, stacked in the solver's row order."""
+        pieces = []
+        for _, d in self.LAYOUT:
+            tail = rng.standard_normal(d - 1)
+            pieces.append(np.concatenate([[np.linalg.norm(tail) + rng.uniform(0.1, 2.0)], tail]))
+        return self.to_solver(cones, pieces)
+
+    @staticmethod
+    def to_solver(cones, pieces):
+        return np.concatenate(pieces)[cones.order]
+
+    def test_layout_round_trip(self, cones, rng):
+        u = rng.standard_normal(cones.total)
+        assert np.array_equal(self.to_solver(cones, cones.split(u)), u)
+        assert [len(b) for b in cones.split(u)] == [d for _, d in self.LAYOUT]
+
+    def test_identity_product_and_inverse(self, cones, rng):
+        u, v = rng.standard_normal((2, cones.total))
+        ref = []
+        for a, b in zip(cones.split(u), cones.split(v)):
+            ref.append(a * b if len(a) == 1 else np.concatenate([[a @ b], a[0] * b[1:] + b[0] * a[1:]]))
+        assert np.allclose(cones.product(u, v), self.to_solver(cones, ref), rtol=1e-12, atol=1e-12)
+        e = cones.identity()
+        assert all(b[0] == 1.0 and not b[1:].any() for b in cones.split(e))
+        assert np.allclose(cones.product(e, u), u, rtol=1e-12, atol=1e-12)
+        lam = self.interior(rng, cones)
+        back = cones.product(lam, cones.solve_product(lam, v))
+        assert np.allclose(back, v, rtol=1e-12, atol=1e-12)
+
+    def test_project_matches_per_block_formula(self, cones, rng):
+        for _ in range(20):
+            u = 2.0 * rng.standard_normal(cones.total)
+            ref = []
+            for kind, b in zip((k for k, _ in self.LAYOUT), cones.split(u)):
+                if kind == "nonneg":
+                    ref.append(np.maximum(b, 0.0))
+                    continue
+                t = np.linalg.norm(b[1:])
+                if b[0] >= t:
+                    ref.append(b)
+                elif b[0] <= -t:
+                    ref.append(np.zeros_like(b))
+                else:
+                    ref.append(0.5 * (b[0] + t) * np.concatenate([[1.0], b[1:] / t]))
+            out = cones.project(u)
+            assert np.allclose(out, self.to_solver(cones, ref), rtol=1e-12, atol=1e-12)
+            assert cones.inside(out, margin=-1e-12)
+
+    def test_max_step_lands_on_the_boundary(self, cones, rng):
+        for _ in range(20):
+            u = self.interior(rng, cones)
+            du = 3.0 * rng.standard_normal(cones.total)
+            a = cones.max_step(u, du)
+            assert cones.inside(u + (1 - 1e-9) * min(a, 1e6) * du)
+            if np.isfinite(a):
+                slack = [b[0] - np.linalg.norm(b[1:]) for b in cones.split(u + a * du)]
+                assert min(np.abs(slack)) <= 1e-9 * (1 + a * np.linalg.norm(du))
+        u = self.interior(rng, cones)
+        assert cones.max_step(u, u) == np.inf
+        assert np.isnan(cones.max_step(u, np.full(cones.total, np.nan)))
+
+    def test_max_step_is_scale_free(self, cones, rng):
+        # blocks near 1e-9 in size, as in an MPC started at the origin, once
+        # took half the step because of an absolute threshold.  du = -u puts
+        # a double root on the boundary, known only to about sqrt(eps)
+        for _ in range(10):
+            u = self.interior(rng, cones)
+            for du in (rng.standard_normal(cones.total), -u):
+                a = cones.max_step(u, du)
+                for scale in (1e-9, 1e9):
+                    assert np.isclose(cones.max_step(scale * u, scale * du), a, rtol=1e-6)
+
+    def test_shift_inside(self, cones, rng):
+        u = 5.0 * rng.standard_normal(cones.total)
+        assert cones.inside(cones.shift_inside(u))
+        inner = self.interior(rng, cones) + 10.0 * cones.identity()
+        assert np.array_equal(cones.shift_inside(inner, pad=1e-3), inner)
+
+    def test_nt_scaling_and_apply_w(self, cones, rng):
+        s, z = self.interior(rng, cones), self.interior(rng, cones)
+        scaling = cones.nt_scaling(s, z)
+        lam = cones.apply_w(scaling, z)
+        # NT point: W z = W^-1 s, so W^2 z = s, never forming W^2
+        assert np.allclose(lam, cones.apply_w(scaling, s, inverse=True), rtol=1e-12, atol=1e-12)
+        assert np.allclose(cones.apply_w(scaling, lam), s, rtol=1e-12, atol=1e-12)
+        M = rng.standard_normal((cones.total, 4))
+        for inverse in (False, True):
+            cols = np.column_stack([cones.apply_w(scaling, m, inverse) for m in M.T])
+            assert np.allclose(cones.apply_w(scaling, M, inverse), cols, rtol=1e-12, atol=1e-12)
+        back = cones.apply_w(scaling, cones.apply_w(scaling, M), inverse=True)
+        assert np.allclose(back, M, rtol=1e-12, atol=1e-12)
+        outside = s.copy()
+        outside[cones.split(np.arange(cones.total))[1][0]] = -1.0
+        with pytest.raises(FloatingPointError):
+            cones.nt_scaling(outside, z)
