@@ -22,13 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    NONNEG,
+    SOC,
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
-    LinExpr,
     add_quadratic_cost,
     cholesky_factor,
-    hyperbolic_to_soc,
+    hyperbolic_rows,
+    unit_rows,
 )
 from .slemma import SimulDiag, simultaneous_diagonalize, symmetrize
 from .solver import Solution, SolverConfig, Status, solve
@@ -48,6 +50,32 @@ def _as_stack(mats, name: str) -> np.ndarray:
     if arr.ndim != 3:
         raise DimensionMismatch(f"{name} must be a sequence of matrices")
     return arr
+
+
+def _check_stage_costs(Q: np.ndarray, R: np.ndarray) -> None:
+    """Every Q[k] symmetric PSD and every R[k] positive definite.
+
+    One stacked eigvalsh and one stacked Cholesky test all stages; on a
+    failure the first failing stage k is named, with the per-stage checks
+    of :func:`symmetrize` and :func:`cholesky_factor`.
+    """
+    Qt = Q.transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.linalg.norm(Q, axis=(1, 2)))
+    asym = np.linalg.norm(Q - Qt, axis=(1, 2)) > 1e-12 * scale * Q.shape[1] * 100
+    qev = np.linalg.eigvalsh(0.5 * (Q + Qt))
+    indefinite = qev[:, 0] < -1e-9 * np.maximum(1.0, np.abs(qev[:, -1]))
+    try:
+        L = np.linalg.cholesky(0.5 * (R + R.transpose(0, 2, 1)))
+        pivots = np.diagonal(L, axis1=1, axis2=2).min(axis=1) ** 2
+        r_bad = pivots <= 1e-12 * np.linalg.norm(R, axis=(1, 2))
+    except np.linalg.LinAlgError:
+        r_bad = np.ones(len(R), dtype=bool)  # the stacked factorization names no stage
+    for k in np.flatnonzero(asym | indefinite | r_bad):
+        if asym[k]:
+            symmetrize(Q[k])
+        if indefinite[k]:
+            raise ValueError(f"Q[{k}] is not positive semidefinite")
+        cholesky_factor(R[k], f"R[{k}]")
 
 
 @dataclass
@@ -99,11 +127,7 @@ class LqcSpec:
             raise DimensionMismatch("input polyhedron over the stacked input is inconsistent")
         if not self.gamma > 0:
             raise ValueError("disturbance radius gamma must be positive")
-        for k in range(N):
-            qev = np.linalg.eigvalsh(symmetrize(self.Q[k]))
-            if qev[0] < -1e-9 * max(1.0, abs(qev[-1])):
-                raise ValueError(f"Q[{k}] is not positive semidefinite")
-            cholesky_factor(self.R[k], f"R[{k}]")
+        _check_stage_costs(self.Q, self.R)
 
     @property
     def horizon(self) -> int:
@@ -411,59 +435,45 @@ def _build_minmax_socp(spec: LqcSpec, x0, kernel: str, amb: AmbiguitySpec | None
     lam_idx = b.add_var()
     t_idx = b.add_vars(n_w_all)
     beta_idx = b.add_vars(m)
-    u = b.var_exprs(u_idx)
-    lam = b.var(lam_idx)
-    ts = b.var_exprs(t_idx)
-    betas = b.var_exprs(beta_idx)
 
     # disturbance normalized to the unit ball: lam here is gamma^2 * the
     # multiplier of the original ball, heads pick up a factor gamma and the
     # diagonal tau a factor gamma^2 -- an exact substitution that keeps the
     # block data O(1) even for extreme radii
-    t_quad = add_quadratic_cost(b, cc.u_quad, u, require_pd=True)
-    obj = t_quad + lam
-    for j, ue in enumerate(u):
-        obj = obj + 2.0 * cc.u_lin[j] * ue
-    for te in ts:
-        obj = obj + te
+    t_quad = add_quadratic_cost(b, cc.u_quad, b.var_exprs(u_idx), require_pd=True)
+    n = b.num_vars
+    obj, _ = t_quad.to_row(n)
+    obj[lam_idx] = 1.0
+    obj[u_idx] = 2.0 * cc.u_lin
+    obj[t_idx] = 1.0
     if amb is not None:
-        for j, be in enumerate(betas):
-            obj = obj + amb.mu[j] * be
-    b.set_objective(obj + offset)
+        obj[beta_idx] = amb.mu
+    b.set_objective_row(obj, offset)
 
-    b.add_nonneg(lam, tag="lam")
-    for be in betas:
-        b.add_nonneg(be, tag="beta")
-    for i in range(spec.u_poly_G.shape[0]):
-        row = LinExpr.constant(spec.u_poly_h[i])
-        for j, ue in enumerate(u):
-            if spec.u_poly_G[i, j] != 0.0:
-                row = row - spec.u_poly_G[i, j] * ue
-        b.add_nonneg(row, tag="input_set")
+    # lam >= 0, beta >= 0 and the input polyhedron h - G u >= 0, one row each
+    n_poly = spec.u_poly_G.shape[0]
+    rows = np.zeros((1 + m + n_poly, n))
+    rows[: 1 + m] = unit_rows([lam_idx, *beta_idx], n)
+    rows[1 + m :, u_idx] = -spec.u_poly_G
+    consts = np.concatenate([np.zeros(1 + m), spec.u_poly_h])
+    b.add_block_rows(NONNEG, rows[:, None], consts[:, None],
+                     ["lam"] + ["beta"] * m + ["input_set"] * n_poly)
 
-    # per-coordinate heads [S^T (linear-in-u disturbance coupling)]_i
-    if kernel == "robust":
-        # w_lin + cross^T u (- H^T beta / 2 with moment info)
-        head_mat = sd.S.T @ cc.cross.T          # rows i, cols over u
-        head_const = sd.S.T @ cc.w_lin
-    else:
-        head_mat = sd.S.T @ cc.cross.T
-        head_const = sd.S.T @ (cc.cross.T @ uq_inv_ulin)
-    beta_mat = -(sd.S.T @ (amb.H.T if amb is not None else np.zeros((n_w_all, 0)))) / 2.0
-
+    # per-coordinate heads [S^T (linear-in-u disturbance coupling)]_i:
+    # w_lin + cross^T u (- H^T beta / 2 with moment info) for the robust
+    # kernel, cross^T (u + Uq^-1 ul) for regret
     g = spec.gamma
-    cone_q = 0
-    for i in range(n_w_all):
-        head = LinExpr.constant(g * head_const[i])
-        for j, ue in enumerate(u):
-            if head_mat[i, j] != 0.0:
-                head = head + g * head_mat[i, j] * ue
-        for j, be in enumerate(betas):
-            if beta_mat[i, j] != 0.0:
-                head = head + g * beta_mat[i, j] * be
-        slack = 1.0 * lam * sd.alpha[i] - g**2 * sd.delta[i]
-        hyperbolic_to_soc(b, head, ts[i], slack, tag=f"coneq{i}")
-        cone_q += 1
+    head_const = sd.S.T @ (cc.w_lin if kernel == "robust" else cc.cross.T @ uq_inv_ulin)
+    heads = np.zeros((n_w_all, n))
+    heads[:, u_idx] = g * (sd.S.T @ cc.cross.T)
+    if amb is not None:
+        heads[:, beta_idx] = g * (-(sd.S.T @ amb.H.T) / 2.0)
+    # head_i^2 <= t_i * slack_i with slack_i = alpha_i lam - gamma^2 delta_i
+    slacks = np.zeros((n_w_all, n))
+    slacks[:, lam_idx] = sd.alpha
+    A, rhs = hyperbolic_rows(heads, g * head_const, unit_rows(t_idx, n), np.zeros(n_w_all),
+                             slacks, -(g**2 * sd.delta))
+    b.add_block_rows(SOC, A, rhs, [f"coneq{i}" for i in range(n_w_all)])
 
     mode = kernel if amb is None else ("dr" if kernel == "robust" else "dr-regret")
     return LqcSocp(
@@ -476,7 +486,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, kernel: str, amb: AmbiguitySpec | None
         lam_index=lam_idx,
         t_index=t_idx,
         beta_index=beta_idx,
-        n_cone_q=cone_q,
+        n_cone_q=n_w_all,
         lmi_dim=n_u_all + n_w_all + 1,
     )
 

@@ -10,6 +10,15 @@ required to satisfy either ``head >= 0`` (nonnegative block, no tail) or
 ``head >= ||tail||_2`` (second-order block).  Quadratic objectives and
 hyperbolic constraints are lowered onto this form with the classical
 transforms of Lobo et al. (1998).
+
+:class:`ConicProgramBuilder` keeps its cone blocks in one form, a list of
+row blocks ``(kind, A, b, tags)``: k blocks of dimension d with ``A`` of
+shape (k, d, w) over the w variables that exist when the blocks are added.
+Applications emit whole stacks at once with
+:meth:`ConicProgramBuilder.add_block_rows`; :func:`hyperbolic_rows` forms the
+stack of per-coordinate hyperbolic blocks that the S-lemma needs.
+:class:`LinExpr` is an input form only: the expression helpers lower their
+arguments to coefficient rows once, at the boundary, and take the same path.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ class NotPositiveDefinite(ValueError):
 class LinExpr:
     """Sparse affine expression ``sum_i coeff[i] * x_i + const``.
 
-    Expressions stay valid when more variables are appended to the builder,
-    which the S-lemma emitters rely on.
+    An input form for the builder's expression helpers, which lower it to a
+    coefficient row (:func:`expr_rows`) over the variables that exist then.
     """
 
     __slots__ = ("terms", "const")
@@ -107,6 +116,31 @@ def as_expr(value) -> LinExpr:
     return LinExpr.constant(float(value))
 
 
+def expr_rows(exprs, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows ``(len, num_vars)`` and constants of affine expressions."""
+    exprs = list(exprs)
+    A = np.zeros((len(exprs), num_vars))
+    b = np.zeros(len(exprs))
+    for i, e in enumerate(exprs):
+        A[i], b[i] = as_expr(e).to_row(num_vars)
+    return A, b
+
+
+def unit_rows(indices, num_vars: int) -> np.ndarray:
+    """Coefficient rows ``(len, num_vars)`` selecting the given variables."""
+    indices = np.atleast_1d(indices)
+    rows = np.zeros((len(indices), num_vars))
+    rows[np.arange(len(indices)), indices] = 1.0
+    return rows
+
+
+def _pad_columns(A: np.ndarray, num_vars: int) -> np.ndarray:
+    """A with zero columns appended along its last axis up to num_vars."""
+    out = np.zeros(A.shape[:-1] + (num_vars,))
+    out[..., : A.shape[-1]] = A
+    return out
+
+
 @dataclass(frozen=True)
 class ConeBlock:
     """One cone constraint ``(A @ x + b) in cone``; row 0 is the head."""
@@ -171,13 +205,24 @@ class ConicProgram:
 
 
 class ConicProgramBuilder:
-    """Incrementally assembles a :class:`ConicProgram`."""
+    """Incrementally assembles a :class:`ConicProgram`.
+
+    Cone blocks are stored in one form, a list of row blocks
+    ``(kind, A, b, tags)``: k blocks of dimension d, ``A`` of shape (k, d, w)
+    and ``b`` of shape (k, d), where w is the variable count when the blocks
+    were added.  :meth:`build` pads every stack with zero columns to the final
+    variable count, so variables may be added after the blocks that precede
+    them.  :meth:`add_nonneg`, :meth:`add_soc` and :meth:`add_eq` accept
+    :class:`LinExpr` arguments, which they lower to coefficient rows once, on
+    entry.
+    """
 
     def __init__(self):
         self._num_vars = 0
-        self._obj = LinExpr()
-        self._eqs: list[LinExpr] = []
-        self._blocks: list[tuple[str, list[LinExpr], str]] = []
+        self._obj = (np.zeros(0), 0.0)
+        self._eqs: list[tuple[np.ndarray, float]] = []
+        self._blocks: list[tuple[str, np.ndarray, np.ndarray, list[str]]] = []
+        self._num_blocks = 0
 
     @property
     def num_vars(self) -> int:
@@ -200,50 +245,109 @@ class ConicProgramBuilder:
     def var_exprs(self, indices) -> list[LinExpr]:
         return [self.var(int(i)) for i in np.atleast_1d(indices)]
 
+    def set_objective_row(self, c, offset: float = 0.0) -> None:
+        """Objective ``c @ x[:len(c)] + offset``."""
+        c = np.array(c, dtype=float)
+        if c.ndim != 1 or len(c) > self._num_vars:
+            raise DimensionMismatch("objective row longer than the variable count")
+        self._obj = (c, float(offset))
+
     def set_objective(self, expr: LinExpr) -> None:
-        self._obj = as_expr(expr).copy()
+        self.set_objective_row(*as_expr(expr).to_row(self._num_vars))
 
     def add_to_objective(self, expr) -> None:
-        self._obj = self._obj + as_expr(expr)
+        row, const = as_expr(expr).to_row(self._num_vars)
+        c, offset = self._obj
+        self._obj = (_pad_columns(c, self._num_vars) + row, offset + const)
 
     def add_eq(self, expr: LinExpr) -> None:
         """Constrain ``expr == 0``."""
-        self._eqs.append(as_expr(expr))
+        row, const = as_expr(expr).to_row(self._num_vars)
+        self._eqs.append((row, -const))
 
     def add_eqs(self, exprs: Iterable[LinExpr]) -> None:
         for e in exprs:
             self.add_eq(e)
 
+    def add_block_rows(self, kind: str, A, b, tag: str | Sequence[str] = "") -> np.ndarray:
+        """Append k cone blocks ``A[i] @ x + b[i]`` of one kind and dimension d.
+
+        ``A`` is (k, d, w) over the first w <= num_vars variables and ``b`` is
+        (k, d); ``tag`` is one string for all k blocks or k strings.  Returns
+        the indices of the new blocks.
+        """
+        A = np.array(A, dtype=float)
+        b = np.array(b, dtype=float)
+        if A.ndim != 3 or b.shape != A.shape[:2] or A.shape[2] > self._num_vars:
+            raise DimensionMismatch(
+                f"row blocks need A (k, d, w <= {self._num_vars}) and b (k, d); "
+                f"got {A.shape} and {b.shape}"
+            )
+        k, d, _ = A.shape
+        if kind == NONNEG and d != 1:
+            raise DimensionMismatch("nonnegative block must be scalar")
+        if kind == SOC and d < 2:
+            raise DimensionMismatch("second-order block needs a nonempty norm part")
+        if kind not in (NONNEG, SOC):
+            raise ValueError(f"unknown cone kind {kind!r}")
+        tags = [tag] * k if isinstance(tag, str) else [str(t) for t in tag]
+        if len(tags) != k:
+            raise DimensionMismatch(f"{len(tags)} tags for {k} blocks")
+        self._blocks.append((kind, A, b, tags))
+        self._num_blocks += k
+        return np.arange(self._num_blocks - k, self._num_blocks)
+
     def add_nonneg(self, expr: LinExpr, tag: str = "") -> int:
         """Constrain ``expr >= 0`` as a degenerate cone block."""
-        self._blocks.append((NONNEG, [as_expr(expr)], tag))
-        return len(self._blocks) - 1
+        A, b = expr_rows([expr], self._num_vars)
+        return int(self.add_block_rows(NONNEG, A[None], b[None], tag)[0])
 
     def add_soc(self, head: LinExpr, tail: Sequence[LinExpr], tag: str = "") -> int:
         """Constrain ``||tail||_2 <= head``."""
-        tail = [as_expr(t) for t in tail]
-        if not tail:
-            raise DimensionMismatch("second-order block needs a nonempty norm part")
-        self._blocks.append((SOC, [as_expr(head)] + tail, tag))
-        return len(self._blocks) - 1
+        A, b = expr_rows([head, *tail], self._num_vars)
+        return int(self.add_block_rows(SOC, A[None], b[None], tag)[0])
 
     def build(self) -> ConicProgram:
         n = self._num_vars
-        c, offset = self._obj.to_row(n)
-        if self._eqs:
-            rows = [e.to_row(n) for e in self._eqs]
-            eq_A = np.array([r for r, _ in rows])
-            eq_b = np.array([-d for _, d in rows])
-        else:
-            eq_A = np.zeros((0, n))
-            eq_b = np.zeros(0)
+        c, offset = self._obj
+        eq_A = np.zeros((len(self._eqs), n))
+        eq_b = np.zeros(len(self._eqs))
+        for i, (row, rhs) in enumerate(self._eqs):
+            eq_A[i, : len(row)] = row
+            eq_b[i] = rhs
         blocks = []
-        for kind, exprs, tag in self._blocks:
-            rows = [e.to_row(n) for e in exprs]
-            A = np.array([r for r, _ in rows])
-            b = np.array([d for _, d in rows])
-            blocks.append(ConeBlock(kind, A, b, tag))
-        return ConicProgram(n, c, offset, eq_A, eq_b, tuple(blocks))
+        for kind, A, b, tags in self._blocks:
+            A = _pad_columns(A, n)
+            blocks.extend(ConeBlock(kind, A[i], b[i], tags[i]) for i in range(len(tags)))
+        return ConicProgram(n, _pad_columns(c, n), offset, eq_A, eq_b, tuple(blocks))
+
+
+def hyperbolic_rows(head_A, head_b, y_A, y_b, z_A, z_b) -> tuple[np.ndarray, np.ndarray]:
+    """Row blocks for k hyperbolic constraints ``||head_i||^2 <= y_i * z_i``.
+
+    Block i is ``[y_i + z_i; 2 head_i; y_i - z_i]``, the second-order form
+    ``||(2 head, y - z)|| <= y + z`` (which implies y, z >= 0).  Heads are
+    scalar rows ``head_A`` (k, w) with constants (k,), or vectors (k, m, w)
+    with (k, m); ``y`` and ``z`` are (k, w) rows with (k,) constants.
+    Returns ``A`` (k, m + 2, w) and ``b`` (k, m + 2) for
+    :meth:`ConicProgramBuilder.add_block_rows`.
+    """
+    head_A = np.asarray(head_A, dtype=float)
+    head_b = np.asarray(head_b, dtype=float)
+    if head_A.ndim == 2:
+        head_A, head_b = head_A[:, None], head_b[:, None]
+    k, m, w = head_A.shape
+    y_A, y_b, z_A, z_b = (np.asarray(v, dtype=float) for v in (y_A, y_b, z_A, z_b))
+    if head_b.shape != (k, m) or not y_A.shape == z_A.shape == (k, w) or not (
+        y_b.shape == z_b.shape == (k,)
+    ):
+        raise DimensionMismatch("hyperbolic rows: head, y and z shapes inconsistent")
+    A = np.empty((k, m + 2, w))
+    b = np.empty((k, m + 2))
+    A[:, 0], b[:, 0] = y_A + z_A, y_b + z_b
+    A[:, 1:-1], b[:, 1:-1] = 2.0 * head_A, 2.0 * head_b
+    A[:, -1], b[:, -1] = y_A - z_A, y_b - z_b
+    return A, b
 
 
 def hyperbolic_to_soc(builder: ConicProgramBuilder, x, y, z, tag: str = "") -> int:
@@ -253,10 +357,12 @@ def hyperbolic_to_soc(builder: ConicProgramBuilder, x, y, z, tag: str = "") -> i
     ``z`` are scalar affine expressions.  Encoded as the single second-order
     block ``||(2x, y - z)|| <= y + z``.
     """
-    xs = [as_expr(x)] if isinstance(x, (LinExpr, int, float)) else [as_expr(e) for e in x]
-    y = as_expr(y)
-    z = as_expr(z)
-    return builder.add_soc(y + z, [2.0 * e for e in xs] + [y - z], tag=tag)
+    xs = [x] if isinstance(x, (LinExpr, int, float)) else list(x)
+    n = builder.num_vars
+    X, xc = expr_rows(xs, n)
+    YZ, yz = expr_rows([y, z], n)
+    A, b = hyperbolic_rows(X[None], xc[None], YZ[:1], yz[:1], YZ[1:], yz[1:])
+    return int(builder.add_block_rows(SOC, A, b, tag)[0])
 
 
 def quadratic_epigraph(
@@ -271,22 +377,18 @@ def quadratic_epigraph(
     """Constrain ``||F x + g||^2 / denom <= t`` where ``denom > 0`` is
     guaranteed by the caller (usually the constant 1).
 
-    Encoded as ``||(2(Fx+g), t - denom)|| <= t + denom``.
+    Encoded as ``||(2(Fx+g), t - denom)|| <= t + denom``; with X the
+    coefficient matrix of ``x_exprs`` the tail rows are ``2 F X``.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
     if F.shape[0] != g.shape[0] or F.shape[1] != len(x_exprs):
         raise DimensionMismatch("quadratic epigraph: F, g, x shapes inconsistent")
-    denom = as_expr(denom)
-    t = as_expr(t)
-    rows = []
-    for i in range(F.shape[0]):
-        r = LinExpr.constant(g[i])
-        for j, xe in enumerate(x_exprs):
-            if F[i, j] != 0.0:
-                r = r + F[i, j] * xe
-        rows.append(2.0 * r)
-    return builder.add_soc(t + denom, rows + [t - denom], tag=tag)
+    n = builder.num_vars
+    X, xc = expr_rows(x_exprs, n)
+    TD, td = expr_rows([t, denom], n)
+    A, b = hyperbolic_rows((F @ X)[None], (g + F @ xc)[None], TD[:1], td[:1], TD[1:], td[1:])
+    return int(builder.add_block_rows(SOC, A, b, tag)[0])
 
 
 def cholesky_factor(M: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -23,14 +23,18 @@ import numpy as np
 import scipy.linalg
 
 from .model import (
+    NONNEG,
+    SOC,
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
     LinExpr,
     NotPositiveDefinite,
-    hyperbolic_to_soc,
+    expr_rows,
+    hyperbolic_rows,
     psd_sqrt_factor,
     quadratic_epigraph,
+    unit_rows,
 )
 from .slemma import simultaneous_diagonalize, symmetrize
 from .solver import Solution
@@ -193,23 +197,37 @@ def emit_invariance_constraints(
     if len(c_exprs) != n:
         raise DimensionMismatch("center expressions have wrong length")
     lam_idx = builder.add_var()
-    lam = builder.var(lam_idx)
     t_idx = builder.add_vars(n)
-    ts = builder.var_exprs(t_idx)
-    builder.add_nonneg(lam, tag="inv:lam")
+    builder.add_nonneg(builder.var(lam_idx), tag="inv:lam")
+    w = builder.num_vars
+    C, c0 = expr_rows(c_exprs, w)
+    r_row, r0 = expr_rows([r_expr], w)
 
-    spent = lam
-    for t in ts:
-        spent = spent + t
-    mc = [_dot_exprs(td.m_sqrt[i], c_exprs) for i in range(n)]
-    budget = hyperbolic_to_soc(builder, mc, r_expr, r_expr - spent, tag="inv:budget")
+    # ||m_sqrt c||^2 <= r * (r - lam - sum(t))
+    spent = r_row.copy()
+    spent[0, [lam_idx, *t_idx]] -= 1.0
+    A, b = hyperbolic_rows((td.m_sqrt @ C)[None], (td.m_sqrt @ c0)[None], r_row, r0, spent, r0)
+    budget = builder.add_block_rows(SOC, A, b, "inv:budget")[0]
 
-    blocks = []
-    for i in range(n):
-        head = _dot_exprs(td.coupling[i], c_exprs)
-        slack = td.pi[i] * lam - td.alpha[i] * r_expr
-        blocks.append(hyperbolic_to_soc(builder, head, ts[i], slack, tag=f"inv:q{i}"))
-    return InvarianceBlock(lam_idx, t_idx, budget, tuple(blocks))
+    # (coupling c)_i^2 <= t_i * (lam * pi_i - r * alpha_i)
+    slacks = -td.alpha[:, None] * r_row
+    slacks[:, lam_idx] += td.pi
+    A, b = hyperbolic_rows(td.coupling @ C, td.coupling @ c0, unit_rows(t_idx, w), np.zeros(n),
+                           slacks, -td.alpha * r0[0])
+    blocks = builder.add_block_rows(SOC, A, b, [f"inv:q{i}" for i in range(n)])
+    return InvarianceBlock(lam_idx, t_idx, int(budget), tuple(blocks.tolist()))
+
+
+def _support_rows(rows, limits, spec: MpcSpec, c_exprs, r_expr, builder, tag) -> list[int]:
+    """Rows ``limits_j - rows_j' c - ||rows_j' P^{-1/2}|| r >= 0``."""
+    gains = np.linalg.norm(rows @ spec.p_inv_sqrt(), axis=1)
+    w = builder.num_vars
+    C, c0 = expr_rows(c_exprs, w)
+    r_row, r0 = expr_rows([r_expr], w)
+    A = -(rows @ C) - gains[:, None] * r_row
+    b = limits - rows @ c0 - gains * r0[0]
+    tags = [f"{tag}{j}" for j in range(rows.shape[0])]
+    return builder.add_block_rows(NONNEG, A[:, None], b[:, None], tags).tolist()
 
 
 def emit_state_containment(
@@ -217,26 +235,14 @@ def emit_state_containment(
 ) -> list[int]:
     """Rows e_j' c + ||e_j' P^{-1/2}|| r <= f_j keeping the ellipsoid in the
     state set (support function of the ball after whitening by P^{1/2})."""
-    rows = spec.E
-    gains = np.linalg.norm(rows @ spec.p_inv_sqrt(), axis=1)
-    out = []
-    for j in range(rows.shape[0]):
-        expr = spec.f[j] - _dot_exprs(rows[j], c_exprs) - gains[j] * r_expr
-        out.append(builder.add_nonneg(expr, tag=f"state_cont{j}"))
-    return out
+    return _support_rows(spec.E, spec.f, spec, c_exprs, r_expr, builder, "state_cont")
 
 
 def emit_input_containment(
     spec: MpcSpec, td: TerminalDiag, c_exprs, r_expr, builder: ConicProgramBuilder
 ) -> list[int]:
     """Same support-function rows for the terminal controller: rows of G K."""
-    rows = spec.G @ spec.K
-    gains = np.linalg.norm(rows @ spec.p_inv_sqrt(), axis=1)
-    out = []
-    for j in range(rows.shape[0]):
-        expr = spec.h[j] - _dot_exprs(rows[j], c_exprs) - gains[j] * r_expr
-        out.append(builder.add_nonneg(expr, tag=f"input_cont{j}"))
-    return out
+    return _support_rows(spec.G @ spec.K, spec.h, spec, c_exprs, r_expr, builder, "input_cont")
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    NONNEG,
+    SOC,
     ConicProgramBuilder,
     DimensionMismatch,
-    LinExpr,
     NotPositiveDefinite,
-    as_expr,
-    hyperbolic_to_soc,
+    expr_rows,
+    hyperbolic_rows,
+    unit_rows,
 )
 
 
@@ -163,37 +165,34 @@ def emit_simplified_slemma(
     D = symmetrize(D)
     if D.shape[0] != n or sd.dim != n:
         raise DimensionMismatch("forms and diagonalization disagree in size")
-    e_exprs = [as_expr(e) for e in e_map]
-    if len(e_exprs) != n:
+    e_map = list(e_map)
+    if len(e_map) != n:
         raise DimensionMismatch("linear-term map has wrong length")
-    f_expr = as_expr(f_map)
     if np.allclose(inner.b, 0.0) and inner.c <= 0.0:
         raise DegenerateInput("inner set has no Slater point at the origin")
 
     lam_idx = builder.add_var()
-    lam = builder.var(lam_idx)
     t_idx = builder.add_vars(n)
-    t_exprs = builder.var_exprs(t_idx)
+    w = builder.num_vars
+    E, e0 = expr_rows(e_map, w)
+    f_row, f0 = expr_rows([f_map], w)
 
-    builder.add_nonneg(lam, tag=f"{tag}:lam")
-    lin = f_expr - inner.c * lam
-    for t in t_exprs:
-        lin = lin - t
-    linear_block = builder.add_nonneg(lin, tag=f"{tag}:budget")
+    # lam >= 0 and the budget f(x) - lam*c - sum(t) >= 0
+    rows = np.vstack([unit_rows(lam_idx, w), f_row])
+    rows[1, lam_idx] -= inner.c
+    rows[1, t_idx] -= 1.0
+    _, linear_block = builder.add_block_rows(
+        NONNEG, rows[:, None], np.array([[0.0], [f0[0]]]), [f"{tag}:lam", f"{tag}:budget"]
+    )
 
-    beta = sd.S.T @ inner.b
-    cone_blocks = []
-    for i in range(n):
-        eps_i = LinExpr()
-        for j in range(n):
-            if sd.S[j, i] != 0.0:
-                eps_i = eps_i + sd.S[j, i] * e_exprs[j]
-        head = eps_i - beta[i] * lam
-        slack = sd.delta[i] - sd.alpha[i] * lam
-        cone_blocks.append(
-            hyperbolic_to_soc(builder, head, t_exprs[i], slack, tag=f"{tag}:q{i}")
-        )
-    return SLemmaBlock(lam_idx, t_idx, linear_block, tuple(cone_blocks))
+    # head_i = [S^T e(x)]_i - lam*[S^T b]_i, slack_i = delta_i - lam*alpha_i
+    heads = sd.S.T @ E
+    heads[:, lam_idx] -= sd.S.T @ inner.b
+    slacks = np.zeros((n, w))
+    slacks[:, lam_idx] = -sd.alpha
+    A, b = hyperbolic_rows(heads, sd.S.T @ e0, unit_rows(t_idx, w), np.zeros(n), slacks, sd.delta)
+    cone_blocks = builder.add_block_rows(SOC, A, b, [f"{tag}:q{i}" for i in range(n)])
+    return SLemmaBlock(lam_idx, t_idx, int(linear_block), tuple(cone_blocks.tolist()))
 
 
 def assemble_classical_lmi(

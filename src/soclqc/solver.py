@@ -215,8 +215,19 @@ class _Cones:
             O[:, 1:] = U[:, :1] * V[:, 1:] + V[:, :1] * U[:, 1:]
         return out
 
+    def divisible(self, lam: np.ndarray) -> bool:
+        """Whether :meth:`solve_product` can divide by lam: no zero entry,
+        head or determinant lam_0^2 - ||lam_1||^2."""
+        if not lam[: self.nn].all():
+            return False
+        for sign, L in self._soc(lam):
+            if not (L[:, 0].all() and ((L * L) @ sign).all()):
+                return False
+        return True
+
     def solve_product(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Solve lam o x = d per block (arrow-matrix inverse)."""
+        """Solve lam o x = d per block (arrow-matrix inverse); lam must be
+        :meth:`divisible`."""
         out = np.empty_like(d)
         out[: self.nn] = d[: self.nn] / lam[: self.nn]
         for sign, O, L, R in self._soc(out, lam, d):
@@ -292,12 +303,14 @@ def _initial_point(c, A, b, G, h, cones, reg):
         sol = np.zeros(n + p)
     x = sol[:n]
     s = cones.shift_inside(h - G @ x)
-    # dual: least-norm (y, z) with A^T y + G^T z = -c
-    stacked = np.hstack([A.T, G.T]) if p else G.T
-    zy, *_ = np.linalg.lstsq(stacked, -c, rcond=None)
-    y = zy[:p] if p else np.zeros(0)
-    z = cones.shift_inside(zy[p:] if p else zy)
-    return x, y, s, z
+    # dual: least-norm (y, z) with A^T y + G^T z = -c, from the normal
+    # equations (A'A + G'G) w = -c and (y, z) = (A w, G w)
+    try:
+        w = np.linalg.solve(GtG + A.T @ A, -c)
+    except np.linalg.LinAlgError:
+        w = np.zeros(n)
+    z = cones.shift_inside(G @ w)
+    return x, A @ w, s, z
 
 
 def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution:
@@ -503,6 +516,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
         # corrector (Mehrotra second order term in the scaled space); the
         # corrector is damped when it chokes the step near a degenerate face
+        if not cones.divisible(lam):
+            return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
         corr = cones.product(
             cones.apply_w(scaling, ds_a, inverse=True), cones.apply_w(scaling, dz_a)
         )

@@ -1,8 +1,15 @@
 import numpy as np
 import scipy.linalg
 
-from soclqc.lqc import LqcSpec, box_polyhedron
+from soclqc.lqc import LqcSpec, box_polyhedron, build_compact_cost
+from soclqc.model import (
+    ConicProgramBuilder,
+    LinExpr,
+    add_quadratic_cost,
+    hyperbolic_to_soc,
+)
 from soclqc.mpc import MpcSpec
+from soclqc.slemma import simultaneous_diagonalize, symmetrize
 
 
 def random_lqc_spec(rng, n_x, n_u, n_w, N, gamma=None, with_linear=True):
@@ -24,6 +31,66 @@ def random_lqc_spec(rng, n_x, n_u, n_w, N, gamma=None, with_linear=True):
         gamma = rng.uniform(0.2, 1.5)
     G, h = box_polyhedron(rng.uniform(0.5, 2.0), N * n_u)
     return LqcSpec(A, B, C, Q, q, R, r, gamma, G, h)
+
+
+def reference_lqc_program(spec, x0, kernel, amb=None):
+    """The min-max LQC program assembled expression by expression from the
+    public LinExpr helpers, with one hyperbolic_to_soc call per coordinate:
+    the variable order, block order, kinds and tags the LQC builders must
+    reproduce."""
+    cc = build_compact_cost(spec, x0)
+    if kernel == "robust":
+        w_quad_eff, offset = cc.w_quad, cc.constant
+    else:
+        uq_inv = np.linalg.solve(cc.u_quad, np.eye(spec.stacked_input_dim))
+        w_quad_eff = symmetrize(cc.cross.T @ uq_inv @ cc.cross)
+        uq_inv_ulin = uq_inv @ cc.u_lin
+        offset = float(cc.u_lin @ uq_inv_ulin)
+    sd = simultaneous_diagonalize(np.eye(w_quad_eff.shape[0]), w_quad_eff)
+    m = amb.num_moments if amb is not None else 0
+
+    b = ConicProgramBuilder()
+    u = b.var_exprs(b.add_vars(spec.stacked_input_dim))
+    lam = b.var(b.add_var())
+    ts = b.var_exprs(b.add_vars(spec.stacked_dist_dim))
+    betas = b.var_exprs(b.add_vars(m))
+    obj = add_quadratic_cost(b, cc.u_quad, u, require_pd=True) + lam
+    for j, ue in enumerate(u):
+        obj = obj + 2.0 * cc.u_lin[j] * ue
+    for te in ts:
+        obj = obj + te
+    for j, be in enumerate(betas):
+        obj = obj + amb.mu[j] * be
+    b.set_objective(obj + offset)
+
+    b.add_nonneg(lam, tag="lam")
+    for be in betas:
+        b.add_nonneg(be, tag="beta")
+    for i in range(spec.u_poly_G.shape[0]):
+        row = LinExpr.constant(spec.u_poly_h[i])
+        for j, ue in enumerate(u):
+            if spec.u_poly_G[i, j] != 0.0:
+                row = row - spec.u_poly_G[i, j] * ue
+        b.add_nonneg(row, tag="input_set")
+
+    head_mat = sd.S.T @ cc.cross.T
+    if kernel == "robust":
+        head_const = sd.S.T @ cc.w_lin
+    else:
+        head_const = sd.S.T @ (cc.cross.T @ uq_inv_ulin)
+    beta_mat = -(sd.S.T @ amb.H.T) / 2.0 if amb is not None else None
+    g = spec.gamma
+    for i in range(spec.stacked_dist_dim):
+        head = LinExpr.constant(g * head_const[i])
+        for j, ue in enumerate(u):
+            if head_mat[i, j] != 0.0:
+                head = head + g * head_mat[i, j] * ue
+        for j, be in enumerate(betas):
+            if beta_mat[i, j] != 0.0:
+                head = head + g * beta_mat[i, j] * be
+        slack = 1.0 * lam * sd.alpha[i] - g**2 * sd.delta[i]
+        hyperbolic_to_soc(b, head, ts[i], slack, tag=f"coneq{i}")
+    return b.build()
 
 
 def worst_case_at(socp, u):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import (
     random_lqc_spec,
+    reference_lqc_program,
     regret_at,
     scalar_regret_grid_oracle,
     worst_case_at,
@@ -25,7 +28,7 @@ from soclqc.lqc import (
     scalar_benchmark_spec,
     time_invariant_spec,
 )
-from soclqc.model import DimensionMismatch, pin_variables
+from soclqc.model import DimensionMismatch, LinExpr, NotPositiveDefinite, pin_variables
 from soclqc.oracle import max_quad_over_ball
 from soclqc.slemma import check_psd
 from soclqc.solver import Status, solve
@@ -53,6 +56,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LqcSpec(one, one, one, one, np.zeros((1, 1)), 0.0 * one,
                     np.zeros((1, 1)), 0.1, np.zeros((0, 1)), np.zeros(0))
+
+    def test_first_failing_stage_is_named(self):
+        base = random_lqc_spec(np.random.default_rng(0), 2, 2, 1, 50)
+
+        def with_costs(Q, R):
+            return LqcSpec(base.A, base.B, base.C, Q, base.q, R, base.r, base.gamma,
+                           base.u_poly_G, base.u_poly_h)
+
+        Q = base.Q.copy()
+        Q[37] = np.diag([1.0, -1.0])
+        singular = base.R.copy()
+        singular[12] = np.diag([1.0, 0.0])
+        tiny = base.R.copy()
+        tiny[12] = np.diag([1.0, 1e-15])
+        with pytest.raises(ValueError, match=r"^Q\[37\] is not positive semidefinite$"):
+            with_costs(Q, base.R)
+        with pytest.raises(NotPositiveDefinite, match=r"^R\[12\] is not positive definite$"):
+            with_costs(base.Q, singular)
+        with pytest.raises(NotPositiveDefinite, match=r"^R\[12\] has a near-zero Cholesky pivot$"):
+            with_costs(base.Q, tiny)
+        # stages are checked in order, Q[k] before R[k]
+        with pytest.raises(NotPositiveDefinite, match=r"^R\[12\]"):
+            with_costs(Q, singular)
 
     def test_polyhedron_dimension_checked(self):
         one = np.ones((1, 1, 1))
@@ -481,7 +507,59 @@ class TestSolverRobustness:
         x0 = rng.standard_normal(4)
         for build in (build_robust_socp, build_regret_socp):
             socp = build(spec, x0)
-            sol = solve(socp.program)
+            # the guards end a failing solve before any division by zero
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                sol = solve(socp.program)
             assert np.all(np.isfinite(sol.x)), (build.__name__, sol.status, sol.reason)
             assert np.all(np.isfinite(socp.extract(sol)["u"]))
             assert (sol.reason == "") == (sol.status is Status.OPTIMAL)
+
+
+def assert_same_program(built, ref):
+    assert built.num_vars == ref.num_vars
+    assert np.array_equal(built.obj, ref.obj)
+    assert built.obj_offset == ref.obj_offset
+    assert np.array_equal(built.eq_A, ref.eq_A) and np.array_equal(built.eq_b, ref.eq_b)
+    assert len(built.blocks) == len(ref.blocks)
+    for blk, want in zip(built.blocks, ref.blocks):
+        assert (blk.kind, blk.tag) == (want.kind, want.tag)
+        assert np.array_equal(blk.A, want.A) and np.array_equal(blk.b, want.b), blk.tag
+
+
+class TestRowBlockBuilder:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_programs_match_linexpr_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_x, n_u, n_w = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        N = int(rng.integers(1, 13))
+        spec = random_lqc_spec(rng, n_x, n_u, n_w, N)
+        x0 = rng.standard_normal(n_x)
+        m = seed % 3
+        amb = AmbiguitySpec(rng.standard_normal((m, N * n_w)), rng.uniform(0.1, 1.0, m))
+        for built, kernel, moments in (
+            (build_robust_socp(spec, x0), "robust", None),
+            (build_regret_socp(spec, x0), "regret", None),
+            (build_dr_socp(spec, x0, amb), "robust", amb),
+            (build_dr_regret_socp(spec, x0, amb), "regret", amb),
+        ):
+            assert_same_program(built.program, reference_lqc_program(spec, x0, kernel, moments))
+
+    def test_expression_work_does_not_grow_with_horizon(self, monkeypatch):
+        # per-nonzero LinExpr emission makes O(N^2) of these calls
+        calls = [0]
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def counted(self, other, _op=getattr(LinExpr, name)):
+                calls[0] += 1
+                return _op(self, other)
+
+            monkeypatch.setattr(LinExpr, name, counted)
+
+        def count(N):
+            spec = scalar_benchmark_spec(N)
+            start = calls[0]
+            build_robust_socp(spec, [0.5])
+            build_regret_socp(spec, [0.5])
+            return calls[0] - start
+
+        assert count(100) <= count(10)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from soclqc.model import (
+    NONNEG,
+    SOC,
     ConicProgramBuilder,
     DimensionMismatch,
     LinExpr,
@@ -181,3 +183,67 @@ class TestProgramStructure:
         b.add_var()
         with pytest.raises(DimensionMismatch):
             b.add_soc(b.var(0), [])
+
+
+class TestRowBlocks:
+    def test_blocks_added_before_later_variables_are_padded(self):
+        b = ConicProgramBuilder()
+        b.add_vars(2)
+        b.set_objective(b.var(1) + 0.5)
+        A = np.array([[[1.0, 0.0], [0.0, 2.0]], [[0.5, 0.5], [1.0, 0.0]]])
+        rhs = np.array([[3.0, 0.0], [1.0, 1.0]])
+        first = b.add_block_rows(SOC, A, rhs, ["a", "b"])
+        b.add_vars(3)
+        late = b.add_nonneg(b.var(4) + 1.0, tag="late")
+        prog = b.build()
+        assert first.tolist() == [0, 1] and late == 2
+        assert prog.num_vars == 5
+        assert [blk.tag for blk in prog.blocks] == ["a", "b", "late"]
+        for i in range(2):
+            assert np.array_equal(prog.blocks[i].A, np.hstack([A[i], np.zeros((2, 3))]))
+            assert np.array_equal(prog.blocks[i].b, rhs[i])
+        assert np.array_equal(prog.blocks[2].A, [[0.0, 0.0, 0.0, 0.0, 1.0]])
+        assert np.array_equal(prog.obj, [0.0, 1.0, 0.0, 0.0, 0.0])
+        assert prog.obj_offset == 0.5
+
+    def test_one_tag_for_all_blocks(self):
+        b = ConicProgramBuilder()
+        b.add_vars(1)
+        b.add_block_rows(NONNEG, np.ones((3, 1, 1)), np.zeros((3, 1)), "row")
+        assert [blk.tag for blk in b.build().blocks] == ["row"] * 3
+
+    @pytest.mark.parametrize(
+        "kind, A_shape, b_shape, tags",
+        [
+            (SOC, (2, 3), (2,), ""),            # A not a stack of blocks
+            (SOC, (2, 3, 2), (2, 2), ""),       # b rows differ from A rows
+            (SOC, (2, 3, 2), (3, 3), ""),       # b blocks differ from A blocks
+            (SOC, (1, 3, 3), (1, 3), ""),       # more columns than variables
+            (NONNEG, (2, 2, 2), (2, 2), ""),    # nonnegative block of dimension 2
+            (SOC, (2, 1, 2), (2, 1), ""),       # second-order block without a tail
+            (SOC, (2, 3, 2), (2, 3), ["a"]),    # one tag for two blocks
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, kind, A_shape, b_shape, tags):
+        b = ConicProgramBuilder()
+        b.add_vars(2)
+        with pytest.raises(DimensionMismatch):
+            b.add_block_rows(kind, np.ones(A_shape), np.ones(b_shape), tags)
+
+    def test_quadratic_epigraph_of_multi_term_expressions(self, rng):
+        # ||F x + g||^2 / denom <= t with x_i non-unit sums of variables plus
+        # constants and an affine denominator
+        b = ConicProgramBuilder()
+        v = b.var_exprs(b.add_vars(4))
+        x_exprs = [2.0 * v[0] - 0.5 * v[2] + 1.0, 3.0 * v[1] + v[3] - 2.0, 0.25 - v[0]]
+        F = rng.standard_normal((2, 3))
+        g = rng.standard_normal(2)
+        t = b.var(b.add_var())
+        idx = quadratic_epigraph(b, F, g, x_exprs, 0.5 * v[3] + 2.0, t)
+        prog = b.build()
+        for _ in range(5):
+            p = rng.standard_normal(5)
+            x = np.array([2.0 * p[0] - 0.5 * p[2] + 1.0, 3.0 * p[1] + p[3] - 2.0, 0.25 - p[0]])
+            denom = 0.5 * p[3] + 2.0
+            expect = np.concatenate([[p[4] + denom], 2.0 * (F @ x + g), [p[4] - denom]])
+            assert np.allclose(block_value(prog, idx, p), expect, rtol=0, atol=1e-12)
