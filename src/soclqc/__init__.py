@@ -27,10 +27,13 @@ from .model import (
     NotPositiveDefinite,
     add_quadratic_cost,
     cholesky_factor,
+    expr_rows,
+    hyperbolic_rows,
     hyperbolic_to_soc,
     pin_variables,
     psd_sqrt_factor,
     quadratic_epigraph,
+    unit_rows,
 )
 from .solver import Solution, SolverConfig, Status, solve
 from .slemma import (

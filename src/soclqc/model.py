@@ -276,6 +276,8 @@ class ConicProgramBuilder:
         (k, d); ``tag`` is one string for all k blocks or k strings.  Returns
         the indices of the new blocks.
         """
+        if kind not in (NONNEG, SOC):
+            raise ValueError(f"unknown cone kind {kind!r}")
         A = np.array(A, dtype=float)
         b = np.array(b, dtype=float)
         if A.ndim != 3 or b.shape != A.shape[:2] or A.shape[2] > self._num_vars:
@@ -288,8 +290,6 @@ class ConicProgramBuilder:
             raise DimensionMismatch("nonnegative block must be scalar")
         if kind == SOC and d < 2:
             raise DimensionMismatch("second-order block needs a nonempty norm part")
-        if kind not in (NONNEG, SOC):
-            raise ValueError(f"unknown cone kind {kind!r}")
         tags = [tag] * k if isinstance(tag, str) else [str(t) for t in tag]
         if len(tags) != k:
             raise DimensionMismatch(f"{len(tags)} tags for {k} blocks")
