@@ -10,18 +10,19 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lqc import (
+    LQC_MODES,
     build_dr_regret_socp,
     build_dr_socp,
     build_regret_socp,
     build_robust_socp,
     build_robust_sdp_data,
     build_compact_cost,
+    lqc_mode,
     scalar_benchmark_spec,
 )
 from .mpc import build_mpc_socp
@@ -35,8 +36,6 @@ EXIT_NOT_OPTIMAL = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
-LQC_MODES = ("robust", "regret", "dr", "dr-regret")
-
 
 def _parse_x0(text: str, n: int, name: str) -> np.ndarray:
     try:
@@ -48,13 +47,20 @@ def _parse_x0(text: str, n: int, name: str) -> np.ndarray:
     return vals
 
 
-def _build_lqc(mode: str, spec, amb, x0):
+def _check_kind(mode, kind: str) -> None:
+    """Mode mpc needs an mpc problem file, every other mode an lqc one."""
+    need = "mpc" if mode == "mpc" else "lqc"
+    if kind != need:
+        raise ProblemFileError(f"mode {mode!r} requires an {need} problem file")
+
+
+def _build(mode: str, spec, amb, x0):
+    if mode == "mpc":
+        return build_mpc_socp(spec, x0)
     if mode == "robust":
         return build_robust_socp(spec, x0)
     if mode == "regret":
         return build_regret_socp(spec, x0)
-    if amb is None:
-        raise ProblemFileError(f"mode {mode!r} needs an ambiguity block in the problem file")
     if mode == "dr":
         return build_dr_socp(spec, x0, amb)
     return build_dr_regret_socp(spec, x0, amb)
@@ -63,18 +69,9 @@ def _build_lqc(mode: str, spec, amb, x0):
 def cmd_solve(args) -> int:
     try:
         kind, spec, amb = load_problem(args.problem)
-        if args.kind and args.kind != kind:
-            raise ProblemFileError(f"problem file has kind {kind!r}, not {args.kind!r}")
-        if args.mode == "mpc":
-            if kind != "mpc":
-                raise ProblemFileError("mode mpc requires an mpc problem file")
-            x0 = _parse_x0(args.x0, spec.n_x, "--x0")
-            socp = build_mpc_socp(spec, x0)
-        else:
-            if kind != "lqc":
-                raise ProblemFileError(f"mode {args.mode!r} requires an lqc problem file")
-            x0 = _parse_x0(args.x0, spec.n_x, "--x0")
-            socp = _build_lqc(args.mode, spec, amb, x0)
+        _check_kind(args.mode, kind)
+        x0 = _parse_x0(args.x0, spec.n_x, "--x0")
+        socp = _build(args.mode, spec, amb, x0)
     except (ProblemFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -87,40 +84,21 @@ def cmd_solve(args) -> int:
     print(f"iterations  {sol.iterations}")
     print(f"residuals   primal {sol.res_primal:.3e}  dual {sol.res_dual:.3e}  "
           f"gap {sol.res_gap:.3e}")
-    result = {
-        "mode": args.mode,
-        "x0": [float(v) for v in x0],
-        "status": sol.status.value,
-        "objective": sol.objective,
-        "iterations": sol.iterations,
-    }
+    ex = socp.extract(sol)
     if args.mode == "mpc":
-        ex = socp.extract(sol)
         print(f"center      {ex['center']}")
         print(f"radius      {ex['radius']:.12g}")
         print("trajectory:")
         for k, row in enumerate(ex["states"]):
             print(f"  x[{k}] = {row}")
-        result.update(
-            states=[[float(v) for v in row] for row in ex["states"]],
-            inputs=[[float(v) for v in row] for row in ex["inputs"]],
-            center=[float(v) for v in ex["center"]],
-            radius=ex["radius"],
-            lam=ex["lam"],
-            t=[float(v) for v in ex["t"]],
-        )
     else:
-        ex = socp.extract(sol)
         print(f"u*          {ex['u']}")
-        result.update(
-            u=[float(v) for v in ex["u"]],
-            lam=ex["lam"],
-            t=[float(v) for v in ex["t"]],
-            beta=[float(v) for v in ex["beta"]],
-        )
     if args.out:
+        result = {"mode": args.mode, "x0": x0, "status": sol.status.value,
+                  "objective": sol.objective, "iterations": sol.iterations, **ex}
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
+            json.dump({k: np.asarray(v).tolist() for k, v in result.items()}, fh,
+                      indent=2, sort_keys=True)
             fh.write("\n")
         print(f"result written to {args.out}")
     return EXIT_OK if sol.status is Status.OPTIMAL else EXIT_NOT_OPTIMAL
@@ -137,6 +115,7 @@ def _check(name: str, residual: float, tol: float, report: list) -> None:
 
 def _verify_lqc(spec, amb, result) -> list:
     mode = result["mode"]
+    kernel, amb = lqc_mode(mode, amb)
     x0 = np.array(result["x0"], dtype=float)
     u = np.array(result["u"], dtype=float)
     lam = float(result["lam"])
@@ -151,19 +130,21 @@ def _verify_lqc(spec, amb, result) -> list:
     _check("input-set feasibility", feas, 1e-6, report)
     _check("multiplier nonnegative", -lam, 1e-9, report)
 
-    if mode in ("robust", "dr"):
-        shift = 0.5 * amb.H.T @ beta if (amb is not None and beta.size) else 0.0
+    # the moment multipliers beta shift the disturbance heads and add mu'beta
+    if amb is not None and beta.size:
+        shift, extra = 0.5 * amb.H.T @ beta, float(amb.mu @ beta)
+    else:
+        shift, extra = 0.0, 0.0
+    base = float(u @ cc.u_quad @ u + 2 * cc.u_lin @ u)
+    if kernel == "robust":
         h_eff = cc.w_lin + cc.cross.T @ u - shift
         quad_eff = cc.w_quad
-        extra = float(amb.mu @ beta) if (amb is not None and beta.size) else 0.0
-        base = float(u @ cc.u_quad @ u + 2 * cc.u_lin @ u) + cc.constant
+        base += cc.constant
     else:
         uq_inv_ulin = np.linalg.solve(cc.u_quad, cc.u_lin)
-        shift = 0.5 * amb.H.T @ beta if (amb is not None and beta.size) else 0.0
         h_eff = cc.cross.T @ (uq_inv_ulin + u) - shift
         quad_eff = cc.cross.T @ np.linalg.solve(cc.u_quad, cc.cross)
-        extra = float(amb.mu @ beta) if (amb is not None and beta.size) else 0.0
-        base = float(u @ cc.u_quad @ u + 2 * cc.u_lin @ u) + float(cc.u_lin @ uq_inv_ulin)
+        base += float(cc.u_lin @ uq_inv_ulin)
 
     # the epigraph bound certified by (lam, t) must dominate the exact
     # ball maximum of the shifted disturbance quadratic
@@ -178,8 +159,8 @@ def _verify_lqc(spec, amb, result) -> list:
         1e-5 * (1 + abs(obj)),
         report,
     )
-    if mode in ("robust", "regret"):
-        # for the optimum the bound is tight
+    if amb is None:
+        # without moment information the bound is tight at the optimum
         _check("objective matches ball oracle",
                abs(obj - (base + wc + extra)), 1e-5 * (1 + abs(obj)), report)
 
@@ -263,17 +244,14 @@ def cmd_verify(args) -> int:
         kind, spec, amb = load_problem(args.problem)
         with open(args.result, "r", encoding="utf-8") as fh:
             result = json.load(fh)
-    except (ProblemFileError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    mode = result.get("mode")
-    if mode == "mpc" and kind != "mpc" or mode in LQC_MODES and kind != "lqc":
-        print("error: result mode does not match problem kind", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        mode = result.get("mode")
+        _check_kind(mode, kind)
         report = _verify_mpc(spec, result) if mode == "mpc" else _verify_lqc(spec, amb, result)
     except KeyError as exc:
         print(f"error: result file missing field {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (ProblemFileError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     all_ok = True
@@ -350,11 +328,7 @@ def cmd_bench(args) -> int:
         print("error: --reps must be at least 1", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            rows = list(pool.map(lambda n: bench_row(n, args.reps), horizons))
-    else:
-        rows = [bench_row(n, args.reps) for n in horizons]
+    rows = [bench_row(n, args.reps) for n in horizons]
 
     lines = [BENCH_HEADER]
     all_opt = True
@@ -384,8 +358,6 @@ def make_parser() -> argparse.ArgumentParser:
                          choices=list(LQC_MODES) + ["mpc"])
     p_solve.add_argument("--x0", required=True,
                          help="initial state, comma-separated")
-    p_solve.add_argument("--kind", choices=["lqc", "mpc"], default=None,
-                         help="assert the problem kind")
     p_solve.add_argument("--out", default=None, help="write result JSON here")
     p_solve.add_argument("--max-iters", type=int, default=100)
     p_solve.set_defaults(func=cmd_solve)
@@ -400,8 +372,6 @@ def make_parser() -> argparse.ArgumentParser:
                          help="comma-separated horizon list, e.g. 10,20,30")
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--out", default=None, help="CSV output path")
-    p_bench.add_argument("--parallel", action="store_true",
-                         help="run rows concurrently (timings indicative only)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

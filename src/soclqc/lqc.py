@@ -409,7 +409,34 @@ class LqcSocp:
         }
 
 
-def _build_minmax_socp(spec: LqcSpec, x0, kernel: str, amb: AmbiguitySpec | None) -> LqcSocp:
+# mode -> (worst-case kernel, whether the mode takes moment information)
+LQC_MODES = {
+    "robust": ("robust", False),
+    "regret": ("regret", False),
+    "dr": ("robust", True),
+    "dr-regret": ("regret", True),
+}
+
+
+def lqc_mode(mode: str, amb: AmbiguitySpec | None) -> tuple[str, AmbiguitySpec | None]:
+    """The kernel of an LQC mode and the moment information it uses.
+
+    Raises ``ValueError`` for an unknown mode and for a distributionally
+    robust mode without moment information; the robust and regret modes
+    ignore ``amb`` and get ``None``.
+    """
+    if mode not in LQC_MODES:
+        raise ValueError(f"unknown LQC mode {mode!r}")
+    kernel, moments = LQC_MODES[mode]
+    if not moments:
+        return kernel, None
+    if amb is None:
+        raise ValueError(f"mode {mode!r} needs moment information (an ambiguity block)")
+    return kernel, amb
+
+
+def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) -> LqcSocp:
+    kernel, amb = lqc_mode(mode, amb)
     cc = build_compact_cost(spec, x0)
     n_u_all, n_w_all = spec.stacked_input_dim, spec.stacked_dist_dim
 
@@ -417,13 +444,11 @@ def _build_minmax_socp(spec: LqcSpec, x0, kernel: str, amb: AmbiguitySpec | None
         w_quad_eff = cc.w_quad
         uq_inv_ulin = None
         offset = cc.constant
-    elif kernel == "regret":
+    else:
         uq_inv = np.linalg.solve(cc.u_quad, np.eye(n_u_all))
         w_quad_eff = symmetrize(cc.cross.T @ uq_inv @ cc.cross)
         uq_inv_ulin = uq_inv @ cc.u_lin
         offset = float(cc.u_lin @ uq_inv_ulin)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
 
     sd = _ball_diag(spec, kernel, w_quad_eff)
     m = amb.num_moments if amb is not None else 0
@@ -440,7 +465,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, kernel: str, amb: AmbiguitySpec | None
     # multiplier of the original ball, heads pick up a factor gamma and the
     # diagonal tau a factor gamma^2 -- an exact substitution that keeps the
     # block data O(1) even for extreme radii
-    t_quad = add_quadratic_cost(b, cc.u_quad, b.var_exprs(u_idx), require_pd=True)
+    t_quad = add_quadratic_cost(b, cc.u_quad, b.var_exprs(u_idx))
     n = b.num_vars
     obj, _ = t_quad.to_row(n)
     obj[lam_idx] = 1.0
@@ -475,7 +500,6 @@ def _build_minmax_socp(spec: LqcSpec, x0, kernel: str, amb: AmbiguitySpec | None
                              slacks, -(g**2 * sd.delta))
     b.add_block_rows(SOC, A, rhs, [f"coneq{i}" for i in range(n_w_all)])
 
-    mode = kernel if amb is None else ("dr" if kernel == "robust" else "dr-regret")
     return LqcSocp(
         program=b.build(),
         mode=mode,
@@ -506,12 +530,12 @@ def build_dr_socp(spec: LqcSpec, x0, amb: AmbiguitySpec) -> LqcSocp:
     """Worst-case expected cost over ball-supported distributions whose first
     moments satisfy E[H w] <= mu.  With no moment rows this coincides with
     the purely robust program."""
-    return _build_minmax_socp(spec, x0, "robust", amb)
+    return _build_minmax_socp(spec, x0, "dr", amb)
 
 
 def build_dr_regret_socp(spec: LqcSpec, x0, amb: AmbiguitySpec) -> LqcSocp:
     """Distributionally robust version of the regret objective."""
-    return _build_minmax_socp(spec, x0, "regret", amb)
+    return _build_minmax_socp(spec, x0, "dr-regret", amb)
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +619,6 @@ class SimulationRecord:
     iterations: list[int]
 
 
-_BUILDERS = {
-    "robust": lambda spec, x0, amb: build_robust_socp(spec, x0),
-    "regret": lambda spec, x0, amb: build_regret_socp(spec, x0),
-    "dr": build_dr_socp,
-    "dr-regret": build_dr_regret_socp,
-}
-
-
 def receding_horizon_simulate(
     spec: LqcSpec,
     x0,
@@ -614,14 +630,12 @@ def receding_horizon_simulate(
 ) -> SimulationRecord:
     """Apply the first input of the re-solved plan at every step.
 
+    ``controller`` is one of :data:`LQC_MODES`; the DR modes need ``amb``.
     ``disturbances`` supplies the realized per-step disturbance vectors; the
     plant steps with the first-stage dynamics matrices.  Solver failures
     raise :class:`RecedingHorizonError` with the offending step index.
     """
-    if controller not in _BUILDERS:
-        raise ValueError(f"unknown controller {controller!r}")
-    if controller in ("dr", "dr-regret") and amb is None:
-        raise ValueError("moment information required for distributionally robust control")
+    lqc_mode(controller, amb)
     disturbances = np.atleast_2d(np.asarray(disturbances, dtype=float))
     if steps is None:
         steps = disturbances.shape[0]
@@ -633,7 +647,7 @@ def receding_horizon_simulate(
     inputs = np.zeros((steps, spec.n_u))
     objectives, statuses, iterations = [], [], []
     for k in range(steps):
-        socp = _BUILDERS[controller](spec, x, amb)
+        socp = _build_minmax_socp(spec, x, controller, amb)
         sol = solve(socp.program, config)
         statuses.append(sol.status)
         iterations.append(sol.iterations)

@@ -24,7 +24,7 @@ arguments to coefficient rows once, at the boundary, and take the same path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class LinExpr:
                 )
             row[i] += v
         return row, self.const
-
-    def max_index(self) -> int:
-        return max(self.terms, default=-1)
 
     def __repr__(self):
         parts = [f"{v:+g}*x{i}" for i, v in sorted(self.terms.items())]
@@ -200,9 +197,6 @@ class ConicProgram:
             v = max(v, blk.violation(x))
         return v
 
-    def objective_value(self, x: np.ndarray) -> float:
-        return float(self.obj @ x) + self.obj_offset
-
 
 class ConicProgramBuilder:
     """Incrementally assembles a :class:`ConicProgram`.
@@ -255,19 +249,10 @@ class ConicProgramBuilder:
     def set_objective(self, expr: LinExpr) -> None:
         self.set_objective_row(*as_expr(expr).to_row(self._num_vars))
 
-    def add_to_objective(self, expr) -> None:
-        row, const = as_expr(expr).to_row(self._num_vars)
-        c, offset = self._obj
-        self._obj = (_pad_columns(c, self._num_vars) + row, offset + const)
-
     def add_eq(self, expr: LinExpr) -> None:
         """Constrain ``expr == 0``."""
         row, const = as_expr(expr).to_row(self._num_vars)
         self._eqs.append((row, -const))
-
-    def add_eqs(self, exprs: Iterable[LinExpr]) -> None:
-        for e in exprs:
-            self.add_eq(e)
 
     def add_block_rows(self, kind: str, A, b, tag: str | Sequence[str] = "") -> np.ndarray:
         """Append k cone blocks ``A[i] @ x + b[i]`` of one kind and dimension d.
@@ -426,18 +411,13 @@ def add_quadratic_cost(
     builder: ConicProgramBuilder,
     M: np.ndarray,
     x_exprs: Sequence[LinExpr],
-    require_pd: bool = True,
     tag: str = "obj_quad",
 ) -> LinExpr:
     """Add an epigraph variable t with ``x^T M x <= t`` and return t.
 
-    ``M`` must be positive definite when ``require_pd`` (factored by
-    Cholesky); otherwise PSD suffices (eigenvalue square root).
+    ``M`` must be positive definite; it is factored by Cholesky.
     """
-    if require_pd:
-        F = cholesky_factor(M, "quadratic cost matrix").T
-    else:
-        F = psd_sqrt_factor(M)
+    F = cholesky_factor(M, "quadratic cost matrix").T
     t = builder.var(builder.add_var())
     quadratic_epigraph(builder, F, np.zeros(F.shape[0]), x_exprs, 1.0, t, tag=tag)
     return t

@@ -43,6 +43,9 @@ import scipy.linalg
 
 from .model import NONNEG, ConeBlock, ConicProgram
 
+# share of the distance to the cone boundary that a combined step may take
+FRACTION_TO_BOUNDARY = 0.99
+
 
 class Status(enum.Enum):
     OPTIMAL = "Optimal"
@@ -57,15 +60,12 @@ class SolverConfig:
     tol_feas: float = 1e-8
     tol_gap: float = 1e-8
     max_iters: int = 100
-    fraction_to_boundary: float = 0.99
 
     def __post_init__(self):
         if self.tol_feas <= 0 or self.tol_gap <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.fraction_to_boundary < 1.0:
-            raise ValueError("fraction_to_boundary must lie in (0, 1)")
 
 
 @dataclass
@@ -405,7 +405,6 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
-    f2b = cfg.fraction_to_boundary
     # reduced KKT matrix [[H + D, A'], [A, -reg I]]; only the H block changes
     kkt_base = np.zeros((n + p, n + p))
     kkt_base[:n, n:] = A.T
@@ -527,7 +526,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         def corrected(eta):
             d_lam = cones.solve_product(lam, lam2 + eta * corr - center)
             dxyz = direction(d_lam)
-            return step_length(dxyz[3], dxyz[2], f2b), dxyz
+            return step_length(dxyz[3], dxyz[2], FRACTION_TO_BOUNDARY), dxyz
 
         alpha, step = corrected(1.0)
         if alpha < min(0.5 * alpha_a, 0.2):

@@ -54,7 +54,7 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     lam = b.var(b.add_var())
     ts = b.var_exprs(b.add_vars(spec.stacked_dist_dim))
     betas = b.var_exprs(b.add_vars(m))
-    obj = add_quadratic_cost(b, cc.u_quad, u, require_pd=True) + lam
+    obj = add_quadratic_cost(b, cc.u_quad, u) + lam
     for j, ue in enumerate(u):
         obj = obj + 2.0 * cc.u_lin[j] * ue
     for te in ts:

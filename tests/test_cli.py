@@ -80,10 +80,12 @@ class TestSolve:
     def test_mode_kind_mismatch_exit_two(self, mpc_file, capsys):
         assert main(["solve", mpc_file, "--mode", "robust", "--x0", "0,0"]) == 2
 
-    def test_kind_flag_mismatch_exit_two(self, lqc_file, capsys):
-        code = main(["solve", lqc_file, "--mode", "robust", "--x0", "-1",
-                     "--kind", "mpc"])
-        assert code == 2
+    def test_dr_mode_without_ambiguity_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "no-amb.json"
+        save_problem(path, scalar_benchmark_spec(1))
+        for mode in ("dr", "dr-regret"):
+            assert main(["solve", str(path), "--mode", mode, "--x0", "-1"]) == 2
+            assert f"mode {mode!r}" in capsys.readouterr().err
 
     def test_bad_x0_exit_two(self, lqc_file, capsys):
         assert main(["solve", lqc_file, "--mode", "robust", "--x0", "1,2"]) == 2
@@ -167,15 +169,6 @@ class TestBench:
             return rows
 
         assert strip_times(a) == strip_times(b)
-
-    def test_parallel_matches_serial_sizes(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        assert main(["bench", "--N", "2,3", "--reps", "1", "--out", str(a)]) == 0
-        assert main(["bench", "--N", "2,3", "--reps", "1", "--parallel",
-                     "--out", str(b)]) == 0
-        strip = lambda p: [l.split(",")[4:] for l in p.read_text().splitlines()[1:]]
-        assert strip(a) == strip(b)
 
     def test_bad_horizon_list(self, capsys):
         assert main(["bench", "--N", "0,5", "--reps", "1"]) == 2

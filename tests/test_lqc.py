@@ -331,6 +331,12 @@ class TestDistributionallyRobust:
         )
         assert abs(rob.objective - dr.objective) <= 1e-6 * (1 + abs(rob.objective))
 
+    def test_dr_builders_require_moments(self):
+        spec = scalar_benchmark_spec(1)
+        for build, mode in ((build_dr_socp, "dr"), (build_dr_regret_socp, "dr-regret")):
+            with pytest.raises(ValueError, match=f"mode {mode!r} "):
+                build(spec, [-1.0], None)
+
     def test_huge_moment_bound_is_inactive(self, rng):
         spec = random_lqc_spec(rng, 2, 1, 2, 2)
         x0 = rng.standard_normal(2)
@@ -451,9 +457,13 @@ class TestRecedingHorizon:
             receding_horizon_simulate(spec, [0.0], np.zeros((1, 1)), controller="foo")
 
     def test_dr_controller_requires_moments(self):
+        # rejected before the first solve, also when there is no step to take
         spec = scalar_benchmark_spec(1)
-        with pytest.raises(ValueError):
-            receding_horizon_simulate(spec, [0.0], np.zeros((1, 1)), controller="dr")
+        for controller in ("dr", "dr-regret"):
+            for steps in (1, 0):
+                with pytest.raises(ValueError, match=f"mode {controller!r} "):
+                    receding_horizon_simulate(spec, [0.0], np.zeros((steps, 1)),
+                                              controller=controller)
 
     def test_regret_and_dr_controllers_run(self):
         spec = scalar_benchmark_spec(2)
@@ -537,12 +547,13 @@ class TestRowBlockBuilder:
         x0 = rng.standard_normal(n_x)
         m = seed % 3
         amb = AmbiguitySpec(rng.standard_normal((m, N * n_w)), rng.uniform(0.1, 1.0, m))
-        for built, kernel, moments in (
-            (build_robust_socp(spec, x0), "robust", None),
-            (build_regret_socp(spec, x0), "regret", None),
-            (build_dr_socp(spec, x0, amb), "robust", amb),
-            (build_dr_regret_socp(spec, x0, amb), "regret", amb),
+        for built, mode, kernel, moments in (
+            (build_robust_socp(spec, x0), "robust", "robust", None),
+            (build_regret_socp(spec, x0), "regret", "regret", None),
+            (build_dr_socp(spec, x0, amb), "dr", "robust", amb),
+            (build_dr_regret_socp(spec, x0, amb), "dr-regret", "regret", amb),
         ):
+            assert built.mode == mode
             assert_same_program(built.program, reference_lqc_program(spec, x0, kernel, moments))
 
     def test_expression_work_does_not_grow_with_horizon(self, monkeypatch):

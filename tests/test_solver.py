@@ -188,8 +188,6 @@ class TestSolutionContract:
             SolverConfig(tol_feas=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(fraction_to_boundary=1.0)
 
     def test_iteration_budget_exhaustion(self, rng):
         prog, _ = make_kkt_instance(rng)
