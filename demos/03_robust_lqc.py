@@ -12,14 +12,13 @@ import time
 import numpy as np
 
 from soclqc import (
-    build_compact_cost,
-    build_robust_sdp_data,
     build_robust_socp,
-    check_psd,
     max_quad_over_ball,
     receding_horizon_simulate,
     scalar_benchmark_spec,
     solve,
+    verify_result,
+    worst_case,
 )
 
 
@@ -33,16 +32,12 @@ def sweep_horizons():
         t0 = time.perf_counter()
         sol = solve(socp.program)
         ms = (time.perf_counter() - t0) * 1e3
-        ex = socp.extract(sol)
-        cc = socp.compact
-        ball = max_quad_over_ball(cc.w_quad, cc.w_lin + cc.cross.T @ ex["u"], spec.gamma)
-        truth = ball.value + float(
-            ex["u"] @ cc.u_quad @ ex["u"] + 2 * cc.u_lin @ ex["u"]
-        ) + cc.constant
-        cert = build_robust_sdp_data(spec, x0)
-        psd = check_psd(cert.assemble(ex["u"], ex["lam"], ex["t"]), 1e-6)
+        result = {"mode": "robust", "x0": x0, **socp.extract(sol)}
+        report = {check.name: check for check in verify_result("lqc", spec, None, result)}
+        gap = report["objective matches ball oracle"].residual
+        psd = report["bordered certificate PSD"].ok
         print(f"{N:>4} {sol.objective:>12.6f} {sol.iterations:>6} {ms:>9.1f} "
-              f"{abs(sol.objective - truth):>11.2e} {'PSD' if psd else 'BROKEN':>12}")
+              f"{gap:>11.2e} {'PSD' if psd else 'BROKEN':>12}")
 
 
 def closed_loop():
@@ -55,22 +50,22 @@ def closed_loop():
     print(f"  final state x = {rec.states[-1][0]:+.4f}")
 
 
-def worst_case_attack():
+def attained_bound():
     print("\nworst-case disturbance really attains the bound (N = 4):")
     spec = scalar_benchmark_spec(4)
     x0 = np.array([-1.0])
     socp = build_robust_socp(spec, x0)
     sol = solve(socp.program)
     u = socp.extract(sol)["u"]
-    cc = build_compact_cost(spec, x0)
-    ball = max_quad_over_ball(cc.w_quad, cc.w_lin + cc.cross.T @ u, spec.gamma)
+    wc = worst_case(socp.compact, "robust", u)
+    ball = max_quad_over_ball(wc.quad, wc.lin, spec.gamma)
     print(f"  SOCP bound        {sol.objective:.9f}")
-    print(f"  J at worst w      {cc.evaluate(u, ball.w_star):.9f}")
+    print(f"  J at worst w      {socp.compact.evaluate(u, ball.w_star):.9f}")
     print(f"  worst w           {np.round(ball.w_star, 5)}  (norm "
           f"{np.linalg.norm(ball.w_star):.4f}, ball radius {spec.gamma})")
 
 
 if __name__ == "__main__":
     sweep_horizons()
-    worst_case_attack()
+    attained_bound()
     closed_loop()

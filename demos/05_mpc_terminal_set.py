@@ -17,6 +17,7 @@ from soclqc import (
     build_mpc_socp,
     max_fixed_radius,
     solve,
+    verify_result,
 )
 
 
@@ -61,16 +62,11 @@ def main():
         u = f", u = {ex['inputs'][k][0]:+.4f}" if k < spec.N else ""
         print(f"  x[{k}] = [{x[0]:+.4f} {x[1]:+.4f}]{u}")
 
-    # run the terminal controller from the planned endpoint: the set must
-    # trap the closed loop
-    c, r = ex["center"], ex["radius"]
-    x = ex["states"][-1].copy()
-    worst = -np.inf
-    for _ in range(50):
-        x = spec.A_cl @ x
-        worst = max(worst, float((x - c) @ spec.P @ (x - c)) - r**2)
-    print(f"\n50-step terminal closed loop: max (x-c)'P(x-c) - r^2 = {worst:.2e}"
-          f"  ({'inside' if worst <= 1e-6 else 'ESCAPED'})")
+    # the checks of soclqc verify, among them 50 steps of the terminal
+    # controller from the planned endpoint, which the set must trap
+    print("\nverification of the plan:")
+    for check in verify_result("mpc", spec, None, {"mode": "mpc", "x0": x_init, **ex}):
+        print(f"  [{'pass' if check.ok else 'FAIL'}] {check.name:42s} {check.residual: .1e}")
 
     # mild initial state: both versions feasible, movable never worse
     x_mild = np.array([2.0, 0.5])

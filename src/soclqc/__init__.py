@@ -12,6 +12,8 @@ Core pieces:
 * :mod:`soclqc.mpc` -- MPC with an online-reconfigurable ellipsoidal
   terminal set.
 * :mod:`soclqc.oracle` -- independent brute-force verification oracles.
+* :mod:`soclqc.verify` -- the checks of a solved result (``verify_result``)
+  and the exact worst case at a fixed input (``worst_case``).
 * :mod:`soclqc.problemfile` / :mod:`soclqc.cli` -- problem files and the
   ``soclqc`` command line (solve | verify | bench).
 """
@@ -90,5 +92,6 @@ from .mpc import (
     max_fixed_radius,
 )
 from .problemfile import ProblemFileError, load_problem, parse_problem, save_problem
+from .verify import Check, WorstCase, verify_result, worst_case
 
 __version__ = "0.1.0"

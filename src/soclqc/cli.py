@@ -1,7 +1,10 @@
 """Command-line front end: solve, verify, bench.
 
-Exit codes: 0 success, 1 solver non-optimal, 2 input error,
-3 verification failure.
+``verify`` loads the problem and result files, takes its report from
+:func:`soclqc.verify.verify_result` and prints one line per check.
+
+Exit codes: 0 success, 1 solver non-optimal, 2 input error (including a
+malformed result file), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -20,16 +23,16 @@ from .lqc import (
     build_dr_socp,
     build_regret_socp,
     build_robust_socp,
-    build_robust_sdp_data,
-    build_compact_cost,
-    lqc_mode,
     scalar_benchmark_spec,
 )
 from .mpc import build_mpc_socp
-from .oracle import max_quad_over_ball
-from .problemfile import ProblemFileError, load_problem
-from .slemma import QuadForm, assemble_classical_lmi, check_psd
+from .problemfile import ProblemFileError, load_problem, require_kind
 from .solver import SolverConfig, Status, solve
+from .verify import verify_result
+
+# not called here: the benchmark tracer (perfbench/spans.py) patches them on this module
+from .lqc import build_compact_cost
+from .oracle import max_quad_over_ball
 
 EXIT_OK = 0
 EXIT_NOT_OPTIMAL = 1
@@ -47,13 +50,6 @@ def _parse_x0(text: str, n: int, name: str) -> np.ndarray:
     return vals
 
 
-def _check_kind(mode, kind: str) -> None:
-    """Mode mpc needs an mpc problem file, every other mode an lqc one."""
-    need = "mpc" if mode == "mpc" else "lqc"
-    if kind != need:
-        raise ProblemFileError(f"mode {mode!r} requires an {need} problem file")
-
-
 def _build(mode: str, spec, amb, x0):
     if mode == "mpc":
         return build_mpc_socp(spec, x0)
@@ -69,7 +65,7 @@ def _build(mode: str, spec, amb, x0):
 def cmd_solve(args) -> int:
     try:
         kind, spec, amb = load_problem(args.problem)
-        _check_kind(args.mode, kind)
+        require_kind(args.mode, kind)
         x0 = _parse_x0(args.x0, spec.n_x, "--x0")
         socp = _build(args.mode, spec, amb, x0)
     except (ProblemFileError, ValueError, OSError) as exc:
@@ -104,161 +100,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK if sol.status is Status.OPTIMAL else EXIT_NOT_OPTIMAL
 
 
-# ---------------------------------------------------------------------------
-# verification
-
-
-def _check(name: str, residual: float, tol: float, report: list) -> None:
-    ok = residual <= tol
-    report.append((name, residual, tol, ok))
-
-
-def _verify_lqc(spec, amb, result) -> list:
-    mode = result["mode"]
-    kernel, amb = lqc_mode(mode, amb)
-    x0 = np.array(result["x0"], dtype=float)
-    u = np.array(result["u"], dtype=float)
-    lam = float(result["lam"])
-    t = np.array(result["t"], dtype=float)
-    beta = np.array(result.get("beta", []), dtype=float)
-    obj = float(result["objective"])
-    cc = build_compact_cost(spec, x0)
-    gamma = spec.gamma
-    report: list = []
-
-    feas = float(np.max(spec.u_poly_G @ u - spec.u_poly_h, initial=0.0))
-    _check("input-set feasibility", feas, 1e-6, report)
-    _check("multiplier nonnegative", -lam, 1e-9, report)
-
-    # the moment multipliers beta shift the disturbance heads and add mu'beta
-    if amb is not None and beta.size:
-        shift, extra = 0.5 * amb.H.T @ beta, float(amb.mu @ beta)
-    else:
-        shift, extra = 0.0, 0.0
-    base = float(u @ cc.u_quad @ u + 2 * cc.u_lin @ u)
-    if kernel == "robust":
-        h_eff = cc.w_lin + cc.cross.T @ u - shift
-        quad_eff = cc.w_quad
-        base += cc.constant
-    else:
-        uq_inv_ulin = np.linalg.solve(cc.u_quad, cc.u_lin)
-        h_eff = cc.cross.T @ (uq_inv_ulin + u) - shift
-        quad_eff = cc.cross.T @ np.linalg.solve(cc.u_quad, cc.cross)
-        base += float(cc.u_lin @ uq_inv_ulin)
-
-    # the epigraph bound certified by (lam, t) must dominate the exact
-    # ball maximum of the shifted disturbance quadratic
-    ball = max_quad_over_ball(quad_eff, h_eff, gamma) if np.any(h_eff) or np.any(quad_eff) \
-        else None
-    bound = float(np.sum(t)) + gamma**2 * lam
-    wc = ball.value if ball is not None else 0.0
-    _check("epigraph dominates ball maximum", wc - bound, 1e-6 * (1 + abs(wc)), report)
-    _check(
-        "objective consistency",
-        abs(obj - (base + bound + extra)),
-        1e-5 * (1 + abs(obj)),
-        report,
-    )
-    if amb is None:
-        # without moment information the bound is tight at the optimum
-        _check("objective matches ball oracle",
-               abs(obj - (base + wc + extra)), 1e-5 * (1 + abs(obj)), report)
-
-    # classical matrix-inequality certificate at the reported multiplier
-    inner = QuadForm.ball(gamma, quad_eff.shape[0])
-    lmi = assemble_classical_lmi(
-        inner, -quad_eff, -h_eff, float(np.sum(t)) + gamma**2 * lam, lam
-    )
-    ok = check_psd(lmi, 1e-6)
-    report.append(("certificate matrix PSD", 0.0 if ok else 1.0, 0.5, ok))
-
-    if mode == "robust":
-        cert = build_robust_sdp_data(spec, x0)
-        big = cert.assemble(u, lam, t)
-        ok = check_psd(big, 1e-6)
-        report.append(("bordered certificate PSD", 0.0 if ok else 1.0, 0.5, ok))
-
-    if mode == "regret":
-        _check("regret nonnegative", -obj, 1e-8, report)
-
-    # sampled disturbances never beat the reported bound
-    rng = np.random.default_rng(0)
-    n_w = quad_eff.shape[0]
-    W = rng.standard_normal((10_000, n_w))
-    W *= (gamma * rng.random(10_000) ** (1.0 / n_w) / np.linalg.norm(W, axis=1))[:, None]
-    vals = np.einsum("ij,jk,ik->i", W, quad_eff, W) + 2.0 * W @ h_eff
-    _check("sampled disturbances below bound", float(np.max(vals)) - bound,
-           1e-6 * (1 + abs(bound)), report)
-    return report
-
-
-def _verify_mpc(spec, result) -> list:
-    x0 = np.array(result["x0"], dtype=float)
-    states = np.array(result["states"], dtype=float)
-    inputs = np.array(result["inputs"], dtype=float)
-    c = np.array(result["center"], dtype=float)
-    r = float(result["radius"])
-    report: list = []
-
-    dyn = 0.0
-    for k in range(spec.N):
-        pred = spec.A @ states[k] + spec.B @ inputs[k]
-        dyn = max(dyn, float(np.max(np.abs(pred - states[k + 1]))))
-    _check("dynamics residual", dyn, 1e-6, report)
-    _check("initial state match", float(np.max(np.abs(states[0] - x0))), 1e-9, report)
-
-    state_viol = max(
-        (float(np.max(spec.E @ states[k] - spec.f)) for k in range(1, spec.N)),
-        default=0.0,
-    )
-    _check("path state constraints", state_viol, 1e-6, report)
-    input_viol = max(float(np.max(spec.G @ u - spec.h)) for u in inputs)
-    _check("input constraints", input_viol, 1e-6, report)
-
-    xN = states[-1]
-    _check("terminal membership", float((xN - c) @ spec.P @ (xN - c)) - r**2, 1e-6, report)
-
-    A_cl = spec.A_cl
-    rng = np.random.default_rng(0)
-    D = rng.standard_normal((1000, spec.n_x))
-    D /= np.linalg.norm(D, axis=1)[:, None]
-    X = c + r * (D @ spec.p_inv_sqrt())
-    inv_viol = max(float((A_cl @ x - c) @ spec.P @ (A_cl @ x - c)) - r**2 for x in X)
-    _check("terminal set invariance (sampled)", inv_viol, 1e-7 * (1 + r**2), report)
-    _check("terminal set in state set (sampled)",
-           float(np.max(spec.E @ X.T - spec.f[:, None])), 1e-7, report)
-    _check("terminal controller in input set (sampled)",
-           float(np.max(spec.G @ spec.K @ X.T - spec.h[:, None])), 1e-7, report)
-
-    x = xN.copy()
-    worst = -np.inf
-    for _ in range(50):
-        x = A_cl @ x
-        worst = max(worst, float((x - c) @ spec.P @ (x - c)) - r**2)
-    _check("closed loop stays in terminal set", worst, 1e-6, report)
-    return report
-
-
 def cmd_verify(args) -> int:
     try:
         kind, spec, amb = load_problem(args.problem)
         with open(args.result, "r", encoding="utf-8") as fh:
             result = json.load(fh)
-        mode = result.get("mode")
-        _check_kind(mode, kind)
-        report = _verify_mpc(spec, result) if mode == "mpc" else _verify_lqc(spec, amb, result)
-    except KeyError as exc:
-        print(f"error: result file missing field {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        report = verify_result(kind, spec, amb, result)
     except (ProblemFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    all_ok = True
     for name, residual, tol, ok in report:
-        flag = "pass" if ok else "FAIL"
-        print(f"[{flag}] {name:40s} residual {residual: .3e}  (tol {tol:.1e})")
-        all_ok &= ok
+        print(f"[{'pass' if ok else 'FAIL'}] {name:40s} residual {residual: .3e}  (tol {tol:.1e})")
+    all_ok = all(check.ok for check in report)
     print("verification", "passed" if all_ok else "FAILED")
     return EXIT_OK if all_ok else EXIT_VERIFY
 

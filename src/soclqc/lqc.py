@@ -552,8 +552,7 @@ class RobustCertificateData:
          [F',  -h,                lam*I - Wq + F'F]]
 
     with h = wl - X' Uq^{-1} ul, F = L^{-1} X' ... transposed consistently
-    with the Cholesky factor Uq = L L', and y = L'u + L^{-1} ul.  The input
-    set maps to y_poly_G @ y <= y_poly_h.
+    with the Cholesky factor Uq = L L', and y = L'u + L^{-1} ul.
     """
 
     compact: CompactCost
@@ -561,27 +560,16 @@ class RobustCertificateData:
     chol_L: np.ndarray
     h: np.ndarray
     F: np.ndarray
-    y_poly_G: np.ndarray
-    y_poly_h: np.ndarray
-
-    def y_from_u(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return self.chol_L.T @ u + np.linalg.solve(self.chol_L, self.compact.u_lin)
-
-    def epigraph_value(self, u, lam, t) -> float:
-        """The z consistent with a solved program's (u, lam, t)."""
-        cc = self.compact
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        quad = float(u @ cc.u_quad @ u + 2.0 * cc.u_lin @ u)
-        blin = float(cc.u_lin @ np.linalg.solve(cc.u_quad, cc.u_lin))
-        return quad + float(np.sum(t)) + self.gamma**2 * float(lam) + blin
 
     def assemble(self, u, lam, t) -> np.ndarray:
+        """The bordered matrix at a solved program's (u, lam, t)."""
         cc = self.compact
         n_u = cc.u_quad.shape[0]
         n_w = cc.w_quad.shape[0]
-        y = self.y_from_u(u)
-        z = self.epigraph_value(u, lam, t)
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        y = self.chol_L.T @ u + np.linalg.solve(self.chol_L, cc.u_lin)
+        z = (float(u @ cc.u_quad @ u + 2.0 * cc.u_lin @ u) + float(np.sum(t))
+             + self.gamma**2 * float(lam) + float(cc.u_lin @ np.linalg.solve(cc.u_quad, cc.u_lin)))
         M = np.zeros((n_u + 1 + n_w, n_u + 1 + n_w))
         M[:n_u, :n_u] = np.eye(n_u)
         M[:n_u, n_u] = y
@@ -600,10 +588,7 @@ def build_robust_sdp_data(spec: LqcSpec, x0) -> RobustCertificateData:
     L = cholesky_factor(cc.u_quad, "stacked input cost")
     uq_inv_ulin = np.linalg.solve(cc.u_quad, cc.u_lin)
     h = cc.w_lin - cc.cross.T @ uq_inv_ulin
-    F = np.linalg.solve(L, cc.cross)
-    y_G = spec.u_poly_G @ np.linalg.inv(L).T
-    y_h = spec.u_poly_h + spec.u_poly_G @ uq_inv_ulin
-    return RobustCertificateData(cc, spec.gamma, L, h, F, y_G, y_h)
+    return RobustCertificateData(cc, spec.gamma, L, h, np.linalg.solve(L, cc.cross))
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,13 @@ def load_problem(path):
         return parse_problem(fh.read())
 
 
+def require_kind(mode, kind: str) -> None:
+    """Mode mpc needs an mpc problem file, every other mode an lqc one."""
+    need = "mpc" if mode == "mpc" else "lqc"
+    if kind != need:
+        raise ProblemFileError(f"mode {mode!r} requires an {need} problem file")
+
+
 def render_lqc(spec: LqcSpec, amb: AmbiguitySpec | None = None) -> str:
     tree = {
         "kind": "lqc",

@@ -93,30 +93,6 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     return b.build()
 
 
-def worst_case_at(socp, u):
-    """Exact worst-case objective of a robust program at a fixed input."""
-    from soclqc.oracle import max_quad_over_ball
-
-    cc = socp.compact
-    res = max_quad_over_ball(cc.w_quad, cc.w_lin + cc.cross.T @ u, socp.gamma)
-    return res.value + float(u @ cc.u_quad @ u + 2 * cc.u_lin @ u) + cc.constant
-
-
-def regret_at(socp, u):
-    """Exact worst-case regret of a regret program at a fixed input."""
-    from soclqc.oracle import max_quad_over_ball
-
-    cc = socp.compact
-    uq_inv_ulin = np.linalg.solve(cc.u_quad, cc.u_lin)
-    kern = cc.cross.T @ np.linalg.solve(cc.u_quad, cc.cross)
-    res = max_quad_over_ball(kern, cc.cross.T @ (uq_inv_ulin + u), socp.gamma)
-    return (
-        res.value
-        + float(u @ cc.u_quad @ u + 2 * cc.u_lin @ u)
-        + float(cc.u_lin @ uq_inv_ulin)
-    )
-
-
 def scalar_regret_grid_oracle(spec, x0, u_grid, w_grid):
     """Vectorized nested grid min-max of cost minus clairvoyant cost.
 
@@ -155,9 +131,3 @@ def double_integrator_mpc(N=8, x_bound=5.0, u_bound=1.0) -> MpcSpec:
     Q_f = scipy.linalg.solve_discrete_lyapunov(A_cl.T, Q + K.T @ R @ K)
     return MpcSpec(A, B, E, f, G, h, K, P, N, Q, R, Q_f)
 
-
-def ellipsoid_boundary_points(spec, c, r, count, rng):
-    """Points with (x - c)' P (x - c) = r^2."""
-    D = rng.standard_normal((count, spec.n_x))
-    D /= np.linalg.norm(D, axis=1)[:, None]
-    return c + r * (D @ spec.p_inv_sqrt())

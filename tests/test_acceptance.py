@@ -10,11 +10,8 @@ import numpy as np
 
 from helpers import (
     double_integrator_mpc,
-    ellipsoid_boundary_points,
     random_lqc_spec,
-    regret_at,
     scalar_regret_grid_oracle,
-    worst_case_at,
 )
 from soclqc.cli import bench_row
 from soclqc.lqc import (
@@ -36,6 +33,7 @@ from soclqc.slemma import (
     simultaneous_diagonalize,
 )
 from soclqc.solver import Status, solve
+from soclqc.verify import verify_result, worst_case
 
 
 def record(num: int, description: str, ok: bool, detail: str = ""):
@@ -141,7 +139,7 @@ def test_criterion_3_robust_exactness():
     for spec, x0 in _random_robust_cases(rng, 30):
         socp = build_robust_socp(spec, x0)
         sol = solve_ok(socp.program)
-        truth = worst_case_at(socp, socp.extract(sol)["u"])
+        truth = worst_case(socp.compact, "robust", socp.extract(sol)["u"]).value(spec.gamma)
         worst = max(worst, abs(sol.objective - truth) / max(1.0, abs(truth)))
     spec = scalar_benchmark_spec(1)
     socp = build_robust_socp(spec, [-1.0])
@@ -185,7 +183,7 @@ def test_criterion_5_regret():
         socp = build_regret_socp(spec, x0)
         sol = solve_ok(socp.program)
         worst_negative = min(worst_negative, sol.objective)
-        truth = regret_at(socp, socp.extract(sol)["u"])
+        truth = worst_case(socp.compact, "regret", socp.extract(sol)["u"]).value(spec.gamma)
         worst_rel = max(worst_rel, abs(sol.objective - truth) / max(1.0, abs(truth)))
     spec = scalar_benchmark_spec(1)
     sol = solve_ok(build_regret_socp(spec, [-1.0]).program)
@@ -224,42 +222,28 @@ def test_criterion_6_dr_degeneracy():
 
 
 def test_criterion_7_mpc_terminal_set():
-    rng = np.random.default_rng(7)
     spec = double_integrator_mpc()
     x_init = np.array([2.0, 0.5])
     socp = build_mpc_socp(spec, x_init)
     sol = solve_ok(socp.program)
-    ex = socp.extract(sol)
-    c, r = ex["center"], ex["radius"]
-    X = ellipsoid_boundary_points(spec, c, r, 1000, rng)
-    A_cl = spec.A_cl
-    inv_viol = max(
-        float((A_cl @ x - c) @ spec.P @ (A_cl @ x - c)) - r**2 for x in X
-    )
-    state_viol = float(np.max(spec.E @ X.T - spec.f[:, None]))
-    input_viol = float(np.max(spec.G @ spec.K @ X.T - spec.h[:, None]))
-    x = ex["states"][-1].copy()
-    loop_viol = -np.inf
-    for _ in range(50):
-        x = A_cl @ x
-        loop_viol = max(loop_viol, float((x - c) @ spec.P @ (x - c)) - r**2)
+    report = verify_result("mpc", spec, None,
+                           {"mode": "mpc", "x0": x_init, **socp.extract(sol)})
+    inv, state, inputs = (check.residual for check in report if "(sampled)" in check.name)
     fixed = solve_ok(
         build_mpc_socp(
             spec, x_init, fixed_terminal=(np.zeros(2), 0.9 * max_fixed_radius(spec))
         ).program
     )
     ok = (
-        inv_viol <= 1e-7
-        and state_viol <= 1e-7
-        and input_viol <= 1e-7
-        and loop_viol <= 1e-6
+        all(check.ok for check in report)
+        and inv <= 1e-7
         and sol.objective <= fixed.objective + 1e-8
     )
     record(
         7,
         "terminal-set invariance/containment by sampling, closed loop stays inside",
         ok,
-        f"viol inv {inv_viol:.1e} state {state_viol:.1e} input {input_viol:.1e}",
+        f"viol inv {inv:.1e} state {state:.1e} input {inputs:.1e}",
     )
 
 
@@ -287,11 +271,12 @@ def test_criterion_9_oracle_self_consistency():
         x0 = rng.standard_normal(2)
         cc = build_compact_cost(spec, x0)
         u = rng.uniform(-0.5, 0.5, spec.stacked_input_dim)
-        h = cc.w_lin + cc.cross.T @ u
+        wc = worst_case(cc, "robust", u)
+        h = wc.lin
         res = max_quad_over_ball(cc.w_quad, h, spec.gamma)
         step = 1e-3
         grid_val = grid_worst_case(cc, u, spec.gamma, step)
-        exact = res.value + float(u @ cc.u_quad @ u + 2 * cc.u_lin @ u) + cc.constant
+        exact = wc.value(spec.gamma)
         lip = 2 * np.linalg.norm(cc.w_quad) * spec.gamma + 2 * np.linalg.norm(h)
         ok &= -1e-9 <= exact - grid_val <= 2 * step * lip + 1e-9
         # KKT residuals of the ball oracle

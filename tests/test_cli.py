@@ -139,6 +139,24 @@ class TestVerify:
         bad.write_text(json.dumps(res))
         assert main(["verify", lqc_file, str(bad)]) == 3
 
+    @pytest.mark.parametrize("mode, malform, named", [
+        ("robust", lambda res: [], "JSON object"),
+        ("robust", lambda res: 3, "JSON object"),
+        ("robust", lambda res: {**res, "lam": [1, 2]}, "'lam'"),
+        ("mpc", lambda res: {**res, "radius": [1, 2]}, "'radius'"),
+        ("robust", lambda res: {**res, "x0": None}, "'x0'"),
+        ("mpc", lambda res: {**res, "states": res["states"][:2]}, "'states'"),
+    ], ids=["list", "number", "lam-vector", "radius-vector", "x0-null", "states-two-rows"])
+    def test_malformed_result_exits_two(self, mode, malform, named, lqc_file, mpc_file,
+                                        tmp_path, capsys):
+        problem, x0 = (mpc_file, "2,0.5") if mode == "mpc" else (lqc_file, "-1")
+        out = tmp_path / "res.json"
+        assert main(["solve", problem, "--mode", mode, "--x0", x0, "--out", str(out)]) == 0
+        out.write_text(json.dumps(malform(json.loads(out.read_text()))))
+        capsys.readouterr()
+        assert main(["verify", problem, str(out)]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestBench:
     def test_csv_schema_and_sizes(self, tmp_path):

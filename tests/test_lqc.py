@@ -6,9 +6,7 @@ import pytest
 from helpers import (
     random_lqc_spec,
     reference_lqc_program,
-    regret_at,
     scalar_regret_grid_oracle,
-    worst_case_at,
 )
 from soclqc.lqc import (
     AmbiguitySpec,
@@ -32,6 +30,7 @@ from soclqc.model import DimensionMismatch, LinExpr, NotPositiveDefinite, pin_va
 from soclqc.oracle import max_quad_over_ball
 from soclqc.slemma import check_psd
 from soclqc.solver import Status, solve
+from soclqc.verify import worst_case
 
 
 def solve_ok(program):
@@ -190,7 +189,7 @@ class TestRobustSocp:
             x0 = rng.standard_normal(n_x)
             socp = build_robust_socp(spec, x0)
             sol = solve_ok(socp.program)
-            truth = worst_case_at(socp, socp.extract(sol)["u"])
+            truth = worst_case(socp.compact, "robust", socp.extract(sol)["u"]).value(spec.gamma)
             assert abs(sol.objective - truth) <= 1e-5 * (1 + abs(truth))
 
     def test_epigraph_bounds_any_feasible_input(self, rng):
@@ -240,7 +239,7 @@ class TestRobustSocp:
         socp = build_robust_socp(spec, x0)
         assert np.min(socp.diag.delta) <= 1e-12
         sol = solve_ok(socp.program)
-        truth = worst_case_at(socp, socp.extract(sol)["u"])
+        truth = worst_case(socp.compact, "robust", socp.extract(sol)["u"]).value(spec.gamma)
         assert abs(sol.objective - truth) <= 1e-5 * (1 + abs(truth))
 
 
@@ -307,7 +306,7 @@ class TestRegretSocp:
             socp = build_regret_socp(spec, x0)
             sol = solve_ok(socp.program)
             assert sol.objective >= -1e-8
-            truth = regret_at(socp, socp.extract(sol)["u"])
+            truth = worst_case(socp.compact, "regret", socp.extract(sol)["u"]).value(spec.gamma)
             assert abs(sol.objective - truth) <= 1e-5 * (1 + abs(truth))
             # regret <= worst case minus the best clairvoyant value on the ball
             rob = build_robust_socp(spec, x0)
@@ -499,13 +498,12 @@ class TestSolverRobustness:
             gamma = 10 ** rng.uniform(-3, 1.5)
             spec = random_lqc_spec(rng, n_x, n_u, n_w, N, gamma=gamma)
             x0 = rng.standard_normal(n_x) * 10 ** rng.uniform(-1, 1)
-            for build, oracle in ((build_robust_socp, worst_case_at),
-                                  (build_regret_socp, regret_at)):
+            for build, kernel in ((build_robust_socp, "robust"), (build_regret_socp, "regret")):
                 socp = build(spec, x0)
                 sol = solve(socp.program)
                 label = f"trial {trial} {build.__name__}"
                 assert sol.status is Status.OPTIMAL, f"{label}: {sol.status} ({sol.reason})"
-                truth = oracle(socp, socp.extract(sol)["u"])
+                truth = worst_case(socp.compact, kernel, socp.extract(sol)["u"]).value(gamma)
                 assert abs(sol.objective - truth) <= 1e-5 * (1 + abs(truth)), label
 
     @pytest.mark.parametrize("seed", [0, 2])

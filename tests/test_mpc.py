@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import double_integrator_mpc, ellipsoid_boundary_points
+from helpers import double_integrator_mpc
 from soclqc.model import ConicProgramBuilder, NotPositiveDefinite
 from soclqc.mpc import (
     MpcSpec,
@@ -14,6 +14,7 @@ from soclqc.mpc import (
     max_fixed_radius,
 )
 from soclqc.solver import Status, solve
+from soclqc.verify import verify_result
 
 
 def solve_ok(program):
@@ -201,40 +202,17 @@ class TestFullProblem:
         assert np.max(np.abs(ex["states"])) <= 1e-5
         assert np.max(np.abs(ex["inputs"])) <= 1e-5
 
-    def test_double_integrator_constraints_hold(self, rng):
+    def test_double_integrator_constraints_hold(self):
+        # dynamics, path and input constraints, terminal membership, sampled
+        # invariance and containment, and 50 steps of the terminal closed loop
         spec = double_integrator_mpc()
         x_init = np.array([2.0, 0.5])
         socp = build_mpc_socp(spec, x_init)
-        sol = solve_ok(socp.program)
-        ex = socp.extract(sol)
-        states, inputs = ex["states"], ex["inputs"]
-        c, r = ex["center"], ex["radius"]
-        for k in range(spec.N):
-            assert np.allclose(
-                states[k + 1], spec.A @ states[k] + spec.B @ inputs[k], atol=1e-6
-            )
-            assert np.all(spec.G @ inputs[k] <= spec.h + 1e-6)
-        for k in range(1, spec.N):
-            assert np.all(spec.E @ states[k] <= spec.f + 1e-6)
-        assert (states[-1] - c) @ spec.P @ (states[-1] - c) <= r**2 + 1e-6
-
-        X = ellipsoid_boundary_points(spec, c, r, 1000, rng)
-        A_cl = spec.A_cl
-        for x in X:
-            assert (A_cl @ x - c) @ spec.P @ (A_cl @ x - c) <= r**2 + 1e-7
-        assert np.max(spec.E @ X.T - spec.f[:, None]) <= 1e-7
-        assert np.max(spec.G @ spec.K @ X.T - spec.h[:, None]) <= 1e-7
-
-    def test_closed_loop_stays_in_terminal_set(self):
-        spec = double_integrator_mpc()
-        socp = build_mpc_socp(spec, np.array([2.0, 0.5]))
-        sol = solve_ok(socp.program)
-        ex = socp.extract(sol)
-        c, r = ex["center"], ex["radius"]
-        x = ex["states"][-1].copy()
-        for _ in range(50):
-            x = spec.A_cl @ x
-            assert (x - c) @ spec.P @ (x - c) <= r**2 + 1e-6
+        ex = socp.extract(solve_ok(socp.program))
+        report = verify_result("mpc", spec, None, {"mode": "mpc", "x0": x_init, **ex})
+        assert [check.name for check in report if not check.ok] == []
+        # an absolute bound, tighter than verify's 1e-7 (1 + r^2)
+        assert max(check.residual for check in report if "invariance" in check.name) <= 1e-7
 
     def test_reconfigurable_no_worse_than_fixed(self):
         spec = double_integrator_mpc(N=4)

@@ -9,6 +9,7 @@ from soclqc.oracle import (
     grid_worst_case,
     max_quad_over_ball,
 )
+from soclqc.verify import worst_case
 
 
 def kkt_residual(C, h, res):
@@ -153,10 +154,8 @@ class TestGridWorstCase:
             cc = build_compact_cost(spec, x0)
             u = rng.uniform(-0.5, 0.5, spec.stacked_input_dim)
             g = grid_worst_case(cc, u, spec.gamma, step)
-            res = max_quad_over_ball(cc.w_quad, cc.w_lin + cc.cross.T @ u, spec.gamma)
-            exact = res.value + float(u @ cc.u_quad @ u + 2 * cc.u_lin @ u) + cc.constant
-            lip = 2 * np.linalg.norm(cc.w_quad) * spec.gamma + 2 * np.linalg.norm(
-                cc.w_lin + cc.cross.T @ u
-            )
+            wc = worst_case(cc, "robust", u)
+            exact = wc.value(spec.gamma)
+            lip = 2 * np.linalg.norm(cc.w_quad) * spec.gamma + 2 * np.linalg.norm(wc.lin)
             assert exact >= g - 1e-9
             assert exact - g <= 2 * step * lip + 1e-9
