@@ -202,17 +202,28 @@ class TestFullProblem:
         assert np.max(np.abs(ex["states"])) <= 1e-5
         assert np.max(np.abs(ex["inputs"])) <= 1e-5
 
-    def test_double_integrator_constraints_hold(self):
+    @pytest.fixture(scope="class")
+    def double_integrator(self):
+        spec = double_integrator_mpc()
+        socp = build_mpc_socp(spec, np.array([2.0, 0.5]))
+        return spec, socp.extract(solve_ok(socp.program))
+
+    def test_double_integrator_constraints_hold(self, double_integrator):
         # dynamics, path and input constraints, terminal membership, sampled
         # invariance and containment, and 50 steps of the terminal closed loop
-        spec = double_integrator_mpc()
-        x_init = np.array([2.0, 0.5])
-        socp = build_mpc_socp(spec, x_init)
-        ex = socp.extract(solve_ok(socp.program))
-        report = verify_result("mpc", spec, None, {"mode": "mpc", "x0": x_init, **ex})
+        spec, ex = double_integrator
+        report = verify_result("mpc", spec, None, {"mode": "mpc", "x0": ex["states"][0], **ex})
         assert [check.name for check in report if not check.ok] == []
         # an absolute bound, tighter than verify's 1e-7 (1 + r^2)
         assert max(check.residual for check in report if "invariance" in check.name) <= 1e-7
+
+    def test_closed_loop_stays_in_terminal_set(self, double_integrator):
+        # computed here, independently of verify's report
+        spec, ex = double_integrator
+        c, r, x = ex["center"], ex["radius"], ex["states"][-1]
+        for _ in range(50):
+            x = spec.A_cl @ x
+            assert (x - c) @ spec.P @ (x - c) <= r**2 + 1e-6
 
     def test_reconfigurable_no_worse_than_fixed(self):
         spec = double_integrator_mpc(N=4)
