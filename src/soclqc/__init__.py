@@ -2,7 +2,8 @@
 
 Core pieces:
 
-* :mod:`soclqc.model` / :mod:`soclqc.solver` -- conic programs and a dense
+* :mod:`soclqc.model` / :mod:`soclqc.solver` -- conic programs, held as the
+  slack map ``h - G x`` in the cone layout the solver works on, and a dense
   primal-dual interior-point SOCP solver.
 * :mod:`soclqc.slemma` -- simultaneous diagonalization and the simplified
   S-lemma constraint generator, with the classical matrix inequality kept as

@@ -1,8 +1,8 @@
 """Conic program representation and second-order cone modeling helpers.
 
 A program is a linear objective over real variables subject to linear
-equalities and a list of cone blocks.  Each block is an affine map of the
-variables into R^{d},
+equalities and cone blocks.  Each block is an affine map of the variables
+into R^{d},
 
     (head, tail) = (c^T x + d0, A x + b),
 
@@ -11,11 +11,13 @@ required to satisfy either ``head >= 0`` (nonnegative block, no tail) or
 hyperbolic constraints are lowered onto this form with the classical
 transforms of Lobo et al. (1998).
 
-:class:`ConicProgramBuilder` keeps its cone blocks in one form, a list of
-row blocks ``(kind, A, b, tags)``: k blocks of dimension d with ``A`` of
-shape (k, d, w) over the w variables that exist when the blocks are added.
-Applications emit whole stacks at once with
-:meth:`ConicProgramBuilder.add_block_rows`; :func:`hyperbolic_rows` forms the
+:class:`ConicProgram` holds all blocks as one slack map ``h - G x`` in the
+layout the solver works on.  :class:`ConicProgramBuilder` keeps its rows as
+stacks, k blocks of dimension d with ``A`` of shape (k, d, w) over the w
+variables that exist when they are added, and sorts them into that layout
+once, in :meth:`ConicProgramBuilder.build`.  Applications emit whole stacks
+with :meth:`ConicProgramBuilder.add_block_rows` and
+:meth:`ConicProgramBuilder.add_eq_rows`; :func:`hyperbolic_rows` forms the
 stack of per-coordinate hyperbolic blocks that the S-lemma needs.
 :class:`LinExpr` is an input form only: the expression helpers lower their
 arguments to coefficient rows once, at the boundary, and take the same path.
@@ -23,7 +25,7 @@ arguments to coefficient rows once, at the boundary, and take the same path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -131,16 +133,19 @@ def unit_rows(indices, num_vars: int) -> np.ndarray:
     return rows
 
 
-def _pad_columns(A: np.ndarray, num_vars: int) -> np.ndarray:
-    """A with zero columns appended along its last axis up to num_vars."""
-    out = np.zeros(A.shape[:-1] + (num_vars,))
-    out[..., : A.shape[-1]] = A
+def _stack_rows(mats, num_vars: int) -> np.ndarray:
+    """The rows of 2-D matrices, padded with zero columns to num_vars, stacked."""
+    out = np.zeros((sum(len(M) for M in mats), num_vars))
+    row = 0
+    for M in mats:
+        out[row : row + len(M), : M.shape[1]] = M
+        row += len(M)
     return out
 
 
 @dataclass(frozen=True)
 class ConeBlock:
-    """One cone constraint ``(A @ x + b) in cone``; row 0 is the head."""
+    """View of one cone block ``(A @ x + b) in cone``; row 0 is the head."""
 
     kind: str
     A: np.ndarray
@@ -165,7 +170,13 @@ class ConeBlock:
 @dataclass(frozen=True)
 class ConicProgram:
     """Immutable conic program ``min c^T x + offset`` subject to
-    ``eq_A x = eq_b`` and a list of cone blocks.
+    ``eq_A x = eq_b`` and ``h - G x in K``.
+
+    K is laid out as the solver works on it: ``nn`` nonnegative rows first,
+    then for each ``(k, d)`` in ``soc`` (increasing d) k second-order blocks
+    of dimension d, block after block, head first.  ``tags`` names the
+    blocks in that order.  ``G`` and ``h`` are made read-only, so one
+    program can be shared by concurrent solves.
     """
 
     num_vars: int
@@ -173,50 +184,59 @@ class ConicProgram:
     obj_offset: float
     eq_A: np.ndarray
     eq_b: np.ndarray
-    blocks: tuple[ConeBlock, ...]
+    G: np.ndarray
+    h: np.ndarray
+    nn: int
+    soc: tuple[tuple[int, int], ...]
+    tags: tuple[str, ...]
 
     def __post_init__(self):
         if self.obj.shape != (self.num_vars,):
             raise DimensionMismatch("objective length != num_vars")
         if self.eq_A.shape[1] != self.num_vars or self.eq_A.shape[0] != self.eq_b.shape[0]:
             raise DimensionMismatch("equality constraint shapes inconsistent")
-        for blk in self.blocks:
-            if blk.A.shape[1] != self.num_vars or blk.A.shape[0] != blk.b.shape[0]:
-                raise DimensionMismatch("cone block shapes inconsistent")
-            if blk.kind == NONNEG and blk.dim != 1:
-                raise DimensionMismatch("nonnegative block must be scalar")
-            if blk.kind == SOC and blk.dim < 2:
-                raise DimensionMismatch("second-order block needs a norm part")
+        if self.h.ndim != 1 or self.G.shape != (len(self.h), self.num_vars):
+            raise DimensionMismatch("cone rows G, h shapes inconsistent")
+        if any(d < 2 for _, d in self.soc):
+            raise DimensionMismatch("second-order block needs a norm part")
+        if self.nn < 0 or self.nn + sum(k * d for k, d in self.soc) != len(self.h):
+            raise DimensionMismatch("cone layout does not match the cone rows")
+        if len(self.tags) != self.nn + sum(k for k, _ in self.soc):
+            raise DimensionMismatch("cone layout needs one tag per block")
+        self.G.setflags(write=False)
+        self.h.setflags(write=False)
+
+    @property
+    def blocks(self) -> tuple[ConeBlock, ...]:
+        """One view per block, in layout order."""
+        dims = [1] * self.nn + [d for k, d in self.soc for _ in range(k)]
+        A, h = -self.G, self.h
+        return tuple(ConeBlock(NONNEG if d == 1 else SOC, A[end - d : end], h[end - d : end], tag)
+                     for d, end, tag in zip(dims, np.cumsum(dims).tolist(), self.tags))
 
     def max_violation(self, x: np.ndarray) -> float:
         """Worst constraint violation of a candidate point."""
-        v = 0.0
-        if self.eq_A.shape[0]:
-            v = float(np.max(np.abs(self.eq_A @ x - self.eq_b)))
-        for blk in self.blocks:
-            v = max(v, blk.violation(x))
-        return v
+        v = float(np.max(np.abs(self.eq_A @ x - self.eq_b), initial=0.0))
+        return max([v, *(blk.violation(x) for blk in self.blocks)])
 
 
 class ConicProgramBuilder:
     """Incrementally assembles a :class:`ConicProgram`.
 
-    Cone blocks are stored in one form, a list of row blocks
-    ``(kind, A, b, tags)``: k blocks of dimension d, ``A`` of shape (k, d, w)
-    and ``b`` of shape (k, d), where w is the variable count when the blocks
-    were added.  :meth:`build` pads every stack with zero columns to the final
-    variable count, so variables may be added after the blocks that precede
-    them.  :meth:`add_nonneg`, :meth:`add_soc` and :meth:`add_eq` accept
-    :class:`LinExpr` arguments, which they lower to coefficient rows once, on
-    entry.
+    Rows are stored as stacks, equality rows ``(A (p, w), b)`` and cone
+    blocks ``(kind, A (k, d, w), b (k, d), tags)``, where w is the variable
+    count when they were added.  :meth:`build` pads every stack with zero
+    columns to the final variable count, so variables may be added after the
+    rows that precede them, and sorts the cone stacks into the program's
+    layout.  :meth:`add_nonneg`, :meth:`add_soc` and :meth:`add_eq` accept
+    :class:`LinExpr` arguments, which they lower to rows once, on entry.
     """
 
     def __init__(self):
         self._num_vars = 0
         self._obj = (np.zeros(0), 0.0)
-        self._eqs: list[tuple[np.ndarray, float]] = []
+        self._eqs: list[tuple[np.ndarray, np.ndarray]] = []
         self._blocks: list[tuple[str, np.ndarray, np.ndarray, list[str]]] = []
-        self._num_blocks = 0
 
     @property
     def num_vars(self) -> int:
@@ -249,17 +269,26 @@ class ConicProgramBuilder:
     def set_objective(self, expr: LinExpr) -> None:
         self.set_objective_row(*as_expr(expr).to_row(self._num_vars))
 
+    def add_eq_rows(self, A, b) -> None:
+        """Constrain ``A @ x[:w] == b``; ``A`` is (p, w) over the first
+        w <= num_vars variables and ``b`` is (p,)."""
+        A = np.array(A, dtype=float)
+        b = np.array(b, dtype=float)
+        if A.ndim != 2 or b.shape != A.shape[:1] or A.shape[1] > self._num_vars:
+            raise DimensionMismatch(f"equality rows need A (p, w <= {self._num_vars}) "
+                                    f"and b (p,); got {A.shape} and {b.shape}")
+        self._eqs.append((A, b))
+
     def add_eq(self, expr: LinExpr) -> None:
         """Constrain ``expr == 0``."""
         row, const = as_expr(expr).to_row(self._num_vars)
-        self._eqs.append((row, -const))
+        self.add_eq_rows(row[None], [-const])
 
-    def add_block_rows(self, kind: str, A, b, tag: str | Sequence[str] = "") -> np.ndarray:
+    def add_block_rows(self, kind: str, A, b, tag: str | Sequence[str] = "") -> None:
         """Append k cone blocks ``A[i] @ x + b[i]`` of one kind and dimension d.
 
         ``A`` is (k, d, w) over the first w <= num_vars variables and ``b`` is
-        (k, d); ``tag`` is one string for all k blocks or k strings.  Returns
-        the indices of the new blocks.
+        (k, d); ``tag`` is one string for all k blocks or k strings.
         """
         if kind not in (NONNEG, SOC):
             raise ValueError(f"unknown cone kind {kind!r}")
@@ -279,32 +308,38 @@ class ConicProgramBuilder:
         if len(tags) != k:
             raise DimensionMismatch(f"{len(tags)} tags for {k} blocks")
         self._blocks.append((kind, A, b, tags))
-        self._num_blocks += k
-        return np.arange(self._num_blocks - k, self._num_blocks)
 
-    def add_nonneg(self, expr: LinExpr, tag: str = "") -> int:
+    def add_nonneg(self, expr: LinExpr, tag: str = "") -> None:
         """Constrain ``expr >= 0`` as a degenerate cone block."""
         A, b = expr_rows([expr], self._num_vars)
-        return int(self.add_block_rows(NONNEG, A[None], b[None], tag)[0])
+        self.add_block_rows(NONNEG, A[None], b[None], tag)
 
-    def add_soc(self, head: LinExpr, tail: Sequence[LinExpr], tag: str = "") -> int:
+    def add_soc(self, head: LinExpr, tail: Sequence[LinExpr], tag: str = "") -> None:
         """Constrain ``||tail||_2 <= head``."""
         A, b = expr_rows([head, *tail], self._num_vars)
-        return int(self.add_block_rows(SOC, A[None], b[None], tag)[0])
+        self.add_block_rows(SOC, A[None], b[None], tag)
 
     def build(self) -> ConicProgram:
         n = self._num_vars
         c, offset = self._obj
-        eq_A = np.zeros((len(self._eqs), n))
-        eq_b = np.zeros(len(self._eqs))
-        for i, (row, rhs) in enumerate(self._eqs):
-            eq_A[i, : len(row)] = row
-            eq_b[i] = rhs
-        blocks = []
-        for kind, A, b, tags in self._blocks:
-            A = _pad_columns(A, n)
-            blocks.extend(ConeBlock(kind, A[i], b[i], tags[i]) for i in range(len(tags)))
-        return ConicProgram(n, _pad_columns(c, n), offset, eq_A, eq_b, tuple(blocks))
+
+        def group(stack):  # 0 for nonnegative stacks, else the block dimension
+            return stack[1].shape[1] if stack[0] == SOC else 0
+
+        stacks = sorted(self._blocks, key=group)  # stable: added order within a group
+        counts: dict[int, int] = {}
+        for stack in stacks:
+            counts[group(stack)] = counts.get(group(stack), 0) + len(stack[3])
+        nn = counts.pop(0, 0)
+        return ConicProgram(
+            n, _stack_rows([c[None]], n)[0], offset,
+            _stack_rows([A for A, _ in self._eqs], n),
+            np.concatenate([np.zeros(0), *(b for _, b in self._eqs)]),
+            -_stack_rows([A.reshape(-1, A.shape[2]) for _, A, _, _ in stacks], n),
+            np.concatenate([np.zeros(0), *(b.ravel() for _, _, b, _ in stacks)]),
+            nn, tuple((k, d) for d, k in counts.items()),
+            tuple(t for *_, tags in stacks for t in tags),
+        )
 
 
 def hyperbolic_rows(head_A, head_b, y_A, y_b, z_A, z_b) -> tuple[np.ndarray, np.ndarray]:
@@ -335,7 +370,7 @@ def hyperbolic_rows(head_A, head_b, y_A, y_b, z_A, z_b) -> tuple[np.ndarray, np.
     return A, b
 
 
-def hyperbolic_to_soc(builder: ConicProgramBuilder, x, y, z, tag: str = "") -> int:
+def hyperbolic_to_soc(builder: ConicProgramBuilder, x, y, z, tag: str = "") -> None:
     """Constrain ``||x||^2 <= y * z`` with ``y, z >= 0``.
 
     ``x`` may be a single affine expression or a sequence of them; ``y`` and
@@ -347,7 +382,7 @@ def hyperbolic_to_soc(builder: ConicProgramBuilder, x, y, z, tag: str = "") -> i
     X, xc = expr_rows(xs, n)
     YZ, yz = expr_rows([y, z], n)
     A, b = hyperbolic_rows(X[None], xc[None], YZ[:1], yz[:1], YZ[1:], yz[1:])
-    return int(builder.add_block_rows(SOC, A, b, tag)[0])
+    builder.add_block_rows(SOC, A, b, tag)
 
 
 def quadratic_epigraph(
@@ -358,7 +393,7 @@ def quadratic_epigraph(
     denom,
     t,
     tag: str = "",
-) -> int:
+) -> None:
     """Constrain ``||F x + g||^2 / denom <= t`` where ``denom > 0`` is
     guaranteed by the caller (usually the constant 1).
 
@@ -373,7 +408,7 @@ def quadratic_epigraph(
     X, xc = expr_rows(x_exprs, n)
     TD, td = expr_rows([t, denom], n)
     A, b = hyperbolic_rows((F @ X)[None], (g + F @ xc)[None], TD[:1], td[:1], TD[1:], td[1:])
-    return int(builder.add_block_rows(SOC, A, b, tag)[0])
+    builder.add_block_rows(SOC, A, b, tag)
 
 
 def cholesky_factor(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -429,13 +464,11 @@ def pin_variables(program: ConicProgram, indices, values) -> ConicProgram:
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if indices.shape != values.shape:
         raise DimensionMismatch("pin_variables: indices and values differ in length")
-    rows = np.zeros((len(indices), program.num_vars))
-    rows[np.arange(len(indices)), indices] = 1.0
-    return ConicProgram(
-        program.num_vars,
-        program.obj,
-        program.obj_offset,
-        np.vstack([program.eq_A, rows]),
-        np.concatenate([program.eq_b, values]),
-        program.blocks,
+    bad = indices[(indices < 0) | (indices >= program.num_vars)]
+    if bad.size:
+        raise DimensionMismatch(f"pin_variables: no variable {bad[0]}")
+    return replace(
+        program,
+        eq_A=np.vstack([program.eq_A, unit_rows(indices, program.num_vars)]),
+        eq_b=np.concatenate([program.eq_b, values]),
     )

@@ -171,16 +171,6 @@ def diagonalize_terminal_pair(spec: MpcSpec) -> TerminalDiag:
 class InvarianceBlock:
     lam_index: int
     t_index: np.ndarray
-    budget_block: int
-    cone_blocks: tuple[int, ...]
-
-
-def _dot_exprs(row: np.ndarray, exprs) -> LinExpr:
-    out = LinExpr()
-    for coeff, e in zip(row, exprs):
-        if coeff != 0.0:
-            out = out + coeff * e
-    return out
 
 
 def emit_invariance_constraints(
@@ -207,18 +197,18 @@ def emit_invariance_constraints(
     spent = r_row.copy()
     spent[0, [lam_idx, *t_idx]] -= 1.0
     A, b = hyperbolic_rows((td.m_sqrt @ C)[None], (td.m_sqrt @ c0)[None], r_row, r0, spent, r0)
-    budget = builder.add_block_rows(SOC, A, b, "inv:budget")[0]
+    builder.add_block_rows(SOC, A, b, "inv:budget")
 
     # (coupling c)_i^2 <= t_i * (lam * pi_i - r * alpha_i)
     slacks = -td.alpha[:, None] * r_row
     slacks[:, lam_idx] += td.pi
     A, b = hyperbolic_rows(td.coupling @ C, td.coupling @ c0, unit_rows(t_idx, w), np.zeros(n),
                            slacks, -td.alpha * r0[0])
-    blocks = builder.add_block_rows(SOC, A, b, [f"inv:q{i}" for i in range(n)])
-    return InvarianceBlock(lam_idx, t_idx, int(budget), tuple(blocks.tolist()))
+    builder.add_block_rows(SOC, A, b, [f"inv:q{i}" for i in range(n)])
+    return InvarianceBlock(lam_idx, t_idx)
 
 
-def _support_rows(rows, limits, spec: MpcSpec, c_exprs, r_expr, builder, tag) -> list[int]:
+def _support_rows(rows, limits, spec: MpcSpec, c_exprs, r_expr, builder, tag) -> None:
     """Rows ``limits_j - rows_j' c - ||rows_j' P^{-1/2}|| r >= 0``."""
     gains = np.linalg.norm(rows @ spec.p_inv_sqrt(), axis=1)
     w = builder.num_vars
@@ -227,22 +217,22 @@ def _support_rows(rows, limits, spec: MpcSpec, c_exprs, r_expr, builder, tag) ->
     A = -(rows @ C) - gains[:, None] * r_row
     b = limits - rows @ c0 - gains * r0[0]
     tags = [f"{tag}{j}" for j in range(rows.shape[0])]
-    return builder.add_block_rows(NONNEG, A[:, None], b[:, None], tags).tolist()
+    builder.add_block_rows(NONNEG, A[:, None], b[:, None], tags)
 
 
 def emit_state_containment(
     spec: MpcSpec, td: TerminalDiag, c_exprs, r_expr, builder: ConicProgramBuilder
-) -> list[int]:
+) -> None:
     """Rows e_j' c + ||e_j' P^{-1/2}|| r <= f_j keeping the ellipsoid in the
     state set (support function of the ball after whitening by P^{1/2})."""
-    return _support_rows(spec.E, spec.f, spec, c_exprs, r_expr, builder, "state_cont")
+    _support_rows(spec.E, spec.f, spec, c_exprs, r_expr, builder, "state_cont")
 
 
 def emit_input_containment(
     spec: MpcSpec, td: TerminalDiag, c_exprs, r_expr, builder: ConicProgramBuilder
-) -> list[int]:
+) -> None:
     """Same support-function rows for the terminal controller: rows of G K."""
-    return _support_rows(spec.G @ spec.K, spec.h, spec, c_exprs, r_expr, builder, "input_cont")
+    _support_rows(spec.G @ spec.K, spec.h, spec, c_exprs, r_expr, builder, "input_cont")
 
 
 @dataclass(frozen=True)
@@ -292,35 +282,28 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     c_exprs = b.var_exprs(c_idx)
     r_expr = b.var(r_idx)
 
-    # dynamics
-    for k in range(N):
-        uk = b.var_exprs(u_idx[k])
-        xk1 = b.var_exprs(x_idx[k])
-        for i in range(n_x):
-            row = -xk1[i] + _dot_exprs(spec.B[i], uk)
-            if k == 0:
-                row = row + float(spec.A[i] @ x_init)
-            else:
-                row = row + _dot_exprs(spec.A[i], b.var_exprs(x_idx[k - 1]))
-            b.add_eq(row)
+    w = b.num_vars
+    # dynamics B u_k + A x_k - x_{k+1} = 0 for k = 0..N-1, with x_0 = x_init
+    dyn = np.zeros((N * n_x, w))
+    dyn[:, u_idx.ravel()] = np.kron(np.eye(N), spec.B)
+    dyn[:, x_idx.ravel()] = np.kron(np.eye(N, k=-1), spec.A) - np.eye(N * n_x)
+    b.add_eq_rows(dyn, -np.concatenate([spec.A @ x_init, np.zeros((N - 1) * n_x)]))
 
-    # path constraints: states 1..N-1 in X, all inputs in U
-    for k in range(N - 1):
-        xk = b.var_exprs(x_idx[k])
-        for j in range(spec.E.shape[0]):
-            b.add_nonneg(spec.f[j] - _dot_exprs(spec.E[j], xk), tag="state_set")
-    for k in range(N):
-        uk = b.var_exprs(u_idx[k])
-        for j in range(spec.G.shape[0]):
-            b.add_nonneg(spec.h[j] - _dot_exprs(spec.G[j], uk), tag="input_set")
+    # path constraints f - E x_k >= 0 for states 1..N-1, h - G u_k >= 0 for
+    # all inputs
+    for idx, M, lim, tag in ((x_idx[: N - 1], spec.E, spec.f, "state_set"),
+                             (u_idx, spec.G, spec.h, "input_set")):
+        rows = np.zeros((len(idx) * len(M), w))
+        rows[:, idx.ravel()] = np.kron(np.eye(len(idx)), -M)
+        b.add_block_rows(NONNEG, rows[:, None], np.tile(lim, len(idx))[:, None], tag)
 
     # terminal membership ||P^{1/2}(x_N - c)|| <= r
     p_half = spec.p_sqrt()
-    xN = b.var_exprs(x_idx[N - 1])
-    tail = [
-        _dot_exprs(p_half[i], xN) - _dot_exprs(p_half[i], c_exprs) for i in range(n_x)
-    ]
-    b.add_soc(r_expr, tail, tag="terminal_membership")
+    member = np.zeros((1, 1 + n_x, w))
+    member[0, 0, r_idx] = 1.0
+    member[0][1:, x_idx[N - 1]] = p_half
+    member[0][1:, c_idx] = -p_half
+    b.add_block_rows(SOC, member, np.zeros((1, 1 + n_x)), "terminal_membership")
 
     b.add_nonneg(r_expr, tag="radius")
     inv = emit_invariance_constraints(td, c_exprs, r_expr, b)
@@ -330,9 +313,7 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     if fixed_terminal is not None:
         c0, r0 = fixed_terminal
         c0 = np.atleast_1d(np.asarray(c0, dtype=float))
-        for i in range(n_x):
-            b.add_eq(c_exprs[i] - c0[i])
-        b.add_eq(r_expr - float(r0))
+        b.add_eq_rows(unit_rows([*c_idx, r_idx], w), np.append(c0, float(r0)))
 
     # stage costs sum x_k' Q x_k + u_k' R u_k (k = 0..N-1) plus x_N' Q_f x_N;
     # the k = 0 state term is a constant.

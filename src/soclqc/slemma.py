@@ -129,12 +129,10 @@ def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
 
 @dataclass(frozen=True)
 class SLemmaBlock:
-    """Record of the variables and blocks appended by the emitter."""
+    """Record of the variables appended by the emitter."""
 
     lambda_index: int
     t_indices: np.ndarray
-    linear_block: int
-    cone_blocks: tuple[int, ...]
 
 
 def emit_simplified_slemma(
@@ -181,7 +179,7 @@ def emit_simplified_slemma(
     rows = np.vstack([unit_rows(lam_idx, w), f_row])
     rows[1, lam_idx] -= inner.c
     rows[1, t_idx] -= 1.0
-    _, linear_block = builder.add_block_rows(
+    builder.add_block_rows(
         NONNEG, rows[:, None], np.array([[0.0], [f0[0]]]), [f"{tag}:lam", f"{tag}:budget"]
     )
 
@@ -191,8 +189,8 @@ def emit_simplified_slemma(
     slacks = np.zeros((n, w))
     slacks[:, lam_idx] = -sd.alpha
     A, b = hyperbolic_rows(heads, sd.S.T @ e0, unit_rows(t_idx, w), np.zeros(n), slacks, sd.delta)
-    cone_blocks = builder.add_block_rows(SOC, A, b, [f"{tag}:q{i}" for i in range(n)])
-    return SLemmaBlock(lam_idx, t_idx, int(linear_block), tuple(cone_blocks.tolist()))
+    builder.add_block_rows(SOC, A, b, [f"{tag}:q{i}" for i in range(n)])
+    return SLemmaBlock(lam_idx, t_idx)
 
 
 def assemble_classical_lmi(

@@ -3,10 +3,12 @@
 Path-following with Nesterov-Todd scaling and a Mehrotra predictor-corrector,
 after the conic solver of Vandenberghe's coneprog notes.  The program
 
-    min c^T x   s.t.  eq_A x = eq_b,   s_i = M_i x + v_i in K_i
+    min c^T x   s.t.  eq_A x = eq_b,   s = h - G x in K
 
-is solved in the slack form ``G x + s = h`` with ``G = -stack(M_i)``,
-``h = stack(v_i)``.  Each Newton system
+is solved in the slack form ``G x + s = h``, with ``G``, ``h`` and the
+layout of K taken as the :class:`~soclqc.model.ConicProgram` holds them:
+nonnegative rows first, then the second-order blocks grouped by dimension.
+Each Newton system
 
     [ 0  A'  G'  ] [dx]   [r_x]
     [ A  0   0   ] [dy] = [r_y]
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import NONNEG, ConeBlock, ConicProgram
+from .model import ConicProgram
 
 # share of the distance to the cone boundary that a combined step may take
 FRACTION_TO_BOUNDARY = 0.99
@@ -73,7 +75,7 @@ class Solution:
     status: Status
     x: np.ndarray
     y_eq: np.ndarray
-    z_blocks: list[np.ndarray]
+    z: np.ndarray  # cone duals in the program's row layout
     objective: float
     iterations: int
     res_primal: float
@@ -93,12 +95,11 @@ class Solution:
 class _Cones:
     """Cone operations on slack vectors laid out group by group.
 
-    The solver orders the slack rows as all nonnegative entries first, then
-    the second-order blocks grouped by dimension, block after block.  Each
-    group of k blocks of dimension d is then a contiguous ``(k, d)`` view
-    (``(k, d, n)`` for a matrix of columns), head first, and every operation
-    is one numpy pass per group.  ``order`` maps these rows to the stacked
-    rows of the program's blocks.
+    The slack rows are ``nn`` nonnegative entries first, then for each
+    ``(k, d)`` of ``soc`` a group of k second-order blocks of dimension d,
+    block after block: the layout of :class:`~soclqc.model.ConicProgram`.
+    Each group is a contiguous ``(k, d)`` view (``(k, d, n)`` for a matrix
+    of columns), head first, and every operation is one numpy pass per group.
 
     The NT scaling of a second-order block, ``W = beta (2 v v' - J)`` with
     ``v' J v = 1`` and ``J = diag(1, -I)``, is kept as explicit W and W^-1.
@@ -106,23 +107,16 @@ class _Cones:
     Newton systems need near convergence.
     """
 
-    def __init__(self, blocks: tuple[ConeBlock, ...]):
-        dims = np.array([blk.dim for blk in blocks], dtype=int)
-        self.offsets = np.concatenate([[0], np.cumsum(dims)[:-1]]).astype(int)
-        self.total = int(dims.sum())
-        self.num_blocks = len(blocks)
-        soc = np.array([blk.kind != NONNEG for blk in blocks], dtype=bool)
-        rows = [self.offsets[~soc]]
-        self.nn = len(rows[0])
+    def __init__(self, nn: int, soc):
+        self.nn = nn
+        self.num_blocks = nn + sum(k for k, _ in soc)
         self.groups = []  # (slice, k, d, diagonal of J) per block dimension d
-        start = self.nn
-        for d in np.unique(dims[soc]).tolist():
-            heads = self.offsets[soc & (dims == d)]
-            rows.append((heads[:, None] + np.arange(d)).ravel())
+        start = nn
+        for k, d in soc:
             sign = np.where(np.arange(d) == 0, 1.0, -1.0)
-            self.groups.append((slice(start, start + heads.size * d), heads.size, d, sign))
-            start += heads.size * d
-        self.order = np.concatenate(rows)
+            self.groups.append((slice(start, start + k * d), k, d, sign))
+            start += k * d
+        self.total = start
 
     def _soc(self, *arrays):
         """Per group, the diagonal of J and the (k, d) views of each vector's
@@ -133,12 +127,6 @@ class _Cones:
     @staticmethod
     def _tail_norm(U: np.ndarray) -> np.ndarray:
         return np.sqrt((U[:, 1:] * U[:, 1:]).sum(1))
-
-    def split(self, u: np.ndarray) -> list[np.ndarray]:
-        """Per-block pieces of u, in the program's block order."""
-        stacked = np.empty_like(u)
-        stacked[self.order] = u
-        return np.split(stacked, self.offsets[1:])
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.total)
@@ -280,15 +268,6 @@ class _Cones:
 # ---------------------------------------------------------------------------
 
 
-def _compile(program: ConicProgram):
-    cones = _Cones(program.blocks)
-    if cones.num_blocks == 0:
-        raise ValueError("program has no cone blocks; nothing for the solver to do")
-    G = -np.concatenate([blk.A for blk in program.blocks])[cones.order]
-    h = np.concatenate([blk.b for blk in program.blocks])[cones.order]
-    return cones, G, h
-
-
 def _initial_point(c, A, b, G, h, cones, reg):
     """Least-norm primal/dual starting points shifted into the cone interior."""
     n = len(c)
@@ -320,7 +299,10 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     that fired, and the returned iterate is always finite.
     """
     cfg = config or SolverConfig()
-    cones, G, h = _compile(program)
+    cones = _Cones(program.nn, program.soc)
+    if cones.num_blocks == 0:
+        raise ValueError("program has no cone blocks; nothing for the solver to do")
+    G, h = program.G, program.h
     c = program.obj
     A, b = program.eq_A, program.eq_b
     n, p = program.num_vars, len(b)
@@ -395,9 +377,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             elif rg > 10 * cfg.tol_gap and purified_dual_certificate(x):
                 status = Status.DUAL_INFEASIBLE
                 reason += "; projected primal ray certifies dual infeasibility"
-        zs = cones.split(z)
         obj = float(c @ x) + program.obj_offset
-        return Solution(status, x.copy(), y.copy(), zs, obj, it, rp, rd, rg, reason)
+        return Solution(status, x.copy(), y.copy(), z.copy(), obj, it, rp, rd, rg, reason)
 
     reg = 1e-10
     x, y, s, z = _initial_point(c, A, b, G, h, cones, reg)

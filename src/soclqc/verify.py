@@ -151,9 +151,12 @@ def _verify_mpc(spec, result: dict) -> list[Check]:
     inputs = _field(result, "inputs", (N, spec.n_u))
     c = _field(result, "center", (spec.n_x,))
     r = float(_field(result, "radius", ()))
+    obj = float(_field(result, "objective", ()))
     P, A_cl = spec.P, spec.A_cl
 
     xN = states[-1]
+    cost = float(np.einsum("ki,ij,kj->", states[:-1], spec.Q, states[:-1])
+                 + np.einsum("ki,ij,kj->", inputs, spec.R, inputs) + xN @ spec.Q_f @ xN)
     report = [
         _check("dynamics residual", float(np.max(np.abs(
             states[:-1] @ spec.A.T + inputs @ spec.B.T - states[1:]))), 1e-6),
@@ -162,6 +165,8 @@ def _verify_mpc(spec, result: dict) -> list[Check]:
                float(np.max(states[1:N] @ spec.E.T - spec.f)) if N > 1 else 0.0, 1e-6),
         _check("input constraints", float(np.max(inputs @ spec.G.T - spec.h)), 1e-6),
         _check("terminal membership", float((xN - c) @ P @ (xN - c)) - r**2, 1e-6),
+        _check("terminal radius nonnegative", -r, 1e-9),
+        _check("objective consistency", abs(obj - cost), 1e-5 * (1 + abs(obj))),
     ]
 
     rng = np.random.default_rng(0)

@@ -139,6 +139,22 @@ class TestVerify:
         bad.write_text(json.dumps(res))
         assert main(["verify", lqc_file, str(bad)]) == 3
 
+    @pytest.mark.parametrize("edit, failing", [
+        (lambda res: {**res, "radius": -res["radius"]}, "terminal radius nonnegative"),
+        (lambda res: {**res, "objective": res["objective"] - 5.0}, "objective consistency"),
+    ], ids=["negated-radius", "lowered-objective"])
+    def test_mpc_radius_sign_and_objective_are_checked(self, edit, failing, mpc_file,
+                                                       tmp_path, capsys):
+        # every other MPC check is even in the radius or ignores the objective
+        out = tmp_path / "res.json"
+        assert main(["solve", mpc_file, "--mode", "mpc", "--x0", "2,0.5",
+                     "--out", str(out)]) == 0
+        out.write_text(json.dumps(edit(json.loads(out.read_text()))))
+        capsys.readouterr()
+        assert main(["verify", mpc_file, str(out)]) == 3
+        failed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[FAIL]")]
+        assert len(failed) == 1 and failing in failed[0]
+
     @pytest.mark.parametrize("mode, malform, named", [
         ("robust", lambda res: [], "JSON object"),
         ("robust", lambda res: 3, "JSON object"),

@@ -529,10 +529,8 @@ def assert_same_program(built, ref):
     assert np.array_equal(built.obj, ref.obj)
     assert built.obj_offset == ref.obj_offset
     assert np.array_equal(built.eq_A, ref.eq_A) and np.array_equal(built.eq_b, ref.eq_b)
-    assert len(built.blocks) == len(ref.blocks)
-    for blk, want in zip(built.blocks, ref.blocks):
-        assert (blk.kind, blk.tag) == (want.kind, want.tag)
-        assert np.array_equal(blk.A, want.A) and np.array_equal(blk.b, want.b), blk.tag
+    assert (built.nn, built.soc, built.tags) == (ref.nn, ref.soc, ref.tags)
+    assert np.array_equal(built.G, ref.G) and np.array_equal(built.h, ref.h)
 
 
 class TestRowBlockBuilder:

@@ -4,6 +4,7 @@ import pytest
 from soclqc.model import (
     NONNEG,
     SOC,
+    ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
     LinExpr,
@@ -18,8 +19,10 @@ from soclqc.model import (
 from soclqc.solver import Status, solve
 
 
-def block_value(program, idx, x):
-    return program.blocks[idx].evaluate(np.asarray(x, dtype=float))
+def block_value(program, x):
+    """Value of a one-block program's block at x."""
+    (block,) = program.blocks
+    return block.evaluate(np.asarray(x, dtype=float))
 
 
 def soc_margin(vec):
@@ -55,9 +58,9 @@ class TestHyperbolicBlock:
     def test_boundary_examples(self, xyz):
         b = ConicProgramBuilder()
         i = b.add_vars(3)
-        idx = hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
+        hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
         prog = b.build()
-        val = block_value(prog, idx, np.array(xyz))
+        val = block_value(prog, np.array(xyz))
         assert soc_margin(val) >= -1e-12
         # all three examples sit exactly on the boundary x^2 = y z
         assert abs(soc_margin(val)) <= 1e-12
@@ -65,31 +68,31 @@ class TestHyperbolicBlock:
     def test_infeasible_point(self):
         b = ConicProgramBuilder()
         b.add_vars(3)
-        idx = hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
+        hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
         prog = b.build()
-        assert soc_margin(block_value(prog, idx, [2.0, 1.0, 1.0])) < 0
+        assert soc_margin(block_value(prog, [2.0, 1.0, 1.0])) < 0
 
     def test_cone_scaling_property(self, rng):
         # feasible triples stay feasible under scaling by any r >= 0
         b = ConicProgramBuilder()
         b.add_vars(3)
-        idx = hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
+        hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
         prog = b.build()
         for _ in range(200):
             y, z = rng.uniform(0, 2, size=2)
             x = np.sqrt(y * z) * rng.uniform(-1, 1)
             r = rng.uniform(0, 10)
-            assert soc_margin(block_value(prog, idx, [x, y, z])) >= -1e-12
-            assert soc_margin(block_value(prog, idx, [r * x, r * y, r * z])) >= -1e-10
+            assert soc_margin(block_value(prog, [x, y, z])) >= -1e-12
+            assert soc_margin(block_value(prog, [r * x, r * y, r * z])) >= -1e-10
 
     def test_vector_first_argument(self):
         b = ConicProgramBuilder()
         b.add_vars(4)
-        idx = hyperbolic_to_soc(b, [b.var(0), b.var(1)], b.var(2), b.var(3))
+        hyperbolic_to_soc(b, [b.var(0), b.var(1)], b.var(2), b.var(3))
         prog = b.build()
         # ||(1, 2)||^2 = 5 <= 5 * 1
-        assert soc_margin(block_value(prog, idx, [1.0, 2.0, 5.0, 1.0])) >= -1e-12
-        assert soc_margin(block_value(prog, idx, [1.0, 2.0, 4.9, 1.0])) < 0
+        assert soc_margin(block_value(prog, [1.0, 2.0, 5.0, 1.0])) >= -1e-12
+        assert soc_margin(block_value(prog, [1.0, 2.0, 4.9, 1.0])) < 0
 
 
 class TestQuadraticEpigraph:
@@ -97,18 +100,18 @@ class TestQuadraticEpigraph:
         # x^2 <= t encoded via unit denominator
         b = ConicProgramBuilder()
         b.add_vars(2)
-        idx = quadratic_epigraph(b, np.eye(1), [0.0], [b.var(0)], 1.0, b.var(1))
+        quadratic_epigraph(b, np.eye(1), [0.0], [b.var(0)], 1.0, b.var(1))
         prog = b.build()
-        assert soc_margin(block_value(prog, idx, [2.0, 4.0])) >= -1e-12
-        assert soc_margin(block_value(prog, idx, [2.0, 3.9])) < 0
+        assert soc_margin(block_value(prog, [2.0, 4.0])) >= -1e-12
+        assert soc_margin(block_value(prog, [2.0, 3.9])) < 0
 
     def test_zero_numerator_any_t(self):
         b = ConicProgramBuilder()
         b.add_vars(2)
-        idx = quadratic_epigraph(b, np.eye(1), [0.0], [b.var(0)], 1.0, b.var(1))
+        quadratic_epigraph(b, np.eye(1), [0.0], [b.var(0)], 1.0, b.var(1))
         prog = b.build()
         for t in (0.0, 0.5, 7.0):
-            assert soc_margin(block_value(prog, idx, [0.0, t])) >= -1e-12
+            assert soc_margin(block_value(prog, [0.0, t])) >= -1e-12
 
     def test_affine_numerator_minimal_t(self):
         # minimize t subject to (2x + 1)^2 <= t at x pinned to 1: t* = 9
@@ -177,6 +180,13 @@ class TestProgramStructure:
         prog = b.build()
         with pytest.raises(DimensionMismatch):
             pin_variables(prog, [0, 1], [1.0])
+        for index in (-1, 2):  # -1 would pin the last variable, 2 index past the end
+            with pytest.raises(DimensionMismatch, match=f"no variable {index}"):
+                pin_variables(prog, [index], [2.0])
+        pinned = pin_variables(prog, [1], [2.0])
+        assert np.array_equal(pinned.eq_A, [[0.0, 1.0]]) and np.array_equal(pinned.eq_b, [2.0])
+        assert pinned.G is prog.G and pinned.h is prog.h
+        assert (pinned.nn, pinned.soc, pinned.tags) == (prog.nn, prog.soc, prog.tags)
 
     def test_blocks_reject_bad_shapes(self):
         b = ConicProgramBuilder()
@@ -192,19 +202,67 @@ class TestRowBlocks:
         b.set_objective(b.var(1) + 0.5)
         A = np.array([[[1.0, 0.0], [0.0, 2.0]], [[0.5, 0.5], [1.0, 0.0]]])
         rhs = np.array([[3.0, 0.0], [1.0, 1.0]])
-        first = b.add_block_rows(SOC, A, rhs, ["a", "b"])
+        b.add_block_rows(SOC, A, rhs, ["a", "b"])
         b.add_vars(3)
-        late = b.add_nonneg(b.var(4) + 1.0, tag="late")
+        b.add_nonneg(b.var(4) + 1.0, tag="late")
         prog = b.build()
-        assert first.tolist() == [0, 1] and late == 2
         assert prog.num_vars == 5
-        assert [blk.tag for blk in prog.blocks] == ["a", "b", "late"]
+        # the nonnegative block comes first in the layout
+        assert prog.tags == ("late", "a", "b")
         for i in range(2):
-            assert np.array_equal(prog.blocks[i].A, np.hstack([A[i], np.zeros((2, 3))]))
-            assert np.array_equal(prog.blocks[i].b, rhs[i])
-        assert np.array_equal(prog.blocks[2].A, [[0.0, 0.0, 0.0, 0.0, 1.0]])
+            assert np.array_equal(prog.blocks[1 + i].A, np.hstack([A[i], np.zeros((2, 3))]))
+            assert np.array_equal(prog.blocks[1 + i].b, rhs[i])
+        assert np.array_equal(prog.blocks[0].A, [[0.0, 0.0, 0.0, 0.0, 1.0]])
         assert np.array_equal(prog.obj, [0.0, 1.0, 0.0, 0.0, 0.0])
         assert prog.obj_offset == 0.5
+
+    def test_interleaved_stacks_take_the_solver_layout(self, rng):
+        # nonnegative stacks first, then second-order stacks by increasing
+        # dimension, each in insertion order; G and h are the negated and
+        # padded stack rows
+        layout = [(NONNEG, 1), (SOC, 3), (SOC, 2), (NONNEG, 1), (SOC, 5),
+                  (SOC, 3), (SOC, 2), (SOC, 3)]
+        b = ConicProgramBuilder()
+        stacks = []
+        for i, (kind, d) in enumerate(layout):
+            b.add_vars(1)
+            A, rhs = rng.standard_normal((1, d, b.num_vars)), rng.standard_normal((1, d))
+            b.add_block_rows(kind, A, rhs, f"b{i}")
+            stacks.append((A, rhs))
+        prog = b.build()
+        order = [0, 3, 2, 6, 1, 5, 7, 4]
+        assert prog.tags == tuple(f"b{i}" for i in order)
+        assert (prog.nn, prog.soc) == (2, ((2, 2), (3, 3), (1, 5)))
+        row = 0
+        for i in order:
+            A, rhs = stacks[i]
+            d, w = A.shape[1:]
+            assert np.array_equal(prog.G[row : row + d, :w], -A[0])
+            assert not prog.G[row : row + d, w:].any()
+            assert np.array_equal(prog.h[row : row + d], rhs[0])
+            row += d
+        assert row == len(prog.h)
+        with pytest.raises(ValueError):
+            prog.G[0, 0] = 1.0  # read-only: solves share the program
+        with pytest.raises(ValueError):
+            prog.h[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "G_shape, rows, nn, soc, tags",
+        [
+            ((3, 3), 3, 1, ((1, 2),), ("a", "b")),       # G has 3 columns for 2 variables
+            ((3, 2), 4, 1, ((1, 2),), ("a", "b")),       # G and h differ in rows
+            ((4, 2), 4, 1, ((1, 2),), ("a", "b")),       # layout covers 3 of 4 rows
+            ((5, 2), 5, 1, ((2, 2),), ("a", "b")),       # one tag for three blocks
+            ((3, 2), 3, 1, ((2, 1),), ("a", "b", "c")),  # second-order block without a tail
+            ((3, 2), 3, -1, ((1, 4),), ()),              # negative nonnegative count
+        ],
+        ids=["G-columns", "G-h-rows", "rows-uncovered", "tags", "soc-without-tail", "negative-nn"],
+    )
+    def test_program_rejects_inconsistent_layout(self, G_shape, rows, nn, soc, tags):
+        with pytest.raises(DimensionMismatch):
+            ConicProgram(2, np.zeros(2), 0.0, np.zeros((0, 2)), np.zeros(0),
+                         np.zeros(G_shape), np.zeros(rows), nn, soc, tags)
 
     def test_one_tag_for_all_blocks(self):
         b = ConicProgramBuilder()
@@ -239,11 +297,11 @@ class TestRowBlocks:
         F = rng.standard_normal((2, 3))
         g = rng.standard_normal(2)
         t = b.var(b.add_var())
-        idx = quadratic_epigraph(b, F, g, x_exprs, 0.5 * v[3] + 2.0, t)
+        quadratic_epigraph(b, F, g, x_exprs, 0.5 * v[3] + 2.0, t)
         prog = b.build()
         for _ in range(5):
             p = rng.standard_normal(5)
             x = np.array([2.0 * p[0] - 0.5 * p[2] + 1.0, 3.0 * p[1] + p[3] - 2.0, 0.25 - p[0]])
             denom = 0.5 * p[3] + 2.0
             expect = np.concatenate([[p[4] + denom], 2.0 * (F @ x + g), [p[4] - denom]])
-            assert np.allclose(block_value(prog, idx, p), expect, rtol=0, atol=1e-12)
+            assert np.allclose(block_value(prog, p), expect, rtol=0, atol=1e-12)

@@ -140,10 +140,11 @@ class TestEmittedBlocks:
         b = ConicProgramBuilder()
         c_exprs = b.var_exprs(b.add_vars(2))
         r_expr = b.var(b.add_var())
-        rows = emit_state_containment(spec, td, c_exprs, r_expr, b)
+        emit_state_containment(spec, td, c_exprs, r_expr, b)
         prog = b.build()
         x = np.array([0.5, -0.5, 0.0])
-        assert all(prog.blocks[i].violation(x) == 0.0 for i in rows)
+        assert len(prog.blocks) == spec.E.shape[0]
+        assert all(blk.violation(x) == 0.0 for blk in prog.blocks)
 
         from soclqc.model import pin_variables
 
@@ -181,15 +182,16 @@ class TestEmittedBlocks:
         b = ConicProgramBuilder()
         c_exprs = b.var_exprs(b.add_vars(2))
         r_expr = b.var(b.add_var())
-        rows = emit_input_containment(
+        emit_input_containment(
             MpcSpec(spec.A, spec.B, spec.E, spec.f, spec.G, spec.h,
                     np.zeros((2, 2)), spec.P, spec.N, spec.Q, spec.R, spec.Q_f),
             td, c_exprs, r_expr, b)
         prog = b.build()
         # with K = 0 every row reduces to h_j >= 0, feasible for any (c, r)
         x = np.array([10.0, -4.0, 99.0])
-        for idx in rows:
-            assert prog.blocks[idx].violation(x) == 0.0
+        assert len(prog.blocks) == spec.G.shape[0]
+        for blk in prog.blocks:
+            assert blk.violation(x) == 0.0
 
 
 class TestFullProblem:

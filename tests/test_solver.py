@@ -3,7 +3,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from soclqc.model import ConeBlock, ConicProgram, ConicProgramBuilder
+from soclqc.model import NONNEG, SOC, ConicProgramBuilder
 from soclqc.solver import SolverConfig, Status, solve
 
 
@@ -18,7 +18,9 @@ def make_kkt_instance(rng):
     nb = int(rng.integers(1, 5))
     p = int(rng.integers(0, min(3, max(1, n - 2))))
     x_star = rng.standard_normal(n)
-    blocks, z_blocks = [], []
+    b = ConicProgramBuilder()
+    b.add_vars(n)
+    duals = []
     n_active = 0
     for _ in range(nb):
         kind = rng.choice(["nonneg", "soc"])
@@ -43,16 +45,16 @@ def make_kkt_instance(rng):
             else:
                 s = np.concatenate([[np.linalg.norm(v) + rng.uniform(0.5, 2.0)], v])
                 z = np.zeros(d)
-        blocks.append(ConeBlock(kind, M, s - M @ x_star))
-        z_blocks.append(z)
+        b.add_block_rows(kind, M[None], (s - M @ x_star)[None])
+        duals.append((M, z))
     eq_A = rng.standard_normal((p, n))
-    eq_b = eq_A @ x_star
+    b.add_eq_rows(eq_A, eq_A @ x_star)
     y_star = rng.standard_normal(p)
     c = -(eq_A.T @ y_star) if p else np.zeros(n)
-    for blk, z in zip(blocks, z_blocks):
-        c = c + blk.A.T @ z
-    prog = ConicProgram(n, c, 0.0, eq_A, eq_b, tuple(blocks))
-    return prog, float(c @ x_star)
+    for M, z in duals:
+        c = c + M.T @ z
+    b.set_objective_row(c)
+    return b.build(), float(c @ x_star)
 
 
 class TestBasics:
@@ -108,7 +110,9 @@ class TestKktOracle:
         # a couple hundred variables with a mix of block types
         n = 150
         x_star = rng.standard_normal(n)
-        blocks, z_blocks = [], []
+        b = ConicProgramBuilder()
+        b.add_vars(n)
+        c = np.zeros(n)
         for i in range(25):
             d = int(rng.integers(2, 8))
             M = rng.standard_normal((d, n)) / np.sqrt(n)
@@ -119,13 +123,10 @@ class TestKktOracle:
             else:
                 s = np.concatenate([[np.linalg.norm(v) + 1.0], v])
                 z = np.zeros(d)
-            blocks.append(ConeBlock("soc", M, s - M @ x_star))
-            z_blocks.append(z)
-        c = np.zeros(n)
-        for blk, z in zip(blocks, z_blocks):
-            c = c + blk.A.T @ z
-        prog = ConicProgram(n, c, 0.0, np.zeros((0, n)), np.zeros(0), tuple(blocks))
-        sol = solve(prog)
+            b.add_block_rows(SOC, M[None], (s - M @ x_star)[None])
+            c = c + M.T @ z
+        b.set_objective_row(c)
+        sol = solve(b.build())
         assert sol.status is Status.OPTIMAL
         expected = float(c @ x_star)
         assert abs(sol.objective - expected) <= 1e-6 * max(1.0, abs(expected))
@@ -176,11 +177,7 @@ class TestSolutionContract:
         prog, _ = make_kkt_instance(rng)
         sol = solve(prog)
         # primal objective dominates the dual bound up to the gap tolerance
-        dual = 0.0
-        if prog.eq_b.size:
-            dual -= prog.eq_b @ sol.y_eq
-        for blk, zb in zip(prog.blocks, sol.z_blocks):
-            dual -= blk.b @ zb
+        dual = -(prog.eq_b @ sol.y_eq) - prog.h @ sol.z
         assert sol.objective >= dual - 1e-6 * max(1.0, abs(sol.objective))
 
     def test_config_validation(self):
@@ -245,47 +242,66 @@ class TestConeKernels:
               ("soc", 3), ("soc", 2), ("soc", 3)]
 
     @pytest.fixture
-    def cones(self):
+    def program(self):
+        """LAYOUT's blocks, in the order the builder lays them out."""
+        b = ConicProgramBuilder()
+        b.add_var()
+        for kind, d in self.LAYOUT:
+            b.add_block_rows(kind, np.zeros((1, d, 1)), np.zeros((1, d)))
+        return b.build()
+
+    @pytest.fixture
+    def cones(self, program):
         from soclqc.solver import _Cones
 
-        return _Cones(tuple(ConeBlock(k, np.zeros((d, 1)), np.zeros(d)) for k, d in self.LAYOUT))
-
-    def interior(self, rng, cones):
-        """A random interior point, stacked in the solver's row order."""
-        pieces = []
-        for _, d in self.LAYOUT:
-            tail = rng.standard_normal(d - 1)
-            pieces.append(np.concatenate([[np.linalg.norm(tail) + rng.uniform(0.1, 2.0)], tail]))
-        return self.to_solver(cones, pieces)
+        return _Cones(program.nn, program.soc)
 
     @staticmethod
-    def to_solver(cones, pieces):
-        return np.concatenate(pieces)[cones.order]
+    def split(program, u):
+        """Per-block pieces of a slack vector, in layout order."""
+        return np.split(u, np.cumsum([blk.dim for blk in program.blocks])[:-1])
 
-    def test_layout_round_trip(self, cones, rng):
+    @staticmethod
+    def interior(rng, program):
+        """A random interior point, stacked in layout order."""
+        pieces = []
+        for blk in program.blocks:
+            tail = rng.standard_normal(blk.dim - 1)
+            pieces.append(np.concatenate([[np.linalg.norm(tail) + rng.uniform(0.1, 2.0)], tail]))
+        return np.concatenate(pieces)
+
+    def test_layout_round_trip(self, program, cones, rng):
+        # the kernels' nonnegative entries and (k, d) group views are the
+        # program's blocks, in order
+        assert [(blk.kind, blk.dim) for blk in program.blocks] == sorted(
+            self.LAYOUT, key=lambda kd: 0 if kd[0] == NONNEG else kd[1])
         u = rng.standard_normal(cones.total)
-        assert np.array_equal(self.to_solver(cones, cones.split(u)), u)
-        assert [len(b) for b in cones.split(u)] == [d for _, d in self.LAYOUT]
+        pieces = self.split(program, u)
+        assert cones.total == len(program.h) and np.array_equal(np.concatenate(pieces), u)
+        assert np.array_equal(u[: cones.nn], np.concatenate(pieces[: cones.nn]))
+        views = [row for _, U in cones._soc(u) for row in U]
+        assert len(views) == len(pieces) - cones.nn
+        assert all(np.array_equal(a, b) for a, b in zip(views, pieces[cones.nn :]))
 
-    def test_identity_product_and_inverse(self, cones, rng):
+    def test_identity_product_and_inverse(self, program, cones, rng):
         u, v = rng.standard_normal((2, cones.total))
         ref = []
-        for a, b in zip(cones.split(u), cones.split(v)):
+        for a, b in zip(self.split(program, u), self.split(program, v)):
             ref.append(a * b if len(a) == 1 else np.concatenate([[a @ b], a[0] * b[1:] + b[0] * a[1:]]))
-        assert np.allclose(cones.product(u, v), self.to_solver(cones, ref), rtol=1e-12, atol=1e-12)
+        assert np.allclose(cones.product(u, v), np.concatenate(ref), rtol=1e-12, atol=1e-12)
         e = cones.identity()
-        assert all(b[0] == 1.0 and not b[1:].any() for b in cones.split(e))
+        assert all(b[0] == 1.0 and not b[1:].any() for b in self.split(program, e))
         assert np.allclose(cones.product(e, u), u, rtol=1e-12, atol=1e-12)
-        lam = self.interior(rng, cones)
+        lam = self.interior(rng, program)
         back = cones.product(lam, cones.solve_product(lam, v))
         assert np.allclose(back, v, rtol=1e-12, atol=1e-12)
 
-    def test_project_matches_per_block_formula(self, cones, rng):
+    def test_project_matches_per_block_formula(self, program, cones, rng):
         for _ in range(20):
             u = 2.0 * rng.standard_normal(cones.total)
             ref = []
-            for kind, b in zip((k for k, _ in self.LAYOUT), cones.split(u)):
-                if kind == "nonneg":
+            for blk, b in zip(program.blocks, self.split(program, u)):
+                if blk.kind == NONNEG:
                     ref.append(np.maximum(b, 0.0))
                     continue
                 t = np.linalg.norm(b[1:])
@@ -296,41 +312,41 @@ class TestConeKernels:
                 else:
                     ref.append(0.5 * (b[0] + t) * np.concatenate([[1.0], b[1:] / t]))
             out = cones.project(u)
-            assert np.allclose(out, self.to_solver(cones, ref), rtol=1e-12, atol=1e-12)
+            assert np.allclose(out, np.concatenate(ref), rtol=1e-12, atol=1e-12)
             assert cones.inside(out, margin=-1e-12)
 
-    def test_max_step_lands_on_the_boundary(self, cones, rng):
+    def test_max_step_lands_on_the_boundary(self, program, cones, rng):
         for _ in range(20):
-            u = self.interior(rng, cones)
+            u = self.interior(rng, program)
             du = 3.0 * rng.standard_normal(cones.total)
             a = cones.max_step(u, du)
             assert cones.inside(u + (1 - 1e-9) * min(a, 1e6) * du)
             if np.isfinite(a):
-                slack = [b[0] - np.linalg.norm(b[1:]) for b in cones.split(u + a * du)]
+                slack = [b[0] - np.linalg.norm(b[1:]) for b in self.split(program, u + a * du)]
                 assert min(np.abs(slack)) <= 1e-9 * (1 + a * np.linalg.norm(du))
-        u = self.interior(rng, cones)
+        u = self.interior(rng, program)
         assert cones.max_step(u, u) == np.inf
         assert np.isnan(cones.max_step(u, np.full(cones.total, np.nan)))
 
-    def test_max_step_is_scale_free(self, cones, rng):
+    def test_max_step_is_scale_free(self, program, cones, rng):
         # blocks near 1e-9 in size, as in an MPC started at the origin, once
         # took half the step because of an absolute threshold.  du = -u puts
         # a double root on the boundary, known only to about sqrt(eps)
         for _ in range(10):
-            u = self.interior(rng, cones)
+            u = self.interior(rng, program)
             for du in (rng.standard_normal(cones.total), -u):
                 a = cones.max_step(u, du)
                 for scale in (1e-9, 1e9):
                     assert np.isclose(cones.max_step(scale * u, scale * du), a, rtol=1e-6)
 
-    def test_shift_inside(self, cones, rng):
+    def test_shift_inside(self, program, cones, rng):
         u = 5.0 * rng.standard_normal(cones.total)
         assert cones.inside(cones.shift_inside(u))
-        inner = self.interior(rng, cones) + 10.0 * cones.identity()
+        inner = self.interior(rng, program) + 10.0 * cones.identity()
         assert np.array_equal(cones.shift_inside(inner, pad=1e-3), inner)
 
-    def test_nt_scaling_and_apply_w(self, cones, rng):
-        s, z = self.interior(rng, cones), self.interior(rng, cones)
+    def test_nt_scaling_and_apply_w(self, program, cones, rng):
+        s, z = self.interior(rng, program), self.interior(rng, program)
         scaling = cones.nt_scaling(s, z)
         lam = cones.apply_w(scaling, z)
         # NT point: W z = W^-1 s, so W^2 z = s, never forming W^2
@@ -343,6 +359,6 @@ class TestConeKernels:
         back = cones.apply_w(scaling, cones.apply_w(scaling, M), inverse=True)
         assert np.allclose(back, M, rtol=1e-12, atol=1e-12)
         outside = s.copy()
-        outside[cones.split(np.arange(cones.total))[1][0]] = -1.0
+        outside[cones.nn] = -1.0  # the head of the first second-order block
         with pytest.raises(FloatingPointError):
             cones.nt_scaling(outside, z)

@@ -8,6 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import soclqc
+from helpers import double_integrator_mpc
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +46,19 @@ def test_verify_calls_are_traced(tmp_path, capsys):
     spans = tracer.spans
     parents = {(name, spans[parent][0]) for name, _, parent, _, _ in spans if parent >= 0}
     assert {("oracle.ball_max", "cli.verify"), ("lqc.compact_cost", "cli.verify")} <= parents
+
+
+def test_build_counts_match_the_program_layout():
+    # the traced run counts cone rows and blocks from ConicProgram.blocks
+    tracer = load_spans().Tracer()
+    tracer.install(soclqc)
+    try:
+        programs = [
+            soclqc.build_robust_socp(soclqc.scalar_benchmark_spec(5), [0.5]).program,
+            soclqc.build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program,
+        ]
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["model.cone_rows"] == sum(p.G.shape[0] for p in programs)
+    assert tracer.counts["model.blocks"] == sum(len(p.tags) for p in programs)
+    assert tracer.counts["model.num_vars"] == sum(p.num_vars for p in programs)
