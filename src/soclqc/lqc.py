@@ -12,7 +12,9 @@ depending on x0.  Minimizing the worst case of J over the disturbance ball
 expectation over a moment ambiguity set) then reduces to a second-order cone
 program via the simplified S-lemma; the builders here produce those programs
 together with the data needed to check the classical matrix-inequality
-certificate after the fact.
+certificate after the fact.  Uq is factored once per spec, Uq = L L', and
+the epigraph ||L'u||^2 of u'Uq u, the regret kernel X' Uq^{-1} X = F'F with
+F = L^{-1} X and the certificate all read that factor.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .model import (
     NONNEG,
@@ -27,9 +30,9 @@ from .model import (
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
-    add_quadratic_cost,
     cholesky_factor,
     hyperbolic_rows,
+    quadratic_epigraph,
     unit_rows,
 )
 from .slemma import SimulDiag, simultaneous_diagonalize, symmetrize
@@ -365,11 +368,29 @@ def build_compact_cost(spec: LqcSpec, x0) -> CompactCost:
     )
 
 
-def _ball_diag(spec: LqcSpec, kernel: str, w_quad_eff: np.ndarray) -> SimulDiag:
-    """Congruence diagonalizing (I, effective disturbance quadratic); cached."""
+def _input_factor(spec: LqcSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor L of the stacked input cost, Uq = L L', and
+    F = L^{-1} X; cached per spec on first use, so that the compact cost
+    stays available for specs whose Uq fails the pivot test."""
+    if "input_factor" not in spec._cache:
+        base = _compact_base(spec)
+        L = cholesky_factor(base["u_quad"], "stacked input cost")
+        F = scipy.linalg.solve_triangular(L, base["cross"], lower=True)
+        spec._cache["input_factor"] = (L, F)
+    return spec._cache["input_factor"]
+
+
+def _ball_diag(spec: LqcSpec, kernel: str) -> SimulDiag:
+    """Congruence diagonalizing (I, the kernel's disturbance quadratic):
+    Wq for the robust kernel, X' Uq^{-1} X = F'F for regret; cached."""
     key = f"diag:{kernel}"
     if key not in spec._cache:
-        spec._cache[key] = simultaneous_diagonalize(np.eye(w_quad_eff.shape[0]), w_quad_eff)
+        if kernel == "robust":
+            quad = _compact_base(spec)["w_quad"]
+        else:
+            F = _input_factor(spec)[1]
+            quad = F.T @ F
+        spec._cache[key] = simultaneous_diagonalize(np.eye(quad.shape[0]), quad)
     return spec._cache[key]
 
 
@@ -439,18 +460,17 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     kernel, amb = lqc_mode(mode, amb)
     cc = build_compact_cost(spec, x0)
     n_u_all, n_w_all = spec.stacked_input_dim, spec.stacked_dist_dim
+    L, F = _input_factor(spec)
 
+    # the regret kernel's head constant X' Uq^{-1} ul and offset ul' Uq^{-1} ul
+    # are F'v and v'v with v = L^{-1} ul
     if kernel == "robust":
-        w_quad_eff = cc.w_quad
-        uq_inv_ulin = None
-        offset = cc.constant
+        head_const, offset = cc.w_lin, cc.constant
     else:
-        uq_inv = np.linalg.solve(cc.u_quad, np.eye(n_u_all))
-        w_quad_eff = symmetrize(cc.cross.T @ uq_inv @ cc.cross)
-        uq_inv_ulin = uq_inv @ cc.u_lin
-        offset = float(cc.u_lin @ uq_inv_ulin)
+        v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
+        head_const, offset = F.T @ v, float(v @ v)
 
-    sd = _ball_diag(spec, kernel, w_quad_eff)
+    sd = _ball_diag(spec, kernel)
     m = amb.num_moments if amb is not None else 0
     if amb is not None and amb.H.shape[1] != n_w_all:
         raise DimensionMismatch("moment matrix columns must match stacked disturbance dim")
@@ -465,10 +485,12 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     # multiplier of the original ball, heads pick up a factor gamma and the
     # diagonal tau a factor gamma^2 -- an exact substitution that keeps the
     # block data O(1) even for extreme radii
-    t_quad = add_quadratic_cost(b, cc.u_quad, b.var_exprs(u_idx))
+    t_quad = b.add_var()  # u'Uq u = ||L'u||^2 <= t_quad
+    quadratic_epigraph(b, L.T, np.zeros(n_u_all), b.var_exprs(u_idx), 1.0, b.var(t_quad),
+                       tag="obj_quad")
     n = b.num_vars
-    obj, _ = t_quad.to_row(n)
-    obj[lam_idx] = 1.0
+    obj = np.zeros(n)
+    obj[[t_quad, lam_idx]] = 1.0
     obj[u_idx] = 2.0 * cc.u_lin
     obj[t_idx] = 1.0
     if amb is not None:
@@ -488,7 +510,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     # w_lin + cross^T u (- H^T beta / 2 with moment info) for the robust
     # kernel, cross^T (u + Uq^-1 ul) for regret
     g = spec.gamma
-    head_const = sd.S.T @ (cc.w_lin if kernel == "robust" else cc.cross.T @ uq_inv_ulin)
+    head_const = sd.S.T @ head_const
     heads = np.zeros((n_w_all, n))
     heads[:, u_idx] = g * (sd.S.T @ cc.cross.T)
     if amb is not None:
@@ -547,48 +569,43 @@ class RobustCertificateData:
     """Numeric pieces to rebuild the bordered-matrix certificate of a solved
     robust program:
 
-        [[I,    y,                F       ]
-         [y',   z - gamma^2 lam, -h'      ]
-         [F',  -h,                lam*I - Wq + F'F]]
+        [[I,    y,             F               ]
+         [y',   y'y + sum(t), -h'              ]
+         [F',  -h,             lam*I - Wq + F'F]]
 
-    with h = wl - X' Uq^{-1} ul, F = L^{-1} X' ... transposed consistently
-    with the Cholesky factor Uq = L L', and y = L'u + L^{-1} ul.
+    with the spec's Cholesky factor Uq = L L', F = L^{-1} X, v = L^{-1} ul,
+    y = L'u + v and h = wl - F'v = wl - X' Uq^{-1} ul.
     """
 
     compact: CompactCost
-    gamma: float
     chol_L: np.ndarray
-    h: np.ndarray
     F: np.ndarray
+    v: np.ndarray
+    h: np.ndarray
 
     def assemble(self, u, lam, t) -> np.ndarray:
         """The bordered matrix at a solved program's (u, lam, t)."""
-        cc = self.compact
-        n_u = cc.u_quad.shape[0]
-        n_w = cc.w_quad.shape[0]
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        y = self.chol_L.T @ u + np.linalg.solve(self.chol_L, cc.u_lin)
-        z = (float(u @ cc.u_quad @ u + 2.0 * cc.u_lin @ u) + float(np.sum(t))
-             + self.gamma**2 * float(lam) + float(cc.u_lin @ np.linalg.solve(cc.u_quad, cc.u_lin)))
+        n_u, n_w = self.F.shape
+        y = self.chol_L.T @ np.atleast_1d(np.asarray(u, dtype=float)) + self.v
         M = np.zeros((n_u + 1 + n_w, n_u + 1 + n_w))
         M[:n_u, :n_u] = np.eye(n_u)
         M[:n_u, n_u] = y
         M[n_u, :n_u] = y
         M[:n_u, n_u + 1 :] = self.F
         M[n_u + 1 :, :n_u] = self.F.T
-        M[n_u, n_u] = z - self.gamma**2 * float(lam)
+        M[n_u, n_u] = float(y @ y) + float(np.sum(t))
         M[n_u, n_u + 1 :] = -self.h
         M[n_u + 1 :, n_u] = -self.h
-        M[n_u + 1 :, n_u + 1 :] = float(lam) * np.eye(n_w) - cc.w_quad + self.F.T @ self.F
+        M[n_u + 1 :, n_u + 1 :] = (float(lam) * np.eye(n_w) - self.compact.w_quad
+                                   + self.F.T @ self.F)
         return M
 
 
 def build_robust_sdp_data(spec: LqcSpec, x0) -> RobustCertificateData:
     cc = build_compact_cost(spec, x0)
-    L = cholesky_factor(cc.u_quad, "stacked input cost")
-    uq_inv_ulin = np.linalg.solve(cc.u_quad, cc.u_lin)
-    h = cc.w_lin - cc.cross.T @ uq_inv_ulin
-    return RobustCertificateData(cc, spec.gamma, L, h, np.linalg.solve(L, cc.cross))
+    L, F = _input_factor(spec)
+    v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
+    return RobustCertificateData(cc, L, F, v, cc.w_lin - F.T @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -609,29 +626,26 @@ def receding_horizon_simulate(
     x0,
     disturbances,
     controller: str = "robust",
-    steps: int | None = None,
     amb: AmbiguitySpec | None = None,
     config: SolverConfig | None = None,
 ) -> SimulationRecord:
     """Apply the first input of the re-solved plan at every step.
 
     ``controller`` is one of :data:`LQC_MODES`; the DR modes need ``amb``.
-    ``disturbances`` supplies the realized per-step disturbance vectors; the
-    plant steps with the first-stage dynamics matrices.  Solver failures
-    raise :class:`RecedingHorizonError` with the offending step index.
+    ``disturbances`` holds the realized disturbance vectors, one row per
+    step; the plant steps with the first-stage dynamics matrices.  Solver
+    failures raise :class:`RecedingHorizonError` with the offending step.
     """
     lqc_mode(controller, amb)
     disturbances = np.atleast_2d(np.asarray(disturbances, dtype=float))
-    if steps is None:
-        steps = disturbances.shape[0]
-    if disturbances.shape != (steps, spec.n_w):
+    if disturbances.shape[1:] != (spec.n_w,):
         raise DimensionMismatch("disturbance sequence has wrong shape")
 
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     states = [x.copy()]
-    inputs = np.zeros((steps, spec.n_u))
+    inputs = np.zeros((len(disturbances), spec.n_u))
     objectives, statuses, iterations = [], [], []
-    for k in range(steps):
+    for k, w in enumerate(disturbances):
         socp = _build_minmax_socp(spec, x, controller, amb)
         sol = solve(socp.program, config)
         statuses.append(sol.status)
@@ -641,6 +655,6 @@ def receding_horizon_simulate(
         objectives.append(sol.objective)
         u_first = sol.x[socp.u_index][: spec.n_u]
         inputs[k] = u_first
-        x = spec.A[0] @ x + spec.B[0] @ u_first + spec.C[0] @ disturbances[k]
+        x = spec.A[0] @ x + spec.B[0] @ u_first + spec.C[0] @ w
         states.append(x.copy())
     return SimulationRecord(np.array(states), inputs, objectives, statuses, iterations)

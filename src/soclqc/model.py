@@ -428,14 +428,14 @@ def cholesky_factor(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return L
 
 
-def psd_sqrt_factor(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt_factor(M: np.ndarray) -> np.ndarray:
     """Matrix F with F^T F = M for symmetric PSD M, via eigendecomposition.
 
-    Eigenvalues in [-tol*||M||, 0) are clamped to zero; anything lower raises.
+    Eigenvalues in [-1e-10 * max(1, ||M||), 0) are clamped to zero; lower raise.
     """
     M = 0.5 * (np.asarray(M, dtype=float) + np.asarray(M, dtype=float).T)
     vals, vecs = np.linalg.eigh(M)
-    floor = -tol * max(1.0, np.linalg.norm(M))
+    floor = -1e-10 * max(1.0, np.linalg.norm(M))
     if np.min(vals) < floor:
         raise NotPositiveDefinite("matrix has a significantly negative eigenvalue")
     vals = np.clip(vals, 0.0, None)

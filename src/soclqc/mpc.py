@@ -153,7 +153,7 @@ def diagonalize_terminal_pair(spec: MpcSpec) -> TerminalDiag:
     drift = A_cl - np.eye(spec.n_x)
     M = symmetrize(drift.T @ spec.P @ drift)
     try:
-        m_sqrt = psd_sqrt_factor(M, tol=1e-10)
+        m_sqrt = psd_sqrt_factor(M)
     except NotPositiveDefinite as exc:
         raise NegativeEigenvalue(str(exc)) from exc
     td = TerminalDiag(
@@ -220,17 +220,13 @@ def _support_rows(rows, limits, spec: MpcSpec, c_exprs, r_expr, builder, tag) ->
     builder.add_block_rows(NONNEG, A[:, None], b[:, None], tags)
 
 
-def emit_state_containment(
-    spec: MpcSpec, td: TerminalDiag, c_exprs, r_expr, builder: ConicProgramBuilder
-) -> None:
+def emit_state_containment(spec: MpcSpec, c_exprs, r_expr, builder: ConicProgramBuilder) -> None:
     """Rows e_j' c + ||e_j' P^{-1/2}|| r <= f_j keeping the ellipsoid in the
     state set (support function of the ball after whitening by P^{1/2})."""
     _support_rows(spec.E, spec.f, spec, c_exprs, r_expr, builder, "state_cont")
 
 
-def emit_input_containment(
-    spec: MpcSpec, td: TerminalDiag, c_exprs, r_expr, builder: ConicProgramBuilder
-) -> None:
+def emit_input_containment(spec: MpcSpec, c_exprs, r_expr, builder: ConicProgramBuilder) -> None:
     """Same support-function rows for the terminal controller: rows of G K."""
     _support_rows(spec.G @ spec.K, spec.h, spec, c_exprs, r_expr, builder, "input_cont")
 
@@ -307,8 +303,8 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
 
     b.add_nonneg(r_expr, tag="radius")
     inv = emit_invariance_constraints(td, c_exprs, r_expr, b)
-    emit_state_containment(spec, td, c_exprs, r_expr, b)
-    emit_input_containment(spec, td, c_exprs, r_expr, b)
+    emit_state_containment(spec, c_exprs, r_expr, b)
+    emit_input_containment(spec, c_exprs, r_expr, b)
 
     if fixed_terminal is not None:
         c0, r0 = fixed_terminal
@@ -339,7 +335,6 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
 
 def max_fixed_radius(spec: MpcSpec) -> float:
     """Largest origin-centered radius satisfying both containments."""
-    td = diagonalize_terminal_pair(spec)
     gains_x = np.linalg.norm(spec.E @ spec.p_inv_sqrt(), axis=1)
     gains_u = np.linalg.norm((spec.G @ spec.K) @ spec.p_inv_sqrt(), axis=1)
     bounds = []

@@ -40,10 +40,10 @@ class DegenerateInput(ValueError):
     """Empty or structurally unusable input."""
 
 
-def symmetrize(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def symmetrize(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     scale = max(1.0, np.linalg.norm(M))
-    if np.linalg.norm(M - M.T) > rel_tol * scale * M.shape[0] * 100:
+    if np.linalg.norm(M - M.T) > 1e-12 * scale * M.shape[0] * 100:
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (M + M.T)
 

@@ -47,6 +47,9 @@ from .model import ConicProgram
 
 # share of the distance to the cone boundary that a combined step may take
 FRACTION_TO_BOUNDARY = 0.99
+# relative primal/dual residual and relative gap at which a solve is optimal
+TOL_FEAS = 1e-8
+TOL_GAP = 1e-8
 
 
 class Status(enum.Enum):
@@ -59,13 +62,9 @@ class Status(enum.Enum):
 
 @dataclass
 class SolverConfig:
-    tol_feas: float = 1e-8
-    tol_gap: float = 1e-8
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.tol_feas <= 0 or self.tol_gap <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -307,21 +306,6 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     A, b = program.eq_A, program.eq_b
     n, p = program.num_vars, len(b)
 
-    def primal_infeas_quality(y, z):
-        denom = -(float(h @ z) + float(b @ y))
-        if denom <= 0:
-            return np.inf
-        return np.linalg.norm(A.T @ y + G.T @ z) / denom
-
-    def dual_infeas_quality(x, s):
-        denom = -float(c @ x)
-        if denom <= 0:
-            return np.inf
-        return max(
-            np.linalg.norm(A @ x) if p else 0.0,
-            np.linalg.norm(G @ x + s),
-        ) / denom
-
     def purified_primal_certificate(y, z) -> bool:
         """Polish the dual ray by alternating projections onto the Farkas
         subspace A^T y + G^T z = 0 and the cone, then check it certifies
@@ -371,10 +355,10 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         """Solution at the current iterate, which is always finite."""
         if status in (Status.NUMERICAL_FAILURE, Status.MAX_ITERATIONS):
             # a stalled run may still carry an exact Farkas ray after projection
-            if rp > 10 * cfg.tol_feas and purified_primal_certificate(y, z):
+            if rp > 10 * TOL_FEAS and purified_primal_certificate(y, z):
                 status = Status.PRIMAL_INFEASIBLE
                 reason += "; projected dual ray certifies primal infeasibility"
-            elif rg > 10 * cfg.tol_gap and purified_dual_certificate(x):
+            elif rg > 10 * TOL_GAP and purified_dual_certificate(x):
                 status = Status.DUAL_INFEASIBLE
                 reason += "; projected primal ray certifies dual infeasibility"
         obj = float(c @ x) + program.obj_offset
@@ -408,13 +392,16 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         rd = np.linalg.norm(r_dual) / norm_c
         rg = abs(pobj - dobj) / max(1.0, abs(pobj))
 
-        if rp <= cfg.tol_feas and rd <= cfg.tol_feas and rg <= cfg.tol_gap:
+        if rp <= TOL_FEAS and rd <= TOL_FEAS and rg <= TOL_GAP:
             return finish(Status.OPTIMAL)
 
-        # infeasibility certificates (heuristic; quantities are scale-free)
-        if primal_infeas_quality(y, z) <= cfg.tol_feas and rp > 10 * cfg.tol_feas:
+        # infeasibility certificates (heuristic; quantities are scale-free),
+        # read off the residuals: A'y + G'z = r_dual - c, -(b'y + h'z) = dobj,
+        # A x = r_eq + b, G x + s = r_cone + h and -c'x = -pobj
+        if dobj > 0 and np.linalg.norm(r_dual - c) / dobj <= TOL_FEAS and rp > 10 * TOL_FEAS:
             return finish(Status.PRIMAL_INFEASIBLE, "dual iterate is a Farkas ray")
-        if dual_infeas_quality(x, s) <= cfg.tol_feas and rg > 10 * cfg.tol_gap:
+        if (pobj < 0 and rg > 10 * TOL_GAP and
+                max(np.linalg.norm(r_eq + b), np.linalg.norm(r_cone + h)) / -pobj <= TOL_FEAS):
             return finish(Status.DUAL_INFEASIBLE, "primal iterate is an improving ray")
         if it == cfg.max_iters:
             return finish(Status.MAX_ITERATIONS, "iteration limit")

@@ -6,10 +6,11 @@ from soclqc.model import (
     ConicProgramBuilder,
     LinExpr,
     add_quadratic_cost,
+    cholesky_factor,
     hyperbolic_to_soc,
 )
 from soclqc.mpc import MpcSpec
-from soclqc.slemma import simultaneous_diagonalize, symmetrize
+from soclqc.slemma import simultaneous_diagonalize
 
 
 def random_lqc_spec(rng, n_x, n_u, n_w, N, gamma=None, with_linear=True):
@@ -42,10 +43,12 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     if kernel == "robust":
         w_quad_eff, offset = cc.w_quad, cc.constant
     else:
-        uq_inv = np.linalg.solve(cc.u_quad, np.eye(spec.stacked_input_dim))
-        w_quad_eff = symmetrize(cc.cross.T @ uq_inv @ cc.cross)
-        uq_inv_ulin = uq_inv @ cc.u_lin
-        offset = float(cc.u_lin @ uq_inv_ulin)
+        # regret kernel X' Uq^{-1} X = F'F and X' Uq^{-1} ul = F'v, with
+        # Uq = L L', F = L^{-1} X and v = L^{-1} ul
+        L = cholesky_factor(cc.u_quad)
+        F = scipy.linalg.solve_triangular(L, cc.cross, lower=True)
+        v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
+        w_quad_eff, offset = F.T @ F, float(v @ v)
     sd = simultaneous_diagonalize(np.eye(w_quad_eff.shape[0]), w_quad_eff)
     m = amb.num_moments if amb is not None else 0
 
@@ -77,7 +80,7 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     if kernel == "robust":
         head_const = sd.S.T @ cc.w_lin
     else:
-        head_const = sd.S.T @ (cc.cross.T @ uq_inv_ulin)
+        head_const = sd.S.T @ (F.T @ v)
     beta_mat = -(sd.S.T @ amb.H.T) / 2.0 if amb is not None else None
     g = spec.gamma
     for i in range(spec.stacked_dist_dim):

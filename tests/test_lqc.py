@@ -12,6 +12,7 @@ from soclqc.lqc import (
     AmbiguitySpec,
     LqcSpec,
     RecedingHorizonError,
+    _input_factor,
     box_polyhedron,
     build_compact_cost,
     build_dr_regret_socp,
@@ -319,6 +320,16 @@ class TestRegretSocp:
             min_clairvoyant = -max_quad_over_ball(-red_quad, -red_lin, spec.gamma).value + const
             assert sol.objective <= rob_sol.objective - min_clairvoyant + 1e-6
 
+    def test_builds_on_expanding_dynamics(self):
+        # cond(Uq) reaches ~1e11 here; the regret kernel once came from an
+        # explicit inverse of Uq, which failed the symmetry check at seeds 8,
+        # 9, 13 and 18
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            spec = random_lqc_spec(rng, 4, 2, 2, 30)
+            socp = build_regret_socp(spec, rng.standard_normal(4))
+            assert np.all(np.isfinite(socp.program.G)) and np.all(np.isfinite(socp.program.h))
+
 
 class TestDistributionallyRobust:
     def test_no_moments_equals_robust(self, rng):
@@ -533,16 +544,22 @@ def assert_same_program(built, ref):
     assert np.array_equal(built.G, ref.G) and np.array_equal(built.h, ref.h)
 
 
+def row_block_case(seed):
+    """A random spec, initial state and moment set (seed % 3 moment rows)."""
+    rng = np.random.default_rng(seed)
+    n_x, n_u, n_w = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    N = int(rng.integers(1, 13))
+    spec = random_lqc_spec(rng, n_x, n_u, n_w, N)
+    x0 = rng.standard_normal(n_x)
+    m = seed % 3
+    amb = AmbiguitySpec(rng.standard_normal((m, N * n_w)), rng.uniform(0.1, 1.0, m))
+    return spec, x0, amb
+
+
 class TestRowBlockBuilder:
     @pytest.mark.parametrize("seed", range(12))
     def test_programs_match_linexpr_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        n_x, n_u, n_w = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        N = int(rng.integers(1, 13))
-        spec = random_lqc_spec(rng, n_x, n_u, n_w, N)
-        x0 = rng.standard_normal(n_x)
-        m = seed % 3
-        amb = AmbiguitySpec(rng.standard_normal((m, N * n_w)), rng.uniform(0.1, 1.0, m))
+        spec, x0, amb = row_block_case(seed)
         for built, mode, kernel, moments in (
             (build_robust_socp(spec, x0), "robust", "robust", None),
             (build_regret_socp(spec, x0), "regret", "regret", None),
@@ -551,6 +568,37 @@ class TestRowBlockBuilder:
         ):
             assert built.mode == mode
             assert_same_program(built.program, reference_lqc_program(spec, x0, kernel, moments))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_regret_kernel_matches_explicit_solve(self, seed):
+        # the cached F'F = X' L^-T L^-1 X against X' Uq^-1 X by a dense solve
+        spec, x0, _ = row_block_case(seed)
+        F = _input_factor(spec)[1]
+        explicit = worst_case(build_compact_cost(spec, x0), "regret",
+                              np.zeros(spec.stacked_input_dim)).quad
+        assert np.linalg.norm(F.T @ F - explicit) <= 1e-9 * np.linalg.norm(explicit)
+
+    def test_input_cost_factored_once_per_spec(self, monkeypatch):
+        # stacked input and disturbance sizes differ (6 and 3), so the identity
+        # that simultaneous_diagonalize factors is not counted
+        spec = random_lqc_spec(np.random.default_rng(5), 2, 2, 1, 3)
+        n_u = spec.stacked_input_dim
+        amb = AmbiguitySpec(np.ones((1, spec.stacked_dist_dim)), [0.5])
+        factored = [0]
+        cholesky = np.linalg.cholesky
+
+        def counted(M):
+            factored[0] += np.shape(M) == (n_u, n_u)
+            return cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        for x0 in (np.zeros(2), np.ones(2)):
+            build_robust_socp(spec, x0)
+            build_regret_socp(spec, x0)
+            build_dr_socp(spec, x0, amb)
+            build_dr_regret_socp(spec, x0, amb)
+        build_robust_sdp_data(spec, np.ones(2))
+        assert factored[0] == 1
 
     def test_expression_work_does_not_grow_with_horizon(self, monkeypatch):
         # per-nonzero LinExpr emission makes O(N^2) of these calls

@@ -105,8 +105,8 @@ class TestEmittedBlocks:
         r_expr = b.var(r_idx)
         b.add_nonneg(r_expr)
         emit_invariance_constraints(td, c_exprs, r_expr, b)
-        emit_state_containment(spec, td, c_exprs, r_expr, b)
-        emit_input_containment(spec, td, c_exprs, r_expr, b)
+        emit_state_containment(spec, c_exprs, r_expr, b)
+        emit_input_containment(spec, c_exprs, r_expr, b)
         if objective is not None:
             b.set_objective(objective(b, c_idx, r_idx))
         return b, c_idx, r_idx
@@ -136,11 +136,10 @@ class TestEmittedBlocks:
         # containment row; invariance additionally pins the point to a fixed
         # point of the closed loop (the origin for a deadbeat gain)
         spec = deadbeat_spec()
-        td = diagonalize_terminal_pair(spec)
         b = ConicProgramBuilder()
         c_exprs = b.var_exprs(b.add_vars(2))
         r_expr = b.var(b.add_var())
-        emit_state_containment(spec, td, c_exprs, r_expr, b)
+        emit_state_containment(spec, c_exprs, r_expr, b)
         prog = b.build()
         x = np.array([0.5, -0.5, 0.0])
         assert len(prog.blocks) == spec.E.shape[0]
@@ -178,14 +177,13 @@ class TestEmittedBlocks:
 
     def test_zero_gain_input_containment_unbinding(self):
         spec = deadbeat_spec()
-        td = diagonalize_terminal_pair(spec)
         b = ConicProgramBuilder()
         c_exprs = b.var_exprs(b.add_vars(2))
         r_expr = b.var(b.add_var())
         emit_input_containment(
             MpcSpec(spec.A, spec.B, spec.E, spec.f, spec.G, spec.h,
                     np.zeros((2, 2)), spec.P, spec.N, spec.Q, spec.R, spec.Q_f),
-            td, c_exprs, r_expr, b)
+            c_exprs, r_expr, b)
         prog = b.build()
         # with K = 0 every row reduces to h_j >= 0, feasible for any (c, r)
         x = np.array([10.0, -4.0, 99.0])

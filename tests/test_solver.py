@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soclqc.model import NONNEG, SOC, ConicProgramBuilder
-from soclqc.solver import SolverConfig, Status, solve
+from soclqc.solver import TOL_FEAS, TOL_GAP, SolverConfig, Status, solve
 
 
 def make_kkt_instance(rng):
@@ -156,14 +156,13 @@ class TestKktOracle:
 
 class TestSolutionContract:
     def test_optimal_residuals_below_tolerance(self, rng):
-        cfg = SolverConfig()
         for _ in range(10):
             prog, _ = make_kkt_instance(rng)
-            sol = solve(prog, cfg)
+            sol = solve(prog)
             assert sol.status is Status.OPTIMAL
-            assert sol.res_primal <= cfg.tol_feas
-            assert sol.res_dual <= cfg.tol_feas
-            assert sol.res_gap <= cfg.tol_gap
+            assert sol.res_primal <= TOL_FEAS
+            assert sol.res_dual <= TOL_FEAS
+            assert sol.res_gap <= TOL_GAP
             assert sol.reason == ""
 
     def test_feasibility_round_trip(self, rng):
@@ -181,8 +180,6 @@ class TestSolutionContract:
         assert sol.objective >= dual - 1e-6 * max(1.0, abs(sol.objective))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol_feas=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
 
