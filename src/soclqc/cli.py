@@ -3,6 +3,10 @@
 ``verify`` loads the problem and result files, takes its report from
 :func:`soclqc.verify.verify_result` and prints one line per check.
 
+The parser is built once per process; ``main`` looks up the ``cmd_*``
+function of the command at each call, so a wrapper installed on this module
+(the benchmark tracer's, for one) sees the call.
+
 Exit codes: 0 success, 1 solver non-optimal, 2 input error (including a
 malformed result file), 3 verification failure.
 """
@@ -10,6 +14,7 @@ malformed result file), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -199,7 +204,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all_opt else EXIT_NOT_OPTIMAL
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="soclqc",
         description="Robust LQC / MPC second-order cone toolkit",
@@ -214,19 +221,16 @@ def make_parser() -> argparse.ArgumentParser:
                          help="initial state, comma-separated")
     p_solve.add_argument("--out", default=None, help="write result JSON here")
     p_solve.add_argument("--max-iters", type=int, default=100)
-    p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a solved result")
     p_verify.add_argument("problem", help="problem file path")
     p_verify.add_argument("result", help="result JSON from solve --out")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="scalar benchmark family sweep")
     p_bench.add_argument("--N", required=True,
                          help="comma-separated horizon list, e.g. 10,20,30")
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--out", default=None, help="CSV output path")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -241,7 +245,10 @@ def main(argv=None) -> int:
             argv[i : i + 2] = [f"--x0={argv[i + 1]}"]
         i += 1
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    # the command is looked up here, at call time, so that a wrapper
+    # installed on this module after the parser was built sees the call
+    command = {"solve": cmd_solve, "verify": cmd_verify, "bench": cmd_bench}[args.command]
+    return command(args)
 
 
 if __name__ == "__main__":

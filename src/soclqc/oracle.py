@@ -163,7 +163,7 @@ def grid_worst_case(compact, u: np.ndarray, gamma: float, step: float) -> float:
             W = np.zeros((1, n_w))
     lin = compact.w_lin + compact.cross.T @ u
     vals = (
-        np.einsum("ij,jk,ik->i", W, compact.w_quad, W)
+        ((W @ compact.w_quad) * W).sum(1)
         + 2.0 * W @ lin
         + float(u @ compact.u_quad @ u + 2.0 * compact.u_lin @ u)
         + compact.constant

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .model import (
     NONNEG,
@@ -103,7 +104,8 @@ def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
 
     With A = L L^T and L^{-1} D L^{-T} = Q diag(delta) Q^T, the congruence
     S = L^{-T} Q gives S^T A S = I and S^T D S = diag(delta).  Columns are
-    ordered by ascending delta for determinism.
+    ordered by ascending delta for determinism.  S S^T = A^{-1}, so
+    cond(S) = sqrt(cond(A)) is read off the eigenvalues of A.
     """
     A = symmetrize(A)
     D = symmetrize(D)
@@ -115,15 +117,18 @@ def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
     evals_a = np.linalg.eigvalsh(A)
     if evals_a[0] <= 1e-10 * max(1.0, np.linalg.norm(A)):
         raise NotPositiveDefinite("first matrix of the pair must be positive definite")
+    if np.sqrt(evals_a[-1] / evals_a[0]) > MAX_CONDITION:
+        raise NotPositiveDefinite("congruence transform is numerically singular")
     L = np.linalg.cholesky(A)
-    mid = np.linalg.solve(L, np.linalg.solve(L, D).T).T  # L^{-1} D L^{-T}
+    LiD = scipy.linalg.solve_triangular(L, D, lower=True)
+    mid = scipy.linalg.solve_triangular(L, LiD.T, lower=True).T  # L^{-1} D L^{-T}
     delta, Q = np.linalg.eigh(0.5 * (mid + mid.T))
     order = np.argsort(delta)
     delta = delta[order]
     Q = Q[:, order]
-    S = np.linalg.solve(L.T, Q)
-    if np.linalg.cond(S) > MAX_CONDITION:
-        raise NotPositiveDefinite("congruence transform is numerically singular")
+    # row-major S: the builders' products with S^T depend on its layout in
+    # their last bits
+    S = np.ascontiguousarray(scipy.linalg.solve_triangular(L, Q, lower=True, trans="T"))
     return SimulDiag(S, np.ones(n), delta)
 
 
@@ -210,11 +215,17 @@ def assemble_classical_lmi(
     return M
 
 
+def psd_margin(M: np.ndarray) -> tuple[float, float]:
+    """The smallest eigenvalue of M's symmetric part and the scale
+    1 + ||M||_F that :func:`check_psd` measures it against."""
+    M = np.asarray(M, dtype=float)
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]), 1.0 + float(np.linalg.norm(M))
+
+
 def check_psd(M: np.ndarray, tol: float = 1e-7) -> bool:
     """True iff the smallest eigenvalue is >= -tol * (1 + ||M||_F)."""
-    M = np.asarray(M, dtype=float)
-    evals = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return bool(evals[0] >= -tol * (1.0 + np.linalg.norm(M)))
+    lam_min, scale = psd_margin(M)
+    return lam_min >= -tol * scale
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +278,13 @@ def lmi_psd_grid(
     tol: float = 1e-7,
     chunk: int = 200_000,
 ) -> np.ndarray:
-    """Batched eigenvalue PSD check of the classical matrix over a grid."""
+    """Batched eigenvalue PSD check of the classical matrix over a grid.
+
+    The smallest eigenvalue is at most the smallest diagonal entry, so a
+    point whose diagonal already falls below the bound by more than the
+    eigensolver's rounding fails without an eigenvalue computation; the
+    result is that of the eigenvalues at every point.
+    """
     lam = np.asarray(lam_grid, dtype=float)
     D = symmetrize(D)
     e = np.asarray(e, dtype=float)
@@ -280,11 +297,15 @@ def lmi_psd_grid(
     step[:n, :n] = -inner.A
     step[:n, n] = step[n, :n] = -inner.b
     step[n, n] = -inner.c
+    # a generous bound on eigvalsh's error, relative to 1 + ||M||_F
+    rounding = 1e-12 * (n + 1)
     out = np.empty(lam.shape, dtype=bool)
     for lo in range(0, len(lam), chunk):
         piece = lam[lo : lo + chunk]
         mats = base[None] + piece[:, None, None] * step[None]
-        evals = np.linalg.eigvalsh(mats)
         norms = np.sqrt(np.sum(mats**2, axis=(1, 2)))
-        out[lo : lo + chunk] = evals[:, 0] >= -tol * (1.0 + norms)
+        bound = -tol * (1.0 + norms)
+        ok = np.diagonal(mats, axis1=1, axis2=2).min(1) >= bound - rounding * (1.0 + norms)
+        ok[ok] = np.linalg.eigvalsh(mats[ok])[:, 0] >= bound[ok]
+        out[lo : lo + chunk] = ok
     return out

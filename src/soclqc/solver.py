@@ -99,6 +99,8 @@ class _Cones:
     block after block: the layout of :class:`~soclqc.model.ConicProgram`.
     Each group is a contiguous ``(k, d)`` view (``(k, d, n)`` for a matrix
     of columns), head first, and every operation is one numpy pass per group.
+    :meth:`max_step` and :meth:`inside` also take several slack vectors
+    stacked as rows, as ``(r, k, d)`` views, so one pass covers s and z.
 
     The NT scaling of a second-order block, ``W = beta (2 v v' - J)`` with
     ``v' J v = 1`` and ``J = diag(1, -I)``, is kept as explicit W and W^-1.
@@ -109,23 +111,25 @@ class _Cones:
     def __init__(self, nn: int, soc):
         self.nn = nn
         self.num_blocks = nn + sum(k for k, _ in soc)
-        self.groups = []  # (slice, k, d, diagonal of J) per block dimension d
+        # (slice, k, d, diagonal of J, J, J (x) J) per block dimension d
+        self.groups = []
         start = nn
         for k, d in soc:
             sign = np.where(np.arange(d) == 0, 1.0, -1.0)
-            self.groups.append((slice(start, start + k * d), k, d, sign))
+            self.groups.append((slice(start, start + k * d), k, d, sign,
+                                np.diag(sign), np.outer(sign, sign)))
             start += k * d
         self.total = start
 
     def _soc(self, *arrays):
         """Per group, the diagonal of J and the (k, d) views of each vector's
-        second-order rows."""
-        for sl, k, d, sign in self.groups:
-            yield (sign,) + tuple([u[sl].reshape(k, d) for u in arrays])
+        second-order rows ((r, k, d) for r vectors stacked as rows)."""
+        for sl, k, d, sign, _, _ in self.groups:
+            yield (sign,) + tuple([u[..., sl].reshape(u.shape[:-1] + (k, d)) for u in arrays])
 
     @staticmethod
     def _tail_norm(U: np.ndarray) -> np.ndarray:
-        return np.sqrt((U[:, 1:] * U[:, 1:]).sum(1))
+        return np.sqrt((U[..., 1:] * U[..., 1:]).sum(-1))
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.total)
@@ -135,10 +139,10 @@ class _Cones:
         return e
 
     def inside(self, u: np.ndarray, margin: float = 0.0) -> bool:
-        if not (u[: self.nn] > margin).all():
+        if not (u[..., : self.nn] > margin).all():
             return False
         for _, U in self._soc(u):
-            if not (U[:, 0] - self._tail_norm(U) > margin).all():
+            if not (U[..., 0] - self._tail_norm(U) > margin).all():
                 return False
         return True
 
@@ -157,10 +161,11 @@ class _Cones:
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
         """Largest a >= 0 with u + a*du still in the cone, for u interior
-        (inf if unbounded, nan if du is not finite)."""
+        (inf if unbounded, nan if du is not finite).  For slack vectors
+        stacked as rows, the largest a that keeps every row in the cone."""
         if not np.isfinite(du).all():
             return np.nan
-        b, db = u[: self.nn], du[: self.nn]
+        b, db = u[..., : self.nn], du[..., : self.nn]
         falling = db < 0
         alpha = (-b[falling] / db[falling]).min(initial=np.inf)
         for sign, B, D in self._soc(u, du):
@@ -169,7 +174,7 @@ class _Cones:
             # 2 a0 / (sqrt(disc) - a1) is that root without cancellation, and
             # there is none when disc < 0 or the denominator is not positive
             nb = self._tail_norm(B)
-            a0 = (B[:, 0] - nb) * (B[:, 0] + nb)
+            a0 = (B[..., 0] - nb) * (B[..., 0] + nb)
             a1 = 2.0 * ((B * D) @ sign)
             a2 = (D * D) @ sign
             disc = a1 * a1 - 4.0 * a2 * a0
@@ -229,7 +234,8 @@ class _Cones:
         if not ((sn > 0).all() and (zn > 0).all()):
             raise FloatingPointError("iterate left the cone interior")
         mats = []
-        for sign, S, Z in self._soc(s, z):
+        for sl, k, d, sign, J, JJ in self.groups:
+            S, Z = s[sl].reshape(k, d), z[sl].reshape(k, d)
             nsb, nzb = self._tail_norm(S), self._tail_norm(Z)
             ds = (S[:, 0] - nsb) * (S[:, 0] + nsb)
             dz = (Z[:, 0] - nzb) * (Z[:, 0] + nzb)
@@ -247,8 +253,8 @@ class _Cones:
             v /= np.sqrt(2.0 * v[:, :1])
             beta = ((ds / dz) ** 0.25)[:, None, None]
             # W = beta (2 v v' - J) and W^-1 = J W J / beta^2
-            W = beta * (2.0 * v[:, :, None] * v[:, None, :] - np.diag(sign))
-            mats.append((W, W * (np.outer(sign, sign) / beta**2)))
+            W = beta * (2.0 * v[:, :, None] * v[:, None, :] - J)
+            mats.append((W, W * (JJ / beta**2)))
         return np.sqrt(sn / zn), mats
 
     def apply_w(self, scaling, u: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -258,7 +264,7 @@ class _Cones:
         if u.ndim > 1:
             w = w[:, None]
         out[: self.nn] = u[: self.nn] / w if inverse else u[: self.nn] * w
-        for (sl, k, d, _), (W, W_inv) in zip(self.groups, mats):
+        for (sl, k, d, *_), (W, W_inv) in zip(self.groups, mats):
             np.matmul(W_inv if inverse else W, u[sl].reshape(k, d, -1),
                       out=out[sl].reshape(k, d, -1))
         return out
@@ -284,11 +290,11 @@ def _initial_point(c, A, b, G, h, cones, reg):
     # dual: least-norm (y, z) with A^T y + G^T z = -c, from the normal
     # equations (A'A + G'G) w = -c and (y, z) = (A w, G w)
     try:
-        w = np.linalg.solve(GtG + A.T @ A, -c)
+        w = np.linalg.solve(GtG + A.T @ A if p else GtG, -c)
     except np.linalg.LinAlgError:
         w = np.zeros(n)
     z = cones.shift_inside(G @ w)
-    return x, A @ w, s, z
+    return x, A @ w if p else np.zeros(0), s, z
 
 
 def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution:
@@ -376,11 +382,15 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     kkt_base[n:, :n] = A
     kkt_base[np.arange(n, n + p), np.arange(n, n + p)] = -reg
     diag_x = np.arange(n)
+    ident = cones.identity()
 
+    # without equality rows (p = 0) every product with A, which is empty or
+    # zero, is skipped; the skipped terms are exact zeros, so the iterates
+    # are those of the full expressions
     for it in range(cfg.max_iters + 1):
-        r_eq = A @ x - b
+        r_eq = A @ x - b if p else b
         r_cone = G @ x + s - h
-        r_dual = A.T @ y + G.T @ z + c
+        r_dual = (A.T @ y + G.T @ z if p else G.T @ z) + c
         gap = float(s @ z)
         pobj = float(c @ x)
         dobj = -float(b @ y) - float(h @ z)
@@ -413,6 +423,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         except FloatingPointError:
             return finish(Status.NUMERICAL_FAILURE, "scaling left the cone")
         lam = cones.apply_w(scaling, z)
+        sz = np.array((s, z))
 
         # eliminate dz = W^-2 (G dx - r_z): the reduced matrix needs
         # H = (W^-1 G)'(W^-1 G).  The regularization is relative to diag(H),
@@ -432,8 +443,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
         def solve_reduced(r_x, r_y, r_z):
             wr = cones.apply_w(scaling, r_z, inverse=True)
+            rhs = r_x + Gw.T @ wr
             sol = scipy.linalg.lu_solve(
-                lu, np.concatenate([r_x + Gw.T @ wr, r_y]), check_finite=False
+                lu, np.concatenate([rhs, r_y]) if p else rhs, check_finite=False
             )
             dx = sol[:n]
             return dx, sol[n:], cones.apply_w(scaling, Gw @ dx - wr, inverse=True)
@@ -442,7 +454,10 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             """r minus the unregularized full system applied to d = (dx, dy, dz)."""
             dx, dy, dz = d
             W2dz = cones.apply_w(scaling, cones.apply_w(scaling, dz))
-            e = (r[0] - A.T @ dy - G.T @ dz, r[1] - A @ dx, r[2] - G @ dx + W2dz)
+            if p:
+                e = (r[0] - A.T @ dy - G.T @ dz, r[1] - A @ dx, r[2] - G @ dx + W2dz)
+            else:
+                e = (r[0] - G.T @ dz, r[1], r[2] - G @ dx + W2dz)
             return e, np.sqrt(sum(v @ v for v in e))
 
         def solve_kkt(*r):
@@ -469,9 +484,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             return dx, dy, dz, -r_cone - G @ dx
 
         def step_length(ds, dz, frac):
-            # np.min keeps a nan step length, where min() would return 1.0
-            return float(np.min([1.0, frac * cones.max_step(s, ds),
-                                 frac * cones.max_step(z, dz)]))
+            # one pass over the stacked rows (s, z); np.min keeps a nan step
+            # length, where min() would return 1.0
+            return float(np.min([1.0, frac * cones.max_step(sz, np.array((ds, dz)))]))
 
         # predictor
         dx_a, dy_a, dz_a, ds_a = direction(lam)
@@ -489,7 +504,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             cones.apply_w(scaling, ds_a, inverse=True), cones.apply_w(scaling, dz_a)
         )
         lam2 = cones.product(lam, lam)
-        center = sigma * mu * cones.identity()
+        center = sigma * mu * ident
 
         def corrected(eta):
             d_lam = cones.solve_product(lam, lam2 + eta * corr - center)
@@ -508,7 +523,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
         # guard against rounding in the boundary-step roots
         for _ in range(60):
-            if cones.inside(s + alpha * ds) and cones.inside(z + alpha * dz):
+            if cones.inside(np.array((s + alpha * ds, z + alpha * dz))):
                 break
             alpha *= 0.9
         else:

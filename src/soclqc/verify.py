@@ -2,7 +2,8 @@
 
 ``verify_result`` replays a result of ``soclqc solve --out`` against its
 problem and returns one ``Check`` per test: the exact ball maximizer, the
-certificate matrices, sampling, and the constraint and dynamics residuals.
+certificate matrices (residual -lambda_min / (1 + ||M||_F) against
+``PSD_TOL``), sampling, and the constraint and dynamics residuals.
 ``worst_case`` gives the exact worst case (robust kernel) or worst-case
 regret (regret kernel) at a fixed input; it shares no code with the program
 builder.  ``lqc`` and ``oracle`` functions are looked up through their
@@ -17,7 +18,10 @@ import numpy as np
 
 from . import lqc, oracle
 from .problemfile import require_kind
-from .slemma import QuadForm, assemble_classical_lmi, check_psd
+from .slemma import QuadForm, assemble_classical_lmi, psd_margin
+
+# relative eigenvalue tolerance of the certificate-matrix checks
+PSD_TOL = 1e-6
 
 
 class Check(NamedTuple):
@@ -34,7 +38,10 @@ def _check(name: str, residual: float, tol: float) -> Check:
 
 
 def _psd(name: str, M: np.ndarray) -> Check:
-    return _check(name, 0.0 if check_psd(M, 1e-6) else 1.0, 0.5)
+    """The residual is -lambda_min / (1 + ||M||_F); the verdict is
+    ``check_psd(M, PSD_TOL)``'s, taken before that division."""
+    lam_min, scale = psd_margin(M)
+    return Check(name, -lam_min / scale, PSD_TOL, lam_min >= -PSD_TOL * scale)
 
 
 class WorstCase(NamedTuple):
@@ -138,7 +145,11 @@ def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
     n_w = len(lin)
     W = rng.standard_normal((10_000, n_w))
     W *= (gamma * rng.random(10_000) ** (1.0 / n_w) / np.linalg.norm(W, axis=1))[:, None]
-    vals = np.einsum("ij,jk,ik->i", W, quad, W) + 2.0 * W @ h_eff
+    # w'Qw as one BLAS product and a row sum, in place; the three-operand
+    # einsum would run as an unoptimized loop
+    vals = W @ quad
+    vals *= W
+    vals = vals.sum(1) + 2.0 * (W @ h_eff)
     report.append(_check("sampled disturbances below bound", float(np.max(vals)) - bound,
                          1e-6 * (1 + abs(bound))))
     return report

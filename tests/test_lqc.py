@@ -1,4 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,6 +522,42 @@ class TestSolverRobustness:
                 assert sol.status is Status.OPTIMAL, f"{label}: {sol.status} ({sol.reason})"
                 truth = worst_case(socp.compact, kernel, socp.extract(sol)["u"]).value(gamma)
                 assert abs(sol.objective - truth) <= 1e-5 * (1 + abs(truth)), label
+
+    def test_expanding_dynamics_optimal_solves_are_kept(self):
+        # the expanding-dynamics solves that reach Optimal at one BLAS thread
+        # must keep doing so at their exact worst case; the statuses of this
+        # class depend on the thread count, so they run in a subprocess
+        # pinned to one thread
+        pinned = [(1, "robust"), (1, "regret"), (7, "robust"), (7, "regret"), (11, "regret")]
+        script = textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from helpers import random_lqc_spec
+            from soclqc.lqc import build_regret_socp, build_robust_socp
+            from soclqc.solver import solve
+            from soclqc.verify import worst_case
+            out = []
+            for seed, kernel in json.loads(sys.argv[1]):
+                rng = np.random.default_rng(seed)
+                spec = random_lqc_spec(rng, 4, 2, 2, 30)
+                x0 = rng.standard_normal(4)
+                build = build_robust_socp if kernel == "robust" else build_regret_socp
+                socp = build(spec, x0)
+                sol = solve(socp.program)
+                u = socp.extract(sol)["u"]
+                truth = worst_case(socp.compact, kernel, u).value(spec.gamma)
+                out.append([sol.status.value, sol.reason, sol.objective, truth])
+            print(json.dumps(out))
+        """)
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(pinned)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        for (seed, kernel), (status, reason, obj, truth) in zip(pinned, json.loads(proc.stdout)):
+            assert status == "Optimal", (seed, kernel, status, reason)
+            assert abs(obj - truth) <= 1e-5 * (1 + abs(truth)), (seed, kernel, obj, truth)
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_expanding_dynamics_return_finite_inputs(self, seed):

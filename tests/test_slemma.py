@@ -58,6 +58,18 @@ class TestSimultaneousDiagonalize:
             assert ra <= 1e-8 * (1 + np.linalg.norm(A))
             assert rd <= 1e-8 * (1 + np.linalg.norm(D))
 
+    def test_ball_pair_is_the_eigendecomposition(self, rng):
+        # with A = I the triangular solves are exact: S and delta are eigh's
+        # output bitwise, and S is row-major like eigh's reordered columns
+        for n in (1, 3, 8):
+            D = rng.standard_normal((n, n))
+            D = 0.5 * (D + D.T)
+            delta, Q = np.linalg.eigh(D)
+            order = np.argsort(delta)
+            sd = simultaneous_diagonalize(np.eye(n), D)
+            assert np.array_equal(sd.delta, delta[order])
+            assert np.array_equal(sd.S, Q[:, order]) and sd.S.flags.c_contiguous
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             simultaneous_diagonalize(np.diag([1.0, -1.0]), np.eye(2))
@@ -239,6 +251,46 @@ class TestGridEquivalence:
                 block_feasible_grid(inner, D, e, f, sd, sub),
                 lmi_psd_grid(inner, D, e, f, sub),
             )
+
+    @staticmethod
+    def eigenvalue_verdicts(inner, D, e, f, lams, tol=1e-7):
+        """The PSD verdict from the eigenvalues at every point, unscreened."""
+        mats = np.array([assemble_classical_lmi(inner, D, e, f, lam) for lam in lams])
+        norms = np.sqrt(np.sum(mats**2, axis=(1, 2)))
+        return np.linalg.eigvalsh(mats)[:, 0] >= -tol * (1.0 + norms)
+
+    def test_screened_grid_matches_eigenvalues(self, rng):
+        # the diagonal screen may drop only points the eigenvalues reject:
+        # checked next to every switch of the verdict, to the last bits of
+        # the multiplier, and on a diagonal matrix whose smallest eigenvalue
+        # is the screened diagonal entry itself
+        grid = np.arange(0.0, 20.0, 1e-3)
+        cases = [self.build_instance(rng, int(rng.integers(2, 5)), feasible, grid)
+                 for feasible in (True, True, True, False, False)]
+        cases.append((QuadForm.ball(1.5, 2), np.diag([-3.0, 1.0]), np.zeros(2), 10.0))
+        switches = 0
+        for inner, D, e, f in cases:
+            lams = np.linspace(0.0, 40.0, 2001)
+            ref = self.eigenvalue_verdicts(inner, D, e, f, lams)
+            boundary = []
+            for i in np.flatnonzero(ref[1:] != ref[:-1]):
+                lo, hi = lams[i], lams[i + 1]
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if mid in (lo, hi):
+                        break
+                    if self.eigenvalue_verdicts(inner, D, e, f, [mid])[0] == ref[i]:
+                        lo = mid
+                    else:
+                        hi = mid
+                boundary.append(lo + np.arange(-40, 41) * np.spacing(lo))
+                boundary.append(lo * (1.0 + np.linspace(-1e-9, 1e-9, 41)))
+            switches += len(boundary) // 2
+            lams = np.concatenate([lams] + boundary)
+            ref = self.eigenvalue_verdicts(inner, D, e, f, lams)
+            assert np.array_equal(lmi_psd_grid(inner, D, e, f, lams), ref)
+            assert np.array_equal(lmi_psd_grid(inner, D, e, f, lams, chunk=97), ref)
+        assert switches >= 4
 
     def test_lmi_grid_agrees_with_single_check(self, rng):
         n = 3

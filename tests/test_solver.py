@@ -325,6 +325,28 @@ class TestConeKernels:
         assert cones.max_step(u, u) == np.inf
         assert np.isnan(cones.max_step(u, np.full(cones.total, np.nan)))
 
+    def test_stacked_rows_match_single_passes(self, cones, program, rng):
+        # the solver takes one pass over (s, z) stacked as rows; max_step must
+        # give the smaller single-vector step bitwise, also when either is
+        # unbounded (inf) or its direction is not finite (nan), and inside
+        # must hold for the stack exactly when it holds for both rows
+        s, z = self.interior(rng, program), self.interior(rng, program)
+        moves = [3.0 * rng.standard_normal((2, cones.total)) for _ in range(20)]
+        bad = rng.standard_normal(cones.total)
+        bad[cones.nn + 1] = np.inf
+        moves += [np.array(pair) for pair in (
+            (s, z), (s, rng.standard_normal(cones.total)), (rng.standard_normal(cones.total), z),
+            (np.full(cones.total, np.nan), z), (s, bad), (bad, bad))]
+        outcomes = set()
+        for ds, dz in moves:
+            single = np.min([cones.max_step(s, ds), cones.max_step(z, dz)])
+            stacked = cones.max_step(np.array((s, z)), np.array((ds, dz)))
+            assert np.float64(stacked).tobytes() == np.float64(single).tobytes()
+            outcomes.add("nan" if np.isnan(single) else "inf" if np.isinf(single) else "finite")
+        assert outcomes == {"finite", "inf", "nan"}
+        for a, b in ((s, z), (s, -z), (-s, z), (s, s + 0.5 * moves[0][0])):
+            assert cones.inside(np.array((a, b))) == (cones.inside(a) and cones.inside(b))
+
     def test_max_step_is_scale_free(self, program, cones, rng):
         # blocks near 1e-9 in size, as in an MPC started at the origin, once
         # took half the step because of an absolute threshold.  du = -u puts
