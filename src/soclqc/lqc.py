@@ -404,8 +404,9 @@ class LqcSocp:
 
     The program is posed in disturbance units normalized to the unit ball
     (the multiplier variable carries a factor gamma^2), which keeps the cone
-    data well scaled for very small or large ball radii; ``extract`` undoes
-    the substitution.
+    data well scaled for small ball radii; ``extract`` undoes the
+    substitution.  Large radii put gamma^2 into ``h``, and from gamma ~ 5e3
+    the solve ends ``PrimalInfeasible`` on a feasible program.
     """
 
     program: ConicProgram
@@ -484,7 +485,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     # disturbance normalized to the unit ball: lam here is gamma^2 * the
     # multiplier of the original ball, heads pick up a factor gamma and the
     # diagonal tau a factor gamma^2 -- an exact substitution that keeps the
-    # block data O(1) even for extreme radii
+    # block data O(1) for small radii; for large ones gamma^2 delta lands in h
     t_quad = b.add_var()  # u'Uq u = ||L'u||^2 <= t_quad
     quadratic_epigraph(b, L.T, np.zeros(n_u_all), b.var_exprs(u_idx), 1.0, b.var(t_quad),
                        tag="obj_quad")

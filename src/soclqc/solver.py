@@ -14,14 +14,21 @@ Each Newton system
     [ A  0   0   ] [dy] = [r_y]
     [ G  0  -W^2 ] [dz]   [r_z]
 
-is reduced by eliminating ``dz = W^-2 (G dx - r_z)``: one LU factorization
-per iteration of the (n+p) matrix ``[[H + D, A'], [A, -delta I]]`` with
+is reduced by eliminating ``dz = W^-2 (G dx - r_z)``: one factorization per
+iteration of the (n+p) matrix ``[[H + D, A'], [A, -delta I]]`` with
 ``H = (W^-1 G)'(W^-1 G)`` gives dx and dy (Andersen, Roos & Terlaky, Math.
-Prog. 2003).  On its own this route loses accuracy near convergence: H
-carries the squared condition number of the scaling, and the small
-regularization D, delta (relative to diag(H), because [G; A] may lack full
-column rank) biases the step.  Each solve is therefore refined against the
-full, unregularized three-block system.  Its residual needs only products
+Prog. 2003).  Without equality rows (p = 0) the matrix is ``H + D``, positive
+definite, and is factored by Cholesky, as CVXOPT's ``coneqp`` and ECOS do;
+with them it is quasidefinite and factored by LU.  Both matrices are exactly
+symmetric, so the factorization and its solves are direct LAPACK calls
+(``dpotrf``/``dpotrs``, ``dgetrf``/``dgetrs``) on the Fortran-ordered view
+of the C-ordered matrix, with no copy and no wrapper.
+
+On its own this route loses accuracy near convergence: H carries the squared
+condition number of the scaling, and the small regularization D, delta
+(relative to diag(H), because [G; A] may lack full column rank) biases the
+step.  Each solve is therefore refined against the full, unregularized
+three-block system.  Its residual needs only products
 with G, G', A, A' and W, and each correction reuses the same factorization.
 Refinement converges while the reduced solve is right to better than one
 digit, and its limit is set by how exactly that residual is computed, not by
@@ -41,7 +48,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .model import ConicProgram
 
@@ -159,22 +166,27 @@ class _Cones:
             U[:, 0] += np.maximum(tail + pad * (1.0 + tail) - U[:, 0], 0.0)
         return out
 
-    def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
+    def max_step(self, u: np.ndarray, du: np.ndarray, dets=None) -> float:
         """Largest a >= 0 with u + a*du still in the cone, for u interior
         (inf if unbounded, nan if du is not finite).  For slack vectors
-        stacked as rows, the largest a that keeps every row in the cone."""
+        stacked as rows, the largest a that keeps every row in the cone.
+        ``dets``, if given, holds per group the block determinants of u, as
+        :meth:`nt_scaling` returns them."""
         if not np.isfinite(du).all():
             return np.nan
         b, db = u[..., : self.nn], du[..., : self.nn]
         falling = db < 0
         alpha = (-b[falling] / db[falling]).min(initial=np.inf)
-        for sign, B, D in self._soc(u, du):
+        for g, (sign, B, D) in enumerate(self._soc(u, du)):
             # first root of a2 a^2 + a1 a + a0 = (b0+a db0)^2 - ||b1+a db1||^2,
             # where a0 > 0 (factored to limit cancellation near the boundary);
             # 2 a0 / (sqrt(disc) - a1) is that root without cancellation, and
             # there is none when disc < 0 or the denominator is not positive
-            nb = self._tail_norm(B)
-            a0 = (B[..., 0] - nb) * (B[..., 0] + nb)
+            if dets is None:
+                nb = self._tail_norm(B)
+                a0 = (B[..., 0] - nb) * (B[..., 0] + nb)
+            else:
+                a0 = dets[g]
             a1 = 2.0 * ((B * D) @ sign)
             a2 = (D * D) @ sign
             disc = a1 * a1 - 4.0 * a2 * a0
@@ -227,20 +239,26 @@ class _Cones:
             O[:, 1:] = (R[:, 1:] - O[:, :1] * L[:, 1:]) / L[:, :1]
         return out
 
-    def nt_scaling(self, s: np.ndarray, z: np.ndarray):
-        """NT scaling ``(w, [(W, W^-1) per group])``: W = w on the nonnegative
-        entries and one ``(k, d, d)`` pair per second-order group."""
-        sn, zn = s[: self.nn], z[: self.nn]
-        if not ((sn > 0).all() and (zn > 0).all()):
+    def nt_scaling(self, sz: np.ndarray):
+        """NT scaling at the point (s, z), stacked as the rows of ``sz``.
+
+        Returns ``((w, [(W, W^-1) per group]), dets)``: W = w on the
+        nonnegative entries and one ``(k, d, d)`` pair per second-order
+        group, and per group the ``(2, k)`` block determinants of s and z,
+        which :meth:`max_step` reuses at this point."""
+        sn, zn = nonneg = sz[:, : self.nn]
+        if not (nonneg > 0).all():
             raise FloatingPointError("iterate left the cone interior")
-        mats = []
+        mats, dets = [], []
         for sl, k, d, sign, J, JJ in self.groups:
-            S, Z = s[sl].reshape(k, d), z[sl].reshape(k, d)
-            nsb, nzb = self._tail_norm(S), self._tail_norm(Z)
-            ds = (S[:, 0] - nsb) * (S[:, 0] + nsb)
-            dz = (Z[:, 0] - nzb) * (Z[:, 0] + nzb)
-            if not ((ds > 0).all() and (dz > 0).all()):
+            SZ = sz[:, sl].reshape(2, k, d)
+            nb = self._tail_norm(SZ)
+            det = (SZ[..., 0] - nb) * (SZ[..., 0] + nb)
+            if not (det > 0).all():
                 raise FloatingPointError("iterate left the cone interior")
+            dets.append(det)
+            S, Z = SZ
+            ds, dz = det
             sbar = S / np.sqrt(ds)[:, None]
             zbar = Z / np.sqrt(dz)[:, None]
             gamma2 = 0.5 * (1.0 + (sbar * zbar).sum(1))
@@ -255,7 +273,7 @@ class _Cones:
             # W = beta (2 v v' - J) and W^-1 = J W J / beta^2
             W = beta * (2.0 * v[:, :, None] * v[:, None, :] - J)
             mats.append((W, W * (JJ / beta**2)))
-        return np.sqrt(sn / zn), mats
+        return (np.sqrt(sn / zn), mats), dets
 
     def apply_w(self, scaling, u: np.ndarray, inverse: bool = False) -> np.ndarray:
         """W u (or W^-1 u) for a slack vector or a matrix of slack columns."""
@@ -376,11 +394,13 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
-    # reduced KKT matrix [[H + D, A'], [A, -reg I]]; only the H block changes
-    kkt_base = np.zeros((n + p, n + p))
-    kkt_base[:n, n:] = A.T
-    kkt_base[n:, :n] = A
-    kkt_base[np.arange(n, n + p), np.arange(n, n + p)] = -reg
+    # with equality rows the reduced KKT matrix is [[H + D, A'], [A, -reg I]],
+    # and only its H block changes
+    if p:
+        kkt_base = np.zeros((n + p, n + p))
+        kkt_base[:n, n:] = A.T
+        kkt_base[n:, :n] = A
+        kkt_base[np.arange(n, n + p), np.arange(n, n + p)] = -reg
     diag_x = np.arange(n)
     ident = cones.identity()
 
@@ -418,75 +438,86 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
         mu = gap / cones.num_blocks
 
+        sz = np.array((s, z))
         try:
-            scaling = cones.nt_scaling(s, z)
+            scaling, dets = cones.nt_scaling(sz)
         except FloatingPointError:
             return finish(Status.NUMERICAL_FAILURE, "scaling left the cone")
         lam = cones.apply_w(scaling, z)
-        sz = np.array((s, z))
 
         # eliminate dz = W^-2 (G dx - r_z): the reduced matrix needs
-        # H = (W^-1 G)'(W^-1 G).  The regularization is relative to diag(H),
-        # whose entries reach 1/mu, because [G; A] may lack full column rank;
-        # it enters the factorization only
+        # H = (W^-1 G)'(W^-1 G), exactly symmetric as numpy forms it.  The
+        # regularization is relative to diag(H), whose entries reach 1/mu,
+        # because [G; A] may lack full column rank; it enters the
+        # factorization only.  kkt.T is the same matrix in Fortran order, so
+        # LAPACK factors it in place
         Gw = cones.apply_w(scaling, G, inverse=True)
-        H = Gw.T @ Gw
-        kkt = kkt_base.copy()
-        kkt[:n, :n] = H
-        kkt[diag_x, diag_x] += np.maximum(reg, 1e-14 * np.diagonal(H))
-        try:
-            lu = scipy.linalg.lu_factor(kkt, overwrite_a=True, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError):
-            return finish(Status.NUMERICAL_FAILURE, "factorization failed")
-        if not np.all(np.abs(np.diagonal(lu[0])) > 0):  # zero or nan pivot
+        if p:
+            kkt = kkt_base.copy()
+            kkt[:n, :n] = Gw.T @ Gw
+        else:
+            kkt = Gw.T @ Gw
+        kkt[diag_x, diag_x] += np.maximum(reg, 1e-14 * np.diagonal(kkt)[:n])
+        if p:
+            fac, piv, info = lapack.dgetrf(kkt.T, overwrite_a=True)
+        else:
+            fac, info = lapack.dpotrf(kkt.T, lower=False, overwrite_a=True, clean=False)
+        # info > 0 is a zero pivot or a non-positive Cholesky pivot; a nan
+        # pivot passes LAPACK and is caught on the diagonal
+        if info or not np.all(np.abs(np.diagonal(fac)) > 0):
             return finish(Status.NUMERICAL_FAILURE, "factorization failed")
 
         def solve_reduced(r_x, r_y, r_z):
             wr = cones.apply_w(scaling, r_z, inverse=True)
             rhs = r_x + Gw.T @ wr
-            sol = scipy.linalg.lu_solve(
-                lu, np.concatenate([rhs, r_y]) if p else rhs, check_finite=False
-            )
+            if p:
+                sol, _ = lapack.dgetrs(fac, piv, np.concatenate([rhs, r_y]), overwrite_b=True)
+            else:
+                sol, _ = lapack.dpotrs(fac, rhs, lower=False, overwrite_b=True)
             dx = sol[:n]
             return dx, sol[n:], cones.apply_w(scaling, Gw @ dx - wr, inverse=True)
 
         def kkt_residual(r, d):
-            """r minus the unregularized full system applied to d = (dx, dy, dz)."""
+            """r minus the unregularized full system applied to d = (dx, dy, dz),
+            the residual's norm, and G dx."""
             dx, dy, dz = d
             W2dz = cones.apply_w(scaling, cones.apply_w(scaling, dz))
+            Gdx = G @ dx
             if p:
-                e = (r[0] - A.T @ dy - G.T @ dz, r[1] - A @ dx, r[2] - G @ dx + W2dz)
+                e = (r[0] - A.T @ dy - G.T @ dz, r[1] - A @ dx, r[2] - Gdx + W2dz)
             else:
-                e = (r[0] - G.T @ dz, r[1], r[2] - G @ dx + W2dz)
-            return e, np.sqrt(sum(v @ v for v in e))
+                e = (r[0] - G.T @ dz, r[1], r[2] - Gdx + W2dz)
+            return e, np.sqrt(sum(v @ v for v in e)), Gdx
 
         def solve_kkt(*r):
             """Solve [[0, A', G'], [A, 0, 0], [G, 0, -W^2]] (dx, dy, dz) = r,
-            refining against this system while each step halves the residual."""
+            refining against this system while each step halves the residual;
+            returns the solution and its G dx."""
             d = solve_reduced(*r)
-            e, err = kkt_residual(r, d)
+            e, err, Gdx = kkt_residual(r, d)
             tol = 1e-14 * max(1.0, np.sqrt(sum(v @ v for v in r)))
             for _ in range(7):
                 if err <= tol:
                     break
                 trial = tuple(u + du for u, du in zip(d, solve_reduced(*e)))
-                e_trial, err_trial = kkt_residual(r, trial)
+                e_trial, err_trial, Gdx_trial = kkt_residual(r, trial)
                 if err_trial < err:
-                    d, e = trial, e_trial
+                    d, e, Gdx = trial, e_trial, Gdx_trial
                 if err_trial > 0.5 * err:
                     break
                 err = err_trial
-            return d
+            return d, Gdx
 
         def direction(d_lam):
             """Newton direction for complementarity target -d_lam."""
-            dx, dy, dz = solve_kkt(-r_dual, -r_eq, -r_cone + cones.apply_w(scaling, d_lam))
-            return dx, dy, dz, -r_cone - G @ dx
+            (dx, dy, dz), Gdx = solve_kkt(-r_dual, -r_eq, -r_cone + cones.apply_w(scaling, d_lam))
+            return dx, dy, dz, -r_cone - Gdx
 
         def step_length(ds, dz, frac):
-            # one pass over the stacked rows (s, z); np.min keeps a nan step
-            # length, where min() would return 1.0
-            return float(np.min([1.0, frac * cones.max_step(sz, np.array((ds, dz)))]))
+            # one pass over the stacked rows (s, z), reusing their block
+            # determinants; np.min keeps a nan step length, where min()
+            # would return 1.0
+            return float(np.min([1.0, frac * cones.max_step(sz, np.array((ds, dz)), dets)]))
 
         # predictor
         dx_a, dy_a, dz_a, ds_a = direction(lam)

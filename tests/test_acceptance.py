@@ -103,13 +103,19 @@ def test_criterion_2_slemma_equivalence():
             e = rng.standard_normal(n)
             f = rng.uniform(-1, 3)
         sd = simultaneous_diagonalize(A, D)
-        blk = block_feasible_grid(inner, D, e, f, sd, lam_grid)
-        if blk.any():
-            lam_hit = lam_grid[np.argmax(blk)]
+        # scan the grid slice by slice up to the first feasible multiplier;
+        # block_feasible_grid decides each multiplier on its own
+        lam_hit = None
+        for lo in range(0, len(lam_grid), 20_000):
+            blk = block_feasible_grid(inner, D, e, f, sd, lam_grid[lo : lo + 20_000])
+            if blk.any():
+                lam_hit = lam_grid[lo + np.argmax(blk)]
+                break
+        if lam_hit is not None:
             lmi_exists = bool(lmi_psd_grid(inner, D, e, f, np.array([lam_hit]))[0])
         else:
             lmi_exists = bool(lmi_psd_grid(inner, D, e, f, lam_grid).any())
-        if bool(blk.any()) != lmi_exists:
+        if (lam_hit is not None) != lmi_exists:
             disagreements += 1
     elapsed = time.perf_counter() - t0
     record(

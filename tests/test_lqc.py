@@ -528,7 +528,8 @@ class TestSolverRobustness:
         # must keep doing so at their exact worst case; the statuses of this
         # class depend on the thread count, so they run in a subprocess
         # pinned to one thread
-        pinned = [(1, "robust"), (1, "regret"), (7, "robust"), (7, "regret"), (11, "regret")]
+        pinned = [(1, "robust"), (1, "regret"), (3, "regret"), (7, "robust"), (7, "regret"),
+                  (11, "robust"), (11, "regret")]
         script = textwrap.dedent("""
             import json, sys
             import numpy as np

@@ -75,7 +75,9 @@ class TestSimultaneousDiagonalize:
             simultaneous_diagonalize(np.diag([1.0, -1.0]), np.eye(2))
 
     def test_rejects_near_singular(self):
-        with pytest.raises(NotPositiveDefinite):
+        # lambda_min = 1e-14 is below the positive-definiteness guard's
+        # 1e-10 max(1, ||A||_F), which also bounds cond(S) below 1e5
+        with pytest.raises(NotPositiveDefinite, match="must be positive definite"):
             simultaneous_diagonalize(np.diag([1.0, 1e-14]), np.eye(2))
 
     def test_rejects_empty(self):

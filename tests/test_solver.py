@@ -3,7 +3,10 @@ import concurrent.futures
 import numpy as np
 import pytest
 
+from helpers import double_integrator_mpc
+from soclqc.lqc import build_robust_socp, scalar_benchmark_spec
 from soclqc.model import NONNEG, SOC, ConicProgramBuilder
+from soclqc.mpc import build_mpc_socp
 from soclqc.solver import TOL_FEAS, TOL_GAP, SolverConfig, Status, solve
 
 
@@ -220,6 +223,42 @@ class TestInfeasibility:
         assert sol.status is Status.PRIMAL_INFEASIBLE
 
 
+class TestFactorizationGuard:
+    """A failed factorization of the reduced KKT matrix ends the solve.
+
+    The program's p picks the LAPACK routine: Cholesky (dpotrf) without
+    equality rows, LU (dgetrf) with them.  Each case makes that routine
+    report a failed pivot, or return a nan pivot, which LAPACK lets through
+    with info = 0."""
+
+    @pytest.mark.parametrize("routine, pivot, info", [
+        ("dpotrf", -1.0, 2), ("dpotrf", np.nan, 0), ("dgetrf", 0.0, 2), ("dgetrf", np.nan, 0),
+    ])
+    def test_failed_factorization(self, monkeypatch, routine, pivot, info):
+        from soclqc import solver
+
+        if routine == "dpotrf":
+            prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
+        else:
+            prog = build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program
+        assert (len(prog.eq_b) > 0) == (routine == "dgetrf")
+        real = getattr(solver.lapack, routine)
+        calls = []
+
+        def failing(a, **kwargs):
+            *out, _ = real(a, **kwargs)
+            out[0][1, 1] = pivot
+            calls.append(routine)
+            return (*out, info)
+
+        monkeypatch.setattr(solver.lapack, routine, failing)
+        sol = solve(prog)
+        assert calls == [routine]
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.reason == "factorization failed"
+        assert np.isfinite(sol.x).all()
+
+
 class TestConcurrency:
     def test_shared_program_concurrent_solves(self, rng):
         prog, expected = make_kkt_instance(rng)
@@ -366,8 +405,12 @@ class TestConeKernels:
 
     def test_nt_scaling_and_apply_w(self, program, cones, rng):
         s, z = self.interior(rng, program), self.interior(rng, program)
-        scaling = cones.nt_scaling(s, z)
+        sz = np.array((s, z))
+        scaling, dets = cones.nt_scaling(sz)
         lam = cones.apply_w(scaling, z)
+        # the block determinants are the ones max_step would compute at (s, z)
+        for dsz in 3.0 * rng.standard_normal((5, 2, cones.total)):
+            assert cones.max_step(sz, dsz, dets) == cones.max_step(sz, dsz)
         # NT point: W z = W^-1 s, so W^2 z = s, never forming W^2
         assert np.allclose(lam, cones.apply_w(scaling, s, inverse=True), rtol=1e-12, atol=1e-12)
         assert np.allclose(cones.apply_w(scaling, lam), s, rtol=1e-12, atol=1e-12)
@@ -380,4 +423,4 @@ class TestConeKernels:
         outside = s.copy()
         outside[cones.nn] = -1.0  # the head of the first second-order block
         with pytest.raises(FloatingPointError):
-            cones.nt_scaling(outside, z)
+            cones.nt_scaling(np.array((outside, z)))
