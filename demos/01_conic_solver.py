@@ -1,18 +1,20 @@
 """Tour of the conic modeling layer and the interior-point solver.
 
-Builds a few small second-order cone programs by hand, solves them, and
-shows how quadratic terms and hyperbolic constraints are lowered onto the
-linear-objective conic form.
+Builds a few small second-order cone programs by hand from coefficient
+rows, solves them, and shows how quadratic terms and hyperbolic constraints
+are lowered onto the linear-objective conic form.
 """
 
 import numpy as np
 
 from soclqc import (
+    NONNEG,
+    SOC,
     ConicProgramBuilder,
-    add_quadratic_cost,
-    hyperbolic_to_soc,
+    hyperbolic_rows,
     quadratic_epigraph,
     solve,
+    unit_rows,
 )
 
 
@@ -22,8 +24,9 @@ def closest_point_in_ball():
     c = np.array([3.0, -4.0])
     b = ConicProgramBuilder()
     idx = b.add_vars(2)
-    b.set_objective(c[0] * b.var(0) + c[1] * b.var(1))
-    b.add_soc(1.0 + 0.0 * b.var(0), b.var_exprs(idx))
+    b.set_objective_row(c)
+    # one block (head, tail) = (1, x): ||x|| <= 1
+    b.add_block_rows(SOC, np.vstack([np.zeros(2), unit_rows(idx, 2)])[None], [[1.0, 0.0, 0.0]])
     sol = solve(b.build())
     print(f"status     {sol.status.value}")
     print(f"objective  {sol.objective:+.9f}   (expected {-np.linalg.norm(c):+.9f})")
@@ -37,9 +40,10 @@ def smallest_enclosing_product():
     print("== hyperbolic constraint x^2 <= y z ==")
     b = ConicProgramBuilder()
     b.add_vars(3)
-    b.set_objective(b.var(1) + b.var(2))
-    b.add_eq(b.var(0) - 2.0)
-    hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
+    b.set_objective_row([0.0, 1.0, 1.0])
+    b.add_eq_rows([[1.0, 0.0, 0.0]], [2.0])
+    x, y, z = unit_rows([0, 1, 2], 3)[:, None]
+    b.add_block_rows(SOC, *hyperbolic_rows(x, [0.0], y, [0.0], z, [0.0]))
     sol = solve(b.build())
     print(f"status     {sol.status.value}")
     print(f"(x, y, z)  {sol.x}")
@@ -48,7 +52,7 @@ def smallest_enclosing_product():
 
 
 def regularized_least_squares():
-    # ||Ax - d||^2 + rho ||x||^2 via two epigraph variables
+    # ||Ax - d||^2 + ||sqrt(rho) x||^2 via two epigraph variables
     print("== quadratic objective via epigraph blocks ==")
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 3))
@@ -56,11 +60,13 @@ def regularized_least_squares():
     rho = 0.1
     b = ConicProgramBuilder()
     idx = b.add_vars(3)
-    xs = b.var_exprs(idx)
-    t1 = b.var(b.add_var())
-    quadratic_epigraph(b, A, -d, xs, 1.0, t1)
-    t2 = add_quadratic_cost(b, rho * np.eye(3), xs)
-    b.set_objective(t1 + t2)
+    t1, t2 = b.add_var(), b.add_var()
+    # the affine head A x - d takes hyperbolic_rows: ||Ax - d||^2 <= t1 * 1
+    n = b.num_vars
+    b.add_block_rows(SOC, *hyperbolic_rows((A @ unit_rows(idx, n))[None], -d[None],
+                                           unit_rows(t1, n), [0.0], np.zeros((1, n)), [1.0]))
+    quadratic_epigraph(b, np.sqrt(rho) * np.eye(3), idx, t2)
+    b.set_objective_row(unit_rows([t1, t2], n).sum(axis=0))
     sol = solve(b.build())
     closed_form = np.linalg.solve(A.T @ A + rho * np.eye(3), A.T @ d)
     print(f"status            {sol.status.value}")
@@ -74,15 +80,14 @@ def infeasibility_detection():
     print("== infeasibility certificates ==")
     b = ConicProgramBuilder()
     b.add_var()
-    b.set_objective(0.0 * b.var(0))
-    b.add_nonneg(b.var(0) - 1.0)   # x >= 1
-    b.add_nonneg(-b.var(0))        # x <= 0
+    b.set_objective_row([0.0])
+    b.add_block_rows(NONNEG, [[[1.0]], [[-1.0]]], [[-1.0], [0.0]])   # x - 1 >= 0, -x >= 0
     print(f"contradictory bounds: {solve(b.build()).status.value}")
 
     b = ConicProgramBuilder()
     b.add_var()
-    b.set_objective(b.var(0))
-    b.add_nonneg(-b.var(0))        # minimize x with x <= 0: unbounded below
+    b.set_objective_row([1.0])
+    b.add_block_rows(NONNEG, [[[-1.0]]], [[0.0]])   # minimize x with x <= 0: unbounded below
     print(f"unbounded objective:  {solve(b.build()).status.value}")
 
 

@@ -45,11 +45,11 @@ def main():
     print("diagonal of S'AS:", np.round(sd.alpha, 9))
     print("diagonal of S'DS:", np.round(sd.delta, 6))
 
+    # one variable f; e(x) = 0 f + e and f(x) = 1 f + 0 as coefficient rows
     builder = ConicProgramBuilder()
-    f_var = builder.var(builder.add_var())
-    block = emit_simplified_slemma(inner, D, [e[i] + 0.0 * f_var for i in range(n)],
-                                   f_var, sd, builder)
-    builder.set_objective(f_var)
+    builder.add_var()
+    block = emit_simplified_slemma(inner, D, (np.zeros((n, 1)), e), ([1.0], 0.0), sd, builder)
+    builder.set_objective_row([1.0])
     sol = solve(builder.build())
     print(f"\nsolver status      {sol.status.value}")
     print(f"smallest valid f   {sol.objective:.9f}")

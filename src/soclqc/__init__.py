@@ -26,13 +26,9 @@ from .model import (
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
-    LinExpr,
     NotPositiveDefinite,
-    add_quadratic_cost,
     cholesky_factor,
-    expr_rows,
     hyperbolic_rows,
-    hyperbolic_to_soc,
     pin_variables,
     psd_sqrt_factor,
     quadratic_epigraph,

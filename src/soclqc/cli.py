@@ -52,6 +52,8 @@ def _parse_x0(text: str, n: int, name: str) -> np.ndarray:
         raise ProblemFileError(f"{name}: expected comma-separated numbers")
     if vals.shape != (n,):
         raise ProblemFileError(f"{name}: expected {n} entries, got {len(vals)}")
+    if not np.all(np.isfinite(vals)):
+        raise ProblemFileError(f"{name}: entries must be finite")
     return vals
 
 
@@ -72,6 +74,8 @@ def cmd_solve(args) -> int:
         kind, spec, amb = load_problem(args.problem)
         require_kind(args.mode, kind)
         x0 = _parse_x0(args.x0, spec.n_x, "--x0")
+        if args.max_iters < 1:
+            raise ValueError("--max-iters: must be at least 1")
         socp = _build(args.mode, spec, amb, x0)
     except (ProblemFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -487,8 +487,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     # diagonal tau a factor gamma^2 -- an exact substitution that keeps the
     # block data O(1) for small radii; for large ones gamma^2 delta lands in h
     t_quad = b.add_var()  # u'Uq u = ||L'u||^2 <= t_quad
-    quadratic_epigraph(b, L.T, np.zeros(n_u_all), b.var_exprs(u_idx), 1.0, b.var(t_quad),
-                       tag="obj_quad")
+    quadratic_epigraph(b, L.T, u_idx, t_quad, tag="obj_quad")
     n = b.num_vars
     obj = np.zeros(n)
     obj[[t_quad, lam_idx]] = 1.0

@@ -12,15 +12,14 @@ hyperbolic constraints are lowered onto this form with the classical
 transforms of Lobo et al. (1998).
 
 :class:`ConicProgram` holds all blocks as one slack map ``h - G x`` in the
-layout the solver works on.  :class:`ConicProgramBuilder` keeps its rows as
-stacks, k blocks of dimension d with ``A`` of shape (k, d, w) over the w
-variables that exist when they are added, and sorts them into that layout
-once, in :meth:`ConicProgramBuilder.build`.  Applications emit whole stacks
-with :meth:`ConicProgramBuilder.add_block_rows` and
+layout the solver works on.  :class:`ConicProgramBuilder` takes coefficient
+rows only: stacks of k blocks of dimension d, with ``A`` of shape (k, d, w)
+over the w variables that exist when they are added, which it sorts into
+that layout once, in :meth:`ConicProgramBuilder.build`.  Applications emit
+whole stacks with :meth:`ConicProgramBuilder.add_block_rows` and
 :meth:`ConicProgramBuilder.add_eq_rows`; :func:`hyperbolic_rows` forms the
-stack of per-coordinate hyperbolic blocks that the S-lemma needs.
-:class:`LinExpr` is an input form only: the expression helpers lower their
-arguments to coefficient rows once, at the boundary, and take the same path.
+stack of per-coordinate hyperbolic blocks that the S-lemma needs, and
+:func:`quadratic_epigraph` the one block of a quadratic cost.
 """
 
 from __future__ import annotations
@@ -40,89 +39,6 @@ class DimensionMismatch(ValueError):
 
 class NotPositiveDefinite(ValueError):
     """A matrix required to be positive definite is not."""
-
-
-class LinExpr:
-    """Sparse affine expression ``sum_i coeff[i] * x_i + const``.
-
-    An input form for the builder's expression helpers, which lower it to a
-    coefficient row (:func:`expr_rows`) over the variables that exist then.
-    """
-
-    __slots__ = ("terms", "const")
-
-    def __init__(self, terms: dict[int, float] | None = None, const: float = 0.0):
-        self.terms = dict(terms) if terms else {}
-        self.const = float(const)
-
-    @staticmethod
-    def variable(index: int) -> "LinExpr":
-        return LinExpr({int(index): 1.0})
-
-    @staticmethod
-    def constant(value: float) -> "LinExpr":
-        return LinExpr({}, value)
-
-    def copy(self) -> "LinExpr":
-        return LinExpr(self.terms, self.const)
-
-    def __add__(self, other):
-        out = self.copy()
-        if isinstance(other, LinExpr):
-            for i, v in other.terms.items():
-                out.terms[i] = out.terms.get(i, 0.0) + v
-            out.const += other.const
-        else:
-            out.const += float(other)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LinExpr({i: -v for i, v in self.terms.items()}, -self.const)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, LinExpr) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + float(other)
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return LinExpr({i: s * v for i, v in self.terms.items()}, s * self.const)
-
-    __rmul__ = __mul__
-
-    def to_row(self, num_vars: int) -> tuple[np.ndarray, float]:
-        row = np.zeros(num_vars)
-        for i, v in self.terms.items():
-            if i >= num_vars:
-                raise DimensionMismatch(
-                    f"expression references variable {i} but program has {num_vars}"
-                )
-            row[i] += v
-        return row, self.const
-
-    def __repr__(self):
-        parts = [f"{v:+g}*x{i}" for i, v in sorted(self.terms.items())]
-        parts.append(f"{self.const:+g}")
-        return "LinExpr(" + " ".join(parts) + ")"
-
-
-def as_expr(value) -> LinExpr:
-    if isinstance(value, LinExpr):
-        return value
-    return LinExpr.constant(float(value))
-
-
-def expr_rows(exprs, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient rows ``(len, num_vars)`` and constants of affine expressions."""
-    exprs = list(exprs)
-    A = np.zeros((len(exprs), num_vars))
-    b = np.zeros(len(exprs))
-    for i, e in enumerate(exprs):
-        A[i], b[i] = as_expr(e).to_row(num_vars)
-    return A, b
 
 
 def unit_rows(indices, num_vars: int) -> np.ndarray:
@@ -228,8 +144,8 @@ class ConicProgramBuilder:
     count when they were added.  :meth:`build` pads every stack with zero
     columns to the final variable count, so variables may be added after the
     rows that precede them, and sorts the cone stacks into the program's
-    layout.  :meth:`add_nonneg`, :meth:`add_soc` and :meth:`add_eq` accept
-    :class:`LinExpr` arguments, which they lower to rows once, on entry.
+    layout.  Single rows are stacks of one, e.g. ``x[i] >= 0`` is
+    ``add_block_rows(NONNEG, unit_rows([i], num_vars)[:, None], [[0.0]])``.
     """
 
     def __init__(self):
@@ -251,23 +167,12 @@ class ConicProgramBuilder:
         self._num_vars += n
         return idx
 
-    def var(self, index: int) -> LinExpr:
-        if not 0 <= index < self._num_vars:
-            raise DimensionMismatch(f"no variable {index}")
-        return LinExpr.variable(index)
-
-    def var_exprs(self, indices) -> list[LinExpr]:
-        return [self.var(int(i)) for i in np.atleast_1d(indices)]
-
     def set_objective_row(self, c, offset: float = 0.0) -> None:
         """Objective ``c @ x[:len(c)] + offset``."""
         c = np.array(c, dtype=float)
         if c.ndim != 1 or len(c) > self._num_vars:
             raise DimensionMismatch("objective row longer than the variable count")
         self._obj = (c, float(offset))
-
-    def set_objective(self, expr: LinExpr) -> None:
-        self.set_objective_row(*as_expr(expr).to_row(self._num_vars))
 
     def add_eq_rows(self, A, b) -> None:
         """Constrain ``A @ x[:w] == b``; ``A`` is (p, w) over the first
@@ -278,11 +183,6 @@ class ConicProgramBuilder:
             raise DimensionMismatch(f"equality rows need A (p, w <= {self._num_vars}) "
                                     f"and b (p,); got {A.shape} and {b.shape}")
         self._eqs.append((A, b))
-
-    def add_eq(self, expr: LinExpr) -> None:
-        """Constrain ``expr == 0``."""
-        row, const = as_expr(expr).to_row(self._num_vars)
-        self.add_eq_rows(row[None], [-const])
 
     def add_block_rows(self, kind: str, A, b, tag: str | Sequence[str] = "") -> None:
         """Append k cone blocks ``A[i] @ x + b[i]`` of one kind and dimension d.
@@ -308,16 +208,6 @@ class ConicProgramBuilder:
         if len(tags) != k:
             raise DimensionMismatch(f"{len(tags)} tags for {k} blocks")
         self._blocks.append((kind, A, b, tags))
-
-    def add_nonneg(self, expr: LinExpr, tag: str = "") -> None:
-        """Constrain ``expr >= 0`` as a degenerate cone block."""
-        A, b = expr_rows([expr], self._num_vars)
-        self.add_block_rows(NONNEG, A[None], b[None], tag)
-
-    def add_soc(self, head: LinExpr, tail: Sequence[LinExpr], tag: str = "") -> None:
-        """Constrain ``||tail||_2 <= head``."""
-        A, b = expr_rows([head, *tail], self._num_vars)
-        self.add_block_rows(SOC, A[None], b[None], tag)
 
     def build(self) -> ConicProgram:
         n = self._num_vars
@@ -370,44 +260,19 @@ def hyperbolic_rows(head_A, head_b, y_A, y_b, z_A, z_b) -> tuple[np.ndarray, np.
     return A, b
 
 
-def hyperbolic_to_soc(builder: ConicProgramBuilder, x, y, z, tag: str = "") -> None:
-    """Constrain ``||x||^2 <= y * z`` with ``y, z >= 0``.
+def quadratic_epigraph(builder: ConicProgramBuilder, F, x_idx, t_idx: int, tag: str = "") -> None:
+    """Constrain ``||F x[x_idx]||^2 <= x[t_idx]``.
 
-    ``x`` may be a single affine expression or a sequence of them; ``y`` and
-    ``z`` are scalar affine expressions.  Encoded as the single second-order
-    block ``||(2x, y - z)|| <= y + z``.
-    """
-    xs = [x] if isinstance(x, (LinExpr, int, float)) else list(x)
-    n = builder.num_vars
-    X, xc = expr_rows(xs, n)
-    YZ, yz = expr_rows([y, z], n)
-    A, b = hyperbolic_rows(X[None], xc[None], YZ[:1], yz[:1], YZ[1:], yz[1:])
-    builder.add_block_rows(SOC, A, b, tag)
-
-
-def quadratic_epigraph(
-    builder: ConicProgramBuilder,
-    F: np.ndarray,
-    g: np.ndarray,
-    x_exprs: Sequence[LinExpr],
-    denom,
-    t,
-    tag: str = "",
-) -> None:
-    """Constrain ``||F x + g||^2 / denom <= t`` where ``denom > 0`` is
-    guaranteed by the caller (usually the constant 1).
-
-    Encoded as ``||(2(Fx+g), t - denom)|| <= t + denom``; with X the
-    coefficient matrix of ``x_exprs`` the tail rows are ``2 F X``.
+    Encoded as the hyperbolic block ``||(2 F x[x_idx], t - 1)|| <= t + 1``;
+    an index listed twice in ``x_idx`` sums its columns of F.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if F.shape[0] != g.shape[0] or F.shape[1] != len(x_exprs):
-        raise DimensionMismatch("quadratic epigraph: F, g, x shapes inconsistent")
+    x_idx = np.atleast_1d(x_idx)
+    if F.shape[1] != len(x_idx):
+        raise DimensionMismatch("quadratic epigraph: F has a column per entry of x_idx")
     n = builder.num_vars
-    X, xc = expr_rows(x_exprs, n)
-    TD, td = expr_rows([t, denom], n)
-    A, b = hyperbolic_rows((F @ X)[None], (g + F @ xc)[None], TD[:1], td[:1], TD[1:], td[1:])
+    A, b = hyperbolic_rows((F @ unit_rows(x_idx, n))[None], np.zeros((1, len(F))),
+                           unit_rows(t_idx, n), np.zeros(1), np.zeros((1, n)), np.ones(1))
     builder.add_block_rows(SOC, A, b, tag)
 
 
@@ -441,21 +306,6 @@ def psd_sqrt_factor(M: np.ndarray) -> np.ndarray:
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
-
-def add_quadratic_cost(
-    builder: ConicProgramBuilder,
-    M: np.ndarray,
-    x_exprs: Sequence[LinExpr],
-    tag: str = "obj_quad",
-) -> LinExpr:
-    """Add an epigraph variable t with ``x^T M x <= t`` and return t.
-
-    ``M`` must be positive definite; it is factored by Cholesky.
-    """
-    F = cholesky_factor(M, "quadratic cost matrix").T
-    t = builder.var(builder.add_var())
-    quadratic_epigraph(builder, F, np.zeros(F.shape[0]), x_exprs, 1.0, t, tag=tag)
-    return t
 
 
 def pin_variables(program: ConicProgram, indices, values) -> ConicProgram:

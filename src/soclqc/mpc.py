@@ -28,9 +28,7 @@ from .model import (
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
-    LinExpr,
     NotPositiveDefinite,
-    expr_rows,
     hyperbolic_rows,
     psd_sqrt_factor,
     quadratic_epigraph,
@@ -174,9 +172,10 @@ class InvarianceBlock:
 
 
 def emit_invariance_constraints(
-    td: TerminalDiag, c_exprs, r_expr, builder: ConicProgramBuilder
+    td: TerminalDiag, c_idx, r_idx: int, builder: ConicProgramBuilder
 ) -> InvarianceBlock:
-    """Append blocks making the ellipsoid (c, r) positively invariant.
+    """Append blocks making the ellipsoid (c, r) = (x[c_idx], x[r_idx])
+    positively invariant.
 
     The multiplier and slack variables are pre-scaled by r so everything is
     jointly convex in (c, r): one block enforces
@@ -184,51 +183,49 @@ def emit_invariance_constraints(
     (coupling c)_i^2 <= t_i * (lam * pi_i - r * alpha_i).
     """
     n = td.S.shape[0]
-    if len(c_exprs) != n:
-        raise DimensionMismatch("center expressions have wrong length")
+    if len(c_idx) != n:
+        raise DimensionMismatch("center has wrong length")
     lam_idx = builder.add_var()
     t_idx = builder.add_vars(n)
-    builder.add_nonneg(builder.var(lam_idx), tag="inv:lam")
     w = builder.num_vars
-    C, c0 = expr_rows(c_exprs, w)
-    r_row, r0 = expr_rows([r_expr], w)
+    builder.add_block_rows(NONNEG, unit_rows([lam_idx], w)[:, None], np.zeros((1, 1)), "inv:lam")
+    C = unit_rows(c_idx, w)
+    r_row = unit_rows(r_idx, w)
 
     # ||m_sqrt c||^2 <= r * (r - lam - sum(t))
     spent = r_row.copy()
     spent[0, [lam_idx, *t_idx]] -= 1.0
-    A, b = hyperbolic_rows((td.m_sqrt @ C)[None], (td.m_sqrt @ c0)[None], r_row, r0, spent, r0)
+    A, b = hyperbolic_rows((td.m_sqrt @ C)[None], np.zeros((1, n)), r_row, np.zeros(1), spent,
+                           np.zeros(1))
     builder.add_block_rows(SOC, A, b, "inv:budget")
 
     # (coupling c)_i^2 <= t_i * (lam * pi_i - r * alpha_i)
     slacks = -td.alpha[:, None] * r_row
     slacks[:, lam_idx] += td.pi
-    A, b = hyperbolic_rows(td.coupling @ C, td.coupling @ c0, unit_rows(t_idx, w), np.zeros(n),
-                           slacks, -td.alpha * r0[0])
+    A, b = hyperbolic_rows(td.coupling @ C, np.zeros(n), unit_rows(t_idx, w), np.zeros(n),
+                           slacks, np.zeros(n))
     builder.add_block_rows(SOC, A, b, [f"inv:q{i}" for i in range(n)])
     return InvarianceBlock(lam_idx, t_idx)
 
 
-def _support_rows(rows, limits, spec: MpcSpec, c_exprs, r_expr, builder, tag) -> None:
+def _support_rows(rows, limits, spec: MpcSpec, c_idx, r_idx: int, builder, tag) -> None:
     """Rows ``limits_j - rows_j' c - ||rows_j' P^{-1/2}|| r >= 0``."""
     gains = np.linalg.norm(rows @ spec.p_inv_sqrt(), axis=1)
     w = builder.num_vars
-    C, c0 = expr_rows(c_exprs, w)
-    r_row, r0 = expr_rows([r_expr], w)
-    A = -(rows @ C) - gains[:, None] * r_row
-    b = limits - rows @ c0 - gains * r0[0]
+    A = -(rows @ unit_rows(c_idx, w)) - gains[:, None] * unit_rows(r_idx, w)
     tags = [f"{tag}{j}" for j in range(rows.shape[0])]
-    builder.add_block_rows(NONNEG, A[:, None], b[:, None], tags)
+    builder.add_block_rows(NONNEG, A[:, None], limits[:, None], tags)
 
 
-def emit_state_containment(spec: MpcSpec, c_exprs, r_expr, builder: ConicProgramBuilder) -> None:
+def emit_state_containment(spec: MpcSpec, c_idx, r_idx: int, builder: ConicProgramBuilder) -> None:
     """Rows e_j' c + ||e_j' P^{-1/2}|| r <= f_j keeping the ellipsoid in the
     state set (support function of the ball after whitening by P^{1/2})."""
-    _support_rows(spec.E, spec.f, spec, c_exprs, r_expr, builder, "state_cont")
+    _support_rows(spec.E, spec.f, spec, c_idx, r_idx, builder, "state_cont")
 
 
-def emit_input_containment(spec: MpcSpec, c_exprs, r_expr, builder: ConicProgramBuilder) -> None:
+def emit_input_containment(spec: MpcSpec, c_idx, r_idx: int, builder: ConicProgramBuilder) -> None:
     """Same support-function rows for the terminal controller: rows of G K."""
-    _support_rows(spec.G @ spec.K, spec.h, spec, c_exprs, r_expr, builder, "input_cont")
+    _support_rows(spec.G @ spec.K, spec.h, spec, c_idx, r_idx, builder, "input_cont")
 
 
 @dataclass(frozen=True)
@@ -275,8 +272,6 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     x_idx = b.add_vars(N * n_x).reshape(N, n_x)
     c_idx = b.add_vars(n_x)
     r_idx = b.add_var()
-    c_exprs = b.var_exprs(c_idx)
-    r_expr = b.var(r_idx)
 
     w = b.num_vars
     # dynamics B u_k + A x_k - x_{k+1} = 0 for k = 0..N-1, with x_0 = x_init
@@ -301,10 +296,10 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     member[0][1:, c_idx] = -p_half
     b.add_block_rows(SOC, member, np.zeros((1, 1 + n_x)), "terminal_membership")
 
-    b.add_nonneg(r_expr, tag="radius")
-    inv = emit_invariance_constraints(td, c_exprs, r_expr, b)
-    emit_state_containment(spec, c_exprs, r_expr, b)
-    emit_input_containment(spec, c_exprs, r_expr, b)
+    b.add_block_rows(NONNEG, unit_rows([r_idx], w)[:, None], np.zeros((1, 1)), "radius")
+    inv = emit_invariance_constraints(td, c_idx, r_idx, b)
+    emit_state_containment(spec, c_idx, r_idx, b)
+    emit_input_containment(spec, c_idx, r_idx, b)
 
     if fixed_terminal is not None:
         c0, r0 = fixed_terminal
@@ -317,18 +312,11 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     fr = psd_sqrt_factor(spec.R)
     ff = psd_sqrt_factor(spec.Q_f)
     factors = [fq] * (N - 1) + [fr] * N + [ff]
-    cost_exprs: list[LinExpr] = []
-    for k in range(1, N):
-        cost_exprs.extend(b.var_exprs(x_idx[k - 1]))
-    for k in range(N):
-        cost_exprs.extend(b.var_exprs(u_idx[k]))
-    cost_exprs.extend(b.var_exprs(x_idx[N - 1]))
     F_all = scipy.linalg.block_diag(*factors)
-
-    t_cost = b.var(b.add_var())
-    quadratic_epigraph(b, F_all, np.zeros(F_all.shape[0]), cost_exprs, 1.0, t_cost,
-                       tag="obj_quad")
-    b.set_objective(t_cost + float(x_init @ spec.Q @ x_init))
+    cost_idx = np.concatenate([x_idx[: N - 1].ravel(), u_idx.ravel(), x_idx[N - 1]])
+    t_cost = b.add_var()
+    quadratic_epigraph(b, F_all, cost_idx, t_cost, tag="obj_quad")
+    b.set_objective_row(unit_rows(t_cost, b.num_vars)[0], float(x_init @ spec.Q @ x_init))
 
     return MpcSocp(b.build(), spec, x_init, u_idx, x_idx, c_idx, r_idx, inv)
 

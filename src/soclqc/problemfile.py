@@ -2,13 +2,16 @@
 
 One canonical serialization: a key/value tree with every matrix spelled out
 as {"rows": r, "cols": c, "data": [row-major floats]}.  Parsing is strict --
-unknown keys, missing keys, and dimension mismatches are rejected with the
-offending field named.  Numbers round-trip exactly (repr-based JSON floats).
+unknown keys, missing keys, dimension mismatches, non-finite numbers (JSON
+parsers accept NaN and Infinity), and strings or booleans where a count or
+number is due are rejected with the offending field named.  Numbers round-trip exactly
+(repr-based JSON floats).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -32,29 +35,40 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
         raise ProblemFileError(f"{where}: missing key {sorted(missing)[0]!r}")
 
 
+# json gives exactly int, float, bool, str, None, list or dict, so counts and
+# numbers are checked by exact type: bool is a subclass of int
+
+
+def _numbers(values: list, where: str) -> np.ndarray:
+    """The entries, JSON numbers, as a finite float array."""
+    if not set(map(type, values)) <= {int, float}:
+        raise ProblemFileError(f"{where}: non-numeric entry")
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
+    if not finite:
+        raise ProblemFileError(f"{where}: entries must be finite")
+    return np.array(values, dtype=float)
+
+
 def _matrix(obj: Any, where: str) -> np.ndarray:
     _require_keys(obj, {"rows", "cols", "data"}, set(), where)
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
+    if not (type(rows) is int and type(cols) is int) or rows < 0 or cols < 0:
         raise ProblemFileError(f"{where}: rows/cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ProblemFileError(
             f"{where}: data length {len(data) if isinstance(data, list) else '?'} "
             f"does not match rows*cols = {rows * cols}"
         )
-    try:
-        return np.array([float(v) for v in data], dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"{where}: non-numeric entry") from exc
+    return _numbers(data, where).reshape(rows, cols)
 
 
 def _vector(obj: Any, where: str) -> np.ndarray:
     if not isinstance(obj, list):
         raise ProblemFileError(f"{where}: expected a list of numbers")
-    try:
-        return np.array([float(v) for v in obj], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFileError(f"{where}: non-numeric entry") from exc
+    return _numbers(obj, where)
 
 
 def _matrix_list(obj: Any, count: int, where: str) -> np.ndarray:
@@ -83,7 +97,7 @@ def _parse_lqc(tree: dict) -> LqcSpec:
         "lqc problem",
     )
     N = tree["horizon"]
-    if not isinstance(N, int) or N < 1:
+    if type(N) is not int or N < 1:
         raise ProblemFileError("horizon: must be a positive integer")
     A = _matrix_list(tree["A"], N, "A")
     B = _matrix_list(tree["B"], N, "B")
@@ -92,9 +106,7 @@ def _parse_lqc(tree: dict) -> LqcSpec:
     R = _matrix_list(tree["R"], N, "R")
     q = _vector_list(tree["q"], N, "q")
     r = _vector_list(tree["r"], N, "r")
-    gamma = tree["gamma"]
-    if not isinstance(gamma, (int, float)):
-        raise ProblemFileError("gamma: must be a number")
+    gamma = _numbers([tree["gamma"]], "gamma")[0]
     _require_keys(tree["input_set"], {"G", "h"}, set(), "input_set")
     G = _matrix(tree["input_set"]["G"], "input_set.G")
     h = _vector(tree["input_set"]["h"], "input_set.h")
@@ -129,7 +141,7 @@ def _parse_mpc(tree: dict) -> MpcSpec:
         "mpc problem",
     )
     N = tree["horizon"]
-    if not isinstance(N, int) or N < 1:
+    if type(N) is not int or N < 1:
         raise ProblemFileError("horizon: must be a positive integer")
     A = _matrix(tree["A"], "A")
     B = _matrix(tree["B"], "B")

@@ -31,7 +31,6 @@ from .model import (
     ConicProgramBuilder,
     DimensionMismatch,
     NotPositiveDefinite,
-    expr_rows,
     hyperbolic_rows,
     unit_rows,
 )
@@ -140,8 +139,8 @@ class SLemmaBlock:
 def emit_simplified_slemma(
     inner: QuadForm,
     D: np.ndarray,
-    e_map,
-    f_map,
+    e_rows,
+    f_rows,
     sd: SimulDiag,
     builder: ConicProgramBuilder,
     tag: str = "slemma",
@@ -150,8 +149,10 @@ def emit_simplified_slemma(
 
         z^T D z + 2 e(x)^T z + f(x) >= 0  for all z in {inner(z) >= 0}
 
-    where e(x) is a vector of affine expressions over the program variables,
-    f(x) a scalar affine expression, and ``sd`` diagonalizes the numeric pair
+    where e(x) = E x + e0 and f(x) = f_row @ x + f0 are affine in the program
+    variables, given as ``e_rows = (E, e0)`` with E (n, w) and
+    ``f_rows = (f_row, f0)`` with f_row (w,), both over the first
+    w <= num_vars variables, and ``sd`` diagonalizes the numeric pair
     (inner.A, D).  Appends fresh lam >= 0 and t variables, the row
     f(x) - lam*c >= sum(t), and one hyperbolic block per coordinate:
 
@@ -165,28 +166,33 @@ def emit_simplified_slemma(
     D = symmetrize(D)
     if D.shape[0] != n or sd.dim != n:
         raise DimensionMismatch("forms and diagonalization disagree in size")
-    e_map = list(e_map)
-    if len(e_map) != n:
-        raise DimensionMismatch("linear-term map has wrong length")
+    E, e0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in e_rows)
+    f_row, f0 = np.atleast_1d(np.asarray(f_rows[0], dtype=float)), float(f_rows[1])
+    if (E.ndim != 2 or E.shape[0] != n or e0.shape != (n,) or f_row.ndim != 1
+            or max(E.shape[1], len(f_row)) > builder.num_vars):
+        raise DimensionMismatch("linear-term rows need E (n, w), e0 (n,) and f_row (w,) "
+                                "with w <= num_vars")
     if np.allclose(inner.b, 0.0) and inner.c <= 0.0:
         raise DegenerateInput("inner set has no Slater point at the origin")
 
     lam_idx = builder.add_var()
     t_idx = builder.add_vars(n)
     w = builder.num_vars
-    E, e0 = expr_rows(e_map, w)
-    f_row, f0 = expr_rows([f_map], w)
 
     # lam >= 0 and the budget f(x) - lam*c - sum(t) >= 0
-    rows = np.vstack([unit_rows(lam_idx, w), f_row])
-    rows[1, lam_idx] -= inner.c
-    rows[1, t_idx] -= 1.0
+    rows = np.zeros((2, w))
+    rows[0, lam_idx] = 1.0
+    rows[1, : len(f_row)] = f_row
+    rows[1, lam_idx] = -inner.c
+    rows[1, t_idx] = -1.0
     builder.add_block_rows(
-        NONNEG, rows[:, None], np.array([[0.0], [f0[0]]]), [f"{tag}:lam", f"{tag}:budget"]
+        NONNEG, rows[:, None], np.array([[0.0], [f0]]), [f"{tag}:lam", f"{tag}:budget"]
     )
 
     # head_i = [S^T e(x)]_i - lam*[S^T b]_i, slack_i = delta_i - lam*alpha_i
-    heads = sd.S.T @ E
+    heads = np.zeros((n, w))
+    heads[:, : E.shape[1]] = E
+    heads = sd.S.T @ heads
     heads[:, lam_idx] -= sd.S.T @ inner.b
     slacks = np.zeros((n, w))
     slacks[:, lam_idx] = -sd.alpha

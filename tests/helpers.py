@@ -3,14 +3,149 @@ import scipy.linalg
 
 from soclqc.lqc import LqcSpec, box_polyhedron, build_compact_cost
 from soclqc.model import (
+    NONNEG,
+    SOC,
     ConicProgramBuilder,
-    LinExpr,
-    add_quadratic_cost,
+    DimensionMismatch,
     cholesky_factor,
-    hyperbolic_to_soc,
+    hyperbolic_rows,
+    psd_sqrt_factor,
 )
 from soclqc.mpc import MpcSpec
 from soclqc.slemma import simultaneous_diagonalize
+
+
+class LinExpr:
+    """Sparse affine expression ``sum_i coeff[i] * x_i + const``.
+
+    The input form of :class:`ExprBuilder`, which lowers it to a coefficient
+    row (:func:`expr_rows`) over the variables that exist then.
+    """
+
+    __slots__ = ("terms", "const")
+
+    def __init__(self, terms: dict[int, float] | None = None, const: float = 0.0):
+        self.terms = dict(terms) if terms else {}
+        self.const = float(const)
+
+    @staticmethod
+    def variable(index: int) -> "LinExpr":
+        return LinExpr({int(index): 1.0})
+
+    @staticmethod
+    def constant(value: float) -> "LinExpr":
+        return LinExpr({}, value)
+
+    def copy(self) -> "LinExpr":
+        return LinExpr(self.terms, self.const)
+
+    def __add__(self, other):
+        out = self.copy()
+        if isinstance(other, LinExpr):
+            for i, v in other.terms.items():
+                out.terms[i] = out.terms.get(i, 0.0) + v
+            out.const += other.const
+        else:
+            out.const += float(other)
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LinExpr({i: -v for i, v in self.terms.items()}, -self.const)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, LinExpr) else -float(other))
+
+    def __rsub__(self, other):
+        return (-self) + float(other)
+
+    def __mul__(self, scalar):
+        s = float(scalar)
+        return LinExpr({i: s * v for i, v in self.terms.items()}, s * self.const)
+
+    __rmul__ = __mul__
+
+    def to_row(self, num_vars: int) -> tuple[np.ndarray, float]:
+        row = np.zeros(num_vars)
+        for i, v in self.terms.items():
+            if i >= num_vars:
+                raise DimensionMismatch(
+                    f"expression references variable {i} but program has {num_vars}"
+                )
+            row[i] += v
+        return row, self.const
+
+    def __repr__(self):
+        parts = [f"{v:+g}*x{i}" for i, v in sorted(self.terms.items())]
+        parts.append(f"{self.const:+g}")
+        return "LinExpr(" + " ".join(parts) + ")"
+
+
+def as_expr(value) -> LinExpr:
+    if isinstance(value, LinExpr):
+        return value
+    return LinExpr.constant(float(value))
+
+
+def expr_rows(exprs, num_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows ``(len, num_vars)`` and constants of affine expressions."""
+    exprs = list(exprs)
+    A = np.zeros((len(exprs), num_vars))
+    b = np.zeros(len(exprs))
+    for i, e in enumerate(exprs):
+        A[i], b[i] = as_expr(e).to_row(num_vars)
+    return A, b
+
+
+def lin_comb(M, exprs) -> list[LinExpr]:
+    """The expressions ``sum_j M[i, j] * exprs[j]``, one per row of M."""
+    return [sum((m * e for m, e in zip(row, exprs)), LinExpr()) for row in np.atleast_2d(M)]
+
+
+class ExprBuilder(ConicProgramBuilder):
+    """A :class:`ConicProgramBuilder` that also takes :class:`LinExpr`
+    arguments, each lowered to one block of coefficient rows on entry."""
+
+    def var(self, index: int) -> LinExpr:
+        if not 0 <= index < self.num_vars:
+            raise DimensionMismatch(f"no variable {index}")
+        return LinExpr.variable(index)
+
+    def var_exprs(self, indices) -> list[LinExpr]:
+        return [self.var(int(i)) for i in np.atleast_1d(indices)]
+
+    def set_objective(self, expr) -> None:
+        self.set_objective_row(*as_expr(expr).to_row(self.num_vars))
+
+    def add_eq(self, expr) -> None:
+        """Constrain ``expr == 0``."""
+        row, const = as_expr(expr).to_row(self.num_vars)
+        self.add_eq_rows(row[None], [-const])
+
+    def add_nonneg(self, expr, tag: str = "") -> None:
+        """Constrain ``expr >= 0``."""
+        A, b = expr_rows([expr], self.num_vars)
+        self.add_block_rows(NONNEG, A[None], b[None], tag)
+
+    def add_soc(self, head, tail, tag: str = "") -> None:
+        """Constrain ``||tail||_2 <= head``."""
+        A, b = expr_rows([head, *tail], self.num_vars)
+        self.add_block_rows(SOC, A[None], b[None], tag)
+
+    def add_hyperbolic(self, x, y, z, tag: str = "") -> None:
+        """Constrain ``||x||^2 <= y * z`` for one expression x or a list."""
+        xs = [x] if isinstance(x, (LinExpr, int, float)) else list(x)
+        X, xc = expr_rows(xs, self.num_vars)
+        YZ, yz = expr_rows([y, z], self.num_vars)
+        A, b = hyperbolic_rows(X[None], xc[None], YZ[:1], yz[:1], YZ[1:], yz[1:])
+        self.add_block_rows(SOC, A, b, tag)
+
+    def add_quadratic_cost(self, M, xs, tag: str = "obj_quad") -> LinExpr:
+        """A new variable t with ``x' M x <= t``, M positive definite."""
+        t = self.var(self.add_var())
+        self.add_hyperbolic(lin_comb(cholesky_factor(M).T, xs), t, 1.0, tag)
+        return t
 
 
 def random_lqc_spec(rng, n_x, n_u, n_w, N, gamma=None, with_linear=True):
@@ -34,11 +169,19 @@ def random_lqc_spec(rng, n_x, n_u, n_w, N, gamma=None, with_linear=True):
     return LqcSpec(A, B, C, Q, q, R, r, gamma, G, h)
 
 
+def assert_same_program(built, ref):
+    assert built.num_vars == ref.num_vars
+    assert np.array_equal(built.obj, ref.obj)
+    assert built.obj_offset == ref.obj_offset
+    assert np.array_equal(built.eq_A, ref.eq_A) and np.array_equal(built.eq_b, ref.eq_b)
+    assert (built.nn, built.soc, built.tags) == (ref.nn, ref.soc, ref.tags)
+    assert np.array_equal(built.G, ref.G) and np.array_equal(built.h, ref.h)
+
+
 def reference_lqc_program(spec, x0, kernel, amb=None):
-    """The min-max LQC program assembled expression by expression from the
-    public LinExpr helpers, with one hyperbolic_to_soc call per coordinate:
-    the variable order, block order, kinds and tags the LQC builders must
-    reproduce."""
+    """The min-max LQC program assembled expression by expression with
+    :class:`ExprBuilder`, one hyperbolic block per coordinate: the variable
+    order, block order, kinds and tags the LQC builders must reproduce."""
     cc = build_compact_cost(spec, x0)
     if kernel == "robust":
         w_quad_eff, offset = cc.w_quad, cc.constant
@@ -52,12 +195,12 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     sd = simultaneous_diagonalize(np.eye(w_quad_eff.shape[0]), w_quad_eff)
     m = amb.num_moments if amb is not None else 0
 
-    b = ConicProgramBuilder()
+    b = ExprBuilder()
     u = b.var_exprs(b.add_vars(spec.stacked_input_dim))
     lam = b.var(b.add_var())
     ts = b.var_exprs(b.add_vars(spec.stacked_dist_dim))
     betas = b.var_exprs(b.add_vars(m))
-    obj = add_quadratic_cost(b, cc.u_quad, u) + lam
+    obj = b.add_quadratic_cost(cc.u_quad, u) + lam
     for j, ue in enumerate(u):
         obj = obj + 2.0 * cc.u_lin[j] * ue
     for te in ts:
@@ -92,7 +235,75 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
             if beta_mat[i, j] != 0.0:
                 head = head + g * beta_mat[i, j] * be
         slack = 1.0 * lam * sd.alpha[i] - g**2 * sd.delta[i]
-        hyperbolic_to_soc(b, head, ts[i], slack, tag=f"coneq{i}")
+        b.add_hyperbolic(head, ts[i], slack, tag=f"coneq{i}")
+    return b.build()
+
+
+def reference_mpc_program(spec, x_init, fixed_terminal=None):
+    """The MPC program of :func:`soclqc.mpc.build_mpc_socp` assembled
+    expression by expression with :class:`ExprBuilder`: one equality per
+    state coordinate, one row per path, radius and containment constraint and
+    one hyperbolic block per invariance coordinate, in the order the builder
+    must reproduce."""
+    from soclqc.mpc import diagonalize_terminal_pair
+
+    x_init = np.asarray(x_init, dtype=float)
+    N, n_x, n_u = spec.N, spec.n_x, spec.n_u
+    td = diagonalize_terminal_pair(spec)
+    b = ExprBuilder()
+    u = [b.var_exprs(b.add_vars(n_u)) for _ in range(N)]
+    x = [b.var_exprs(b.add_vars(n_x)) for _ in range(N)]  # states x_1..x_N
+    c = b.var_exprs(b.add_vars(n_x))
+    r = b.var(b.add_var())
+
+    # x_{k+1} = A x_k + B u_k with x_0 = x_init a constant
+    for k in range(N):
+        drift = (spec.A @ x_init).tolist() if k == 0 else lin_comb(spec.A, x[k - 1])
+        for i, (d, bu) in enumerate(zip(drift, lin_comb(spec.B, u[k]))):
+            b.add_eq(bu + d - x[k][i])
+    for k in range(N - 1):
+        for j, ex in enumerate(lin_comb(spec.E, x[k])):
+            b.add_nonneg(spec.f[j] - ex, tag="state_set")
+    for k in range(N):
+        for j, gu in enumerate(lin_comb(spec.G, u[k])):
+            b.add_nonneg(spec.h[j] - gu, tag="input_set")
+
+    p_half = spec.p_sqrt()
+    b.add_soc(r, [px - pc for px, pc in zip(lin_comb(p_half, x[N - 1]), lin_comb(p_half, c))],
+              tag="terminal_membership")
+    b.add_nonneg(r, tag="radius")
+
+    # invariance: ||m_sqrt c||^2 <= r (r - lam - sum t) and
+    # (coupling c)_i^2 <= t_i (pi_i lam - alpha_i r)
+    lam = b.var(b.add_var())
+    t = b.var_exprs(b.add_vars(n_x))
+    b.add_nonneg(lam, tag="inv:lam")
+    b.add_hyperbolic(lin_comb(td.m_sqrt, c), r, r - lam - sum(t, LinExpr()), tag="inv:budget")
+    for i, head in enumerate(lin_comb(td.coupling, c)):
+        b.add_hyperbolic(head, t[i], td.pi[i] * lam - td.alpha[i] * r, tag=f"inv:q{i}")
+
+    # containment: rows_j' c + ||rows_j' P^{-1/2}|| r <= limits_j
+    for rows, limits, tag in ((spec.E, spec.f, "state_cont"),
+                              (spec.G @ spec.K, spec.h, "input_cont")):
+        gains = np.linalg.norm(rows @ spec.p_inv_sqrt(), axis=1)
+        for j, rc in enumerate(lin_comb(rows, c)):
+            b.add_nonneg(limits[j] - rc - gains[j] * r, tag=f"{tag}{j}")
+
+    if fixed_terminal is not None:
+        c0, r0 = fixed_terminal
+        for ci, c0i in zip(c, np.atleast_1d(c0)):
+            b.add_eq(ci - c0i)
+        b.add_eq(r - r0)
+
+    # stage costs ||Q^{1/2} x_k||^2 (k = 1..N-1), ||R^{1/2} u_k||^2 and
+    # ||Q_f^{1/2} x_N||^2 in one epigraph; the x_0 term is a constant
+    fq, fr, ff = (psd_sqrt_factor(M) for M in (spec.Q, spec.R, spec.Q_f))
+    heads = [h for k in range(N - 1) for h in lin_comb(fq, x[k])]
+    heads += [h for k in range(N) for h in lin_comb(fr, u[k])]
+    heads += lin_comb(ff, x[N - 1])
+    t_cost = b.var(b.add_var())
+    b.add_hyperbolic(heads, t_cost, 1.0, tag="obj_quad")
+    b.set_objective(t_cost + float(x_init @ spec.Q @ x_init))
     return b.build()
 
 

@@ -109,6 +109,20 @@ class TestSolve:
     def test_bad_x0_exit_two(self, lqc_file, capsys):
         assert main(["solve", lqc_file, "--mode", "robust", "--x0", "1,2"]) == 2
 
+    @pytest.mark.parametrize("args, named", [
+        (["--x0", "nan"], "--x0"),
+        (["--x0", "inf"], "--x0"),
+        (["--x0", "-inf"], "--x0"),
+        (["--x0", "0.5", "--max-iters", "0"], "--max-iters"),
+        (["--x0", "0.5", "--max-iters", "-3"], "--max-iters"),
+    ], ids=["x0-nan", "x0-inf", "x0-minus-inf", "max-iters-0", "max-iters-negative"])
+    def test_bad_numeric_argument_exit_two(self, args, named, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "lqc3.json"
+        save_problem(path, scalar_benchmark_spec(3))
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solver was called"))
+        assert main(["solve", str(path), "--mode", "robust", *args]) == 2
+        assert named in capsys.readouterr().err
+
 
 def open_render():
     from soclqc.problemfile import render_lqc

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_same_program,
     random_lqc_spec,
     reference_lqc_program,
     scalar_regret_grid_oracle,
@@ -33,7 +34,7 @@ from soclqc.lqc import (
     scalar_benchmark_spec,
     time_invariant_spec,
 )
-from soclqc.model import DimensionMismatch, LinExpr, NotPositiveDefinite, pin_variables
+from soclqc.model import DimensionMismatch, NotPositiveDefinite, pin_variables
 from soclqc.oracle import max_quad_over_ball
 from soclqc.slemma import check_psd
 from soclqc.solver import Status, solve
@@ -578,15 +579,6 @@ class TestSolverRobustness:
             assert (sol.reason == "") == (sol.status is Status.OPTIMAL)
 
 
-def assert_same_program(built, ref):
-    assert built.num_vars == ref.num_vars
-    assert np.array_equal(built.obj, ref.obj)
-    assert built.obj_offset == ref.obj_offset
-    assert np.array_equal(built.eq_A, ref.eq_A) and np.array_equal(built.eq_b, ref.eq_b)
-    assert (built.nn, built.soc, built.tags) == (ref.nn, ref.soc, ref.tags)
-    assert np.array_equal(built.G, ref.G) and np.array_equal(built.h, ref.h)
-
-
 def row_block_case(seed):
     """A random spec, initial state and moment set (seed % 3 moment rows)."""
     rng = np.random.default_rng(seed)
@@ -642,22 +634,3 @@ class TestRowBlockBuilder:
             build_dr_regret_socp(spec, x0, amb)
         build_robust_sdp_data(spec, np.ones(2))
         assert factored[0] == 1
-
-    def test_expression_work_does_not_grow_with_horizon(self, monkeypatch):
-        # per-nonzero LinExpr emission makes O(N^2) of these calls
-        calls = [0]
-        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
-            def counted(self, other, _op=getattr(LinExpr, name)):
-                calls[0] += 1
-                return _op(self, other)
-
-            monkeypatch.setattr(LinExpr, name, counted)
-
-        def count(N):
-            spec = scalar_benchmark_spec(N)
-            start = calls[0]
-            build_robust_socp(spec, [0.5])
-            build_regret_socp(spec, [0.5])
-            return calls[0] - start
-
-        assert count(100) <= count(10)

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
+from helpers import ExprBuilder, LinExpr
 from soclqc.model import (
     NONNEG,
     SOC,
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
-    LinExpr,
     NotPositiveDefinite,
-    add_quadratic_cost,
     cholesky_factor,
-    hyperbolic_to_soc,
+    hyperbolic_rows,
     pin_variables,
     psd_sqrt_factor,
     quadratic_epigraph,
+    unit_rows,
 )
 from soclqc.solver import Status, solve
 
@@ -28,6 +28,17 @@ def block_value(program, x):
 def soc_margin(vec):
     """head - ||tail|| of a block value; >= 0 means feasible."""
     return vec[0] - np.linalg.norm(vec[1:])
+
+
+def hyperbolic_program(m):
+    """One block ||x[:m]||^2 <= x[m] * x[m + 1] over m + 2 variables."""
+    b = ConicProgramBuilder()
+    b.add_vars(m + 2)
+    A, rhs = hyperbolic_rows(unit_rows(range(m), m + 2)[None], np.zeros((1, m)),
+                             unit_rows([m], m + 2), np.zeros(1),
+                             unit_rows([m + 1], m + 2), np.zeros(1))
+    b.add_block_rows(SOC, A, rhs)
+    return b.build()
 
 
 class TestLinExpr:
@@ -56,28 +67,19 @@ class TestHyperbolicBlock:
         [(1.0, 1.0, 1.0), (0.0, 5.0, 0.0), (2.0, 1.0, 4.0)],
     )
     def test_boundary_examples(self, xyz):
-        b = ConicProgramBuilder()
-        i = b.add_vars(3)
-        hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
-        prog = b.build()
+        prog = hyperbolic_program(1)
         val = block_value(prog, np.array(xyz))
         assert soc_margin(val) >= -1e-12
         # all three examples sit exactly on the boundary x^2 = y z
         assert abs(soc_margin(val)) <= 1e-12
 
     def test_infeasible_point(self):
-        b = ConicProgramBuilder()
-        b.add_vars(3)
-        hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
-        prog = b.build()
+        prog = hyperbolic_program(1)
         assert soc_margin(block_value(prog, [2.0, 1.0, 1.0])) < 0
 
     def test_cone_scaling_property(self, rng):
         # feasible triples stay feasible under scaling by any r >= 0
-        b = ConicProgramBuilder()
-        b.add_vars(3)
-        hyperbolic_to_soc(b, b.var(0), b.var(1), b.var(2))
-        prog = b.build()
+        prog = hyperbolic_program(1)
         for _ in range(200):
             y, z = rng.uniform(0, 2, size=2)
             x = np.sqrt(y * z) * rng.uniform(-1, 1)
@@ -86,10 +88,7 @@ class TestHyperbolicBlock:
             assert soc_margin(block_value(prog, [r * x, r * y, r * z])) >= -1e-10
 
     def test_vector_first_argument(self):
-        b = ConicProgramBuilder()
-        b.add_vars(4)
-        hyperbolic_to_soc(b, [b.var(0), b.var(1)], b.var(2), b.var(3))
-        prog = b.build()
+        prog = hyperbolic_program(2)
         # ||(1, 2)||^2 = 5 <= 5 * 1
         assert soc_margin(block_value(prog, [1.0, 2.0, 5.0, 1.0])) >= -1e-12
         assert soc_margin(block_value(prog, [1.0, 2.0, 4.9, 1.0])) < 0
@@ -100,7 +99,7 @@ class TestQuadraticEpigraph:
         # x^2 <= t encoded via unit denominator
         b = ConicProgramBuilder()
         b.add_vars(2)
-        quadratic_epigraph(b, np.eye(1), [0.0], [b.var(0)], 1.0, b.var(1))
+        quadratic_epigraph(b, np.eye(1), [0], 1)
         prog = b.build()
         assert soc_margin(block_value(prog, [2.0, 4.0])) >= -1e-12
         assert soc_margin(block_value(prog, [2.0, 3.9])) < 0
@@ -108,18 +107,18 @@ class TestQuadraticEpigraph:
     def test_zero_numerator_any_t(self):
         b = ConicProgramBuilder()
         b.add_vars(2)
-        quadratic_epigraph(b, np.eye(1), [0.0], [b.var(0)], 1.0, b.var(1))
+        quadratic_epigraph(b, np.eye(1), [0], 1)
         prog = b.build()
         for t in (0.0, 0.5, 7.0):
             assert soc_margin(block_value(prog, [0.0, t])) >= -1e-12
 
     def test_affine_numerator_minimal_t(self):
-        # minimize t subject to (2x + 1)^2 <= t at x pinned to 1: t* = 9
+        # minimize t subject to (2x + y)^2 <= t at x and y pinned to 1: t* = 9
         b = ConicProgramBuilder()
-        b.add_vars(2)
-        quadratic_epigraph(b, [[2.0]], [1.0], [b.var(0)], 1.0, b.var(1))
-        b.set_objective(b.var(1))
-        prog = pin_variables(b.build(), [0], [1.0])
+        b.add_vars(3)
+        quadratic_epigraph(b, [[2.0, 1.0]], [0, 1], 2)
+        b.set_objective_row([0.0, 0.0, 1.0])
+        prog = pin_variables(b.build(), [0, 1], [1.0, 1.0])
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
         assert abs(sol.objective - 9.0) <= 1e-6
@@ -150,8 +149,9 @@ class TestFactorizations:
         target = rng.standard_normal(3)
         b = ConicProgramBuilder()
         idx = b.add_vars(3)
-        t = add_quadratic_cost(b, M, b.var_exprs(idx))
-        b.set_objective(t)
+        t = b.add_var()
+        quadratic_epigraph(b, cholesky_factor(M).T, idx, t)
+        b.set_objective_row(unit_rows(t, b.num_vars)[0])
         prog = pin_variables(b.build(), idx, target)
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
@@ -161,7 +161,7 @@ class TestFactorizations:
 class TestProgramStructure:
     def test_objective_offset_shifts_reported_value(self):
         def build(offset):
-            b = ConicProgramBuilder()
+            b = ExprBuilder()
             b.add_var()
             b.set_objective(b.var(0) + offset)
             b.add_nonneg(b.var(0))
@@ -173,7 +173,7 @@ class TestProgramStructure:
         assert abs((shifted.objective - base.objective) - 12.75) <= 1e-12
 
     def test_pin_variables_dimension_check(self):
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         b.add_vars(2)
         b.set_objective(b.var(0))
         b.add_nonneg(b.var(0))
@@ -189,7 +189,7 @@ class TestProgramStructure:
         assert (pinned.nn, pinned.soc, pinned.tags) == (prog.nn, prog.soc, prog.tags)
 
     def test_blocks_reject_bad_shapes(self):
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         b.add_var()
         with pytest.raises(DimensionMismatch):
             b.add_soc(b.var(0), [])
@@ -197,7 +197,7 @@ class TestProgramStructure:
 
 class TestRowBlocks:
     def test_blocks_added_before_later_variables_are_padded(self):
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         b.add_vars(2)
         b.set_objective(b.var(1) + 0.5)
         A = np.array([[[1.0, 0.0], [0.0, 2.0]], [[0.5, 0.5], [1.0, 0.0]]])
@@ -288,20 +288,23 @@ class TestRowBlocks:
         with pytest.raises(DimensionMismatch):
             b.add_block_rows(kind, np.ones(A_shape), np.ones(b_shape), tags)
 
-    def test_quadratic_epigraph_of_multi_term_expressions(self, rng):
-        # ||F x + g||^2 / denom <= t with x_i non-unit sums of variables plus
-        # constants and an affine denominator
+    def test_quadratic_epigraph_of_scattered_indices(self, rng):
+        # ||F x[x_idx]||^2 <= x[t] with x_idx out of order and skipping
+        # variables, added before later variables exist: the rows are F's
+        # columns placed at x_idx, the head t + 1 and the last row t - 1
         b = ConicProgramBuilder()
-        v = b.var_exprs(b.add_vars(4))
-        x_exprs = [2.0 * v[0] - 0.5 * v[2] + 1.0, 3.0 * v[1] + v[3] - 2.0, 0.25 - v[0]]
+        b.add_vars(5)
+        x_idx, t = [3, 0, 2], 4
         F = rng.standard_normal((2, 3))
-        g = rng.standard_normal(2)
-        t = b.var(b.add_var())
-        quadratic_epigraph(b, F, g, x_exprs, 0.5 * v[3] + 2.0, t)
+        quadratic_epigraph(b, F, x_idx, t, tag="cost")
+        b.add_vars(2)
         prog = b.build()
+        assert prog.num_vars == 7 and prog.tags == ("cost",) and prog.soc == ((1, 4),)
         for _ in range(5):
-            p = rng.standard_normal(5)
-            x = np.array([2.0 * p[0] - 0.5 * p[2] + 1.0, 3.0 * p[1] + p[3] - 2.0, 0.25 - p[0]])
-            denom = 0.5 * p[3] + 2.0
-            expect = np.concatenate([[p[4] + denom], 2.0 * (F @ x + g), [p[4] - denom]])
+            p = rng.standard_normal(7)
+            expect = np.concatenate([[p[t] + 1.0], 2.0 * F @ p[x_idx], [p[t] - 1.0]])
             assert np.allclose(block_value(prog, p), expect, rtol=0, atol=1e-12)
+        (block,) = prog.blocks
+        assert not block.A[:, [1, 5, 6]].any()
+        with pytest.raises(DimensionMismatch):
+            quadratic_epigraph(b, F, [0, 1], t)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import double_integrator_mpc
+from helpers import (
+    ExprBuilder,
+    assert_same_program,
+    double_integrator_mpc,
+    reference_mpc_program,
+)
 from soclqc.model import ConicProgramBuilder, NotPositiveDefinite
 from soclqc.mpc import (
     MpcSpec,
@@ -98,15 +103,13 @@ class TestTerminalDiag:
 class TestEmittedBlocks:
     def build_terminal_program(self, spec, objective=None):
         td = diagonalize_terminal_pair(spec)
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         c_idx = b.add_vars(spec.n_x)
         r_idx = b.add_var()
-        c_exprs = b.var_exprs(c_idx)
-        r_expr = b.var(r_idx)
-        b.add_nonneg(r_expr)
-        emit_invariance_constraints(td, c_exprs, r_expr, b)
-        emit_state_containment(spec, c_exprs, r_expr, b)
-        emit_input_containment(spec, c_exprs, r_expr, b)
+        b.add_nonneg(b.var(r_idx))
+        emit_invariance_constraints(td, c_idx, r_idx, b)
+        emit_state_containment(spec, c_idx, r_idx, b)
+        emit_input_containment(spec, c_idx, r_idx, b)
         if objective is not None:
             b.set_objective(objective(b, c_idx, r_idx))
         return b, c_idx, r_idx
@@ -137,9 +140,7 @@ class TestEmittedBlocks:
         # point of the closed loop (the origin for a deadbeat gain)
         spec = deadbeat_spec()
         b = ConicProgramBuilder()
-        c_exprs = b.var_exprs(b.add_vars(2))
-        r_expr = b.var(b.add_var())
-        emit_state_containment(spec, c_exprs, r_expr, b)
+        emit_state_containment(spec, b.add_vars(2), b.add_var(), b)
         prog = b.build()
         x = np.array([0.5, -0.5, 0.0])
         assert len(prog.blocks) == spec.E.shape[0]
@@ -178,12 +179,10 @@ class TestEmittedBlocks:
     def test_zero_gain_input_containment_unbinding(self):
         spec = deadbeat_spec()
         b = ConicProgramBuilder()
-        c_exprs = b.var_exprs(b.add_vars(2))
-        r_expr = b.var(b.add_var())
         emit_input_containment(
             MpcSpec(spec.A, spec.B, spec.E, spec.f, spec.G, spec.h,
                     np.zeros((2, 2)), spec.P, spec.N, spec.Q, spec.R, spec.Q_f),
-            c_exprs, r_expr, b)
+            b.add_vars(2), b.add_var(), b)
         prog = b.build()
         # with K = 0 every row reduces to h_j >= 0, feasible for any (c, r)
         x = np.array([10.0, -4.0, 99.0])
@@ -272,3 +271,13 @@ class TestFullProblem:
         spec = double_integrator_mpc()
         with pytest.raises(ValueError):
             build_mpc_socp(spec, np.array([10.0, 0.0]))
+
+
+class TestReferenceAssembler:
+    @pytest.mark.parametrize("fixed", [None, ([0.1, -0.2], 0.3)], ids=["free", "fixed"])
+    @pytest.mark.parametrize("x_init", [(0.0, 0.0), (2.0, 0.5)], ids=["origin", "off-origin"])
+    @pytest.mark.parametrize("N", [1, 4, 8])
+    def test_program_matches_expression_reference(self, N, x_init, fixed):
+        spec = double_integrator_mpc(N)
+        assert_same_program(build_mpc_socp(spec, x_init, fixed_terminal=fixed).program,
+                            reference_mpc_program(spec, x_init, fixed_terminal=fixed))

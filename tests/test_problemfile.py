@@ -88,6 +88,35 @@ class TestStrictParsing:
         with pytest.raises(ProblemFileError, match="gamma"):
             parse_problem(json.dumps(tree))
 
+    @pytest.mark.parametrize("field, edit", [
+        ("input_set.h", lambda t: t["input_set"]["h"].__setitem__(0, float("inf"))),
+        ("input_set.G", lambda t: t["input_set"]["G"]["data"].__setitem__(1, float("nan"))),
+        ("gamma", lambda t: t.__setitem__("gamma", float("inf"))),
+        ("gamma", lambda t: t.__setitem__("gamma", True)),
+        ("gamma", lambda t: t.__setitem__("gamma", "0.5")),
+        ("input_set.h", lambda t: t["input_set"]["h"].__setitem__(1, "0.4")),
+        ("horizon", lambda t: t.__setitem__("horizon", True)),
+        (r"q\[1\]", lambda t: t["q"][1].__setitem__(0, -float("inf"))),
+        (r"A\[0\]", lambda t: t["A"][0].__setitem__("rows", True)),
+        (r"B\[0\]", lambda t: t["B"][0]["data"].__setitem__(0, 10**400)),
+    ], ids=["h-inf", "G-nan", "gamma-inf", "gamma-bool", "gamma-string", "h-string",
+            "horizon-bool", "q-minus-inf", "rows-bool", "huge-int"])
+    def test_non_finite_and_boolean_numbers_rejected(self, field, edit):
+        tree = json.loads(render_lqc(scalar_benchmark_spec(3)))
+        edit(tree)
+        with pytest.raises(ProblemFileError, match=field):
+            parse_problem(json.dumps(tree))
+
+    @pytest.mark.parametrize("field, edit", [
+        ("state_set.f", lambda t: t["state_set"]["f"].__setitem__(0, float("nan"))),
+        ("horizon", lambda t: t.__setitem__("horizon", True)),
+    ], ids=["f-nan", "horizon-bool"])
+    def test_mpc_non_finite_and_boolean_numbers_rejected(self, field, edit):
+        tree = json.loads(render_mpc(double_integrator_mpc()))
+        edit(tree)
+        with pytest.raises(ProblemFileError, match=field):
+            parse_problem(json.dumps(tree))
+
     def test_ambiguity_width_checked(self):
         tree = self.good_tree()
         tree["ambiguity"] = {"H": {"rows": 1, "cols": 5, "data": [0.0] * 5},

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soclqc.model import ConicProgramBuilder, NotPositiveDefinite
+from soclqc.model import ConicProgramBuilder, DimensionMismatch, NotPositiveDefinite, unit_rows
 from soclqc.slemma import (
     DegenerateInput,
     QuadForm,
@@ -92,9 +92,9 @@ def emit_interval_program(inner_c, outer_f, objective_on_lambda=False):
     base = simultaneous_diagonalize(np.eye(1), np.eye(1))
     sd = SimulDiag(base.S, -base.alpha, -base.delta)
     b = ConicProgramBuilder()
-    blk = emit_simplified_slemma(inner, D, [0.0], outer_f, sd, b)
+    blk = emit_simplified_slemma(inner, D, (np.zeros((1, 0)), [0.0]), ([], outer_f), sd, b)
     if objective_on_lambda:
-        b.set_objective(b.var(blk.lambda_index))
+        b.set_objective_row(unit_rows(blk.lambda_index, b.num_vars)[0])
     return b.build(), blk
 
 
@@ -121,9 +121,24 @@ class TestEmitSimplifiedSlemma:
             base = simultaneous_diagonalize(np.eye(2), np.eye(2))
             sd = SimulDiag(base.S, -base.alpha, -base.delta)
             b = ConicProgramBuilder()
-            emit_simplified_slemma(inner, D, [0.0, 0.0], rho**2, sd, b)
+            emit_simplified_slemma(inner, D, (np.zeros((2, 0)), [0.0, 0.0]), ([], rho**2), sd, b)
             sol = solve(b.build())
             assert (sol.status is Status.OPTIMAL) == feasible
+
+    def test_linear_term_rows_checked(self):
+        # e rows of the wrong count, and rows wider than the variables that
+        # exist at the call
+        inner = QuadForm.ball(1.0, 2)
+        base = simultaneous_diagonalize(np.eye(2), np.eye(2))
+        sd = SimulDiag(base.S, -base.alpha, -base.delta)
+        b = ConicProgramBuilder()
+        b.add_var()
+        for e_rows, f_rows in (((np.zeros((1, 1)), [0.0]), ([1.0], 0.0)),
+                               ((np.zeros((2, 2)), [0.0, 0.0]), ([1.0], 0.0)),
+                               ((np.zeros((2, 1)), [0.0, 0.0]), ([1.0, 0.0], 0.0))):
+            with pytest.raises(DimensionMismatch):
+                emit_simplified_slemma(inner, -np.eye(2), e_rows, f_rows, sd, b)
+        assert b.num_vars == 1
 
     def test_slater_guard(self):
         inner = QuadForm(np.array([[-1.0]]), np.zeros(1), -1.0)
@@ -131,7 +146,8 @@ class TestEmitSimplifiedSlemma:
         sd = SimulDiag(base.S, -base.alpha, -base.delta)
         b = ConicProgramBuilder()
         with pytest.raises(DegenerateInput):
-            emit_simplified_slemma(inner, np.array([[-1.0]]), [0.0], 1.0, sd, b)
+            emit_simplified_slemma(inner, np.array([[-1.0]]), (np.zeros((1, 0)), [0.0]),
+                                   ([], 1.0), sd, b)
 
     def test_soundness_by_sampling(self, rng):
         # solve for (e, f) that make the robust constraint hold, then check
@@ -147,11 +163,12 @@ class TestEmitSimplifiedSlemma:
             D = W[:n, :n] + lam0 * A
             e0 = W[:n, n] + lam0 * bvec
             sd = simultaneous_diagonalize(A, D)
+            # minimize f(x) = x[0] with e(x) = e0 fixed; both rows are one
+            # column wide and padded past the emitted variables
             builder = ConicProgramBuilder()
-            f_var = builder.var(builder.add_var())
-            e_exprs = [e0[i] + 0.0 * f_var for i in range(n)]
-            emit_simplified_slemma(inner, D, e_exprs, f_var, sd, builder)
-            builder.set_objective(f_var)
+            builder.add_var()
+            emit_simplified_slemma(inner, D, (np.zeros((n, 1)), e0), ([1.0], 0.0), sd, builder)
+            builder.set_objective_row([1.0])
             sol = solve(builder.build())
             assert sol.status is Status.OPTIMAL
             f_star = sol.x[0]

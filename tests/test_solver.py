@@ -3,7 +3,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from helpers import double_integrator_mpc
+from helpers import ExprBuilder, double_integrator_mpc
 from soclqc.lqc import build_robust_socp, scalar_benchmark_spec
 from soclqc.model import NONNEG, SOC, ConicProgramBuilder
 from soclqc.mpc import build_mpc_socp
@@ -62,7 +62,7 @@ def make_kkt_instance(rng):
 
 class TestBasics:
     def test_nonneg_boundary(self):
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         b.add_var()
         b.set_objective(b.var(0))
         b.add_nonneg(b.var(0))
@@ -77,7 +77,7 @@ class TestBasics:
             c = rng.standard_normal(n)
             while np.linalg.norm(c) < 1e-3:
                 c = rng.standard_normal(n)
-            b = ConicProgramBuilder()
+            b = ExprBuilder()
             idx = b.add_vars(n)
             obj = sum((c[i] * b.var(i) for i in idx), start=0.0 * b.var(0))
             b.set_objective(obj)
@@ -88,7 +88,7 @@ class TestBasics:
             assert np.allclose(sol.x, -c / np.linalg.norm(c), atol=1e-6)
 
     def test_equality_constrained(self):
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         b.add_vars(2)
         b.set_objective(b.var(0) + b.var(1))
         b.add_eq(b.var(0) - b.var(1) - 1.0)
@@ -137,7 +137,7 @@ class TestKktOracle:
     def test_grid_verified_two_dim(self, rng):
         # brute-force check on a 2-var instance with box + ball geometry
         c = np.array([1.0, -2.0])
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         b.add_vars(2)
         b.set_objective(c[0] * b.var(0) + c[1] * b.var(1))
         b.add_soc(1.5 + 0.0 * b.var(0), b.var_exprs([0, 1]))
@@ -196,7 +196,7 @@ class TestSolutionContract:
 
 class TestInfeasibility:
     def test_primal_infeasible(self):
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         b.add_var()
         b.set_objective(0.0 * b.var(0))
         b.add_nonneg(b.var(0) - 1.0)
@@ -205,7 +205,7 @@ class TestInfeasibility:
         assert sol.status is Status.PRIMAL_INFEASIBLE
 
     def test_dual_infeasible_unbounded(self):
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         b.add_var()
         b.set_objective(b.var(0))
         b.add_nonneg(-b.var(0))
@@ -214,7 +214,7 @@ class TestInfeasibility:
 
     def test_infeasible_ball_intersection(self):
         # two disjoint balls
-        b = ConicProgramBuilder()
+        b = ExprBuilder()
         idx = b.add_vars(2)
         b.set_objective(b.var(0))
         b.add_soc(1.0 + 0.0 * b.var(0), [b.var(0) - 3.0, b.var(1)])
