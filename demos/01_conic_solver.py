@@ -8,8 +8,6 @@ are lowered onto the linear-objective conic form.
 import numpy as np
 
 from soclqc import (
-    NONNEG,
-    SOC,
     ConicProgramBuilder,
     hyperbolic_rows,
     quadratic_epigraph,
@@ -26,7 +24,7 @@ def closest_point_in_ball():
     idx = b.add_vars(2)
     b.set_objective_row(c)
     # one block (head, tail) = (1, x): ||x|| <= 1
-    b.add_block_rows(SOC, np.vstack([np.zeros(2), unit_rows(idx, 2)])[None], [[1.0, 0.0, 0.0]])
+    b.add_block_rows(np.vstack([np.zeros(2), unit_rows(idx, 2)])[None], [[1.0, 0.0, 0.0]])
     sol = solve(b.build())
     print(f"status     {sol.status.value}")
     print(f"objective  {sol.objective:+.9f}   (expected {-np.linalg.norm(c):+.9f})")
@@ -43,7 +41,7 @@ def smallest_enclosing_product():
     b.set_objective_row([0.0, 1.0, 1.0])
     b.add_eq_rows([[1.0, 0.0, 0.0]], [2.0])
     x, y, z = unit_rows([0, 1, 2], 3)[:, None]
-    b.add_block_rows(SOC, *hyperbolic_rows(x, [0.0], y, [0.0], z, [0.0]))
+    b.add_block_rows(*hyperbolic_rows(x, [0.0], y, [0.0], z, [0.0]))
     sol = solve(b.build())
     print(f"status     {sol.status.value}")
     print(f"(x, y, z)  {sol.x}")
@@ -63,8 +61,8 @@ def regularized_least_squares():
     t1, t2 = b.add_var(), b.add_var()
     # the affine head A x - d takes hyperbolic_rows: ||Ax - d||^2 <= t1 * 1
     n = b.num_vars
-    b.add_block_rows(SOC, *hyperbolic_rows((A @ unit_rows(idx, n))[None], -d[None],
-                                           unit_rows(t1, n), [0.0], np.zeros((1, n)), [1.0]))
+    b.add_block_rows(*hyperbolic_rows((A @ unit_rows(idx, n))[None], -d[None],
+                                      unit_rows(t1, n), [0.0], np.zeros((1, n)), [1.0]))
     quadratic_epigraph(b, np.sqrt(rho) * np.eye(3), idx, t2)
     b.set_objective_row(unit_rows([t1, t2], n).sum(axis=0))
     sol = solve(b.build())
@@ -81,13 +79,13 @@ def infeasibility_detection():
     b = ConicProgramBuilder()
     b.add_var()
     b.set_objective_row([0.0])
-    b.add_block_rows(NONNEG, [[[1.0]], [[-1.0]]], [[-1.0], [0.0]])   # x - 1 >= 0, -x >= 0
+    b.add_block_rows([[[1.0]], [[-1.0]]], [[-1.0], [0.0]])   # x - 1 >= 0, -x >= 0
     print(f"contradictory bounds: {solve(b.build()).status.value}")
 
     b = ConicProgramBuilder()
     b.add_var()
     b.set_objective_row([1.0])
-    b.add_block_rows(NONNEG, [[[-1.0]]], [[0.0]])   # minimize x with x <= 0: unbounded below
+    b.add_block_rows([[[-1.0]]], [[0.0]])   # minimize x with x <= 0: unbounded below
     print(f"unbounded objective:  {solve(b.build()).status.value}")
 
 

@@ -20,8 +20,6 @@ Core pieces:
 """
 
 from .model import (
-    NONNEG,
-    SOC,
     ConeBlock,
     ConicProgram,
     ConicProgramBuilder,

@@ -25,11 +25,10 @@ import numpy as np
 import scipy.linalg
 
 from .model import (
-    NONNEG,
-    SOC,
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
+    check_finite,
     cholesky_factor,
     hyperbolic_rows,
     quadratic_epigraph,
@@ -128,6 +127,8 @@ class LqcSpec:
             raise DimensionMismatch("input cost blocks inconsistent")
         if self.u_poly_G.shape[1] != N * n_u or self.u_poly_G.shape[0] != len(self.u_poly_h):
             raise DimensionMismatch("input polyhedron over the stacked input is inconsistent")
+        check_finite(A=self.A, B=self.B, C=self.C, Q=self.Q, q=self.q, R=self.R, r=self.r,
+                     u_poly_G=self.u_poly_G, u_poly_h=self.u_poly_h, gamma=self.gamma)
         if not self.gamma > 0:
             raise ValueError("disturbance radius gamma must be positive")
         _check_stage_costs(self.Q, self.R)
@@ -171,6 +172,7 @@ class AmbiguitySpec:
             H = H.reshape(0, H.shape[1] if H.ndim == 2 and H.shape[1] else 0)
         if H.shape[0] != mu.shape[0]:
             raise DimensionMismatch("moment matrix rows and bound length differ")
+        check_finite(H=H, mu=mu)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "mu", mu)
 
@@ -355,6 +357,7 @@ def build_compact_cost(spec: LqcSpec, x0) -> CompactCost:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (spec.n_x,):
         raise DimensionMismatch("x0 has wrong length")
+    check_finite(x0=x0)
     base = _compact_base(spec)
     return CompactCost(
         w_quad=base["w_quad"],
@@ -503,7 +506,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     rows[: 1 + m] = unit_rows([lam_idx, *beta_idx], n)
     rows[1 + m :, u_idx] = -spec.u_poly_G
     consts = np.concatenate([np.zeros(1 + m), spec.u_poly_h])
-    b.add_block_rows(NONNEG, rows[:, None], consts[:, None],
+    b.add_block_rows(rows[:, None], consts[:, None],
                      ["lam"] + ["beta"] * m + ["input_set"] * n_poly)
 
     # per-coordinate heads [S^T (linear-in-u disturbance coupling)]_i:
@@ -520,7 +523,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     slacks[:, lam_idx] = sd.alpha
     A, rhs = hyperbolic_rows(heads, g * head_const, unit_rows(t_idx, n), np.zeros(n_w_all),
                              slacks, -(g**2 * sd.delta))
-    b.add_block_rows(SOC, A, rhs, [f"coneq{i}" for i in range(n_w_all)])
+    b.add_block_rows(A, rhs, [f"coneq{i}" for i in range(n_w_all)])
 
     return LqcSocp(
         program=b.build(),

@@ -6,10 +6,10 @@ into R^{d},
 
     (head, tail) = (c^T x + d0, A x + b),
 
-required to satisfy either ``head >= 0`` (nonnegative block, no tail) or
-``head >= ||tail||_2`` (second-order block).  Quadratic objectives and
-hyperbolic constraints are lowered onto this form with the classical
-transforms of Lobo et al. (1998).
+required to satisfy ``head >= ||tail||_2``: d alone names the cone, d = 1
+(no tail) being the nonnegative ray.  Quadratic objectives and hyperbolic
+constraints are lowered onto this form with the classical transforms of
+Lobo et al. (1998).
 
 :class:`ConicProgram` holds all blocks as one slack map ``h - G x`` in the
 layout the solver works on.  :class:`ConicProgramBuilder` takes coefficient
@@ -29,16 +29,19 @@ from typing import Sequence
 
 import numpy as np
 
-NONNEG = "nonneg"
-SOC = "soc"
-
-
 class DimensionMismatch(ValueError):
     """Shapes of supplied matrices/vectors are inconsistent."""
 
 
 class NotPositiveDefinite(ValueError):
     """A matrix required to be positive definite is not."""
+
+
+def check_finite(**arrays) -> None:
+    """Raise ``ValueError`` naming the first argument with a non-finite entry."""
+    for name, value in arrays.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
 
 
 def unit_rows(indices, num_vars: int) -> np.ndarray:
@@ -63,7 +66,6 @@ def _stack_rows(mats, num_vars: int) -> np.ndarray:
 class ConeBlock:
     """View of one cone block ``(A @ x + b) in cone``; row 0 is the head."""
 
-    kind: str
     A: np.ndarray
     b: np.ndarray
     tag: str = ""
@@ -78,8 +80,6 @@ class ConeBlock:
     def violation(self, x: np.ndarray) -> float:
         """Amount by which x falls outside the cone (0 when feasible)."""
         s = self.evaluate(x)
-        if self.kind == NONNEG:
-            return max(0.0, -float(s[0]))
         return max(0.0, float(np.linalg.norm(s[1:]) - s[0]))
 
 
@@ -113,8 +113,8 @@ class ConicProgram:
             raise DimensionMismatch("equality constraint shapes inconsistent")
         if self.h.ndim != 1 or self.G.shape != (len(self.h), self.num_vars):
             raise DimensionMismatch("cone rows G, h shapes inconsistent")
-        if any(d < 2 for _, d in self.soc):
-            raise DimensionMismatch("second-order block needs a norm part")
+        if any(k < 1 or d < 2 for k, d in self.soc):
+            raise DimensionMismatch("second-order groups need k >= 1 blocks of dimension d >= 2")
         if self.nn < 0 or self.nn + sum(k * d for k, d in self.soc) != len(self.h):
             raise DimensionMismatch("cone layout does not match the cone rows")
         if len(self.tags) != self.nn + sum(k for k, _ in self.soc):
@@ -127,7 +127,7 @@ class ConicProgram:
         """One view per block, in layout order."""
         dims = [1] * self.nn + [d for k, d in self.soc for _ in range(k)]
         A, h = -self.G, self.h
-        return tuple(ConeBlock(NONNEG if d == 1 else SOC, A[end - d : end], h[end - d : end], tag)
+        return tuple(ConeBlock(A[end - d : end], h[end - d : end], tag)
                      for d, end, tag in zip(dims, np.cumsum(dims).tolist(), self.tags))
 
     def max_violation(self, x: np.ndarray) -> float:
@@ -140,19 +140,19 @@ class ConicProgramBuilder:
     """Incrementally assembles a :class:`ConicProgram`.
 
     Rows are stored as stacks, equality rows ``(A (p, w), b)`` and cone
-    blocks ``(kind, A (k, d, w), b (k, d), tags)``, where w is the variable
-    count when they were added.  :meth:`build` pads every stack with zero
-    columns to the final variable count, so variables may be added after the
-    rows that precede them, and sorts the cone stacks into the program's
-    layout.  Single rows are stacks of one, e.g. ``x[i] >= 0`` is
-    ``add_block_rows(NONNEG, unit_rows([i], num_vars)[:, None], [[0.0]])``.
+    blocks ``(A (k, d, w), b (k, d), tags)``, where w is the variable count
+    when they were added.  :meth:`build` pads every stack with zero columns
+    to the final variable count, so variables may be added after the rows
+    that precede them, and sorts the cone stacks into the program's layout.
+    Single rows are stacks of one, e.g. ``x[i] >= 0`` is
+    ``add_block_rows(unit_rows([i], num_vars)[:, None], [[0.0]])``.
     """
 
     def __init__(self):
         self._num_vars = 0
         self._obj = (np.zeros(0), 0.0)
         self._eqs: list[tuple[np.ndarray, np.ndarray]] = []
-        self._blocks: list[tuple[str, np.ndarray, np.ndarray, list[str]]] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray, list[str]]] = []
 
     @property
     def num_vars(self) -> int:
@@ -184,50 +184,43 @@ class ConicProgramBuilder:
                                     f"and b (p,); got {A.shape} and {b.shape}")
         self._eqs.append((A, b))
 
-    def add_block_rows(self, kind: str, A, b, tag: str | Sequence[str] = "") -> None:
-        """Append k cone blocks ``A[i] @ x + b[i]`` of one kind and dimension d.
+    def add_block_rows(self, A, b, tag: str | Sequence[str] = "") -> None:
+        """Append k cone blocks ``A[i] @ x + b[i]`` of dimension d.
 
         ``A`` is (k, d, w) over the first w <= num_vars variables and ``b`` is
-        (k, d); ``tag`` is one string for all k blocks or k strings.
+        (k, d); ``tag`` is one string for all k blocks or k strings.  d = 1
+        gives nonnegative rows and d >= 2 second-order blocks.
         """
-        if kind not in (NONNEG, SOC):
-            raise ValueError(f"unknown cone kind {kind!r}")
         A = np.array(A, dtype=float)
         b = np.array(b, dtype=float)
-        if A.ndim != 3 or b.shape != A.shape[:2] or A.shape[2] > self._num_vars:
+        if A.ndim != 3 or b.shape != A.shape[:2] or A.shape[1] < 1 or A.shape[2] > self._num_vars:
             raise DimensionMismatch(
-                f"row blocks need A (k, d, w <= {self._num_vars}) and b (k, d); "
+                f"row blocks need A (k, d >= 1, w <= {self._num_vars}) and b (k, d); "
                 f"got {A.shape} and {b.shape}"
             )
-        k, d, _ = A.shape
-        if kind == NONNEG and d != 1:
-            raise DimensionMismatch("nonnegative block must be scalar")
-        if kind == SOC and d < 2:
-            raise DimensionMismatch("second-order block needs a nonempty norm part")
+        k = len(A)
         tags = [tag] * k if isinstance(tag, str) else [str(t) for t in tag]
         if len(tags) != k:
             raise DimensionMismatch(f"{len(tags)} tags for {k} blocks")
-        self._blocks.append((kind, A, b, tags))
+        self._blocks.append((A, b, tags))
 
     def build(self) -> ConicProgram:
         n = self._num_vars
         c, offset = self._obj
-
-        def group(stack):  # 0 for nonnegative stacks, else the block dimension
-            return stack[1].shape[1] if stack[0] == SOC else 0
-
-        stacks = sorted(self._blocks, key=group)  # stable: added order within a group
+        # sorted by d, stably: stacks of one dimension keep their added order
+        stacks = sorted(self._blocks, key=lambda stack: stack[0].shape[1])
         counts: dict[int, int] = {}
-        for stack in stacks:
-            counts[group(stack)] = counts.get(group(stack), 0) + len(stack[3])
-        nn = counts.pop(0, 0)
+        for A, _, tags in stacks:
+            counts[A.shape[1]] = counts.get(A.shape[1], 0) + len(tags)
+        nn = counts.pop(1, 0)
+        rows = [A.reshape(len(A) * A.shape[1], A.shape[2]) for A, _, _ in stacks]  # w may be 0
         return ConicProgram(
             n, _stack_rows([c[None]], n)[0], offset,
             _stack_rows([A for A, _ in self._eqs], n),
             np.concatenate([np.zeros(0), *(b for _, b in self._eqs)]),
-            -_stack_rows([A.reshape(-1, A.shape[2]) for _, A, _, _ in stacks], n),
-            np.concatenate([np.zeros(0), *(b.ravel() for _, _, b, _ in stacks)]),
-            nn, tuple((k, d) for d, k in counts.items()),
+            -_stack_rows(rows, n),
+            np.concatenate([np.zeros(0), *(b.ravel() for _, b, _ in stacks)]),
+            nn, tuple((k, d) for d, k in counts.items() if k),
             tuple(t for *_, tags in stacks for t in tags),
         )
 
@@ -273,7 +266,7 @@ def quadratic_epigraph(builder: ConicProgramBuilder, F, x_idx, t_idx: int, tag: 
     n = builder.num_vars
     A, b = hyperbolic_rows((F @ unit_rows(x_idx, n))[None], np.zeros((1, len(F))),
                            unit_rows(t_idx, n), np.zeros(1), np.zeros((1, n)), np.ones(1))
-    builder.add_block_rows(SOC, A, b, tag)
+    builder.add_block_rows(A, b, tag)
 
 
 def cholesky_factor(M: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -23,12 +23,11 @@ import numpy as np
 import scipy.linalg
 
 from .model import (
-    NONNEG,
-    SOC,
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
     NotPositiveDefinite,
+    check_finite,
     hyperbolic_rows,
     psd_sqrt_factor,
     quadratic_epigraph,
@@ -73,6 +72,8 @@ class MpcSpec:
         self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
         self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
         self.K = np.atleast_2d(np.asarray(self.K, dtype=float))
+        check_finite(A=self.A, B=self.B, E=self.E, f=self.f, G=self.G, h=self.h, K=self.K,
+                     P=self.P, Q=self.Q, R=self.R, Q_f=self.Q_f)
         self.P = symmetrize(self.P)
         self.Q = symmetrize(self.Q)
         self.R = symmetrize(self.R)
@@ -88,6 +89,8 @@ class MpcSpec:
             raise DimensionMismatch("terminal gain shape inconsistent")
         if self.P.shape != (n_x, n_x):
             raise DimensionMismatch("terminal shape matrix size inconsistent")
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
+            raise ValueError(f"horizon N must be an integer, got {self.N!r}")
         if self.N < 1:
             raise ValueError("horizon must be at least 1")
         if np.linalg.eigvalsh(self.P)[0] <= 0:
@@ -188,7 +191,7 @@ def emit_invariance_constraints(
     lam_idx = builder.add_var()
     t_idx = builder.add_vars(n)
     w = builder.num_vars
-    builder.add_block_rows(NONNEG, unit_rows([lam_idx], w)[:, None], np.zeros((1, 1)), "inv:lam")
+    builder.add_block_rows(unit_rows([lam_idx], w)[:, None], np.zeros((1, 1)), "inv:lam")
     C = unit_rows(c_idx, w)
     r_row = unit_rows(r_idx, w)
 
@@ -197,14 +200,14 @@ def emit_invariance_constraints(
     spent[0, [lam_idx, *t_idx]] -= 1.0
     A, b = hyperbolic_rows((td.m_sqrt @ C)[None], np.zeros((1, n)), r_row, np.zeros(1), spent,
                            np.zeros(1))
-    builder.add_block_rows(SOC, A, b, "inv:budget")
+    builder.add_block_rows(A, b, "inv:budget")
 
     # (coupling c)_i^2 <= t_i * (lam * pi_i - r * alpha_i)
     slacks = -td.alpha[:, None] * r_row
     slacks[:, lam_idx] += td.pi
     A, b = hyperbolic_rows(td.coupling @ C, np.zeros(n), unit_rows(t_idx, w), np.zeros(n),
                            slacks, np.zeros(n))
-    builder.add_block_rows(SOC, A, b, [f"inv:q{i}" for i in range(n)])
+    builder.add_block_rows(A, b, [f"inv:q{i}" for i in range(n)])
     return InvarianceBlock(lam_idx, t_idx)
 
 
@@ -214,7 +217,7 @@ def _support_rows(rows, limits, spec: MpcSpec, c_idx, r_idx: int, builder, tag) 
     w = builder.num_vars
     A = -(rows @ unit_rows(c_idx, w)) - gains[:, None] * unit_rows(r_idx, w)
     tags = [f"{tag}{j}" for j in range(rows.shape[0])]
-    builder.add_block_rows(NONNEG, A[:, None], limits[:, None], tags)
+    builder.add_block_rows(A[:, None], limits[:, None], tags)
 
 
 def emit_state_containment(spec: MpcSpec, c_idx, r_idx: int, builder: ConicProgramBuilder) -> None:
@@ -262,6 +265,7 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     x_init = np.atleast_1d(np.asarray(x_init, dtype=float))
     if x_init.shape != (spec.n_x,):
         raise DimensionMismatch("x_init has wrong length")
+    check_finite(x_init=x_init)
     if np.any(spec.E @ x_init > spec.f):
         raise ValueError("x_init violates the state set")
     N, n_x, n_u = spec.N, spec.n_x, spec.n_u
@@ -286,7 +290,7 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
                              (u_idx, spec.G, spec.h, "input_set")):
         rows = np.zeros((len(idx) * len(M), w))
         rows[:, idx.ravel()] = np.kron(np.eye(len(idx)), -M)
-        b.add_block_rows(NONNEG, rows[:, None], np.tile(lim, len(idx))[:, None], tag)
+        b.add_block_rows(rows[:, None], np.tile(lim, len(idx))[:, None], tag)
 
     # terminal membership ||P^{1/2}(x_N - c)|| <= r
     p_half = spec.p_sqrt()
@@ -294,9 +298,9 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     member[0, 0, r_idx] = 1.0
     member[0][1:, x_idx[N - 1]] = p_half
     member[0][1:, c_idx] = -p_half
-    b.add_block_rows(SOC, member, np.zeros((1, 1 + n_x)), "terminal_membership")
+    b.add_block_rows(member, np.zeros((1, 1 + n_x)), "terminal_membership")
 
-    b.add_block_rows(NONNEG, unit_rows([r_idx], w)[:, None], np.zeros((1, 1)), "radius")
+    b.add_block_rows(unit_rows([r_idx], w)[:, None], np.zeros((1, 1)), "radius")
     inv = emit_invariance_constraints(td, c_idx, r_idx, b)
     emit_state_containment(spec, c_idx, r_idx, b)
     emit_input_containment(spec, c_idx, r_idx, b)

@@ -26,8 +26,6 @@ import numpy as np
 import scipy.linalg
 
 from .model import (
-    NONNEG,
-    SOC,
     ConicProgramBuilder,
     DimensionMismatch,
     NotPositiveDefinite,
@@ -185,9 +183,7 @@ def emit_simplified_slemma(
     rows[1, : len(f_row)] = f_row
     rows[1, lam_idx] = -inner.c
     rows[1, t_idx] = -1.0
-    builder.add_block_rows(
-        NONNEG, rows[:, None], np.array([[0.0], [f0]]), [f"{tag}:lam", f"{tag}:budget"]
-    )
+    builder.add_block_rows(rows[:, None], np.array([[0.0], [f0]]), [f"{tag}:lam", f"{tag}:budget"])
 
     # head_i = [S^T e(x)]_i - lam*[S^T b]_i, slack_i = delta_i - lam*alpha_i
     heads = np.zeros((n, w))
@@ -197,7 +193,7 @@ def emit_simplified_slemma(
     slacks = np.zeros((n, w))
     slacks[:, lam_idx] = -sd.alpha
     A, b = hyperbolic_rows(heads, sd.S.T @ e0, unit_rows(t_idx, w), np.zeros(n), slacks, sd.delta)
-    builder.add_block_rows(SOC, A, b, [f"{tag}:q{i}" for i in range(n)])
+    builder.add_block_rows(A, b, [f"{tag}:q{i}" for i in range(n)])
     return SLemmaBlock(lam_idx, t_idx)
 
 
@@ -237,7 +233,6 @@ def check_psd(M: np.ndarray, tol: float = 1e-7) -> bool:
 
 def block_feasible_grid(
     inner: QuadForm,
-    D: np.ndarray,
     e: np.ndarray,
     f: float,
     sd: SimulDiag,
@@ -250,7 +245,8 @@ def block_feasible_grid(
     Uses the closed form: slack_i = delta_i - lam*alpha_i must be >= 0, the
     minimal t_i is head_i^2 / slack_i (head must vanish where the slack
     does), and the budget row requires f - lam*c >= sum of minimal t.
-    Vectorized; independent of the conic solver.
+    Vectorized; independent of the conic solver.  The outer matrix D enters
+    only through ``sd``, which diagonalizes the pair (inner.A, D).
     """
     full = np.asarray(lam_grid, dtype=float)
     eps = sd.S.T @ np.asarray(e, dtype=float)

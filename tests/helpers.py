@@ -3,8 +3,6 @@ import scipy.linalg
 
 from soclqc.lqc import LqcSpec, box_polyhedron, build_compact_cost
 from soclqc.model import (
-    NONNEG,
-    SOC,
     ConicProgramBuilder,
     DimensionMismatch,
     cholesky_factor,
@@ -126,12 +124,12 @@ class ExprBuilder(ConicProgramBuilder):
     def add_nonneg(self, expr, tag: str = "") -> None:
         """Constrain ``expr >= 0``."""
         A, b = expr_rows([expr], self.num_vars)
-        self.add_block_rows(NONNEG, A[None], b[None], tag)
+        self.add_block_rows(A[None], b[None], tag)
 
     def add_soc(self, head, tail, tag: str = "") -> None:
-        """Constrain ``||tail||_2 <= head``."""
+        """Constrain ``||tail||_2 <= head``; an empty tail is ``head >= 0``."""
         A, b = expr_rows([head, *tail], self.num_vars)
-        self.add_block_rows(SOC, A[None], b[None], tag)
+        self.add_block_rows(A[None], b[None], tag)
 
     def add_hyperbolic(self, x, y, z, tag: str = "") -> None:
         """Constrain ``||x||^2 <= y * z`` for one expression x or a list."""
@@ -139,7 +137,7 @@ class ExprBuilder(ConicProgramBuilder):
         X, xc = expr_rows(xs, self.num_vars)
         YZ, yz = expr_rows([y, z], self.num_vars)
         A, b = hyperbolic_rows(X[None], xc[None], YZ[:1], yz[:1], YZ[1:], yz[1:])
-        self.add_block_rows(SOC, A, b, tag)
+        self.add_block_rows(A, b, tag)
 
     def add_quadratic_cost(self, M, xs, tag: str = "obj_quad") -> LinExpr:
         """A new variable t with ``x' M x <= t``, M positive definite."""

@@ -107,7 +107,7 @@ def test_criterion_2_slemma_equivalence():
         # block_feasible_grid decides each multiplier on its own
         lam_hit = None
         for lo in range(0, len(lam_grid), 20_000):
-            blk = block_feasible_grid(inner, D, e, f, sd, lam_grid[lo : lo + 20_000])
+            blk = block_feasible_grid(inner, e, f, sd, lam_grid[lo : lo + 20_000])
             if blk.any():
                 lam_hit = lam_grid[lo + np.argmax(blk)]
                 break

@@ -47,6 +47,9 @@ def solve_ok(program):
     return sol
 
 
+LQC_FIELDS = ("A", "B", "C", "Q", "q", "R", "r", "gamma", "u_poly_G", "u_poly_h")
+
+
 class TestSpecValidation:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -92,6 +95,25 @@ class TestSpecValidation:
         with pytest.raises(DimensionMismatch):
             LqcSpec(one, one, one, one, np.zeros((1, 1)), one, np.zeros((1, 1)),
                     0.1, np.zeros((1, 3)), np.zeros(1))
+
+    @pytest.mark.parametrize("field", [*LQC_FIELDS, "x0"])
+    def test_non_finite_entries_rejected(self, field):
+        # the field's last entry made nan, inf and -inf in turn
+        base = scalar_benchmark_spec(3)
+        for bad in (np.nan, np.inf, -np.inf):
+            args = {name: np.array(getattr(base, name), dtype=float) for name in LQC_FIELDS}
+            x0 = np.array([0.5])
+            (x0 if field == "x0" else args[field]).flat[-1] = bad
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                build_robust_socp(LqcSpec(**args), x0)
+
+    @pytest.mark.parametrize("field", ["H", "mu"])
+    def test_non_finite_moments_rejected(self, field):
+        for bad in (np.nan, np.inf, -np.inf):
+            args = {"H": np.ones((2, 3)), "mu": np.ones(2)}
+            args[field].flat[-1] = bad
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                AmbiguitySpec(**args)
 
 
 class TestPredictionMatrices:

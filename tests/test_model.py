@@ -3,8 +3,6 @@ import pytest
 
 from helpers import ExprBuilder, LinExpr
 from soclqc.model import (
-    NONNEG,
-    SOC,
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
@@ -37,7 +35,7 @@ def hyperbolic_program(m):
     A, rhs = hyperbolic_rows(unit_rows(range(m), m + 2)[None], np.zeros((1, m)),
                              unit_rows([m], m + 2), np.zeros(1),
                              unit_rows([m + 1], m + 2), np.zeros(1))
-    b.add_block_rows(SOC, A, rhs)
+    b.add_block_rows(A, rhs)
     return b.build()
 
 
@@ -188,12 +186,6 @@ class TestProgramStructure:
         assert pinned.G is prog.G and pinned.h is prog.h
         assert (pinned.nn, pinned.soc, pinned.tags) == (prog.nn, prog.soc, prog.tags)
 
-    def test_blocks_reject_bad_shapes(self):
-        b = ExprBuilder()
-        b.add_var()
-        with pytest.raises(DimensionMismatch):
-            b.add_soc(b.var(0), [])
-
 
 class TestRowBlocks:
     def test_blocks_added_before_later_variables_are_padded(self):
@@ -202,7 +194,7 @@ class TestRowBlocks:
         b.set_objective(b.var(1) + 0.5)
         A = np.array([[[1.0, 0.0], [0.0, 2.0]], [[0.5, 0.5], [1.0, 0.0]]])
         rhs = np.array([[3.0, 0.0], [1.0, 1.0]])
-        b.add_block_rows(SOC, A, rhs, ["a", "b"])
+        b.add_block_rows(A, rhs, ["a", "b"])
         b.add_vars(3)
         b.add_nonneg(b.var(4) + 1.0, tag="late")
         prog = b.build()
@@ -220,14 +212,13 @@ class TestRowBlocks:
         # nonnegative stacks first, then second-order stacks by increasing
         # dimension, each in insertion order; G and h are the negated and
         # padded stack rows
-        layout = [(NONNEG, 1), (SOC, 3), (SOC, 2), (NONNEG, 1), (SOC, 5),
-                  (SOC, 3), (SOC, 2), (SOC, 3)]
+        layout = [1, 3, 2, 1, 5, 3, 2, 3]  # block dimensions
         b = ConicProgramBuilder()
         stacks = []
-        for i, (kind, d) in enumerate(layout):
+        for i, d in enumerate(layout):
             b.add_vars(1)
             A, rhs = rng.standard_normal((1, d, b.num_vars)), rng.standard_normal((1, d))
-            b.add_block_rows(kind, A, rhs, f"b{i}")
+            b.add_block_rows(A, rhs, f"b{i}")
             stacks.append((A, rhs))
         prog = b.build()
         order = [0, 3, 2, 6, 1, 5, 7, 4]
@@ -256,8 +247,10 @@ class TestRowBlocks:
             ((5, 2), 5, 1, ((2, 2),), ("a", "b")),       # one tag for three blocks
             ((3, 2), 3, 1, ((2, 1),), ("a", "b", "c")),  # second-order block without a tail
             ((3, 2), 3, -1, ((1, 4),), ()),              # negative nonnegative count
+            ((3, 2), 3, 3, ((0, 2),), ("a", "b", "c")),  # second-order group of no blocks
         ],
-        ids=["G-columns", "G-h-rows", "rows-uncovered", "tags", "soc-without-tail", "negative-nn"],
+        ids=["G-columns", "G-h-rows", "rows-uncovered", "tags", "soc-without-tail", "negative-nn",
+             "empty-soc-group"],
     )
     def test_program_rejects_inconsistent_layout(self, G_shape, rows, nn, soc, tags):
         with pytest.raises(DimensionMismatch):
@@ -267,26 +260,72 @@ class TestRowBlocks:
     def test_one_tag_for_all_blocks(self):
         b = ConicProgramBuilder()
         b.add_vars(1)
-        b.add_block_rows(NONNEG, np.ones((3, 1, 1)), np.zeros((3, 1)), "row")
+        b.add_block_rows(np.ones((3, 1, 1)), np.zeros((3, 1)), "row")
         assert [blk.tag for blk in b.build().blocks] == ["row"] * 3
 
     @pytest.mark.parametrize(
-        "kind, A_shape, b_shape, tags",
+        "A_shape, b_shape, tags",
         [
-            (SOC, (2, 3), (2,), ""),            # A not a stack of blocks
-            (SOC, (2, 3, 2), (2, 2), ""),       # b rows differ from A rows
-            (SOC, (2, 3, 2), (3, 3), ""),       # b blocks differ from A blocks
-            (SOC, (1, 3, 3), (1, 3), ""),       # more columns than variables
-            (NONNEG, (2, 2, 2), (2, 2), ""),    # nonnegative block of dimension 2
-            (SOC, (2, 1, 2), (2, 1), ""),       # second-order block without a tail
-            (SOC, (2, 3, 2), (2, 3), ["a"]),    # one tag for two blocks
+            ((2, 3), (2,), ""),            # A not a stack of blocks
+            ((2, 3, 2), (2, 2), ""),       # b rows differ from A rows
+            ((2, 3, 2), (3, 3), ""),       # b blocks differ from A blocks
+            ((1, 3, 3), (1, 3), ""),       # more columns than variables
+            ((2, 3, 2), (2, 3), ["a"]),    # one tag for two blocks
+            ((2, 0, 2), (2, 0), ""),       # blocks of dimension 0
         ],
+        ids=["soc-A_shape0-b_shape0-", "soc-A_shape1-b_shape1-", "soc-A_shape2-b_shape2-",
+             "soc-A_shape3-b_shape3-", "soc-A_shape6-b_shape6-tags6", "zero-dimension"],
     )
-    def test_rejects_mismatched_shapes(self, kind, A_shape, b_shape, tags):
+    def test_rejects_mismatched_shapes(self, A_shape, b_shape, tags):
         b = ConicProgramBuilder()
         b.add_vars(2)
         with pytest.raises(DimensionMismatch):
-            b.add_block_rows(kind, np.ones(A_shape), np.ones(b_shape), tags)
+            b.add_block_rows(np.ones(A_shape), np.ones(b_shape), tags)
+
+    def test_dimension_one_stacks_are_nonnegative_rows(self, rng):
+        # a d = 1 stack added between second-order stacks lands in the nn
+        # rows with its tags in insertion order, as does the expression
+        # reference's second-order block with an empty tail; a d = 1 block
+        # is violated by max(0, -s0)
+        b = ExprBuilder()
+        b.add_vars(2)
+        b.add_block_rows(rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3)), "before")
+        A, rhs = rng.standard_normal((3, 1, 2)), rng.standard_normal((3, 1))
+        b.add_block_rows(A, rhs, ["r0", "r1", "r2"])
+        b.add_soc(b.var(1) - 0.5, [], tag="r3")
+        b.add_block_rows(rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2)), "after")
+        prog = b.build()
+        assert (prog.nn, prog.soc) == (4, ((2, 2), (1, 3)))
+        assert prog.tags == ("r0", "r1", "r2", "r3", "after", "after", "before")
+        assert np.array_equal(prog.G[:4], -np.vstack([A[:, 0], [[0.0, 1.0]]]))
+        assert np.array_equal(prog.h[:4], [*rhs[:, 0], -0.5])
+        for _ in range(20):
+            x = 3.0 * rng.standard_normal(2)
+            for blk in prog.blocks[:4]:
+                (s0,) = blk.evaluate(x)
+                assert blk.dim == 1 and blk.violation(x) == max(0.0, -s0)
+
+    @pytest.mark.parametrize("oddity", ["constant-row-before-variables", "empty-stack"])
+    def test_degenerate_stacks_leave_the_solution(self, oddity):
+        # min c'x over ||x|| <= 1, alone and with a constant row 1 >= 0 added
+        # while there are no variables (w = 0), or with a second-order stack
+        # of no blocks and a dimension no other stack has
+        def program(odd):
+            b = ConicProgramBuilder()
+            if odd and oddity == "constant-row-before-variables":
+                b.add_block_rows(np.zeros((1, 1, 0)), [[1.0]], "const")
+            x = b.add_vars(2)
+            b.set_objective_row([3.0, -4.0])
+            b.add_block_rows(np.vstack([np.zeros(2), unit_rows(x, 2)])[None], [[1.0, 0.0, 0.0]])
+            if odd and oddity == "empty-stack":
+                b.add_block_rows(np.zeros((0, 4, 2)), np.zeros((0, 4)))
+            return b.build()
+
+        plain, odd = program(False), program(True)
+        assert odd.soc == plain.soc == ((1, 3),)
+        ref, sol = solve(plain), solve(odd)
+        assert sol.status is ref.status is Status.OPTIMAL
+        assert np.allclose(sol.x, ref.x, rtol=0, atol=1e-8)
 
     def test_quadratic_epigraph_of_scattered_indices(self, rng):
         # ||F x[x_idx]||^2 <= x[t] with x_idx out of order and skipping

@@ -22,6 +22,9 @@ from soclqc.solver import Status, solve
 from soclqc.verify import verify_result
 
 
+MPC_FIELDS = ("A", "B", "E", "f", "G", "h", "K", "P", "Q", "R", "Q_f")
+
+
 def solve_ok(program):
     sol = solve(program)
     assert sol.status is Status.OPTIMAL, sol.status
@@ -65,6 +68,23 @@ class TestSpecValidation:
                     np.array([[1.0], [-1.0]]), np.ones(2),
                     np.array([[-0.1]]), np.eye(1), 2,
                     np.eye(1), np.eye(1), np.eye(1))
+
+    @pytest.mark.parametrize("field", [*MPC_FIELDS, "x_init"])
+    def test_non_finite_entries_rejected(self, field):
+        # the field's last entry made nan, inf and -inf in turn
+        base = double_integrator_mpc(3)
+        for bad in (np.nan, np.inf, -np.inf):
+            args = {name: np.array(getattr(base, name), dtype=float) for name in MPC_FIELDS}
+            x_init = np.array([0.5, 0.0])
+            (x_init if field == "x_init" else args[field]).flat[-1] = bad
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                build_mpc_socp(MpcSpec(N=3, **args), x_init)
+
+    @pytest.mark.parametrize("N", [2.5, True, "3"])
+    def test_horizon_must_be_an_integer(self, N):
+        base = double_integrator_mpc(3)
+        with pytest.raises(ValueError, match="^horizon N must be an integer"):
+            MpcSpec(N=N, **{name: getattr(base, name) for name in MPC_FIELDS})
 
 
 class TestTerminalDiag:

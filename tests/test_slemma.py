@@ -258,7 +258,7 @@ class TestGridEquivalence:
             feasible = trial % 2 == 0
             inner, D, e, f = self.build_instance(rng, n, feasible, lam_grid)
             sd = simultaneous_diagonalize(inner.A, D)
-            blk = block_feasible_grid(inner, D, e, f, sd, lam_grid)
+            blk = block_feasible_grid(inner, e, f, sd, lam_grid)
             if blk.any():
                 lam_hit = lam_grid[np.argmax(blk)]
                 assert lmi_psd_grid(inner, D, e, f, np.array([lam_hit]))[0]
@@ -267,7 +267,7 @@ class TestGridEquivalence:
             # thinned pointwise agreement
             sub = lam_grid[:: 977]
             assert np.array_equal(
-                block_feasible_grid(inner, D, e, f, sd, sub),
+                block_feasible_grid(inner, e, f, sd, sub),
                 lmi_psd_grid(inner, D, e, f, sub),
             )
 

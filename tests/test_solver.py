@@ -5,7 +5,7 @@ import pytest
 
 from helpers import ExprBuilder, double_integrator_mpc
 from soclqc.lqc import build_robust_socp, scalar_benchmark_spec
-from soclqc.model import NONNEG, SOC, ConicProgramBuilder
+from soclqc.model import ConicProgramBuilder
 from soclqc.mpc import build_mpc_socp
 from soclqc.solver import TOL_FEAS, TOL_GAP, SolverConfig, Status, solve
 
@@ -48,7 +48,7 @@ def make_kkt_instance(rng):
             else:
                 s = np.concatenate([[np.linalg.norm(v) + rng.uniform(0.5, 2.0)], v])
                 z = np.zeros(d)
-        b.add_block_rows(kind, M[None], (s - M @ x_star)[None])
+        b.add_block_rows(M[None], (s - M @ x_star)[None])
         duals.append((M, z))
     eq_A = rng.standard_normal((p, n))
     b.add_eq_rows(eq_A, eq_A @ x_star)
@@ -126,7 +126,7 @@ class TestKktOracle:
             else:
                 s = np.concatenate([[np.linalg.norm(v) + 1.0], v])
                 z = np.zeros(d)
-            b.add_block_rows(SOC, M[None], (s - M @ x_star)[None])
+            b.add_block_rows(M[None], (s - M @ x_star)[None])
             c = c + M.T @ z
         b.set_objective_row(c)
         sol = solve(b.build())
@@ -274,16 +274,15 @@ class TestConcurrency:
 class TestConeKernels:
     """Batched cone kernels against per-block references (tolerance 1e-12)."""
 
-    LAYOUT = [("nonneg", 1), ("soc", 3), ("soc", 2), ("nonneg", 1), ("soc", 5),
-              ("soc", 3), ("soc", 2), ("soc", 3)]
+    LAYOUT = [1, 3, 2, 1, 5, 3, 2, 3]  # block dimensions
 
     @pytest.fixture
     def program(self):
         """LAYOUT's blocks, in the order the builder lays them out."""
         b = ConicProgramBuilder()
         b.add_var()
-        for kind, d in self.LAYOUT:
-            b.add_block_rows(kind, np.zeros((1, d, 1)), np.zeros((1, d)))
+        for d in self.LAYOUT:
+            b.add_block_rows(np.zeros((1, d, 1)), np.zeros((1, d)))
         return b.build()
 
     @pytest.fixture
@@ -309,8 +308,7 @@ class TestConeKernels:
     def test_layout_round_trip(self, program, cones, rng):
         # the kernels' nonnegative entries and (k, d) group views are the
         # program's blocks, in order
-        assert [(blk.kind, blk.dim) for blk in program.blocks] == sorted(
-            self.LAYOUT, key=lambda kd: 0 if kd[0] == NONNEG else kd[1])
+        assert [blk.dim for blk in program.blocks] == sorted(self.LAYOUT)
         u = rng.standard_normal(cones.total)
         pieces = self.split(program, u)
         assert cones.total == len(program.h) and np.array_equal(np.concatenate(pieces), u)
@@ -337,7 +335,7 @@ class TestConeKernels:
             u = 2.0 * rng.standard_normal(cones.total)
             ref = []
             for blk, b in zip(program.blocks, self.split(program, u)):
-                if blk.kind == NONNEG:
+                if blk.dim == 1:
                     ref.append(np.maximum(b, 0.0))
                     continue
                 t = np.linalg.norm(b[1:])
