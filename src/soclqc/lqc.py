@@ -13,8 +13,10 @@ expectation over a moment ambiguity set) then reduces to a second-order cone
 program via the simplified S-lemma; the builders here produce those programs
 together with the data needed to check the classical matrix-inequality
 certificate after the fact.  Uq is factored once per spec, Uq = L L', and
-the epigraph ||L'u||^2 of u'Uq u, the regret kernel X' Uq^{-1} X = F'F with
-F = L^{-1} X and the certificate all read that factor.
+the programs, the regret kernel X' Uq^{-1} X = F'F with F = L^{-1} X and the
+certificate all read that factor: the programs are posed in whitened,
+centered inputs y = L'(u - u_c), so that the cone data do not carry
+cond(Uq).
 """
 
 from __future__ import annotations
@@ -371,15 +373,17 @@ def build_compact_cost(spec: LqcSpec, x0) -> CompactCost:
     )
 
 
-def _input_factor(spec: LqcSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of the stacked input cost, Uq = L L', and
-    F = L^{-1} X; cached per spec on first use, so that the compact cost
-    stays available for specs whose Uq fails the pivot test."""
+def _input_factor(spec: LqcSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cholesky factor L of the stacked input cost, Uq = L L', F = L^{-1} X
+    and the input-set rows in whitened inputs, G_u L^{-T}; cached per spec on
+    first use, so that the compact cost stays available for specs whose Uq
+    fails the pivot test."""
     if "input_factor" not in spec._cache:
         base = _compact_base(spec)
         L = cholesky_factor(base["u_quad"], "stacked input cost")
         F = scipy.linalg.solve_triangular(L, base["cross"], lower=True)
-        spec._cache["input_factor"] = (L, F)
+        G_y = scipy.linalg.solve_triangular(L, spec.u_poly_G.T, lower=True).T
+        spec._cache["input_factor"] = (L, F, G_y)
     return spec._cache["input_factor"]
 
 
@@ -405,11 +409,13 @@ def _ball_diag(spec: LqcSpec, kernel: str) -> SimulDiag:
 class LqcSocp:
     """A built program plus the bookkeeping to interpret its solution.
 
-    The program is posed in disturbance units normalized to the unit ball
-    (the multiplier variable carries a factor gamma^2), which keeps the cone
-    data well scaled for small ball radii; ``extract`` undoes the
-    substitution.  Large radii put gamma^2 into ``h``, and from gamma ~ 5e3
-    the solve ends ``PrimalInfeasible`` on a feasible program.
+    The program's input variables are whitened and centered,
+    ``y = L'(u - u_center)`` with ``Uq = L L'`` (``chol_L``), so its cone data
+    do not carry the conditioning of Uq.  The disturbance is normalized to
+    a ball of radius gamma / kappa with ``kappa = max(1, gamma)``: the
+    multiplier variable carries a factor (gamma / kappa)^2 and its objective
+    coefficient is kappa^2, which keeps the data O(1) for small and for large
+    radii alike.  ``extract`` undoes both substitutions.
     """
 
     program: ConicProgram
@@ -417,7 +423,10 @@ class LqcSocp:
     compact: CompactCost
     diag: SimulDiag
     gamma: float
-    u_index: np.ndarray
+    kappa: float
+    chol_L: np.ndarray
+    u_center: np.ndarray
+    y_index: np.ndarray
     lam_index: int
     t_index: np.ndarray
     beta_index: np.ndarray
@@ -425,9 +434,10 @@ class LqcSocp:
     lmi_dim: int
 
     def extract(self, sol: Solution) -> dict:
+        y = sol.x[self.y_index]
         return {
-            "u": sol.x[self.u_index],
-            "lam": float(sol.x[self.lam_index]) / self.gamma**2,
+            "u": scipy.linalg.solve_triangular(self.chol_L.T, y) + self.u_center,
+            "lam": float(sol.x[self.lam_index]) * (self.kappa / self.gamma) ** 2,
             "t": sol.x[self.t_index],
             "beta": sol.x[self.beta_index],
             "objective": sol.objective,
@@ -464,15 +474,34 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     kernel, amb = lqc_mode(mode, amb)
     cc = build_compact_cost(spec, x0)
     n_u_all, n_w_all = spec.stacked_input_dim, spec.stacked_dist_dim
-    L, F = _input_factor(spec)
+    L, F, G_y = _input_factor(spec)
 
-    # the regret kernel's head constant X' Uq^{-1} ul and offset ul' Uq^{-1} ul
-    # are F'v and v'v with v = L^{-1} ul
+    # whitened, centered inputs y = L'(u - u_c).  The unconstrained minimizer
+    # is u* = -Uq^{-1} ul = -L^{-T} v with v = L^{-1} ul, and the center
+    # u_c = theta u* takes the largest theta in [0, 1] that keeps u_c in the
+    # input set (theta = 0 when 0 is not in it).  Centering at u* whatever
+    # the input set (theta = 1) leaves an O(1) objective vector against an
+    # optimum that can reach 1e8, and the solver's relative infeasibility
+    # test then fires on feasible programs
+    v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
+    Gv = G_y @ v  # G_u u* = -Gv
+    h = spec.u_poly_h
+    theta = 0.0
+    if (h >= 0).all():
+        falling = Gv < 0
+        theta = float(np.min(h[falling] / -Gv[falling], initial=1.0))
+    u_center = theta * scipy.linalg.solve_triangular(L.T, -v)
+    # in y, u'Uq u + 2 ul'u = y'y + 2 (1 - theta) v'y + (theta^2 - 2 theta) v'v;
+    # the heads are S'(w_lin + X'u) = S'(F'y + w_lin - theta F'v) for the
+    # robust kernel and S'X'(u + Uq^{-1} ul) = S'(F'y + (1 - theta) F'v) for
+    # regret, whose offset is v'v + (theta^2 - 2 theta) v'v = (1 - theta)^2 v'v
+    Fv = F.T @ v
     if kernel == "robust":
-        head_const, offset = cc.w_lin, cc.constant
+        head_const = cc.w_lin - theta * Fv
+        offset = cc.constant + theta * (theta - 2.0) * float(v @ v)
     else:
-        v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
-        head_const, offset = F.T @ v, float(v @ v)
+        head_const = (1.0 - theta) * Fv
+        offset = (1.0 - theta) ** 2 * float(v @ v)
 
     sd = _ball_diag(spec, kernel)
     m = amb.num_moments if amb is not None else 0
@@ -480,45 +509,48 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
         raise DimensionMismatch("moment matrix columns must match stacked disturbance dim")
 
     b = ConicProgramBuilder()
-    u_idx = b.add_vars(n_u_all)
+    y_idx = b.add_vars(n_u_all)
     lam_idx = b.add_var()
     t_idx = b.add_vars(n_w_all)
     beta_idx = b.add_vars(m)
 
-    # disturbance normalized to the unit ball: lam here is gamma^2 * the
-    # multiplier of the original ball, heads pick up a factor gamma and the
-    # diagonal tau a factor gamma^2 -- an exact substitution that keeps the
-    # block data O(1) for small radii; for large ones gamma^2 delta lands in h
-    t_quad = b.add_var()  # u'Uq u = ||L'u||^2 <= t_quad
-    quadratic_epigraph(b, L.T, u_idx, t_quad, tag="obj_quad")
+    # disturbance normalized to the ball of radius g = gamma / kappa with
+    # kappa = max(1, gamma): lam here is g^2 * the multiplier of the original
+    # ball and costs kappa^2 * lam, heads pick up a factor g and the diagonal
+    # delta a factor g^2 -- an exact substitution that keeps the block data
+    # O(1) for small radii (kappa = 1) and for large ones (g = 1)
+    kappa = max(1.0, spec.gamma)
+    g = spec.gamma / kappa
+    t_quad = b.add_var()  # ||y||^2 <= t_quad
+    quadratic_epigraph(b, np.eye(n_u_all), y_idx, t_quad, tag="obj_quad")
     n = b.num_vars
     obj = np.zeros(n)
-    obj[[t_quad, lam_idx]] = 1.0
-    obj[u_idx] = 2.0 * cc.u_lin
+    obj[t_quad] = 1.0
+    obj[lam_idx] = kappa**2
+    obj[y_idx] = 2.0 * (1.0 - theta) * v
     obj[t_idx] = 1.0
     if amb is not None:
         obj[beta_idx] = amb.mu
     b.set_objective_row(obj, offset)
 
-    # lam >= 0, beta >= 0 and the input polyhedron h - G u >= 0, one row each
-    n_poly = spec.u_poly_G.shape[0]
+    # lam >= 0, beta >= 0 and the input polyhedron h - G u >= 0, one row each,
+    # in y: h + theta G_u L^{-T} v - G_u L^{-T} y >= 0
+    n_poly = G_y.shape[0]
     rows = np.zeros((1 + m + n_poly, n))
     rows[: 1 + m] = unit_rows([lam_idx, *beta_idx], n)
-    rows[1 + m :, u_idx] = -spec.u_poly_G
-    consts = np.concatenate([np.zeros(1 + m), spec.u_poly_h])
+    rows[1 + m :, y_idx] = -G_y
+    consts = np.concatenate([np.zeros(1 + m), h + theta * Gv])
     b.add_block_rows(rows[:, None], consts[:, None],
                      ["lam"] + ["beta"] * m + ["input_set"] * n_poly)
 
-    # per-coordinate heads [S^T (linear-in-u disturbance coupling)]_i:
-    # w_lin + cross^T u (- H^T beta / 2 with moment info) for the robust
-    # kernel, cross^T (u + Uq^-1 ul) for regret
-    g = spec.gamma
+    # per-coordinate heads [S^T (linear-in-y disturbance coupling)]_i, with
+    # - S'H' beta / 2 for moment information
     head_const = sd.S.T @ head_const
     heads = np.zeros((n_w_all, n))
-    heads[:, u_idx] = g * (sd.S.T @ cc.cross.T)
+    heads[:, y_idx] = g * (sd.S.T @ F.T)
     if amb is not None:
         heads[:, beta_idx] = g * (-(sd.S.T @ amb.H.T) / 2.0)
-    # head_i^2 <= t_i * slack_i with slack_i = alpha_i lam - gamma^2 delta_i
+    # head_i^2 <= t_i * slack_i with slack_i = alpha_i lam - g^2 delta_i
     slacks = np.zeros((n_w_all, n))
     slacks[:, lam_idx] = sd.alpha
     A, rhs = hyperbolic_rows(heads, g * head_const, unit_rows(t_idx, n), np.zeros(n_w_all),
@@ -530,8 +562,11 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
         mode=mode,
         compact=cc,
         diag=sd,
-        gamma=g,
-        u_index=u_idx,
+        gamma=spec.gamma,
+        kappa=kappa,
+        chol_L=L,
+        u_center=u_center,
+        y_index=y_idx,
         lam_index=lam_idx,
         t_index=t_idx,
         beta_index=beta_idx,
@@ -606,7 +641,7 @@ class RobustCertificateData:
 
 def build_robust_sdp_data(spec: LqcSpec, x0) -> RobustCertificateData:
     cc = build_compact_cost(spec, x0)
-    L, F = _input_factor(spec)
+    L, F, _ = _input_factor(spec)
     v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
     return RobustCertificateData(cc, L, F, v, cc.w_lin - F.T @ v)
 
@@ -656,7 +691,7 @@ def receding_horizon_simulate(
         if sol.status is not Status.OPTIMAL:
             raise RecedingHorizonError(k, sol.status)
         objectives.append(sol.objective)
-        u_first = sol.x[socp.u_index][: spec.n_u]
+        u_first = socp.extract(sol)["u"][: spec.n_u]
         inputs[k] = u_first
         x = spec.A[0] @ x + spec.B[0] @ u_first + spec.C[0] @ w
         states.append(x.copy())

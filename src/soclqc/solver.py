@@ -36,6 +36,12 @@ the conditioning of H; so the refined step has the accuracy of the full
 quasidefinite system.  Refinement stops once a correction no longer halves
 the residual, after at most seven corrections.
 
+The cone layer (:class:`_Cones`) treats every block, nonnegative rows
+included, as a segment of one flat layout, so each cone operation is a fixed
+handful of numpy calls, and it keeps the NT scaling in its rank-one form
+``W = beta (2 v v' - J)`` (Vandenberghe, "The CVXOPT linear and quadratic cone
+program solvers").
+
 Infeasibility is detected by a certificate heuristic on the iterates (no
 homogeneous embedding): an approximate Farkas ray of the duals flags primal
 infeasibility, a divergent primal ray with negative objective flags dual
@@ -99,59 +105,57 @@ class Solution:
 
 
 class _Cones:
-    """Cone operations on slack vectors laid out group by group.
+    """Cone operations on slack vectors in one flat layout.
 
-    The slack rows are ``nn`` nonnegative entries first, then for each
-    ``(k, d)`` of ``soc`` a group of k second-order blocks of dimension d,
-    block after block: the layout of :class:`~soclqc.model.ConicProgram`.
-    Each group is a contiguous ``(k, d)`` view (``(k, d, n)`` for a matrix
-    of columns), head first, and every operation is one numpy pass per group.
-    :meth:`max_step` and :meth:`inside` also take several slack vectors
-    stacked as rows, as ``(r, k, d)`` views, so one pass covers s and z.
+    Every block is a segment of the slack rows, head first: the ``nn``
+    nonnegative rows are blocks of dimension 1, then come the second-order
+    blocks grouped by dimension, the layout of
+    :class:`~soclqc.model.ConicProgram`.  ``starts`` holds the row of each
+    block's head, ``blk`` the block of each row and ``sign`` the diagonal of
+    ``J = diag(1, -I)`` per block, so every per-block sum is one
+    ``np.add.reduceat`` and every operation a fixed handful of numpy calls,
+    however many blocks and groups there are.  :meth:`max_step`,
+    :meth:`inside` and :meth:`nt_scaling` also take several slack vectors
+    stacked as rows.
 
-    The NT scaling of a second-order block, ``W = beta (2 v v' - J)`` with
-    ``v' J v = 1`` and ``J = diag(1, -I)``, is kept as explicit W and W^-1.
-    W^2 is never formed: squaring the scaling loses the accuracy that the
-    Newton systems need near convergence.
+    The NT scaling of a block is ``W = beta (2 v v' - J)`` with ``v' J v = 1``,
+    kept as beta per block and v per row (a dimension-1 block has v = 1 and
+    beta = sqrt(s/z)); W and W^-1 are applied in that rank-one form.  W^2 is
+    never formed: squaring the scaling loses the accuracy that the Newton
+    systems need near convergence.
     """
 
     def __init__(self, nn: int, soc):
         self.nn = nn
-        self.num_blocks = nn + sum(k for k, _ in soc)
-        # (slice, k, d, diagonal of J, J, J (x) J) per block dimension d
+        dims = np.repeat([1] + [d for _, d in soc], [nn] + [k for k, _ in soc])
+        self.num_blocks = len(dims)
+        self.starts = np.cumsum(dims) - dims
+        self.total = int(dims.sum())
+        self.blk = np.repeat(np.arange(self.num_blocks), dims)
+        self.sign = -np.ones(self.total)
+        self.sign[self.starts] = 1.0
+        self.tail = (self.sign < 0).astype(float)
+        # (rows, k, d) per group of second-order blocks, for apply_w on matrices
         self.groups = []
         start = nn
         for k, d in soc:
-            sign = np.where(np.arange(d) == 0, 1.0, -1.0)
-            self.groups.append((slice(start, start + k * d), k, d, sign,
-                                np.diag(sign), np.outer(sign, sign)))
+            self.groups.append((slice(start, start + k * d), k, d))
             start += k * d
-        self.total = start
 
-    def _soc(self, *arrays):
-        """Per group, the diagonal of J and the (k, d) views of each vector's
-        second-order rows ((r, k, d) for r vectors stacked as rows)."""
-        for sl, k, d, sign, _, _ in self.groups:
-            yield (sign,) + tuple([u[..., sl].reshape(u.shape[:-1] + (k, d)) for u in arrays])
+    def _sum(self, u: np.ndarray) -> np.ndarray:
+        """Per-block sums of the rows of u (of each stacked row)."""
+        return np.add.reduceat(u, self.starts, axis=-1)
 
-    @staticmethod
-    def _tail_norm(U: np.ndarray) -> np.ndarray:
-        return np.sqrt((U[..., 1:] * U[..., 1:]).sum(-1))
+    def _tail_norm(self, u: np.ndarray) -> np.ndarray:
+        return np.sqrt(self._sum(u * u * self.tail))
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.total)
-        e[: self.nn] = 1.0
-        for _, E in self._soc(e):
-            E[:, 0] = 1.0
+        e[self.starts] = 1.0
         return e
 
     def inside(self, u: np.ndarray, margin: float = 0.0) -> bool:
-        if not (u[..., : self.nn] > margin).all():
-            return False
-        for _, U in self._soc(u):
-            if not (U[..., 0] - self._tail_norm(U) > margin).all():
-                return False
-        return True
+        return bool((u[..., self.starts] - self._tail_norm(u) > margin).all())
 
     def shift_inside(self, u: np.ndarray, pad: float = 1.0) -> np.ndarray:
         """Translate each block along the cone identity until well interior.
@@ -160,131 +164,118 @@ class _Cones:
         large blocks nearly on the boundary and the first steps collapse.
         """
         out = u.copy()
-        out[: self.nn] += np.maximum(pad - u[: self.nn], 0.0)
-        for _, U in self._soc(out):
-            tail = self._tail_norm(U)
-            U[:, 0] += np.maximum(tail + pad * (1.0 + tail) - U[:, 0], 0.0)
+        tail = self._tail_norm(u)
+        out[self.starts] += np.maximum(tail + pad * (1.0 + tail) - u[self.starts], 0.0)
         return out
 
     def max_step(self, u: np.ndarray, du: np.ndarray, dets=None) -> float:
         """Largest a >= 0 with u + a*du still in the cone, for u interior
         (inf if unbounded, nan if du is not finite).  For slack vectors
         stacked as rows, the largest a that keeps every row in the cone.
-        ``dets``, if given, holds per group the block determinants of u, as
+        ``dets``, if given, holds the block determinants of u, as
         :meth:`nt_scaling` returns them."""
         if not np.isfinite(du).all():
             return np.nan
-        b, db = u[..., : self.nn], du[..., : self.nn]
+        nn = self.nn
+        # dimension-1 blocks: a linear ratio test (their quadratic below has
+        # a double root, and its discriminant can round negative)
+        b, db = u[..., :nn], du[..., :nn]
         falling = db < 0
         alpha = (-b[falling] / db[falling]).min(initial=np.inf)
-        for g, (sign, B, D) in enumerate(self._soc(u, du)):
-            # first root of a2 a^2 + a1 a + a0 = (b0+a db0)^2 - ||b1+a db1||^2,
-            # where a0 > 0 (factored to limit cancellation near the boundary);
-            # 2 a0 / (sqrt(disc) - a1) is that root without cancellation, and
-            # there is none when disc < 0 or the denominator is not positive
-            if dets is None:
-                nb = self._tail_norm(B)
-                a0 = (B[..., 0] - nb) * (B[..., 0] + nb)
-            else:
-                a0 = dets[g]
-            a1 = 2.0 * ((B * D) @ sign)
-            a2 = (D * D) @ sign
-            disc = a1 * a1 - 4.0 * a2 * a0
-            den = np.sqrt(np.maximum(disc, 0.0)) - a1
-            hit = (disc >= 0) & (den > 0)
-            alpha = min(alpha, (2.0 * a0[hit] / den[hit]).min(initial=np.inf))
+        # second-order blocks: first root of a2 a^2 + a1 a + a0 =
+        # (b0+a db0)^2 - ||b1+a db1||^2, where a0 > 0 (factored to limit
+        # cancellation near the boundary); 2 a0 / (sqrt(disc) - a1) is that
+        # root without cancellation, and there is none when disc < 0 or the
+        # denominator is not positive
+        if dets is None:
+            head, nb = u[..., self.starts], self._tail_norm(u)
+            dets = (head - nb) * (head + nb)
+        a0 = dets[..., nn:]
+        a1 = 2.0 * self._sum(u * du * self.sign)[..., nn:]
+        a2 = self._sum(du * du * self.sign)[..., nn:]
+        disc = a1 * a1 - 4.0 * a2 * a0
+        den = np.sqrt(np.maximum(disc, 0.0)) - a1
+        hit = (disc >= 0) & (den > 0)
+        alpha = min(alpha, (2.0 * a0[hit] / den[hit]).min(initial=np.inf))
         return float(alpha)
 
     def project(self, u: np.ndarray) -> np.ndarray:
         """Euclidean projection onto the cone, per block."""
-        out = u.copy()
-        out[: self.nn] = np.maximum(u[: self.nn], 0.0)
-        for _, U in self._soc(out):
-            head = U[:, 0].copy()
-            tail = self._tail_norm(U)
-            keep = head >= tail
-            zero = head <= -tail
-            coef = 0.5 * (head + tail)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                U[:, 1:] *= np.where(keep, 1.0, np.where(zero, 0.0, coef / tail))[:, None]
-            U[:, 0] = np.where(keep, head, np.where(zero, 0.0, coef))
+        head = u[self.starts]
+        tail = self._tail_norm(u)
+        keep = head >= tail
+        zero = head <= -tail
+        coef = 0.5 * (head + tail)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = u * np.where(keep, 1.0, np.where(zero, 0.0, coef / tail))[self.blk]
+        out[self.starts] = np.where(keep, head, np.where(zero, 0.0, coef))
         return out
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product per block."""
-        out = np.empty_like(u)
-        out[: self.nn] = u[: self.nn] * v[: self.nn]
-        for _, O, U, V in self._soc(out, u, v):
-            O[:, 0] = (U * V).sum(1)
-            O[:, 1:] = U[:, :1] * V[:, 1:] + V[:, :1] * U[:, 1:]
+        out = u[self.starts][self.blk] * v + v[self.starts][self.blk] * u
+        out[self.starts] = self._sum(u * v)
         return out
 
     def divisible(self, lam: np.ndarray) -> bool:
-        """Whether :meth:`solve_product` can divide by lam: no zero entry,
-        head or determinant lam_0^2 - ||lam_1||^2."""
-        if not lam[: self.nn].all():
-            return False
-        for sign, L in self._soc(lam):
-            if not (L[:, 0].all() and ((L * L) @ sign).all()):
-                return False
-        return True
+        """Whether :meth:`solve_product` can divide by lam: no zero head or
+        determinant lam_0^2 - ||lam_1||^2."""
+        return bool(lam[self.starts].all() and self._sum(lam * lam * self.sign).all())
 
     def solve_product(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Solve lam o x = d per block (arrow-matrix inverse); lam must be
         :meth:`divisible`."""
-        out = np.empty_like(d)
-        out[: self.nn] = d[: self.nn] / lam[: self.nn]
-        for sign, O, L, R in self._soc(out, lam, d):
-            O[:, 0] = ((L * R) @ sign) / ((L * L) @ sign)
-            O[:, 1:] = (R[:, 1:] - O[:, :1] * L[:, 1:]) / L[:, :1]
+        head = self._sum(lam * d * self.sign) / self._sum(lam * lam * self.sign)
+        out = (d - head[self.blk] * lam) / lam[self.starts][self.blk]
+        out[self.starts] = head
         return out
 
     def nt_scaling(self, sz: np.ndarray):
         """NT scaling at the point (s, z), stacked as the rows of ``sz``.
 
-        Returns ``((w, [(W, W^-1) per group]), dets)``: W = w on the
-        nonnegative entries and one ``(k, d, d)`` pair per second-order
-        group, and per group the ``(2, k)`` block determinants of s and z,
-        which :meth:`max_step` reuses at this point."""
-        sn, zn = nonneg = sz[:, : self.nn]
-        if not (nonneg > 0).all():
+        Returns ``((beta, v), dets)``: ``W = beta (2 v v' - J)`` with beta per
+        block and v per row, and the ``(2, blocks)`` block determinants of s
+        and z, which :meth:`max_step` reuses at this point."""
+        heads = sz[:, self.starts]
+        nb = self._tail_norm(sz)
+        dets = (heads - nb) * (heads + nb)
+        if not ((heads > 0) & (dets > 0)).all():
             raise FloatingPointError("iterate left the cone interior")
-        mats, dets = [], []
-        for sl, k, d, sign, J, JJ in self.groups:
-            SZ = sz[:, sl].reshape(2, k, d)
-            nb = self._tail_norm(SZ)
-            det = (SZ[..., 0] - nb) * (SZ[..., 0] + nb)
-            if not (det > 0).all():
-                raise FloatingPointError("iterate left the cone interior")
-            dets.append(det)
-            S, Z = SZ
-            ds, dz = det
-            sbar = S / np.sqrt(ds)[:, None]
-            zbar = Z / np.sqrt(dz)[:, None]
-            gamma2 = 0.5 * (1.0 + (sbar * zbar).sum(1))
-            if not (gamma2 > 0).all():
-                raise FloatingPointError("iterate left the cone interior")
-            # scaling point wbar = (sbar + J zbar) / (2 gamma), and
-            # v = (wbar + e) / sqrt(2 (wbar_0 + 1))
-            v = (sbar + zbar * sign) / (2.0 * np.sqrt(gamma2))[:, None]
-            v[:, 0] += 1.0
-            v /= np.sqrt(2.0 * v[:, :1])
-            beta = ((ds / dz) ** 0.25)[:, None, None]
-            # W = beta (2 v v' - J) and W^-1 = J W J / beta^2
-            W = beta * (2.0 * v[:, :, None] * v[:, None, :] - J)
-            mats.append((W, W * (JJ / beta**2)))
-        return (np.sqrt(sn / zn), mats), dets
+        ds, dz = dets
+        sbar, zbar = sz / np.sqrt(dets)[:, self.blk]
+        gamma2 = 0.5 * (1.0 + self._sum(sbar * zbar))
+        if not (gamma2 > 0).all():
+            raise FloatingPointError("iterate left the cone interior")
+        # scaling point wbar = (sbar + J zbar) / (2 gamma), and
+        # v = (wbar + e) / sqrt(2 (wbar_0 + 1))
+        v = (sbar + zbar * self.sign) / (2.0 * np.sqrt(gamma2))[self.blk]
+        v[self.starts] += 1.0
+        v /= np.sqrt(2.0 * v[self.starts])[self.blk]
+        return ((ds / dz) ** 0.25, v), dets
 
     def apply_w(self, scaling, u: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """W u (or W^-1 u) for a slack vector or a matrix of slack columns."""
-        w, mats = scaling
+        """W u (or W^-1 u) for a slack vector or a matrix of slack columns,
+        with W^-1 = (2 Jv (Jv)' - J) / beta."""
+        beta, v = scaling
+        if inverse:
+            v = v * self.sign
+        if u.ndim == 1:
+            out = 2.0 * v * self._sum(v * u)[self.blk] - self.sign * u
+            return out / beta[self.blk] if inverse else out * beta[self.blk]
+        # a matrix takes one batched product per group of second-order
+        # blocks, which is faster than per-block sums over its columns: per
+        # row, W = a v' - b J with b = beta (for W^-1, 1/beta and v = Jv)
+        # and a = 2 b v
+        b = (1.0 / beta if inverse else beta)[self.blk]
+        a = 2.0 * b * v
+        bJ = b * self.sign
+        nn = self.nn
         out = np.empty_like(u)
-        if u.ndim > 1:
-            w = w[:, None]
-        out[: self.nn] = u[: self.nn] / w if inverse else u[: self.nn] * w
-        for (sl, k, d, *_), (W, W_inv) in zip(self.groups, mats):
-            np.matmul(W_inv if inverse else W, u[sl].reshape(k, d, -1),
-                      out=out[sl].reshape(k, d, -1))
+        out[:nn] = u[:nn] * (a[:nn] * v[:nn] - bJ[:nn])[:, None]
+        for sl, k, d in self.groups:
+            M = a[sl].reshape(k, d, 1) * v[sl].reshape(k, 1, d)
+            M.reshape(k, d * d)[:, :: d + 1] -= bJ[sl].reshape(k, d)
+            np.matmul(M, u[sl].reshape(k, d, -1), out=out[sl].reshape(k, d, -1))
         return out
 
 

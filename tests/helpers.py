@@ -179,28 +179,54 @@ def assert_same_program(built, ref):
 def reference_lqc_program(spec, x0, kernel, amb=None):
     """The min-max LQC program assembled expression by expression with
     :class:`ExprBuilder`, one hyperbolic block per coordinate: the variable
-    order, block order, kinds and tags the LQC builders must reproduce."""
+    order, block order, kinds and tags the LQC builders must reproduce.
+
+    The inputs are whitened and centered, y = L'(u - theta u*), with
+    Uq = L L', u* = -Uq^{-1} ul the unconstrained minimizer and theta the
+    largest value in [0, 1] that keeps theta u* in the input set; the
+    disturbance ball is scaled to radius gamma / kappa, kappa = max(1, gamma).
+    """
     cc = build_compact_cost(spec, x0)
+    # Uq = L L', F = L^{-1} X, v = L^{-1} ul and the input rows G_u L^{-T}
+    L = cholesky_factor(cc.u_quad)
+    F = scipy.linalg.solve_triangular(L, cc.cross, lower=True)
+    v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
+    G_y = scipy.linalg.solve_triangular(L, spec.u_poly_G.T, lower=True).T
+    Fv = F.T @ v
+    # u* = -L^{-T} v, so row i of G_u u* <= h reads -(G_y v)_i <= h_i
+    Gv = G_y @ v
+    theta = 0.0
+    if all(hi >= 0 for hi in spec.u_poly_h):
+        theta = 1.0
+        for hi, gi in zip(spec.u_poly_h, Gv):
+            if gi < 0:
+                theta = min(theta, hi / -gi)
     if kernel == "robust":
-        w_quad_eff, offset = cc.w_quad, cc.constant
+        w_quad_eff = cc.w_quad
+        head_const = cc.w_lin - theta * Fv
+        offset = cc.constant + theta * (theta - 2.0) * float(v @ v)
     else:
-        # regret kernel X' Uq^{-1} X = F'F and X' Uq^{-1} ul = F'v, with
-        # Uq = L L', F = L^{-1} X and v = L^{-1} ul
-        L = cholesky_factor(cc.u_quad)
-        F = scipy.linalg.solve_triangular(L, cc.cross, lower=True)
-        v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
-        w_quad_eff, offset = F.T @ F, float(v @ v)
+        # regret kernel X' Uq^{-1} X = F'F, and X'(u + Uq^{-1} ul) is
+        # F'y + (1 - theta) F'v
+        w_quad_eff = F.T @ F
+        head_const = (1.0 - theta) * Fv
+        offset = (1.0 - theta) ** 2 * float(v @ v)
     sd = simultaneous_diagonalize(np.eye(w_quad_eff.shape[0]), w_quad_eff)
     m = amb.num_moments if amb is not None else 0
+    kappa = max(1.0, spec.gamma)
+    g = spec.gamma / kappa
 
     b = ExprBuilder()
-    u = b.var_exprs(b.add_vars(spec.stacked_input_dim))
+    y = b.var_exprs(b.add_vars(spec.stacked_input_dim))
     lam = b.var(b.add_var())
     ts = b.var_exprs(b.add_vars(spec.stacked_dist_dim))
     betas = b.var_exprs(b.add_vars(m))
-    obj = b.add_quadratic_cost(cc.u_quad, u) + lam
-    for j, ue in enumerate(u):
-        obj = obj + 2.0 * cc.u_lin[j] * ue
+    # u'Uq u + 2 ul'u = ||y||^2 + 2 (1 - theta) v'y + theta (theta - 2) v'v
+    t_quad = b.var(b.add_var())
+    b.add_hyperbolic(y, t_quad, 1.0, tag="obj_quad")
+    obj = t_quad + kappa**2 * lam
+    for j, ye in enumerate(y):
+        obj = obj + 2.0 * (1.0 - theta) * v[j] * ye
     for te in ts:
         obj = obj + te
     for j, be in enumerate(betas):
@@ -210,25 +236,21 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     b.add_nonneg(lam, tag="lam")
     for be in betas:
         b.add_nonneg(be, tag="beta")
-    for i in range(spec.u_poly_G.shape[0]):
-        row = LinExpr.constant(spec.u_poly_h[i])
-        for j, ue in enumerate(u):
-            if spec.u_poly_G[i, j] != 0.0:
-                row = row - spec.u_poly_G[i, j] * ue
+    for i in range(G_y.shape[0]):
+        row = LinExpr.constant(spec.u_poly_h[i] + theta * Gv[i])
+        for j, ye in enumerate(y):
+            if G_y[i, j] != 0.0:
+                row = row - G_y[i, j] * ye
         b.add_nonneg(row, tag="input_set")
 
-    head_mat = sd.S.T @ cc.cross.T
-    if kernel == "robust":
-        head_const = sd.S.T @ cc.w_lin
-    else:
-        head_const = sd.S.T @ (F.T @ v)
+    head_mat = sd.S.T @ F.T
+    head_const = sd.S.T @ head_const
     beta_mat = -(sd.S.T @ amb.H.T) / 2.0 if amb is not None else None
-    g = spec.gamma
     for i in range(spec.stacked_dist_dim):
         head = LinExpr.constant(g * head_const[i])
-        for j, ue in enumerate(u):
+        for j, ye in enumerate(y):
             if head_mat[i, j] != 0.0:
-                head = head + g * head_mat[i, j] * ue
+                head = head + g * head_mat[i, j] * ye
         for j, be in enumerate(betas):
             if beta_mat[i, j] != 0.0:
                 head = head + g * beta_mat[i, j] * be

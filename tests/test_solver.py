@@ -186,6 +186,12 @@ class TestSolutionContract:
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
 
+    def test_program_without_cone_blocks_rejected(self):
+        b = ConicProgramBuilder()
+        b.add_var()
+        with pytest.raises(ValueError, match="no cone blocks"):
+            solve(b.build())
+
     def test_iteration_budget_exhaustion(self, rng):
         prog, _ = make_kkt_instance(rng)
         sol = solve(prog, SolverConfig(max_iters=1))
@@ -306,16 +312,18 @@ class TestConeKernels:
         return np.concatenate(pieces)
 
     def test_layout_round_trip(self, program, cones, rng):
-        # the kernels' nonnegative entries and (k, d) group views are the
-        # program's blocks, in order
+        # the kernels' block heads (starts) and per-row block index (blk) are
+        # the program's blocks, in order
         assert [blk.dim for blk in program.blocks] == sorted(self.LAYOUT)
         u = rng.standard_normal(cones.total)
         pieces = self.split(program, u)
         assert cones.total == len(program.h) and np.array_equal(np.concatenate(pieces), u)
+        assert cones.num_blocks == len(pieces)
         assert np.array_equal(u[: cones.nn], np.concatenate(pieces[: cones.nn]))
-        views = [row for _, U in cones._soc(u) for row in U]
-        assert len(views) == len(pieces) - cones.nn
-        assert all(np.array_equal(a, b) for a, b in zip(views, pieces[cones.nn :]))
+        assert np.array_equal(u[cones.starts], [b[0] for b in pieces])
+        assert all(np.array_equal(u[cones.blk == i], b) for i, b in enumerate(pieces))
+        assert np.array_equal(cones.sign, np.concatenate(
+            [np.where(np.arange(len(b)) == 0, 1.0, -1.0) for b in pieces]))
 
     def test_identity_product_and_inverse(self, program, cones, rng):
         u, v = rng.standard_normal((2, cones.total))
@@ -406,6 +414,11 @@ class TestConeKernels:
         sz = np.array((s, z))
         scaling, dets = cones.nt_scaling(sz)
         lam = cones.apply_w(scaling, z)
+        # a dimension-1 block has v = 1 and beta = sqrt(s / z)
+        beta, v = scaling
+        nn = cones.nn
+        assert np.allclose(v[:nn], 1.0, rtol=1e-12, atol=1e-12)
+        assert np.allclose(beta[:nn], np.sqrt(s[:nn] / z[:nn]), rtol=1e-12, atol=1e-12)
         # the block determinants are the ones max_step would compute at (s, z)
         for dsz in 3.0 * rng.standard_normal((5, 2, cones.total)):
             assert cones.max_step(sz, dsz, dets) == cones.max_step(sz, dsz)
