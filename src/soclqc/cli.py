@@ -57,6 +57,17 @@ def _parse_x0(text: str, n: int, name: str) -> np.ndarray:
     return vals
 
 
+def _write_out(path: str, text: str) -> bool:
+    """Write an --out file; on failure print the error and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _build(mode: str, spec, amb, x0):
     if mode == "mpc":
         return build_mpc_socp(spec, x0)
@@ -101,10 +112,10 @@ def cmd_solve(args) -> int:
     if args.out:
         result = {"mode": args.mode, "x0": x0, "status": sol.status.value,
                   "objective": sol.objective, "iterations": sol.iterations, **ex}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({k: np.asarray(v).tolist() for k, v in result.items()}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps({k: np.asarray(v).tolist() for k, v in result.items()},
+                          indent=2, sort_keys=True) + "\n"
+        if not _write_out(args.out, text):
+            return EXIT_INPUT
         print(f"result written to {args.out}")
     return EXIT_OK if sol.status is Status.OPTIMAL else EXIT_NOT_OPTIMAL
 
@@ -200,8 +211,8 @@ def cmd_bench(args) -> int:
         all_opt &= row.status is Status.OPTIMAL
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write_out(args.out, text):
+            return EXIT_INPUT
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(text, end="")

@@ -12,6 +12,7 @@ modules at call time, so a wrapper installed there sees the calls.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -99,6 +100,20 @@ def verify_result(kind: str, spec, amb, result) -> list[Check]:
     return _verify_mpc(spec, result) if mode == "mpc" else _verify_lqc(spec, amb, mode, result)
 
 
+@functools.lru_cache(maxsize=1)
+def _ball_samples(n_w: int):
+    """The sampled check's draws for disturbance dimension n_w, seeded: 10 000
+    normal directions Z, radii r^(1/n_w) and ||Z|| per row, read-only.  A
+    sample of the ball of radius gamma is ``Z * (gamma * radius / norm)``."""
+    rng = np.random.default_rng(0)
+    Z = rng.standard_normal((10_000, n_w))
+    radius = rng.random(10_000) ** (1.0 / n_w)
+    norm = np.linalg.norm(Z, axis=1)
+    for a in (Z, radius, norm):
+        a.flags.writeable = False
+    return Z, radius, norm
+
+
 def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
     kernel, amb = lqc.lqc_mode(mode, amb)
     m = amb.num_moments if amb is not None else 0
@@ -141,10 +156,8 @@ def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
         report.append(_check("regret nonnegative", -obj, 1e-8))
 
     # sampled disturbances never beat the reported bound
-    rng = np.random.default_rng(0)
-    n_w = len(lin)
-    W = rng.standard_normal((10_000, n_w))
-    W *= (gamma * rng.random(10_000) ** (1.0 / n_w) / np.linalg.norm(W, axis=1))[:, None]
+    Z, radius, norm = _ball_samples(len(lin))
+    W = Z * (gamma * radius / norm)[:, None]
     # w'Qw as one BLAS product and a row sum, in place; the three-operand
     # einsum would run as an unoptimized loop
     vals = W @ quad

@@ -109,6 +109,13 @@ class TestSolve:
     def test_bad_x0_exit_two(self, lqc_file, capsys):
         assert main(["solve", lqc_file, "--mode", "robust", "--x0", "1,2"]) == 2
 
+    def test_out_in_missing_directory_exit_two(self, lqc_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["solve", lqc_file, "--mode", "robust", "--x0", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "r.json" in err
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("args, named", [
         (["--x0", "nan"], "--x0"),
         (["--x0", "inf"], "--x0"),
@@ -249,6 +256,12 @@ class TestBench:
             return rows
 
         assert strip_times(a) == strip_times(b)
+
+    def test_out_in_missing_directory_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--N", "2", "--reps", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bench.csv" in err
 
     def test_bad_horizon_list(self, capsys):
         assert main(["bench", "--N", "0,5", "--reps", "1"]) == 2

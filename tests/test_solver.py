@@ -3,8 +3,14 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from helpers import ExprBuilder, double_integrator_mpc
-from soclqc.lqc import build_robust_socp, scalar_benchmark_spec
+from helpers import ExprBuilder, double_integrator_mpc, random_lqc_spec
+from soclqc.lqc import (
+    AmbiguitySpec,
+    build_dr_socp,
+    build_regret_socp,
+    build_robust_socp,
+    scalar_benchmark_spec,
+)
 from soclqc.model import ConicProgramBuilder
 from soclqc.mpc import build_mpc_socp
 from soclqc.solver import TOL_FEAS, TOL_GAP, SolverConfig, Status, solve
@@ -265,6 +271,129 @@ class TestFactorizationGuard:
         assert np.isfinite(sol.x).all()
 
 
+    @pytest.mark.parametrize("pivot", [np.nan, -1.0])
+    def test_private_pivot_not_positive(self, monkeypatch, pivot):
+        # the eliminated variables' pivots are H_pp after regularization; a
+        # nan or negative one ends the solve before dpotrf factors S
+        from soclqc import solver
+
+        prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
+        real = solver._PrivateElimination.private_rows
+        factored = []
+
+        def bad_pivot(self, B):
+            H_pp, H_pd = real(self, B)
+            H_pp = H_pp.copy()
+            H_pp[1] = pivot
+            return H_pp, H_pd
+
+        monkeypatch.setattr(solver._PrivateElimination, "private_rows", bad_pivot)
+        monkeypatch.setattr(solver.lapack, "dpotrf", lambda *a, **k: factored.append(1))
+        sol = solve(prog)
+        assert factored == []
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.reason == "factorization failed"
+        assert np.isfinite(sol.x).all()
+
+
+class TestPrivateElimination:
+    """Block-private variables (a column of G nonzero in one cone block
+    only) are eliminated before the Cholesky factorization (p = 0)."""
+
+    @staticmethod
+    def private(prog):
+        from soclqc.solver import _Cones, _PrivateElimination
+
+        elim = _PrivateElimination(prog.G, _Cones(prog.nn, prog.soc))
+        return elim, set(elim.order[: elim.k].tolist())
+
+    def test_epigraph_variables_detected(self):
+        socp = build_robust_socp(scalar_benchmark_spec(5), [0.5])
+        n = socp.program.num_vars
+        t_quad = set(range(n)) - set(socp.y_index) - {socp.lam_index} - set(socp.t_index)
+        assert len(t_quad) == 1
+        elim, private = self.private(socp.program)
+        assert private == set(socp.t_index.tolist()) | t_quad
+        # one per block, ordered first, and the rest in their own order
+        assert len(set(elim.blocks.tolist())) == elim.k
+        assert sorted(elim.order.tolist()) == list(range(n))
+        assert list(elim.order[elim.k:]) == sorted(set(range(n)) - private)
+
+    def test_beta_columns_not_private_on_dr(self, rng):
+        spec = random_lqc_spec(rng, 2, 1, 2, 3)
+        amb = AmbiguitySpec(rng.standard_normal((2, spec.stacked_dist_dim)), [0.1, 0.2])
+        socp = build_dr_socp(spec, rng.standard_normal(2), amb)
+        _, private = self.private(socp.program)
+        assert len(socp.beta_index) == 2
+        assert not private & set(socp.beta_index.tolist())
+        assert set(socp.t_index.tolist()) <= private
+
+    def test_one_private_variable_per_block(self):
+        # min x0 + x1 + x2 with ||(x0 - x1, 1)|| <= x0 + x1 and x2 >= 1: x0
+        # and x1 are both private to the cone block, x2 to its row; the
+        # first of the two is eliminated
+        b = ConicProgramBuilder()
+        b.add_vars(3)
+        b.set_objective_row([1.0, 1.0, 1.0])
+        b.add_block_rows([[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]], [[0.0, 0.0, 1.0]])
+        b.add_block_rows([[[0.0, 0.0, 1.0]]], [[-1.0]])
+        prog = b.build()
+        _, private = self.private(prog)
+        assert private == {0, 2}
+        sol = solve(prog)
+        assert sol.status is Status.OPTIMAL
+        assert np.allclose(sol.x, [0.5, 0.5, 1.0], atol=1e-7)
+
+    def test_zero_column_not_eliminated(self):
+        # x1 appears in no block; the regularization keeps H + D definite
+        b = ConicProgramBuilder()
+        b.add_vars(2)
+        b.set_objective_row([1.0, 0.0])
+        b.add_block_rows([[[1.0]]], [[-3.0]])
+        prog = b.build()
+        assert not prog.G[:, 1].any()
+        _, private = self.private(prog)
+        assert private == {0}
+        sol = solve(prog)
+        assert sol.status is Status.OPTIMAL
+        assert abs(sol.x[0] - 3.0) <= 1e-7
+
+    def test_every_column_private(self):
+        # x0 >= 1 and ||(1, 1)|| <= x1: each variable is private to its
+        # block, so the Schur complement is empty
+        b = ConicProgramBuilder()
+        b.add_vars(2)
+        b.set_objective_row([1.0, 1.0])
+        b.add_block_rows([[[1.0, 0.0]]], [[-1.0]])
+        b.add_block_rows([[[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]], [[0.0, 1.0, 1.0]])
+        prog = b.build()
+        elim, private = self.private(prog)
+        assert private == {0, 1} and elim.k == prog.num_vars
+        sol = solve(prog)
+        assert sol.status is Status.OPTIMAL
+        assert np.allclose(sol.x, [1.0, np.sqrt(2.0)], atol=1e-7)
+
+    @pytest.mark.parametrize("N", [5, 60])
+    def test_factor_is_cholesky_of_permuted_h(self, rng, N):
+        # U'U = H + D in the private-first order, with D the relative
+        # regularization of diag(H); N = 60 takes the per-block sums
+        from soclqc.solver import _Cones
+
+        prog = build_regret_socp(scalar_benchmark_spec(N), [0.5]).program
+        cones = _Cones(prog.nn, prog.soc)
+        elim, _ = self.private(prog)
+        assert (elim.k * prog.G.shape[0] * (prog.num_vars - elim.k + 1) <= 2**18) == (N == 5)
+        sz = np.array([cones.shift_inside(rng.standard_normal(cones.total)) for _ in range(2)])
+        scaling, _ = cones.nt_scaling(sz)
+        Gw, U, info = elim.factor(scaling, 1e-10)
+        assert info == 0
+        full = cones.apply_w(scaling, prog.G[:, elim.order], inverse=True)
+        assert np.allclose(Gw, full, rtol=1e-13, atol=1e-13 * np.abs(full).max())
+        H = full.T @ full
+        H[np.diag_indices_from(H)] += np.maximum(1e-10, 1e-14 * np.diagonal(H))
+        assert np.allclose(np.triu(U).T @ np.triu(U), H, rtol=1e-10, atol=1e-12 * np.abs(H).max())
+
+
 class TestConcurrency:
     def test_shared_program_concurrent_solves(self, rng):
         prog, expected = make_kkt_instance(rng)
@@ -415,7 +544,7 @@ class TestConeKernels:
         scaling, dets = cones.nt_scaling(sz)
         lam = cones.apply_w(scaling, z)
         # a dimension-1 block has v = 1 and beta = sqrt(s / z)
-        beta, v = scaling
+        beta, v = scaling.beta, scaling.v
         nn = cones.nn
         assert np.allclose(v[:nn], 1.0, rtol=1e-12, atol=1e-12)
         assert np.allclose(beta[:nn], np.sqrt(s[:nn] / z[:nn]), rtol=1e-12, atol=1e-12)
