@@ -31,7 +31,8 @@ disturbance coordinate is in the LQC programs.  The solve orders them first,
 their block of H is diagonal, only the Schur complement on the other
 variables is formed and factored, and the assembled factor keeps each solve
 one ``dpotrs`` (after Domahidi et al., CDC 2012, and ECOS).  At scalar N = 100
-this halves the columns of ``W^-1 G`` and the order of the dense factor.
+this halves the columns of ``W^-1 G`` and the order of the dense factor, and
+the products with G and ``W^-1 G`` take the private columns as one vector.
 
 On its own this route loses accuracy near convergence: H carries the squared
 condition number of the scaling, and the small regularization D, delta
@@ -334,7 +335,9 @@ class _PrivateElimination:
     The factor of the whole matrix,
     ``U = [[sqrt(H_pp), sqrt(H_pp)^-1 H_pd], [0, chol(S)]]``, is assembled,
     so each KKT solve stays one ``dpotrs``.  Both diagonals take the
-    solver's relative regularization.
+    solver's relative regularization.  A large program (``compact``) also
+    keeps G and W^-1 G in the form ``[g_p, G_d]`` for the products of the
+    iteration (:meth:`mul`, :meth:`tmul`).
     """
 
     def __init__(self, G: np.ndarray, cones: _Cones):
@@ -354,9 +357,14 @@ class _PrivateElimination:
         self.G_pd = np.empty((m, n - k + 1))
         self.G_pd[:, 0] = self.G[:, :k].sum(axis=1)
         self.G_pd[:, 1:] = self.G[:, k:]
-        # W^-1 G in the private-first order; a private column is zero
-        # outside the rows of its block, which are the entries (rows, cols)
-        self.Gw = np.zeros((m, n))
+        # past ~2^18 multiply-adds a product with G or W^-1 G is faster in
+        # the compact form [g_p, G_d] (see mul), which halves the memory
+        # these products stream at scalar N = 100; below, one dense product
+        # costs fewer numpy calls
+        self.compact = k * self.G_pd.size > 2**18
+        # the dense W^-1 G in the private-first order; a private column is
+        # zero outside the rows of its block, which are the entries (rows, cols)
+        self.Gw = None if self.compact else np.zeros((m, n))
         in_private = np.zeros(cones.num_blocks, dtype=bool)
         in_private[blocks] = True
         rows = np.flatnonzero(in_private[cones.blk])
@@ -367,29 +375,44 @@ class _PrivateElimination:
         # of its private block stay zero, and U_pp views its diagonal
         self.U = np.zeros((n, n), order="F")
         self.U_pp = self.U.T.reshape(-1)[: k * (n + 1) : n + 1]
+        # each row's private variable (0 outside the private blocks, where
+        # g_p is zero)
+        self.row_slot = np.zeros(m, dtype=int)
+        self.row_slot[rows] = self.entries[1]
 
     def private_rows(self, B: np.ndarray):
         """``H_pp`` (its diagonal) and ``H_pd``, the private rows of H, from
-        ``B = W^-1 [g_p, G_d]`` once ``Gw`` holds the private columns.  A
-        small product is one BLAS call; past ~2^18 multiply-adds the
-        per-block sums of ``gw * B``, which skip the zeros of the private
-        columns, are faster."""
-        if self.k * B.size <= 2**18:
+        ``B = W^-1 [g_p, G_d]``: one dense product with the private columns
+        of ``Gw`` for a small program, else the per-block sums of
+        ``gw * B``, which skip the zeros of those columns."""
+        if not self.compact:
             H_p = self.Gw[:, : self.k].T @ B
             return H_p[:, 0], H_p[:, 1:]
         gw, blocks = B[:, 0], self.blocks
         return (self.cones._sum(gw * gw)[blocks],
                 self.cones.block_sums(gw[:, None] * B[:, 1:])[blocks])
 
+    def mul(self, P: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``M x`` for M = G or W^-1 G in the private-first order, given
+        as ``P = [p, M_d]`` (``G_pd`` or ``B``): a private column of M is
+        p on the rows of its block."""
+        return P[:, 1:] @ x[self.k :] + P[:, 0] * x[self.row_slot]
+
+    def tmul(self, P: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """``M' z`` for ``P = [p, M_d]`` as in :meth:`mul`."""
+        return np.concatenate([self.cones._sum(P[:, 0] * z)[self.blocks], P[:, 1:].T @ z])
+
     def factor(self, scaling: _Scaling, reg: float):
-        """``(W^-1 G, U, info)`` in the private-first order; info is nonzero
-        when H_pp is not positive or ``dpotrf`` fails on S."""
+        """``(W^-1 G, U, info)`` in the private-first order, W^-1 G in the
+        form :meth:`mul` takes when ``compact``; info is nonzero when H_pp
+        is not positive or ``dpotrf`` fails on S."""
         k = self.k
         B = self.cones.apply_w(scaling, self.G_pd, inverse=True)
         gw, Gw_d = B[:, 0], B[:, 1:]
-        rows, cols = self.entries
-        self.Gw[rows, cols] = gw[rows]
-        self.Gw[:, k:] = Gw_d
+        if not self.compact:
+            rows, cols = self.entries
+            self.Gw[rows, cols] = gw[rows]
+            self.Gw[:, k:] = Gw_d
         H_pp, H_pd = self.private_rows(B)
         H_pp += np.maximum(reg, 1e-14 * H_pp)
         if not H_pp.min(initial=np.inf) > 0:
@@ -404,7 +427,7 @@ class _PrivateElimination:
         self.U_pp[:] = sq
         self.U[:k, k:] = U_pd
         self.U[k:, k:] = fac
-        return self.Gw, self.U, info
+        return B if self.compact else self.Gw, self.U, info
 
 
 # ---------------------------------------------------------------------------
@@ -535,14 +558,20 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         kkt_base[np.arange(n, n + p), np.arange(n, n + p)] = -reg
         diag_x = np.arange(n)
     ident = cones.identity()
+    # products with G and W^-1 G (Gw); for a large p = 0 program both are
+    # held in the elimination's compact form, G_pd and B
+    if not p and elim.compact:
+        mul, tmul, G_mat = elim.mul, elim.tmul, elim.G_pd
+    else:
+        mul, tmul, G_mat = np.matmul, lambda M, v: M.T @ v, G
 
     # without equality rows (p = 0) every product with A, which is empty or
     # zero, is skipped; the skipped terms are exact zeros, so the iterates
     # are those of the full expressions
     for it in range(cfg.max_iters + 1):
         r_eq = A @ x - b if p else b
-        r_cone = G @ x + s - h
-        r_dual = (A.T @ y + G.T @ z if p else G.T @ z) + c
+        r_cone = mul(G_mat, x) + s - h
+        r_dual = (A.T @ y + tmul(G_mat, z) if p else tmul(G_mat, z)) + c
         gap = float(s @ z)
         pobj = float(c @ x)
         dobj = -float(b @ y) - float(h @ z)
@@ -598,24 +627,24 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
         def solve_reduced(r_x, r_y, r_z):
             wr = cones.apply_w(scaling, r_z, inverse=True)
-            rhs = r_x + Gw.T @ wr
+            rhs = r_x + tmul(Gw, wr)
             if p:
                 sol, _ = lapack.dgetrs(fac, piv, np.concatenate([rhs, r_y]), overwrite_b=True)
             else:
                 sol, _ = lapack.dpotrs(fac, rhs, lower=False, overwrite_b=True)
             dx = sol[:n]
-            return dx, sol[n:], cones.apply_w(scaling, Gw @ dx - wr, inverse=True)
+            return dx, sol[n:], cones.apply_w(scaling, mul(Gw, dx) - wr, inverse=True)
 
         def kkt_residual(r, d):
             """r minus the unregularized full system applied to d = (dx, dy, dz),
             the residual's norm, and G dx."""
             dx, dy, dz = d
             W2dz = cones.apply_w(scaling, cones.apply_w(scaling, dz))
-            Gdx = G @ dx
+            Gdx = mul(G_mat, dx)
             if p:
-                e = (r[0] - A.T @ dy - G.T @ dz, r[1] - A @ dx, r[2] - Gdx + W2dz)
+                e = (r[0] - A.T @ dy - tmul(G_mat, dz), r[1] - A @ dx, r[2] - Gdx + W2dz)
             else:
-                e = (r[0] - G.T @ dz, r[1], r[2] - Gdx + W2dz)
+                e = (r[0] - tmul(G_mat, dz), r[1], r[2] - Gdx + W2dz)
             return e, np.sqrt(sum(v @ v for v in e)), Gdx
 
         def solve_kkt(*r):

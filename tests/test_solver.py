@@ -376,19 +376,29 @@ class TestPrivateElimination:
     @pytest.mark.parametrize("N", [5, 60])
     def test_factor_is_cholesky_of_permuted_h(self, rng, N):
         # U'U = H + D in the private-first order, with D the relative
-        # regularization of diag(H); N = 60 takes the per-block sums
+        # regularization of diag(H), and the products with G and W^-1 G
+        # are the dense ones; N = 60 takes the compact form
         from soclqc.solver import _Cones
 
         prog = build_regret_socp(scalar_benchmark_spec(N), [0.5]).program
         cones = _Cones(prog.nn, prog.soc)
         elim, _ = self.private(prog)
-        assert (elim.k * prog.G.shape[0] * (prog.num_vars - elim.k + 1) <= 2**18) == (N == 5)
+        assert elim.compact == (N == 60)
         sz = np.array([cones.shift_inside(rng.standard_normal(cones.total)) for _ in range(2)])
         scaling, _ = cones.nt_scaling(sz)
         Gw, U, info = elim.factor(scaling, 1e-10)
         assert info == 0
-        full = cones.apply_w(scaling, prog.G[:, elim.order], inverse=True)
-        assert np.allclose(Gw, full, rtol=1e-13, atol=1e-13 * np.abs(full).max())
+        G = prog.G[:, elim.order]
+        full = cones.apply_w(scaling, G, inverse=True)
+        x, z = rng.standard_normal(prog.num_vars), rng.standard_normal(cones.total)
+        for M, P in ((G, elim.G_pd if elim.compact else elim.G), (full, Gw)):
+            if elim.compact:
+                Mx, Mz = elim.mul(P, x), elim.tmul(P, z)
+            else:
+                assert np.allclose(P, M, rtol=1e-13, atol=1e-13 * np.abs(M).max())
+                Mx, Mz = P @ x, P.T @ z
+            assert np.allclose(Mx, M @ x, rtol=1e-12, atol=1e-12 * np.abs(M).max())
+            assert np.allclose(Mz, M.T @ z, rtol=1e-12, atol=1e-12 * np.abs(M).max())
         H = full.T @ full
         H[np.diag_indices_from(H)] += np.maximum(1e-10, 1e-14 * np.diagonal(H))
         assert np.allclose(np.triu(U).T @ np.triu(U), H, rtol=1e-10, atol=1e-12 * np.abs(H).max())
