@@ -169,12 +169,13 @@ class _Cones:
         """Per-block sums of the rows of u (of each stacked row)."""
         return np.add.reduceat(u, self.starts, axis=-1)
 
-    def block_sums(self, u: np.ndarray, op=np.add) -> np.ndarray:
-        """Per-block reductions by ``op`` (sums by default) of the rows of a
-        matrix of slack columns, one row per block; one call per group, where
-        a reduceat along the rows would make one per block."""
+    def block_sums(self, u: np.ndarray) -> np.ndarray:
+        """Per-block sums of the rows of a matrix of slack columns, one row
+        per block, by one reduction per group: at scalar N = 100 (603 x 101)
+        this takes 49 us where ``np.add.reduceat`` along the rows, which
+        reduces block by block, takes 217 us."""
         cols = u.shape[1]
-        return np.concatenate([u[: self.nn]] + [op.reduce(u[sl].reshape(k, d, cols), axis=1)
+        return np.concatenate([u[: self.nn]] + [np.add.reduce(u[sl].reshape(k, d, cols), axis=1)
                                                 for sl, k, d in self.groups])
 
     def _tail_norm(self, u: np.ndarray) -> np.ndarray:
@@ -343,7 +344,7 @@ class _PrivateElimination:
     def __init__(self, G: np.ndarray, cones: _Cones):
         m, n = G.shape
         # the blocks in which each column is nonzero
-        touched = cones.block_sums(G != 0, np.logical_or)
+        touched = cones.block_sums(G != 0) > 0
         single = np.flatnonzero(touched.sum(axis=0) == 1)
         blocks, first = np.unique(touched[:, single].argmax(axis=0), return_index=True)
         private = single[first]
@@ -357,11 +358,15 @@ class _PrivateElimination:
         self.G_pd = np.empty((m, n - k + 1))
         self.G_pd[:, 0] = self.G[:, :k].sum(axis=1)
         self.G_pd[:, 1:] = self.G[:, k:]
-        # past ~2^18 multiply-adds a product with G or W^-1 G is faster in
-        # the compact form [g_p, G_d] (see mul), which halves the memory
-        # these products stream at scalar N = 100; below, one dense product
-        # costs fewer numpy calls
-        self.compact = k * self.G_pd.size > 2**18
+        # the compact form [g_p, G_d] (see mul) skips the m k entries of the
+        # private columns in each product with G or W^-1 G, for a few more
+        # numpy calls per product.  Solve time compact/dense, measured on
+        # scalar robust and regret programs: 1.07 at N = 50 (m k = 15 453),
+        # 0.99-1.02 at N = 55 (18 648), 0.84-1.12 at N = 60 (22 143), 0.93 at
+        # N = 70 and 0.87 at N = 100; 1.15 on the small programs of the
+        # benchmark's problem files (m k <= 3 725).  The threshold sits where
+        # the two forms are even
+        self.compact = m * k > 20_000
         # the dense W^-1 G in the private-first order; a private column is
         # zero outside the rows of its block, which are the entries (rows, cols)
         self.Gw = None if self.compact else np.zeros((m, n))

@@ -102,16 +102,16 @@ def verify_result(kind: str, spec, amb, result) -> list[Check]:
 
 @functools.lru_cache(maxsize=1)
 def _ball_samples(n_w: int):
-    """The sampled check's draws for disturbance dimension n_w, seeded: 10 000
-    normal directions Z, radii r^(1/n_w) and ||Z|| per row, read-only.  A
-    sample of the ball of radius gamma is ``Z * (gamma * radius / norm)``."""
+    """The sampled check's draws for disturbance dimension n_w, seeded and
+    read-only: 10 000 normal directions Z and per-row scales r^(1/n_w) / ||Z||.
+    The rows of ``gamma * scale * Z`` are uniform in the ball of radius gamma.
+    The norms are taken without a temporary the size of Z, so a new draw
+    holds at most the old and the new Z."""
     rng = np.random.default_rng(0)
     Z = rng.standard_normal((10_000, n_w))
-    radius = rng.random(10_000) ** (1.0 / n_w)
-    norm = np.linalg.norm(Z, axis=1)
-    for a in (Z, radius, norm):
-        a.flags.writeable = False
-    return Z, radius, norm
+    scale = rng.random(10_000) ** (1.0 / n_w) / np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    Z.flags.writeable = scale.flags.writeable = False
+    return Z, scale
 
 
 def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
@@ -155,14 +155,16 @@ def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
     if mode == "regret":
         report.append(_check("regret nonnegative", -obj, 1e-8))
 
-    # sampled disturbances never beat the reported bound
-    Z, radius, norm = _ball_samples(len(lin))
-    W = Z * (gamma * radius / norm)[:, None]
-    # w'Qw as one BLAS product and a row sum, in place; the three-operand
+    # sampled disturbances w = s z, s = gamma * scale, never beat the
+    # reported bound; w'Qw + 2 h'w = s^2 z'Qz + 2 s h'z, so no scaled copy of
+    # Z is formed beside the cached one
+    Z, scale = _ball_samples(len(lin))
+    s = gamma * scale
+    # z'Qz as one BLAS product and a row sum, in place; the three-operand
     # einsum would run as an unoptimized loop
-    vals = W @ quad
-    vals *= W
-    vals = vals.sum(1) + 2.0 * (W @ h_eff)
+    zQz = Z @ quad
+    zQz *= Z
+    vals = s * s * zQz.sum(1) + 2.0 * s * (Z @ h_eff)
     report.append(_check("sampled disturbances below bound", float(np.max(vals)) - bound,
                          1e-6 * (1 + abs(bound))))
     return report
