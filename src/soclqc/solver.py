@@ -14,37 +14,29 @@ Each Newton system
     [ A  0   0   ] [dy] = [r_y]
     [ G  0  -W^2 ] [dz]   [r_z]
 
-is reduced by eliminating ``dz = W^-2 (G dx - r_z)``: one factorization per
-iteration of the (n+p) matrix ``[[H + D, A'], [A, -delta I]]`` with
-``H = (W^-1 G)'(W^-1 G)`` gives dx and dy (Andersen, Roos & Terlaky, Math.
-Prog. 2003).  Without equality rows (p = 0) the matrix is ``H + D``, positive
-definite, and is factored by Cholesky, as CVXOPT's ``coneqp`` and ECOS do;
-with them it is quasidefinite and factored by LU.  Both matrices are exactly
-symmetric, so the factorization and its solves are direct LAPACK calls
-(``dpotrf``/``dpotrs``, ``dgetrf``/``dgetrs``) on the Fortran-ordered view
-of the C-ordered matrix, with no copy and no wrapper.
-
-Without equality rows the block-private variables are eliminated first
-(:class:`_PrivateElimination`): a variable whose column of G is nonzero in
-the rows of one cone block only, as the epigraph variable t_i of each
-disturbance coordinate is in the LQC programs.  The solve orders them first,
-their block of H is diagonal, only the Schur complement on the other
-variables is formed and factored, and the assembled factor keeps each solve
-one ``dpotrs`` (after Domahidi et al., CDC 2012, and ECOS).  At scalar N = 100
-this halves the columns of ``W^-1 G`` and the order of the dense factor, and
-the products with G and ``W^-1 G`` take the private columns as one vector.
+is reduced by eliminating ``dz = W^-2 (G dx - r_z)`` (Andersen, Roos &
+Terlaky, Math. Prog. 2003) to the (n+p) matrix ``[[H + A'A + D, A'], [A,
+-delta I]]`` with ``H = (W^-1 G)'(W^-1 G)``.  Adding ``A'A`` is exact, as
+``A dx = r_y`` (the right side takes ``A'r_y``), and keeps the leading block
+definite where G lacks full column rank.  Every program factors this matrix
+by Cholesky (:class:`_PrivateElimination`), as CVXOPT's ``kkt_chol2`` does:
+``H + A'A + D`` with the block-private variables eliminated first (after
+Domahidi et al., CDC 2012, and ECOS), then, with equality rows, the p x p
+complement on A.  The factorizations and solves are direct LAPACK calls on
+Fortran-ordered arrays, with no copy and no wrapper.  The starting point
+comes from the same factorization at W = I.
 
 On its own this route loses accuracy near convergence: H carries the squared
 condition number of the scaling, and the small regularization D, delta
-(relative to diag(H), because [G; A] may lack full column rank) biases the
-step.  Each solve is therefore refined against the full, unregularized
-three-block system.  Its residual needs only products
-with G, G', A, A' and W, and each correction reuses the same factorization.
-Refinement converges while the reduced solve is right to better than one
-digit, and its limit is set by how exactly that residual is computed, not by
-the conditioning of H; so the refined step has the accuracy of the full
-quasidefinite system.  Refinement stops once a correction no longer halves
-the residual, after at most seven corrections.
+(relative to diag(H + A'A), because [G; A] may lack full column rank) biases
+the step.  Each solve is therefore refined against the full, unregularized
+three-block system.  Its residual needs only products with G, G', A, A' and
+W, and each correction reuses the same factorization.  Refinement converges
+while the reduced solve is right to better than one digit, and its limit is
+set by how exactly that residual is computed, not by the conditioning of H;
+so the refined step has the accuracy of the full quasidefinite system.
+Refinement stops once a correction no longer halves the residual, after at
+most seven corrections.
 
 The cone layer (:class:`_Cones`) treats every block, nonnegative rows
 included, as a segment of one flat layout, so each cone operation is a fixed
@@ -312,87 +304,85 @@ class _Cones:
 
 
 # ---------------------------------------------------------------------------
-# reduced KKT matrix without equality rows
+# reduced KKT matrix
 
 
 class _PrivateElimination:
-    """Cholesky factor of the reduced KKT matrix ``H + D`` (p = 0) with the
-    block-private variables eliminated first.
+    """Cholesky-based factor ``M`` of the reduced KKT matrix
 
-    A variable is block-private when its column of G is nonzero in the rows
-    of exactly one cone block; at most one per block is taken (the first),
-    never an all-zero column.  The LQC programs have one per disturbance
-    coordinate, its epigraph variable t_i, and one in the ``||y||^2 <= t``
-    block.  The solve orders them first, as ``order`` gives, so that
+        K = [[H + A'A + D, A'], [A, -delta I]] = M' diag(I, -I) M
 
-        H + D = [[H_pp, H_pd], [H_dp, H_dd]]
-
-    with ``H_pp`` diagonal: the private columns of ``W^-1 G`` are disjoint
-    segments of the one vector ``gw = W^-1 g_p``, ``g_p`` the sum of the
-    private columns of G.  So W^-1 is applied to ``[g_p, G_d]`` only, H_pp
-    and H_pd come from ``gw`` and ``W^-1 G_d`` (:meth:`private_rows`), the
-    Gram product is formed for the other columns only, and ``dpotrf``
-    factors only the Schur complement ``S = H_dd - H_dp H_pp^-1 H_pd``.
-    The factor of the whole matrix,
-    ``U = [[sqrt(H_pp), sqrt(H_pp)^-1 H_pd], [0, chol(S)]]``, is assembled,
-    so each KKT solve stays one ``dpotrs``.  Both diagonals take the
-    solver's relative regularization.  A large program (``compact``) also
-    keeps G and W^-1 G in the form ``[g_p, G_d]`` for the products of the
-    iteration (:meth:`mul`, :meth:`tmul`).
+    with the block-private variables ordered first.  A variable is
+    block-private when its column of G is nonzero in the rows of exactly one
+    cone block and its column of A is zero; at most one per block is taken
+    (the first), never an all-zero column.  The LQC programs have one per
+    disturbance coordinate, its epigraph variable t_i, and one in the
+    ``||y||^2 <= t`` block.  In the private-first order (``order``)
+    ``H + A'A + D = [[H_pp, H_pd], [H_dp, H_dd + A_d'A_d]]`` with ``H_pp``
+    diagonal, so ``dpotrf`` of the whole matrix gives
+    ``U = [[sqrt(H_pp), sqrt(H_pp)^-1 H_pd], [0, chol(S)]]``, with ``S``
+    the Schur complement on the other variables.  A large program
+    (``compact``) does that elimination itself: the private columns of
+    ``W^-1 G`` are disjoint segments of the one vector ``gw = W^-1 g_p``,
+    ``g_p`` the sum of the private columns of G, so W^-1 is applied to
+    ``[g_p, G_d]`` only, H_pp and H_pd come from ``gw`` and ``W^-1 G_d``
+    (:meth:`private_rows`), only S goes to ``dpotrf``, and the products of
+    the iteration take G and W^-1 G in that form (:meth:`mul`, :meth:`tmul`).
+    With p equality rows a second ``dpotrf`` factors the p x p complement
+    ``R'R = delta I + V'V``, ``V = U^-T A'``, and ``M = [[U, V], [0, R]]``
+    (CVXOPT's ``kkt_chol2``).  M is assembled in one array, so each KKT
+    solve is one ``dpotrs`` without equality rows and two triangular solves
+    with them (:meth:`solve`).  The diagonal of ``H + A'A`` takes the
+    solver's relative regularization.
     """
 
-    def __init__(self, G: np.ndarray, cones: _Cones):
+    def __init__(self, G: np.ndarray, A: np.ndarray, cones: _Cones):
         m, n = G.shape
-        # the blocks in which each column is nonzero
+        # the blocks in which each column is nonzero; A'A couples the columns
+        # that an equality row uses, so none of them is private
         touched = cones.block_sums(G != 0) > 0
-        single = np.flatnonzero(touched.sum(axis=0) == 1)
+        single = np.flatnonzero((touched.sum(axis=0) == 1) & ~A.any(axis=0))
         blocks, first = np.unique(touched[:, single].argmax(axis=0), return_index=True)
         private = single[first]
         rest = np.ones(n, dtype=bool)
         rest[private] = False
         self.order = np.concatenate([private, np.flatnonzero(rest)])
         self.cones, self.blocks = cones, blocks
+        self.n, self.p = n, len(A)
         self.k = k = len(private)
-        # G in the private-first order, and [g_p, G_d]
+        # G and A in the private-first order
         self.G = G.take(self.order, axis=1)
-        self.G_pd = np.empty((m, n - k + 1))
-        self.G_pd[:, 0] = self.G[:, :k].sum(axis=1)
-        self.G_pd[:, 1:] = self.G[:, k:]
+        self.A = A.take(self.order, axis=1)
+        self.AtA = self.A.T @ self.A if self.p else None
         # the compact form [g_p, G_d] (see mul) skips the m k entries of the
-        # private columns in each product with G or W^-1 G, for a few more
-        # numpy calls per product.  Solve time compact/dense, measured on
-        # scalar robust and regret programs: 1.07 at N = 50 (m k = 15 453),
-        # 0.99-1.02 at N = 55 (18 648), 0.84-1.12 at N = 60 (22 143), 0.93 at
-        # N = 70 and 0.87 at N = 100; 1.15 on the small programs of the
-        # benchmark's problem files (m k <= 3 725).  The threshold sits where
-        # the two forms are even
+        # private columns in each product with G or W^-1 G and eliminates
+        # the private variables before dpotrf, for more numpy calls per
+        # iteration.  Solve time compact/dense, measured on scalar robust and
+        # regret programs: 1.11 at N = 30 (m k = 5 673), 1.08 at N = 40,
+        # 1.00 at N = 50 (15 453), 0.97 at N = 57 (20 010) and N = 60, 0.91 at
+        # N = 70; 1.18 on the small programs of the benchmark's problem files
+        # (m k <= 3 725).  The threshold sits where the two forms are even
         self.compact = m * k > 20_000
-        # the dense W^-1 G in the private-first order; a private column is
-        # zero outside the rows of its block, which are the entries (rows, cols)
-        self.Gw = None if self.compact else np.zeros((m, n))
-        in_private = np.zeros(cones.num_blocks, dtype=bool)
-        in_private[blocks] = True
-        rows = np.flatnonzero(in_private[cones.blk])
-        slot = np.zeros(cones.num_blocks, dtype=int)
-        slot[blocks] = np.arange(k)
-        self.entries = (rows, slot[cones.blk[rows]])
-        # upper factor in Fortran order for dpotrs; the off-diagonal entries
-        # of its private block stay zero, and U_pp views its diagonal
-        self.U = np.zeros((n, n), order="F")
-        self.U_pp = self.U.T.reshape(-1)[: k * (n + 1) : n + 1]
+        if self.compact:
+            self.G_pd = np.empty((m, n - k + 1))
+            self.G_pd[:, 0] = self.G[:, :k].sum(axis=1)
+            self.G_pd[:, 1:] = self.G[:, k:]
         # each row's private variable (0 outside the private blocks, where
         # g_p is zero)
-        self.row_slot = np.zeros(m, dtype=int)
-        self.row_slot[rows] = self.entries[1]
+        slot = np.zeros(cones.num_blocks, dtype=int)
+        slot[blocks] = np.arange(k)
+        self.row_slot = slot[cones.blk]
+        # upper factor in Fortran order for LAPACK; the off-diagonal entries
+        # of its private block and its private rows of V stay zero, and U_pp
+        # views the diagonal of its private block
+        N = n + self.p
+        self.M = np.zeros((N, N), order="F")
+        self.U_pp = self.M.T.reshape(-1)[: k * (N + 1) : N + 1]
 
     def private_rows(self, B: np.ndarray):
         """``H_pp`` (its diagonal) and ``H_pd``, the private rows of H, from
-        ``B = W^-1 [g_p, G_d]``: one dense product with the private columns
-        of ``Gw`` for a small program, else the per-block sums of
-        ``gw * B``, which skip the zeros of those columns."""
-        if not self.compact:
-            H_p = self.Gw[:, : self.k].T @ B
-            return H_p[:, 0], H_p[:, 1:]
+        ``B = W^-1 [g_p, G_d]`` by per-block sums of ``gw * B``, which skip
+        the zeros of the private columns."""
         gw, blocks = B[:, 0], self.blocks
         return (self.cones._sum(gw * gw)[blocks],
                 self.cones.block_sums(gw[:, None] * B[:, 1:])[blocks])
@@ -407,32 +397,64 @@ class _PrivateElimination:
         """``M' z`` for ``P = [p, M_d]`` as in :meth:`mul`."""
         return np.concatenate([self.cones._sum(P[:, 0] * z)[self.blocks], P[:, 1:].T @ z])
 
-    def factor(self, scaling: _Scaling, reg: float):
-        """``(W^-1 G, U, info)`` in the private-first order, W^-1 G in the
-        form :meth:`mul` takes when ``compact``; info is nonzero when H_pp
-        is not positive or ``dpotrf`` fails on S."""
-        k = self.k
-        B = self.cones.apply_w(scaling, self.G_pd, inverse=True)
-        gw, Gw_d = B[:, 0], B[:, 1:]
-        if not self.compact:
-            rows, cols = self.entries
-            self.Gw[rows, cols] = gw[rows]
-            self.Gw[:, k:] = Gw_d
-        H_pp, H_pd = self.private_rows(B)
-        H_pp += np.maximum(reg, 1e-14 * H_pp)
-        if not H_pp.min(initial=np.inf) > 0:
-            return self.Gw, self.U, 1
-        sq = np.sqrt(H_pp)
-        U_pd = H_pd / sq[:, None]
+    def factor(self, scaling: _Scaling | None, reg: float):
+        """``(W^-1 G, M, info)`` in the private-first order, W^-1 G in the form
+        :meth:`mul` takes when ``compact``; ``scaling=None`` is W = I.  info
+        is nonzero when H_pp or a Cholesky pivot is not positive (LAPACK
+        lets a nan pivot through, so M's diagonal is checked)."""
+        k, n, M = self.k, self.n, self.M
+        if self.compact:
+            B = self.G_pd if scaling is None else self.cones.apply_w(scaling, self.G_pd, inverse=True)
+            Gw, Gw_d, j = B, B[:, 1:], k
+            H_pp, H_pd = self.private_rows(B)
+            H_pp += np.maximum(reg, 1e-14 * H_pp)
+            if not H_pp.min(initial=np.inf) > 0:
+                return Gw, M, 1
+            sq = np.sqrt(H_pp)
+            U_pd = H_pd / sq[:, None]
+        else:
+            # dpotrf factors the whole matrix: its private block is diagonal,
+            # so the first k pivots are the same elimination, which below the
+            # compact threshold costs more numpy calls than it saves
+            Gw = self.G if scaling is None else self.cones.apply_w(scaling, self.G, inverse=True)
+            Gw_d, j = Gw, 0
+        # numpy forms the Gram products exactly symmetric, and S.T is S in
+        # Fortran order, so LAPACK factors it in place
         S = Gw_d.T @ Gw_d
+        if self.p:
+            S += self.AtA[j:, j:]
         S_dd = S.reshape(-1)[:: len(S) + 1]
         S_dd += np.maximum(reg, 1e-14 * S_dd)
-        S -= U_pd.T @ U_pd
+        if self.compact:
+            S -= U_pd.T @ U_pd
         fac, info = lapack.dpotrf(S.T, lower=False, overwrite_a=True, clean=False)
-        self.U_pp[:] = sq
-        self.U[:k, k:] = U_pd
-        self.U[k:, k:] = fac
-        return B if self.compact else self.Gw, self.U, info
+        if info:
+            return Gw, M, info
+        if self.compact:
+            self.U_pp[:] = sq
+            M[:k, k:n] = U_pd
+        M[j:n, j:n] = fac
+        if self.p:
+            # V = U^-T A' is zero in the private rows, where A is zero
+            V = lapack.dtrtrs(fac, self.A[:, j:].T, trans=1)[0]
+            C = V.T @ V
+            C.reshape(-1)[:: self.p + 1] += reg
+            R, info = lapack.dpotrf(C.T, lower=False, overwrite_a=True, clean=False)
+            M[j:n, n:] = V
+            M[n:, n:] = R
+        return Gw, M, info or int(not M.diagonal().min() > 0)
+
+    def solve(self, M: np.ndarray, r_x: np.ndarray, r_y: np.ndarray) -> np.ndarray:
+        """The solution of ``[[H + D, A'], [A, -delta I]] sol = (r_x, r_y)``
+        as ``K sol = (r_x + A'r_y, r_y)``, with K factored as M by
+        :meth:`factor` (r_x is overwritten): one ``dpotrs`` without
+        equality rows, else ``M' u = rhs`` and ``M sol = diag(I, -I) u``."""
+        if not self.p:
+            return lapack.dpotrs(M, r_x, lower=False, overwrite_b=True)[0]
+        r_x += self.A.T @ r_y
+        u = lapack.dtrtrs(M, np.concatenate([r_x, r_y]), trans=1, overwrite_b=True)[0]
+        u[self.n :] *= -1.0
+        return lapack.dtrtrs(M, u, overwrite_b=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -444,28 +466,23 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _initial_point(c, A, b, G, h, cones, reg):
-    """Least-norm primal/dual starting points shifted into the cone interior."""
-    n = len(c)
-    p = len(b)
-    # primal: min ||s|| s.t. Ax = b, Gx + s = h  -> normal equations
-    GtG = G.T @ G + reg * np.eye(n)
-    kkt = np.block([[GtG, A.T], [A, -reg * np.eye(p)]]) if p else GtG
-    rhs = np.concatenate([G.T @ h, b]) if p else G.T @ h
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.zeros(n + p)
-    x = sol[:n]
+def _initial_point(c, b, h, elim: _PrivateElimination, reg: float):
+    """Least-norm primal/dual starting points shifted into the cone interior,
+    from the factorization of the reduced KKT matrix at W = I (from zero
+    points if that factorization fails)."""
+    G, A, n, cones = elim.G, elim.A, elim.n, elim.cones
+    _, M, info = elim.factor(None, reg)
+    if info:
+        x = w = np.zeros(n)
+    else:
+        # primal: min ||s|| s.t. Ax = b, Gx + s = h (the reduced system at W = I)
+        x = elim.solve(M, G.T @ h, b)[:n]
+        # dual: least-norm (y, z) = (A w, G w) with A^T y + G^T z = -c, where
+        # (G'G + A'A) w = -c is solved with U, the leading block of M
+        w = lapack.dpotrs(M[:n, :n], -c, lower=False)[0]
     s = cones.shift_inside(h - G @ x)
-    # dual: least-norm (y, z) with A^T y + G^T z = -c, from the normal
-    # equations (A'A + G'G) w = -c and (y, z) = (A w, G w)
-    try:
-        w = np.linalg.solve(GtG + A.T @ A if p else GtG, -c)
-    except np.linalg.LinAlgError:
-        w = np.zeros(n)
     z = cones.shift_inside(G @ w)
-    return x, A @ w if p else np.zeros(0), s, z
+    return x, A @ w, s, z
 
 
 def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution:
@@ -482,10 +499,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     c = program.obj
     A, b = program.eq_A, program.eq_b
     n, p = program.num_vars, len(b)
-    if not p:
-        # the solve runs in the elimination's variable order, private first
-        elim = _PrivateElimination(G, cones)
-        G, c = elim.G, c[elim.order]
+    # the solve runs in the elimination's variable order, private first
+    elim = _PrivateElimination(G, A, cones)
+    G, A, c = elim.G, elim.A, c[elim.order]
 
     def purified_primal_certificate(y, z) -> bool:
         """Polish the dual ray by alternating projections onto the Farkas
@@ -543,29 +559,20 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
                 status = Status.DUAL_INFEASIBLE
                 reason += "; projected primal ray certifies dual infeasibility"
         obj = float(c @ x) + program.obj_offset
-        x_out = x.copy()
-        if not p:
-            x_out[elim.order] = x
+        x_out = np.empty_like(x)
+        x_out[elim.order] = x
         return Solution(status, x_out, y.copy(), z.copy(), obj, it, rp, rd, rg, reason)
 
     reg = 1e-10
-    x, y, s, z = _initial_point(c, A, b, G, h, cones, reg)
+    x, y, s, z = _initial_point(c, b, h, elim, reg)
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
-    # with equality rows the reduced KKT matrix is [[H + D, A'], [A, -reg I]],
-    # and only its H block changes
-    if p:
-        kkt_base = np.zeros((n + p, n + p))
-        kkt_base[:n, n:] = A.T
-        kkt_base[n:, :n] = A
-        kkt_base[np.arange(n, n + p), np.arange(n, n + p)] = -reg
-        diag_x = np.arange(n)
     ident = cones.identity()
-    # products with G and W^-1 G (Gw); for a large p = 0 program both are
-    # held in the elimination's compact form, G_pd and B
-    if not p and elim.compact:
+    # products with G and W^-1 G (Gw); for a large program both are held in
+    # the elimination's compact form, G_pd and B
+    if elim.compact:
         mul, tmul, G_mat = elim.mul, elim.tmul, elim.G_pd
     else:
         mul, tmul, G_mat = np.matmul, lambda M, v: M.T @ v, G
@@ -611,32 +618,16 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             return finish(Status.NUMERICAL_FAILURE, "scaling left the cone")
         lam = cones.apply_w(scaling, z)
 
-        # eliminate dz = W^-2 (G dx - r_z): the reduced matrix needs
-        # H = (W^-1 G)'(W^-1 G), exactly symmetric as numpy forms it.  The
-        # regularization is relative to diag(H), whose entries reach 1/mu,
-        # because [G; A] may lack full column rank; it enters the
-        # factorization only.  kkt.T is the same matrix in Fortran order, so
-        # LAPACK factors it in place
-        if p:
-            Gw = cones.apply_w(scaling, G, inverse=True)
-            kkt = kkt_base.copy()
-            kkt[:n, :n] = Gw.T @ Gw
-            kkt[diag_x, diag_x] += np.maximum(reg, 1e-14 * np.diagonal(kkt)[:n])
-            fac, piv, info = lapack.dgetrf(kkt.T, overwrite_a=True)
-        else:
-            Gw, fac, info = elim.factor(scaling, reg)
-        # info > 0 is a zero pivot or a non-positive Cholesky pivot; a nan
-        # pivot passes LAPACK and is caught on the diagonal
-        if info or not np.all(np.abs(np.diagonal(fac)) > 0):
+        # eliminate dz = W^-2 (G dx - r_z) and factor the reduced matrix; the
+        # regularization is relative to diag(H + A'A), whose entries reach
+        # 1/mu, and enters the factorization only
+        Gw, fac, info = elim.factor(scaling, reg)
+        if info:
             return finish(Status.NUMERICAL_FAILURE, "factorization failed")
 
         def solve_reduced(r_x, r_y, r_z):
             wr = cones.apply_w(scaling, r_z, inverse=True)
-            rhs = r_x + tmul(Gw, wr)
-            if p:
-                sol, _ = lapack.dgetrs(fac, piv, np.concatenate([rhs, r_y]), overwrite_b=True)
-            else:
-                sol, _ = lapack.dpotrs(fac, rhs, lower=False, overwrite_b=True)
+            sol = elim.solve(fac, r_x + tmul(Gw, wr), r_y)
             dx = sol[:n]
             return dx, sol[n:], cones.apply_w(scaling, mul(Gw, dx) - wr, inverse=True)
 

@@ -650,6 +650,7 @@ def corpus_case(name):
 
 
 CORPUS = ([f"gamma:{g}:{s}" for g in ("1e-8", "1e-4", "1e2", "2e3", "5e3", "1e4") for s in (5, 6)]
+          + [f"gamma:1e5:{s}" for s in (5, 6, 7)]
           + [f"hard:{x}:{s}" for x in ("0", "1e-6") for s in (0, 1, 2)]
           + [f"box:1e-3:{s}" for s in (0, 1, 2)]
           + [f"spread:{f}:{s}" for f in ("1e3", "1e6") for s in (0, 1, 2)])
@@ -658,7 +659,7 @@ CORPUS = ([f"gamma:{g}:{s}" for g in ("1e-8", "1e-4", "1e2", "2e3", "5e3", "1e4"
 class TestEdgeCaseCorpus:
     @pytest.mark.parametrize("name", CORPUS)
     def test_optimal_at_the_exact_worst_case(self, name):
-        # radii from 1e-8 to 1e4 (gamma >= 5e3 once ended PrimalInfeasible on
+        # radii from 1e-8 to 1e5 (gamma >= 5e3 once ended PrimalInfeasible on
         # these feasible programs), the hard case at x0 = 0 and 1e-6, an input
         # box of 1e-3 at x0 = 10 and Q/R spreads of 1e3 and 1e6
         spec, x0 = corpus_case(name)

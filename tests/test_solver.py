@@ -1,4 +1,5 @@
 import concurrent.futures
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,16 +17,20 @@ from soclqc.mpc import build_mpc_socp
 from soclqc.solver import TOL_FEAS, TOL_GAP, SolverConfig, Status, solve
 
 
-def make_kkt_instance(rng):
+def make_kkt_instance(rng, eq_only=False):
     """Random program with a known optimum built from a primal-dual pair.
 
     Picks x*, per-block slacks/duals with zero complementarity, then chooses
     the objective to satisfy stationarity; by construction x* is optimal
-    with value c @ x*.
+    with value c @ x*.  With ``eq_only`` the last variable appears in no
+    cone row, only in the (at least one) equality rows, so G lacks full
+    column rank.
     """
     n = int(rng.integers(2, 11))
     nb = int(rng.integers(1, 5))
     p = int(rng.integers(0, min(3, max(1, n - 2))))
+    if eq_only:
+        p = max(p, 1)
     x_star = rng.standard_normal(n)
     b = ConicProgramBuilder()
     b.add_vars(n)
@@ -54,6 +59,8 @@ def make_kkt_instance(rng):
             else:
                 s = np.concatenate([[np.linalg.norm(v) + rng.uniform(0.5, 2.0)], v])
                 z = np.zeros(d)
+        if eq_only:
+            M[:, -1] = 0.0
         b.add_block_rows(M[None], (s - M @ x_star)[None])
         duals.append((M, z))
     eq_A = rng.standard_normal((p, n))
@@ -110,6 +117,16 @@ class TestKktOracle:
     def test_twenty_random_certified_instances(self, rng):
         for trial in range(20):
             prog, expected = make_kkt_instance(rng)
+            sol = solve(prog)
+            assert sol.status is Status.OPTIMAL, f"trial {trial}: {sol.status}"
+            err = abs(sol.objective - expected) / max(1.0, abs(expected))
+            assert err <= 1e-6, f"trial {trial}: err {err:.2e}"
+
+    def test_variable_in_equality_rows_only(self, rng):
+        # G lacks full column rank, and H + A'A is what the solve factors
+        for trial in range(10):
+            prog, expected = make_kkt_instance(rng, eq_only=True)
+            assert not prog.G[:, -1].any() and prog.eq_A[:, -1].all()
             sol = solve(prog)
             assert sol.status is Status.OPTIMAL, f"trial {trial}: {sol.status}"
             err = abs(sol.objective - expected) / max(1.0, abs(expected))
@@ -238,46 +255,93 @@ class TestInfeasibility:
 class TestFactorizationGuard:
     """A failed factorization of the reduced KKT matrix ends the solve.
 
-    The program's p picks the LAPACK routine: Cholesky (dpotrf) without
-    equality rows, LU (dgetrf) with them.  Each case makes that routine
-    report a failed pivot, or return a nan pivot, which LAPACK lets through
-    with info = 0."""
+    Every factorization is a Cholesky one (dpotrf): the start makes one at
+    W = I, and each iteration one of ``H + A'A`` (of its Schur complement
+    on a large program), then, with equality rows, one of the p x p
+    complement.  A
+    case makes one of these calls report a failed pivot, or return a nan
+    pivot, which LAPACK lets through with info = 0."""
 
-    @pytest.mark.parametrize("routine, pivot, info", [
-        ("dpotrf", -1.0, 2), ("dpotrf", np.nan, 0), ("dgetrf", 0.0, 2), ("dgetrf", np.nan, 0),
-    ])
-    def test_failed_factorization(self, monkeypatch, routine, pivot, info):
+    @staticmethod
+    def failing_dpotrf(monkeypatch, failing_call, pivot, info):
+        """Patch dpotrf so that its ``failing_call``-th call fails; returns
+        the list of calls made."""
         from soclqc import solver
 
-        if routine == "dpotrf":
-            prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
-        else:
-            prog = build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program
-        assert (len(prog.eq_b) > 0) == (routine == "dgetrf")
-        real = getattr(solver.lapack, routine)
+        real = solver.lapack.dpotrf
         calls = []
 
-        def failing(a, **kwargs):
-            *out, _ = real(a, **kwargs)
+        def dpotrf(a, **kwargs):
+            *out, ok = real(a, **kwargs)
+            calls.append(len(calls) + 1)
+            if len(calls) != failing_call:
+                return (*out, ok)
             out[0][1, 1] = pivot
-            calls.append(routine)
             return (*out, info)
 
-        monkeypatch.setattr(solver.lapack, routine, failing)
+        monkeypatch.setattr(solver.lapack, "dpotrf", dpotrf)
+        return calls
+
+    @pytest.mark.parametrize("eq_rows, failing_call, pivot, info", [
+        # without equality rows the start makes call 1 and iteration 0 call 2
+        pytest.param(False, 2, -1.0, 2, id="dpotrf--1.0-2"),
+        pytest.param(False, 2, np.nan, 0, id="dpotrf-nan-0"),
+        # with them the start makes calls 1-2, iteration 0 factors H + A'A
+        # (call 3), then the p x p complement (call 4)
+        pytest.param(True, 3, 0.0, 2, id="eq-rows-dpotrf-block-0.0-2"),
+        pytest.param(True, 4, np.nan, 0, id="eq-rows-dpotrf-complement-nan-0"),
+    ])
+    def test_failed_factorization(self, monkeypatch, eq_rows, failing_call, pivot, info):
+        if eq_rows:
+            prog = build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program
+        else:
+            prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
+        # the patched pivot (1, 1) needs a complement of order p >= 2
+        assert (len(prog.eq_b) > 1) == eq_rows
+        calls = self.failing_dpotrf(monkeypatch, failing_call, pivot, info)
         sol = solve(prog)
-        assert calls == [routine]
+        assert calls == list(range(1, failing_call + 1))
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.reason == "factorization failed"
         assert np.isfinite(sol.x).all()
 
+    @pytest.mark.parametrize("eq_rows", [False, True])
+    def test_failed_start_factorization(self, monkeypatch, eq_rows):
+        # the solve starts from the zero points shifted inside and still
+        # reaches the optimum of an unpatched solve
+        from soclqc import solver
+
+        if eq_rows:
+            prog = build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program
+        else:
+            prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
+        expected = solve(prog)
+        starts = []
+        real = solver._initial_point
+
+        def recorded(*args):
+            starts.append(real(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(solver, "_initial_point", recorded)
+        self.failing_dpotrf(monkeypatch, 1, -1.0, 2)
+        sol = solve(prog)
+        cones = solver._Cones(prog.nn, prog.soc)
+        x, y, s, z = starts[0]
+        assert not x.any() and not y.any() and len(y) == len(prog.eq_b)
+        assert np.array_equal(s, cones.shift_inside(prog.h))
+        assert np.array_equal(z, cones.shift_inside(np.zeros(cones.total)))
+        assert sol.status is Status.OPTIMAL
+        assert abs(sol.objective - expected.objective) <= 1e-7 * (1 + abs(expected.objective))
 
     @pytest.mark.parametrize("pivot", [np.nan, -1.0])
     def test_private_pivot_not_positive(self, monkeypatch, pivot):
         # the eliminated variables' pivots are H_pp after regularization; a
-        # nan or negative one ends the solve before dpotrf factors S
+        # nan or negative one ends the solve before dpotrf factors S.  The
+        # explicit elimination runs with the compact products (N = 60)
         from soclqc import solver
 
-        prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
+        prog = build_robust_socp(scalar_benchmark_spec(60), [0.5]).program
         real = solver._PrivateElimination.private_rows
         factored = []
 
@@ -298,13 +362,14 @@ class TestFactorizationGuard:
 
 class TestPrivateElimination:
     """Block-private variables (a column of G nonzero in one cone block
-    only) are eliminated before the Cholesky factorization (p = 0)."""
+    only, and not used by an equality row) are eliminated before the
+    Cholesky factorization."""
 
     @staticmethod
     def private(prog):
         from soclqc.solver import _Cones, _PrivateElimination
 
-        elim = _PrivateElimination(prog.G, _Cones(prog.nn, prog.soc))
+        elim = _PrivateElimination(prog.G, prog.eq_A, _Cones(prog.nn, prog.soc))
         return elim, set(elim.order[: elim.k].tolist())
 
     def test_epigraph_variables_detected(self):
@@ -343,6 +408,22 @@ class TestPrivateElimination:
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
         assert np.allclose(sol.x, [0.5, 0.5, 1.0], atol=1e-7)
+
+    def test_column_used_by_an_equality_row_not_eliminated(self):
+        # the program of test_one_private_variable_per_block with x2 = 2: x2
+        # is private to its row in G, but A'A couples it
+        b = ConicProgramBuilder()
+        b.add_vars(3)
+        b.set_objective_row([1.0, 1.0, 1.0])
+        b.add_block_rows([[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]], [[0.0, 0.0, 1.0]])
+        b.add_block_rows([[[0.0, 0.0, 1.0]]], [[-1.0]])
+        b.add_eq_rows([[0.0, 0.0, 1.0]], [2.0])
+        prog = b.build()
+        _, private = self.private(prog)
+        assert private == {0}
+        sol = solve(prog)
+        assert sol.status is Status.OPTIMAL
+        assert np.allclose(sol.x, [0.5, 0.5, 2.0], atol=1e-7)
 
     def test_zero_column_not_eliminated(self):
         # x1 appears in no block; the regularization keeps H + D definite
@@ -402,6 +483,42 @@ class TestPrivateElimination:
         H = full.T @ full
         H[np.diag_indices_from(H)] += np.maximum(1e-10, 1e-14 * np.diagonal(H))
         assert np.allclose(np.triu(U).T @ np.triu(U), H, rtol=1e-10, atol=1e-12 * np.abs(H).max())
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_factor_with_equality_rows(self, rng, compact):
+        # M' diag(I, -I) M = [[H + A'A + D, A'], [A, -1e-10 I]], and solve()
+        # solves that system with A'r_y added to r_x: on an MPC program, and
+        # on a scalar N = 60 regret program (compact form) with two random
+        # equality rows on its inputs y
+        from soclqc.solver import _Cones
+
+        if compact:
+            socp = build_regret_socp(scalar_benchmark_spec(60), [0.5])
+            eq_A = np.zeros((2, socp.program.num_vars))
+            eq_A[:, socp.y_index] = rng.standard_normal((2, len(socp.y_index)))
+            prog = replace(socp.program, eq_A=eq_A, eq_b=rng.standard_normal(2))
+        else:
+            prog = build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]).program
+        cones = _Cones(prog.nn, prog.soc)
+        elim, _ = self.private(prog)
+        assert elim.compact == compact
+        n, p = prog.num_vars, len(prog.eq_b)
+        sz = np.array([cones.shift_inside(rng.standard_normal(cones.total)) for _ in range(2)])
+        scaling, _ = cones.nt_scaling(sz)
+        _, M, info = elim.factor(scaling, 1e-10)
+        assert info == 0
+        G, A = prog.G[:, elim.order], prog.eq_A[:, elim.order]
+        Gw = cones.apply_w(scaling, G, inverse=True)
+        H = Gw.T @ Gw + A.T @ A
+        H[np.diag_indices_from(H)] += np.maximum(1e-10, 1e-14 * np.diagonal(H))
+        K = np.block([[H, A.T], [A, -1e-10 * np.eye(p)]])
+        M = np.triu(M)
+        J = np.concatenate([np.ones(n), -np.ones(p)])
+        assert np.allclose(M.T @ (J[:, None] * M), K, rtol=1e-10, atol=1e-12 * np.abs(K).max())
+        r_x, r_y = rng.standard_normal(n), rng.standard_normal(p)
+        sol = elim.solve(M, r_x.copy(), r_y)
+        rhs = np.concatenate([r_x + A.T @ r_y, r_y])
+        assert np.linalg.norm(K @ sol - rhs) <= 1e-8 * np.linalg.norm(rhs) * np.linalg.norm(K, 1)
 
 
 class TestConcurrency:
