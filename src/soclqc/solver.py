@@ -19,17 +19,17 @@ Terlaky, Math. Prog. 2003) to the (n+p) matrix ``[[H + A'A + D, A'], [A,
 -delta I]]`` with ``H = (W^-1 G)'(W^-1 G)``.  Adding ``A'A`` is exact, as
 ``A dx = r_y`` (the right side takes ``A'r_y``), and keeps the leading block
 definite where G lacks full column rank.  Every program factors this matrix
-by Cholesky (:class:`_PrivateElimination`), as CVXOPT's ``kkt_chol2`` does:
-``H + A'A + D`` with the block-private variables eliminated first (after
-Domahidi et al., CDC 2012, and ECOS), then, with equality rows, the p x p
-complement on A.  The factorizations and solves are direct LAPACK calls on
-Fortran-ordered arrays, with no copy and no wrapper.  The starting point
-comes from the same factorization at W = I.
+by Cholesky (:class:`_KktFactor`), as CVXOPT's ``kkt_chol2`` does: ``H +
+A'A + D``, on a large program with the block-private variables eliminated
+first (after Domahidi et al., CDC 2012, and ECOS), then, with equality rows,
+the p x p complement on A.  The factorizations and solves are direct LAPACK
+calls on Fortran-ordered arrays, with no copy and no wrapper.  The starting
+point comes from the same factorization at W = I.
 
 On its own this route loses accuracy near convergence: H carries the squared
 condition number of the scaling, and the small regularization D, delta
-(relative to diag(H + A'A), because [G; A] may lack full column rank) biases
-the step.  Each solve is therefore refined against the full, unregularized
+(relative to diag(H), because [G; A] may lack full column rank) biases the
+step.  Each solve is therefore refined against the full, unregularized
 three-block system.  Its residual needs only products with G, G', A, A' and
 W, and each correction reuses the same factorization.  Refinement converges
 while the reduced solve is right to better than one digit, and its limit is
@@ -307,71 +307,69 @@ class _Cones:
 # reduced KKT matrix
 
 
-class _PrivateElimination:
-    """Cholesky-based factor ``M`` of the reduced KKT matrix
+def _private_columns(G: np.ndarray, A: np.ndarray, cones: _Cones):
+    """The block-private columns of G, nonzero in the rows of one cone block
+    only and zero in A (A'A couples them), and their blocks: the first of
+    each block, never an all-zero column.  The LQC programs have one per
+    disturbance coordinate, its epigraph t_i, and one in ``||y||^2 <= t``."""
+    touched = cones.block_sums(G != 0) > 0
+    single = np.flatnonzero((touched.sum(axis=0) == 1) & ~A.any(axis=0))
+    blocks, first = np.unique(touched[:, single].argmax(axis=0), return_index=True)
+    return single[first], blocks
 
-        K = [[H + A'A + D, A'], [A, -delta I]] = M' diag(I, -I) M
 
-    with the block-private variables ordered first.  A variable is
-    block-private when its column of G is nonzero in the rows of exactly one
-    cone block and its column of A is zero; at most one per block is taken
-    (the first), never an all-zero column.  The LQC programs have one per
-    disturbance coordinate, its epigraph variable t_i, and one in the
-    ``||y||^2 <= t`` block.  In the private-first order (``order``)
-    ``H + A'A + D = [[H_pp, H_pd], [H_dp, H_dd + A_d'A_d]]`` with ``H_pp``
-    diagonal, so ``dpotrf`` of the whole matrix gives
-    ``U = [[sqrt(H_pp), sqrt(H_pp)^-1 H_pd], [0, chol(S)]]``, with ``S``
-    the Schur complement on the other variables.  A large program
-    (``compact``) does that elimination itself: the private columns of
-    ``W^-1 G`` are disjoint segments of the one vector ``gw = W^-1 g_p``,
-    ``g_p`` the sum of the private columns of G, so W^-1 is applied to
-    ``[g_p, G_d]`` only, H_pp and H_pd come from ``gw`` and ``W^-1 G_d``
-    (:meth:`private_rows`), only S goes to ``dpotrf``, and the products of
-    the iteration take G and W^-1 G in that form (:meth:`mul`, :meth:`tmul`).
-    With p equality rows a second ``dpotrf`` factors the p x p complement
-    ``R'R = delta I + V'V``, ``V = U^-T A'``, and ``M = [[U, V], [0, R]]``
-    (CVXOPT's ``kkt_chol2``).  M is assembled in one array, so each KKT
-    solve is one ``dpotrs`` without equality rows and two triangular solves
-    with them (:meth:`solve`).  The diagonal of ``H + A'A`` takes the
-    solver's relative regularization.
+class _KktFactor:
+    """Factor ``M`` of the reduced KKT matrix
+    ``K = [[H + A'A + D, A'], [A, -delta I]] = M' diag(I, -I) M``.
+
+    ``dpotrf`` factors ``H + A'A + D = U'U``; with p equality rows a second
+    ``dpotrf`` factors the p x p complement ``R'R = delta I + V'V``,
+    ``V = U^-T A'``, and ``M = [[U, V], [0, R]]`` (CVXOPT's ``kkt_chol2``).
+    M is one array, so each KKT solve is one ``dpotrs`` without equality
+    rows and two triangular solves with them (:meth:`solve`).
+
+    A large program (``compact``) orders its block-private variables
+    (:func:`_private_columns`) first, as ``order`` gives, and eliminates
+    them before ``dpotrf`` (after Domahidi et al., CDC 2012, and ECOS).  Its
+    ``H_pp`` is diagonal: the private columns of ``W^-1 G`` are disjoint
+    segments of the one vector ``gw = W^-1 g_p``, ``g_p`` the sum of the
+    private columns of G.  So W^-1 is applied to ``[g_p, G_d]`` only, H_pp
+    and H_pd come from ``gw`` and ``W^-1 G_d`` (:meth:`private_rows`), only
+    the Schur complement on the other variables goes to ``dpotrf``, and the
+    iteration's products take G and W^-1 G in that form (:meth:`mul`,
+    :meth:`tmul`).  A smaller program keeps its order and factors the whole
+    matrix.
     """
 
     def __init__(self, G: np.ndarray, A: np.ndarray, cones: _Cones):
         m, n = G.shape
-        # the blocks in which each column is nonzero; A'A couples the columns
-        # that an equality row uses, so none of them is private
-        touched = cones.block_sums(G != 0) > 0
-        single = np.flatnonzero((touched.sum(axis=0) == 1) & ~A.any(axis=0))
-        blocks, first = np.unique(touched[:, single].argmax(axis=0), return_index=True)
-        private = single[first]
-        rest = np.ones(n, dtype=bool)
-        rest[private] = False
-        self.order = np.concatenate([private, np.flatnonzero(rest)])
-        self.cones, self.blocks = cones, blocks
-        self.n, self.p = n, len(A)
-        self.k = k = len(private)
-        # G and A in the private-first order
-        self.G = G.take(self.order, axis=1)
-        self.A = A.take(self.order, axis=1)
-        self.AtA = self.A.T @ self.A if self.p else None
+        self.cones, self.n, self.p = cones, n, len(A)
+        private, blocks = _private_columns(G, A, cones)
         # the compact form [g_p, G_d] (see mul) skips the m k entries of the
-        # private columns in each product with G or W^-1 G and eliminates
-        # the private variables before dpotrf, for more numpy calls per
-        # iteration.  Solve time compact/dense, measured on scalar robust and
-        # regret programs: 1.11 at N = 30 (m k = 5 673), 1.08 at N = 40,
-        # 1.00 at N = 50 (15 453), 0.97 at N = 57 (20 010) and N = 60, 0.91 at
-        # N = 70; 1.18 on the small programs of the benchmark's problem files
-        # (m k <= 3 725).  The threshold sits where the two forms are even
-        self.compact = m * k > 20_000
+        # private columns in each product with G or W^-1 G, for more numpy
+        # calls.  Solve time compact/dense on scalar robust and regret
+        # programs: 1.15 at N = 30 (m k = 5 673), 1.01 at N = 50 (15 453)
+        # and N = 57 (20 010), 0.96 at N = 60, 0.93 at N = 70; 1.21 on the
+        # benchmark's problem files (m k <= 3 725).  Even at the threshold
+        self.compact = m * len(private) > 20_000
+        self.k = k = len(private) if self.compact else 0  # eliminated
+        self.order = None
         if self.compact:
+            rest = np.ones(n, dtype=bool)
+            rest[private] = False
+            self.order = np.concatenate([private, np.flatnonzero(rest)])
+            G, A = G.take(self.order, axis=1), A.take(self.order, axis=1)
+            self.blocks = blocks
             self.G_pd = np.empty((m, n - k + 1))
-            self.G_pd[:, 0] = self.G[:, :k].sum(axis=1)
-            self.G_pd[:, 1:] = self.G[:, k:]
-        # each row's private variable (0 outside the private blocks, where
-        # g_p is zero)
-        slot = np.zeros(cones.num_blocks, dtype=int)
-        slot[blocks] = np.arange(k)
-        self.row_slot = slot[cones.blk]
+            self.G_pd[:, 0] = G[:, :k].sum(axis=1)
+            self.G_pd[:, 1:] = G[:, k:]
+            # each row's private variable (0 outside the private blocks,
+            # where g_p is zero)
+            slot = np.zeros(cones.num_blocks, dtype=int)
+            slot[blocks] = np.arange(k)
+            self.row_slot = slot[cones.blk]
+        self.G, self.A = G, A
+        self.AtA = A.T @ A if self.p else None
         # upper factor in Fortran order for LAPACK; the off-diagonal entries
         # of its private block and its private rows of V stay zero, and U_pp
         # views the diagonal of its private block
@@ -397,50 +395,54 @@ class _PrivateElimination:
         """``M' z`` for ``P = [p, M_d]`` as in :meth:`mul`."""
         return np.concatenate([self.cones._sum(P[:, 0] * z)[self.blocks], P[:, 1:].T @ z])
 
+    def _eliminate(self, B: np.ndarray, reg: float, relative: bool):
+        """Write the private rows ``[sqrt(H_pp), sqrt(H_pp)^-1 H_pd]`` of U
+        into M, from ``B = W^-1 [g_p, G_d]``, and return their second part;
+        None when a pivot H_pp is not positive."""
+        H_pp, H_pd = self.private_rows(B)
+        H_pp += np.maximum(reg, 1e-14 * H_pp) if relative else reg
+        if not H_pp.min(initial=np.inf) > 0:
+            return None
+        self.U_pp[:] = np.sqrt(H_pp)
+        U_pd = self.M[: self.k, self.k : self.n] = H_pd / self.U_pp[:, None]
+        return U_pd
+
     def factor(self, scaling: _Scaling | None, reg: float):
-        """``(W^-1 G, M, info)`` in the private-first order, W^-1 G in the form
-        :meth:`mul` takes when ``compact``; ``scaling=None`` is W = I.  info
-        is nonzero when H_pp or a Cholesky pivot is not positive (LAPACK
-        lets a nan pivot through, so M's diagonal is checked)."""
+        """``(W^-1 G, M, info)``, W^-1 G in the form :meth:`mul` takes when
+        ``compact``.  The regularization is relative to diag(H) (at least
+        ``reg``), or ``reg`` itself for ``scaling=None``, which is W = I.
+        info is nonzero when a pivot is not positive (LAPACK lets a nan
+        pivot through, so M's diagonal is checked)."""
         k, n, M = self.k, self.n, self.M
+        relative = scaling is not None
+        Gw = self.G_pd if self.compact else self.G
+        if relative:
+            Gw = self.cones.apply_w(scaling, Gw, inverse=True)
+        Gw_d = Gw
         if self.compact:
-            B = self.G_pd if scaling is None else self.cones.apply_w(scaling, self.G_pd, inverse=True)
-            Gw, Gw_d, j = B, B[:, 1:], k
-            H_pp, H_pd = self.private_rows(B)
-            H_pp += np.maximum(reg, 1e-14 * H_pp)
-            if not H_pp.min(initial=np.inf) > 0:
+            Gw_d, U_pd = Gw[:, 1:], self._eliminate(Gw, reg, relative)
+            if U_pd is None:
                 return Gw, M, 1
-            sq = np.sqrt(H_pp)
-            U_pd = H_pd / sq[:, None]
-        else:
-            # dpotrf factors the whole matrix: its private block is diagonal,
-            # so the first k pivots are the same elimination, which below the
-            # compact threshold costs more numpy calls than it saves
-            Gw = self.G if scaling is None else self.cones.apply_w(scaling, self.G, inverse=True)
-            Gw_d, j = Gw, 0
         # numpy forms the Gram products exactly symmetric, and S.T is S in
         # Fortran order, so LAPACK factors it in place
         S = Gw_d.T @ Gw_d
-        if self.p:
-            S += self.AtA[j:, j:]
         S_dd = S.reshape(-1)[:: len(S) + 1]
-        S_dd += np.maximum(reg, 1e-14 * S_dd)
+        S_dd += np.maximum(reg, 1e-14 * S_dd) if relative else reg
+        if self.p:
+            S += self.AtA[k:, k:]
         if self.compact:
             S -= U_pd.T @ U_pd
         fac, info = lapack.dpotrf(S.T, lower=False, overwrite_a=True, clean=False)
         if info:
             return Gw, M, info
-        if self.compact:
-            self.U_pp[:] = sq
-            M[:k, k:n] = U_pd
-        M[j:n, j:n] = fac
+        M[k:n, k:n] = fac
         if self.p:
             # V = U^-T A' is zero in the private rows, where A is zero
-            V = lapack.dtrtrs(fac, self.A[:, j:].T, trans=1)[0]
+            V = lapack.dtrtrs(fac, self.A[:, k:].T, trans=1)[0]
             C = V.T @ V
             C.reshape(-1)[:: self.p + 1] += reg
             R, info = lapack.dpotrf(C.T, lower=False, overwrite_a=True, clean=False)
-            M[j:n, n:] = V
+            M[k:n, n:] = V
             M[n:, n:] = R
         return Gw, M, info or int(not M.diagonal().min() > 0)
 
@@ -466,17 +468,17 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _initial_point(c, b, h, elim: _PrivateElimination, reg: float):
+def _initial_point(c, b, h, kkt: _KktFactor, reg: float):
     """Least-norm primal/dual starting points shifted into the cone interior,
     from the factorization of the reduced KKT matrix at W = I (from zero
     points if that factorization fails)."""
-    G, A, n, cones = elim.G, elim.A, elim.n, elim.cones
-    _, M, info = elim.factor(None, reg)
+    G, A, n, cones = kkt.G, kkt.A, kkt.n, kkt.cones
+    _, M, info = kkt.factor(None, reg)
     if info:
         x = w = np.zeros(n)
     else:
         # primal: min ||s|| s.t. Ax = b, Gx + s = h (the reduced system at W = I)
-        x = elim.solve(M, G.T @ h, b)[:n]
+        x = kkt.solve(M, G.T @ h, b)[:n]
         # dual: least-norm (y, z) = (A w, G w) with A^T y + G^T z = -c, where
         # (G'G + A'A) w = -c is solved with U, the leading block of M
         w = lapack.dpotrs(M[:n, :n], -c, lower=False)[0]
@@ -499,9 +501,11 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     c = program.obj
     A, b = program.eq_A, program.eq_b
     n, p = program.num_vars, len(b)
-    # the solve runs in the elimination's variable order, private first
-    elim = _PrivateElimination(G, A, cones)
-    G, A, c = elim.G, elim.A, c[elim.order]
+    kkt = _KktFactor(G, A, cones)
+    G, A = kkt.G, kkt.A
+    if kkt.compact:
+        # the solve runs in the private-first order
+        c = c[kkt.order]
 
     def purified_primal_certificate(y, z) -> bool:
         """Polish the dual ray by alternating projections onto the Farkas
@@ -559,21 +563,22 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
                 status = Status.DUAL_INFEASIBLE
                 reason += "; projected primal ray certifies dual infeasibility"
         obj = float(c @ x) + program.obj_offset
-        x_out = np.empty_like(x)
-        x_out[elim.order] = x
+        x_out = x.copy()
+        if kkt.compact:
+            x_out[kkt.order] = x
         return Solution(status, x_out, y.copy(), z.copy(), obj, it, rp, rd, rg, reason)
 
     reg = 1e-10
-    x, y, s, z = _initial_point(c, b, h, elim, reg)
+    x, y, s, z = _initial_point(c, b, h, kkt, reg)
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
     ident = cones.identity()
     # products with G and W^-1 G (Gw); for a large program both are held in
-    # the elimination's compact form, G_pd and B
-    if elim.compact:
-        mul, tmul, G_mat = elim.mul, elim.tmul, elim.G_pd
+    # the compact form of the KKT factor, G_pd and B
+    if kkt.compact:
+        mul, tmul, G_mat = kkt.mul, kkt.tmul, kkt.G_pd
     else:
         mul, tmul, G_mat = np.matmul, lambda M, v: M.T @ v, G
 
@@ -619,15 +624,16 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         lam = cones.apply_w(scaling, z)
 
         # eliminate dz = W^-2 (G dx - r_z) and factor the reduced matrix; the
-        # regularization is relative to diag(H + A'A), whose entries reach
-        # 1/mu, and enters the factorization only
-        Gw, fac, info = elim.factor(scaling, reg)
+        # regularization is relative to diag(H), whose entries reach 1/mu,
+        # because [G; A] may lack full column rank, and enters the
+        # factorization only
+        Gw, fac, info = kkt.factor(scaling, reg)
         if info:
             return finish(Status.NUMERICAL_FAILURE, "factorization failed")
 
         def solve_reduced(r_x, r_y, r_z):
             wr = cones.apply_w(scaling, r_z, inverse=True)
-            sol = elim.solve(fac, r_x + tmul(Gw, wr), r_y)
+            sol = kkt.solve(fac, r_x + tmul(Gw, wr), r_y)
             dx = sol[:n]
             return dx, sol[n:], cones.apply_w(scaling, mul(Gw, dx) - wr, inverse=True)
 

@@ -342,7 +342,7 @@ class TestFactorizationGuard:
         from soclqc import solver
 
         prog = build_robust_socp(scalar_benchmark_spec(60), [0.5]).program
-        real = solver._PrivateElimination.private_rows
+        real = solver._KktFactor.private_rows
         factored = []
 
         def bad_pivot(self, B):
@@ -351,7 +351,7 @@ class TestFactorizationGuard:
             H_pp[1] = pivot
             return H_pp, H_pd
 
-        monkeypatch.setattr(solver._PrivateElimination, "private_rows", bad_pivot)
+        monkeypatch.setattr(solver._KktFactor, "private_rows", bad_pivot)
         monkeypatch.setattr(solver.lapack, "dpotrf", lambda *a, **k: factored.append(1))
         sol = solve(prog)
         assert factored == []
@@ -363,32 +363,47 @@ class TestFactorizationGuard:
 class TestPrivateElimination:
     """Block-private variables (a column of G nonzero in one cone block
     only, and not used by an equality row) are eliminated before the
-    Cholesky factorization."""
+    Cholesky factorization of a large (compact) program; a smaller one
+    keeps its own order and factors the whole matrix."""
 
     @staticmethod
     def private(prog):
-        from soclqc.solver import _Cones, _PrivateElimination
+        """The KKT factor of prog, its block-private columns as a set, and
+        their blocks."""
+        from soclqc.solver import _Cones, _KktFactor, _private_columns
 
-        elim = _PrivateElimination(prog.G, prog.eq_A, _Cones(prog.nn, prog.soc))
-        return elim, set(elim.order[: elim.k].tolist())
+        cones = _Cones(prog.nn, prog.soc)
+        private, blocks = _private_columns(prog.G, prog.eq_A, cones)
+        return _KktFactor(prog.G, prog.eq_A, cones), set(private.tolist()), blocks
+
+    @staticmethod
+    def order(kkt):
+        """The variable order of the solve: private first when compact."""
+        return kkt.order if kkt.compact else np.arange(kkt.n)
 
     def test_epigraph_variables_detected(self):
         socp = build_robust_socp(scalar_benchmark_spec(5), [0.5])
         n = socp.program.num_vars
         t_quad = set(range(n)) - set(socp.y_index) - {socp.lam_index} - set(socp.t_index)
         assert len(t_quad) == 1
-        elim, private = self.private(socp.program)
+        kkt, private, blocks = self.private(socp.program)
         assert private == set(socp.t_index.tolist()) | t_quad
-        # one per block, ordered first, and the rest in their own order
-        assert len(set(elim.blocks.tolist())) == elim.k
-        assert sorted(elim.order.tolist()) == list(range(n))
-        assert list(elim.order[elim.k:]) == sorted(set(range(n)) - private)
+        assert len(set(blocks.tolist())) == len(private)
+        # below the compact threshold the solve keeps the program's order
+        assert not kkt.compact and kkt.order is None and kkt.k == 0
+        # a large program orders them first, and the rest in their own order
+        socp = build_robust_socp(scalar_benchmark_spec(60), [0.5])
+        kkt, private, _ = self.private(socp.program)
+        n = socp.program.num_vars
+        assert kkt.compact and kkt.k == len(private) == 61
+        assert set(kkt.order[: kkt.k].tolist()) == private
+        assert list(kkt.order[kkt.k:]) == sorted(set(range(n)) - private)
 
     def test_beta_columns_not_private_on_dr(self, rng):
         spec = random_lqc_spec(rng, 2, 1, 2, 3)
         amb = AmbiguitySpec(rng.standard_normal((2, spec.stacked_dist_dim)), [0.1, 0.2])
         socp = build_dr_socp(spec, rng.standard_normal(2), amb)
-        _, private = self.private(socp.program)
+        _, private, _ = self.private(socp.program)
         assert len(socp.beta_index) == 2
         assert not private & set(socp.beta_index.tolist())
         assert set(socp.t_index.tolist()) <= private
@@ -403,7 +418,7 @@ class TestPrivateElimination:
         b.add_block_rows([[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]], [[0.0, 0.0, 1.0]])
         b.add_block_rows([[[0.0, 0.0, 1.0]]], [[-1.0]])
         prog = b.build()
-        _, private = self.private(prog)
+        _, private, _ = self.private(prog)
         assert private == {0, 2}
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
@@ -419,7 +434,7 @@ class TestPrivateElimination:
         b.add_block_rows([[[0.0, 0.0, 1.0]]], [[-1.0]])
         b.add_eq_rows([[0.0, 0.0, 1.0]], [2.0])
         prog = b.build()
-        _, private = self.private(prog)
+        _, private, _ = self.private(prog)
         assert private == {0}
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
@@ -433,48 +448,51 @@ class TestPrivateElimination:
         b.add_block_rows([[[1.0]]], [[-3.0]])
         prog = b.build()
         assert not prog.G[:, 1].any()
-        _, private = self.private(prog)
+        _, private, _ = self.private(prog)
         assert private == {0}
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
         assert abs(sol.x[0] - 3.0) <= 1e-7
 
     def test_every_column_private(self):
-        # x0 >= 1 and ||(1, 1)|| <= x1: each variable is private to its
-        # block, so the Schur complement is empty
+        # x_i >= 1 (i < 149) and ||(1, 1)|| <= x_149: each variable is
+        # private to its block, and 152 rows times 150 private columns
+        # take the compact form, so the Schur complement is empty
+        n = 150
         b = ConicProgramBuilder()
-        b.add_vars(2)
-        b.set_objective_row([1.0, 1.0])
-        b.add_block_rows([[[1.0, 0.0]]], [[-1.0]])
-        b.add_block_rows([[[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]], [[0.0, 1.0, 1.0]])
+        b.add_vars(n)
+        b.set_objective_row(np.ones(n))
+        b.add_block_rows(np.eye(n)[: n - 1, None, :], -np.ones((n - 1, 1)))
+        b.add_block_rows([np.eye(n)[[n - 1, 0, 0]] * [[1.0], [0.0], [0.0]]], [[0.0, 1.0, 1.0]])
         prog = b.build()
-        elim, private = self.private(prog)
-        assert private == {0, 1} and elim.k == prog.num_vars
+        kkt, private, _ = self.private(prog)
+        assert private == set(range(n)) and kkt.compact and kkt.k == n
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
-        assert np.allclose(sol.x, [1.0, np.sqrt(2.0)], atol=1e-7)
+        assert np.allclose(sol.x, [1.0] * (n - 1) + [np.sqrt(2.0)], atol=1e-7)
 
     @pytest.mark.parametrize("N", [5, 60])
     def test_factor_is_cholesky_of_permuted_h(self, rng, N):
-        # U'U = H + D in the private-first order, with D the relative
-        # regularization of diag(H), and the products with G and W^-1 G
-        # are the dense ones; N = 60 takes the compact form
+        # U'U = H + D in the order of the solve (private first when
+        # compact), with D the relative regularization of diag(H), and the
+        # products with G and W^-1 G are the dense ones; N = 60 takes the
+        # compact form
         from soclqc.solver import _Cones
 
         prog = build_regret_socp(scalar_benchmark_spec(N), [0.5]).program
         cones = _Cones(prog.nn, prog.soc)
-        elim, _ = self.private(prog)
-        assert elim.compact == (N == 60)
+        kkt, _, _ = self.private(prog)
+        assert kkt.compact == (N == 60)
         sz = np.array([cones.shift_inside(rng.standard_normal(cones.total)) for _ in range(2)])
         scaling, _ = cones.nt_scaling(sz)
-        Gw, U, info = elim.factor(scaling, 1e-10)
+        Gw, U, info = kkt.factor(scaling, 1e-10)
         assert info == 0
-        G = prog.G[:, elim.order]
+        G = prog.G[:, self.order(kkt)]
         full = cones.apply_w(scaling, G, inverse=True)
         x, z = rng.standard_normal(prog.num_vars), rng.standard_normal(cones.total)
-        for M, P in ((G, elim.G_pd if elim.compact else elim.G), (full, Gw)):
-            if elim.compact:
-                Mx, Mz = elim.mul(P, x), elim.tmul(P, z)
+        for M, P in ((G, kkt.G_pd if kkt.compact else kkt.G), (full, Gw)):
+            if kkt.compact:
+                Mx, Mz = kkt.mul(P, x), kkt.tmul(P, z)
             else:
                 assert np.allclose(P, M, rtol=1e-13, atol=1e-13 * np.abs(M).max())
                 Mx, Mz = P @ x, P.T @ z
@@ -486,10 +504,11 @@ class TestPrivateElimination:
 
     @pytest.mark.parametrize("compact", [False, True])
     def test_factor_with_equality_rows(self, rng, compact):
-        # M' diag(I, -I) M = [[H + A'A + D, A'], [A, -1e-10 I]], and solve()
-        # solves that system with A'r_y added to r_x: on an MPC program, and
-        # on a scalar N = 60 regret program (compact form) with two random
-        # equality rows on its inputs y
+        # M' diag(I, -I) M = [[H + D + A'A, A'], [A, -1e-10 I]], D relative
+        # to diag(H), and solve() solves that system with A'r_y added to
+        # r_x: on an MPC program, and on a scalar N = 60 regret program
+        # (compact form) with two random equality rows on its inputs y.  At
+        # W = I (the start) D is 1e-10 I
         from soclqc.solver import _Cones
 
         if compact:
@@ -500,23 +519,29 @@ class TestPrivateElimination:
         else:
             prog = build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]).program
         cones = _Cones(prog.nn, prog.soc)
-        elim, _ = self.private(prog)
-        assert elim.compact == compact
+        kkt, _, _ = self.private(prog)
+        assert kkt.compact == compact
         n, p = prog.num_vars, len(prog.eq_b)
+        J = np.concatenate([np.ones(n), -np.ones(p)])
+        G, A = prog.G[:, self.order(kkt)], prog.eq_A[:, self.order(kkt)]
+        _, M, info = kkt.factor(None, 1e-10)
+        assert info == 0
+        K = np.block([[G.T @ G + A.T @ A + 1e-10 * np.eye(n), A.T], [A, -1e-10 * np.eye(p)]])
+        M = np.triu(M)
+        assert np.allclose(M.T @ (J[:, None] * M), K, rtol=1e-10, atol=1e-12 * np.abs(K).max())
         sz = np.array([cones.shift_inside(rng.standard_normal(cones.total)) for _ in range(2)])
         scaling, _ = cones.nt_scaling(sz)
-        _, M, info = elim.factor(scaling, 1e-10)
+        _, M, info = kkt.factor(scaling, 1e-10)
         assert info == 0
-        G, A = prog.G[:, elim.order], prog.eq_A[:, elim.order]
         Gw = cones.apply_w(scaling, G, inverse=True)
-        H = Gw.T @ Gw + A.T @ A
+        H = Gw.T @ Gw
         H[np.diag_indices_from(H)] += np.maximum(1e-10, 1e-14 * np.diagonal(H))
+        H += A.T @ A
         K = np.block([[H, A.T], [A, -1e-10 * np.eye(p)]])
         M = np.triu(M)
-        J = np.concatenate([np.ones(n), -np.ones(p)])
         assert np.allclose(M.T @ (J[:, None] * M), K, rtol=1e-10, atol=1e-12 * np.abs(K).max())
         r_x, r_y = rng.standard_normal(n), rng.standard_normal(p)
-        sol = elim.solve(M, r_x.copy(), r_y)
+        sol = kkt.solve(M, r_x.copy(), r_y)
         rhs = np.concatenate([r_x + A.T @ r_y, r_y])
         assert np.linalg.norm(K @ sol - rhs) <= 1e-8 * np.linalg.norm(rhs) * np.linalg.norm(K, 1)
 
