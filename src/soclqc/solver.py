@@ -8,35 +8,39 @@ after the conic solver of Vandenberghe's coneprog notes.  The program
 is solved in the slack form ``G x + s = h``, with ``G``, ``h`` and the
 layout of K taken as the :class:`~soclqc.model.ConicProgram` holds them:
 nonnegative rows first, then the second-order blocks grouped by dimension.
-Each Newton system
 
-    [ 0  A'  G'  ] [dx]   [r_x]
-    [ A  0   0   ] [dy] = [r_y]
-    [ G  0  -W^2 ] [dz]   [r_z]
+Equality rows are removed once, before the iteration, by the null-space
+method (Nocedal & Wright, *Numerical Optimization*, 15.3): one SVD of
+``eq_A`` gives the least-norm solution ``x_p`` of ``eq_A x = eq_b`` and an
+orthonormal basis ``N`` of its null space, every solution is ``x = x_p + N
+v``, and the iteration solves ``min (N'c)'v  s.t.  (h - G x_p) - (G N) v in
+K``.  Rows with no exact solution end the solve at iteration 0 with their
+Farkas ray.  The same SVD gives ``y_eq`` at the end, the least-squares
+solution of ``eq_A' y = -(c + G'z)``.  So every iteration solves the one
+Newton system
 
-is reduced by eliminating ``dz = W^-2 (G dx - r_z)`` (Andersen, Roos &
-Terlaky, Math. Prog. 2003) to the (n+p) matrix ``[[H + A'A + D, A'], [A,
--delta I]]`` with ``H = (W^-1 G)'(W^-1 G)``.  Adding ``A'A`` is exact, as
-``A dx = r_y`` (the right side takes ``A'r_y``), and keeps the leading block
-definite where G lacks full column rank.  Every program factors this matrix
-by Cholesky (:class:`_KktFactor`), as CVXOPT's ``kkt_chol2`` does: ``H +
-A'A + D``, on a large program with the block-private variables eliminated
-first (after Domahidi et al., CDC 2012, and ECOS), then, with equality rows,
-the p x p complement on A.  The factorizations and solves are direct LAPACK
-calls on Fortran-ordered arrays, with no copy and no wrapper.  The starting
-point comes from the same factorization at W = I.
+    [ 0  G'   ] [dx]   [r_x]
+    [ G  -W^2 ] [dz] = [r_z]
+
+of the program without equality rows, reduced by eliminating ``dz = W^-2 (G
+dx - r_z)`` (Andersen, Roos & Terlaky, Math. Prog. 2003) to ``(H + D) dx =
+r_x + G'W^-2 r_z`` with ``H = (W^-1 G)'(W^-1 G)`` and D a small
+regularization (relative to diag(H), because G may lack full column rank).
+Every program factors ``H + D`` by Cholesky (:class:`_KktFactor`), on a
+large program with the block-private variables eliminated first (after
+Domahidi et al., CDC 2012, and ECOS).  The factorization and solves are
+direct LAPACK calls on Fortran-ordered arrays, with no copy and no wrapper.
+The starting point comes from the same factorization at W = I.
 
 On its own this route loses accuracy near convergence: H carries the squared
-condition number of the scaling, and the small regularization D, delta
-(relative to diag(H), because [G; A] may lack full column rank) biases the
-step.  Each solve is therefore refined against the full, unregularized
-three-block system.  Its residual needs only products with G, G', A, A' and
-W, and each correction reuses the same factorization.  Refinement converges
-while the reduced solve is right to better than one digit, and its limit is
-set by how exactly that residual is computed, not by the conditioning of H;
-so the refined step has the accuracy of the full quasidefinite system.
-Refinement stops once a correction no longer halves the residual, after at
-most seven corrections.
+condition number of the scaling, and D biases the step.  Each solve is
+therefore refined against the full, unregularized two-block system.  Its
+residual needs only products with G, G' and W, and each correction reuses
+the same factorization.  Refinement converges while the reduced solve is
+right to better than one digit, and its limit is set by how exactly that
+residual is computed, not by the conditioning of H; so the refined step has
+the accuracy of the full quasidefinite system.  Refinement stops once a
+correction no longer halves the residual, after at most seven corrections.
 
 The cone layer (:class:`_Cones`) treats every block, nonnegative rows
 included, as a segment of one flat layout, so each cone operation is a fixed
@@ -307,26 +311,21 @@ class _Cones:
 # reduced KKT matrix
 
 
-def _private_columns(G: np.ndarray, A: np.ndarray, cones: _Cones):
+def _private_columns(G: np.ndarray, cones: _Cones):
     """The block-private columns of G, nonzero in the rows of one cone block
-    only and zero in A (A'A couples them), and their blocks: the first of
-    each block, never an all-zero column.  The LQC programs have one per
-    disturbance coordinate, its epigraph t_i, and one in ``||y||^2 <= t``."""
+    only, and their blocks: the first of each block, never an all-zero
+    column.  The LQC programs have one per disturbance coordinate, its
+    epigraph t_i, and one in ``||y||^2 <= t``."""
     touched = cones.block_sums(G != 0) > 0
-    single = np.flatnonzero((touched.sum(axis=0) == 1) & ~A.any(axis=0))
+    single = np.flatnonzero(touched.sum(axis=0) == 1)
     blocks, first = np.unique(touched[:, single].argmax(axis=0), return_index=True)
     return single[first], blocks
 
 
 class _KktFactor:
-    """Factor ``M`` of the reduced KKT matrix
-    ``K = [[H + A'A + D, A'], [A, -delta I]] = M' diag(I, -I) M``.
-
-    ``dpotrf`` factors ``H + A'A + D = U'U``; with p equality rows a second
-    ``dpotrf`` factors the p x p complement ``R'R = delta I + V'V``,
-    ``V = U^-T A'``, and ``M = [[U, V], [0, R]]`` (CVXOPT's ``kkt_chol2``).
-    M is one array, so each KKT solve is one ``dpotrs`` without equality
-    rows and two triangular solves with them (:meth:`solve`).
+    """Cholesky factor ``U'U = H + D`` of the reduced KKT matrix, ``H =
+    (W^-1 G)'(W^-1 G)`` and D the regularization; each KKT solve is one
+    ``dpotrs`` (:meth:`solve`).
 
     A large program (``compact``) orders its block-private variables
     (:func:`_private_columns`) first, as ``order`` gives, and eliminates
@@ -341,10 +340,10 @@ class _KktFactor:
     matrix.
     """
 
-    def __init__(self, G: np.ndarray, A: np.ndarray, cones: _Cones):
+    def __init__(self, G: np.ndarray, cones: _Cones):
         m, n = G.shape
-        self.cones, self.n, self.p = cones, n, len(A)
-        private, blocks = _private_columns(G, A, cones)
+        self.cones, self.n = cones, n
+        private, blocks = _private_columns(G, cones)
         # the compact form [g_p, G_d] (see mul) skips the m k entries of the
         # private columns in each product with G or W^-1 G, for more numpy
         # calls.  Solve time compact/dense on scalar robust and regret
@@ -358,7 +357,7 @@ class _KktFactor:
             rest = np.ones(n, dtype=bool)
             rest[private] = False
             self.order = np.concatenate([private, np.flatnonzero(rest)])
-            G, A = G.take(self.order, axis=1), A.take(self.order, axis=1)
+            G = G.take(self.order, axis=1)
             self.blocks = blocks
             self.G_pd = np.empty((m, n - k + 1))
             self.G_pd[:, 0] = G[:, :k].sum(axis=1)
@@ -368,14 +367,11 @@ class _KktFactor:
             slot = np.zeros(cones.num_blocks, dtype=int)
             slot[blocks] = np.arange(k)
             self.row_slot = slot[cones.blk]
-        self.G, self.A = G, A
-        self.AtA = A.T @ A if self.p else None
+        self.G = G
         # upper factor in Fortran order for LAPACK; the off-diagonal entries
-        # of its private block and its private rows of V stay zero, and U_pp
-        # views the diagonal of its private block
-        N = n + self.p
-        self.M = np.zeros((N, N), order="F")
-        self.U_pp = self.M.T.reshape(-1)[: k * (N + 1) : N + 1]
+        # of its private block stay zero, and U_pp views its diagonal
+        self.U = np.zeros((n, n), order="F")
+        self.U_pp = self.U.T.reshape(-1)[: k * (n + 1) : n + 1]
 
     def private_rows(self, B: np.ndarray):
         """``H_pp`` (its diagonal) and ``H_pd``, the private rows of H, from
@@ -396,24 +392,24 @@ class _KktFactor:
         return np.concatenate([self.cones._sum(P[:, 0] * z)[self.blocks], P[:, 1:].T @ z])
 
     def _eliminate(self, B: np.ndarray, reg: float, relative: bool):
-        """Write the private rows ``[sqrt(H_pp), sqrt(H_pp)^-1 H_pd]`` of U
-        into M, from ``B = W^-1 [g_p, G_d]``, and return their second part;
-        None when a pivot H_pp is not positive."""
+        """Write the private rows ``[sqrt(H_pp), sqrt(H_pp)^-1 H_pd]`` of U,
+        from ``B = W^-1 [g_p, G_d]``, and return their second part; None
+        when a pivot H_pp is not positive."""
         H_pp, H_pd = self.private_rows(B)
         H_pp += np.maximum(reg, 1e-14 * H_pp) if relative else reg
         if not H_pp.min(initial=np.inf) > 0:
             return None
         self.U_pp[:] = np.sqrt(H_pp)
-        U_pd = self.M[: self.k, self.k : self.n] = H_pd / self.U_pp[:, None]
+        U_pd = self.U[: self.k, self.k :] = H_pd / self.U_pp[:, None]
         return U_pd
 
     def factor(self, scaling: _Scaling | None, reg: float):
-        """``(W^-1 G, M, info)``, W^-1 G in the form :meth:`mul` takes when
+        """``(W^-1 G, U, info)``, W^-1 G in the form :meth:`mul` takes when
         ``compact``.  The regularization is relative to diag(H) (at least
         ``reg``), or ``reg`` itself for ``scaling=None``, which is W = I.
         info is nonzero when a pivot is not positive (LAPACK lets a nan
-        pivot through, so M's diagonal is checked)."""
-        k, n, M = self.k, self.n, self.M
+        pivot through, so U's diagonal is checked)."""
+        k, U = self.k, self.U
         relative = scaling is not None
         Gw = self.G_pd if self.compact else self.G
         if relative:
@@ -422,41 +418,28 @@ class _KktFactor:
         if self.compact:
             Gw_d, U_pd = Gw[:, 1:], self._eliminate(Gw, reg, relative)
             if U_pd is None:
-                return Gw, M, 1
+                return Gw, U, 1
         # numpy forms the Gram products exactly symmetric, and S.T is S in
         # Fortran order, so LAPACK factors it in place
         S = Gw_d.T @ Gw_d
         S_dd = S.reshape(-1)[:: len(S) + 1]
         S_dd += np.maximum(reg, 1e-14 * S_dd) if relative else reg
-        if self.p:
-            S += self.AtA[k:, k:]
         if self.compact:
             S -= U_pd.T @ U_pd
         fac, info = lapack.dpotrf(S.T, lower=False, overwrite_a=True, clean=False)
         if info:
-            return Gw, M, info
-        M[k:n, k:n] = fac
-        if self.p:
-            # V = U^-T A' is zero in the private rows, where A is zero
-            V = lapack.dtrtrs(fac, self.A[:, k:].T, trans=1)[0]
-            C = V.T @ V
-            C.reshape(-1)[:: self.p + 1] += reg
-            R, info = lapack.dpotrf(C.T, lower=False, overwrite_a=True, clean=False)
-            M[k:n, n:] = V
-            M[n:, n:] = R
-        return Gw, M, info or int(not M.diagonal().min() > 0)
+            return Gw, U, info
+        U[k:, k:] = fac
+        return Gw, U, int(not U.diagonal().min(initial=np.inf) > 0)
 
-    def solve(self, M: np.ndarray, r_x: np.ndarray, r_y: np.ndarray) -> np.ndarray:
-        """The solution of ``[[H + D, A'], [A, -delta I]] sol = (r_x, r_y)``
-        as ``K sol = (r_x + A'r_y, r_y)``, with K factored as M by
-        :meth:`factor` (r_x is overwritten): one ``dpotrs`` without
-        equality rows, else ``M' u = rhs`` and ``M sol = diag(I, -I) u``."""
-        if not self.p:
-            return lapack.dpotrs(M, r_x, lower=False, overwrite_b=True)[0]
-        r_x += self.A.T @ r_y
-        u = lapack.dtrtrs(M, np.concatenate([r_x, r_y]), trans=1, overwrite_b=True)[0]
-        u[self.n :] *= -1.0
-        return lapack.dtrtrs(M, u, overwrite_b=True)[0]
+    def solve(self, U: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The solution of ``(H + D) x = r``, with U from :meth:`factor` (r
+        is overwritten).  Equality rows that fix every variable leave no
+        variable, and LAPACK rejects that empty system, so an empty r comes
+        back as it is."""
+        if not len(r):
+            return r
+        return lapack.dpotrs(U, r, lower=False, overwrite_b=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -468,110 +451,133 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _initial_point(c, b, h, kkt: _KktFactor, reg: float):
+def _initial_point(c, h, kkt: _KktFactor, reg: float):
     """Least-norm primal/dual starting points shifted into the cone interior,
     from the factorization of the reduced KKT matrix at W = I (from zero
     points if that factorization fails)."""
-    G, A, n, cones = kkt.G, kkt.A, kkt.n, kkt.cones
-    _, M, info = kkt.factor(None, reg)
+    G, cones = kkt.G, kkt.cones
+    _, U, info = kkt.factor(None, reg)
     if info:
-        x = w = np.zeros(n)
+        x = w = np.zeros(kkt.n)
     else:
-        # primal: min ||s|| s.t. Ax = b, Gx + s = h (the reduced system at W = I)
-        x = kkt.solve(M, G.T @ h, b)[:n]
-        # dual: least-norm (y, z) = (A w, G w) with A^T y + G^T z = -c, where
-        # (G'G + A'A) w = -c is solved with U, the leading block of M
-        w = lapack.dpotrs(M[:n, :n], -c, lower=False)[0]
+        # primal: min ||s|| s.t. Gx + s = h, i.e. G'G x = G'h
+        x = kkt.solve(U, G.T @ h)
+        # dual: least-norm z = G w with G'z = -c, i.e. G'G w = -c
+        w = kkt.solve(U, -c)
     s = cones.shift_inside(h - G @ x)
     z = cones.shift_inside(G @ w)
-    return x, A @ w, s, z
+    return x, s, z
+
+
+def _null_space(A: np.ndarray, b: np.ndarray):
+    """``(x_p, N, lsq)`` from one SVD of A: the least-norm (least-squares)
+    solution x_p of ``A x = b``, an orthonormal basis N of the null space of
+    A, and ``lsq(r)``, the least-squares y of ``A'y = r``.  The rank cutoff
+    is numpy's ``matrix_rank`` default."""
+    U, S, Vt = np.linalg.svd(A)
+    rank = int((S > S.max(initial=0.0) * max(A.shape) * np.finfo(float).eps).sum())
+    U, S, V = U[:, :rank], S[:rank], Vt[:rank].T
+    return V @ ((U.T @ b) / S), Vt[rank:].T, lambda r: U @ ((V.T @ r) / S)
 
 
 def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution:
     """Solve a conic program; see :class:`Status` for termination meanings.
 
     A status other than ``Optimal`` comes with a ``reason`` naming the guard
-    that fired, and the returned iterate is always finite.
+    that fired, and the returned iterate is always finite.  With equality
+    rows, ``res_primal``, ``res_dual`` and ``res_gap`` are those of the
+    program reduced to their null space (see the module docstring); rows
+    with no solution end the solve at iteration 0, with ``res_primal`` their
+    relative residual and no dual residual or gap (nan).
     """
     cfg = config or SolverConfig()
     cones = _Cones(program.nn, program.soc)
     if cones.num_blocks == 0:
         raise ValueError("program has no cone blocks; nothing for the solver to do")
-    G, h = program.G, program.h
-    c = program.obj
-    A, b = program.eq_A, program.eq_b
-    n, p = program.num_vars, len(b)
-    kkt = _KktFactor(G, A, cones)
-    G, A = kkt.G, kkt.A
+    G, h, c = program.G, program.h, program.obj
+    obj_offset, unreduce = program.obj_offset, None
+    if len(program.eq_b):
+        # every solution of eq_A x = eq_b is x_p + N v: the solve runs in v
+        A, b = program.eq_A, program.eq_b
+        x_p, null, lsq = _null_space(A, b)
+        r_eq = A @ x_p - b
+        rp = _norm(r_eq) / (1.0 + _norm(b))
+        if rp > TOL_FEAS:
+            # A'r_eq = 0 and b'r_eq = -||r_eq||^2: a Farkas ray of the rows
+            return Solution(Status.PRIMAL_INFEASIBLE, x_p, r_eq / _norm(r_eq), np.zeros(cones.total),
+                            float(c @ x_p) + obj_offset, 0, rp, np.nan, np.nan,
+                            "equality rows are inconsistent")
+        obj_offset += float(c @ x_p)
+
+        def unreduce(v, z):
+            """The program's x and least-squares y_eq at the solve's v and z."""
+            return x_p + null @ v, lsq(-(program.obj + program.G.T @ z))
+
+        c, h, G = null.T @ c, h - G @ x_p, G @ null
+    kkt = _KktFactor(G, cones)
+    G = kkt.G
     if kkt.compact:
         # the solve runs in the private-first order
         c = c[kkt.order]
 
-    def purified_primal_certificate(y, z) -> bool:
+    def purified_primal_certificate(z) -> bool:
         """Polish the dual ray by alternating projections onto the Farkas
-        subspace A^T y + G^T z = 0 and the cone, then check it certifies
-        primal infeasibility: z in the cone, h'z + b'y < 0."""
-        stacked = np.hstack([A.T, G.T]) if p else G.T
-        yz = np.concatenate([y, z]) if p else z.copy()
-        norm0 = np.linalg.norm(yz)
+        subspace G^T z = 0 and the cone, then check it certifies primal
+        infeasibility: z in the cone, h'z < 0."""
+        norm0 = np.linalg.norm(z)
         if norm0 <= 0:
             return False
-        yz = yz / norm0
-        pinv = np.linalg.pinv(stacked)
+        z = z / norm0
+        pinv = np.linalg.pinv(G.T)
 
         def quality(v):
-            denom = -(float(h @ v[p:]) + (float(b @ v[:p]) if p else 0.0))
+            denom = -float(h @ v)
             if denom <= 1e-7 * max(1.0, np.linalg.norm(v)):
                 return np.inf
-            return np.linalg.norm(stacked @ v) / denom
+            return np.linalg.norm(G.T @ v) / denom
 
         best = np.inf
         for it in range(2000):
-            yz = yz - pinv @ (stacked @ yz)
-            yz[p:] = cones.project(yz[p:])
+            z = cones.project(z - pinv @ (G.T @ z))
             if it % 20 == 19:
-                best = min(best, quality(yz))
+                best = min(best, quality(z))
                 if best <= 1e-8:
                     break
-        best = min(best, quality(yz))
+        best = min(best, quality(z))
         # the projected ray has z in the cone exactly; accept a sharply
         # scaled approximate Farkas certificate
         return best <= 1e-6
 
     def purified_dual_certificate(x) -> bool:
-        """Project the primal ray onto A x = 0 and check it certifies dual
-        infeasibility: G x within the cone's negative, c'x < 0."""
-        x2 = x.copy()
-        if p:
-            corr, *_ = np.linalg.lstsq(A, -(A @ x2), rcond=None)
-            x2 = x2 + corr
-        scale = np.linalg.norm(x2)
-        if scale <= 0 or not cones.inside(-G @ x2, margin=-1e-9 * scale):
+        """Check the primal ray certifies dual infeasibility: G x within the
+        cone's negative, c'x < 0."""
+        scale = np.linalg.norm(x)
+        if scale <= 0 or not cones.inside(-G @ x, margin=-1e-9 * scale):
             return False
-        denom = -float(c @ x2)
-        resid = np.linalg.norm(A @ x2) if p else 0.0
-        return denom > 1e-7 * scale and resid <= 1e-7 * denom
+        return -float(c @ x) > 1e-7 * scale
 
     def finish(status, reason=""):
         """Solution at the current iterate, which is always finite."""
         if status in (Status.NUMERICAL_FAILURE, Status.MAX_ITERATIONS):
             # a stalled run may still carry an exact Farkas ray after projection
-            if rp > 10 * TOL_FEAS and purified_primal_certificate(y, z):
+            if rp > 10 * TOL_FEAS and purified_primal_certificate(z):
                 status = Status.PRIMAL_INFEASIBLE
                 reason += "; projected dual ray certifies primal infeasibility"
             elif rg > 10 * TOL_GAP and purified_dual_certificate(x):
                 status = Status.DUAL_INFEASIBLE
                 reason += "; projected primal ray certifies dual infeasibility"
-        obj = float(c @ x) + program.obj_offset
+        obj = float(c @ x) + obj_offset
         x_out = x.copy()
         if kkt.compact:
             x_out[kkt.order] = x
-        return Solution(status, x_out, y.copy(), z.copy(), obj, it, rp, rd, rg, reason)
+        y = np.zeros(0)
+        if unreduce is not None:
+            x_out, y = unreduce(x_out, z)
+        return Solution(status, x_out, y, z.copy(), obj, it, rp, rd, rg, reason)
 
     reg = 1e-10
-    x, y, s, z = _initial_point(c, b, h, kkt, reg)
+    x, s, z = _initial_point(c, h, kkt, reg)
 
-    norm_b = 1.0 + np.linalg.norm(b)
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
     ident = cones.identity()
@@ -582,21 +588,14 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     else:
         mul, tmul, G_mat = np.matmul, lambda M, v: M.T @ v, G
 
-    # without equality rows (p = 0) every product with A, which is empty or
-    # zero, is skipped; the skipped terms are exact zeros, so the iterates
-    # are those of the full expressions
     for it in range(cfg.max_iters + 1):
-        r_eq = A @ x - b if p else b
         r_cone = mul(G_mat, x) + s - h
-        r_dual = (A.T @ y + tmul(G_mat, z) if p else tmul(G_mat, z)) + c
+        r_dual = tmul(G_mat, z) + c
         gap = float(s @ z)
         pobj = float(c @ x)
-        dobj = -float(b @ y) - float(h @ z)
+        dobj = -float(h @ z)
 
-        rp = max(
-            _norm(r_eq) / norm_b if p else 0.0,
-            _norm(r_cone) / norm_h,
-        )
+        rp = _norm(r_cone) / norm_h
         rd = _norm(r_dual) / norm_c
         rg = abs(pobj - dobj) / max(1.0, abs(pobj))
 
@@ -604,12 +603,11 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             return finish(Status.OPTIMAL)
 
         # infeasibility certificates (heuristic; quantities are scale-free),
-        # read off the residuals: A'y + G'z = r_dual - c, -(b'y + h'z) = dobj,
-        # A x = r_eq + b, G x + s = r_cone + h and -c'x = -pobj
+        # read off the residuals: G'z = r_dual - c, -h'z = dobj,
+        # G x + s = r_cone + h and -c'x = -pobj
         if dobj > 0 and _norm(r_dual - c) / dobj <= TOL_FEAS and rp > 10 * TOL_FEAS:
             return finish(Status.PRIMAL_INFEASIBLE, "dual iterate is a Farkas ray")
-        if (pobj < 0 and rg > 10 * TOL_GAP and
-                max(_norm(r_eq + b), _norm(r_cone + h)) / -pobj <= TOL_FEAS):
+        if pobj < 0 and rg > 10 * TOL_GAP and _norm(r_cone + h) / -pobj <= TOL_FEAS:
             return finish(Status.DUAL_INFEASIBLE, "primal iterate is an improving ray")
         if it == cfg.max_iters:
             return finish(Status.MAX_ITERATIONS, "iteration limit")
@@ -625,34 +623,30 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
         # eliminate dz = W^-2 (G dx - r_z) and factor the reduced matrix; the
         # regularization is relative to diag(H), whose entries reach 1/mu,
-        # because [G; A] may lack full column rank, and enters the
-        # factorization only
+        # because G may lack full column rank, and enters the factorization
+        # only
         Gw, fac, info = kkt.factor(scaling, reg)
         if info:
             return finish(Status.NUMERICAL_FAILURE, "factorization failed")
 
-        def solve_reduced(r_x, r_y, r_z):
+        def solve_reduced(r_x, r_z):
             wr = cones.apply_w(scaling, r_z, inverse=True)
-            sol = kkt.solve(fac, r_x + tmul(Gw, wr), r_y)
-            dx = sol[:n]
-            return dx, sol[n:], cones.apply_w(scaling, mul(Gw, dx) - wr, inverse=True)
+            dx = kkt.solve(fac, r_x + tmul(Gw, wr))
+            return dx, cones.apply_w(scaling, mul(Gw, dx) - wr, inverse=True)
 
         def kkt_residual(r, d):
-            """r minus the unregularized full system applied to d = (dx, dy, dz),
+            """r minus the unregularized full system applied to d = (dx, dz),
             the residual's norm, and G dx."""
-            dx, dy, dz = d
+            dx, dz = d
             W2dz = cones.apply_w(scaling, cones.apply_w(scaling, dz))
             Gdx = mul(G_mat, dx)
-            if p:
-                e = (r[0] - A.T @ dy - tmul(G_mat, dz), r[1] - A @ dx, r[2] - Gdx + W2dz)
-            else:
-                e = (r[0] - tmul(G_mat, dz), r[1], r[2] - Gdx + W2dz)
+            e = (r[0] - tmul(G_mat, dz), r[1] - Gdx + W2dz)
             return e, np.sqrt(sum(v @ v for v in e)), Gdx
 
         def solve_kkt(*r):
-            """Solve [[0, A', G'], [A, 0, 0], [G, 0, -W^2]] (dx, dy, dz) = r,
-            refining against this system while each step halves the residual;
-            returns the solution and its G dx."""
+            """Solve [[0, G'], [G, -W^2]] (dx, dz) = r, refining against this
+            system while each step halves the residual; returns the solution
+            and its G dx."""
             d = solve_reduced(*r)
             e, err, Gdx = kkt_residual(r, d)
             tol = 1e-14 * max(1.0, np.sqrt(sum(v @ v for v in r)))
@@ -670,8 +664,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
         def direction(d_lam):
             """Newton direction for complementarity target -d_lam."""
-            (dx, dy, dz), Gdx = solve_kkt(-r_dual, -r_eq, -r_cone + cones.apply_w(scaling, d_lam))
-            return dx, dy, dz, -r_cone - Gdx
+            (dx, dz), Gdx = solve_kkt(-r_dual, -r_cone + cones.apply_w(scaling, d_lam))
+            return dx, dz, -r_cone - Gdx
 
         def step_length(ds, dz, frac):
             # one pass over the stacked rows (s, z), reusing their block
@@ -681,7 +675,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             return 1.0 if a >= 1.0 else a
 
         # predictor
-        dx_a, dy_a, dz_a, ds_a = direction(lam)
+        dx_a, dz_a, ds_a = direction(lam)
         alpha_a = step_length(ds_a, dz_a, 1.0)
         if not np.isfinite(alpha_a):
             return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
@@ -700,8 +694,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
         def corrected(eta):
             d_lam = cones.solve_product(lam, lam2 + eta * corr - center)
-            dxyz = direction(d_lam)
-            return step_length(dxyz[3], dxyz[2], FRACTION_TO_BOUNDARY), dxyz
+            dxzs = direction(d_lam)
+            return step_length(dxzs[2], dxzs[1], FRACTION_TO_BOUNDARY), dxzs
 
         alpha, step = corrected(1.0)
         if alpha < min(0.5 * alpha_a, 0.2):
@@ -709,7 +703,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
                 a2, step2 = corrected(eta)
                 if a2 > alpha:
                     alpha, step = a2, step2
-        dx, dy, dz, ds = step
+        dx, dz, ds = step
         if not np.isfinite(alpha) or alpha <= 1e-14:
             return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
 
@@ -721,7 +715,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         else:
             return finish(Status.NUMERICAL_FAILURE, "60 line-search shrinks")
 
-        new = (x + alpha * dx, y + alpha * dy, s + alpha * ds, z + alpha * dz)
+        new = (x + alpha * dx, s + alpha * ds, z + alpha * dz)
         if not all(np.all(np.isfinite(v)) for v in new):
             return finish(Status.NUMERICAL_FAILURE, "non-finite iterate")
-        x, y, s, z = new
+        x, s, z = new

@@ -26,8 +26,12 @@ MPC_FIELDS = ("A", "B", "E", "f", "G", "h", "K", "P", "Q", "R", "Q_f")
 
 
 def solve_ok(program):
+    # the solve runs in the null space of the equality rows, so x meets
+    # them to rounding
     sol = solve(program)
     assert sol.status is Status.OPTIMAL, sol.status
+    eq_norm = np.linalg.norm(program.eq_A @ sol.x - program.eq_b)
+    assert eq_norm <= 1e-12 * (1.0 + np.linalg.norm(program.eq_b)), eq_norm
     return sol
 
 
@@ -291,6 +295,22 @@ class TestFullProblem:
         spec = double_integrator_mpc()
         with pytest.raises(ValueError):
             build_mpc_socp(spec, np.array([10.0, 0.0]))
+
+
+class TestEdgeCaseCorpus:
+    @pytest.mark.parametrize("x_init", [(0.0, 0.0), (1e-9, 0.0), (5.0, 0.0), (-5.0, 0.0),
+                                        (5.0, -1.0), (-5.0, 1.0)],
+                             ids=lambda x: ",".join(f"{v:g}" for v in x))
+    @pytest.mark.parametrize("N", [8, 20])
+    def test_optimal_and_verified(self, N, x_init):
+        # the origin (tiny blocks), a start 1e-9 from it, and starts on the
+        # boundary of the state box |x| <= 5; at N = 2 the boundary starts
+        # are not in the corpus, as their feasibility is undecided
+        spec = double_integrator_mpc(N)
+        socp = build_mpc_socp(spec, np.array(x_init))
+        ex = socp.extract(solve_ok(socp.program))
+        report = verify_result("mpc", spec, None, {"mode": "mpc", "x0": np.array(x_init), **ex})
+        assert [check.name for check in report if not check.ok] == []
 
 
 class TestReferenceAssembler:

@@ -12,7 +12,7 @@ from soclqc.lqc import (
     build_robust_socp,
     scalar_benchmark_spec,
 )
-from soclqc.model import ConicProgramBuilder
+from soclqc.model import ConicProgramBuilder, pin_variables
 from soclqc.mpc import build_mpc_socp
 from soclqc.solver import TOL_FEAS, TOL_GAP, SolverConfig, Status, solve
 
@@ -111,6 +111,28 @@ class TestBasics:
         assert sol.status is Status.OPTIMAL
         assert abs(sol.objective - 1.0) <= 1e-7
         assert abs(sol.x[0] - 1.0) <= 1e-6
+
+    def test_equality_rows_fix_every_variable(self):
+        # x0 + x1 = 1 and x0 - x1 = 0.2 leave no free variable
+        b = ConicProgramBuilder()
+        b.add_vars(2)
+        b.set_objective_row([1.0, 0.0])
+        b.add_block_rows(np.eye(2)[:, None, :], np.zeros((2, 1)))
+        b.add_eq_rows([[1.0, 1.0], [1.0, -1.0]], [1.0, 0.2])
+        sol = solve(b.build())
+        assert sol.status is Status.OPTIMAL
+        assert abs(sol.objective - 0.6) <= 1e-12
+        assert np.allclose(sol.x, [0.6, 0.4], rtol=0, atol=1e-12)
+
+    def test_duplicated_equality_row(self):
+        # a rank-deficient A: pinning a variable twice solves as pinning it
+        # once
+        prog = build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program
+        once = solve(pin_variables(prog, [0], [0.1]))
+        twice = solve(pin_variables(prog, [0, 0], [0.1, 0.1]))
+        assert once.status is twice.status is Status.OPTIMAL
+        assert abs(twice.objective - once.objective) <= 1e-9 * (1 + abs(once.objective))
+        assert abs(twice.x[0] - 0.1) <= 1e-12
 
 
 class TestKktOracle:
@@ -251,16 +273,33 @@ class TestInfeasibility:
         sol = solve(b.build())
         assert sol.status is Status.PRIMAL_INFEASIBLE
 
+    def test_inconsistent_equality_rows(self):
+        # x0 + x1 = 1 and 2 x0 + 2 x1 = 3 have no solution: the solve stops
+        # before the first iteration with the rows' Farkas ray
+        b = ConicProgramBuilder()
+        b.add_vars(2)
+        b.set_objective_row([1.0, 0.0])
+        b.add_block_rows(np.eye(2)[:, None, :], np.zeros((2, 1)))
+        b.add_eq_rows([[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0])
+        prog = b.build()
+        sol = solve(prog)
+        assert sol.status is Status.PRIMAL_INFEASIBLE
+        assert sol.iterations == 0
+        assert sol.reason == "equality rows are inconsistent"
+        assert np.linalg.norm(prog.eq_A.T @ sol.y_eq) <= 1e-12
+        assert prog.eq_b @ sol.y_eq < -0.1
+        assert np.isfinite(sol.x).all()
+
 
 class TestFactorizationGuard:
     """A failed factorization of the reduced KKT matrix ends the solve.
 
-    Every factorization is a Cholesky one (dpotrf): the start makes one at
-    W = I, and each iteration one of ``H + A'A`` (of its Schur complement
-    on a large program), then, with equality rows, one of the p x p
-    complement.  A
-    case makes one of these calls report a failed pivot, or return a nan
-    pivot, which LAPACK lets through with info = 0."""
+    Every factorization is a Cholesky one (dpotrf) of ``H + D`` (of its
+    Schur complement on a large program), with or without equality rows:
+    the start makes one at W = I (call 1), and each iteration one more, so
+    iteration 0 makes call 2.  A case makes one of these calls report a
+    failed pivot, or return a nan pivot, which LAPACK lets through with
+    info = 0."""
 
     @staticmethod
     def failing_dpotrf(monkeypatch, failing_call, pivot, info):
@@ -282,25 +321,20 @@ class TestFactorizationGuard:
         monkeypatch.setattr(solver.lapack, "dpotrf", dpotrf)
         return calls
 
-    @pytest.mark.parametrize("eq_rows, failing_call, pivot, info", [
-        # without equality rows the start makes call 1 and iteration 0 call 2
-        pytest.param(False, 2, -1.0, 2, id="dpotrf--1.0-2"),
-        pytest.param(False, 2, np.nan, 0, id="dpotrf-nan-0"),
-        # with them the start makes calls 1-2, iteration 0 factors H + A'A
-        # (call 3), then the p x p complement (call 4)
-        pytest.param(True, 3, 0.0, 2, id="eq-rows-dpotrf-block-0.0-2"),
-        pytest.param(True, 4, np.nan, 0, id="eq-rows-dpotrf-complement-nan-0"),
+    @pytest.mark.parametrize("eq_rows, pivot, info", [
+        pytest.param(False, -1.0, 2, id="dpotrf--1.0-2"),
+        pytest.param(False, np.nan, 0, id="dpotrf-nan-0"),
+        pytest.param(True, 0.0, 2, id="eq-rows-dpotrf-0.0-2"),
     ])
-    def test_failed_factorization(self, monkeypatch, eq_rows, failing_call, pivot, info):
+    def test_failed_factorization(self, monkeypatch, eq_rows, pivot, info):
         if eq_rows:
             prog = build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program
         else:
             prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
-        # the patched pivot (1, 1) needs a complement of order p >= 2
-        assert (len(prog.eq_b) > 1) == eq_rows
-        calls = self.failing_dpotrf(monkeypatch, failing_call, pivot, info)
+        assert bool(len(prog.eq_b)) == eq_rows
+        calls = self.failing_dpotrf(monkeypatch, 2, pivot, info)
         sol = solve(prog)
-        assert calls == list(range(1, failing_call + 1))
+        assert calls == [1, 2]
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.reason == "factorization failed"
         assert np.isfinite(sol.x).all()
@@ -308,7 +342,8 @@ class TestFactorizationGuard:
     @pytest.mark.parametrize("eq_rows", [False, True])
     def test_failed_start_factorization(self, monkeypatch, eq_rows):
         # the solve starts from the zero points shifted inside and still
-        # reaches the optimum of an unpatched solve
+        # reaches the optimum of an unpatched solve; with equality rows the
+        # start is that of the reduced program, whose h is h - G x_p
         from soclqc import solver
 
         if eq_rows:
@@ -319,17 +354,23 @@ class TestFactorizationGuard:
         starts = []
         real = solver._initial_point
 
-        def recorded(*args):
-            starts.append(real(*args))
-            return starts[-1]
+        def recorded(c, h, kkt, reg):
+            starts.append((h, kkt, real(c, h, kkt, reg)))
+            return starts[-1][2]
 
         monkeypatch.setattr(solver, "_initial_point", recorded)
         self.failing_dpotrf(monkeypatch, 1, -1.0, 2)
         sol = solve(prog)
         cones = solver._Cones(prog.nn, prog.soc)
-        x, y, s, z = starts[0]
-        assert not x.any() and not y.any() and len(y) == len(prog.eq_b)
-        assert np.array_equal(s, cones.shift_inside(prog.h))
+        h, kkt, (x, s, z) = starts[0]
+        if eq_rows:
+            x_p, null, _ = solver._null_space(prog.eq_A, prog.eq_b)
+            assert np.array_equal(h, prog.h - prog.G @ x_p)
+            assert kkt.n == null.shape[1] == prog.num_vars - len(prog.eq_b)
+        else:
+            assert h is prog.h and kkt.n == prog.num_vars
+        assert not x.any() and len(x) == kkt.n
+        assert np.array_equal(s, cones.shift_inside(h))
         assert np.array_equal(z, cones.shift_inside(np.zeros(cones.total)))
         assert sol.status is Status.OPTIMAL
         assert abs(sol.objective - expected.objective) <= 1e-7 * (1 + abs(expected.objective))
@@ -362,9 +403,9 @@ class TestFactorizationGuard:
 
 class TestPrivateElimination:
     """Block-private variables (a column of G nonzero in one cone block
-    only, and not used by an equality row) are eliminated before the
-    Cholesky factorization of a large (compact) program; a smaller one
-    keeps its own order and factors the whole matrix."""
+    only) are eliminated before the Cholesky factorization of a large
+    (compact) program; a smaller one keeps its own order and factors the
+    whole matrix."""
 
     @staticmethod
     def private(prog):
@@ -373,8 +414,8 @@ class TestPrivateElimination:
         from soclqc.solver import _Cones, _KktFactor, _private_columns
 
         cones = _Cones(prog.nn, prog.soc)
-        private, blocks = _private_columns(prog.G, prog.eq_A, cones)
-        return _KktFactor(prog.G, prog.eq_A, cones), set(private.tolist()), blocks
+        private, blocks = _private_columns(prog.G, cones)
+        return _KktFactor(prog.G, cones), set(private.tolist()), blocks
 
     @staticmethod
     def order(kkt):
@@ -425,8 +466,8 @@ class TestPrivateElimination:
         assert np.allclose(sol.x, [0.5, 0.5, 1.0], atol=1e-7)
 
     def test_column_used_by_an_equality_row_not_eliminated(self):
-        # the program of test_one_private_variable_per_block with x2 = 2: x2
-        # is private to its row in G, but A'A couples it
+        # the program of test_one_private_variable_per_block with x2 = 2:
+        # the solve runs in the null space of the row, where x2 is fixed
         b = ConicProgramBuilder()
         b.add_vars(3)
         b.set_objective_row([1.0, 1.0, 1.0])
@@ -434,8 +475,6 @@ class TestPrivateElimination:
         b.add_block_rows([[[0.0, 0.0, 1.0]]], [[-1.0]])
         b.add_eq_rows([[0.0, 0.0, 1.0]], [2.0])
         prog = b.build()
-        _, private, _ = self.private(prog)
-        assert private == {0}
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
         assert np.allclose(sol.x, [0.5, 0.5, 2.0], atol=1e-7)
@@ -504,12 +543,13 @@ class TestPrivateElimination:
 
     @pytest.mark.parametrize("compact", [False, True])
     def test_factor_with_equality_rows(self, rng, compact):
-        # M' diag(I, -I) M = [[H + D + A'A, A'], [A, -1e-10 I]], D relative
-        # to diag(H), and solve() solves that system with A'r_y added to
-        # r_x: on an MPC program, and on a scalar N = 60 regret program
-        # (compact form) with two random equality rows on its inputs y.  At
-        # W = I (the start) D is 1e-10 I
-        from soclqc.solver import _Cones
+        # the solve runs in the null space of the equality rows, from one
+        # SVD of A: A x_p = b with x_p least-norm, A N = 0, N'N = I, and
+        # y_eq the least-squares y of A'y = -(c + G'z).  On an MPC program,
+        # and on a scalar N = 60 regret program with two random equality
+        # rows on its inputs y, whose reduced program G N keeps the compact
+        # form
+        from soclqc.solver import _Cones, _KktFactor, _null_space
 
         if compact:
             socp = build_regret_socp(scalar_benchmark_spec(60), [0.5])
@@ -518,32 +558,23 @@ class TestPrivateElimination:
             prog = replace(socp.program, eq_A=eq_A, eq_b=rng.standard_normal(2))
         else:
             prog = build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]).program
-        cones = _Cones(prog.nn, prog.soc)
-        kkt, _, _ = self.private(prog)
-        assert kkt.compact == compact
-        n, p = prog.num_vars, len(prog.eq_b)
-        J = np.concatenate([np.ones(n), -np.ones(p)])
-        G, A = prog.G[:, self.order(kkt)], prog.eq_A[:, self.order(kkt)]
-        _, M, info = kkt.factor(None, 1e-10)
-        assert info == 0
-        K = np.block([[G.T @ G + A.T @ A + 1e-10 * np.eye(n), A.T], [A, -1e-10 * np.eye(p)]])
-        M = np.triu(M)
-        assert np.allclose(M.T @ (J[:, None] * M), K, rtol=1e-10, atol=1e-12 * np.abs(K).max())
-        sz = np.array([cones.shift_inside(rng.standard_normal(cones.total)) for _ in range(2)])
-        scaling, _ = cones.nt_scaling(sz)
-        _, M, info = kkt.factor(scaling, 1e-10)
-        assert info == 0
-        Gw = cones.apply_w(scaling, G, inverse=True)
-        H = Gw.T @ Gw
-        H[np.diag_indices_from(H)] += np.maximum(1e-10, 1e-14 * np.diagonal(H))
-        H += A.T @ A
-        K = np.block([[H, A.T], [A, -1e-10 * np.eye(p)]])
-        M = np.triu(M)
-        assert np.allclose(M.T @ (J[:, None] * M), K, rtol=1e-10, atol=1e-12 * np.abs(K).max())
-        r_x, r_y = rng.standard_normal(n), rng.standard_normal(p)
-        sol = kkt.solve(M, r_x.copy(), r_y)
-        rhs = np.concatenate([r_x + A.T @ r_y, r_y])
-        assert np.linalg.norm(K @ sol - rhs) <= 1e-8 * np.linalg.norm(rhs) * np.linalg.norm(K, 1)
+        A, b, n = prog.eq_A, prog.eq_b, prog.num_vars
+        x_p, null, lsq = _null_space(A, b)
+        scale = 1e-12 * (1.0 + np.linalg.norm(b))
+        assert null.shape == (n, n - np.linalg.matrix_rank(A))
+        assert np.linalg.norm(A @ x_p - b) <= scale
+        assert np.linalg.norm(null.T @ x_p) <= scale
+        assert np.abs(A @ null).max() <= 1e-12 * np.abs(A).max()
+        assert np.allclose(null.T @ null, np.eye(null.shape[1]), rtol=0, atol=1e-12)
+        r = rng.standard_normal(n)
+        ref = np.linalg.lstsq(A.T, r, rcond=None)[0]
+        assert np.allclose(lsq(r), ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+        assert _KktFactor(prog.G @ null, _Cones(prog.nn, prog.soc)).compact == compact
+        sol = solve(prog)
+        assert sol.status is Status.OPTIMAL
+        assert np.linalg.norm(A @ sol.x - b) <= scale
+        ref = np.linalg.lstsq(A.T, -(prog.obj + prog.G.T @ sol.z), rcond=None)[0]
+        assert np.allclose(sol.y_eq, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
 
 class TestConcurrency:
