@@ -375,15 +375,16 @@ def build_compact_cost(spec: LqcSpec, x0) -> CompactCost:
 
 def _input_factor(spec: LqcSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cholesky factor L of the stacked input cost, Uq = L L', F = L^{-1} X
-    and the input-set rows in whitened inputs, G_u L^{-T}; cached per spec on
-    first use, so that the compact cost stays available for specs whose Uq
-    fails the pivot test."""
+    and the input-set rows in whitened inputs, G_u L^{-T}, the last two from
+    one triangular solve on [X | G_u']; cached per spec on first use, so that
+    the compact cost stays available for specs whose Uq fails the pivot
+    test."""
     if "input_factor" not in spec._cache:
         base = _compact_base(spec)
         L = cholesky_factor(base["u_quad"], "stacked input cost")
-        F = scipy.linalg.solve_triangular(L, base["cross"], lower=True)
-        G_y = scipy.linalg.solve_triangular(L, spec.u_poly_G.T, lower=True).T
-        spec._cache["input_factor"] = (L, F, G_y)
+        X = base["cross"]
+        FG = scipy.linalg.solve_triangular(L, np.hstack([X, spec.u_poly_G.T]), lower=True)
+        spec._cache["input_factor"] = (L, FG[:, : X.shape[1]], FG[:, X.shape[1] :].T)
     return spec._cache["input_factor"]
 
 

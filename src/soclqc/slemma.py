@@ -12,10 +12,12 @@ classical certificate: some multiplier lam >= 0 makes the bordered matrix
 positive semidefinite.  When A and D are simultaneously diagonalizable by a
 congruence S, that matrix inequality collapses to one linear constraint plus
 per-coordinate hyperbolic constraints, which is what
-:func:`emit_simplified_slemma` appends to a conic program.  The bordered
-matrix itself is kept purely as a numerical verification oracle
-(:func:`assemble_classical_lmi` + :func:`check_psd`); it is never solved as a
-semidefinite program.
+:func:`emit_simplified_slemma` appends to a conic program.  For positive
+definite A, :func:`simultaneous_diagonalize` finds S by one LAPACK ``dsygvd``
+call, the Cholesky reduction of the generalized eigenproblem, with the
+diagonal of S^T D S ascending.  The bordered matrix itself is kept purely as
+a numerical verification oracle (:func:`assemble_classical_lmi` +
+:func:`check_psd`); it is never solved as a semidefinite program.
 """
 
 from __future__ import annotations
@@ -96,10 +98,12 @@ class SimulDiag:
 def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
     """Diagonalize the pair (A, D) by a single congruence, A positive definite.
 
-    With A = L L^T and L^{-1} D L^{-T} = Q diag(delta) Q^T, the congruence
-    S = L^{-T} Q gives S^T A S = I and S^T D S = diag(delta).  Columns are
-    ordered by ascending delta for determinism.  S S^T = A^{-1}, so
-    cond(S) = sqrt(cond(A)); the positive-definiteness guard, which needs
+    This is the symmetric-definite generalized eigenproblem D s = delta A s,
+    solved by one LAPACK ``dsygvd`` call: with A = L L^T and L^{-1} D L^{-T}
+    = Q diag(delta) Q^T, the congruence S = L^{-T} Q gives S^T A S = I and
+    S^T D S = diag(delta) (Golub & Van Loan, *Matrix Computations*, 8.7).
+    delta comes in ascending order.  S S^T = A^{-1}, so cond(S) =
+    sqrt(cond(A)); the positive-definiteness guard, which needs
     lambda_min(A) > 1e-10 max(1, ||A||_F) >= 1e-10 lambda_max(A), keeps it
     below 1e5.
     """
@@ -113,17 +117,10 @@ def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
     evals_a = np.linalg.eigvalsh(A)
     if evals_a[0] <= 1e-10 * max(1.0, np.linalg.norm(A)):
         raise NotPositiveDefinite("first matrix of the pair must be positive definite")
-    L = np.linalg.cholesky(A)
-    LiD = scipy.linalg.solve_triangular(L, D, lower=True)
-    mid = scipy.linalg.solve_triangular(L, LiD.T, lower=True).T  # L^{-1} D L^{-T}
-    delta, Q = np.linalg.eigh(0.5 * (mid + mid.T))
-    order = np.argsort(delta)
-    delta = delta[order]
-    Q = Q[:, order]
+    delta, S = scipy.linalg.eigh(D, A)
     # row-major S: the builders' products with S^T depend on its layout in
     # their last bits
-    S = np.ascontiguousarray(scipy.linalg.solve_triangular(L, Q, lower=True, trans="T"))
-    return SimulDiag(S, np.ones(n), delta)
+    return SimulDiag(np.ascontiguousarray(S), np.ones(n), delta)
 
 
 @dataclass(frozen=True)

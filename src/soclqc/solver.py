@@ -30,7 +30,8 @@ Every program factors ``H + D`` by Cholesky (:class:`_KktFactor`), on a
 large program with the block-private variables eliminated first (after
 Domahidi et al., CDC 2012, and ECOS).  The factorization and solves are
 direct LAPACK calls on Fortran-ordered arrays, with no copy and no wrapper.
-The starting point comes from the same factorization at W = I.
+The starting point comes from the same factorization at W = I, its primal
+and dual parts from one solve with two right-hand sides.
 
 On its own this route loses accuracy near convergence: H carries the squared
 condition number of the scaling, and D biases the step.  Each solve is
@@ -460,10 +461,9 @@ def _initial_point(c, h, kkt: _KktFactor, reg: float):
     if info:
         x = w = np.zeros(kkt.n)
     else:
-        # primal: min ||s|| s.t. Gx + s = h, i.e. G'G x = G'h
-        x = kkt.solve(U, G.T @ h)
-        # dual: least-norm z = G w with G'z = -c, i.e. G'G w = -c
-        w = kkt.solve(U, -c)
+        # primal: min ||s|| s.t. Gx + s = h, i.e. G'G x = G'h; dual:
+        # least-norm z = G w with G'z = -c, i.e. G'G w = -c
+        x, w = kkt.solve(U, np.column_stack([G.T @ h, -c])).T
     s = cones.shift_inside(h - G @ x)
     z = cones.shift_inside(G @ w)
     return x, s, z

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lqc, oracle
-from .problemfile import require_kind
+from .problemfile import _numbers, require_kind
 from .slemma import QuadForm, assemble_classical_lmi, psd_margin
 
 # relative eigenvalue tolerance of the certificate-matrix checks
@@ -74,18 +74,18 @@ def worst_case(cc: lqc.CompactCost, kernel: str, u) -> WorstCase:
 
 
 def _field(result: dict, name: str, shape: tuple, default=None) -> np.ndarray:
-    """A numeric result field as a finite float array of the given shape."""
+    """A numeric result field as a finite float array of the given shape.
+    Its entries must be JSON numbers, as in a problem file; a numpy value,
+    as an in-process caller passes it, counts as the Python value it holds."""
     if name not in result and default is None:
         raise ValueError(f"result file missing field {name!r}")
-    try:
-        value = np.array(result.get(name, default), dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"result field {name!r}: expected numbers") from None
-    if value.shape != shape:
-        raise ValueError(f"result field {name!r}: expected shape {shape}, got {value.shape}")
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"result field {name!r}: entries must be finite")
-    return value
+    value = result.get(name, default)
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    entries = np.array(value, dtype=object)
+    if entries.shape != shape:
+        raise ValueError(f"result field {name!r}: expected shape {shape}, got {entries.shape}")
+    return _numbers(list(entries.ravel()), f"result field {name!r}").reshape(shape)
 
 
 def verify_result(kind: str, spec, amb, result) -> list[Check]:

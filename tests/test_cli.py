@@ -215,7 +215,13 @@ class TestVerify:
         ("mpc", lambda res: {**res, "radius": [1, 2]}, "'radius'"),
         ("robust", lambda res: {**res, "x0": None}, "'x0'"),
         ("mpc", lambda res: {**res, "states": res["states"][:2]}, "'states'"),
-    ], ids=["list", "number", "lam-vector", "radius-vector", "x0-null", "states-two-rows"])
+        # strings and booleans are not numbers, as in a problem file
+        ("robust", lambda res: {**res, "lam": str(res["lam"])}, "'lam'"),
+        ("robust", lambda res: {**res, "u": [str(v) for v in res["u"]]}, "'u'"),
+        ("robust", lambda res: {**res, "lam": True}, "'lam'"),
+        ("robust", lambda res: {**res, "x0": [True]}, "'x0'"),
+    ], ids=["list", "number", "lam-vector", "radius-vector", "x0-null", "states-two-rows",
+            "lam-string", "u-strings", "lam-true", "x0-true"])
     def test_malformed_result_exits_two(self, mode, malform, named, lqc_file, mpc_file,
                                         tmp_path, capsys):
         problem, x0 = (mpc_file, "2,0.5") if mode == "mpc" else (lqc_file, "-1")

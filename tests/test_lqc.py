@@ -39,7 +39,7 @@ from soclqc.model import DimensionMismatch, NotPositiveDefinite, pin_variables
 from soclqc.oracle import max_quad_over_ball
 from soclqc.slemma import check_psd
 from soclqc.solver import Status, solve
-from soclqc.verify import worst_case
+from soclqc.verify import verify_result, worst_case
 
 
 def solve_ok(program):
@@ -670,6 +670,19 @@ class TestEdgeCaseCorpus:
             truth = worst_case(socp.compact, kernel, socp.extract(sol)["u"]).value(spec.gamma)
             assert abs(sol.objective - truth) <= 1e-6 * (1 + abs(truth)), (kernel, sol.objective, truth)
 
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_dr_modes_optimal_and_verified(self, name):
+        # the same cases with two moment rows drawn from the case's seed
+        spec, x0 = corpus_case(name)
+        rng = np.random.default_rng(int(name.split(":")[-1]))
+        amb = AmbiguitySpec(rng.standard_normal((2, spec.stacked_dist_dim)), rng.uniform(0.1, 1.0, 2))
+        for build, mode in ((build_dr_socp, "dr"), (build_dr_regret_socp, "dr-regret")):
+            socp = build(spec, x0, amb)
+            sol = solve(socp.program)
+            assert sol.status is Status.OPTIMAL, (mode, sol.status, sol.reason)
+            report = verify_result("lqc", spec, amb, {"mode": mode, "x0": x0, **socp.extract(sol)})
+            assert [check.name for check in report if not check.ok] == [], mode
+
 
 def row_block_case(seed):
     """A random spec, initial state and moment set (seed % 3 moment rows)."""
@@ -706,8 +719,8 @@ class TestRowBlockBuilder:
         assert np.linalg.norm(F.T @ F - explicit) <= 1e-9 * np.linalg.norm(explicit)
 
     def test_input_cost_factored_once_per_spec(self, monkeypatch):
-        # stacked input and disturbance sizes differ (6 and 3), so the identity
-        # that simultaneous_diagonalize factors is not counted
+        # the only (n_u, n_u) Cholesky factor of a build is the stacked input
+        # cost's (n_u = 6; simultaneous_diagonalize factors inside LAPACK)
         spec = random_lqc_spec(np.random.default_rng(5), 2, 2, 1, 3)
         n_u = spec.stacked_input_dim
         amb = AmbiguitySpec(np.ones((1, spec.stacked_dist_dim)), [0.5])

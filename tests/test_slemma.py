@@ -57,6 +57,8 @@ class TestSimultaneousDiagonalize:
             ra, rd = sd.residuals(A, D)
             assert ra <= 1e-8 * (1 + np.linalg.norm(A))
             assert rd <= 1e-8 * (1 + np.linalg.norm(D))
+            # delta ascending and S row-major for A != I as well
+            assert np.all(np.diff(sd.delta) >= 0) and sd.S.flags.c_contiguous
 
     def test_ball_pair_is_the_eigendecomposition(self, rng):
         # with A = I the triangular solves are exact: S and delta are eigh's
