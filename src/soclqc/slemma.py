@@ -105,7 +105,8 @@ def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
     delta comes in ascending order.  S S^T = A^{-1}, so cond(S) =
     sqrt(cond(A)); the positive-definiteness guard, which needs
     lambda_min(A) > 1e-10 max(1, ||A||_F) >= 1e-10 lambda_max(A), keeps it
-    below 1e5.
+    below 1e5.  The identity, the A of every LQC ball pair, passes the guard
+    without an eigenvalue computation.
     """
     A = symmetrize(A)
     D = symmetrize(D)
@@ -114,9 +115,10 @@ def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
         raise DegenerateInput("empty matrix pair")
     if D.shape[0] != n:
         raise DimensionMismatch("A and D sizes differ")
-    evals_a = np.linalg.eigvalsh(A)
-    if evals_a[0] <= 1e-10 * max(1.0, np.linalg.norm(A)):
-        raise NotPositiveDefinite("first matrix of the pair must be positive definite")
+    if not np.array_equal(A, np.eye(n)):
+        evals_a = np.linalg.eigvalsh(A)
+        if evals_a[0] <= 1e-10 * max(1.0, np.linalg.norm(A)):
+            raise NotPositiveDefinite("first matrix of the pair must be positive definite")
     delta, S = scipy.linalg.eigh(D, A)
     # row-major S: the builders' products with S^T depend on its layout in
     # their last bits

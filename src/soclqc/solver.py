@@ -300,7 +300,7 @@ class _Cones:
         bJ = b * self.sign
         nn, cols = self.nn, u.shape[1]
         out = np.empty_like(u)
-        out[:nn] = u[:nn] * (a[:nn] * v[:nn] - bJ[:nn])[:, None]
+        np.multiply(u[:nn], (a[:nn] * v[:nn] - bJ[:nn])[:, None], out=out[:nn])
         for sl, k, d in self.groups:
             M = a[sl].reshape(k, d, 1) * v[sl].reshape(k, 1, d)
             M.reshape(k, d * d)[:, :: d + 1] -= bJ[sl].reshape(k, d)
@@ -334,11 +334,12 @@ class _KktFactor:
     ``H_pp`` is diagonal: the private columns of ``W^-1 G`` are disjoint
     segments of the one vector ``gw = W^-1 g_p``, ``g_p`` the sum of the
     private columns of G.  So W^-1 is applied to ``[g_p, G_d]`` only, H_pp
-    and H_pd come from ``gw`` and ``W^-1 G_d`` (:meth:`private_rows`), only
-    the Schur complement on the other variables goes to ``dpotrf``, and the
-    iteration's products take G and W^-1 G in that form (:meth:`mul`,
-    :meth:`tmul`).  A smaller program keeps its order and factors the whole
-    matrix.
+    and H_pd come from ``gw`` and ``W^-1 G_d`` (:meth:`private_rows`: H_pd
+    by one batched product per group of second-order blocks, over the
+    blocks that hold a private variable only), only the Schur complement on
+    the other variables goes to ``dpotrf``, and the iteration's products take
+    G and W^-1 G in that form (:meth:`mul`, :meth:`tmul`).  A smaller
+    program keeps its order and factors the whole matrix.
     """
 
     def __init__(self, G: np.ndarray, cones: _Cones):
@@ -348,10 +349,11 @@ class _KktFactor:
         # the compact form [g_p, G_d] (see mul) skips the m k entries of the
         # private columns in each product with G or W^-1 G, for more numpy
         # calls.  Solve time compact/dense on scalar robust and regret
-        # programs: 1.15 at N = 30 (m k = 5 673), 1.01 at N = 50 (15 453)
-        # and N = 57 (20 010), 0.96 at N = 60, 0.93 at N = 70; 1.21 on the
-        # benchmark's problem files (m k <= 3 725).  Even at the threshold
-        self.compact = m * len(private) > 20_000
+        # programs: 1.09 at N = 20 (m k = 2 583), 1.13 at N = 30 (5 673),
+        # 1.03 at N = 40 (9 963), 0.99-1.01 at N = 44-46 (12 015-13 113),
+        # 0.94 at N = 50 (15 453), 0.87 at N = 60 and 0.77 at N = 80; 1.17 on
+        # the benchmark's problem files (m k <= 3 725).  Even at the threshold
+        self.compact = m * len(private) > 12_000
         self.k = k = len(private) if self.compact else 0  # eliminated
         self.order = None
         if self.compact:
@@ -368,6 +370,17 @@ class _KktFactor:
             slot = np.zeros(cones.num_blocks, dtype=int)
             slot[blocks] = np.arange(k)
             self.row_slot = slot[cones.blk]
+            # the private nonnegative rows, and per group of second-order
+            # blocks that holds a private one (rows, k, d, the private blocks
+            # among its k)
+            self.private_nn = blocks[blocks < cones.nn]
+            self.private_groups = []
+            first = cones.nn
+            for sl, kg, d in cones.groups:
+                local = blocks[(blocks >= first) & (blocks < first + kg)] - first
+                if len(local):
+                    self.private_groups.append((sl, kg, d, local))
+                first += kg
         self.G = G
         # upper factor in Fortran order for LAPACK; the off-diagonal entries
         # of its private block stay zero, and U_pp views its diagonal
@@ -376,11 +389,18 @@ class _KktFactor:
 
     def private_rows(self, B: np.ndarray):
         """``H_pp`` (its diagonal) and ``H_pd``, the private rows of H, from
-        ``B = W^-1 [g_p, G_d]`` by per-block sums of ``gw * B``, which skip
-        the zeros of the private columns."""
-        gw, blocks = B[:, 0], self.blocks
-        return (self.cones._sum(gw * gw)[blocks],
-                self.cones.block_sums(gw[:, None] * B[:, 1:])[blocks])
+        ``B = W^-1 [g_p, G_d]``.  A row of H_pd is ``gw' B_d`` over its
+        block's rows: one batched product per group of second-order blocks
+        that holds a private one, and a scaled row per private nonnegative
+        row.  Rows of blocks without a private variable, where ``gw`` is
+        zero, are never formed."""
+        gw, cols = B[:, 0], B.shape[1] - 1
+        rows_nn = self.private_nn
+        parts = [gw[rows_nn, None] * B[rows_nn, 1:]] if len(rows_nn) else []
+        for sl, k, d, local in self.private_groups:
+            rows = np.matmul(gw[sl].reshape(k, 1, d), B[sl, 1:].reshape(k, d, cols)).reshape(k, cols)
+            parts.append(rows[local])
+        return self.cones._sum(gw * gw)[self.blocks], np.concatenate(parts)
 
     def mul(self, P: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``M x`` for M = G or W^-1 G in the private-first order, given

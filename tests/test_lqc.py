@@ -611,6 +611,19 @@ class TestSolverRobustness:
                 assert (seed, kernel) not in pinned, (seed, kernel, status, reason, obj, truth)
         assert len(solved) >= 18, sorted(solved)
 
+    @pytest.mark.xfail(strict=True, reason="false PrimalInfeasible at iteration 0: the start's dual "
+                       "iterate passes the Farkas-ray test (max |h| 2.8e11; ROADMAP item 3)")
+    @pytest.mark.parametrize("kernel", ["robust", "regret"])
+    def test_expanding_dynamics_seed_18(self, kernel):
+        # the program is feasible and bounded (a ball-bounded disturbance),
+        # so any status other than Optimal is a solver fault
+        rng = np.random.default_rng(18)
+        spec = random_lqc_spec(rng, 4, 2, 2, 30)
+        build = build_robust_socp if kernel == "robust" else build_regret_socp
+        socp = build(spec, rng.standard_normal(4))
+        sol = solve(socp.program)
+        assert sol.status is Status.OPTIMAL, (sol.status, sol.iterations, sol.reason)
+
     @pytest.mark.parametrize("seed", [0, 2])
     def test_expanding_dynamics_return_finite_inputs(self, seed):
         # multi-state instances whose solves may stop short of Optimal; the

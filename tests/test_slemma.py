@@ -76,6 +76,26 @@ class TestSimultaneousDiagonalize:
         with pytest.raises(NotPositiveDefinite):
             simultaneous_diagonalize(np.diag([1.0, -1.0]), np.eye(2))
 
+    @pytest.mark.parametrize("A", [np.diag([1.0, 1.0, 0.0]), np.ones((2, 2)), -np.eye(2)],
+                             ids=["zero-pivot", "plus-ones", "negated"])
+    def test_rejects_near_identity(self, A):
+        # the guard skips the identity itself only, not a matrix near it
+        with pytest.raises(NotPositiveDefinite, match="must be positive definite"):
+            simultaneous_diagonalize(A, np.eye(len(A)))
+
+    def test_guard_eigenvalues_skipped_for_identity_only(self, monkeypatch, rng):
+        # the ball pair (I, D) needs no eigenvalues of I; any other A gets
+        # the guard's one eigvalsh
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M) or real(M))
+        D = rng.standard_normal((4, 4))
+        D = 0.5 * (D + D.T)
+        simultaneous_diagonalize(np.eye(4), D)
+        assert calls == []
+        simultaneous_diagonalize(2.0 * np.eye(4), D)
+        assert len(calls) == 1
+
     def test_rejects_near_singular(self):
         # lambda_min = 1e-14 is below the positive-definiteness guard's
         # 1e-10 max(1, ||A||_F), which also bounds cond(S) below 1e5

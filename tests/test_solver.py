@@ -541,6 +541,51 @@ class TestPrivateElimination:
         H[np.diag_indices_from(H)] += np.maximum(1e-10, 1e-14 * np.diagonal(H))
         assert np.allclose(np.triu(U).T @ np.triu(U), H, rtol=1e-10, atol=1e-12 * np.abs(H).max())
 
+    @staticmethod
+    def private_segment_G(rng):
+        """G of a compact program whose private variables include nonnegative
+        rows: 5 shared columns y on every row, x_i private to nonnegative row
+        i < 120 (rows 120-149 hold y only) and t_j to the head of 3-dim block
+        j < 50 (blocks 50-59 hold y only)."""
+        nn, k3, d = 150, 60, 5
+        G = np.zeros((nn + 3 * k3, d + 120 + 50))
+        G[:, :d] = rng.standard_normal((len(G), d))
+        G[np.arange(120), d + np.arange(120)] = 1.0
+        G[nn + 3 * np.arange(50), d + 120 + np.arange(50)] = 1.0
+        return G, nn, ((k3, 3),)
+
+    @pytest.mark.parametrize("case", ["scalar-60", "expanding", "private-segment"])
+    def test_private_rows_match_block_sums(self, rng, case):
+        # H_pd from one batched product per group of second-order blocks
+        # (and a scaled row per private nonnegative row) equals the per-block
+        # sums of gw * B over every block, gathered at the private blocks
+        from soclqc.solver import _Cones, _KktFactor, _private_columns
+
+        if case == "scalar-60":
+            prog = build_robust_socp(scalar_benchmark_spec(60), [0.5]).program
+            G, nn, soc = prog.G, prog.nn, prog.soc
+        elif case == "expanding":
+            spec_rng = np.random.default_rng(8)
+            spec = random_lqc_spec(spec_rng, 4, 2, 2, 30)
+            prog = build_regret_socp(spec, spec_rng.standard_normal(4)).program
+            G, nn, soc = prog.G, prog.nn, prog.soc
+        else:
+            G, nn, soc = self.private_segment_G(rng)
+        cones = _Cones(nn, soc)
+        kkt = _KktFactor(G, cones)
+        blocks = _private_columns(G, cones)[1]
+        assert kkt.compact and np.array_equal(kkt.blocks, blocks)
+        assert (len(kkt.private_nn) > 0) == (case == "private-segment")
+        sz = np.array([cones.shift_inside(rng.standard_normal(cones.total)) for _ in range(2)])
+        scaling, _ = cones.nt_scaling(sz)
+        B = cones.apply_w(scaling, kkt.G_pd, inverse=True)
+        gw = B[:, 0]
+        H_pp, H_pd = kkt.private_rows(B)
+        ref = cones.block_sums(gw[:, None] * B[:, 1:])[blocks]
+        assert np.array_equal(H_pp, cones._sum(gw * gw)[blocks])
+        assert H_pd.shape == ref.shape == (kkt.k, kkt.n - kkt.k)
+        assert np.abs(H_pd - ref).max() <= 1e-13 * np.abs(ref).max()
+
     @pytest.mark.parametrize("compact", [False, True])
     def test_factor_with_equality_rows(self, rng, compact):
         # the solve runs in the null space of the equality rows, from one
