@@ -1,8 +1,8 @@
 """Tour of the conic modeling layer and the interior-point solver.
 
 Builds a few small second-order cone programs by hand from coefficient
-rows, solves them, and shows how quadratic terms and hyperbolic constraints
-are lowered onto the linear-objective conic form.
+rows, solves them, and shows how a quadratic objective is given by its
+factor and how hyperbolic constraints are lowered onto second-order blocks.
 """
 
 import numpy as np
@@ -10,7 +10,6 @@ import numpy as np
 from soclqc import (
     ConicProgramBuilder,
     hyperbolic_rows,
-    quadratic_epigraph,
     solve,
     unit_rows,
 )
@@ -50,27 +49,24 @@ def smallest_enclosing_product():
 
 
 def regularized_least_squares():
-    # ||Ax - d||^2 + ||sqrt(rho) x||^2 via two epigraph variables
-    print("== quadratic objective via epigraph blocks ==")
+    # ||Ax - d||^2 + rho ||x||^2 = ||[A; sqrt(rho) I] x||^2 - 2 d'A x + d'd,
+    # given as the objective's factor, linear row and offset, over a ball
+    # ||x|| <= 10 that the optimum does not touch
+    print("== quadratic objective by its factor ==")
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 3))
     d = rng.standard_normal(6)
     rho = 0.1
     b = ConicProgramBuilder()
     idx = b.add_vars(3)
-    t1, t2 = b.add_var(), b.add_var()
-    # the affine head A x - d takes hyperbolic_rows: ||Ax - d||^2 <= t1 * 1
-    n = b.num_vars
-    b.add_block_rows(*hyperbolic_rows((A @ unit_rows(idx, n))[None], -d[None],
-                                      unit_rows(t1, n), [0.0], np.zeros((1, n)), [1.0]))
-    quadratic_epigraph(b, np.sqrt(rho) * np.eye(3), idx, t2)
-    b.set_objective_row(unit_rows([t1, t2], n).sum(axis=0))
+    b.set_objective_row(-2.0 * A.T @ d, d @ d, np.vstack([A, np.sqrt(rho) * np.eye(3)]))
+    b.add_block_rows(np.vstack([np.zeros(3), unit_rows(idx, 3)])[None], [[10.0, 0.0, 0.0, 0.0]])
     sol = solve(b.build())
     closed_form = np.linalg.solve(A.T @ A + rho * np.eye(3), A.T @ d)
     print(f"status            {sol.status.value}")
-    print(f"solver x          {sol.x[:3]}")
+    print(f"solver x          {sol.x}")
     print(f"normal equations  {closed_form}")
-    print(f"difference        {np.linalg.norm(sol.x[:3] - closed_form):.2e}")
+    print(f"difference        {np.linalg.norm(sol.x - closed_form):.2e}")
     print()
 
 

@@ -29,7 +29,6 @@ from .model import (
     hyperbolic_rows,
     pin_variables,
     psd_sqrt_factor,
-    quadratic_epigraph,
     unit_rows,
 )
 from .solver import Solution, SolverConfig, Status, solve

@@ -33,7 +33,6 @@ from .model import (
     check_finite,
     cholesky_factor,
     hyperbolic_rows,
-    quadratic_epigraph,
     unit_rows,
 )
 from .slemma import SimulDiag, simultaneous_diagonalize, symmetrize
@@ -522,17 +521,14 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     # O(1) for small radii (kappa = 1) and for large ones (g = 1)
     kappa = max(1.0, spec.gamma)
     g = spec.gamma / kappa
-    t_quad = b.add_var()  # ||y||^2 <= t_quad
-    quadratic_epigraph(b, np.eye(n_u_all), y_idx, t_quad, tag="obj_quad")
     n = b.num_vars
     obj = np.zeros(n)
-    obj[t_quad] = 1.0
     obj[lam_idx] = kappa**2
     obj[y_idx] = 2.0 * (1.0 - theta) * v
     obj[t_idx] = 1.0
     if amb is not None:
         obj[beta_idx] = amb.mu
-    b.set_objective_row(obj, offset)
+    b.set_objective_row(obj, offset, unit_rows(y_idx, n))  # ||y||^2 + obj'x
 
     # lam >= 0, beta >= 0 and the input polyhedron h - G u >= 0, one row each,
     # in y: h + theta G_u L^{-T} v - G_u L^{-T} y >= 0

@@ -1,15 +1,15 @@
 """Conic program representation and second-order cone modeling helpers.
 
-A program is a linear objective over real variables subject to linear
-equalities and cone blocks.  Each block is an affine map of the variables
-into R^{d},
+A program is a convex quadratic objective ``||F x||^2 + c^T x`` over real
+variables subject to linear equalities and cone blocks, the quadratic part
+held as its factor F (so ``P = F^T F`` needs no check).  Each block is an
+affine map of the variables into R^{d},
 
     (head, tail) = (c^T x + d0, A x + b),
 
 required to satisfy ``head >= ||tail||_2``: d alone names the cone, d = 1
-(no tail) being the nonnegative ray.  Quadratic objectives and hyperbolic
-constraints are lowered onto this form with the classical transforms of
-Lobo et al. (1998).
+(no tail) being the nonnegative ray.  Hyperbolic constraints are lowered
+onto this form with the classical transform of Lobo et al. (1998).
 
 :class:`ConicProgram` holds all blocks as one slack map ``h - G x`` in the
 layout the solver works on.  :class:`ConicProgramBuilder` takes coefficient
@@ -18,8 +18,7 @@ over the w variables that exist when they are added, which it sorts into
 that layout once, in :meth:`ConicProgramBuilder.build`.  Applications emit
 whole stacks with :meth:`ConicProgramBuilder.add_block_rows` and
 :meth:`ConicProgramBuilder.add_eq_rows`; :func:`hyperbolic_rows` forms the
-stack of per-coordinate hyperbolic blocks that the S-lemma needs, and
-:func:`quadratic_epigraph` the one block of a quadratic cost.
+stack of per-coordinate hyperbolic blocks that the S-lemma needs.
 """
 
 from __future__ import annotations
@@ -85,19 +84,20 @@ class ConeBlock:
 
 @dataclass(frozen=True)
 class ConicProgram:
-    """Immutable conic program ``min c^T x + offset`` subject to
-    ``eq_A x = eq_b`` and ``h - G x in K``.
+    """Immutable conic program ``min ||obj_F x||^2 + obj^T x + obj_offset``
+    subject to ``eq_A x = eq_b`` and ``h - G x in K``.
 
     K is laid out as the solver works on it: ``nn`` nonnegative rows first,
     then for each ``(k, d)`` in ``soc`` (increasing d) k second-order blocks
     of dimension d, block after block, head first.  ``tags`` names the
-    blocks in that order.  ``G`` and ``h`` are made read-only, so one
-    program can be shared by concurrent solves.
+    blocks in that order.  ``obj_F``, ``G`` and ``h`` are made read-only, so
+    one program can be shared by concurrent solves.
     """
 
     num_vars: int
     obj: np.ndarray
     obj_offset: float
+    obj_F: np.ndarray  # (r, num_vars); r = 0 for a linear objective
     eq_A: np.ndarray
     eq_b: np.ndarray
     G: np.ndarray
@@ -109,6 +109,8 @@ class ConicProgram:
     def __post_init__(self):
         if self.obj.shape != (self.num_vars,):
             raise DimensionMismatch("objective length != num_vars")
+        if self.obj_F.ndim != 2 or self.obj_F.shape[1] != self.num_vars:
+            raise DimensionMismatch("objective factor needs num_vars columns")
         if self.eq_A.shape[1] != self.num_vars or self.eq_A.shape[0] != self.eq_b.shape[0]:
             raise DimensionMismatch("equality constraint shapes inconsistent")
         if self.h.ndim != 1 or self.G.shape != (len(self.h), self.num_vars):
@@ -119,8 +121,8 @@ class ConicProgram:
             raise DimensionMismatch("cone layout does not match the cone rows")
         if len(self.tags) != self.nn + sum(k for k, _ in self.soc):
             raise DimensionMismatch("cone layout needs one tag per block")
-        self.G.setflags(write=False)
-        self.h.setflags(write=False)
+        for a in (self.obj_F, self.G, self.h):
+            a.setflags(write=False)
 
     @property
     def blocks(self) -> tuple[ConeBlock, ...]:
@@ -150,7 +152,7 @@ class ConicProgramBuilder:
 
     def __init__(self):
         self._num_vars = 0
-        self._obj = (np.zeros(0), 0.0)
+        self._obj = (np.zeros(0), 0.0, np.zeros((0, 0)))
         self._eqs: list[tuple[np.ndarray, np.ndarray]] = []
         self._blocks: list[tuple[np.ndarray, np.ndarray, list[str]]] = []
 
@@ -167,12 +169,17 @@ class ConicProgramBuilder:
         self._num_vars += n
         return idx
 
-    def set_objective_row(self, c, offset: float = 0.0) -> None:
-        """Objective ``c @ x[:len(c)] + offset``."""
+    def set_objective_row(self, c, offset: float = 0.0, F=None) -> None:
+        """Objective ``||F x[:w]||^2 + c @ x[:len(c)] + offset``; the factor
+        ``F`` is (r, w) over the first w <= num_vars variables (none: a
+        linear objective)."""
         c = np.array(c, dtype=float)
+        F = np.zeros((0, 0)) if F is None else np.array(F, dtype=float)
         if c.ndim != 1 or len(c) > self._num_vars:
             raise DimensionMismatch("objective row longer than the variable count")
-        self._obj = (c, float(offset))
+        if F.ndim != 2 or F.shape[1] > self._num_vars:
+            raise DimensionMismatch(f"objective factor needs F (r, w <= {self._num_vars})")
+        self._obj = (c, float(offset), F)
 
     def add_eq_rows(self, A, b) -> None:
         """Constrain ``A @ x[:w] == b``; ``A`` is (p, w) over the first
@@ -206,7 +213,7 @@ class ConicProgramBuilder:
 
     def build(self) -> ConicProgram:
         n = self._num_vars
-        c, offset = self._obj
+        c, offset, F = self._obj
         # sorted by d, stably: stacks of one dimension keep their added order
         stacks = sorted(self._blocks, key=lambda stack: stack[0].shape[1])
         counts: dict[int, int] = {}
@@ -215,7 +222,7 @@ class ConicProgramBuilder:
         nn = counts.pop(1, 0)
         rows = [A.reshape(len(A) * A.shape[1], A.shape[2]) for A, _, _ in stacks]  # w may be 0
         return ConicProgram(
-            n, _stack_rows([c[None]], n)[0], offset,
+            n, _stack_rows([c[None]], n)[0], offset, _stack_rows([F], n),
             _stack_rows([A for A, _ in self._eqs], n),
             np.concatenate([np.zeros(0), *(b for _, b in self._eqs)]),
             -_stack_rows(rows, n),
@@ -251,22 +258,6 @@ def hyperbolic_rows(head_A, head_b, y_A, y_b, z_A, z_b) -> tuple[np.ndarray, np.
     A[:, 1:-1], b[:, 1:-1] = 2.0 * head_A, 2.0 * head_b
     A[:, -1], b[:, -1] = y_A - z_A, y_b - z_b
     return A, b
-
-
-def quadratic_epigraph(builder: ConicProgramBuilder, F, x_idx, t_idx: int, tag: str = "") -> None:
-    """Constrain ``||F x[x_idx]||^2 <= x[t_idx]``.
-
-    Encoded as the hyperbolic block ``||(2 F x[x_idx], t - 1)|| <= t + 1``;
-    an index listed twice in ``x_idx`` sums its columns of F.
-    """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    x_idx = np.atleast_1d(x_idx)
-    if F.shape[1] != len(x_idx):
-        raise DimensionMismatch("quadratic epigraph: F has a column per entry of x_idx")
-    n = builder.num_vars
-    A, b = hyperbolic_rows((F @ unit_rows(x_idx, n))[None], np.zeros((1, len(F))),
-                           unit_rows(t_idx, n), np.zeros(1), np.zeros((1, n)), np.ones(1))
-    builder.add_block_rows(A, b, tag)
 
 
 def cholesky_factor(M: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -30,7 +30,6 @@ from .model import (
     check_finite,
     hyperbolic_rows,
     psd_sqrt_factor,
-    quadratic_epigraph,
     unit_rows,
 )
 from .slemma import simultaneous_diagonalize, symmetrize
@@ -318,9 +317,7 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     factors = [fq] * (N - 1) + [fr] * N + [ff]
     F_all = scipy.linalg.block_diag(*factors)
     cost_idx = np.concatenate([x_idx[: N - 1].ravel(), u_idx.ravel(), x_idx[N - 1]])
-    t_cost = b.add_var()
-    quadratic_epigraph(b, F_all, cost_idx, t_cost, tag="obj_quad")
-    b.set_objective_row(unit_rows(t_cost, b.num_vars)[0], float(x_init @ spec.Q @ x_init))
+    b.set_objective_row([], float(x_init @ spec.Q @ x_init), F_all @ unit_rows(cost_idx, w))
 
     return MpcSocp(b.build(), spec, x_init, u_idx, x_idx, c_idx, r_idx, inv)
 

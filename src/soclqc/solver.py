@@ -3,31 +3,34 @@
 Path-following with Nesterov-Todd scaling and a Mehrotra predictor-corrector,
 after the conic solver of Vandenberghe's coneprog notes.  The program
 
-    min c^T x   s.t.  eq_A x = eq_b,   s = h - G x in K
+    min ||F x||^2 + c^T x   s.t.  eq_A x = eq_b,   s = h - G x in K
 
-is solved in the slack form ``G x + s = h``, with ``G``, ``h`` and the
-layout of K taken as the :class:`~soclqc.model.ConicProgram` holds them:
+is solved in the slack form ``G x + s = h``, with ``F``, ``G``, ``h`` and
+the layout of K taken as the :class:`~soclqc.model.ConicProgram` holds them:
 nonnegative rows first, then the second-order blocks grouped by dimension.
+The objective's Hessian ``2P``, ``P = F'F``, is formed once per solve and
+enters the iteration directly, as in Clarabel (Goulart & Chen, 2024).
 
 Equality rows are removed once, before the iteration, by the null-space
 method (Nocedal & Wright, *Numerical Optimization*, 15.3): one SVD of
 ``eq_A`` gives the least-norm solution ``x_p`` of ``eq_A x = eq_b`` and an
 orthonormal basis ``N`` of its null space, every solution is ``x = x_p + N
-v``, and the iteration solves ``min (N'c)'v  s.t.  (h - G x_p) - (G N) v in
-K``.  Rows with no exact solution end the solve at iteration 0 with their
-Farkas ray.  The same SVD gives ``y_eq`` at the end, the least-squares
-solution of ``eq_A' y = -(c + G'z)``.  So every iteration solves the one
-Newton system
+v``, and the iteration solves ``min ||F N v||^2 + (N'(c + 2P x_p))'v  s.t.
+(h - G x_p) - (G N) v in K``, its offset raised by ``||F x_p||^2 + c'x_p``.
+Rows with no exact solution end the solve at iteration 0 with their Farkas
+ray.  The same SVD gives ``y_eq`` at the end, the least-squares solution of
+``eq_A' y = -(c + 2P x + G'z)``.  So every iteration solves the one Newton
+system
 
-    [ 0  G'   ] [dx]   [r_x]
+    [ 2P G'   ] [dx]   [r_x]
     [ G  -W^2 ] [dz] = [r_z]
 
 of the program without equality rows, reduced by eliminating ``dz = W^-2 (G
-dx - r_z)`` (Andersen, Roos & Terlaky, Math. Prog. 2003) to ``(H + D) dx =
-r_x + G'W^-2 r_z`` with ``H = (W^-1 G)'(W^-1 G)`` and D a small
-regularization (relative to diag(H), because G may lack full column rank).
-Every program factors ``H + D`` by Cholesky (:class:`_KktFactor`), on a
-large program with the block-private variables eliminated first (after
+dx - r_z)`` (Andersen, Roos & Terlaky, Math. Prog. 2003) to ``(2P + H + D)
+dx = r_x + G'W^-2 r_z`` with ``H = (W^-1 G)'(W^-1 G)`` and D a small
+regularization (relative to diag(2P + H), because G and F may lack full
+column rank).  Every program factors it by Cholesky (:class:`_KktFactor`),
+on a large program with the block-private variables eliminated first (after
 Domahidi et al., CDC 2012, and ECOS).  The factorization and solves are
 direct LAPACK calls on Fortran-ordered arrays, with no copy and no wrapper.
 The starting point comes from the same factorization at W = I, its primal
@@ -36,7 +39,7 @@ and dual parts from one solve with two right-hand sides.
 On its own this route loses accuracy near convergence: H carries the squared
 condition number of the scaling, and D biases the step.  Each solve is
 therefore refined against the full, unregularized two-block system.  Its
-residual needs only products with G, G' and W, and each correction reuses
+residual needs only products with 2P, G, G' and W, and each correction reuses
 the same factorization.  Refinement converges while the reduced solve is
 right to better than one digit, and its limit is set by how exactly that
 residual is computed, not by the conditioning of H; so the refined step has
@@ -51,8 +54,8 @@ program solvers").
 
 Infeasibility is detected by a certificate heuristic on the iterates (no
 homogeneous embedding): an approximate Farkas ray of the duals flags primal
-infeasibility, a divergent primal ray with negative objective flags dual
-infeasibility.
+infeasibility, a divergent primal ray with negative linear objective, in the
+null space of F, flags dual infeasibility.
 """
 
 from __future__ import annotations
@@ -312,40 +315,42 @@ class _Cones:
 # reduced KKT matrix
 
 
-def _private_columns(G: np.ndarray, cones: _Cones):
+def _private_columns(G: np.ndarray, F: np.ndarray, cones: _Cones):
     """The block-private columns of G, nonzero in the rows of one cone block
     only, and their blocks: the first of each block, never an all-zero
-    column.  The LQC programs have one per disturbance coordinate, its
-    epigraph t_i, and one in ``||y||^2 <= t``."""
+    column nor one that the objective factor F uses, which the Hessian
+    couples to others.  The LQC programs have one per disturbance
+    coordinate, its epigraph t_i."""
     touched = cones.block_sums(G != 0) > 0
-    single = np.flatnonzero(touched.sum(axis=0) == 1)
+    single = np.flatnonzero((touched.sum(axis=0) == 1) & ~F.any(axis=0))
     blocks, first = np.unique(touched[:, single].argmax(axis=0), return_index=True)
     return single[first], blocks
 
 
 class _KktFactor:
-    """Cholesky factor ``U'U = H + D`` of the reduced KKT matrix, ``H =
-    (W^-1 G)'(W^-1 G)`` and D the regularization; each KKT solve is one
-    ``dpotrs`` (:meth:`solve`).
+    """Cholesky factor ``U'U = 2P + H + D`` of the reduced KKT matrix, ``hess
+    = 2P = 2 F'F`` the objective's Hessian, ``H = (W^-1 G)'(W^-1 G)`` and D
+    the regularization; each KKT solve is one ``dpotrs`` (:meth:`solve`).
 
     A large program (``compact``) orders its block-private variables
     (:func:`_private_columns`) first, as ``order`` gives, and eliminates
-    them before ``dpotrf`` (after Domahidi et al., CDC 2012, and ECOS).  Its
-    ``H_pp`` is diagonal: the private columns of ``W^-1 G`` are disjoint
-    segments of the one vector ``gw = W^-1 g_p``, ``g_p`` the sum of the
-    private columns of G.  So W^-1 is applied to ``[g_p, G_d]`` only, H_pp
-    and H_pd come from ``gw`` and ``W^-1 G_d`` (:meth:`private_rows`: H_pd
-    by one batched product per group of second-order blocks, over the
-    blocks that hold a private variable only), only the Schur complement on
-    the other variables goes to ``dpotrf``, and the iteration's products take
-    G and W^-1 G in that form (:meth:`mul`, :meth:`tmul`).  A smaller
-    program keeps its order and factors the whole matrix.
+    them before ``dpotrf`` (after Domahidi et al., CDC 2012, and ECOS).
+    ``hess`` is zero on them, and their ``H_pp`` is diagonal: the private
+    columns of ``W^-1 G`` are disjoint segments of the one vector ``gw =
+    W^-1 g_p``, ``g_p`` the sum of the private columns of G.  So W^-1 is
+    applied to ``[g_p, G_d]`` only, H_pp and H_pd come from ``gw`` and
+    ``W^-1 G_d`` (:meth:`private_rows`: H_pd by one batched product per
+    group of second-order blocks, over the blocks that hold a private
+    variable only), only the Schur complement on the other variables goes
+    to ``dpotrf``, and the iteration's products take G and W^-1 G in that
+    form (:meth:`mul`, :meth:`tmul`).  A smaller program keeps its order and
+    factors the whole matrix.
     """
 
-    def __init__(self, G: np.ndarray, cones: _Cones):
+    def __init__(self, G: np.ndarray, F: np.ndarray, cones: _Cones):
         m, n = G.shape
         self.cones, self.n = cones, n
-        private, blocks = _private_columns(G, cones)
+        private, blocks = _private_columns(G, F, cones)
         # the compact form [g_p, G_d] (see mul) skips the m k entries of the
         # private columns in each product with G or W^-1 G, for more numpy
         # calls.  Solve time compact/dense on scalar robust and regret
@@ -361,6 +366,7 @@ class _KktFactor:
             rest[private] = False
             self.order = np.concatenate([private, np.flatnonzero(rest)])
             G = G.take(self.order, axis=1)
+            F = F.take(self.order, axis=1)
             self.blocks = blocks
             self.G_pd = np.empty((m, n - k + 1))
             self.G_pd[:, 0] = G[:, :k].sum(axis=1)
@@ -382,6 +388,7 @@ class _KktFactor:
                     self.private_groups.append((sl, kg, d, local))
                 first += kg
         self.G = G
+        self.hess = 2.0 * (F.T @ F)
         # upper factor in Fortran order for LAPACK; the off-diagonal entries
         # of its private block stay zero, and U_pp views its diagonal
         self.U = np.zeros((n, n), order="F")
@@ -426,7 +433,7 @@ class _KktFactor:
 
     def factor(self, scaling: _Scaling | None, reg: float):
         """``(W^-1 G, U, info)``, W^-1 G in the form :meth:`mul` takes when
-        ``compact``.  The regularization is relative to diag(H) (at least
+        ``compact``.  The regularization is relative to diag(2P + H) (at least
         ``reg``), or ``reg`` itself for ``scaling=None``, which is W = I.
         info is nonzero when a pivot is not positive (LAPACK lets a nan
         pivot through, so U's diagonal is checked)."""
@@ -443,6 +450,7 @@ class _KktFactor:
         # numpy forms the Gram products exactly symmetric, and S.T is S in
         # Fortran order, so LAPACK factors it in place
         S = Gw_d.T @ Gw_d
+        S += self.hess[k:, k:]
         S_dd = S.reshape(-1)[:: len(S) + 1]
         S_dd += np.maximum(reg, 1e-14 * S_dd) if relative else reg
         if self.compact:
@@ -473,16 +481,16 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _initial_point(c, h, kkt: _KktFactor, reg: float):
-    """Least-norm primal/dual starting points shifted into the cone interior,
-    from the factorization of the reduced KKT matrix at W = I (from zero
+    """Primal/dual starting points shifted into the cone interior, from the
+    factorization of the reduced KKT matrix at W = I (from zero
     points if that factorization fails)."""
     G, cones = kkt.G, kkt.cones
     _, U, info = kkt.factor(None, reg)
     if info:
         x = w = np.zeros(kkt.n)
     else:
-        # primal: min ||s|| s.t. Gx + s = h, i.e. G'G x = G'h; dual:
-        # least-norm z = G w with G'z = -c, i.e. G'G w = -c
+        # primal: min ||s||^2 / 2 + x'P x s.t. Gx + s = h, i.e. (2P + G'G) x
+        # = G'h; dual: z = G w with 2P w + G'z = -c, i.e. (2P + G'G) w = -c
         x, w = kkt.solve(U, np.column_stack([G.T @ h, -c])).T
     s = cones.shift_inside(h - G @ x)
     z = cones.shift_inside(G @ w)
@@ -514,28 +522,30 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     cones = _Cones(program.nn, program.soc)
     if cones.num_blocks == 0:
         raise ValueError("program has no cone blocks; nothing for the solver to do")
-    G, h, c = program.G, program.h, program.obj
+    G, h, c, F = program.G, program.h, program.obj, program.obj_F
     obj_offset, unreduce = program.obj_offset, None
     if len(program.eq_b):
         # every solution of eq_A x = eq_b is x_p + N v: the solve runs in v
         A, b = program.eq_A, program.eq_b
         x_p, null, lsq = _null_space(A, b)
+        Fx_p = F @ x_p
+        obj_offset += float(c @ x_p) + float(Fx_p @ Fx_p)
         r_eq = A @ x_p - b
         rp = _norm(r_eq) / (1.0 + _norm(b))
         if rp > TOL_FEAS:
             # A'r_eq = 0 and b'r_eq = -||r_eq||^2: a Farkas ray of the rows
             return Solution(Status.PRIMAL_INFEASIBLE, x_p, r_eq / _norm(r_eq), np.zeros(cones.total),
-                            float(c @ x_p) + obj_offset, 0, rp, np.nan, np.nan,
-                            "equality rows are inconsistent")
-        obj_offset += float(c @ x_p)
+                            obj_offset, 0, rp, np.nan, np.nan, "equality rows are inconsistent")
 
         def unreduce(v, z):
             """The program's x and least-squares y_eq at the solve's v and z."""
-            return x_p + null @ v, lsq(-(program.obj + program.G.T @ z))
+            x = x_p + null @ v
+            grad = program.obj + 2.0 * (program.obj_F.T @ (program.obj_F @ x))
+            return x, lsq(-(grad + program.G.T @ z))
 
-        c, h, G = null.T @ c, h - G @ x_p, G @ null
-    kkt = _KktFactor(G, cones)
-    G = kkt.G
+        c, h, G, F = null.T @ (c + 2.0 * (F.T @ Fx_p)), h - G @ x_p, G @ null, F @ null
+    kkt = _KktFactor(G, F, cones)
+    G, hess = kkt.G, kkt.hess
     if kkt.compact:
         # the solve runs in the private-first order
         c = c[kkt.order]
@@ -570,11 +580,12 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
     def purified_dual_certificate(x) -> bool:
         """Check the primal ray certifies dual infeasibility: G x within the
-        cone's negative, c'x < 0."""
+        cone's negative, c'x < 0 and P x small against it."""
         scale = np.linalg.norm(x)
         if scale <= 0 or not cones.inside(-G @ x, margin=-1e-9 * scale):
             return False
-        return -float(c @ x) > 1e-7 * scale
+        improve = -float(c @ x)
+        return improve > 1e-7 * scale and _norm(hess @ x) <= 1e-7 * improve
 
     def finish(status, reason=""):
         """Solution at the current iterate, which is always finite."""
@@ -586,7 +597,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             elif rg > 10 * TOL_GAP and purified_dual_certificate(x):
                 status = Status.DUAL_INFEASIBLE
                 reason += "; projected primal ray certifies dual infeasibility"
-        obj = float(c @ x) + obj_offset
+        obj = pobj + obj_offset
         x_out = x.copy()
         if kkt.compact:
             x_out[kkt.order] = x
@@ -609,11 +620,15 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         mul, tmul, G_mat = np.matmul, lambda M, v: M.T @ v, G
 
     for it in range(cfg.max_iters + 1):
+        Px2 = hess @ x  # 2 P x
+        xPx = 0.5 * float(x @ Px2)
+        Gz = tmul(G_mat, z)
         r_cone = mul(G_mat, x) + s - h
-        r_dual = tmul(G_mat, z) + c
+        r_dual = Gz + c + Px2
         gap = float(s @ z)
-        pobj = float(c @ x)
-        dobj = -float(h @ z)
+        cx = float(c @ x)
+        pobj = cx + xPx
+        dobj = -float(h @ z) - xPx
 
         rp = _norm(r_cone) / norm_h
         rd = _norm(r_dual) / norm_c
@@ -622,12 +637,13 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         if rp <= TOL_FEAS and rd <= TOL_FEAS and rg <= TOL_GAP:
             return finish(Status.OPTIMAL)
 
-        # infeasibility certificates (heuristic; quantities are scale-free),
-        # read off the residuals: G'z = r_dual - c, -h'z = dobj,
-        # G x + s = r_cone + h and -c'x = -pobj
-        if dobj > 0 and _norm(r_dual - c) / dobj <= TOL_FEAS and rp > 10 * TOL_FEAS:
+        # infeasibility certificates (heuristic): a Farkas ray, -h'z > 0 and
+        # G'z = 0 relative to ||z|| as in ECOS (relative to -h'z, a few rows
+        # with large h let an ordinary iterate pass), or an improving ray,
+        # c'x < 0 with G x + s = r_cone + h and P x zero relative to it
+        if -float(h @ z) > 0 and _norm(Gz) <= TOL_FEAS * _norm(z) and rp > 10 * TOL_FEAS:
             return finish(Status.PRIMAL_INFEASIBLE, "dual iterate is a Farkas ray")
-        if pobj < 0 and rg > 10 * TOL_GAP and _norm(r_cone + h) / -pobj <= TOL_FEAS:
+        if cx < 0 and rg > 10 * TOL_GAP and max(_norm(r_cone + h), _norm(Px2)) <= -cx * TOL_FEAS:
             return finish(Status.DUAL_INFEASIBLE, "primal iterate is an improving ray")
         if it == cfg.max_iters:
             return finish(Status.MAX_ITERATIONS, "iteration limit")
@@ -642,7 +658,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         lam = cones.apply_w(scaling, z)
 
         # eliminate dz = W^-2 (G dx - r_z) and factor the reduced matrix; the
-        # regularization is relative to diag(H), whose entries reach 1/mu,
+        # regularization is relative to diag(2P + H), whose entries reach 1/mu,
         # because G may lack full column rank, and enters the factorization
         # only
         Gw, fac, info = kkt.factor(scaling, reg)
@@ -660,7 +676,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             dx, dz = d
             W2dz = cones.apply_w(scaling, cones.apply_w(scaling, dz))
             Gdx = mul(G_mat, dx)
-            e = (r[0] - tmul(G_mat, dz), r[1] - Gdx + W2dz)
+            e = (r[0] - tmul(G_mat, dz) - hess @ dx, r[1] - Gdx + W2dz)
             return e, np.sqrt(sum(v @ v for v in e)), Gdx
 
         def solve_kkt(*r):

@@ -113,8 +113,9 @@ class ExprBuilder(ConicProgramBuilder):
     def var_exprs(self, indices) -> list[LinExpr]:
         return [self.var(int(i)) for i in np.atleast_1d(indices)]
 
-    def set_objective(self, expr) -> None:
-        self.set_objective_row(*as_expr(expr).to_row(self.num_vars))
+    def set_objective(self, expr, F=None) -> None:
+        """Objective ``||F x||^2 + expr``, F over the first variables."""
+        self.set_objective_row(*as_expr(expr).to_row(self.num_vars), F)
 
     def add_eq(self, expr) -> None:
         """Constrain ``expr == 0``."""
@@ -146,6 +147,24 @@ class ExprBuilder(ConicProgramBuilder):
         return t
 
 
+def epigraph_program(prog):
+    """prog with its quadratic cost ``||F x||^2`` moved into an epigraph
+    block: a new last variable t with ``x' F'F x <= t``
+    (:meth:`ExprBuilder.add_quadratic_cost`, over the variables F uses, on
+    which F must have full column rank) and t in the linear objective."""
+    b = ExprBuilder()
+    xs = b.var_exprs(b.add_vars(prog.num_vars))
+    if len(prog.eq_b):
+        b.add_eq_rows(prog.eq_A, prog.eq_b)
+    for blk in prog.blocks:
+        b.add_block_rows(blk.A[None], blk.b[None], blk.tag)
+    cols = np.flatnonzero(prog.obj_F.any(axis=0))
+    F = prog.obj_F[:, cols]
+    t = b.add_quadratic_cost(F.T @ F, [xs[j] for j in cols])
+    b.set_objective(lin_comb(prog.obj, xs)[0] + t + prog.obj_offset)
+    return b.build()
+
+
 def random_lqc_spec(rng, n_x, n_u, n_w, N, gamma=None, with_linear=True):
     """Well-posed random instance: PSD state costs, PD input costs, box inputs."""
     A = rng.standard_normal((N, n_x, n_x)) * 0.7
@@ -171,6 +190,7 @@ def assert_same_program(built, ref):
     assert built.num_vars == ref.num_vars
     assert np.array_equal(built.obj, ref.obj)
     assert built.obj_offset == ref.obj_offset
+    assert np.array_equal(built.obj_F, ref.obj_F)
     assert np.array_equal(built.eq_A, ref.eq_A) and np.array_equal(built.eq_b, ref.eq_b)
     assert (built.nn, built.soc, built.tags) == (ref.nn, ref.soc, ref.tags)
     assert np.array_equal(built.G, ref.G) and np.array_equal(built.h, ref.h)
@@ -222,16 +242,14 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     ts = b.var_exprs(b.add_vars(spec.stacked_dist_dim))
     betas = b.var_exprs(b.add_vars(m))
     # u'Uq u + 2 ul'u = ||y||^2 + 2 (1 - theta) v'y + theta (theta - 2) v'v
-    t_quad = b.var(b.add_var())
-    b.add_hyperbolic(y, t_quad, 1.0, tag="obj_quad")
-    obj = t_quad + kappa**2 * lam
+    obj = kappa**2 * lam
     for j, ye in enumerate(y):
         obj = obj + 2.0 * (1.0 - theta) * v[j] * ye
     for te in ts:
         obj = obj + te
     for j, be in enumerate(betas):
         obj = obj + amb.mu[j] * be
-    b.set_objective(obj + offset)
+    b.set_objective(obj + offset, F=np.eye(len(y)))  # y are the first variables
 
     b.add_nonneg(lam, tag="lam")
     for be in betas:
@@ -316,14 +334,13 @@ def reference_mpc_program(spec, x_init, fixed_terminal=None):
         b.add_eq(r - r0)
 
     # stage costs ||Q^{1/2} x_k||^2 (k = 1..N-1), ||R^{1/2} u_k||^2 and
-    # ||Q_f^{1/2} x_N||^2 in one epigraph; the x_0 term is a constant
+    # ||Q_f^{1/2} x_N||^2 as the rows of one objective factor; the x_0 term
+    # is a constant
     fq, fr, ff = (psd_sqrt_factor(M) for M in (spec.Q, spec.R, spec.Q_f))
     heads = [h for k in range(N - 1) for h in lin_comb(fq, x[k])]
     heads += [h for k in range(N) for h in lin_comb(fr, u[k])]
     heads += lin_comb(ff, x[N - 1])
-    t_cost = b.var(b.add_var())
-    b.add_hyperbolic(heads, t_cost, 1.0, tag="obj_quad")
-    b.set_objective(t_cost + float(x_init @ spec.Q @ x_init))
+    b.set_objective(float(x_init @ spec.Q @ x_init), F=expr_rows(heads, b.num_vars)[0])
     return b.build()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from soclqc.model import (
     hyperbolic_rows,
     pin_variables,
     psd_sqrt_factor,
-    quadratic_epigraph,
     unit_rows,
 )
 from soclqc.solver import Status, solve
@@ -93,33 +94,75 @@ class TestHyperbolicBlock:
 
 
 class TestQuadraticEpigraph:
+    """The epigraph block ``x'M x <= t`` of a quadratic cost, which
+    :meth:`ExprBuilder.add_quadratic_cost` forms as the reference for the
+    objective factor (``helpers.epigraph_program``)."""
+
+    @staticmethod
+    def epigraph(head):
+        """Variables x, y and t with ``head(x, y)^2 <= t``."""
+        b = ExprBuilder()
+        b.add_vars(2)
+        t = b.add_quadratic_cost(np.eye(1), [head(b.var(0), b.var(1))])
+        return b, t
+
     def test_scalar_epigraph(self):
         # x^2 <= t encoded via unit denominator
-        b = ConicProgramBuilder()
-        b.add_vars(2)
-        quadratic_epigraph(b, np.eye(1), [0], 1)
-        prog = b.build()
-        assert soc_margin(block_value(prog, [2.0, 4.0])) >= -1e-12
-        assert soc_margin(block_value(prog, [2.0, 3.9])) < 0
+        prog = self.epigraph(lambda x, y: x)[0].build()
+        assert soc_margin(block_value(prog, [2.0, 0.0, 4.0])) >= -1e-12
+        assert soc_margin(block_value(prog, [2.0, 0.0, 3.9])) < 0
 
     def test_zero_numerator_any_t(self):
-        b = ConicProgramBuilder()
-        b.add_vars(2)
-        quadratic_epigraph(b, np.eye(1), [0], 1)
-        prog = b.build()
+        prog = self.epigraph(lambda x, y: x)[0].build()
         for t in (0.0, 0.5, 7.0):
-            assert soc_margin(block_value(prog, [0.0, t])) >= -1e-12
+            assert soc_margin(block_value(prog, [0.0, 0.0, t])) >= -1e-12
 
     def test_affine_numerator_minimal_t(self):
         # minimize t subject to (2x + y)^2 <= t at x and y pinned to 1: t* = 9
+        b, t = self.epigraph(lambda x, y: 2.0 * x + y)
+        b.set_objective(t)
+        sol = solve(pin_variables(b.build(), [0, 1], [1.0, 1.0]))
+        assert sol.status is Status.OPTIMAL
+        assert abs(sol.objective - 9.0) <= 1e-6
+
+
+class TestObjectiveFactor:
+    def test_scalar_quadratic_objective(self):
+        # min x0^2 - 4 x0 + x1 with x1 >= 0: x0 = 2 when free, and the
+        # bound x0 <= 1 holds it at 1
+        for bound, (x0, value) in ((None, (2.0, -4.0)), (1.0, (1.0, -3.0))):
+            b = ConicProgramBuilder()
+            b.add_vars(2)
+            b.set_objective_row([-4.0, 1.0], 0.0, [[1.0]])
+            b.add_block_rows([[[0.0, 1.0]]], [[0.0]])
+            if bound is not None:
+                b.add_block_rows([[[-1.0, 0.0]]], [[bound]])
+            sol = solve(b.build())
+            assert sol.status is Status.OPTIMAL
+            assert np.allclose(sol.x, [x0, 0.0], atol=1e-7)
+            assert abs(sol.objective - value) <= 1e-7
+
+    def test_linear_objective_has_no_factor_rows(self):
+        # no factor, and an explicit factor of no rows, give a program with
+        # an empty (0, n) factor, read-only like G and h
+        for F in (None, np.zeros((0, 1))):
+            b = ConicProgramBuilder()
+            b.add_vars(2)
+            b.set_objective_row([1.0], 0.0, F)
+            prog = b.build()
+            assert prog.obj_F.shape == (0, 2) and not prog.obj_F.flags.writeable
+
+    def test_affine_factor_at_pinned_point(self):
+        # minimize (2x + y)^2 + 1 at x and y pinned to 1: the value 10 comes
+        # from the equality presolve's offset alone
         b = ConicProgramBuilder()
-        b.add_vars(3)
-        quadratic_epigraph(b, [[2.0, 1.0]], [0, 1], 2)
-        b.set_objective_row([0.0, 0.0, 1.0])
+        b.add_vars(2)
+        b.set_objective_row([], 1.0, [[2.0, 1.0]])
+        b.add_block_rows([[[1.0, 0.0]]], [[0.0]])
         prog = pin_variables(b.build(), [0, 1], [1.0, 1.0])
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
-        assert abs(sol.objective - 9.0) <= 1e-6
+        assert abs(sol.objective - 10.0) <= 1e-9
 
 
 class TestFactorizations:
@@ -141,19 +184,20 @@ class TestFactorizations:
         with pytest.raises(NotPositiveDefinite):
             psd_sqrt_factor(np.diag([1.0, -0.1]))
 
-    def test_quadratic_cost_epigraph_tightness(self, rng):
+    def test_quadratic_objective_of_cholesky_factor(self, rng):
+        # the objective ||L'x||^2 of M = L L' is x'M x, at a point pinned
+        # inside the unit ball ||x|| <= 1
         M = rng.standard_normal((3, 3))
         M = M.T @ M + 0.5 * np.eye(3)
         target = rng.standard_normal(3)
+        target *= 0.5 / np.linalg.norm(target)
         b = ConicProgramBuilder()
         idx = b.add_vars(3)
-        t = b.add_var()
-        quadratic_epigraph(b, cholesky_factor(M).T, idx, t)
-        b.set_objective_row(unit_rows(t, b.num_vars)[0])
-        prog = pin_variables(b.build(), idx, target)
-        sol = solve(prog)
+        b.set_objective_row([], 0.0, cholesky_factor(M).T)
+        b.add_block_rows(np.vstack([np.zeros(3), np.eye(3)])[None], [[1.0, 0.0, 0.0, 0.0]])
+        sol = solve(pin_variables(b.build(), idx, target))
         assert sol.status is Status.OPTIMAL
-        assert abs(sol.objective - target @ M @ target) <= 1e-6
+        assert abs(sol.objective - target @ M @ target) <= 1e-9 * (1.0 + target @ M @ target)
 
 
 class TestProgramStructure:
@@ -254,7 +298,7 @@ class TestRowBlocks:
     )
     def test_program_rejects_inconsistent_layout(self, G_shape, rows, nn, soc, tags):
         with pytest.raises(DimensionMismatch):
-            ConicProgram(2, np.zeros(2), 0.0, np.zeros((0, 2)), np.zeros(0),
+            ConicProgram(2, np.zeros(2), 0.0, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
                          np.zeros(G_shape), np.zeros(rows), nn, soc, tags)
 
     def test_one_tag_for_all_blocks(self):
@@ -327,23 +371,22 @@ class TestRowBlocks:
         assert sol.status is ref.status is Status.OPTIMAL
         assert np.allclose(sol.x, ref.x, rtol=0, atol=1e-8)
 
-    def test_quadratic_epigraph_of_scattered_indices(self, rng):
-        # ||F x[x_idx]||^2 <= x[t] with x_idx out of order and skipping
-        # variables, added before later variables exist: the rows are F's
-        # columns placed at x_idx, the head t + 1 and the last row t - 1
+    def test_objective_factor_padded_to_later_variables(self, rng):
+        # a factor over the first 3 of 5 variables, set before 2 more exist,
+        # gets zero columns for the rest; one wider than the variable count,
+        # or a program whose factor has other columns, is rejected
         b = ConicProgramBuilder()
         b.add_vars(5)
-        x_idx, t = [3, 0, 2], 4
         F = rng.standard_normal((2, 3))
-        quadratic_epigraph(b, F, x_idx, t, tag="cost")
+        b.set_objective_row([1.0], 0.5, F)
         b.add_vars(2)
+        b.add_block_rows(np.ones((1, 1, 7)), np.zeros((1, 1)))
         prog = b.build()
-        assert prog.num_vars == 7 and prog.tags == ("cost",) and prog.soc == ((1, 4),)
-        for _ in range(5):
-            p = rng.standard_normal(7)
-            expect = np.concatenate([[p[t] + 1.0], 2.0 * F @ p[x_idx], [p[t] - 1.0]])
-            assert np.allclose(block_value(prog, p), expect, rtol=0, atol=1e-12)
-        (block,) = prog.blocks
-        assert not block.A[:, [1, 5, 6]].any()
+        assert np.array_equal(prog.obj_F, np.hstack([F, np.zeros((2, 4))]))
+        assert np.array_equal(prog.obj, [1.0] + [0.0] * 6) and prog.obj_offset == 0.5
         with pytest.raises(DimensionMismatch):
-            quadratic_epigraph(b, F, [0, 1], t)
+            b.set_objective_row([1.0], 0.0, np.ones((2, 8)))
+        with pytest.raises(DimensionMismatch):
+            b.set_objective_row([1.0], 0.0, np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            replace(prog, obj_F=np.ones((2, 6)))

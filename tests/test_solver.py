@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import ExprBuilder, double_integrator_mpc, random_lqc_spec
+from helpers import ExprBuilder, double_integrator_mpc, epigraph_program, random_lqc_spec
 from soclqc.lqc import (
     AmbiguitySpec,
     build_dr_socp,
@@ -12,7 +12,7 @@ from soclqc.lqc import (
     build_robust_socp,
     scalar_benchmark_spec,
 )
-from soclqc.model import ConicProgramBuilder, pin_variables
+from soclqc.model import ConicProgramBuilder, pin_variables, unit_rows
 from soclqc.mpc import build_mpc_socp
 from soclqc.solver import TOL_FEAS, TOL_GAP, SolverConfig, Status, solve
 
@@ -273,6 +273,23 @@ class TestInfeasibility:
         sol = solve(b.build())
         assert sol.status is Status.PRIMAL_INFEASIBLE
 
+    @pytest.mark.parametrize("factor", ["null-space", "on-the-ray"])
+    def test_improving_ray_and_the_objective_factor(self, factor):
+        # min x0^2 - x1 with x0, x1 >= 0: the ray (0, 1) lowers c'x in the
+        # null space of F, so the program is unbounded; with x1^2 added,
+        # the program is bounded, at x1 = 1/2, although every feasible x
+        # has G x + s = 0 and most have c'x < 0
+        b = ConicProgramBuilder()
+        b.add_vars(2)
+        b.set_objective_row([0.0, -1.0], 0.0, unit_rows([0] if factor == "null-space" else [0, 1], 2))
+        b.add_block_rows([[[0.0, 1.0]], [[1.0, 0.0]]], [[0.0], [0.0]])
+        sol = solve(b.build())
+        if factor == "null-space":
+            assert sol.status is Status.DUAL_INFEASIBLE, (sol.status, sol.reason)
+        else:
+            assert sol.status is Status.OPTIMAL
+            assert abs(sol.objective + 0.25) <= 1e-8 and abs(sol.x[1] - 0.5) <= 1e-6
+
     def test_inconsistent_equality_rows(self):
         # x0 + x1 = 1 and 2 x0 + 2 x1 = 3 have no solution: the solve stops
         # before the first iteration with the rows' Farkas ray
@@ -414,8 +431,8 @@ class TestPrivateElimination:
         from soclqc.solver import _Cones, _KktFactor, _private_columns
 
         cones = _Cones(prog.nn, prog.soc)
-        private, blocks = _private_columns(prog.G, cones)
-        return _KktFactor(prog.G, cones), set(private.tolist()), blocks
+        private, blocks = _private_columns(prog.G, prog.obj_F, cones)
+        return _KktFactor(prog.G, prog.obj_F, cones), set(private.tolist()), blocks
 
     @staticmethod
     def order(kkt):
@@ -423,12 +440,15 @@ class TestPrivateElimination:
         return kkt.order if kkt.compact else np.arange(kkt.n)
 
     def test_epigraph_variables_detected(self):
+        # the LQC program's variables are y, lam and one t_i per coordinate,
+        # its second-order blocks the coordinates' 3-dimensional ones, and
+        # the t_i alone are private
         socp = build_robust_socp(scalar_benchmark_spec(5), [0.5])
         n = socp.program.num_vars
-        t_quad = set(range(n)) - set(socp.y_index) - {socp.lam_index} - set(socp.t_index)
-        assert len(t_quad) == 1
+        assert n == len(socp.y_index) + 1 + len(socp.t_index)
+        assert socp.program.soc == ((5, 3),)
         kkt, private, blocks = self.private(socp.program)
-        assert private == set(socp.t_index.tolist()) | t_quad
+        assert private == set(socp.t_index.tolist())
         assert len(set(blocks.tolist())) == len(private)
         # below the compact threshold the solve keeps the program's order
         assert not kkt.compact and kkt.order is None and kkt.k == 0
@@ -436,7 +456,7 @@ class TestPrivateElimination:
         socp = build_robust_socp(scalar_benchmark_spec(60), [0.5])
         kkt, private, _ = self.private(socp.program)
         n = socp.program.num_vars
-        assert kkt.compact and kkt.k == len(private) == 61
+        assert kkt.compact and kkt.k == len(private) == 60
         assert set(kkt.order[: kkt.k].tolist()) == private
         assert list(kkt.order[kkt.k:]) == sorted(set(range(n)) - private)
 
@@ -464,6 +484,41 @@ class TestPrivateElimination:
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
         assert np.allclose(sol.x, [0.5, 0.5, 1.0], atol=1e-7)
+
+    @pytest.mark.parametrize("factored, private", [([0], {1, 2}), ([0, 1], {2}), ([2], {0})])
+    def test_factor_columns_never_private(self, factored, private):
+        # the program of test_one_private_variable_per_block with x_j^2 in
+        # the objective for each factored j: the Hessian couples those
+        # variables, so none is eliminated, and the solve agrees with the
+        # program's epigraph form
+        b = ConicProgramBuilder()
+        b.add_vars(3)
+        b.set_objective_row([1.0, 1.0, 1.0], 0.0, unit_rows(factored, 3))
+        b.add_block_rows([[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]], [[0.0, 0.0, 1.0]])
+        b.add_block_rows([[[0.0, 0.0, 1.0]]], [[-1.0]])
+        prog = b.build()
+        assert self.private(prog)[1] == private
+        sol, ref = solve(prog), solve(epigraph_program(prog))
+        assert sol.status is ref.status is Status.OPTIMAL
+        assert abs(sol.objective - ref.objective) <= 1e-7 * (1.0 + abs(ref.objective))
+        assert np.allclose(sol.x, ref.x[:3], rtol=0, atol=1e-4)
+
+    def test_factor_column_not_private_in_compact_form(self):
+        # the program of test_every_column_private with x0^2 in the
+        # objective: x0 stays in the Schur complement of the compact form
+        n = 150
+        b = ConicProgramBuilder()
+        b.add_vars(n)
+        b.set_objective_row(np.ones(n), 0.0, unit_rows([0], n))
+        b.add_block_rows(np.eye(n)[: n - 1, None, :], -np.ones((n - 1, 1)))
+        b.add_block_rows([np.eye(n)[[n - 1, 0, 0]] * [[1.0], [0.0], [0.0]]], [[0.0, 1.0, 1.0]])
+        prog = b.build()
+        kkt, private, _ = self.private(prog)
+        assert private == set(range(1, n)) and kkt.compact and list(kkt.order[kkt.k:]) == [0]
+        sol = solve(prog)
+        assert sol.status is Status.OPTIMAL
+        assert np.allclose(sol.x, [1.0] * (n - 1) + [np.sqrt(2.0)], atol=1e-7)
+        assert abs(sol.objective - (n + np.sqrt(2.0))) <= 1e-7 * n
 
     def test_column_used_by_an_equality_row_not_eliminated(self):
         # the program of test_one_private_variable_per_block with x2 = 2:
@@ -515,7 +570,7 @@ class TestPrivateElimination:
         # U'U = H + D in the order of the solve (private first when
         # compact), with D the relative regularization of diag(H), and the
         # products with G and W^-1 G are the dense ones; N = 60 takes the
-        # compact form
+        # compact form; the reduced matrix holds the objective's Hessian 2F'F
         from soclqc.solver import _Cones
 
         prog = build_regret_socp(scalar_benchmark_spec(N), [0.5]).program
@@ -537,7 +592,8 @@ class TestPrivateElimination:
                 Mx, Mz = P @ x, P.T @ z
             assert np.allclose(Mx, M @ x, rtol=1e-12, atol=1e-12 * np.abs(M).max())
             assert np.allclose(Mz, M.T @ z, rtol=1e-12, atol=1e-12 * np.abs(M).max())
-        H = full.T @ full
+        F = prog.obj_F[:, self.order(kkt)]
+        H = full.T @ full + 2.0 * F.T @ F
         H[np.diag_indices_from(H)] += np.maximum(1e-10, 1e-14 * np.diagonal(H))
         assert np.allclose(np.triu(U).T @ np.triu(U), H, rtol=1e-10, atol=1e-12 * np.abs(H).max())
 
@@ -563,17 +619,18 @@ class TestPrivateElimination:
 
         if case == "scalar-60":
             prog = build_robust_socp(scalar_benchmark_spec(60), [0.5]).program
-            G, nn, soc = prog.G, prog.nn, prog.soc
+            G, F, nn, soc = prog.G, prog.obj_F, prog.nn, prog.soc
         elif case == "expanding":
             spec_rng = np.random.default_rng(8)
             spec = random_lqc_spec(spec_rng, 4, 2, 2, 30)
             prog = build_regret_socp(spec, spec_rng.standard_normal(4)).program
-            G, nn, soc = prog.G, prog.nn, prog.soc
+            G, F, nn, soc = prog.G, prog.obj_F, prog.nn, prog.soc
         else:
             G, nn, soc = self.private_segment_G(rng)
+            F = np.zeros((0, G.shape[1]))
         cones = _Cones(nn, soc)
-        kkt = _KktFactor(G, cones)
-        blocks = _private_columns(G, cones)[1]
+        kkt = _KktFactor(G, F, cones)
+        blocks = _private_columns(G, F, cones)[1]
         assert kkt.compact and np.array_equal(kkt.blocks, blocks)
         assert (len(kkt.private_nn) > 0) == (case == "private-segment")
         sz = np.array([cones.shift_inside(rng.standard_normal(cones.total)) for _ in range(2)])
@@ -590,7 +647,7 @@ class TestPrivateElimination:
     def test_factor_with_equality_rows(self, rng, compact):
         # the solve runs in the null space of the equality rows, from one
         # SVD of A: A x_p = b with x_p least-norm, A N = 0, N'N = I, and
-        # y_eq the least-squares y of A'y = -(c + G'z).  On an MPC program,
+        # y_eq the least-squares y of A'y = -(c + 2F'F x + G'z).  On an MPC program,
         # and on a scalar N = 60 regret program with two random equality
         # rows on its inputs y, whose reduced program G N keeps the compact
         # form
@@ -614,12 +671,60 @@ class TestPrivateElimination:
         r = rng.standard_normal(n)
         ref = np.linalg.lstsq(A.T, r, rcond=None)[0]
         assert np.allclose(lsq(r), ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
-        assert _KktFactor(prog.G @ null, _Cones(prog.nn, prog.soc)).compact == compact
+        F = prog.obj_F
+        assert _KktFactor(prog.G @ null, F @ null, _Cones(prog.nn, prog.soc)).compact == compact
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
         assert np.linalg.norm(A @ sol.x - b) <= scale
-        ref = np.linalg.lstsq(A.T, -(prog.obj + prog.G.T @ sol.z), rcond=None)[0]
+        grad = prog.obj + 2.0 * F.T @ (F @ sol.x) + prog.G.T @ sol.z
+        ref = np.linalg.lstsq(A.T, -grad, rcond=None)[0]
         assert np.allclose(sol.y_eq, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+
+
+class TestQuadraticObjective:
+    """The objective ``||F x||^2 + c'x``, taken directly, against the same
+    program with its cost in an epigraph block (``helpers.epigraph_program``),
+    with and without equality rows, in the dense and the compact form."""
+
+    CASES = ["random", "random-eq", "lqc-dense", "lqc-dense-eq", "lqc-compact",
+             "lqc-compact-eq", "mpc"]
+
+    @staticmethod
+    def program(name, rng):
+        if name.startswith("random"):
+            # bounded with its linear objective, so with any F; F has full
+            # column rank (the epigraph form's Cholesky factor needs it)
+            prog, _ = make_kkt_instance(rng, eq_only=name.endswith("eq"))
+            return replace(prog, obj_F=rng.standard_normal((prog.num_vars + 1, prog.num_vars)))
+        if name == "mpc":
+            return build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]).program
+        socp = build_regret_socp(scalar_benchmark_spec(60 if "compact" in name else 5), [0.5])
+        prog = socp.program
+        if name.endswith("eq"):
+            eq_A = np.zeros((2, prog.num_vars))
+            eq_A[:, socp.y_index] = rng.standard_normal((2, len(socp.y_index)))
+            prog = replace(prog, eq_A=eq_A, eq_b=rng.standard_normal(2))
+        return prog
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_epigraph_form(self, rng, name):
+        from soclqc.solver import _Cones, _KktFactor, _null_space
+
+        for _ in range(5 if name.startswith("random") else 1):
+            prog = self.program(name, rng)
+            G, F = prog.G, prog.obj_F
+            if len(prog.eq_b):
+                null = _null_space(prog.eq_A, prog.eq_b)[1]
+                G, F = G @ null, F @ null
+            assert _KktFactor(G, F, _Cones(prog.nn, prog.soc)).compact == ("compact" in name)
+            sol, ref = solve(prog), solve(epigraph_program(prog))
+            assert sol.status is ref.status is Status.OPTIMAL, (sol.reason, ref.reason)
+            assert abs(sol.objective - ref.objective) <= 1e-7 * (1.0 + abs(ref.objective))
+            # the cost fixes the variables F uses, to about the square root
+            # of the gap tolerance
+            cols = prog.obj_F.any(axis=0)
+            x = ref.x[: prog.num_vars][cols]
+            assert np.allclose(sol.x[cols], x, rtol=0, atol=1e-4 * (1.0 + np.abs(x).max()))
 
 
 class TestConcurrency:
