@@ -63,7 +63,6 @@ from .lqc import (
     build_compact_cost,
     build_dr_regret_socp,
     build_dr_socp,
-    build_prediction_matrices,
     build_regret_socp,
     build_robust_sdp_data,
     build_robust_socp,
@@ -79,7 +78,6 @@ from .mpc import (
     NegativeEigenvalue,
     TerminalDiag,
     build_mpc_socp,
-    diagonalize_terminal_pair,
     emit_input_containment,
     emit_invariance_constraints,
     emit_state_containment,

@@ -21,7 +21,8 @@ cond(Uq).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -81,7 +82,7 @@ def _check_stage_costs(Q: np.ndarray, R: np.ndarray) -> None:
         cholesky_factor(R[k], f"R[{k}]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LqcSpec:
     """Problem data over a horizon of N steps.
 
@@ -90,8 +91,9 @@ class LqcSpec:
     input vector is constrained to the polyhedron ``u_poly_G @ u <= u_poly_h``
     and the stacked disturbance to the ball of radius ``gamma``.
 
-    Instances are treated as immutable after construction; derived
-    factorizations are cached on the object, keyed by identity.
+    Instances are immutable; the derived factorizations are cached
+    properties, computed on first use.  ``dataclasses.replace`` makes a new
+    instance, which computes its own.
     """
 
     A: np.ndarray
@@ -104,18 +106,14 @@ class LqcSpec:
     gamma: float
     u_poly_G: np.ndarray
     u_poly_h: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.A = _as_stack(self.A, "A")
-        self.B = _as_stack(self.B, "B")
-        self.C = _as_stack(self.C, "C")
-        self.Q = _as_stack(self.Q, "Q")
-        self.R = _as_stack(self.R, "R")
-        self.q = np.asarray(self.q, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
-        self.u_poly_G = np.atleast_2d(np.asarray(self.u_poly_G, dtype=float))
-        self.u_poly_h = np.atleast_1d(np.asarray(self.u_poly_h, dtype=float))
+        for name in ("A", "B", "C", "Q", "R"):
+            object.__setattr__(self, name, _as_stack(getattr(self, name), name))
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+        object.__setattr__(self, "u_poly_G", np.atleast_2d(np.asarray(self.u_poly_G, dtype=float)))
+        object.__setattr__(self, "u_poly_h", np.atleast_1d(np.asarray(self.u_poly_h, dtype=float)))
         N, n_x = self.A.shape[0], self.A.shape[1]
         n_u, n_w = self.B.shape[2], self.C.shape[2]
         if self.A.shape != (N, n_x, n_x):
@@ -128,6 +126,10 @@ class LqcSpec:
             raise DimensionMismatch("input cost blocks inconsistent")
         if self.u_poly_G.shape[1] != N * n_u or self.u_poly_G.shape[0] != len(self.u_poly_h):
             raise DimensionMismatch("input polyhedron over the stacked input is inconsistent")
+        if N < 1:
+            raise ValueError("horizon N must be at least 1")
+        if n_u < 1:
+            raise ValueError("input dimension n_u must be at least 1")
         check_finite(A=self.A, B=self.B, C=self.C, Q=self.Q, q=self.q, R=self.R, r=self.r,
                      u_poly_G=self.u_poly_G, u_poly_h=self.u_poly_h, gamma=self.gamma)
         if not self.gamma > 0:
@@ -157,6 +159,79 @@ class LqcSpec:
     @property
     def stacked_dist_dim(self) -> int:
         return self.horizon * self.n_w
+
+    @cached_property
+    def prediction(self) -> PredictionMatrices:
+        """Stacked maps with (x_1, ..., x_N) = F x0 + G u + H w."""
+        N, n_x, n_u, n_w = self.horizon, self.n_x, self.n_u, self.n_w
+        F = np.zeros((N * n_x, n_x))
+        G = np.zeros((N * n_x, N * n_u))
+        H = np.zeros((N * n_x, N * n_w))
+        prev_F = np.eye(n_x)
+        for k in range(N):
+            rows = slice(k * n_x, (k + 1) * n_x)
+            if k > 0:
+                prev = slice((k - 1) * n_x, k * n_x)
+                G[rows] = self.A[k] @ G[prev]
+                H[rows] = self.A[k] @ H[prev]
+            G[rows, k * n_u : (k + 1) * n_u] = self.B[k]
+            H[rows, k * n_w : (k + 1) * n_w] = self.C[k]
+            prev_F = self.A[k] @ prev_F
+            F[rows] = prev_F
+        return PredictionMatrices(F, G, H)
+
+    @cached_property
+    def cost_pieces(self) -> dict:
+        """x0-independent pieces of the compact cost: the quadratic and cross
+        blocks, and each linear term as ``*_x0 @ x0 + *_0``."""
+        pred = self.prediction
+        N = self.horizon
+        Qbar = np.zeros((N * self.n_x, N * self.n_x))
+        Rbar = np.zeros((N * self.n_u, N * self.n_u))
+        for k in range(N):
+            Qbar[k * self.n_x : (k + 1) * self.n_x, k * self.n_x : (k + 1) * self.n_x] = self.Q[k]
+            Rbar[k * self.n_u : (k + 1) * self.n_u, k * self.n_u : (k + 1) * self.n_u] = self.R[k]
+        qbar = self.q.reshape(-1)
+        rbar = self.r.reshape(-1)
+        QF = Qbar @ pred.F
+        return {
+            "w_quad": symmetrize(pred.H.T @ Qbar @ pred.H),
+            "cross": pred.G.T @ Qbar @ pred.H,
+            "u_quad": symmetrize(pred.G.T @ Qbar @ pred.G + Rbar),
+            "w_lin_x0": pred.H.T @ QF,
+            "w_lin_0": pred.H.T @ qbar,
+            "u_lin_x0": pred.G.T @ QF,
+            "u_lin_0": pred.G.T @ qbar + rbar,
+            "x0_quad": symmetrize(pred.F.T @ QF),
+            "x0_lin": pred.F.T @ qbar,
+        }
+
+    @cached_property
+    def input_factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cholesky factor L of the stacked input cost, Uq = L L', F = L^{-1} X
+        and the input-set rows in whitened inputs, G_u L^{-T}, the last two
+        from one triangular solve on [X | G_u'].  It is apart from
+        :attr:`cost_pieces`, so that the compact cost stays available for
+        specs whose Uq fails the pivot test."""
+        pieces = self.cost_pieces
+        L = cholesky_factor(pieces["u_quad"], "stacked input cost")
+        X = pieces["cross"]
+        FG = scipy.linalg.solve_triangular(L, np.hstack([X, self.u_poly_G.T]), lower=True)
+        return L, FG[:, : X.shape[1]], FG[:, X.shape[1] :].T
+
+    @cached_property
+    def robust_diag(self) -> SimulDiag:
+        """Congruence diagonalizing (I, Wq), the robust kernel's ball pair."""
+        quad = self.cost_pieces["w_quad"]
+        return simultaneous_diagonalize(np.eye(quad.shape[0]), quad)
+
+    @cached_property
+    def regret_diag(self) -> SimulDiag:
+        """Congruence diagonalizing (I, X' Uq^{-1} X = F'F), the regret
+        kernel's ball pair."""
+        F = self.input_factor[1]
+        quad = F.T @ F
+        return simultaneous_diagonalize(np.eye(quad.shape[0]), quad)
 
 
 @dataclass(frozen=True)
@@ -245,29 +320,6 @@ class PredictionMatrices:
     H: np.ndarray
 
 
-def build_prediction_matrices(spec: LqcSpec) -> PredictionMatrices:
-    if "pred" in spec._cache:
-        return spec._cache["pred"]
-    N, n_x, n_u, n_w = spec.horizon, spec.n_x, spec.n_u, spec.n_w
-    F = np.zeros((N * n_x, n_x))
-    G = np.zeros((N * n_x, N * n_u))
-    H = np.zeros((N * n_x, N * n_w))
-    prev_F = np.eye(n_x)
-    for k in range(N):
-        rows = slice(k * n_x, (k + 1) * n_x)
-        if k > 0:
-            prev = slice((k - 1) * n_x, k * n_x)
-            G[rows] = spec.A[k] @ G[prev]
-            H[rows] = spec.A[k] @ H[prev]
-        G[rows, k * n_u : (k + 1) * n_u] = spec.B[k]
-        H[rows, k * n_w : (k + 1) * n_w] = spec.C[k]
-        prev_F = spec.A[k] @ prev_F
-        F[rows] = prev_F
-    pred = PredictionMatrices(F, G, H)
-    spec._cache["pred"] = pred
-    return pred
-
-
 def rollout_states(spec: LqcSpec, x0, u, w) -> np.ndarray:
     """States x_1..x_N by stepping the dynamics directly."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -325,80 +377,22 @@ class CompactCost:
         )
 
 
-def _compact_base(spec: LqcSpec) -> dict:
-    """x0-independent pieces of the compact cost, cached per spec."""
-    if "compact_base" in spec._cache:
-        return spec._cache["compact_base"]
-    pred = build_prediction_matrices(spec)
-    N = spec.horizon
-    Qbar = np.zeros((N * spec.n_x, N * spec.n_x))
-    Rbar = np.zeros((N * spec.n_u, N * spec.n_u))
-    for k in range(N):
-        Qbar[k * spec.n_x : (k + 1) * spec.n_x, k * spec.n_x : (k + 1) * spec.n_x] = spec.Q[k]
-        Rbar[k * spec.n_u : (k + 1) * spec.n_u, k * spec.n_u : (k + 1) * spec.n_u] = spec.R[k]
-    qbar = spec.q.reshape(-1)
-    rbar = spec.r.reshape(-1)
-    QF = Qbar @ pred.F
-    base = {
-        "w_quad": symmetrize(pred.H.T @ Qbar @ pred.H),
-        "cross": pred.G.T @ Qbar @ pred.H,
-        "u_quad": symmetrize(pred.G.T @ Qbar @ pred.G + Rbar),
-        "w_lin_x0": pred.H.T @ QF,
-        "w_lin_0": pred.H.T @ qbar,
-        "u_lin_x0": pred.G.T @ QF,
-        "u_lin_0": pred.G.T @ qbar + rbar,
-        "x0_quad": symmetrize(pred.F.T @ QF),
-        "x0_lin": pred.F.T @ qbar,
-    }
-    spec._cache["compact_base"] = base
-    return base
-
-
 def build_compact_cost(spec: LqcSpec, x0) -> CompactCost:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (spec.n_x,):
         raise DimensionMismatch("x0 has wrong length")
     check_finite(x0=x0)
-    base = _compact_base(spec)
+    pieces = spec.cost_pieces
     return CompactCost(
-        w_quad=base["w_quad"],
-        w_lin=base["w_lin_x0"] @ x0 + base["w_lin_0"],
-        cross=base["cross"],
-        u_quad=base["u_quad"],
-        u_lin=base["u_lin_x0"] @ x0 + base["u_lin_0"],
-        x0_quad=base["x0_quad"],
-        x0_lin=base["x0_lin"],
+        w_quad=pieces["w_quad"],
+        w_lin=pieces["w_lin_x0"] @ x0 + pieces["w_lin_0"],
+        cross=pieces["cross"],
+        u_quad=pieces["u_quad"],
+        u_lin=pieces["u_lin_x0"] @ x0 + pieces["u_lin_0"],
+        x0_quad=pieces["x0_quad"],
+        x0_lin=pieces["x0_lin"],
         x0=x0,
     )
-
-
-def _input_factor(spec: LqcSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cholesky factor L of the stacked input cost, Uq = L L', F = L^{-1} X
-    and the input-set rows in whitened inputs, G_u L^{-T}, the last two from
-    one triangular solve on [X | G_u']; cached per spec on first use, so that
-    the compact cost stays available for specs whose Uq fails the pivot
-    test."""
-    if "input_factor" not in spec._cache:
-        base = _compact_base(spec)
-        L = cholesky_factor(base["u_quad"], "stacked input cost")
-        X = base["cross"]
-        FG = scipy.linalg.solve_triangular(L, np.hstack([X, spec.u_poly_G.T]), lower=True)
-        spec._cache["input_factor"] = (L, FG[:, : X.shape[1]], FG[:, X.shape[1] :].T)
-    return spec._cache["input_factor"]
-
-
-def _ball_diag(spec: LqcSpec, kernel: str) -> SimulDiag:
-    """Congruence diagonalizing (I, the kernel's disturbance quadratic):
-    Wq for the robust kernel, X' Uq^{-1} X = F'F for regret; cached."""
-    key = f"diag:{kernel}"
-    if key not in spec._cache:
-        if kernel == "robust":
-            quad = _compact_base(spec)["w_quad"]
-        else:
-            F = _input_factor(spec)[1]
-            quad = F.T @ F
-        spec._cache[key] = simultaneous_diagonalize(np.eye(quad.shape[0]), quad)
-    return spec._cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +468,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     kernel, amb = lqc_mode(mode, amb)
     cc = build_compact_cost(spec, x0)
     n_u_all, n_w_all = spec.stacked_input_dim, spec.stacked_dist_dim
-    L, F, G_y = _input_factor(spec)
+    L, F, G_y = spec.input_factor
 
     # whitened, centered inputs y = L'(u - u_c).  The unconstrained minimizer
     # is u* = -Uq^{-1} ul = -L^{-T} v with v = L^{-1} ul, and the center
@@ -503,7 +497,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
         head_const = (1.0 - theta) * Fv
         offset = (1.0 - theta) ** 2 * float(v @ v)
 
-    sd = _ball_diag(spec, kernel)
+    sd = spec.robust_diag if kernel == "robust" else spec.regret_diag
     m = amb.num_moments if amb is not None else 0
     if amb is not None and amb.H.shape[1] != n_w_all:
         raise DimensionMismatch("moment matrix columns must match stacked disturbance dim")
@@ -638,7 +632,7 @@ class RobustCertificateData:
 
 def build_robust_sdp_data(spec: LqcSpec, x0) -> RobustCertificateData:
     cc = build_compact_cost(spec, x0)
-    L, F, _ = _input_factor(spec)
+    L, F, _ = spec.input_factor
     v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
     return RobustCertificateData(cc, L, F, v, cc.w_lin - F.T @ v)
 

@@ -17,7 +17,8 @@ are linear in (c, r).  Everything lands in one SOCP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -40,13 +41,33 @@ class NegativeEigenvalue(ValueError):
     """A nominally PSD matrix has a significantly negative eigenvalue."""
 
 
-@dataclass
+@dataclass(frozen=True)
+class TerminalDiag:
+    """Diagonalization data for the terminal pair.
+
+    ``S`` diagonalizes P (S'PS = I) and A_cl' P A_cl (diagonal ``alpha``)
+    simultaneously; ``m_sqrt`` is the symmetric PSD square root of
+    (A_cl - I)' P (A_cl - I) and ``coupling`` is S' A_cl' P (A_cl - I), the
+    matrix entering the invariance heads.
+    """
+
+    S: np.ndarray
+    alpha: np.ndarray
+    m_sqrt: np.ndarray
+    coupling: np.ndarray
+
+
+@dataclass(frozen=True)
 class MpcSpec:
     """Time-invariant system, polyhedral sets, terminal gain and shape.
 
     State set {x : E x <= f} and input set {u : G u <= h} must contain the
     origin strictly (f > 0, h > 0) and the terminal closed loop A + B K must
     be stable so that small origin-centered terminal sets are feasible.
+
+    Instances are immutable; ``p_sqrt`` (P^{1/2}), ``p_inv_sqrt``
+    (P^{-1/2}) and ``terminal_diag`` are cached properties, computed on
+    first use.
     """
 
     A: np.ndarray
@@ -61,22 +82,16 @@ class MpcSpec:
     Q: np.ndarray
     R: np.ndarray
     Q_f: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.E = np.atleast_2d(np.asarray(self.E, dtype=float))
-        self.f = np.atleast_1d(np.asarray(self.f, dtype=float))
-        self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
-        self.h = np.atleast_1d(np.asarray(self.h, dtype=float))
-        self.K = np.atleast_2d(np.asarray(self.K, dtype=float))
+        for name in ("A", "B", "E", "f", "G", "h", "K"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, np.atleast_1d(value) if name in ("f", "h")
+                               else np.atleast_2d(value))
         check_finite(A=self.A, B=self.B, E=self.E, f=self.f, G=self.G, h=self.h, K=self.K,
                      P=self.P, Q=self.Q, R=self.R, Q_f=self.Q_f)
-        self.P = symmetrize(self.P)
-        self.Q = symmetrize(self.Q)
-        self.R = symmetrize(self.R)
-        self.Q_f = symmetrize(self.Q_f)
+        for name in ("P", "Q", "R", "Q_f"):
+            object.__setattr__(self, name, symmetrize(getattr(self, name)))
         n_x, n_u = self.A.shape[0], self.B.shape[1]
         if self.A.shape != (n_x, n_x) or self.B.shape != (n_x, n_u):
             raise DimensionMismatch("A/B shapes inconsistent")
@@ -116,55 +131,27 @@ class MpcSpec:
     def A_cl(self) -> np.ndarray:
         return self.A + self.B @ self.K
 
+    @cached_property
     def p_sqrt(self) -> np.ndarray:
-        if "p_sqrt" not in self._cache:
-            self._cache["p_sqrt"] = psd_sqrt_factor(self.P)
-        return self._cache["p_sqrt"]
+        return psd_sqrt_factor(self.P)
 
+    @cached_property
     def p_inv_sqrt(self) -> np.ndarray:
-        if "p_inv_sqrt" not in self._cache:
-            vals, vecs = np.linalg.eigh(self.P)
-            self._cache["p_inv_sqrt"] = (vecs / np.sqrt(vals)) @ vecs.T
-        return self._cache["p_inv_sqrt"]
+        vals, vecs = np.linalg.eigh(self.P)
+        return (vecs / np.sqrt(vals)) @ vecs.T
 
-
-@dataclass(frozen=True)
-class TerminalDiag:
-    """Diagonalization data for the terminal pair.
-
-    ``S`` diagonalizes P (diagonal ``pi``) and A_cl' P A_cl (diagonal
-    ``alpha``) simultaneously; ``m_sqrt`` is the symmetric PSD square root
-    of (A_cl - I)' P (A_cl - I) and ``coupling`` is S' A_cl' P (A_cl - I),
-    the matrix entering the invariance heads.
-    """
-
-    S: np.ndarray
-    pi: np.ndarray
-    alpha: np.ndarray
-    m_sqrt: np.ndarray
-    coupling: np.ndarray
-
-
-def diagonalize_terminal_pair(spec: MpcSpec) -> TerminalDiag:
-    if "terminal_diag" in spec._cache:
-        return spec._cache["terminal_diag"]
-    A_cl = spec.A_cl
-    sd = simultaneous_diagonalize(spec.P, A_cl.T @ spec.P @ A_cl)
-    drift = A_cl - np.eye(spec.n_x)
-    M = symmetrize(drift.T @ spec.P @ drift)
-    try:
-        m_sqrt = psd_sqrt_factor(M)
-    except NotPositiveDefinite as exc:
-        raise NegativeEigenvalue(str(exc)) from exc
-    td = TerminalDiag(
-        S=sd.S,
-        pi=sd.alpha,
-        alpha=sd.delta,
-        m_sqrt=m_sqrt,
-        coupling=sd.S.T @ A_cl.T @ spec.P @ drift,
-    )
-    spec._cache["terminal_diag"] = td
-    return td
+    @cached_property
+    def terminal_diag(self) -> TerminalDiag:
+        A_cl = self.A_cl
+        sd = simultaneous_diagonalize(self.P, A_cl.T @ self.P @ A_cl)
+        drift = A_cl - np.eye(self.n_x)
+        M = symmetrize(drift.T @ self.P @ drift)
+        try:
+            m_sqrt = psd_sqrt_factor(M)
+        except NotPositiveDefinite as exc:
+            raise NegativeEigenvalue(str(exc)) from exc
+        return TerminalDiag(S=sd.S, alpha=sd.delta, m_sqrt=m_sqrt,
+                            coupling=sd.S.T @ A_cl.T @ self.P @ drift)
 
 
 @dataclass(frozen=True)
@@ -182,7 +169,7 @@ def emit_invariance_constraints(
     The multiplier and slack variables are pre-scaled by r so everything is
     jointly convex in (c, r): one block enforces
     ||m_sqrt c||^2 <= r * (r - sum(t) - lam), and coordinate i enforces
-    (coupling c)_i^2 <= t_i * (lam * pi_i - r * alpha_i).
+    (coupling c)_i^2 <= t_i * (lam - r * alpha_i).
     """
     n = td.S.shape[0]
     if len(c_idx) != n:
@@ -201,9 +188,9 @@ def emit_invariance_constraints(
                            np.zeros(1))
     builder.add_block_rows(A, b, "inv:budget")
 
-    # (coupling c)_i^2 <= t_i * (lam * pi_i - r * alpha_i)
+    # (coupling c)_i^2 <= t_i * (lam - r * alpha_i)
     slacks = -td.alpha[:, None] * r_row
-    slacks[:, lam_idx] += td.pi
+    slacks[:, lam_idx] = 1.0
     A, b = hyperbolic_rows(td.coupling @ C, np.zeros(n), unit_rows(t_idx, w), np.zeros(n),
                            slacks, np.zeros(n))
     builder.add_block_rows(A, b, [f"inv:q{i}" for i in range(n)])
@@ -212,7 +199,7 @@ def emit_invariance_constraints(
 
 def _support_rows(rows, limits, spec: MpcSpec, c_idx, r_idx: int, builder, tag) -> None:
     """Rows ``limits_j - rows_j' c - ||rows_j' P^{-1/2}|| r >= 0``."""
-    gains = np.linalg.norm(rows @ spec.p_inv_sqrt(), axis=1)
+    gains = np.linalg.norm(rows @ spec.p_inv_sqrt, axis=1)
     w = builder.num_vars
     A = -(rows @ unit_rows(c_idx, w)) - gains[:, None] * unit_rows(r_idx, w)
     tags = [f"{tag}{j}" for j in range(rows.shape[0])]
@@ -268,7 +255,7 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     if np.any(spec.E @ x_init > spec.f):
         raise ValueError("x_init violates the state set")
     N, n_x, n_u = spec.N, spec.n_x, spec.n_u
-    td = diagonalize_terminal_pair(spec)
+    td = spec.terminal_diag
 
     b = ConicProgramBuilder()
     u_idx = b.add_vars(N * n_u).reshape(N, n_u)
@@ -292,7 +279,7 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
         b.add_block_rows(rows[:, None], np.tile(lim, len(idx))[:, None], tag)
 
     # terminal membership ||P^{1/2}(x_N - c)|| <= r
-    p_half = spec.p_sqrt()
+    p_half = spec.p_sqrt
     member = np.zeros((1, 1 + n_x, w))
     member[0, 0, r_idx] = 1.0
     member[0][1:, x_idx[N - 1]] = p_half
@@ -324,8 +311,8 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
 
 def max_fixed_radius(spec: MpcSpec) -> float:
     """Largest origin-centered radius satisfying both containments."""
-    gains_x = np.linalg.norm(spec.E @ spec.p_inv_sqrt(), axis=1)
-    gains_u = np.linalg.norm((spec.G @ spec.K) @ spec.p_inv_sqrt(), axis=1)
+    gains_x = np.linalg.norm(spec.E @ spec.p_inv_sqrt, axis=1)
+    gains_u = np.linalg.norm((spec.G @ spec.K) @ spec.p_inv_sqrt, axis=1)
     bounds = []
     for g, lim in ((gains_x, spec.f), (gains_u, spec.h)):
         mask = g > 1e-12

@@ -353,11 +353,13 @@ class _KktFactor:
         private, blocks = _private_columns(G, F, cones)
         # the compact form [g_p, G_d] (see mul) skips the m k entries of the
         # private columns in each product with G or W^-1 G, for more numpy
-        # calls.  Solve time compact/dense on scalar robust and regret
-        # programs: 1.09 at N = 20 (m k = 2 583), 1.13 at N = 30 (5 673),
-        # 1.03 at N = 40 (9 963), 0.99-1.01 at N = 44-46 (12 015-13 113),
-        # 0.94 at N = 50 (15 453), 0.87 at N = 60 and 0.77 at N = 80; 1.17 on
-        # the benchmark's problem files (m k <= 3 725).  Even at the threshold
+        # calls.  A scalar robust or regret program has m = 5N + 1 rows and
+        # k = N private columns, so the threshold first holds at N = 49
+        # (m k = 12 054).  Solve time compact/dense on them, ten alternating
+        # pairs per size: 1.04-1.05 at N = 40 (m k = 8 040),
+        # 1.00-1.01 at N = 45, 0.99-1.02 at N = 49, 0.94-0.97 at N = 52,
+        # 0.93-0.95 at N = 55, 0.90-0.93 at N = 60 and 0.83 at N = 80; 1.14 on
+        # the benchmark's problem files (m k <= 2 952), which stay dense
         self.compact = m * len(private) > 12_000
         self.k = k = len(private) if self.compact else 0  # eliminated
         self.order = None

@@ -198,7 +198,7 @@ def _verify_mpc(spec, result: dict) -> list[Check]:
     rng = np.random.default_rng(0)
     D = rng.standard_normal((1000, spec.n_x))
     D /= np.linalg.norm(D, axis=1)[:, None]
-    X = c + r * (D @ spec.p_inv_sqrt())
+    X = c + r * (D @ spec.p_inv_sqrt)
     Y = X @ A_cl.T - c
     inv_viol = float(np.max(np.einsum("ij,jk,ik->i", Y, P, Y))) - r**2
     report += [

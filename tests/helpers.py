@@ -196,6 +196,17 @@ def assert_same_program(built, ref):
     assert np.array_equal(built.G, ref.G) and np.array_equal(built.h, ref.h)
 
 
+def assert_identical_programs(built, ref):
+    """The two programs agree field by field, bit for bit."""
+    for name in ("num_vars", "obj", "obj_offset", "obj_F", "eq_A", "eq_b", "G", "h", "nn",
+                 "soc", "tags"):
+        a, b = getattr(built, name), getattr(ref, name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+
+
 def reference_lqc_program(spec, x0, kernel, amb=None):
     """The min-max LQC program assembled expression by expression with
     :class:`ExprBuilder`, one hyperbolic block per coordinate: the variable
@@ -283,11 +294,9 @@ def reference_mpc_program(spec, x_init, fixed_terminal=None):
     state coordinate, one row per path, radius and containment constraint and
     one hyperbolic block per invariance coordinate, in the order the builder
     must reproduce."""
-    from soclqc.mpc import diagonalize_terminal_pair
-
     x_init = np.asarray(x_init, dtype=float)
     N, n_x, n_u = spec.N, spec.n_x, spec.n_u
-    td = diagonalize_terminal_pair(spec)
+    td = spec.terminal_diag
     b = ExprBuilder()
     u = [b.var_exprs(b.add_vars(n_u)) for _ in range(N)]
     x = [b.var_exprs(b.add_vars(n_x)) for _ in range(N)]  # states x_1..x_N
@@ -306,24 +315,24 @@ def reference_mpc_program(spec, x_init, fixed_terminal=None):
         for j, gu in enumerate(lin_comb(spec.G, u[k])):
             b.add_nonneg(spec.h[j] - gu, tag="input_set")
 
-    p_half = spec.p_sqrt()
+    p_half = spec.p_sqrt
     b.add_soc(r, [px - pc for px, pc in zip(lin_comb(p_half, x[N - 1]), lin_comb(p_half, c))],
               tag="terminal_membership")
     b.add_nonneg(r, tag="radius")
 
     # invariance: ||m_sqrt c||^2 <= r (r - lam - sum t) and
-    # (coupling c)_i^2 <= t_i (pi_i lam - alpha_i r)
+    # (coupling c)_i^2 <= t_i (lam - alpha_i r)
     lam = b.var(b.add_var())
     t = b.var_exprs(b.add_vars(n_x))
     b.add_nonneg(lam, tag="inv:lam")
     b.add_hyperbolic(lin_comb(td.m_sqrt, c), r, r - lam - sum(t, LinExpr()), tag="inv:budget")
     for i, head in enumerate(lin_comb(td.coupling, c)):
-        b.add_hyperbolic(head, t[i], td.pi[i] * lam - td.alpha[i] * r, tag=f"inv:q{i}")
+        b.add_hyperbolic(head, t[i], lam - td.alpha[i] * r, tag=f"inv:q{i}")
 
     # containment: rows_j' c + ||rows_j' P^{-1/2}|| r <= limits_j
     for rows, limits, tag in ((spec.E, spec.f, "state_cont"),
                               (spec.G @ spec.K, spec.h, "input_cont")):
-        gains = np.linalg.norm(rows @ spec.p_inv_sqrt(), axis=1)
+        gains = np.linalg.norm(rows @ spec.p_inv_sqrt, axis=1)
         for j, rc in enumerate(lin_comb(rows, c)):
             b.add_nonneg(limits[j] - rc - gains[j] * r, tag=f"{tag}{j}")
 

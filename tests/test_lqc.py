@@ -4,13 +4,14 @@ import subprocess
 import sys
 import textwrap
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (
+    assert_identical_programs,
     assert_same_program,
     random_lqc_spec,
     reference_lqc_program,
@@ -20,12 +21,10 @@ from soclqc.lqc import (
     AmbiguitySpec,
     LqcSpec,
     RecedingHorizonError,
-    _input_factor,
     box_polyhedron,
     build_compact_cost,
     build_dr_regret_socp,
     build_dr_socp,
-    build_prediction_matrices,
     build_regret_socp,
     build_robust_sdp_data,
     build_robust_socp,
@@ -91,6 +90,18 @@ class TestSpecValidation:
         with pytest.raises(NotPositiveDefinite, match=r"^R\[12\]"):
             with_costs(Q, singular)
 
+    def test_horizon_must_be_positive(self):
+        # an empty horizon once reached numpy's zero-size reduction error in
+        # the builder
+        with pytest.raises(ValueError, match="^horizon N must be at least 1$"):
+            time_invariant_spec(1, 1, 1, 1, 0, 1, 0, N=0, gamma=0.1)
+
+    def test_input_dimension_must_be_positive(self):
+        N, one = 3, np.ones((3, 1, 1))
+        with pytest.raises(ValueError, match="^input dimension n_u must be at least 1$"):
+            LqcSpec(one, np.zeros((N, 1, 0)), one, one, np.zeros((N, 1)), np.zeros((N, 0, 0)),
+                    np.zeros((N, 0)), 0.1, np.zeros((0, 0)), np.zeros(0))
+
     def test_polyhedron_dimension_checked(self):
         one = np.ones((1, 1, 1))
         with pytest.raises(DimensionMismatch):
@@ -117,24 +128,55 @@ class TestSpecValidation:
                 AmbiguitySpec(**args)
 
 
+class TestImmutableSpec:
+    """Specs are frozen, and a spec made by ``dataclasses.replace`` from one
+    that was already built computes its own derived data."""
+
+    @pytest.mark.parametrize("field, factor", [("R", 4.0), ("Q", 3.0), ("C", 2.0),
+                                               ("u_poly_G", 2.0)])
+    def test_replace_builds_the_programs_of_fresh_data(self, field, factor):
+        spec = random_lqc_spec(np.random.default_rng(3), 2, 2, 2, 4)
+        amb = AmbiguitySpec(np.ones((1, spec.stacked_dist_dim)), [0.5])
+        x0 = np.array([0.7, -0.4])
+        builds = [lambda s: build_robust_socp(s, x0), lambda s: build_regret_socp(s, x0),
+                  lambda s: build_dr_socp(s, x0, amb), lambda s: build_dr_regret_socp(s, x0, amb)]
+        for build in builds:
+            build(spec)
+        derived = replace(spec, **{field: factor * getattr(spec, field)})
+        fresh = LqcSpec(**{name: np.copy(getattr(derived, name)) for name in LQC_FIELDS})
+        for build in builds:
+            assert_identical_programs(build(derived).program, build(fresh).program)
+        sdp, sdp_fresh = build_robust_sdp_data(derived, x0), build_robust_sdp_data(fresh, x0)
+        assert np.array_equal(sdp.chol_L, sdp_fresh.chol_L)
+        assert np.array_equal(sdp.F, sdp_fresh.F)
+
+    def test_fields_cannot_be_assigned(self):
+        spec = scalar_benchmark_spec(3)
+        for field in LQC_FIELDS:
+            before = getattr(spec, field)
+            with pytest.raises(FrozenInstanceError):
+                setattr(spec, field, before)
+            assert getattr(spec, field) is before
+
+
 class TestPredictionMatrices:
     def test_single_step_scalar(self):
         spec = time_invariant_spec(1, 1, 1, 1, 0, 1, 0, N=1, gamma=0.1)
-        pred = build_prediction_matrices(spec)
+        pred = spec.prediction
         assert np.allclose(pred.F, [[1.0]])
         assert np.allclose(pred.G, [[1.0]])
         assert np.allclose(pred.H, [[1.0]])
 
     def test_two_step_scalar(self):
         spec = time_invariant_spec(1, 1, 1, 1, 0, 1, 0, N=2, gamma=0.1)
-        pred = build_prediction_matrices(spec)
+        pred = spec.prediction
         assert np.allclose(pred.F, [[1.0], [1.0]])
         assert np.allclose(pred.G, [[1.0, 0.0], [1.0, 1.0]])
         assert np.allclose(pred.H, pred.G)
 
     def test_matches_rollout(self, rng):
         spec = random_lqc_spec(rng, 3, 2, 2, 5)
-        pred = build_prediction_matrices(spec)
+        pred = spec.prediction
         for _ in range(5):
             x0 = rng.standard_normal(3)
             u = rng.standard_normal(spec.stacked_input_dim)
@@ -145,7 +187,7 @@ class TestPredictionMatrices:
 
     def test_block_lower_triangular(self, rng):
         spec = random_lqc_spec(rng, 2, 3, 2, 4)
-        pred = build_prediction_matrices(spec)
+        pred = spec.prediction
         for k in range(4):
             rows = slice(k * 2, (k + 1) * 2)
             assert not pred.G[rows, (k + 1) * 3 :].any()
@@ -153,7 +195,8 @@ class TestPredictionMatrices:
 
     def test_cached_per_spec(self, rng):
         spec = random_lqc_spec(rng, 2, 1, 1, 3)
-        assert build_prediction_matrices(spec) is build_prediction_matrices(spec)
+        for name in ("prediction", "cost_pieces", "input_factor", "robust_diag", "regret_diag"):
+            assert getattr(spec, name) is getattr(spec, name), name
 
 
 class TestCompactCost:
@@ -657,11 +700,11 @@ def corpus_case(name):
         return random_lqc_spec(rng, 3, 2, 2, 8, with_linear=False), np.full(3, float(value))
     spec = random_lqc_spec(rng, 3, 2, 2, 8)
     if kind == "box":
-        return replace(spec, u_poly_h=float(value) * spec.u_poly_h, _cache={}), np.full(3, 10.0)
+        return replace(spec, u_poly_h=float(value) * spec.u_poly_h), np.full(3, 10.0)
     Q, R = spec.Q.copy(), spec.R.copy()
     Q[:, 0, 0] *= float(value)
     R[:, 0, 0] *= float(value)
-    return replace(spec, Q=Q, R=R, _cache={}), np.ones(3)
+    return replace(spec, Q=Q, R=R), np.ones(3)
 
 
 CORPUS = ([f"gamma:{g}:{s}" for g in ("1e-8", "1e-4", "1e2", "2e3", "5e3", "1e4") for s in (5, 6)]
@@ -729,7 +772,7 @@ class TestRowBlockBuilder:
     def test_regret_kernel_matches_explicit_solve(self, seed):
         # the cached F'F = X' L^-T L^-1 X against X' Uq^-1 X by a dense solve
         spec, x0, _ = row_block_case(seed)
-        F = _input_factor(spec)[1]
+        F = spec.input_factor[1]
         explicit = worst_case(build_compact_cost(spec, x0), "regret",
                               np.zeros(spec.stacked_input_dim)).quad
         assert np.linalg.norm(F.T @ F - explicit) <= 1e-9 * np.linalg.norm(explicit)

@@ -1,9 +1,12 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from helpers import (
     ExprBuilder,
+    assert_identical_programs,
     assert_same_program,
     double_integrator_mpc,
     reference_mpc_program,
@@ -12,7 +15,6 @@ from soclqc.model import ConicProgramBuilder, NotPositiveDefinite
 from soclqc.mpc import (
     MpcSpec,
     build_mpc_socp,
-    diagonalize_terminal_pair,
     emit_input_containment,
     emit_invariance_constraints,
     emit_state_containment,
@@ -94,7 +96,7 @@ class TestSpecValidation:
 class TestTerminalDiag:
     def test_deadbeat_closed_loop(self):
         spec = deadbeat_spec()
-        td = diagonalize_terminal_pair(spec)
+        td = spec.terminal_diag
         assert np.allclose(td.alpha, 0.0, atol=1e-12)
         assert np.allclose(td.m_sqrt @ td.m_sqrt, spec.P, atol=1e-10)
 
@@ -111,8 +113,8 @@ class TestTerminalDiag:
                            np.full(2 * n_x, 5.0),
                            np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 5.0),
                            K, P, 3, np.eye(n_x), np.eye(2), np.eye(n_x))
-            td = diagonalize_terminal_pair(spec)
-            assert np.allclose(td.S.T @ P @ td.S, np.diag(td.pi), atol=1e-8)
+            td = spec.terminal_diag
+            assert np.allclose(td.S.T @ P @ td.S, np.eye(n_x), atol=1e-8)
             assert np.allclose(
                 td.S.T @ A_cl.T @ P @ A_cl @ td.S, np.diag(td.alpha), atol=1e-8
             )
@@ -121,12 +123,34 @@ class TestTerminalDiag:
 
     def test_cached(self):
         spec = double_integrator_mpc()
-        assert diagonalize_terminal_pair(spec) is diagonalize_terminal_pair(spec)
+        for name in ("p_sqrt", "p_inv_sqrt", "terminal_diag"):
+            assert getattr(spec, name) is getattr(spec, name), name
+
+    def test_replace_builds_the_program_of_fresh_data(self):
+        spec = double_integrator_mpc()
+        x0 = np.array([2.0, 0.5])
+        build_mpc_socp(spec, x0)
+        max_fixed_radius(spec)
+        derived = replace(spec, P=3 * spec.P)
+        fresh = MpcSpec(N=spec.N, **{name: np.copy(getattr(derived, name)) for name in MPC_FIELDS})
+        assert_identical_programs(build_mpc_socp(derived, x0).program,
+                                  build_mpc_socp(fresh, x0).program)
+        assert max_fixed_radius(derived) == max_fixed_radius(fresh)
+        # P^{-1/2} scales by 3^{-1/2}, so the containment radius by 3^{1/2}
+        assert max_fixed_radius(derived) == pytest.approx(np.sqrt(3) * max_fixed_radius(spec))
+
+    def test_fields_cannot_be_assigned(self):
+        spec = double_integrator_mpc()
+        for field in (*MPC_FIELDS, "N"):
+            before = getattr(spec, field)
+            with pytest.raises(FrozenInstanceError):
+                setattr(spec, field, before)
+            assert getattr(spec, field) is before
 
 
 class TestEmittedBlocks:
     def build_terminal_program(self, spec, objective=None):
-        td = diagonalize_terminal_pair(spec)
+        td = spec.terminal_diag
         b = ExprBuilder()
         c_idx = b.add_vars(spec.n_x)
         r_idx = b.add_var()
@@ -281,11 +305,11 @@ class TestFullProblem:
         lam_hat, t_hat = ex["lam"], ex["t"]
         assert r > 1e-6
         lam, t = lam_hat / r, t_hat / r
-        td = diagonalize_terminal_pair(spec)
+        td = spec.terminal_diag
         c_hat = c / r
         assert np.sum(t) + lam <= 1 - c_hat @ (td.m_sqrt @ td.m_sqrt) @ c_hat + 1e-7
         heads = td.coupling @ c_hat
-        slacks = lam * td.pi - td.alpha
+        slacks = lam - td.alpha
         for i in range(spec.n_x):
             assert t[i] >= -1e-9
             assert slacks[i] >= -1e-9
