@@ -128,8 +128,12 @@ class LqcSpec:
             raise DimensionMismatch("input polyhedron over the stacked input is inconsistent")
         if N < 1:
             raise ValueError("horizon N must be at least 1")
+        if n_x < 1:
+            raise ValueError("state dimension n_x must be at least 1")
         if n_u < 1:
             raise ValueError("input dimension n_u must be at least 1")
+        if n_w < 1:
+            raise ValueError("disturbance dimension n_w must be at least 1")
         check_finite(A=self.A, B=self.B, C=self.C, Q=self.Q, q=self.q, R=self.R, r=self.r,
                      u_poly_G=self.u_poly_G, u_poly_h=self.u_poly_h, gamma=self.gamma)
         if not self.gamma > 0:

@@ -52,10 +52,20 @@ handful of numpy calls, and it keeps the NT scaling in its rank-one form
 ``W = beta (2 v v' - J)`` (Vandenberghe, "The CVXOPT linear and quadratic cone
 program solvers").
 
-Infeasibility is detected by a certificate heuristic on the iterates (no
-homogeneous embedding): an approximate Farkas ray of the duals flags primal
-infeasibility, a divergent primal ray with negative linear objective, in the
-null space of F, flags dual infeasibility.
+Infeasibility is detected on the iterates (no homogeneous embedding): an
+approximate Farkas ray of the duals flags primal infeasibility, a divergent
+primal ray with negative linear objective, in the null space of F, flags
+dual infeasibility.  A solve that stalls instead (``NumericalFailure`` or
+``MaxIterations``) decides infeasibility by the conic theorem on
+alternatives (Ben-Tal & Nemirovski, *Lectures on Modern Convex
+Optimization*, 1.4): each certificate of the program reduced to no equality
+rows solves a conic program of its own, and the same iteration solves it.
+The primal alternative ``min e'z s.t. z in K, G'z = 0, h'z = -1`` (e the
+cone identity) runs while the primal residual is above ``10 TOL_FEAS``, the
+dual alternative ``min ||x||^2 s.t. -G x in K, 2F'F x = 0, c'x = -1`` while
+the gap is above ``10 TOL_GAP``; the first to end ``Optimal`` sets the
+status.  Their own stalls are not certified in turn, and a solve that ends
+``Optimal`` never runs them.
 """
 
 from __future__ import annotations
@@ -186,8 +196,8 @@ class _Cones:
         e[self.starts] = 1.0
         return e
 
-    def inside(self, u: np.ndarray, margin: float = 0.0) -> bool:
-        return bool((u[..., self.starts] - self._tail_norm(u) > margin).all())
+    def inside(self, u: np.ndarray) -> bool:
+        return bool((u[..., self.starts] - self._tail_norm(u) > 0).all())
 
     def shift_inside(self, u: np.ndarray, pad: float = 1.0) -> np.ndarray:
         """Translate each block along the cone identity until well interior.
@@ -230,18 +240,6 @@ class _Cones:
         hit = (disc >= 0) & (den > 0)
         alpha = min(alpha, (2.0 * a0[hit] / den[hit]).min(initial=np.inf))
         return float(alpha)
-
-    def project(self, u: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto the cone, per block."""
-        head = u[self.starts]
-        tail = self._tail_norm(u)
-        keep = head >= tail
-        zero = head <= -tail
-        coef = 0.5 * (head + tail)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = u * np.where(keep, 1.0, np.where(zero, 0.0, coef / tail))[self.blk]
-        out[self.starts] = np.where(keep, head, np.where(zero, 0.0, coef))
-        return out
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product per block."""
@@ -518,9 +516,44 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     rows, ``res_primal``, ``res_dual`` and ``res_gap`` are those of the
     program reduced to their null space (see the module docstring); rows
     with no solution end the solve at iteration 0, with ``res_primal`` their
-    relative residual and no dual residual or gap (nan).
+    relative residual and no dual residual or gap (nan).  A solve that stalls
+    decides infeasibility by solving an alternative system within the same
+    ``max_iters`` (see the module docstring); the iterate it returns is the
+    stalled one.
     """
     cfg = config or SolverConfig()
+    sol, reduced = _solve(program, cfg.max_iters)
+    if sol.status in (Status.NUMERICAL_FAILURE, Status.MAX_ITERATIONS):
+        c, h, G, F = reduced
+        m, n = G.shape
+        # a Farkas ray: min e'z s.t. z in K, G'z = 0, h'z = -1; an improving
+        # ray: min ||x||^2 s.t. -Gx in K, 2F'F x = 0, c'x = -1
+        if sol.res_primal > 10 * TOL_FEAS and _alternative_solved(
+                program, _Cones(program.nn, program.soc).identity(), np.zeros((0, m)),
+                np.vstack([G.T, h]), -np.eye(m), cfg.max_iters):
+            sol.status = Status.PRIMAL_INFEASIBLE
+            sol.reason += "; the primal alternative system is solved"
+        elif sol.res_gap > 10 * TOL_GAP and _alternative_solved(
+                program, np.zeros(n), np.eye(n), np.vstack([2.0 * (F.T @ F), c]), G, cfg.max_iters):
+            sol.status = Status.DUAL_INFEASIBLE
+            sol.reason += "; the dual alternative system is solved"
+    return sol
+
+
+def _alternative_solved(program: ConicProgram, obj, obj_F, eq_A, G, max_iters: int) -> bool:
+    """Whether ``min ||obj_F x||^2 + obj'x  s.t.  eq_A x = (0, ..., 0, -1),
+    -G x in K``, K the cones of program, solves to ``Optimal``."""
+    eq_b = np.zeros(len(eq_A))
+    eq_b[-1] = -1.0
+    alt = ConicProgram(G.shape[1], obj, 0.0, obj_F, eq_A, eq_b, G, np.zeros(len(G)),
+                       program.nn, program.soc, program.tags)
+    return _solve(alt, max_iters)[0].optimal
+
+
+def _solve(program: ConicProgram, max_iters: int):
+    """The iteration of :func:`solve`, without its certification of a
+    stalled run: the :class:`Solution` and the program reduced to no
+    equality rows, ``(c, h, G, F)`` (None when the rows are inconsistent)."""
     cones = _Cones(program.nn, program.soc)
     if cones.num_blocks == 0:
         raise ValueError("program has no cone blocks; nothing for the solver to do")
@@ -537,7 +570,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         if rp > TOL_FEAS:
             # A'r_eq = 0 and b'r_eq = -||r_eq||^2: a Farkas ray of the rows
             return Solution(Status.PRIMAL_INFEASIBLE, x_p, r_eq / _norm(r_eq), np.zeros(cones.total),
-                            obj_offset, 0, rp, np.nan, np.nan, "equality rows are inconsistent")
+                            obj_offset, 0, rp, np.nan, np.nan, "equality rows are inconsistent"), None
 
         def unreduce(v, z):
             """The program's x and least-squares y_eq at the solve's v and z."""
@@ -546,59 +579,16 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             return x, lsq(-(grad + program.G.T @ z))
 
         c, h, G, F = null.T @ (c + 2.0 * (F.T @ Fx_p)), h - G @ x_p, G @ null, F @ null
+    reduced = (c, h, G, F)
     kkt = _KktFactor(G, F, cones)
     G, hess = kkt.G, kkt.hess
     if kkt.compact:
         # the solve runs in the private-first order
         c = c[kkt.order]
 
-    def purified_primal_certificate(z) -> bool:
-        """Polish the dual ray by alternating projections onto the Farkas
-        subspace G^T z = 0 and the cone, then check it certifies primal
-        infeasibility: z in the cone, h'z < 0."""
-        norm0 = np.linalg.norm(z)
-        if norm0 <= 0:
-            return False
-        z = z / norm0
-        pinv = np.linalg.pinv(G.T)
-
-        def quality(v):
-            denom = -float(h @ v)
-            if denom <= 1e-7 * max(1.0, np.linalg.norm(v)):
-                return np.inf
-            return np.linalg.norm(G.T @ v) / denom
-
-        best = np.inf
-        for it in range(2000):
-            z = cones.project(z - pinv @ (G.T @ z))
-            if it % 20 == 19:
-                best = min(best, quality(z))
-                if best <= 1e-8:
-                    break
-        best = min(best, quality(z))
-        # the projected ray has z in the cone exactly; accept a sharply
-        # scaled approximate Farkas certificate
-        return best <= 1e-6
-
-    def purified_dual_certificate(x) -> bool:
-        """Check the primal ray certifies dual infeasibility: G x within the
-        cone's negative, c'x < 0 and P x small against it."""
-        scale = np.linalg.norm(x)
-        if scale <= 0 or not cones.inside(-G @ x, margin=-1e-9 * scale):
-            return False
-        improve = -float(c @ x)
-        return improve > 1e-7 * scale and _norm(hess @ x) <= 1e-7 * improve
-
     def finish(status, reason=""):
-        """Solution at the current iterate, which is always finite."""
-        if status in (Status.NUMERICAL_FAILURE, Status.MAX_ITERATIONS):
-            # a stalled run may still carry an exact Farkas ray after projection
-            if rp > 10 * TOL_FEAS and purified_primal_certificate(z):
-                status = Status.PRIMAL_INFEASIBLE
-                reason += "; projected dual ray certifies primal infeasibility"
-            elif rg > 10 * TOL_GAP and purified_dual_certificate(x):
-                status = Status.DUAL_INFEASIBLE
-                reason += "; projected primal ray certifies dual infeasibility"
+        """Solution at the current iterate, which is always finite, and the
+        reduced program; :func:`solve` certifies a stall from both."""
         obj = pobj + obj_offset
         x_out = x.copy()
         if kkt.compact:
@@ -606,7 +596,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         y = np.zeros(0)
         if unreduce is not None:
             x_out, y = unreduce(x_out, z)
-        return Solution(status, x_out, y, z.copy(), obj, it, rp, rd, rg, reason)
+        return Solution(status, x_out, y, z.copy(), obj, it, rp, rd, rg, reason), reduced
 
     reg = 1e-10
     x, s, z = _initial_point(c, h, kkt, reg)
@@ -621,7 +611,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     else:
         mul, tmul, G_mat = np.matmul, lambda M, v: M.T @ v, G
 
-    for it in range(cfg.max_iters + 1):
+    for it in range(max_iters + 1):
         Px2 = hess @ x  # 2 P x
         xPx = 0.5 * float(x @ Px2)
         Gz = tmul(G_mat, z)
@@ -647,7 +637,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             return finish(Status.PRIMAL_INFEASIBLE, "dual iterate is a Farkas ray")
         if cx < 0 and rg > 10 * TOL_GAP and max(_norm(r_cone + h), _norm(Px2)) <= -cx * TOL_FEAS:
             return finish(Status.DUAL_INFEASIBLE, "primal iterate is an improving ray")
-        if it == cfg.max_iters:
+        if it == max_iters:
             return finish(Status.MAX_ITERATIONS, "iteration limit")
 
         mu = gap / cones.num_blocks

@@ -96,6 +96,17 @@ class TestSolve:
         assert code == 2
         assert "B[0]" in capsys.readouterr().err
 
+    def test_empty_state_dimension_exit_two(self, tmp_path, capsys):
+        # a file whose matrices have no state rows once ended in a traceback
+        tree = json.loads(open_render())
+        empty = {"rows": 0, "cols": 0, "data": []}
+        tree.update(A=[empty], Q=[empty], q=[[]], B=[{"rows": 0, "cols": 1, "data": []}],
+                    C=[{"rows": 0, "cols": 1, "data": []}])
+        bad = tmp_path / "no-state.json"
+        bad.write_text(json.dumps(tree))
+        assert main(["solve", str(bad), "--mode", "robust", "--x0", ""]) == 2
+        assert "state dimension n_x" in capsys.readouterr().err
+
     def test_mode_kind_mismatch_exit_two(self, mpc_file, capsys):
         assert main(["solve", mpc_file, "--mode", "robust", "--x0", "0,0"]) == 2
 

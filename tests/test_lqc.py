@@ -102,6 +102,21 @@ class TestSpecValidation:
             LqcSpec(one, np.zeros((N, 1, 0)), one, one, np.zeros((N, 1)), np.zeros((N, 0, 0)),
                     np.zeros((N, 0)), 0.1, np.zeros((0, 0)), np.zeros(0))
 
+    def test_state_dimension_must_be_positive(self):
+        # an empty state once failed with an IndexError in the stage-cost check
+        N, one = 3, np.ones((3, 1, 1))
+        with pytest.raises(ValueError, match="^state dimension n_x must be at least 1$"):
+            LqcSpec(np.zeros((N, 0, 0)), np.zeros((N, 0, 1)), np.zeros((N, 0, 1)), np.zeros((N, 0, 0)),
+                    np.zeros((N, 0)), one, np.zeros((N, 1)), 0.1, np.zeros((0, N)), np.zeros(0))
+
+    def test_disturbance_dimension_must_be_positive(self):
+        # an empty disturbance was once accepted, and the build then failed
+        # with "empty matrix pair"
+        N, one = 3, np.ones((3, 1, 1))
+        with pytest.raises(ValueError, match="^disturbance dimension n_w must be at least 1$"):
+            LqcSpec(one, one, np.zeros((N, 1, 0)), one, np.zeros((N, 1)), one, np.zeros((N, 1)),
+                    0.1, np.zeros((0, N)), np.zeros(0))
+
     def test_polyhedron_dimension_checked(self):
         one = np.ones((1, 1, 1))
         with pytest.raises(DimensionMismatch):

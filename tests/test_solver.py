@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,69 @@ def make_kkt_instance(rng, eq_only=False):
         c = c + M.T @ z
     b.set_objective_row(c)
     return b.build(), float(c @ x_star)
+
+
+def _random_layout(rng):
+    """2-7 variables, then the block dimensions in layout order: 0-5
+    nonnegative rows and 0-3 second-order blocks of dimension 2-4, drawn
+    again while there is no block."""
+    while True:
+        n = int(rng.integers(2, 8))
+        dims = [1] * int(rng.integers(0, 6)) + sorted(int(d) for d in rng.integers(2, 5, int(rng.integers(0, 4))))
+        if dims:
+            return n, dims
+
+
+def _random_interior(rng, dims):
+    """A point of the cone's interior, the blocks of dimensions dims stacked."""
+    pieces = []
+    for d in dims:
+        tail = rng.standard_normal(d - 1)
+        pieces.append(np.concatenate([[np.linalg.norm(tail) + rng.uniform(0.1, 1.0)], tail]))
+    return np.concatenate(pieces)
+
+
+def _blocks_program(n, dims, c, A, b):
+    """min c'x s.t. each block of rows of A x + b in its cone."""
+    builder = ConicProgramBuilder()
+    builder.add_vars(n)
+    builder.set_objective_row(c)
+    ends = np.cumsum(dims)
+    for d, end in zip(dims, ends):
+        builder.add_block_rows(A[None, end - d : end], b[None, end - d : end])
+    return builder.build()
+
+
+def unbounded_programs(seed):
+    """A stream of unbounded programs: x = 0 is strictly feasible, and along
+    a random ray d every block's rows A d lie in the cone while c'd < 0."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n, dims = _random_layout(rng)
+        ray, c = rng.standard_normal((2, n))
+        if c @ ray > 0:
+            c = -c
+        k = _random_interior(rng, dims)
+        A = rng.standard_normal((len(k), n))
+        A -= np.outer(A @ ray - k, ray) / (ray @ ray)
+        yield _blocks_program(n, dims, c, A, _random_interior(rng, dims))
+
+
+def infeasible_programs(seed):
+    """A stream of strictly primal-infeasible programs ``h - G x in K``: G
+    is projected so that G'z* = 0 for an interior z* and h shifted so that
+    h'z* < 0, so z* is a Farkas ray; and c = -G'w for an interior w, so the
+    dual is strictly feasible and the program has no improving ray."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n, dims = _random_layout(rng)
+        z = _random_interior(rng, dims)
+        G = rng.standard_normal((len(z), n))
+        G -= np.outer(z, z @ G) / (z @ z)
+        h = rng.standard_normal(len(z))
+        h += (-rng.uniform(0.1, 1.0) * np.linalg.norm(h) * np.linalg.norm(z) - h @ z) * z / (z @ z)
+        w = _random_interior(rng, dims)
+        yield _blocks_program(n, dims, -(G.T @ w), -G, h)
 
 
 class TestBasics:
@@ -290,6 +354,38 @@ class TestInfeasibility:
             assert sol.status is Status.OPTIMAL
             assert abs(sol.objective + 0.25) <= 1e-8 and abs(sol.x[1] - 0.5) <= 1e-6
 
+    def test_unbounded_programs_end_dual_infeasible(self):
+        # 13 of these once ended MaxIterations, the iterate running off
+        # along the ray; the dual alternative system certifies them
+        for i, prog in enumerate(itertools.islice(unbounded_programs(0), 100)):
+            sol = solve(prog)
+            assert sol.status is Status.DUAL_INFEASIBLE, (i, sol.status, sol.reason)
+            assert np.isfinite(sol.x).all()
+
+    def test_infeasible_programs_end_primal_infeasible(self):
+        # most stall before the loop's Farkas test holds and are certified
+        # by the primal alternative system
+        reasons = set()
+        for i, prog in enumerate(itertools.islice(infeasible_programs(0), 100)):
+            sol = solve(prog)
+            assert sol.status is Status.PRIMAL_INFEASIBLE, (i, sol.status, sol.reason)
+            reasons.add(sol.reason.endswith("; the primal alternative system is solved"))
+        assert reasons == {True, False}
+
+    def test_stalled_feasible_programs_keep_their_status(self, monkeypatch, rng):
+        # a failed factorization at iteration 2 stalls a feasible, bounded
+        # program; its alternative systems have no solution, so the stall
+        # is reported as it is
+        for trial in range(10):
+            prog, _ = make_kkt_instance(rng)
+            with monkeypatch.context() as patch:
+                solves = TestFactorizationGuard.record_solves(patch, 4, -1.0, 2)
+                sol = solve(prog)
+            assert solves[0][0] == [1, 2, 3, 4], trial
+            assert sol.status is Status.NUMERICAL_FAILURE, (trial, sol.status, sol.reason)
+            assert sol.reason == "factorization failed"
+            assert len(solves) > 1 and all(alt.status is not Status.OPTIMAL for _, alt in solves[1:])
+
     def test_inconsistent_equality_rows(self):
         # x0 + x1 = 1 and 2 x0 + 2 x1 = 3 have no solution: the solve stops
         # before the first iteration with the rows' Farkas ray
@@ -316,27 +412,45 @@ class TestFactorizationGuard:
     the start makes one at W = I (call 1), and each iteration one more, so
     iteration 0 makes call 2.  A case makes one of these calls report a
     failed pivot, or return a nan pivot, which LAPACK lets through with
-    info = 0."""
+    info = 0.  A solve that stalls so then solves the program's alternative
+    systems, each with its own factorizations, which are counted apart."""
 
     @staticmethod
-    def failing_dpotrf(monkeypatch, failing_call, pivot, info):
-        """Patch dpotrf so that its ``failing_call``-th call fails; returns
-        the list of calls made."""
+    def record_solves(monkeypatch, failing_call=None, pivot=None, info=None):
+        """Patch dpotrf so that the ``failing_call``-th call of the first
+        solve fails, if given.  Returns the solves made, the program's first
+        and then those of its alternative systems, each as ``[calls,
+        solution]``: calls numbers that solve's dpotrf calls from 1."""
         from soclqc import solver
 
-        real = solver.lapack.dpotrf
-        calls = []
+        real_dpotrf, real_solve = solver.lapack.dpotrf, solver._solve
+        solves = []
+
+        def recorded_solve(program, max_iters):
+            solves.append([[], None])
+            out = real_solve(program, max_iters)
+            solves[-1][1] = out[0]
+            return out
 
         def dpotrf(a, **kwargs):
-            *out, ok = real(a, **kwargs)
+            *out, ok = real_dpotrf(a, **kwargs)
+            calls = solves[-1][0]
             calls.append(len(calls) + 1)
-            if len(calls) != failing_call:
+            if len(solves) > 1 or len(calls) != failing_call:
                 return (*out, ok)
             out[0][1, 1] = pivot
             return (*out, info)
 
+        monkeypatch.setattr(solver, "_solve", recorded_solve)
         monkeypatch.setattr(solver.lapack, "dpotrf", dpotrf)
-        return calls
+        return solves
+
+    @staticmethod
+    def assert_alternatives_unsolved(solves):
+        # the program is feasible and bounded, so both alternative systems
+        # run and neither solves
+        assert len(solves) == 3
+        assert all(alt.status is not Status.OPTIMAL for _, alt in solves[1:])
 
     @pytest.mark.parametrize("eq_rows, pivot, info", [
         pytest.param(False, -1.0, 2, id="dpotrf--1.0-2"),
@@ -349,9 +463,10 @@ class TestFactorizationGuard:
         else:
             prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
         assert bool(len(prog.eq_b)) == eq_rows
-        calls = self.failing_dpotrf(monkeypatch, 2, pivot, info)
+        solves = self.record_solves(monkeypatch, 2, pivot, info)
         sol = solve(prog)
-        assert calls == [1, 2]
+        assert solves[0][0] == [1, 2]
+        self.assert_alternatives_unsolved(solves)
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.reason == "factorization failed"
         assert np.isfinite(sol.x).all()
@@ -376,7 +491,7 @@ class TestFactorizationGuard:
             return starts[-1][2]
 
         monkeypatch.setattr(solver, "_initial_point", recorded)
-        self.failing_dpotrf(monkeypatch, 1, -1.0, 2)
+        self.record_solves(monkeypatch, 1, -1.0, 2)
         sol = solve(prog)
         cones = solver._Cones(prog.nn, prog.soc)
         h, kkt, (x, s, z) = starts[0]
@@ -401,7 +516,6 @@ class TestFactorizationGuard:
 
         prog = build_robust_socp(scalar_benchmark_spec(60), [0.5]).program
         real = solver._KktFactor.private_rows
-        factored = []
 
         def bad_pivot(self, B):
             H_pp, H_pd = real(self, B)
@@ -410,9 +524,10 @@ class TestFactorizationGuard:
             return H_pp, H_pd
 
         monkeypatch.setattr(solver._KktFactor, "private_rows", bad_pivot)
-        monkeypatch.setattr(solver.lapack, "dpotrf", lambda *a, **k: factored.append(1))
+        solves = self.record_solves(monkeypatch)
         sol = solve(prog)
-        assert factored == []
+        assert solves[0][0] == []
+        self.assert_alternatives_unsolved(solves)
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.reason == "factorization failed"
         assert np.isfinite(sol.x).all()
@@ -799,25 +914,6 @@ class TestConeKernels:
         lam = self.interior(rng, program)
         back = cones.product(lam, cones.solve_product(lam, v))
         assert np.allclose(back, v, rtol=1e-12, atol=1e-12)
-
-    def test_project_matches_per_block_formula(self, program, cones, rng):
-        for _ in range(20):
-            u = 2.0 * rng.standard_normal(cones.total)
-            ref = []
-            for blk, b in zip(program.blocks, self.split(program, u)):
-                if blk.dim == 1:
-                    ref.append(np.maximum(b, 0.0))
-                    continue
-                t = np.linalg.norm(b[1:])
-                if b[0] >= t:
-                    ref.append(b)
-                elif b[0] <= -t:
-                    ref.append(np.zeros_like(b))
-                else:
-                    ref.append(0.5 * (b[0] + t) * np.concatenate([[1.0], b[1:] / t]))
-            out = cones.project(u)
-            assert np.allclose(out, np.concatenate(ref), rtol=1e-12, atol=1e-12)
-            assert cones.inside(out, margin=-1e-12)
 
     def test_max_step_lands_on_the_boundary(self, program, cones, rng):
         for _ in range(20):
