@@ -12,7 +12,7 @@ Core pieces:
   distributionally robust linear-quadratic control as SOCPs.
 * :mod:`soclqc.mpc` -- MPC with an online-reconfigurable ellipsoidal
   terminal set.
-* :mod:`soclqc.oracle` -- independent brute-force verification oracles.
+* :mod:`soclqc.oracle` -- the exact ball maximizer, independent of the solver.
 * :mod:`soclqc.verify` -- the checks of a solved result (``verify_result``)
   and the exact worst case at a fixed input (``worst_case``).
 * :mod:`soclqc.problemfile` / :mod:`soclqc.cli` -- problem files and the
@@ -45,9 +45,6 @@ from .slemma import (
 from .oracle import (
     BallMaxResult,
     BisectionFailure,
-    DimensionTooLarge,
-    closed_form_inner_min,
-    grid_worst_case,
     max_quad_over_ball,
 )
 from .lqc import (
@@ -57,14 +54,12 @@ from .lqc import (
     LqcSpec,
     PredictionMatrices,
     RecedingHorizonError,
-    RobustCertificateData,
     SimulationRecord,
     box_polyhedron,
     build_compact_cost,
     build_dr_regret_socp,
     build_dr_socp,
     build_regret_socp,
-    build_robust_sdp_data,
     build_robust_socp,
     receding_horizon_simulate,
     rollout_cost,
@@ -75,7 +70,6 @@ from .lqc import (
 from .mpc import (
     MpcSocp,
     MpcSpec,
-    NegativeEigenvalue,
     TerminalDiag,
     build_mpc_socp,
     emit_input_containment,

@@ -10,13 +10,13 @@ with the input block Uq positive definite and only the linear terms
 depending on x0.  Minimizing the worst case of J over the disturbance ball
 (or the worst-case regret against a clairvoyant input, or the worst-case
 expectation over a moment ambiguity set) then reduces to a second-order cone
-program via the simplified S-lemma; the builders here produce those programs
-together with the data needed to check the classical matrix-inequality
-certificate after the fact.  Uq is factored once per spec, Uq = L L', and
-the programs, the regret kernel X' Uq^{-1} X = F'F with F = L^{-1} X and the
-certificate all read that factor: the programs are posed in whitened,
-centered inputs y = L'(u - u_c), so that the cone data do not carry
-cond(Uq).
+program via the simplified S-lemma; the builders here produce those programs,
+and :func:`robust_certificate_matrix` the classical matrix-inequality
+certificate that checks a solved robust program after the fact.  Uq is
+factored once per spec, Uq = L L', and the programs, the regret kernel
+X' Uq^{-1} X = F'F with F = L^{-1} X and the certificate all read that
+factor: the programs are posed in whitened, centered inputs
+y = L'(u - u_c), so that the cone data do not carry cond(Uq).
 """
 
 from __future__ import annotations
@@ -36,7 +36,13 @@ from .model import (
     hyperbolic_rows,
     unit_rows,
 )
-from .slemma import SimulDiag, simultaneous_diagonalize, symmetrize
+from .slemma import (
+    QuadForm,
+    SimulDiag,
+    assemble_classical_lmi,
+    simultaneous_diagonalize,
+    symmetrize,
+)
 from .solver import Solution, SolverConfig, Status, solve
 
 
@@ -594,51 +600,29 @@ def build_dr_regret_socp(spec: LqcSpec, x0, amb: AmbiguitySpec) -> LqcSocp:
 
 
 # ---------------------------------------------------------------------------
-# certificate data for the classical matrix inequality
+# the bordered-matrix certificate of a solved robust program
 
 
-@dataclass(frozen=True)
-class RobustCertificateData:
-    """Numeric pieces to rebuild the bordered-matrix certificate of a solved
-    robust program:
+def robust_certificate_matrix(spec: LqcSpec, cc: CompactCost, u, lam, t) -> np.ndarray:
+    """The classical S-lemma matrix certifying a solved robust program.
 
-        [[I,    y,             F               ]
-         [y',   y'y + sum(t), -h'              ]
-         [F',  -h,             lam*I - Wq + F'F]]
-
-    with the spec's Cholesky factor Uq = L L', F = L^{-1} X, v = L^{-1} ul,
-    y = L'u + v and h = wl - F'v = wl - X' Uq^{-1} ul.
+    It is :func:`assemble_classical_lmi` of the lifted pair over z = (xi, w):
+    inner form gamma^2 - w'w, outer form z'[[I, F], [F', F'F - Wq]]z +
+    2 (y, F'v - wl)'z + y'y + sum(t) + gamma^2 lam, where Uq = L L' and
+    F = L^{-1} X come from ``spec.input_factor``, v = L^{-1} ul and
+    y = L'u + v.  The Schur complement on its identity block is the ball
+    pair's matrix at u, so the two are PSD together.
     """
-
-    compact: CompactCost
-    chol_L: np.ndarray
-    F: np.ndarray
-    v: np.ndarray
-    h: np.ndarray
-
-    def assemble(self, u, lam, t) -> np.ndarray:
-        """The bordered matrix at a solved program's (u, lam, t)."""
-        n_u, n_w = self.F.shape
-        y = self.chol_L.T @ np.atleast_1d(np.asarray(u, dtype=float)) + self.v
-        M = np.zeros((n_u + 1 + n_w, n_u + 1 + n_w))
-        M[:n_u, :n_u] = np.eye(n_u)
-        M[:n_u, n_u] = y
-        M[n_u, :n_u] = y
-        M[:n_u, n_u + 1 :] = self.F
-        M[n_u + 1 :, :n_u] = self.F.T
-        M[n_u, n_u] = float(y @ y) + float(np.sum(t))
-        M[n_u, n_u + 1 :] = -self.h
-        M[n_u + 1 :, n_u] = -self.h
-        M[n_u + 1 :, n_u + 1 :] = (float(lam) * np.eye(n_w) - self.compact.w_quad
-                                   + self.F.T @ self.F)
-        return M
-
-
-def build_robust_sdp_data(spec: LqcSpec, x0) -> RobustCertificateData:
-    cc = build_compact_cost(spec, x0)
     L, F, _ = spec.input_factor
     v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
-    return RobustCertificateData(cc, L, F, v, cc.w_lin - F.T @ v)
+    y = L.T @ np.asarray(u, dtype=float) + v
+    n_u, n_w = F.shape
+    inner = QuadForm(np.diag(np.repeat([0.0, -1.0], [n_u, n_w])), np.zeros(n_u + n_w),
+                     spec.gamma**2)
+    D = np.block([[np.eye(n_u), F], [F.T, F.T @ F - cc.w_quad]])
+    f = float(y @ y) + float(np.sum(t)) + spec.gamma**2 * float(lam)
+    return assemble_classical_lmi(inner, D, np.concatenate([y, F.T @ v - cc.w_lin]), f,
+                                  float(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,8 @@ from .model import (
     psd_sqrt_factor,
     unit_rows,
 )
-from .slemma import simultaneous_diagonalize, symmetrize
+from .slemma import SLemmaBlock, simultaneous_diagonalize, symmetrize
 from .solver import Solution
-
-
-class NegativeEigenvalue(ValueError):
-    """A nominally PSD matrix has a significantly negative eigenvalue."""
 
 
 @dataclass(frozen=True)
@@ -145,24 +141,14 @@ class MpcSpec:
         A_cl = self.A_cl
         sd = simultaneous_diagonalize(self.P, A_cl.T @ self.P @ A_cl)
         drift = A_cl - np.eye(self.n_x)
-        M = symmetrize(drift.T @ self.P @ drift)
-        try:
-            m_sqrt = psd_sqrt_factor(M)
-        except NotPositiveDefinite as exc:
-            raise NegativeEigenvalue(str(exc)) from exc
+        m_sqrt = psd_sqrt_factor(symmetrize(drift.T @ self.P @ drift))
         return TerminalDiag(S=sd.S, alpha=sd.delta, m_sqrt=m_sqrt,
                             coupling=sd.S.T @ A_cl.T @ self.P @ drift)
 
 
-@dataclass(frozen=True)
-class InvarianceBlock:
-    lam_index: int
-    t_index: np.ndarray
-
-
 def emit_invariance_constraints(
     td: TerminalDiag, c_idx, r_idx: int, builder: ConicProgramBuilder
-) -> InvarianceBlock:
+) -> SLemmaBlock:
     """Append blocks making the ellipsoid (c, r) = (x[c_idx], x[r_idx])
     positively invariant.
 
@@ -194,7 +180,7 @@ def emit_invariance_constraints(
     A, b = hyperbolic_rows(td.coupling @ C, np.zeros(n), unit_rows(t_idx, w), np.zeros(n),
                            slacks, np.zeros(n))
     builder.add_block_rows(A, b, [f"inv:q{i}" for i in range(n)])
-    return InvarianceBlock(lam_idx, t_idx)
+    return SLemmaBlock(lam_idx, t_idx)
 
 
 def _support_rows(rows, limits, spec: MpcSpec, c_idx, r_idx: int, builder, tag) -> None:
@@ -226,7 +212,7 @@ class MpcSocp:
     x_index: np.ndarray       # (N, n_x), states x_1..x_N
     c_index: np.ndarray
     r_index: int
-    invariance: InvarianceBlock
+    invariance: SLemmaBlock
 
     def extract(self, sol: Solution) -> dict:
         states = np.vstack([self.x_init, sol.x[self.x_index]])
@@ -235,8 +221,8 @@ class MpcSocp:
             "inputs": sol.x[self.u_index],
             "center": sol.x[self.c_index],
             "radius": float(sol.x[self.r_index]),
-            "lam": float(sol.x[self.invariance.lam_index]),
-            "t": sol.x[self.invariance.t_index],
+            "lam": float(sol.x[self.invariance.lambda_index]),
+            "t": sol.x[self.invariance.t_indices],
             "objective": sol.objective,
         }
 

@@ -1,9 +1,9 @@
-"""Independent verification oracles.
+"""The exact ball maximizer, an oracle independent of the conic solver.
 
-These deliberately avoid the conic solver: the ball maximizer follows the
-More-Sorensen eigenvalue/secular-equation route for trust-region
-subproblems, and the grid oracles evaluate costs pointwise.  They exist so
-every reformulated program can be cross-checked against brute force.
+``max_quad_over_ball`` follows the More-Sorensen eigenvalue /
+secular-equation route for trust-region subproblems.  ``verify`` checks
+every solved LQC program against it; the test suite keeps its brute-force
+grid oracles next to the tests.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ import numpy as np
 
 class BisectionFailure(RuntimeError):
     """Secular-equation bisection did not converge."""
-
-
-class DimensionTooLarge(ValueError):
-    """Grid oracle limited to one or two disturbance dimensions."""
 
 
 HARD_CASE_RTOL = 1e-10
@@ -48,8 +44,10 @@ def max_quad_over_ball(C: np.ndarray, h: np.ndarray, gamma: float) -> BallMaxRes
     h = np.atleast_1d(np.asarray(h, dtype=float))
     if C.shape[0] != h.shape[0]:
         raise ValueError("C and h dimensions differ")
-    if gamma <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(C).all() and np.isfinite(h).all()):
+        raise ValueError("C and h must be finite")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {gamma!r}")
 
     theta, V = np.linalg.eigh(C)
     h_rot = V.T @ h
@@ -124,48 +122,3 @@ def max_quad_over_ball(C: np.ndarray, h: np.ndarray, gamma: float) -> BallMaxRes
             w_rot[np.argmax(top)] = need
     w = V @ w_rot
     return BallMaxResult(w, objective(w), float(nu), not converged)
-
-
-def closed_form_inner_min(compact, w: np.ndarray):
-    """Clairvoyant minimizer over the inputs for a known disturbance.
-
-    For the stacked cost ``J(u, w)`` with positive-definite input block, the
-    minimizer is ``v = -u_quad^{-1} (u_lin + cross @ w)``; returns
-    ``(v, J(v, w))``.
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    rhs = compact.u_lin + compact.cross @ w
-    v_star = -np.linalg.solve(compact.u_quad, rhs)
-    return v_star, compact.evaluate(v_star, w)
-
-
-def grid_worst_case(compact, u: np.ndarray, gamma: float, step: float) -> float:
-    """Max of J(u, w) over a grid covering the disturbance ball.
-
-    Only for one- or two-dimensional disturbances; within O(step) of the
-    exact ball maximum.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    n_w = compact.w_quad.shape[0]
-    if n_w > 2:
-        raise DimensionTooLarge("grid oracle supports at most 2 disturbance dims")
-    # symmetric grid containing 0; collapses to the single point 0 when the
-    # step outgrows the ball
-    half = int(np.floor(gamma / step + 1e-9))
-    axis = step * np.arange(-half, half + 1)
-    if n_w == 1:
-        W = axis[:, None]
-    else:
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        W = np.column_stack([g1.ravel(), g2.ravel()])
-        W = W[np.linalg.norm(W, axis=1) <= gamma * (1 + 1e-12)]
-        if W.shape[0] == 0:
-            W = np.zeros((1, n_w))
-    lin = compact.w_lin + compact.cross.T @ u
-    vals = (
-        ((W @ compact.w_quad) * W).sum(1)
-        + 2.0 * W @ lin
-        + float(u @ compact.u_quad @ u + 2.0 * compact.u_lin @ u)
-        + compact.constant
-    )
-    return float(np.max(vals))

@@ -18,6 +18,9 @@ call, the Cholesky reduction of the generalized eigenproblem, with the
 diagonal of S^T D S ascending.  The bordered matrix itself is kept purely as
 a numerical verification oracle (:func:`assemble_classical_lmi` +
 :func:`check_psd`); it is never solved as a semidefinite program.
+:func:`assemble_classical_lmi` is the package's only layout of it: the
+robust LQC certificate (``lqc.robust_certificate_matrix``) is the same
+matrix of a lifted pair.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ class QuadForm:
     @staticmethod
     def ball(radius: float, dim: int) -> "QuadForm":
         """The set ||z|| <= radius written as radius^2 - z^T z >= 0."""
+        if not 0 < radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius!r}")
         return QuadForm(-np.eye(dim), np.zeros(dim), radius**2)
 
 
@@ -224,86 +229,3 @@ def check_psd(M: np.ndarray, tol: float = 1e-7) -> bool:
     """True iff the smallest eigenvalue is >= -tol * (1 + ||M||_F)."""
     lam_min, scale = psd_margin(M)
     return lam_min >= -tol * scale
-
-
-# ---------------------------------------------------------------------------
-# grid verification helpers (vectorized over a multiplier grid)
-
-
-def block_feasible_grid(
-    inner: QuadForm,
-    e: np.ndarray,
-    f: float,
-    sd: SimulDiag,
-    lam_grid: np.ndarray,
-    tol: float = 1e-9,
-    chunk: int = 200_000,
-) -> np.ndarray:
-    """For each multiplier on the grid, can the emitted block be satisfied?
-
-    Uses the closed form: slack_i = delta_i - lam*alpha_i must be >= 0, the
-    minimal t_i is head_i^2 / slack_i (head must vanish where the slack
-    does), and the budget row requires f - lam*c >= sum of minimal t.
-    Vectorized; independent of the conic solver.  The outer matrix D enters
-    only through ``sd``, which diagonalizes the pair (inner.A, D).
-    """
-    full = np.asarray(lam_grid, dtype=float)
-    eps = sd.S.T @ np.asarray(e, dtype=float)
-    beta = sd.S.T @ inner.b
-    scale = 1.0 + abs(f) + np.linalg.norm(eps) + np.linalg.norm(beta)
-    out = np.empty(full.shape, dtype=bool)
-    for lo in range(0, len(full), chunk):
-        lam = full[lo : lo + chunk]
-        head = eps[None, :] - lam[:, None] * beta[None, :]
-        slack = sd.delta[None, :] - lam[:, None] * sd.alpha[None, :]
-        ok = np.all(slack >= -tol * scale, axis=1)
-        tiny = np.abs(slack) <= tol * scale
-        ok &= np.all(~tiny | (np.abs(head) <= np.sqrt(tol) * scale), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tmin = np.where(tiny, 0.0, head**2 / np.where(tiny, 1.0, slack))
-        budget = f - lam * inner.c
-        ok &= budget >= np.sum(np.where(slack > tol * scale, tmin, 0.0), axis=1) - tol * scale
-        out[lo : lo + chunk] = ok
-    return out
-
-
-def lmi_psd_grid(
-    inner: QuadForm,
-    D: np.ndarray,
-    e: np.ndarray,
-    f: float,
-    lam_grid: np.ndarray,
-    tol: float = 1e-7,
-    chunk: int = 200_000,
-) -> np.ndarray:
-    """Batched eigenvalue PSD check of the classical matrix over a grid.
-
-    The smallest eigenvalue is at most the smallest diagonal entry, so a
-    point whose diagonal already falls below the bound by more than the
-    eigensolver's rounding fails without an eigenvalue computation; the
-    result is that of the eigenvalues at every point.
-    """
-    lam = np.asarray(lam_grid, dtype=float)
-    D = symmetrize(D)
-    e = np.asarray(e, dtype=float)
-    n = inner.dim
-    base = np.zeros((n + 1, n + 1))
-    base[:n, :n] = D
-    base[:n, n] = base[n, :n] = e
-    base[n, n] = f
-    step = np.zeros((n + 1, n + 1))
-    step[:n, :n] = -inner.A
-    step[:n, n] = step[n, :n] = -inner.b
-    step[n, n] = -inner.c
-    # a generous bound on eigvalsh's error, relative to 1 + ||M||_F
-    rounding = 1e-12 * (n + 1)
-    out = np.empty(lam.shape, dtype=bool)
-    for lo in range(0, len(lam), chunk):
-        piece = lam[lo : lo + chunk]
-        mats = base[None] + piece[:, None, None] * step[None]
-        norms = np.sqrt(np.sum(mats**2, axis=(1, 2)))
-        bound = -tol * (1.0 + norms)
-        ok = np.diagonal(mats, axis1=1, axis2=2).min(1) >= bound - rounding * (1.0 + norms)
-        ok[ok] = np.linalg.eigvalsh(mats[ok])[:, 0] >= bound[ok]
-        out[lo : lo + chunk] = ok
-    return out

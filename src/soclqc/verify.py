@@ -127,7 +127,8 @@ def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
 
     # the moment multipliers beta shift the disturbance heads and add mu'beta
     shift, extra = (0.5 * amb.H.T @ beta, float(amb.mu @ beta)) if m else (0.0, 0.0)
-    quad, lin, base = worst_case(lqc.build_compact_cost(spec, x0), kernel, u)
+    cc = lqc.build_compact_cost(spec, x0)
+    quad, lin, base = worst_case(cc, kernel, u)
     h_eff = lin - shift
     # the epigraph bound certified by (lam, t) must dominate the exact ball
     # maximum of the shifted disturbance quadratic
@@ -150,8 +151,8 @@ def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
     lmi = assemble_classical_lmi(QuadForm.ball(gamma, len(lin)), -quad, -h_eff, bound, lam)
     report.append(_psd("certificate matrix PSD", lmi))
     if mode == "robust":
-        big = lqc.build_robust_sdp_data(spec, x0).assemble(u, lam, t)
-        report.append(_psd("bordered certificate PSD", big))
+        report.append(_psd("bordered certificate PSD",
+                           lqc.robust_certificate_matrix(spec, cc, u, lam, t)))
     if mode == "regret":
         report.append(_check("regret nonnegative", -obj, 1e-8))
 

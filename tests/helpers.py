@@ -10,7 +10,7 @@ from soclqc.model import (
     psd_sqrt_factor,
 )
 from soclqc.mpc import MpcSpec
-from soclqc.slemma import simultaneous_diagonalize
+from soclqc.slemma import QuadForm, SimulDiag, simultaneous_diagonalize, symmetrize
 
 
 class LinExpr:
@@ -391,3 +391,136 @@ def double_integrator_mpc(N=8, x_bound=5.0, u_bound=1.0) -> MpcSpec:
     Q_f = scipy.linalg.solve_discrete_lyapunov(A_cl.T, Q + K.T @ R @ K)
     return MpcSpec(A, B, E, f, G, h, K, P, N, Q, R, Q_f)
 
+
+# ---------------------------------------------------------------------------
+# brute-force oracles that only the tests use: the clairvoyant input, a grid
+# worst case over one- or two-dimensional disturbance balls, and the
+# simplified and classical S-lemma certificates over a multiplier grid
+
+
+class DimensionTooLarge(ValueError):
+    """Grid oracle limited to one or two disturbance dimensions."""
+
+
+def closed_form_inner_min(compact, w: np.ndarray):
+    """Clairvoyant minimizer over the inputs for a known disturbance.
+
+    For the stacked cost ``J(u, w)`` with positive-definite input block, the
+    minimizer is ``v = -u_quad^{-1} (u_lin + cross @ w)``; returns
+    ``(v, J(v, w))``.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    rhs = compact.u_lin + compact.cross @ w
+    v_star = -np.linalg.solve(compact.u_quad, rhs)
+    return v_star, compact.evaluate(v_star, w)
+
+
+def grid_worst_case(compact, u: np.ndarray, gamma: float, step: float) -> float:
+    """Max of J(u, w) over a grid covering the disturbance ball.
+
+    Only for one- or two-dimensional disturbances; within O(step) of the
+    exact ball maximum.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    n_w = compact.w_quad.shape[0]
+    if n_w > 2:
+        raise DimensionTooLarge("grid oracle supports at most 2 disturbance dims")
+    # symmetric grid containing 0; collapses to the single point 0 when the
+    # step outgrows the ball
+    half = int(np.floor(gamma / step + 1e-9))
+    axis = step * np.arange(-half, half + 1)
+    if n_w == 1:
+        W = axis[:, None]
+    else:
+        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+        W = np.column_stack([g1.ravel(), g2.ravel()])
+        W = W[np.linalg.norm(W, axis=1) <= gamma * (1 + 1e-12)]
+        if W.shape[0] == 0:
+            W = np.zeros((1, n_w))
+    lin = compact.w_lin + compact.cross.T @ u
+    vals = (
+        ((W @ compact.w_quad) * W).sum(1)
+        + 2.0 * W @ lin
+        + float(u @ compact.u_quad @ u + 2.0 * compact.u_lin @ u)
+        + compact.constant
+    )
+    return float(np.max(vals))
+
+
+def block_feasible_grid(
+    inner: QuadForm,
+    e: np.ndarray,
+    f: float,
+    sd: SimulDiag,
+    lam_grid: np.ndarray,
+    tol: float = 1e-9,
+    chunk: int = 200_000,
+) -> np.ndarray:
+    """For each multiplier on the grid, can the emitted block be satisfied?
+
+    Uses the closed form: slack_i = delta_i - lam*alpha_i must be >= 0, the
+    minimal t_i is head_i^2 / slack_i (head must vanish where the slack
+    does), and the budget row requires f - lam*c >= sum of minimal t.
+    Vectorized; independent of the conic solver.  The outer matrix D enters
+    only through ``sd``, which diagonalizes the pair (inner.A, D).
+    """
+    full = np.asarray(lam_grid, dtype=float)
+    eps = sd.S.T @ np.asarray(e, dtype=float)
+    beta = sd.S.T @ inner.b
+    scale = 1.0 + abs(f) + np.linalg.norm(eps) + np.linalg.norm(beta)
+    out = np.empty(full.shape, dtype=bool)
+    for lo in range(0, len(full), chunk):
+        lam = full[lo : lo + chunk]
+        head = eps[None, :] - lam[:, None] * beta[None, :]
+        slack = sd.delta[None, :] - lam[:, None] * sd.alpha[None, :]
+        ok = np.all(slack >= -tol * scale, axis=1)
+        tiny = np.abs(slack) <= tol * scale
+        ok &= np.all(~tiny | (np.abs(head) <= np.sqrt(tol) * scale), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tmin = np.where(tiny, 0.0, head**2 / np.where(tiny, 1.0, slack))
+        budget = f - lam * inner.c
+        ok &= budget >= np.sum(np.where(slack > tol * scale, tmin, 0.0), axis=1) - tol * scale
+        out[lo : lo + chunk] = ok
+    return out
+
+
+def lmi_psd_grid(
+    inner: QuadForm,
+    D: np.ndarray,
+    e: np.ndarray,
+    f: float,
+    lam_grid: np.ndarray,
+    tol: float = 1e-7,
+    chunk: int = 200_000,
+) -> np.ndarray:
+    """Batched eigenvalue PSD check of the classical matrix over a grid.
+
+    The smallest eigenvalue is at most the smallest diagonal entry, so a
+    point whose diagonal already falls below the bound by more than the
+    eigensolver's rounding fails without an eigenvalue computation; the
+    result is that of the eigenvalues at every point.
+    """
+    lam = np.asarray(lam_grid, dtype=float)
+    D = symmetrize(D)
+    e = np.asarray(e, dtype=float)
+    n = inner.dim
+    base = np.zeros((n + 1, n + 1))
+    base[:n, :n] = D
+    base[:n, n] = base[n, :n] = e
+    base[n, n] = f
+    step = np.zeros((n + 1, n + 1))
+    step[:n, :n] = -inner.A
+    step[:n, n] = step[n, :n] = -inner.b
+    step[n, n] = -inner.c
+    # a generous bound on eigvalsh's error, relative to 1 + ||M||_F
+    rounding = 1e-12 * (n + 1)
+    out = np.empty(lam.shape, dtype=bool)
+    for lo in range(0, len(lam), chunk):
+        piece = lam[lo : lo + chunk]
+        mats = base[None] + piece[:, None, None] * step[None]
+        norms = np.sqrt(np.sum(mats**2, axis=(1, 2)))
+        bound = -tol * (1.0 + norms)
+        ok = np.diagonal(mats, axis1=1, axis2=2).min(1) >= bound - rounding * (1.0 + norms)
+        ok[ok] = np.linalg.eigvalsh(mats[ok])[:, 0] >= bound[ok]
+        out[lo : lo + chunk] = ok
+    return out

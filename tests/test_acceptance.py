@@ -9,7 +9,10 @@ import time
 import numpy as np
 
 from helpers import (
+    block_feasible_grid,
     double_integrator_mpc,
+    grid_worst_case,
+    lmi_psd_grid,
     random_lqc_spec,
     scalar_regret_grid_oracle,
 )
@@ -19,19 +22,14 @@ from soclqc.lqc import (
     build_compact_cost,
     build_dr_socp,
     build_regret_socp,
-    build_robust_sdp_data,
     build_robust_socp,
+    robust_certificate_matrix,
     rollout_cost,
     scalar_benchmark_spec,
 )
 from soclqc.mpc import build_mpc_socp, max_fixed_radius
-from soclqc.oracle import grid_worst_case, max_quad_over_ball
-from soclqc.slemma import (
-    QuadForm,
-    block_feasible_grid,
-    lmi_psd_grid,
-    simultaneous_diagonalize,
-)
+from soclqc.oracle import max_quad_over_ball
+from soclqc.slemma import QuadForm, simultaneous_diagonalize
 from soclqc.solver import Status, solve
 from soclqc.verify import verify_result, worst_case
 
@@ -175,8 +173,7 @@ def test_criterion_4_certificate_check():
         socp = build_robust_socp(spec, x0)
         sol = solve_ok(socp.program)
         ex = socp.extract(sol)
-        data = build_robust_sdp_data(spec, x0)
-        M = data.assemble(ex["u"], ex["lam"], ex["t"])
+        M = robust_certificate_matrix(spec, socp.compact, ex["u"], ex["lam"], ex["t"])
         all_psd &= check_psd(M, 1e-6)
     record(4, "solved robust instances reconstruct a PSD certificate matrix", all_psd)
 

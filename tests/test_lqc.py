@@ -26,9 +26,9 @@ from soclqc.lqc import (
     build_dr_regret_socp,
     build_dr_socp,
     build_regret_socp,
-    build_robust_sdp_data,
     build_robust_socp,
     receding_horizon_simulate,
+    robust_certificate_matrix,
     rollout_cost,
     rollout_states,
     scalar_benchmark_spec,
@@ -36,7 +36,7 @@ from soclqc.lqc import (
 )
 from soclqc.model import DimensionMismatch, NotPositiveDefinite, pin_variables
 from soclqc.oracle import max_quad_over_ball
-from soclqc.slemma import check_psd
+from soclqc.slemma import QuadForm, assemble_classical_lmi, check_psd
 from soclqc.solver import Status, solve
 from soclqc.verify import verify_result, worst_case
 
@@ -161,9 +161,12 @@ class TestImmutableSpec:
         fresh = LqcSpec(**{name: np.copy(getattr(derived, name)) for name in LQC_FIELDS})
         for build in builds:
             assert_identical_programs(build(derived).program, build(fresh).program)
-        sdp, sdp_fresh = build_robust_sdp_data(derived, x0), build_robust_sdp_data(fresh, x0)
-        assert np.array_equal(sdp.chol_L, sdp_fresh.chol_L)
-        assert np.array_equal(sdp.F, sdp_fresh.F)
+        assert np.array_equal(derived.input_factor[0], fresh.input_factor[0])
+        assert np.array_equal(derived.input_factor[1], fresh.input_factor[1])
+        u, t = np.ones(fresh.stacked_input_dim), np.ones(fresh.stacked_dist_dim)
+        derived_M, fresh_M = (robust_certificate_matrix(s, build_compact_cost(s, x0), u, 2.0, t)
+                              for s in (derived, fresh))
+        assert np.array_equal(derived_M, fresh_M)
 
     def test_fields_cannot_be_assigned(self):
         spec = scalar_benchmark_spec(3)
@@ -335,17 +338,29 @@ class TestRobustSocp:
 
 
 class TestCertificates:
+    @staticmethod
+    def certificate(spec, x0, u, lam, t):
+        return robust_certificate_matrix(spec, build_compact_cost(spec, x0), u, lam, t)
+
+    @staticmethod
+    def h_and_F(spec, M):
+        """h and F from the certificate's layout over (u, w, 1): the last row
+        holds (y, -h, .) and the (u, w) block F."""
+        n_u, n_w = spec.stacked_input_dim, spec.stacked_dist_dim
+        return -M[-1, n_u : n_u + n_w], M[:n_u, n_u : n_u + n_w]
+
     def test_scalar_benchmark_h_value(self):
-        data = build_robust_sdp_data(scalar_benchmark_spec(1), [-1.0])
-        assert abs(data.h[0] - (-0.9 - 0.9 * (-0.9) / 1.9)) <= 1e-12
+        spec = scalar_benchmark_spec(1)
+        h, _ = self.h_and_F(spec, self.certificate(spec, [-1.0], [0.0], 0.0, [0.0]))
+        assert abs(h[0] - (-0.9 - 0.9 * (-0.9) / 1.9)) <= 1e-12
 
     def test_zero_cross_terms(self):
         one = np.ones((2, 1, 1))
         spec = LqcSpec(one, one, one, 0 * one, np.zeros((2, 1)), one,
                        np.zeros((2, 1)), 0.5, np.zeros((0, 2)), np.zeros(0))
-        data = build_robust_sdp_data(spec, [1.0])
-        assert np.allclose(data.F, 0.0)
-        assert np.allclose(data.h, data.compact.w_lin)
+        h, F = self.h_and_F(spec, self.certificate(spec, [1.0], np.zeros(2), 0.0, np.zeros(2)))
+        assert np.allclose(F, 0.0)
+        assert np.allclose(h, build_compact_cost(spec, [1.0]).w_lin)
 
     def test_solved_instances_produce_psd_certificates(self, rng):
         for _ in range(8):
@@ -356,8 +371,7 @@ class TestCertificates:
             socp = build_robust_socp(spec, x0)
             sol = solve_ok(socp.program)
             ex = socp.extract(sol)
-            data = build_robust_sdp_data(spec, x0)
-            M = data.assemble(ex["u"], ex["lam"], ex["t"])
+            M = self.certificate(spec, x0, ex["u"], ex["lam"], ex["t"])
             assert check_psd(M, 1e-6)
 
     def test_negated_multiplier_breaks_certificate(self, rng):
@@ -366,9 +380,29 @@ class TestCertificates:
         socp = build_robust_socp(spec, x0)
         sol = solve_ok(socp.program)
         ex = socp.extract(sol)
-        data = build_robust_sdp_data(spec, x0)
-        M = data.assemble(ex["u"], -ex["lam"], ex["t"])
+        M = self.certificate(spec, x0, ex["u"], -ex["lam"], ex["t"])
         assert not check_psd(M, 1e-6)
+
+    def test_lifted_certificate_agrees_with_the_ball_matrix(self, rng):
+        # the Schur complement of the lifted matrix on its identity block is
+        # verify's bordered matrix of the ball pair at u, with the bound
+        # sum(t) + gamma^2 lam, so both are PSD or neither is
+        verdicts = []
+        for _ in range(10):
+            n_x, n_u, n_w = rng.integers(1, 4, 3)
+            spec = random_lqc_spec(rng, n_x, n_u, n_w, int(rng.integers(1, 5)))
+            x0 = rng.standard_normal(n_x)
+            socp = build_robust_socp(spec, x0)
+            ex = socp.extract(solve_ok(socp.program))
+            quad, lin, _ = worst_case(socp.compact, "robust", ex["u"])
+            ball = QuadForm.ball(spec.gamma, len(lin))
+            for lam in (ex["lam"], ex["lam"] / 2, -ex["lam"]):
+                bound = float(np.sum(ex["t"])) + spec.gamma**2 * lam
+                classical = assemble_classical_lmi(ball, -quad, -lin, bound, lam)
+                lifted = robust_certificate_matrix(spec, socp.compact, ex["u"], lam, ex["t"])
+                verdicts.append(check_psd(lifted, 1e-6))
+                assert verdicts[-1] == check_psd(classical, 1e-6), (lam, ex["lam"])
+        assert all(verdicts[::3]) and not any(verdicts[2::3])
 
 
 class TestRegretSocp:
@@ -672,7 +706,7 @@ class TestSolverRobustness:
 
     @pytest.mark.xfail(strict=True, reason="false PrimalInfeasible at iteration 18: the dual iterate "
                        "passes the Farkas-ray test on badly scaled data (max |h| 2.8e11; ROADMAP "
-                       "items 4 and 5)")
+                       "items 2 and 6)")
     @pytest.mark.parametrize("kernel", ["robust", "regret"])
     def test_expanding_dynamics_seed_18(self, kernel):
         # the program is feasible and bounded (a ball-bounded disturbance),
@@ -811,5 +845,6 @@ class TestRowBlockBuilder:
             build_regret_socp(spec, x0)
             build_dr_socp(spec, x0, amb)
             build_dr_regret_socp(spec, x0, amb)
-        build_robust_sdp_data(spec, np.ones(2))
+        robust_certificate_matrix(spec, build_compact_cost(spec, np.ones(2)),
+                                  np.zeros(n_u), 1.0, np.zeros(spec.stacked_dist_dim))
         assert factored[0] == 1

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_lqc_spec
+from helpers import DimensionTooLarge, closed_form_inner_min, grid_worst_case, random_lqc_spec
 from soclqc.lqc import build_compact_cost, scalar_benchmark_spec
-from soclqc.oracle import (
-    DimensionTooLarge,
-    closed_form_inner_min,
-    grid_worst_case,
-    max_quad_over_ball,
-)
+from soclqc.oracle import max_quad_over_ball
 from soclqc.verify import worst_case
 
 
@@ -18,6 +13,23 @@ def kkt_residual(C, h, res):
 
 
 class TestBallMax:
+    @pytest.mark.parametrize("C, h, gamma", [
+        (np.eye(2), np.ones(2), np.nan),
+        (np.eye(2), np.ones(2), np.inf),
+        (np.eye(2), np.ones(2), 0.0),
+        (np.eye(2), np.ones(2), -1.0),
+        (np.array([[1.0, 0.0], [0.0, np.nan]]), np.ones(2), 1.0),
+        (np.array([[1.0, 0.0], [0.0, np.inf]]), np.ones(2), 1.0),
+        (np.eye(2), np.array([1.0, np.nan]), 1.0),
+        (np.eye(2), np.array([1.0, -np.inf]), 1.0),
+    ], ids=["radius-nan", "radius-inf", "radius-zero", "radius-negative", "C-nan", "C-inf",
+            "h-nan", "h-inf"])
+    def test_rejects_non_finite_data_and_bad_radius(self, C, h, gamma):
+        # a nan used to raise BisectionFailure, and radius inf returned a
+        # finite maximum where the supremum is +inf
+        with pytest.raises(ValueError, match="C and h must be finite|radius must be positive"):
+            max_quad_over_ball(C, h, gamma)
+
     def test_linear_over_ball(self):
         res = max_quad_over_ball(np.zeros((2, 2)), np.array([1.0, 0.0]), 1.0)
         assert abs(res.value - 2.0) <= 1e-12

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import block_feasible_grid, lmi_psd_grid
 from soclqc.model import ConicProgramBuilder, DimensionMismatch, NotPositiveDefinite, unit_rows
 from soclqc.slemma import (
     DegenerateInput,
     QuadForm,
     SimulDiag,
     assemble_classical_lmi,
-    block_feasible_grid,
     check_psd,
     emit_simplified_slemma,
-    lmi_psd_grid,
     simultaneous_diagonalize,
 )
 from soclqc.solver import Status, solve
@@ -118,6 +117,15 @@ def emit_interval_program(inner_c, outer_f, objective_on_lambda=False):
     if objective_on_lambda:
         b.set_objective_row(unit_rows(blk.lambda_index, b.num_vars)[0])
     return b.build(), blk
+
+
+class TestQuadForm:
+    @pytest.mark.parametrize("radius", [-2.0, 0.0, np.inf, -np.inf, np.nan])
+    def test_ball_rejects_radius_outside_positive_reals(self, radius):
+        # the form keeps only radius^2, so a negative radius used to pass
+        # as its absolute value
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            QuadForm.ball(radius, 2)
 
 
 class TestEmitSimplifiedSlemma:
