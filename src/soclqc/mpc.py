@@ -62,8 +62,8 @@ class MpcSpec:
     be stable so that small origin-centered terminal sets are feasible.
 
     Instances are immutable; ``p_sqrt`` (P^{1/2}), ``p_inv_sqrt``
-    (P^{-1/2}) and ``terminal_diag`` are cached properties, computed on
-    first use.
+    (P^{-1/2}), ``terminal_diag`` and ``cost_factors`` are cached
+    properties, computed on first use.
     """
 
     A: np.ndarray
@@ -135,6 +135,11 @@ class MpcSpec:
     def p_inv_sqrt(self) -> np.ndarray:
         vals, vecs = np.linalg.eigh(self.P)
         return (vecs / np.sqrt(vals)) @ vecs.T
+
+    @cached_property
+    def cost_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Square-root factors of the stage costs Q and R and of Q_f."""
+        return psd_sqrt_factor(self.Q), psd_sqrt_factor(self.R), psd_sqrt_factor(self.Q_f)
 
     @cached_property
     def terminal_diag(self) -> TerminalDiag:
@@ -284,9 +289,7 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
 
     # stage costs sum x_k' Q x_k + u_k' R u_k (k = 0..N-1) plus x_N' Q_f x_N;
     # the k = 0 state term is a constant.
-    fq = psd_sqrt_factor(spec.Q)
-    fr = psd_sqrt_factor(spec.R)
-    ff = psd_sqrt_factor(spec.Q_f)
+    fq, fr, ff = spec.cost_factors
     factors = [fq] * (N - 1) + [fr] * N + [ff]
     F_all = scipy.linalg.block_diag(*factors)
     cost_idx = np.concatenate([x_idx[: N - 1].ravel(), u_idx.ravel(), x_idx[N - 1]])

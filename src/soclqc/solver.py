@@ -52,20 +52,11 @@ handful of numpy calls, and it keeps the NT scaling in its rank-one form
 ``W = beta (2 v v' - J)`` (Vandenberghe, "The CVXOPT linear and quadratic cone
 program solvers").
 
-Infeasibility is detected on the iterates (no homogeneous embedding): an
-approximate Farkas ray of the duals flags primal infeasibility, a divergent
-primal ray with negative linear objective, in the null space of F, flags
-dual infeasibility.  A solve that stalls instead (``NumericalFailure`` or
-``MaxIterations``) decides infeasibility by the conic theorem on
-alternatives (Ben-Tal & Nemirovski, *Lectures on Modern Convex
-Optimization*, 1.4): each certificate of the program reduced to no equality
-rows solves a conic program of its own, and the same iteration solves it.
-The primal alternative ``min e'z s.t. z in K, G'z = 0, h'z = -1`` (e the
-cone identity) runs while the primal residual is above ``10 TOL_FEAS``, the
-dual alternative ``min ||x||^2 s.t. -G x in K, 2F'F x = 0, c'x = -1`` while
-the gap is above ``10 TOL_GAP``; the first to end ``Optimal`` sets the
-status.  Their own stalls are not certified in turn, and a solve that ends
-``Optimal`` never runs them.
+Each iteration takes one predictor step and one plain Mehrotra corrector,
+undamped, as CVXOPT's ``coneqp`` does.  Infeasibility is detected on the
+iterates (no homogeneous embedding): an approximate Farkas ray of the duals
+flags primal infeasibility, a divergent primal ray with negative linear
+objective, in the null space of F, flags dual infeasibility.
 """
 
 from __future__ import annotations
@@ -516,44 +507,11 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     rows, ``res_primal``, ``res_dual`` and ``res_gap`` are those of the
     program reduced to their null space (see the module docstring); rows
     with no solution end the solve at iteration 0, with ``res_primal`` their
-    relative residual and no dual residual or gap (nan).  A solve that stalls
-    decides infeasibility by solving an alternative system within the same
-    ``max_iters`` (see the module docstring); the iterate it returns is the
-    stalled one.
+    relative residual and no dual residual or gap (nan).  Infeasibility is
+    decided by the iteration's own ray tests, and a solve that stalls
+    (``NumericalFailure`` or ``MaxIterations``) is reported as it is.
     """
-    cfg = config or SolverConfig()
-    sol, reduced = _solve(program, cfg.max_iters)
-    if sol.status in (Status.NUMERICAL_FAILURE, Status.MAX_ITERATIONS):
-        c, h, G, F = reduced
-        m, n = G.shape
-        # a Farkas ray: min e'z s.t. z in K, G'z = 0, h'z = -1; an improving
-        # ray: min ||x||^2 s.t. -Gx in K, 2F'F x = 0, c'x = -1
-        if sol.res_primal > 10 * TOL_FEAS and _alternative_solved(
-                program, _Cones(program.nn, program.soc).identity(), np.zeros((0, m)),
-                np.vstack([G.T, h]), -np.eye(m), cfg.max_iters):
-            sol.status = Status.PRIMAL_INFEASIBLE
-            sol.reason += "; the primal alternative system is solved"
-        elif sol.res_gap > 10 * TOL_GAP and _alternative_solved(
-                program, np.zeros(n), np.eye(n), np.vstack([2.0 * (F.T @ F), c]), G, cfg.max_iters):
-            sol.status = Status.DUAL_INFEASIBLE
-            sol.reason += "; the dual alternative system is solved"
-    return sol
-
-
-def _alternative_solved(program: ConicProgram, obj, obj_F, eq_A, G, max_iters: int) -> bool:
-    """Whether ``min ||obj_F x||^2 + obj'x  s.t.  eq_A x = (0, ..., 0, -1),
-    -G x in K``, K the cones of program, solves to ``Optimal``."""
-    eq_b = np.zeros(len(eq_A))
-    eq_b[-1] = -1.0
-    alt = ConicProgram(G.shape[1], obj, 0.0, obj_F, eq_A, eq_b, G, np.zeros(len(G)),
-                       program.nn, program.soc, program.tags)
-    return _solve(alt, max_iters)[0].optimal
-
-
-def _solve(program: ConicProgram, max_iters: int):
-    """The iteration of :func:`solve`, without its certification of a
-    stalled run: the :class:`Solution` and the program reduced to no
-    equality rows, ``(c, h, G, F)`` (None when the rows are inconsistent)."""
+    max_iters = (config or SolverConfig()).max_iters
     cones = _Cones(program.nn, program.soc)
     if cones.num_blocks == 0:
         raise ValueError("program has no cone blocks; nothing for the solver to do")
@@ -570,7 +528,7 @@ def _solve(program: ConicProgram, max_iters: int):
         if rp > TOL_FEAS:
             # A'r_eq = 0 and b'r_eq = -||r_eq||^2: a Farkas ray of the rows
             return Solution(Status.PRIMAL_INFEASIBLE, x_p, r_eq / _norm(r_eq), np.zeros(cones.total),
-                            obj_offset, 0, rp, np.nan, np.nan, "equality rows are inconsistent"), None
+                            obj_offset, 0, rp, np.nan, np.nan, "equality rows are inconsistent")
 
         def unreduce(v, z):
             """The program's x and least-squares y_eq at the solve's v and z."""
@@ -579,7 +537,6 @@ def _solve(program: ConicProgram, max_iters: int):
             return x, lsq(-(grad + program.G.T @ z))
 
         c, h, G, F = null.T @ (c + 2.0 * (F.T @ Fx_p)), h - G @ x_p, G @ null, F @ null
-    reduced = (c, h, G, F)
     kkt = _KktFactor(G, F, cones)
     G, hess = kkt.G, kkt.hess
     if kkt.compact:
@@ -587,8 +544,7 @@ def _solve(program: ConicProgram, max_iters: int):
         c = c[kkt.order]
 
     def finish(status, reason=""):
-        """Solution at the current iterate, which is always finite, and the
-        reduced program; :func:`solve` certifies a stall from both."""
+        """Solution at the current iterate, which is always finite."""
         obj = pobj + obj_offset
         x_out = x.copy()
         if kkt.compact:
@@ -596,7 +552,7 @@ def _solve(program: ConicProgram, max_iters: int):
         y = np.zeros(0)
         if unreduce is not None:
             x_out, y = unreduce(x_out, z)
-        return Solution(status, x_out, y, z.copy(), obj, it, rp, rd, rg, reason), reduced
+        return Solution(status, x_out, y, z.copy(), obj, it, rp, rd, rg, reason)
 
     reg = 1e-10
     x, s, z = _initial_point(c, h, kkt, reg)
@@ -710,28 +666,15 @@ def _solve(program: ConicProgram, max_iters: int):
         gap_a = float((s + alpha_a * ds_a) @ (z + alpha_a * dz_a))
         sigma = min(1.0, max(0.0, gap_a / gap)) ** 3
 
-        # corrector (Mehrotra second order term in the scaled space); the
-        # corrector is damped when it chokes the step near a degenerate face
+        # corrector (Mehrotra second order term in the scaled space)
         if not cones.divisible(lam):
             return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
         corr = cones.product(
             cones.apply_w(scaling, ds_a, inverse=True), cones.apply_w(scaling, dz_a)
         )
-        lam2 = cones.product(lam, lam)
-        center = sigma * mu * ident
-
-        def corrected(eta):
-            d_lam = cones.solve_product(lam, lam2 + eta * corr - center)
-            dxzs = direction(d_lam)
-            return step_length(dxzs[2], dxzs[1], FRACTION_TO_BOUNDARY), dxzs
-
-        alpha, step = corrected(1.0)
-        if alpha < min(0.5 * alpha_a, 0.2):
-            for eta in (0.5, 0.0):
-                a2, step2 = corrected(eta)
-                if a2 > alpha:
-                    alpha, step = a2, step2
-        dx, dz, ds = step
+        d_lam = cones.solve_product(lam, cones.product(lam, lam) + corr - sigma * mu * ident)
+        dx, dz, ds = direction(d_lam)
+        alpha = step_length(ds, dz, FRACTION_TO_BOUNDARY)
         if not np.isfinite(alpha) or alpha <= 1e-14:
             return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
 

@@ -658,19 +658,10 @@ class TestSolverRobustness:
                 assert abs(sol.objective - truth) <= 1e-5 * (1 + abs(truth)), label
 
     def test_expanding_dynamics_optimal_solves_are_kept(self):
-        # expanding-dynamics seeds 0-11, both kernels: at least 18 of the 24
-        # solves reach Optimal at their exact worst case at one BLAS thread,
-        # and so does every pinned solve (the first seven pinned before the
-        # programs were posed in whitened inputs; the rest reach Optimal at
-        # one and at two BLAS threads; seed 2 since the Farkas test is
-        # relative to ||z||).  The statuses of this class can depend on the
-        # thread count, so the solves run in a subprocess pinned to one
-        # thread
-        pinned = {(1, "robust"), (1, "regret"), (3, "regret"), (7, "robust"), (7, "regret"),
-                  (11, "robust"), (11, "regret"),
-                  (0, "robust"), (0, "regret"), (3, "robust"), (4, "robust"), (4, "regret"),
-                  (5, "robust"), (5, "regret"), (6, "robust"), (6, "regret"), (8, "regret"),
-                  (9, "regret"), (10, "robust"), (10, "regret"), (2, "robust"), (2, "regret")}
+        # expanding-dynamics seeds 0-11, both kernels: every one of the 24
+        # solves reaches Optimal at its exact worst case.  The statuses of
+        # this class can depend on the BLAS thread count, so the solves run
+        # in a subprocess pinned to one thread
         script = textwrap.dedent("""
             import json
             import numpy as np
@@ -696,27 +687,25 @@ class TestSolverRobustness:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        solved = set()
-        for seed, kernel, status, reason, obj, truth in json.loads(proc.stdout):
-            if status == "Optimal" and abs(obj - truth) <= 1e-5 * (1 + abs(truth)):
-                solved.add((seed, kernel))
-            else:
-                assert (seed, kernel) not in pinned, (seed, kernel, status, reason, obj, truth)
-        assert len(solved) >= 18, sorted(solved)
+        out = json.loads(proc.stdout)
+        assert len(out) == 24
+        for seed, kernel, status, reason, obj, truth in out:
+            assert status == "Optimal" and abs(obj - truth) <= 1e-5 * (1 + abs(truth)), \
+                (seed, kernel, status, reason, obj, truth)
 
-    @pytest.mark.xfail(strict=True, reason="false PrimalInfeasible at iteration 18: the dual iterate "
-                       "passes the Farkas-ray test on badly scaled data (max |h| 2.8e11; ROADMAP "
-                       "items 2 and 6)")
     @pytest.mark.parametrize("kernel", ["robust", "regret"])
     def test_expanding_dynamics_seed_18(self, kernel):
         # the program is feasible and bounded (a ball-bounded disturbance),
-        # so any status other than Optimal is a solver fault
+        # so any status other than Optimal is a solver fault; its data are
+        # badly scaled (max |h| 2.8e11)
         rng = np.random.default_rng(18)
         spec = random_lqc_spec(rng, 4, 2, 2, 30)
         build = build_robust_socp if kernel == "robust" else build_regret_socp
         socp = build(spec, rng.standard_normal(4))
         sol = solve(socp.program)
         assert sol.status is Status.OPTIMAL, (sol.status, sol.iterations, sol.reason)
+        truth = worst_case(socp.compact, kernel, socp.extract(sol)["u"]).value(spec.gamma)
+        assert abs(sol.objective - truth) <= 1e-6 * (1 + abs(truth)), (sol.objective, truth)
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_expanding_dynamics_return_finite_inputs(self, seed):

@@ -123,8 +123,24 @@ class TestTerminalDiag:
 
     def test_cached(self):
         spec = double_integrator_mpc()
-        for name in ("p_sqrt", "p_inv_sqrt", "terminal_diag"):
+        for name in ("p_sqrt", "p_inv_sqrt", "terminal_diag", "cost_factors"):
             assert getattr(spec, name) is getattr(spec, name), name
+
+    def test_costs_factored_once_per_spec(self, monkeypatch):
+        # the first build factors P, the drift term and the costs Q, R, Q_f;
+        # a second build, at another x_init, reuses them all
+        from soclqc import mpc
+
+        spec = double_integrator_mpc()
+        factored = []
+        real = mpc.psd_sqrt_factor
+        monkeypatch.setattr(mpc, "psd_sqrt_factor", lambda M: factored.append(M) or real(M))
+        first = build_mpc_socp(spec, np.array([2.0, 0.5])).program
+        assert len(factored) == 5
+        factored.clear()
+        build_mpc_socp(spec, np.array([1.0, 0.0]))
+        assert not factored
+        assert_identical_programs(build_mpc_socp(spec, np.array([2.0, 0.5])).program, first)
 
     def test_replace_builds_the_program_of_fresh_data(self):
         spec = double_integrator_mpc()
@@ -292,7 +308,10 @@ class TestFullProblem:
             build_mpc_socp(spec, x_init, fixed_terminal=(np.zeros(2), r0)).program
         )
         assert free.status is Status.OPTIMAL
+        # the loop's own Farkas test decides it, with no stall (14 iterations)
         assert fixed.status is Status.PRIMAL_INFEASIBLE
+        assert fixed.reason == "dual iterate is a Farkas ray"
+        assert fixed.iterations <= 20, fixed.iterations
 
     def test_rescaled_multiplier_certifies_unscaled_constraints(self):
         # the invariance blocks are the homogenized (times-r) form; dividing
