@@ -634,7 +634,6 @@ class SimulationRecord:
     states: np.ndarray
     inputs: np.ndarray
     objectives: list[float]
-    statuses: list[Status]
     iterations: list[int]
 
 
@@ -661,11 +660,10 @@ def receding_horizon_simulate(
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     states = [x.copy()]
     inputs = np.zeros((len(disturbances), spec.n_u))
-    objectives, statuses, iterations = [], [], []
+    objectives, iterations = [], []
     for k, w in enumerate(disturbances):
         socp = _build_minmax_socp(spec, x, controller, amb)
         sol = solve(socp.program, config)
-        statuses.append(sol.status)
         iterations.append(sol.iterations)
         if sol.status is not Status.OPTIMAL:
             raise RecedingHorizonError(k, sol.status)
@@ -674,4 +672,4 @@ def receding_horizon_simulate(
         inputs[k] = u_first
         x = spec.A[0] @ x + spec.B[0] @ u_first + spec.C[0] @ w
         states.append(x.copy())
-    return SimulationRecord(np.array(states), inputs, objectives, statuses, iterations)
+    return SimulationRecord(np.array(states), inputs, objectives, iterations)

@@ -211,7 +211,6 @@ def emit_input_containment(spec: MpcSpec, c_idx, r_idx: int, builder: ConicProgr
 @dataclass(frozen=True)
 class MpcSocp:
     program: ConicProgram
-    spec: MpcSpec
     x_init: np.ndarray
     u_index: np.ndarray       # (N, n_u)
     x_index: np.ndarray       # (N, n_x), states x_1..x_N
@@ -295,7 +294,7 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     cost_idx = np.concatenate([x_idx[: N - 1].ravel(), u_idx.ravel(), x_idx[N - 1]])
     b.set_objective_row([], float(x_init @ spec.Q @ x_init), F_all @ unit_rows(cost_idx, w))
 
-    return MpcSocp(b.build(), spec, x_init, u_idx, x_idx, c_idx, r_idx, inv)
+    return MpcSocp(b.build(), x_init, u_idx, x_idx, c_idx, r_idx, inv)
 
 
 def max_fixed_radius(spec: MpcSpec) -> float:

@@ -70,10 +70,6 @@ class QuadForm:
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def __call__(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(z @ self.A @ z + 2.0 * self.b @ z + self.c)
-
     @staticmethod
     def ball(radius: float, dim: int) -> "QuadForm":
         """The set ||z|| <= radius written as radius^2 - z^T z >= 0."""

@@ -37,14 +37,12 @@ The starting point comes from the same factorization at W = I, its primal
 and dual parts from one solve with two right-hand sides.
 
 On its own this route loses accuracy near convergence: H carries the squared
-condition number of the scaling, and D biases the step.  Each solve is
-therefore refined against the full, unregularized two-block system.  Its
-residual needs only products with 2P, G, G' and W, and each correction reuses
-the same factorization.  Refinement converges while the reduced solve is
-right to better than one digit, and its limit is set by how exactly that
-residual is computed, not by the conditioning of H; so the refined step has
-the accuracy of the full quasidefinite system.  Refinement stops once a
-correction no longer halves the residual, after at most seven corrections.
+condition number of the scaling, and D biases the step.  Each KKT solve is
+therefore corrected once against the full, unregularized two-block system, as
+CVXOPT's ``coneqp`` refines once when a program has second-order cones: one
+reduced solve, one residual, which needs only products with 2P, G, G' and W,
+and one more reduced solve of that residual from the same factorization.  So
+the work is fixed: two ``dpotrs`` calls per KKT solve, four per iteration.
 
 The cone layer (:class:`_Cones`) treats every block, nonnegative rows
 included, as a segment of one flat layout, so each cone operation is a fixed
@@ -319,7 +317,7 @@ def _private_columns(G: np.ndarray, F: np.ndarray, cones: _Cones):
 class _KktFactor:
     """Cholesky factor ``U'U = 2P + H + D`` of the reduced KKT matrix, ``hess
     = 2P = 2 F'F`` the objective's Hessian, ``H = (W^-1 G)'(W^-1 G)`` and D
-    the regularization; each KKT solve is one ``dpotrs`` (:meth:`solve`).
+    the regularization; each reduced solve is one ``dpotrs`` (:meth:`solve`).
 
     A large program (``compact``) orders its block-private variables
     (:func:`_private_columns`) first, as ``order`` gives, and eliminates
@@ -453,7 +451,7 @@ class _KktFactor:
         return Gw, U, int(not U.diagonal().min(initial=np.inf) > 0)
 
     def solve(self, U: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The solution of ``(H + D) x = r``, with U from :meth:`factor` (r
+        """The solution of ``(2P + H + D) x = r``, with U from :meth:`factor` (r
         is overwritten).  Equality rows that fix every variable leave no
         variable, and LAPACK rejects that empty system, so an empty r comes
         back as it is."""
@@ -580,7 +578,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
         rp = _norm(r_cone) / norm_h
         rd = _norm(r_dual) / norm_c
-        rg = abs(pobj - dobj) / max(1.0, abs(pobj))
+        # relative to the whole objective, obj_offset included
+        rg = abs(pobj - dobj) / max(1.0, abs(pobj + obj_offset))
 
         if rp <= TOL_FEAS and rd <= TOL_FEAS and rg <= TOL_GAP:
             return finish(Status.OPTIMAL)
@@ -618,37 +617,25 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
             dx = kkt.solve(fac, r_x + tmul(Gw, wr))
             return dx, cones.apply_w(scaling, mul(Gw, dx) - wr, inverse=True)
 
-        def kkt_residual(r, d):
-            """r minus the unregularized full system applied to d = (dx, dz),
-            the residual's norm, and G dx."""
-            dx, dz = d
+        def kkt_residual(r_x, r_z, dx, dz):
+            """(r_x, r_z) minus the unregularized full system applied to
+            (dx, dz)."""
             W2dz = cones.apply_w(scaling, cones.apply_w(scaling, dz))
-            Gdx = mul(G_mat, dx)
-            e = (r[0] - tmul(G_mat, dz) - hess @ dx, r[1] - Gdx + W2dz)
-            return e, np.sqrt(sum(v @ v for v in e)), Gdx
+            return r_x - tmul(G_mat, dz) - hess @ dx, r_z - mul(G_mat, dx) + W2dz
 
-        def solve_kkt(*r):
-            """Solve [[0, G'], [G, -W^2]] (dx, dz) = r, refining against this
-            system while each step halves the residual; returns the solution
-            and its G dx."""
-            d = solve_reduced(*r)
-            e, err, Gdx = kkt_residual(r, d)
-            tol = 1e-14 * max(1.0, np.sqrt(sum(v @ v for v in r)))
-            for _ in range(7):
-                if err <= tol:
-                    break
-                trial = tuple(u + du for u, du in zip(d, solve_reduced(*e)))
-                e_trial, err_trial, Gdx_trial = kkt_residual(r, trial)
-                if err_trial < err:
-                    d, e, Gdx = trial, e_trial, Gdx_trial
-                if err_trial > 0.5 * err:
-                    break
-                err = err_trial
-            return d, Gdx
+        def solve_kkt(r_x, r_z):
+            """Solve [[2P, G'], [G, -W^2]] (dx, dz) = (r_x, r_z) by one reduced
+            solve and one correction from the same factor; returns the
+            solution and its G dx."""
+            dx, dz = solve_reduced(r_x, r_z)
+            ex, ez = solve_reduced(*kkt_residual(r_x, r_z, dx, dz))
+            dx += ex
+            dz += ez
+            return dx, dz, mul(G_mat, dx)
 
         def direction(d_lam):
             """Newton direction for complementarity target -d_lam."""
-            (dx, dz), Gdx = solve_kkt(-r_dual, -r_cone + cones.apply_w(scaling, d_lam))
+            dx, dz, Gdx = solve_kkt(-r_dual, -r_cone + cones.apply_w(scaling, d_lam))
             return dx, dz, -r_cone - Gdx
 
         def step_length(ds, dz, frac):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from helpers import double_integrator_mpc
 from soclqc import cli, verify
 from soclqc.cli import BENCH_HEADER, main
-from soclqc.lqc import AmbiguitySpec, scalar_benchmark_spec
+from soclqc.lqc import AmbiguitySpec, build_compact_cost, scalar_benchmark_spec
 from soclqc.problemfile import save_problem
 from soclqc.slemma import check_psd
 
@@ -131,9 +132,11 @@ class TestSolve:
         (["--x0", "nan"], "--x0"),
         (["--x0", "inf"], "--x0"),
         (["--x0", "-inf"], "--x0"),
+        (["--x0", "1,a"], "--x0: expected comma-separated numbers"),
         (["--x0", "0.5", "--max-iters", "0"], "--max-iters"),
         (["--x0", "0.5", "--max-iters", "-3"], "--max-iters"),
-    ], ids=["x0-nan", "x0-inf", "x0-minus-inf", "max-iters-0", "max-iters-negative"])
+    ], ids=["x0-nan", "x0-inf", "x0-minus-inf", "x0-not-a-number", "max-iters-0",
+            "max-iters-negative"])
     def test_bad_numeric_argument_exit_two(self, args, named, tmp_path, capsys, monkeypatch):
         path = tmp_path / "lqc3.json"
         save_problem(path, scalar_benchmark_spec(3))
@@ -284,3 +287,14 @@ class TestBench:
         assert main(["bench", "--N", "0,5", "--reps", "1"]) == 2
         assert main(["bench", "--N", "abc", "--reps", "1"]) == 2
         assert main(["bench", "--N", "5", "--reps", "0"]) == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: verify.worst_case(build_compact_cost(s, [0.5]), "minimax", np.zeros(3)),
+     "unknown worst-case kernel 'minimax'"),
+    (lambda s: verify.verify_result("lqc", s, None, {"mode": "robust"}), "result file missing field 'x0'"),
+    (lambda s: verify.verify_result("lqc", s, None, {"mode": 3}), "result field 'mode': expected a string"),
+], ids=["kernel", "missing-field", "mode-not-a-string"])
+def test_verify_rejects_malformed_input(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(scalar_benchmark_spec(3))

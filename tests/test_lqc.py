@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -622,7 +623,7 @@ class TestRecedingHorizon:
         assert len(rec.objectives) == 2
         amb = AmbiguitySpec([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         rec2 = receding_horizon_simulate(spec, [-1.0], w, controller="dr", amb=amb)
-        assert all(s is Status.OPTIMAL for s in rec2.statuses)
+        assert len(rec2.iterations) == 2
 
     def test_solver_failure_carries_step_index(self):
         from soclqc.solver import SolverConfig
@@ -837,3 +838,29 @@ class TestRowBlockBuilder:
         robust_certificate_matrix(spec, build_compact_cost(spec, np.ones(2)),
                                   np.zeros(n_u), 1.0, np.zeros(spec.stacked_dist_dim))
         assert factored[0] == 1
+
+
+def _asymmetric_stage(spec):
+    Q = spec.Q.copy()
+    Q[1, 0, 1] += 1.0
+    return replace(spec, Q=Q)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s: replace(s, A=s.A[0]), DimensionMismatch, "A must be a sequence of matrices"),
+    (_asymmetric_stage, ValueError, "matrix is not symmetric within tolerance"),
+    (lambda s: replace(s, A=np.ones((3, 2, 3))), DimensionMismatch, "A blocks must be square"),
+    (lambda s: replace(s, B=np.ones((3, 3, 1))), DimensionMismatch, "B/C blocks inconsistent with A"),
+    (lambda s: replace(s, q=np.zeros((3, 3))), DimensionMismatch, "state cost blocks inconsistent"),
+    (lambda s: replace(s, r=np.zeros((3, 2))), DimensionMismatch, "input cost blocks inconsistent"),
+    (lambda s: AmbiguitySpec(np.ones((2, 3)), [0.1]), DimensionMismatch,
+     "moment matrix rows and bound length differ"),
+    (lambda s: build_compact_cost(s, np.zeros(3)), DimensionMismatch, "x0 has wrong length"),
+    (lambda s: receding_horizon_simulate(s, np.zeros(2), np.zeros((2, 2))), DimensionMismatch,
+     "disturbance sequence has wrong shape"),
+], ids=["A-not-stacked", "Q-asymmetric", "A-not-square", "B", "q", "r", "moments", "x0",
+        "disturbances"])
+def test_rejected_input_is_named(call, error, message):
+    # a spec with n_x = 2, n_u = n_w = 1 and N = 3
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(random_lqc_spec(np.random.default_rng(0), 2, 1, 1, 3))

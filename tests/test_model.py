@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -390,3 +391,26 @@ class TestRowBlocks:
             b.set_objective_row([1.0], 0.0, np.ones(3))
         with pytest.raises(DimensionMismatch):
             replace(prog, obj_F=np.ones((2, 6)))
+
+
+def _two_variable_builder():
+    b = ConicProgramBuilder()
+    b.add_vars(2)
+    b.add_block_rows(np.eye(2)[None], np.zeros((1, 2)))
+    return b
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda b: replace(b.build(), obj=np.zeros(3)), "objective length != num_vars"),
+    (lambda b: replace(b.build(), eq_A=np.zeros((1, 3)), eq_b=np.zeros(1)),
+     "equality constraint shapes inconsistent"),
+    (lambda b: b.set_objective_row(np.zeros(3)), "objective row longer than the variable count"),
+    (lambda b: b.add_eq_rows(np.zeros((1, 2)), np.zeros(2)),
+     "equality rows need A (p, w <= 2) and b (p,); got (1, 2) and (2,)"),
+    (lambda b: hyperbolic_rows(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2),
+                               np.zeros((1, 2)), np.zeros(1)),
+     "hyperbolic rows: head, y and z shapes inconsistent"),
+], ids=["objective", "equality-rows", "objective-row", "add-eq-rows", "hyperbolic-rows"])
+def test_rejected_shape_is_named(call, message):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        call(_two_variable_builder())

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from helpers import (
     double_integrator_mpc,
     reference_mpc_program,
 )
-from soclqc.model import ConicProgramBuilder, NotPositiveDefinite
+from soclqc.model import ConicProgramBuilder, DimensionMismatch, NotPositiveDefinite
 from soclqc.mpc import (
     MpcSpec,
     build_mpc_socp,
@@ -364,3 +365,22 @@ class TestReferenceAssembler:
         spec = double_integrator_mpc(N)
         assert_same_program(build_mpc_socp(spec, x_init, fixed_terminal=fixed).program,
                             reference_mpc_program(spec, x_init, fixed_terminal=fixed))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda s: replace(s, A=np.eye(3)), DimensionMismatch, "A/B shapes inconsistent"),
+    (lambda s: replace(s, E=np.ones((4, 3))), DimensionMismatch, "state set rows inconsistent"),
+    (lambda s: replace(s, G=np.ones((2, 2))), DimensionMismatch, "input set rows inconsistent"),
+    (lambda s: replace(s, K=np.ones((1, 3))), DimensionMismatch, "terminal gain shape inconsistent"),
+    (lambda s: replace(s, P=np.eye(3)), DimensionMismatch, "terminal shape matrix size inconsistent"),
+    (lambda s: replace(s, N=0), ValueError, "horizon must be at least 1"),
+    (lambda s: replace(s, Q=np.diag([1.0, -1.0])), ValueError, "Q must be positive semidefinite"),
+    (lambda s: replace(s, R=-np.eye(1)), ValueError, "R must be positive definite"),
+    (lambda s: emit_invariance_constraints(s.terminal_diag, [0], 1, ConicProgramBuilder()),
+     DimensionMismatch, "center has wrong length"),
+    (lambda s: build_mpc_socp(s, [1.0, 0.0, 0.0]), DimensionMismatch, "x_init has wrong length"),
+], ids=["A-B", "E", "G", "K", "P", "N-zero", "Q-indefinite", "R-not-definite", "center",
+        "x-init"])
+def test_rejected_input_is_named(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(double_integrator_mpc(4))

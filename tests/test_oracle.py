@@ -171,3 +171,8 @@ class TestGridWorstCase:
             lip = 2 * np.linalg.norm(cc.w_quad) * spec.gamma + 2 * np.linalg.norm(wc.lin)
             assert exact >= g - 1e-9
             assert exact - g <= 2 * step * lip + 1e-9
+
+
+def test_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match="^C and h dimensions differ$"):
+        max_quad_over_ball(np.eye(2), np.ones(3), 1.0)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -123,3 +124,40 @@ class TestStrictParsing:
                              "mu": [0.0]}
         with pytest.raises(ProblemFileError, match="ambiguity.H"):
             parse_problem(json.dumps(tree))
+
+
+def _edited(tree, edit):
+    edit(tree)
+    return json.dumps(tree)
+
+
+def _lqc_text(edit):
+    return _edited(json.loads(render_lqc(scalar_benchmark_spec(3))), edit)
+
+
+def _mpc_text(edit):
+    return _edited(json.loads(render_mpc(double_integrator_mpc())), edit)
+
+
+def _short_mu(tree):
+    tree["ambiguity"] = {"H": {"rows": 2, "cols": 3, "data": [1.0] * 6}, "mu": [0.5]}
+
+
+@pytest.mark.parametrize("text, message", [
+    (_mpc_text(lambda t: t.__setitem__("state_set", [])), "state_set: expected an object"),
+    (_mpc_text(lambda t: t["state_set"].__setitem__("f", 5.0)), "state_set.f: expected a list of numbers"),
+    (_lqc_text(lambda t: t.__setitem__("A", t["A"][:1])), "A: expected a list of 3 matrices"),
+    (_lqc_text(lambda t: t.__setitem__("q", t["q"][:1])), "q: expected a list of 3 vectors"),
+    (_lqc_text(_short_mu), "ambiguity: moment matrix rows and bound length differ"),
+    (_mpc_text(lambda t: t["cost"]["R"].__setitem__("data", [-1.0])), "R must be positive definite"),
+    ("[]", "top level: missing key 'kind'"),
+], ids=["not-an-object", "not-a-list", "matrix-count", "vector-count", "ambiguity", "mpc-spec",
+        "no-kind"])
+def test_rejected_file_is_named(text, message):
+    with pytest.raises(ProblemFileError, match=f"^{re.escape(message)}$"):
+        parse_problem(text)
+
+
+def test_save_rejects_other_specs(tmp_path):
+    with pytest.raises(TypeError, match="^spec must be LqcSpec or MpcSpec$"):
+        save_problem(tmp_path / "p.json", object())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from soclqc.slemma import (
     check_psd,
     emit_simplified_slemma,
     simultaneous_diagonalize,
+    symmetrize,
 )
 from soclqc.solver import Status, solve
 
@@ -350,3 +353,20 @@ class TestGridEquivalence:
             [check_psd(assemble_classical_lmi(inner, D, e, f, lam)) for lam in lams]
         )
         assert np.array_equal(batched, single)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: symmetrize([[0.0, 1.0], [0.0, 0.0]]), ValueError, "matrix is not symmetric within tolerance"),
+    (lambda: QuadForm(np.eye(2), np.zeros(3), 0.0), DimensionMismatch,
+     "QuadForm: A and b dimensions differ"),
+    (lambda: simultaneous_diagonalize(np.eye(2), np.eye(3)), DimensionMismatch, "A and D sizes differ"),
+    (lambda: emit_simplified_slemma(QuadForm.ball(1.0, 2), np.eye(3), (np.zeros((2, 1)), np.zeros(2)),
+                                    (np.zeros(1), 0.0), simultaneous_diagonalize(np.eye(2), np.eye(2)),
+                                    ConicProgramBuilder()),
+     DimensionMismatch, "forms and diagonalization disagree in size"),
+    (lambda: assemble_classical_lmi(QuadForm.ball(1.0, 2), np.eye(3), np.zeros(3), 0.0, 1.0),
+     DimensionMismatch, "outer form dimensions disagree with inner"),
+], ids=["asymmetric", "quad-form", "diagonalize", "simplified-slemma", "classical-lmi"])
+def test_rejected_input_is_named(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -308,6 +308,57 @@ class TestSolutionContract:
         assert sol.iterations == 1
         assert sol.reason == "iteration limit"
 
+    def test_gap_is_relative_to_the_whole_objective(self):
+        # the relative gap divides by the objective with its constant
+        # obj_offset, so where a constant sits (in c'x or in the offset,
+        # which the equality presolve also fills) does not change when a
+        # solve stops: at the same iterate, raising the offset scales the
+        # gap by the ratio of the two whole objectives
+        prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
+        raised = replace(prog, obj_offset=prog.obj_offset + 1e6)
+        sol, sol_raised = (solve(p, SolverConfig(max_iters=3)) for p in (prog, raised))
+        assert sol.status is sol_raised.status is Status.MAX_ITERATIONS
+        assert np.array_equal(sol.x, sol_raised.x)
+        ratio = max(1.0, abs(sol_raised.objective)) / max(1.0, abs(sol.objective))
+        assert ratio > 1e5
+        assert sol.res_gap == pytest.approx(ratio * sol_raised.res_gap, rel=1e-9)
+
+
+class TestFixedKktWork:
+    """Every KKT solve is fixed work: one reduced solve, one residual against
+    the full unregularized system and one correction from the same factor,
+    so two dpotrs calls per KKT solve and four per iteration, plus the
+    start's one call with two right-hand sides."""
+
+    @pytest.mark.parametrize("build, compact", [
+        pytest.param(lambda: build_robust_socp(scalar_benchmark_spec(100), [1.0]), True,
+                     id="scalar-N100-compact"),
+        pytest.param(lambda: build_regret_socp(random_lqc_spec(np.random.default_rng(6), 3, 2, 2, 12),
+                                               np.ones(3)), False, id="lqc-file-size-dense"),
+        pytest.param(lambda: build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]), None,
+                     id="mpc-equality-rows"),
+    ])
+    def test_four_dpotrs_calls_per_iteration(self, monkeypatch, build, compact):
+        from soclqc import solver
+
+        prog = build().program
+        if compact is not None:
+            kkt = solver._KktFactor(prog.G, prog.obj_F, solver._Cones(prog.nn, prog.soc))
+            assert kkt.compact is compact
+        else:
+            assert len(prog.eq_b)
+        real_dpotrs = solver.lapack.dpotrs
+        calls = []
+
+        def dpotrs(*args, **kwargs):
+            calls.append(1)
+            return real_dpotrs(*args, **kwargs)
+
+        monkeypatch.setattr(solver.lapack, "dpotrs", dpotrs)
+        sol = solve(prog)
+        assert sol.status is Status.OPTIMAL
+        assert len(calls) == 1 + 4 * sol.iterations
+
 
 class TestInfeasibility:
     def test_primal_infeasible(self):
