@@ -15,8 +15,8 @@ and :func:`robust_certificate_matrix` the classical matrix-inequality
 certificate that checks a solved robust program after the fact.  Uq is
 factored once per spec, Uq = L L', and the programs, the regret kernel
 X' Uq^{-1} X = F'F with F = L^{-1} X and the certificate all read that
-factor: the programs are posed in whitened, centered inputs
-y = L'(u - u_c), so that the cone data do not carry cond(Uq).
+factor: the programs are posed in whitened inputs y = L'u, so that the
+cone data do not carry cond(Uq).
 """
 
 from __future__ import annotations
@@ -413,13 +413,13 @@ def build_compact_cost(spec: LqcSpec, x0) -> CompactCost:
 class LqcSocp:
     """A built program plus the bookkeeping to interpret its solution.
 
-    The program's input variables are whitened and centered,
-    ``y = L'(u - u_center)`` with ``Uq = L L'`` (``chol_L``), so its cone data
-    do not carry the conditioning of Uq.  The disturbance is normalized to
-    a ball of radius gamma / kappa with ``kappa = max(1, gamma)``: the
-    multiplier variable carries a factor (gamma / kappa)^2 and its objective
-    coefficient is kappa^2, which keeps the data O(1) for small and for large
-    radii alike.  ``extract`` undoes both substitutions.
+    The program's input variables are whitened, ``y = L'u`` with
+    ``Uq = L L'`` (``chol_L``), so its cone data do not carry the
+    conditioning of Uq.  The disturbance is normalized to a ball of radius
+    gamma / kappa with ``kappa = max(1, gamma)``: the multiplier variable
+    carries a factor (gamma / kappa)^2 and its objective coefficient is
+    kappa^2, which keeps the data O(1) for small and for large radii alike.
+    ``extract`` undoes both substitutions.
     """
 
     program: ConicProgram
@@ -429,7 +429,6 @@ class LqcSocp:
     gamma: float
     kappa: float
     chol_L: np.ndarray
-    u_center: np.ndarray
     y_index: np.ndarray
     lam_index: int
     t_index: np.ndarray
@@ -440,7 +439,7 @@ class LqcSocp:
     def extract(self, sol: Solution) -> dict:
         y = sol.x[self.y_index]
         return {
-            "u": scipy.linalg.solve_triangular(self.chol_L.T, y) + self.u_center,
+            "u": scipy.linalg.solve_triangular(self.chol_L.T, y),
             "lam": float(sol.x[self.lam_index]) * (self.kappa / self.gamma) ** 2,
             "t": sol.x[self.t_index],
             "beta": sol.x[self.beta_index],
@@ -480,32 +479,14 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     n_u_all, n_w_all = spec.stacked_input_dim, spec.stacked_dist_dim
     L, F, G_y = spec.input_factor
 
-    # whitened, centered inputs y = L'(u - u_c).  The unconstrained minimizer
-    # is u* = -Uq^{-1} ul = -L^{-T} v with v = L^{-1} ul, and the center
-    # u_c = theta u* takes the largest theta in [0, 1] that keeps u_c in the
-    # input set (theta = 0 when 0 is not in it).  Centering at u* whatever
-    # the input set (theta = 1) leaves an O(1) objective vector against an
-    # optimum that can reach 1e8, and the solver's relative infeasibility
-    # test then fires on feasible programs
+    # whitened inputs y = L'u with v = L^{-1} ul: u'Uq u + 2 ul'u = y'y + 2 v'y.
+    # The heads are S'(w_lin + X'u) = S'(F'y + w_lin) for the robust kernel
+    # and S'X'(u + Uq^{-1} ul) = S'(F'y + F'v) for regret, whose offset is v'v
     v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
-    Gv = G_y @ v  # G_u u* = -Gv
-    h = spec.u_poly_h
-    theta = 0.0
-    if (h >= 0).all():
-        falling = Gv < 0
-        theta = float(np.min(h[falling] / -Gv[falling], initial=1.0))
-    u_center = theta * scipy.linalg.solve_triangular(L.T, -v)
-    # in y, u'Uq u + 2 ul'u = y'y + 2 (1 - theta) v'y + (theta^2 - 2 theta) v'v;
-    # the heads are S'(w_lin + X'u) = S'(F'y + w_lin - theta F'v) for the
-    # robust kernel and S'X'(u + Uq^{-1} ul) = S'(F'y + (1 - theta) F'v) for
-    # regret, whose offset is v'v + (theta^2 - 2 theta) v'v = (1 - theta)^2 v'v
-    Fv = F.T @ v
     if kernel == "robust":
-        head_const = cc.w_lin - theta * Fv
-        offset = cc.constant + theta * (theta - 2.0) * float(v @ v)
+        head_const, offset = cc.w_lin, cc.constant
     else:
-        head_const = (1.0 - theta) * Fv
-        offset = (1.0 - theta) ** 2 * float(v @ v)
+        head_const, offset = F.T @ v, float(v @ v)
 
     sd = spec.robust_diag if kernel == "robust" else spec.regret_diag
     m = amb.num_moments if amb is not None else 0
@@ -528,19 +509,19 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     n = b.num_vars
     obj = np.zeros(n)
     obj[lam_idx] = kappa**2
-    obj[y_idx] = 2.0 * (1.0 - theta) * v
+    obj[y_idx] = 2.0 * v
     obj[t_idx] = 1.0
     if amb is not None:
         obj[beta_idx] = amb.mu
     b.set_objective_row(obj, offset, unit_rows(y_idx, n))  # ||y||^2 + obj'x
 
     # lam >= 0, beta >= 0 and the input polyhedron h - G u >= 0, one row each,
-    # in y: h + theta G_u L^{-T} v - G_u L^{-T} y >= 0
+    # in y: h - G_u L^{-T} y >= 0
     n_poly = G_y.shape[0]
     rows = np.zeros((1 + m + n_poly, n))
     rows[: 1 + m] = unit_rows([lam_idx, *beta_idx], n)
     rows[1 + m :, y_idx] = -G_y
-    consts = np.concatenate([np.zeros(1 + m), h + theta * Gv])
+    consts = np.concatenate([np.zeros(1 + m), spec.u_poly_h])
     b.add_block_rows(rows[:, None], consts[:, None],
                      ["lam"] + ["beta"] * m + ["input_set"] * n_poly)
 
@@ -566,7 +547,6 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
         gamma=spec.gamma,
         kappa=kappa,
         chol_L=L,
-        u_center=u_center,
         y_index=y_idx,
         lam_index=lam_idx,
         t_index=t_idx,

@@ -90,8 +90,9 @@ class ConicProgram:
     K is laid out as the solver works on it: ``nn`` nonnegative rows first,
     then for each ``(k, d)`` in ``soc`` (increasing d) k second-order blocks
     of dimension d, block after block, head first.  ``tags`` names the
-    blocks in that order.  ``obj_F``, ``G`` and ``h`` are made read-only, so
-    one program can be shared by concurrent solves.
+    blocks in that order.  Every entry of the data must be finite.
+    ``obj_F``, ``G`` and ``h`` are made read-only, so one program can be
+    shared by concurrent solves.
     """
 
     num_vars: int
@@ -121,6 +122,8 @@ class ConicProgram:
             raise DimensionMismatch("cone layout does not match the cone rows")
         if len(self.tags) != self.nn + sum(k for k, _ in self.soc):
             raise DimensionMismatch("cone layout needs one tag per block")
+        check_finite(obj=self.obj, obj_offset=self.obj_offset, obj_F=self.obj_F,
+                     eq_A=self.eq_A, eq_b=self.eq_b, G=self.G, h=self.h)
         for a in (self.obj_F, self.G, self.h):
             a.setflags(write=False)
 

@@ -80,14 +80,12 @@ class MpcSpec:
     Q_f: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "B", "E", "f", "G", "h", "K"):
+        for name in ("A", "B", "E", "f", "G", "h", "K", "P", "Q", "R", "Q_f"):
             value = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, np.atleast_1d(value) if name in ("f", "h")
                                else np.atleast_2d(value))
         check_finite(A=self.A, B=self.B, E=self.E, f=self.f, G=self.G, h=self.h, K=self.K,
                      P=self.P, Q=self.Q, R=self.R, Q_f=self.Q_f)
-        for name in ("P", "Q", "R", "Q_f"):
-            object.__setattr__(self, name, symmetrize(getattr(self, name)))
         n_x, n_u = self.A.shape[0], self.B.shape[1]
         if self.A.shape != (n_x, n_x) or self.B.shape != (n_x, n_u):
             raise DimensionMismatch("A/B shapes inconsistent")
@@ -99,21 +97,28 @@ class MpcSpec:
             raise DimensionMismatch("terminal gain shape inconsistent")
         if self.P.shape != (n_x, n_x):
             raise DimensionMismatch("terminal shape matrix size inconsistent")
+        for name, n in (("Q", n_x), ("R", n_u), ("Q_f", n_x)):
+            if getattr(self, name).shape != (n, n):
+                raise DimensionMismatch(f"{name} size inconsistent")
+        for name in ("P", "Q", "R", "Q_f"):
+            object.__setattr__(self, name, symmetrize(getattr(self, name)))
         if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
             raise ValueError(f"horizon N must be an integer, got {self.N!r}")
         if self.N < 1:
             raise ValueError("horizon must be at least 1")
-        if np.linalg.eigvalsh(self.P)[0] <= 0:
-            raise NotPositiveDefinite("terminal shape matrix must be positive definite")
+        # definiteness is checked by computing the cached factors that the
+        # build reads, so a spec cannot pass what a build would reject
+        try:
+            self.terminal_diag
+        except NotPositiveDefinite:
+            raise NotPositiveDefinite("terminal shape matrix must be positive definite") from None
         if np.max(np.abs(np.linalg.eigvals(self.A + self.B @ self.K))) >= 1.0:
             raise ValueError("terminal closed loop A + B K must be stable")
         if np.any(self.f <= 0) or np.any(self.h <= 0):
             raise ValueError("state and input sets must contain the origin strictly")
-        for M, name in ((self.Q, "Q"), (self.Q_f, "Q_f")):
-            if np.linalg.eigvalsh(M)[0] < -1e-9 * max(1.0, np.linalg.norm(M)):
-                raise ValueError(f"{name} must be positive semidefinite")
         if np.linalg.eigvalsh(self.R)[0] <= 0:
             raise ValueError("R must be positive definite")
+        self.cost_factors  # names Q, R or Q_f when its factor fails
 
     @property
     def n_x(self) -> int:
@@ -139,7 +144,13 @@ class MpcSpec:
     @cached_property
     def cost_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Square-root factors of the stage costs Q and R and of Q_f."""
-        return psd_sqrt_factor(self.Q), psd_sqrt_factor(self.R), psd_sqrt_factor(self.Q_f)
+        def factor(name):
+            try:
+                return psd_sqrt_factor(getattr(self, name))
+            except NotPositiveDefinite:
+                raise ValueError(f"{name} must be positive semidefinite") from None
+
+        return factor("Q"), factor("R"), factor("Q_f")
 
     @cached_property
     def terminal_diag(self) -> TerminalDiag:
@@ -244,6 +255,12 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     check_finite(x_init=x_init)
     if np.any(spec.E @ x_init > spec.f):
         raise ValueError("x_init violates the state set")
+    if fixed_terminal is not None:
+        c0, r0 = fixed_terminal
+        c0 = np.atleast_1d(np.asarray(c0, dtype=float))
+        if c0.shape != (spec.n_x,) or np.ndim(r0) != 0:
+            raise DimensionMismatch("fixed_terminal needs a length n_x center and a scalar radius")
+        check_finite(c0=c0, r0=r0)
     N, n_x, n_u = spec.N, spec.n_x, spec.n_u
     td = spec.terminal_diag
 
@@ -282,8 +299,6 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     emit_input_containment(spec, c_idx, r_idx, b)
 
     if fixed_terminal is not None:
-        c0, r0 = fixed_terminal
-        c0 = np.atleast_1d(np.asarray(c0, dtype=float))
         b.add_eq_rows(unit_rows([*c_idx, r_idx], w), np.append(c0, float(r0)))
 
     # stage costs sum x_k' Q x_k + u_k' R u_k (k = 0..N-1) plus x_N' Q_f x_N;

@@ -34,7 +34,7 @@ def max_quad_over_ball(C: np.ndarray, h: np.ndarray, gamma: float) -> BallMaxRes
     """Exact maximizer of ``w^T C w + 2 h^T w`` over the ball of radius gamma.
 
     Stationarity on the boundary reads (nu I - C) w = h with
-    nu >= max(theta_max, 0), where theta are the eigenvalues of C;  nu is
+    nu >= max(ev_max, 0), where ev are the eigenvalues of C;  nu is
     found by bisection on ||w(nu)|| = gamma.  An interior stationary point is
     only optimal when C is negative definite.  The hard case (h orthogonal to
     the top eigenspace and the pseudo-solution short of the boundary) is
@@ -49,29 +49,29 @@ def max_quad_over_ball(C: np.ndarray, h: np.ndarray, gamma: float) -> BallMaxRes
     if not 0 < gamma < np.inf:
         raise ValueError(f"radius must be positive and finite, got {gamma!r}")
 
-    theta, V = np.linalg.eigh(C)
+    ev, V = np.linalg.eigh(C)
     h_rot = V.T @ h
-    theta_max = theta[-1]
+    ev_max = ev[-1]
 
     def objective(w):
         return float(w @ C @ w + 2.0 * h @ w)
 
-    if theta_max < 0:
+    if ev_max < 0:
         # concave objective: interior stationary point w = -C^{-1} h
-        w_int = V @ (h_rot / (-theta))
+        w_int = V @ (h_rot / (-ev))
         if np.linalg.norm(w_int) <= gamma:
             return BallMaxResult(w_int, objective(w_int), 0.0, False)
 
-    nu_floor = max(theta_max, 0.0)
-    top = np.abs(theta - theta_max) <= 1e-12 * max(1.0, abs(theta_max))
+    nu_floor = max(ev_max, 0.0)
+    top = np.abs(ev - ev_max) <= 1e-12 * max(1.0, abs(ev_max))
     h_top = np.linalg.norm(h_rot[top])
 
     def w_norm(nu):
-        return np.linalg.norm(h_rot / (nu - theta))
+        return np.linalg.norm(h_rot / (nu - ev))
 
-    if h_top <= HARD_CASE_RTOL * np.linalg.norm(h) and nu_floor == theta_max:
-        # possible hard case: check the limit norm at nu -> theta_max
-        denom = nu_floor - theta
+    if h_top <= HARD_CASE_RTOL * np.linalg.norm(h) and nu_floor == ev_max:
+        # possible hard case: check the limit norm at nu -> ev_max
+        denom = nu_floor - ev
         safe = ~top
         w_pseudo_rot = np.zeros_like(h_rot)
         w_pseudo_rot[safe] = h_rot[safe] / denom[safe]
@@ -109,7 +109,7 @@ def max_quad_over_ball(C: np.ndarray, h: np.ndarray, gamma: float) -> BallMaxRes
             # the root is within rounding of the top eigenvalue; the norm is
             # too steep there for bisection, finish like the hard case
             break
-    w_rot = h_rot / (nu - theta)
+    w_rot = h_rot / (nu - ev)
     if not converged:
         norm_rest = np.linalg.norm(w_rot[~top])
         if norm_rest > gamma or not np.any(top):

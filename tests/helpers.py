@@ -212,10 +212,8 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     :class:`ExprBuilder`, one hyperbolic block per coordinate: the variable
     order, block order, kinds and tags the LQC builders must reproduce.
 
-    The inputs are whitened and centered, y = L'(u - theta u*), with
-    Uq = L L', u* = -Uq^{-1} ul the unconstrained minimizer and theta the
-    largest value in [0, 1] that keeps theta u* in the input set; the
-    disturbance ball is scaled to radius gamma / kappa, kappa = max(1, gamma).
+    The inputs are whitened, y = L'u with Uq = L L'; the disturbance ball
+    is scaled to radius gamma / kappa, kappa = max(1, gamma).
     """
     cc = build_compact_cost(spec, x0)
     # Uq = L L', F = L^{-1} X, v = L^{-1} ul and the input rows G_u L^{-T}
@@ -223,25 +221,15 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     F = scipy.linalg.solve_triangular(L, cc.cross, lower=True)
     v = scipy.linalg.solve_triangular(L, cc.u_lin, lower=True)
     G_y = scipy.linalg.solve_triangular(L, spec.u_poly_G.T, lower=True).T
-    Fv = F.T @ v
-    # u* = -L^{-T} v, so row i of G_u u* <= h reads -(G_y v)_i <= h_i
-    Gv = G_y @ v
-    theta = 0.0
-    if all(hi >= 0 for hi in spec.u_poly_h):
-        theta = 1.0
-        for hi, gi in zip(spec.u_poly_h, Gv):
-            if gi < 0:
-                theta = min(theta, hi / -gi)
     if kernel == "robust":
         w_quad_eff = cc.w_quad
-        head_const = cc.w_lin - theta * Fv
-        offset = cc.constant + theta * (theta - 2.0) * float(v @ v)
+        head_const = cc.w_lin
+        offset = cc.constant
     else:
-        # regret kernel X' Uq^{-1} X = F'F, and X'(u + Uq^{-1} ul) is
-        # F'y + (1 - theta) F'v
+        # regret kernel X' Uq^{-1} X = F'F, and X'(u + Uq^{-1} ul) is F'y + F'v
         w_quad_eff = F.T @ F
-        head_const = (1.0 - theta) * Fv
-        offset = (1.0 - theta) ** 2 * float(v @ v)
+        head_const = F.T @ v
+        offset = float(v @ v)
     sd = simultaneous_diagonalize(np.eye(w_quad_eff.shape[0]), w_quad_eff)
     m = amb.num_moments if amb is not None else 0
     kappa = max(1.0, spec.gamma)
@@ -252,10 +240,10 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     lam = b.var(b.add_var())
     ts = b.var_exprs(b.add_vars(spec.stacked_dist_dim))
     betas = b.var_exprs(b.add_vars(m))
-    # u'Uq u + 2 ul'u = ||y||^2 + 2 (1 - theta) v'y + theta (theta - 2) v'v
+    # u'Uq u + 2 ul'u = ||y||^2 + 2 v'y
     obj = kappa**2 * lam
     for j, ye in enumerate(y):
-        obj = obj + 2.0 * (1.0 - theta) * v[j] * ye
+        obj = obj + 2.0 * v[j] * ye
     for te in ts:
         obj = obj + te
     for j, be in enumerate(betas):
@@ -266,7 +254,7 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
     for be in betas:
         b.add_nonneg(be, tag="beta")
     for i in range(G_y.shape[0]):
-        row = LinExpr.constant(spec.u_poly_h[i] + theta * Gv[i])
+        row = LinExpr.constant(spec.u_poly_h[i])
         for j, ye in enumerate(y):
             if G_y[i, j] != 0.0:
                 row = row - G_y[i, j] * ye

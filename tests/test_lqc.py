@@ -290,8 +290,8 @@ class TestRobustSocp:
         x0 = rng.standard_normal(2)
         socp = build_robust_socp(spec, x0)
         u0 = rng.uniform(-0.3, 0.3, spec.stacked_input_dim)
-        # the program's inputs are whitened and centered, y = L'(u - u_c)
-        y0 = socp.chol_L.T @ (u0 - socp.u_center)
+        # the program's inputs are whitened, y = L'u
+        y0 = socp.chol_L.T @ u0
         pinned = pin_variables(socp.program, socp.y_index, y0)
         sol = solve_ok(pinned)
         cc = socp.compact
@@ -815,6 +815,24 @@ class TestRowBlockBuilder:
         explicit = worst_case(build_compact_cost(spec, x0), "regret",
                               np.zeros(spec.stacked_input_dim)).quad
         assert np.linalg.norm(F.T @ F - explicit) <= 1e-9 * np.linalg.norm(explicit)
+
+    @pytest.mark.parametrize("build", [build_robust_socp, build_regret_socp],
+                             ids=["robust", "regret"])
+    def test_x0_reaches_only_the_objective_and_heads(self, build):
+        # the unconstrained minimizer u* = -Uq^{-1} ul lies inside the input
+        # box from the first x0 and outside it from the second; G, the
+        # objective factor and the nonnegative rows are the same bits at both
+        spec = scalar_benchmark_spec(10)
+        programs = []
+        for x0, inside in ((0.1, True), (5.0, False)):
+            cc = build_compact_cost(spec, [x0])
+            u_star = -np.linalg.solve(cc.u_quad, cc.u_lin)
+            assert bool(np.all(spec.u_poly_G @ u_star <= spec.u_poly_h)) is inside
+            programs.append(build(spec, [x0]).program)
+        first, second = programs
+        assert first.G.tobytes() == second.G.tobytes()
+        assert first.obj_F.tobytes() == second.obj_F.tobytes()
+        assert first.h[: first.nn].tobytes() == second.h[: second.nn].tobytes()
 
     def test_input_cost_factored_once_per_spec(self, monkeypatch):
         # the only (n_u, n_u) Cholesky factor of a build is the stacked input

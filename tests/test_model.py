@@ -414,3 +414,16 @@ def _two_variable_builder():
 def test_rejected_shape_is_named(call, message):
     with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         call(_two_variable_builder())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["obj", "obj_offset", "obj_F", "eq_A", "eq_b", "G", "h"])
+def test_non_finite_data_is_named(field, value):
+    b = _two_variable_builder()
+    b.set_objective_row([1.0, 0.0], 0.0, np.eye(2))
+    b.add_eq_rows(np.ones((1, 2)), np.ones(1))
+    prog = b.build()
+    data = np.array(getattr(prog, field), dtype=float)  # a writable copy
+    data.flat[0] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        replace(prog, **{field: data if data.ndim else float(data)})

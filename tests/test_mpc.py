@@ -128,14 +128,14 @@ class TestTerminalDiag:
             assert getattr(spec, name) is getattr(spec, name), name
 
     def test_costs_factored_once_per_spec(self, monkeypatch):
-        # the first build factors P, the drift term and the costs Q, R, Q_f;
-        # a second build, at another x_init, reuses them all
+        # the spec and its first build factor P, the drift term and the costs
+        # Q, R, Q_f; a second build, at another x_init, reuses them all
         from soclqc import mpc
 
-        spec = double_integrator_mpc()
         factored = []
         real = mpc.psd_sqrt_factor
         monkeypatch.setattr(mpc, "psd_sqrt_factor", lambda M: factored.append(M) or real(M))
+        spec = double_integrator_mpc()
         first = build_mpc_socp(spec, np.array([2.0, 0.5])).program
         assert len(factored) == 5
         factored.clear()
@@ -373,14 +373,29 @@ class TestReferenceAssembler:
     (lambda s: replace(s, G=np.ones((2, 2))), DimensionMismatch, "input set rows inconsistent"),
     (lambda s: replace(s, K=np.ones((1, 3))), DimensionMismatch, "terminal gain shape inconsistent"),
     (lambda s: replace(s, P=np.eye(3)), DimensionMismatch, "terminal shape matrix size inconsistent"),
+    (lambda s: replace(s, Q=np.eye(3)), DimensionMismatch, "Q size inconsistent"),
+    (lambda s: replace(s, R=np.ones((1, 2))), DimensionMismatch, "R size inconsistent"),
     (lambda s: replace(s, N=0), ValueError, "horizon must be at least 1"),
     (lambda s: replace(s, Q=np.diag([1.0, -1.0])), ValueError, "Q must be positive semidefinite"),
+    # the build's own thresholds: -1e-10 for the cost factors, 1e-10 for P
+    (lambda s: replace(s, Q=np.diag([1.0, -5e-10])), ValueError, "Q must be positive semidefinite"),
     (lambda s: replace(s, R=-np.eye(1)), ValueError, "R must be positive definite"),
+    (lambda s: replace(s, P=np.diag([1.0, 1e-12])), NotPositiveDefinite,
+     "terminal shape matrix must be positive definite"),
     (lambda s: emit_invariance_constraints(s.terminal_diag, [0], 1, ConicProgramBuilder()),
      DimensionMismatch, "center has wrong length"),
     (lambda s: build_mpc_socp(s, [1.0, 0.0, 0.0]), DimensionMismatch, "x_init has wrong length"),
-], ids=["A-B", "E", "G", "K", "P", "N-zero", "Q-indefinite", "R-not-definite", "center",
-        "x-init"])
+    (lambda s: build_mpc_socp(s, [1.0, 0.0], fixed_terminal=([0.0], 0.5)), DimensionMismatch,
+     "fixed_terminal needs a length n_x center and a scalar radius"),
+    (lambda s: build_mpc_socp(s, [1.0, 0.0], fixed_terminal=([0.0, 0.0], [0.5, 0.5])),
+     DimensionMismatch, "fixed_terminal needs a length n_x center and a scalar radius"),
+    (lambda s: build_mpc_socp(s, [1.0, 0.0], fixed_terminal=([np.nan, 0.0], 0.5)), ValueError,
+     "c0 must be finite"),
+    (lambda s: build_mpc_socp(s, [1.0, 0.0], fixed_terminal=([0.0, 0.0], np.inf)), ValueError,
+     "r0 must be finite"),
+], ids=["A-B", "E", "G", "K", "P", "Q-size", "R-size", "N-zero", "Q-indefinite",
+        "Q-below-factor-floor", "R-not-definite", "P-below-diagonalization-floor", "center",
+        "x-init", "fixed-c0-length", "fixed-r0-shape", "fixed-c0-nan", "fixed-r0-inf"])
 def test_rejected_input_is_named(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(double_integrator_mpc(4))
