@@ -32,19 +32,18 @@ def closest_point_in_ball():
 
 
 def smallest_enclosing_product():
-    # hyperbolic constraint x^2 <= y z in action: minimize y + z subject to
-    # x = 2 fixed, so the optimum sits on y = z = 2 with y z = 4 = x^2
+    # hyperbolic constraint x^2 <= y z in action: minimize y + z with x = 2
+    # a constant head, so the optimum sits on y = z = 2 with y z = 4 = x^2
     print("== hyperbolic constraint x^2 <= y z ==")
     b = ConicProgramBuilder()
-    b.add_vars(3)
-    b.set_objective_row([0.0, 1.0, 1.0])
-    b.add_eq_rows([[1.0, 0.0, 0.0]], [2.0])
-    x, y, z = unit_rows([0, 1, 2], 3)[:, None]
-    b.add_block_rows(*hyperbolic_rows(x, [0.0], y, [0.0], z, [0.0]))
+    b.add_vars(2)
+    b.set_objective_row([1.0, 1.0])
+    y, z = unit_rows([0, 1], 2)[:, None]
+    b.add_block_rows(*hyperbolic_rows(np.zeros((1, 2)), [2.0], y, [0.0], z, [0.0]))
     sol = solve(b.build())
     print(f"status     {sol.status.value}")
-    print(f"(x, y, z)  {sol.x}")
-    print(f"y*z - x^2  {sol.x[1] * sol.x[2] - sol.x[0] ** 2:+.2e}")
+    print(f"(y, z)     {sol.x}")
+    print(f"y*z - x^2  {sol.x[0] * sol.x[1] - 4.0:+.2e}")
     print()
 
 

@@ -27,7 +27,6 @@ from .model import (
     NotPositiveDefinite,
     cholesky_factor,
     hyperbolic_rows,
-    pin_variables,
     psd_sqrt_factor,
     unit_rows,
 )

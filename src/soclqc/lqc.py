@@ -31,6 +31,7 @@ from .model import (
     ConicProgram,
     ConicProgramBuilder,
     DimensionMismatch,
+    NotPositiveDefinite,
     check_finite,
     cholesky_factor,
     hyperbolic_rows,
@@ -98,8 +99,8 @@ class LqcSpec:
     and the stacked disturbance to the ball of radius ``gamma``.
 
     Instances are immutable; the derived factorizations are cached
-    properties, computed on first use.  ``dataclasses.replace`` makes a new
-    instance, which computes its own.
+    properties, ``input_factor`` made with the spec and the rest on first
+    use.  ``dataclasses.replace`` makes a new instance, which computes its own.
     """
 
     A: np.ndarray
@@ -145,6 +146,7 @@ class LqcSpec:
         if not self.gamma > 0:
             raise ValueError("disturbance radius gamma must be positive")
         _check_stage_costs(self.Q, self.R)
+        self.input_factor  # the build's factor, which names a failing stage
 
     @property
     def horizon(self) -> int:
@@ -220,11 +222,21 @@ class LqcSpec:
     def input_factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cholesky factor L of the stacked input cost, Uq = L L', F = L^{-1} X
         and the input-set rows in whitened inputs, G_u L^{-T}, the last two
-        from one triangular solve on [X | G_u'].  It is apart from
-        :attr:`cost_pieces`, so that the compact cost stays available for
-        specs whose Uq fails the pivot test."""
+        from one triangular solve on [X | G_u'].  The spec computes it when
+        it is made, so that a spec whose Uq fails the pivot test is
+        rejected there, with the stage of the first failing pivot named."""
         pieces = self.cost_pieces
-        L = cholesky_factor(pieces["u_quad"], "stacked input cost")
+        Uq = pieces["u_quad"]
+        try:
+            L = cholesky_factor(Uq, "stacked input cost")
+        except NotPositiveDefinite as exc:
+            # dpotrf stops at the first leading minor that is not positive
+            # definite; a pivot below the test's threshold may come earlier
+            U, info = scipy.linalg.lapack.dpotrf(Uq)
+            pivots = np.diagonal(U)[: info - 1 if info else None] ** 2
+            low = np.flatnonzero(pivots <= 1e-12 * np.linalg.norm(Uq))
+            stage = (low[0] if low.size else max(info - 1, 0)) // self.n_u
+            raise NotPositiveDefinite(f"{exc} at stage {stage}") from None
         X = pieces["cross"]
         FG = scipy.linalg.solve_triangular(L, np.hstack([X, self.u_poly_G.T]), lower=True)
         return L, FG[:, : X.shape[1]], FG[:, X.shape[1] :].T

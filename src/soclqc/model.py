@@ -1,14 +1,15 @@
 """Conic program representation and second-order cone modeling helpers.
 
 A program is a convex quadratic objective ``||F x||^2 + c^T x`` over real
-variables subject to linear equalities and cone blocks, the quadratic part
-held as its factor F (so ``P = F^T F`` needs no check).  Each block is an
-affine map of the variables into R^{d},
+variables subject to cone blocks, the quadratic part held as its factor F
+(so ``P = F^T F`` needs no check).  Each block is an affine map of the
+variables into R^{d},
 
     (head, tail) = (c^T x + d0, A x + b),
 
 required to satisfy ``head >= ||tail||_2``: d alone names the cone, d = 1
-(no tail) being the nonnegative ray.  Hyperbolic constraints are lowered
+(no tail) being the nonnegative ray.  There are no equality rows; a builder
+poses its program in their null space.  Hyperbolic constraints are lowered
 onto this form with the classical transform of Lobo et al. (1998).
 
 :class:`ConicProgram` holds all blocks as one slack map ``h - G x`` in the
@@ -16,14 +17,14 @@ layout the solver works on.  :class:`ConicProgramBuilder` takes coefficient
 rows only: stacks of k blocks of dimension d, with ``A`` of shape (k, d, w)
 over the w variables that exist when they are added, which it sorts into
 that layout once, in :meth:`ConicProgramBuilder.build`.  Applications emit
-whole stacks with :meth:`ConicProgramBuilder.add_block_rows` and
-:meth:`ConicProgramBuilder.add_eq_rows`; :func:`hyperbolic_rows` forms the
-stack of per-coordinate hyperbolic blocks that the S-lemma needs.
+whole stacks with :meth:`ConicProgramBuilder.add_block_rows`;
+:func:`hyperbolic_rows` forms the stack of per-coordinate hyperbolic blocks
+that the S-lemma needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +86,7 @@ class ConeBlock:
 @dataclass(frozen=True)
 class ConicProgram:
     """Immutable conic program ``min ||obj_F x||^2 + obj^T x + obj_offset``
-    subject to ``eq_A x = eq_b`` and ``h - G x in K``.
+    subject to ``h - G x in K``.
 
     K is laid out as the solver works on it: ``nn`` nonnegative rows first,
     then for each ``(k, d)`` in ``soc`` (increasing d) k second-order blocks
@@ -99,8 +100,6 @@ class ConicProgram:
     obj: np.ndarray
     obj_offset: float
     obj_F: np.ndarray  # (r, num_vars); r = 0 for a linear objective
-    eq_A: np.ndarray
-    eq_b: np.ndarray
     G: np.ndarray
     h: np.ndarray
     nn: int
@@ -112,8 +111,6 @@ class ConicProgram:
             raise DimensionMismatch("objective length != num_vars")
         if self.obj_F.ndim != 2 or self.obj_F.shape[1] != self.num_vars:
             raise DimensionMismatch("objective factor needs num_vars columns")
-        if self.eq_A.shape[1] != self.num_vars or self.eq_A.shape[0] != self.eq_b.shape[0]:
-            raise DimensionMismatch("equality constraint shapes inconsistent")
         if self.h.ndim != 1 or self.G.shape != (len(self.h), self.num_vars):
             raise DimensionMismatch("cone rows G, h shapes inconsistent")
         if any(k < 1 or d < 2 for k, d in self.soc):
@@ -122,8 +119,8 @@ class ConicProgram:
             raise DimensionMismatch("cone layout does not match the cone rows")
         if len(self.tags) != self.nn + sum(k for k, _ in self.soc):
             raise DimensionMismatch("cone layout needs one tag per block")
-        check_finite(obj=self.obj, obj_offset=self.obj_offset, obj_F=self.obj_F,
-                     eq_A=self.eq_A, eq_b=self.eq_b, G=self.G, h=self.h)
+        check_finite(obj=self.obj, obj_offset=self.obj_offset, obj_F=self.obj_F, G=self.G,
+                     h=self.h)
         for a in (self.obj_F, self.G, self.h):
             a.setflags(write=False)
 
@@ -135,20 +132,15 @@ class ConicProgram:
         return tuple(ConeBlock(A[end - d : end], h[end - d : end], tag)
                      for d, end, tag in zip(dims, np.cumsum(dims).tolist(), self.tags))
 
-    def max_violation(self, x: np.ndarray) -> float:
-        """Worst constraint violation of a candidate point."""
-        v = float(np.max(np.abs(self.eq_A @ x - self.eq_b), initial=0.0))
-        return max([v, *(blk.violation(x) for blk in self.blocks)])
-
 
 class ConicProgramBuilder:
     """Incrementally assembles a :class:`ConicProgram`.
 
-    Rows are stored as stacks, equality rows ``(A (p, w), b)`` and cone
-    blocks ``(A (k, d, w), b (k, d), tags)``, where w is the variable count
-    when they were added.  :meth:`build` pads every stack with zero columns
-    to the final variable count, so variables may be added after the rows
-    that precede them, and sorts the cone stacks into the program's layout.
+    Rows are stored as stacks of cone blocks ``(A (k, d, w), b (k, d),
+    tags)``, where w is the variable count when they were added.
+    :meth:`build` pads every stack with zero columns to the final variable
+    count, so variables may be added after the rows that precede them, and
+    sorts the stacks into the program's layout.
     Single rows are stacks of one, e.g. ``x[i] >= 0`` is
     ``add_block_rows(unit_rows([i], num_vars)[:, None], [[0.0]])``.
     """
@@ -156,7 +148,6 @@ class ConicProgramBuilder:
     def __init__(self):
         self._num_vars = 0
         self._obj = (np.zeros(0), 0.0, np.zeros((0, 0)))
-        self._eqs: list[tuple[np.ndarray, np.ndarray]] = []
         self._blocks: list[tuple[np.ndarray, np.ndarray, list[str]]] = []
 
     @property
@@ -183,16 +174,6 @@ class ConicProgramBuilder:
         if F.ndim != 2 or F.shape[1] > self._num_vars:
             raise DimensionMismatch(f"objective factor needs F (r, w <= {self._num_vars})")
         self._obj = (c, float(offset), F)
-
-    def add_eq_rows(self, A, b) -> None:
-        """Constrain ``A @ x[:w] == b``; ``A`` is (p, w) over the first
-        w <= num_vars variables and ``b`` is (p,)."""
-        A = np.array(A, dtype=float)
-        b = np.array(b, dtype=float)
-        if A.ndim != 2 or b.shape != A.shape[:1] or A.shape[1] > self._num_vars:
-            raise DimensionMismatch(f"equality rows need A (p, w <= {self._num_vars}) "
-                                    f"and b (p,); got {A.shape} and {b.shape}")
-        self._eqs.append((A, b))
 
     def add_block_rows(self, A, b, tag: str | Sequence[str] = "") -> None:
         """Append k cone blocks ``A[i] @ x + b[i]`` of dimension d.
@@ -225,10 +206,7 @@ class ConicProgramBuilder:
         nn = counts.pop(1, 0)
         rows = [A.reshape(len(A) * A.shape[1], A.shape[2]) for A, _, _ in stacks]  # w may be 0
         return ConicProgram(
-            n, _stack_rows([c[None]], n)[0], offset, _stack_rows([F], n),
-            _stack_rows([A for A, _ in self._eqs], n),
-            np.concatenate([np.zeros(0), *(b for _, b in self._eqs)]),
-            -_stack_rows(rows, n),
+            n, _stack_rows([c[None]], n)[0], offset, _stack_rows([F], n), -_stack_rows(rows, n),
             np.concatenate([np.zeros(0), *(b.ravel() for _, b, _ in stacks)]),
             nn, tuple((k, d) for d, k in counts.items() if k),
             tuple(t for *_, tags in stacks for t in tags),
@@ -292,20 +270,3 @@ def psd_sqrt_factor(M: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("matrix has a significantly negative eigenvalue")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-
-def pin_variables(program: ConicProgram, indices, values) -> ConicProgram:
-    """New program with extra equalities fixing the given variables."""
-    indices = np.atleast_1d(np.asarray(indices, dtype=int))
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if indices.shape != values.shape:
-        raise DimensionMismatch("pin_variables: indices and values differ in length")
-    bad = indices[(indices < 0) | (indices >= program.num_vars)]
-    if bad.size:
-        raise DimensionMismatch(f"pin_variables: no variable {bad[0]}")
-    return replace(
-        program,
-        eq_A=np.vstack([program.eq_A, unit_rows(indices, program.num_vars)]),
-        eq_b=np.concatenate([program.eq_b, values]),
-    )

@@ -12,16 +12,16 @@ terminal controller u = K x:
 Invariance reduces, via the simplified S-lemma and a homogenizing
 multiplication by r, to one second-order block plus per-coordinate
 hyperbolic blocks; the two containments reduce to support-function rows that
-are linear in (c, r).  Everything lands in one SOCP.
+are linear in (c, r).  Everything lands in one SOCP with no equality rows,
+posed in the null space of the dynamics (:attr:`MpcSpec.dynamics_basis`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     ConicProgram,
@@ -62,8 +62,8 @@ class MpcSpec:
     be stable so that small origin-centered terminal sets are feasible.
 
     Instances are immutable; ``p_sqrt`` (P^{1/2}), ``p_inv_sqrt``
-    (P^{-1/2}), ``terminal_diag`` and ``cost_factors`` are cached
-    properties, computed on first use.
+    (P^{-1/2}), ``terminal_diag``, ``cost_factors`` and ``dynamics_basis``
+    are cached properties, computed on first use.
     """
 
     A: np.ndarray
@@ -153,6 +153,21 @@ class MpcSpec:
         return factor("Q"), factor("R"), factor("Q_f")
 
     @cached_property
+    def dynamics_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(N_ux, X_p)`` for the dynamics rows ``B u_k + A x_k = x_{k+1}``
+        (k < N) over the stacked ``(u_0..u_{N-1}, x_1..x_N)``: an orthonormal
+        basis of their null space, and X_p with ``x_p = X_p x_0`` their
+        least-norm solution.  One SVD (Nocedal & Wright, *Numerical
+        Optimization*, 15.3); the -x_{k+1} columns give the rows full rank."""
+        N, n_x = self.N, self.n_x
+        dyn = np.hstack([np.kron(np.eye(N), self.B),
+                         np.kron(np.eye(N, k=-1), self.A) - np.eye(N * n_x)])
+        U, S, Vt = np.linalg.svd(dyn)
+        # the right-hand side is (-A x_0, 0, ..., 0), and x_p = V S^-1 U' of it
+        X_p = Vt[: N * n_x].T @ ((U[:n_x].T @ -self.A) / S[:, None])
+        return Vt[N * n_x :].T, X_p
+
+    @cached_property
     def terminal_diag(self) -> TerminalDiag:
         A_cl = self.A_cl
         sd = simultaneous_diagonalize(self.P, A_cl.T @ self.P @ A_cl)
@@ -221,21 +236,28 @@ def emit_input_containment(spec: MpcSpec, c_idx, r_idx: int, builder: ConicProgr
 
 @dataclass(frozen=True)
 class MpcSocp:
+    """The program in ``(v, c, r, lam, t)``; ``(u, x_1..x_N) = ux + basis v``,
+    indexed by u_index and x_index, and ``terminal`` is a fixed (c0, r0)."""
+
     program: ConicProgram
     x_init: np.ndarray
+    ux: np.ndarray
+    basis: np.ndarray
     u_index: np.ndarray       # (N, n_u)
     x_index: np.ndarray       # (N, n_x), states x_1..x_N
     c_index: np.ndarray
     r_index: int
     invariance: SLemmaBlock
+    terminal: tuple | None
 
     def extract(self, sol: Solution) -> dict:
-        states = np.vstack([self.x_init, sol.x[self.x_index]])
+        ux = self.ux + self.basis @ sol.x[: self.basis.shape[1]]
+        center, radius = self.terminal or (sol.x[self.c_index], sol.x[self.r_index])
         return {
-            "states": states,
-            "inputs": sol.x[self.u_index],
-            "center": sol.x[self.c_index],
-            "radius": float(sol.x[self.r_index]),
+            "states": np.vstack([self.x_init, ux[self.x_index]]),
+            "inputs": ux[self.u_index],
+            "center": center,
+            "radius": float(radius),
             "lam": float(sol.x[self.invariance.lambda_index]),
             "t": sol.x[self.invariance.t_indices],
             "objective": sol.objective,
@@ -245,9 +267,12 @@ class MpcSocp:
 def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     """Finite-horizon problem with the reconfigurable terminal ellipsoid.
 
-    ``fixed_terminal=(c0, r0)`` pins the terminal set instead (the offline
-    baseline); the decision variables stay in place so programs are
-    structurally identical.
+    The program's variables are ``(v, c, r, lam, t)``, with ``(u, x) = x_p +
+    N_ux v`` (:attr:`MpcSpec.dynamics_basis`) meeting the dynamics for every
+    v, so x_init reaches the program only through x_p, in h and the
+    objective.  ``fixed_terminal=(c0, r0)`` fixes the terminal set instead
+    (the offline baseline): the columns of c and r move into h, and the
+    blocks stay those of the free program.
     """
     x_init = np.atleast_1d(np.asarray(x_init, dtype=float))
     if x_init.shape != (spec.n_x,):
@@ -261,55 +286,65 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
         if c0.shape != (spec.n_x,) or np.ndim(r0) != 0:
             raise DimensionMismatch("fixed_terminal needs a length n_x center and a scalar radius")
         check_finite(c0=c0, r0=r0)
+        fixed_terminal = (c0, float(r0))
     N, n_x, n_u = spec.N, spec.n_x, spec.n_u
-    td = spec.terminal_diag
+    basis, X_p = spec.dynamics_basis
+    ux = X_p @ x_init
+    n_v = basis.shape[1]
+    # per stage k, u_k = up[k] + Bu[k] v and x_{k+1} = xp[k] + Bx[k] v
+    Bu, Bx = basis[: N * n_u].reshape(N, n_u, n_v), basis[N * n_u :].reshape(N, n_x, n_v)
+    up, xp = ux[: N * n_u].reshape(N, n_u), ux[N * n_u :].reshape(N, n_x)
+
+    def stage_rows(M, B, p):
+        """Rows ``M y_k`` over v and their constants for y_k = p[k] + B[k] v, by
+        einsum: unlike BLAS, its rows' bits do not depend on the stage count."""
+        return np.einsum("ij,kjv->kiv", M, B), np.einsum("ij,kj->ki", M, p)
 
     b = ConicProgramBuilder()
-    u_idx = b.add_vars(N * n_u).reshape(N, n_u)
-    x_idx = b.add_vars(N * n_x).reshape(N, n_x)
+    b.add_vars(n_v)
     c_idx = b.add_vars(n_x)
     r_idx = b.add_var()
 
     w = b.num_vars
-    # dynamics B u_k + A x_k - x_{k+1} = 0 for k = 0..N-1, with x_0 = x_init
-    dyn = np.zeros((N * n_x, w))
-    dyn[:, u_idx.ravel()] = np.kron(np.eye(N), spec.B)
-    dyn[:, x_idx.ravel()] = np.kron(np.eye(N, k=-1), spec.A) - np.eye(N * n_x)
-    b.add_eq_rows(dyn, -np.concatenate([spec.A @ x_init, np.zeros((N - 1) * n_x)]))
-
     # path constraints f - E x_k >= 0 for states 1..N-1, h - G u_k >= 0 for
     # all inputs
-    for idx, M, lim, tag in ((x_idx[: N - 1], spec.E, spec.f, "state_set"),
-                             (u_idx, spec.G, spec.h, "input_set")):
-        rows = np.zeros((len(idx) * len(M), w))
-        rows[:, idx.ravel()] = np.kron(np.eye(len(idx)), -M)
-        b.add_block_rows(rows[:, None], np.tile(lim, len(idx))[:, None], tag)
+    for M, B, p, lim, tag in ((spec.E, Bx[: N - 1], xp[: N - 1], spec.f, "state_set"),
+                              (spec.G, Bu, up, spec.h, "input_set")):
+        A, const = stage_rows(M, B, p)
+        b.add_block_rows(-A.reshape(-1, 1, n_v), (lim - const).reshape(-1, 1), tag)
 
     # terminal membership ||P^{1/2}(x_N - c)|| <= r
     p_half = spec.p_sqrt
+    A, const = stage_rows(p_half, Bx[N - 1 :], xp[N - 1 :])
     member = np.zeros((1, 1 + n_x, w))
     member[0, 0, r_idx] = 1.0
-    member[0][1:, x_idx[N - 1]] = p_half
+    member[0, 1:, :n_v] = A[0]
     member[0][1:, c_idx] = -p_half
-    b.add_block_rows(member, np.zeros((1, 1 + n_x)), "terminal_membership")
+    b.add_block_rows(member, np.append(0.0, const[0])[None], "terminal_membership")
 
     b.add_block_rows(unit_rows([r_idx], w)[:, None], np.zeros((1, 1)), "radius")
-    inv = emit_invariance_constraints(td, c_idx, r_idx, b)
+    inv = emit_invariance_constraints(spec.terminal_diag, c_idx, r_idx, b)
     emit_state_containment(spec, c_idx, r_idx, b)
     emit_input_containment(spec, c_idx, r_idx, b)
 
-    if fixed_terminal is not None:
-        b.add_eq_rows(unit_rows([*c_idx, r_idx], w), np.append(c0, float(r0)))
-
-    # stage costs sum x_k' Q x_k + u_k' R u_k (k = 0..N-1) plus x_N' Q_f x_N;
-    # the k = 0 state term is a constant.
+    # stage costs sum x_k' Q x_k + u_k' R u_k (k = 0..N-1) plus x_N' Q_f x_N:
+    # ||F v + f0||^2 with the k = 0 state term a constant
     fq, fr, ff = spec.cost_factors
-    factors = [fq] * (N - 1) + [fr] * N + [ff]
-    F_all = scipy.linalg.block_diag(*factors)
-    cost_idx = np.concatenate([x_idx[: N - 1].ravel(), u_idx.ravel(), x_idx[N - 1]])
-    b.set_objective_row([], float(x_init @ spec.Q @ x_init), F_all @ unit_rows(cost_idx, w))
+    parts = [stage_rows(fq, Bx[: N - 1], xp[: N - 1]), stage_rows(fr, Bu, up),
+             stage_rows(ff, Bx[N - 1 :], xp[N - 1 :])]
+    F = np.concatenate([A.reshape(-1, n_v) for A, _ in parts])
+    f0 = np.concatenate([const.ravel() for _, const in parts])
+    b.set_objective_row(2.0 * np.einsum("rv,r->v", F, f0),
+                        float(x_init @ spec.Q @ x_init) + float(f0 @ f0), F)
+    prog = b.build()
 
-    return MpcSocp(b.build(), x_init, u_idx, x_idx, c_idx, r_idx, inv)
+    if fixed_terminal is not None:
+        G, cr = prog.G.copy(), [*c_idx, r_idx]
+        G[:, cr] = 0.0
+        prog = replace(prog, G=G, h=prog.h - prog.G[:, cr] @ np.append(*fixed_terminal))
+    return MpcSocp(prog, x_init, ux, basis, np.arange(N * n_u).reshape(N, n_u),
+                   np.arange(N * n_u, N * (n_u + n_x)).reshape(N, n_x), c_idx, r_idx, inv,
+                   fixed_terminal)
 
 
 def max_fixed_radius(spec: MpcSpec) -> float:

@@ -90,11 +90,6 @@ class SimulDiag:
     def dim(self) -> int:
         return self.S.shape[0]
 
-    def residuals(self, A: np.ndarray, D: np.ndarray) -> tuple[float, float]:
-        ra = np.linalg.norm(self.S.T @ A @ self.S - np.diag(self.alpha))
-        rd = np.linalg.norm(self.S.T @ D @ self.S - np.diag(self.delta))
-        return ra, rd
-
 
 def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
     """Diagonalize the pair (A, D) by a single congruence, A positive definite.

@@ -3,38 +3,30 @@
 Path-following with Nesterov-Todd scaling and a Mehrotra predictor-corrector,
 after the conic solver of Vandenberghe's coneprog notes.  The program
 
-    min ||F x||^2 + c^T x   s.t.  eq_A x = eq_b,   s = h - G x in K
+    min ||F x||^2 + c^T x   s.t.   s = h - G x in K
 
 is solved in the slack form ``G x + s = h``, with ``F``, ``G``, ``h`` and
 the layout of K taken as the :class:`~soclqc.model.ConicProgram` holds them:
 nonnegative rows first, then the second-order blocks grouped by dimension.
 The objective's Hessian ``2P``, ``P = F'F``, is formed once per solve and
-enters the iteration directly, as in Clarabel (Goulart & Chen, 2024).
-
-Equality rows are removed once, before the iteration, by the null-space
-method (Nocedal & Wright, *Numerical Optimization*, 15.3): one SVD of
-``eq_A`` gives the least-norm solution ``x_p`` of ``eq_A x = eq_b`` and an
-orthonormal basis ``N`` of its null space, every solution is ``x = x_p + N
-v``, and the iteration solves ``min ||F N v||^2 + (N'(c + 2P x_p))'v  s.t.
-(h - G x_p) - (G N) v in K``, its offset raised by ``||F x_p||^2 + c'x_p``.
-Rows with no exact solution end the solve at iteration 0 with their Farkas
-ray.  The same SVD gives ``y_eq`` at the end, the least-squares solution of
-``eq_A' y = -(c + 2P x + G'z)``.  So every iteration solves the one Newton
-system
+enters the iteration directly, as in Clarabel (Goulart & Chen, 2024).  A
+program has no equality rows: its builder poses it in the null space of any
+it would have (the MPC dynamics, see :mod:`soclqc.mpc`).  So every iteration
+solves the one Newton system
 
     [ 2P G'   ] [dx]   [r_x]
     [ G  -W^2 ] [dz] = [r_z]
 
-of the program without equality rows, reduced by eliminating ``dz = W^-2 (G
-dx - r_z)`` (Andersen, Roos & Terlaky, Math. Prog. 2003) to ``(2P + H + D)
-dx = r_x + G'W^-2 r_z`` with ``H = (W^-1 G)'(W^-1 G)`` and D a small
-regularization (relative to diag(2P + H), because G and F may lack full
-column rank).  Every program factors it by Cholesky (:class:`_KktFactor`),
-on a large program with the block-private variables eliminated first (after
-Domahidi et al., CDC 2012, and ECOS).  The factorization and solves are
-direct LAPACK calls on Fortran-ordered arrays, with no copy and no wrapper.
-The starting point comes from the same factorization at W = I, its primal
-and dual parts from one solve with two right-hand sides.
+reduced by eliminating ``dz = W^-2 (G dx - r_z)`` (Andersen, Roos & Terlaky,
+Math. Prog. 2003) to ``(2P + H + D) dx = r_x + G'W^-2 r_z`` with ``H =
+(W^-1 G)'(W^-1 G)`` and D a small regularization (relative to diag(2P + H),
+because G and F may lack full column rank).  Every program factors it by
+Cholesky (:class:`_KktFactor`), on a large program with the block-private
+variables eliminated first (after Domahidi et al., CDC 2012, and ECOS).
+The factorization and solves are direct LAPACK calls on Fortran-ordered
+arrays, with no copy and no wrapper.  The starting point comes from the same
+factorization at W = I, its primal and dual parts from one solve with two
+right-hand sides.
 
 On its own this route loses accuracy near convergence: H carries the squared
 condition number of the scaling, and D biases the step.  Each KKT solve is
@@ -97,7 +89,6 @@ class SolverConfig:
 class Solution:
     status: Status
     x: np.ndarray
-    y_eq: np.ndarray
     z: np.ndarray  # cone duals in the program's row layout
     objective: float
     iterations: int
@@ -452,11 +443,7 @@ class _KktFactor:
 
     def solve(self, U: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The solution of ``(2P + H + D) x = r``, with U from :meth:`factor` (r
-        is overwritten).  Equality rows that fix every variable leave no
-        variable, and LAPACK rejects that empty system, so an empty r comes
-        back as it is."""
-        if not len(r):
-            return r
+        is overwritten)."""
         return lapack.dpotrs(U, r, lower=False, overwrite_b=True)[0]
 
 
@@ -486,26 +473,11 @@ def _initial_point(c, h, kkt: _KktFactor, reg: float):
     return x, s, z
 
 
-def _null_space(A: np.ndarray, b: np.ndarray):
-    """``(x_p, N, lsq)`` from one SVD of A: the least-norm (least-squares)
-    solution x_p of ``A x = b``, an orthonormal basis N of the null space of
-    A, and ``lsq(r)``, the least-squares y of ``A'y = r``.  The rank cutoff
-    is numpy's ``matrix_rank`` default."""
-    U, S, Vt = np.linalg.svd(A)
-    rank = int((S > S.max(initial=0.0) * max(A.shape) * np.finfo(float).eps).sum())
-    U, S, V = U[:, :rank], S[:rank], Vt[:rank].T
-    return V @ ((U.T @ b) / S), Vt[rank:].T, lambda r: U @ ((V.T @ r) / S)
-
-
 def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution:
     """Solve a conic program; see :class:`Status` for termination meanings.
 
     A status other than ``Optimal`` comes with a ``reason`` naming the guard
-    that fired, and the returned iterate is always finite.  With equality
-    rows, ``res_primal``, ``res_dual`` and ``res_gap`` are those of the
-    program reduced to their null space (see the module docstring); rows
-    with no solution end the solve at iteration 0, with ``res_primal`` their
-    relative residual and no dual residual or gap (nan).  Infeasibility is
+    that fired, and the returned iterate is always finite.  Infeasibility is
     decided by the iteration's own ray tests, and a solve that stalls
     (``NumericalFailure`` or ``MaxIterations``) is reported as it is.
     """
@@ -513,29 +485,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
     cones = _Cones(program.nn, program.soc)
     if cones.num_blocks == 0:
         raise ValueError("program has no cone blocks; nothing for the solver to do")
-    G, h, c, F = program.G, program.h, program.obj, program.obj_F
-    obj_offset, unreduce = program.obj_offset, None
-    if len(program.eq_b):
-        # every solution of eq_A x = eq_b is x_p + N v: the solve runs in v
-        A, b = program.eq_A, program.eq_b
-        x_p, null, lsq = _null_space(A, b)
-        Fx_p = F @ x_p
-        obj_offset += float(c @ x_p) + float(Fx_p @ Fx_p)
-        r_eq = A @ x_p - b
-        rp = _norm(r_eq) / (1.0 + _norm(b))
-        if rp > TOL_FEAS:
-            # A'r_eq = 0 and b'r_eq = -||r_eq||^2: a Farkas ray of the rows
-            return Solution(Status.PRIMAL_INFEASIBLE, x_p, r_eq / _norm(r_eq), np.zeros(cones.total),
-                            obj_offset, 0, rp, np.nan, np.nan, "equality rows are inconsistent")
-
-        def unreduce(v, z):
-            """The program's x and least-squares y_eq at the solve's v and z."""
-            x = x_p + null @ v
-            grad = program.obj + 2.0 * (program.obj_F.T @ (program.obj_F @ x))
-            return x, lsq(-(grad + program.G.T @ z))
-
-        c, h, G, F = null.T @ (c + 2.0 * (F.T @ Fx_p)), h - G @ x_p, G @ null, F @ null
-    kkt = _KktFactor(G, F, cones)
+    c, h, obj_offset = program.obj, program.h, program.obj_offset
+    kkt = _KktFactor(program.G, program.obj_F, cones)
     G, hess = kkt.G, kkt.hess
     if kkt.compact:
         # the solve runs in the private-first order
@@ -547,10 +498,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         x_out = x.copy()
         if kkt.compact:
             x_out[kkt.order] = x
-        y = np.zeros(0)
-        if unreduce is not None:
-            x_out, y = unreduce(x_out, z)
-        return Solution(status, x_out, y, z.copy(), obj, it, rp, rd, rg, reason)
+        return Solution(status, x_out, z.copy(), obj, it, rp, rd, rg, reason)
 
     reg = 1e-10
     x, s, z = _initial_point(c, h, kkt, reg)

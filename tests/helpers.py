@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import scipy.linalg
 
@@ -117,11 +119,6 @@ class ExprBuilder(ConicProgramBuilder):
         """Objective ``||F x||^2 + expr``, F over the first variables."""
         self.set_objective_row(*as_expr(expr).to_row(self.num_vars), F)
 
-    def add_eq(self, expr) -> None:
-        """Constrain ``expr == 0``."""
-        row, const = as_expr(expr).to_row(self.num_vars)
-        self.add_eq_rows(row[None], [-const])
-
     def add_nonneg(self, expr, tag: str = "") -> None:
         """Constrain ``expr >= 0``."""
         A, b = expr_rows([expr], self.num_vars)
@@ -147,6 +144,38 @@ class ExprBuilder(ConicProgramBuilder):
         return t
 
 
+def max_violation(prog, x) -> float:
+    """Worst cone violation of a candidate point."""
+    return max(blk.violation(x) for blk in prog.blocks)
+
+
+def diag_residuals(sd: SimulDiag, A, D) -> tuple[float, float]:
+    """Frobenius residuals of ``S'A S = diag(alpha)`` and ``S'D S = diag(delta)``."""
+    ra = np.linalg.norm(sd.S.T @ A @ sd.S - np.diag(sd.alpha))
+    rd = np.linalg.norm(sd.S.T @ D @ sd.S - np.diag(sd.delta))
+    return ra, rd
+
+
+def pin_variables(prog, indices, values):
+    """prog with ``x[indices] = values`` substituted: their columns of G, F
+    and the objective move into h, obj and obj_offset and become zero, so
+    the variables keep their indices and a solve leaves them at 0."""
+    idx = np.atleast_1d(np.asarray(indices, dtype=int))
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if idx.shape != values.shape:
+        raise DimensionMismatch("pin_variables: indices and values differ in length")
+    bad = idx[(idx < 0) | (idx >= prog.num_vars)]
+    if bad.size:
+        raise DimensionMismatch(f"pin_variables: no variable {bad[0]}")
+    G, F, obj = prog.G.copy(), prog.obj_F.copy(), prog.obj.copy()
+    Fv = F[:, idx] @ values
+    h = prog.h - G[:, idx] @ values
+    offset = prog.obj_offset + float(obj[idx] @ values) + float(Fv @ Fv)
+    G[:, idx] = F[:, idx] = obj[idx] = 0.0
+    # ||F x + Fv||^2 = ||F x||^2 + 2 (F'Fv)'x + ||Fv||^2 over the others
+    return replace(prog, obj=obj + 2.0 * (F.T @ Fv), obj_offset=offset, obj_F=F, G=G, h=h)
+
+
 def epigraph_program(prog):
     """prog with its quadratic cost ``||F x||^2`` moved into an epigraph
     block: a new last variable t with ``x' F'F x <= t``
@@ -154,8 +183,6 @@ def epigraph_program(prog):
     which F must have full column rank) and t in the linear objective."""
     b = ExprBuilder()
     xs = b.var_exprs(b.add_vars(prog.num_vars))
-    if len(prog.eq_b):
-        b.add_eq_rows(prog.eq_A, prog.eq_b)
     for blk in prog.blocks:
         b.add_block_rows(blk.A[None], blk.b[None], blk.tag)
     cols = np.flatnonzero(prog.obj_F.any(axis=0))
@@ -191,15 +218,13 @@ def assert_same_program(built, ref):
     assert np.array_equal(built.obj, ref.obj)
     assert built.obj_offset == ref.obj_offset
     assert np.array_equal(built.obj_F, ref.obj_F)
-    assert np.array_equal(built.eq_A, ref.eq_A) and np.array_equal(built.eq_b, ref.eq_b)
     assert (built.nn, built.soc, built.tags) == (ref.nn, ref.soc, ref.tags)
     assert np.array_equal(built.G, ref.G) and np.array_equal(built.h, ref.h)
 
 
 def assert_identical_programs(built, ref):
     """The two programs agree field by field, bit for bit."""
-    for name in ("num_vars", "obj", "obj_offset", "obj_F", "eq_A", "eq_b", "G", "h", "nn",
-                 "soc", "tags"):
+    for name in ("num_vars", "obj", "obj_offset", "obj_F", "G", "h", "nn", "soc", "tags"):
         a, b = getattr(built, name), getattr(ref, name)
         if isinstance(a, np.ndarray):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -278,24 +303,24 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
 
 def reference_mpc_program(spec, x_init, fixed_terminal=None):
     """The MPC program of :func:`soclqc.mpc.build_mpc_socp` assembled
-    expression by expression with :class:`ExprBuilder`: one equality per
-    state coordinate, one row per path, radius and containment constraint and
-    one hyperbolic block per invariance coordinate, in the order the builder
-    must reproduce."""
+    expression by expression with :class:`ExprBuilder`, in the order the
+    builder must reproduce: the variables v, c, r, lam and t, each input and
+    state the expression ``x_p + N_ux v`` of its row of the spec's cached
+    basis; one row per path, radius and containment constraint and one
+    hyperbolic block per invariance coordinate; a fixed terminal set
+    substituted for c and r by :func:`pin_variables`."""
     x_init = np.asarray(x_init, dtype=float)
     N, n_x, n_u = spec.N, spec.n_x, spec.n_u
     td = spec.terminal_diag
+    basis, X_p = spec.dynamics_basis
     b = ExprBuilder()
-    u = [b.var_exprs(b.add_vars(n_u)) for _ in range(N)]
-    x = [b.var_exprs(b.add_vars(n_x)) for _ in range(N)]  # states x_1..x_N
-    c = b.var_exprs(b.add_vars(n_x))
-    r = b.var(b.add_var())
+    v = b.add_vars(basis.shape[1]).tolist()
+    ux = [LinExpr(dict(zip(v, row)), const) for row, const in zip(basis, X_p @ x_init)]
+    u = [ux[k * n_u : (k + 1) * n_u] for k in range(N)]
+    x = [ux[N * n_u + k * n_x : N * n_u + (k + 1) * n_x] for k in range(N)]  # x_1..x_N
+    c_idx, r_idx = b.add_vars(n_x), b.add_var()
+    c, r = b.var_exprs(c_idx), b.var(r_idx)
 
-    # x_{k+1} = A x_k + B u_k with x_0 = x_init a constant
-    for k in range(N):
-        drift = (spec.A @ x_init).tolist() if k == 0 else lin_comb(spec.A, x[k - 1])
-        for i, (d, bu) in enumerate(zip(drift, lin_comb(spec.B, u[k]))):
-            b.add_eq(bu + d - x[k][i])
     for k in range(N - 1):
         for j, ex in enumerate(lin_comb(spec.E, x[k])):
             b.add_nonneg(spec.f[j] - ex, tag="state_set")
@@ -324,21 +349,20 @@ def reference_mpc_program(spec, x_init, fixed_terminal=None):
         for j, rc in enumerate(lin_comb(rows, c)):
             b.add_nonneg(limits[j] - rc - gains[j] * r, tag=f"{tag}{j}")
 
-    if fixed_terminal is not None:
-        c0, r0 = fixed_terminal
-        for ci, c0i in zip(c, np.atleast_1d(c0)):
-            b.add_eq(ci - c0i)
-        b.add_eq(r - r0)
-
     # stage costs ||Q^{1/2} x_k||^2 (k = 1..N-1), ||R^{1/2} u_k||^2 and
-    # ||Q_f^{1/2} x_N||^2 as the rows of one objective factor; the x_0 term
-    # is a constant
+    # ||Q_f^{1/2} x_N||^2: heads F v + f0, so the objective is ||F v||^2 +
+    # 2 f0'F v + ||f0||^2, plus the constant x_0 term
     fq, fr, ff = (psd_sqrt_factor(M) for M in (spec.Q, spec.R, spec.Q_f))
     heads = [h for k in range(N - 1) for h in lin_comb(fq, x[k])]
     heads += [h for k in range(N) for h in lin_comb(fr, u[k])]
     heads += lin_comb(ff, x[N - 1])
-    b.set_objective(float(x_init @ spec.Q @ x_init), F=expr_rows(heads, b.num_vars)[0])
-    return b.build()
+    F, f0 = expr_rows(heads, b.num_vars)
+    b.set_objective_row(2.0 * np.einsum("rv,r->v", F, f0),
+                        float(x_init @ spec.Q @ x_init) + float(f0 @ f0), F)
+    prog = b.build()
+    if fixed_terminal is None:
+        return prog
+    return pin_variables(prog, [*c_idx, r_idx], [*fixed_terminal[0], fixed_terminal[1]])
 
 
 def scalar_regret_grid_oracle(spec, x0, u_grid, w_grid):

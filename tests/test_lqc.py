@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     assert_identical_programs,
     assert_same_program,
+    pin_variables,
     random_lqc_spec,
     reference_lqc_program,
     scalar_regret_grid_oracle,
@@ -35,7 +36,7 @@ from soclqc.lqc import (
     scalar_benchmark_spec,
     time_invariant_spec,
 )
-from soclqc.model import DimensionMismatch, NotPositiveDefinite, pin_variables
+from soclqc.model import DimensionMismatch, NotPositiveDefinite
 from soclqc.oracle import max_quad_over_ball
 from soclqc.slemma import QuadForm, assemble_classical_lmi, check_psd
 from soclqc.solver import Status, solve
@@ -835,11 +836,10 @@ class TestRowBlockBuilder:
         assert first.h[: first.nn].tobytes() == second.h[: second.nn].tobytes()
 
     def test_input_cost_factored_once_per_spec(self, monkeypatch):
-        # the only (n_u, n_u) Cholesky factor of a build is the stacked input
-        # cost's (n_u = 6; simultaneous_diagonalize factors inside LAPACK)
-        spec = random_lqc_spec(np.random.default_rng(5), 2, 2, 1, 3)
-        n_u = spec.stacked_input_dim
-        amb = AmbiguitySpec(np.ones((1, spec.stacked_dist_dim)), [0.5])
+        # the only (n_u, n_u) Cholesky factor of a spec and its builds is the
+        # stacked input cost's, made with the spec (n_u = 6;
+        # simultaneous_diagonalize factors inside LAPACK)
+        n_u = 6
         factored = [0]
         cholesky = np.linalg.cholesky
 
@@ -848,6 +848,9 @@ class TestRowBlockBuilder:
             return cholesky(M)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
+        spec = random_lqc_spec(np.random.default_rng(5), 2, 2, 1, 3)
+        assert spec.stacked_input_dim == n_u and factored[0] == 1
+        amb = AmbiguitySpec(np.ones((1, spec.stacked_dist_dim)), [0.5])
         for x0 in (np.zeros(2), np.ones(2)):
             build_robust_socp(spec, x0)
             build_regret_socp(spec, x0)
@@ -856,6 +859,14 @@ class TestRowBlockBuilder:
         robust_certificate_matrix(spec, build_compact_cost(spec, np.ones(2)),
                                   np.zeros(n_u), 1.0, np.zeros(spec.stacked_dist_dim))
         assert factored[0] == 1
+
+
+def _tiny_input_weight(spec):
+    # R[3] passes the per-stage pivot test, relative to ||R[3]||, and fails
+    # the stacked input cost's, relative to ||Uq||, which the build factors
+    R = spec.R.copy()
+    R[3] = 1e-14
+    return replace(spec, Q=0.0 * spec.Q, R=R)
 
 
 def _asymmetric_stage(spec):
@@ -876,8 +887,10 @@ def _asymmetric_stage(spec):
     (lambda s: build_compact_cost(s, np.zeros(3)), DimensionMismatch, "x0 has wrong length"),
     (lambda s: receding_horizon_simulate(s, np.zeros(2), np.zeros((2, 2))), DimensionMismatch,
      "disturbance sequence has wrong shape"),
+    (lambda s: _tiny_input_weight(scalar_benchmark_spec(10)), NotPositiveDefinite,
+     "stacked input cost has a near-zero Cholesky pivot at stage 3"),
 ], ids=["A-not-stacked", "Q-asymmetric", "A-not-square", "B", "q", "r", "moments", "x0",
-        "disturbances"])
+        "disturbances", "stacked-input-pivot"])
 def test_rejected_input_is_named(call, error, message):
     # a spec with n_x = 2, n_u = n_w = 1 and N = 3
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import ExprBuilder, LinExpr
+from helpers import ExprBuilder, LinExpr, pin_variables
 from soclqc.model import (
     ConicProgram,
     ConicProgramBuilder,
@@ -12,7 +12,6 @@ from soclqc.model import (
     NotPositiveDefinite,
     cholesky_factor,
     hyperbolic_rows,
-    pin_variables,
     psd_sqrt_factor,
     unit_rows,
 )
@@ -155,7 +154,7 @@ class TestObjectiveFactor:
 
     def test_affine_factor_at_pinned_point(self):
         # minimize (2x + y)^2 + 1 at x and y pinned to 1: the value 10 comes
-        # from the equality presolve's offset alone
+        # from the substitution's offset alone
         b = ConicProgramBuilder()
         b.add_vars(2)
         b.set_objective_row([], 1.0, [[2.0, 1.0]])
@@ -216,10 +215,12 @@ class TestProgramStructure:
         assert abs((shifted.objective - base.objective) - 12.75) <= 1e-12
 
     def test_pin_variables_dimension_check(self):
+        # the test helper that fixes variables by substitution: x1 = 2 moves
+        # its column of G and its objective terms into h and the offset
         b = ExprBuilder()
         b.add_vars(2)
-        b.set_objective(b.var(0))
-        b.add_nonneg(b.var(0))
+        b.set_objective(b.var(0) + 3.0 * b.var(1), F=[[0.0, 1.0]])
+        b.add_nonneg(b.var(0) - b.var(1))
         prog = b.build()
         with pytest.raises(DimensionMismatch):
             pin_variables(prog, [0, 1], [1.0])
@@ -227,8 +228,9 @@ class TestProgramStructure:
             with pytest.raises(DimensionMismatch, match=f"no variable {index}"):
                 pin_variables(prog, [index], [2.0])
         pinned = pin_variables(prog, [1], [2.0])
-        assert np.array_equal(pinned.eq_A, [[0.0, 1.0]]) and np.array_equal(pinned.eq_b, [2.0])
-        assert pinned.G is prog.G and pinned.h is prog.h
+        assert np.array_equal(pinned.G, [[-1.0, 0.0]]) and np.array_equal(pinned.h, [-2.0])
+        assert np.array_equal(pinned.obj, [1.0, 0.0]) and pinned.obj_offset == 10.0
+        assert not pinned.obj_F.any()
         assert (pinned.nn, pinned.soc, pinned.tags) == (prog.nn, prog.soc, prog.tags)
 
 
@@ -299,8 +301,8 @@ class TestRowBlocks:
     )
     def test_program_rejects_inconsistent_layout(self, G_shape, rows, nn, soc, tags):
         with pytest.raises(DimensionMismatch):
-            ConicProgram(2, np.zeros(2), 0.0, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
-                         np.zeros(G_shape), np.zeros(rows), nn, soc, tags)
+            ConicProgram(2, np.zeros(2), 0.0, np.zeros((0, 2)), np.zeros(G_shape), np.zeros(rows),
+                         nn, soc, tags)
 
     def test_one_tag_for_all_blocks(self):
         b = ConicProgramBuilder()
@@ -402,26 +404,21 @@ def _two_variable_builder():
 
 @pytest.mark.parametrize("call, message", [
     (lambda b: replace(b.build(), obj=np.zeros(3)), "objective length != num_vars"),
-    (lambda b: replace(b.build(), eq_A=np.zeros((1, 3)), eq_b=np.zeros(1)),
-     "equality constraint shapes inconsistent"),
     (lambda b: b.set_objective_row(np.zeros(3)), "objective row longer than the variable count"),
-    (lambda b: b.add_eq_rows(np.zeros((1, 2)), np.zeros(2)),
-     "equality rows need A (p, w <= 2) and b (p,); got (1, 2) and (2,)"),
     (lambda b: hyperbolic_rows(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2),
                                np.zeros((1, 2)), np.zeros(1)),
      "hyperbolic rows: head, y and z shapes inconsistent"),
-], ids=["objective", "equality-rows", "objective-row", "add-eq-rows", "hyperbolic-rows"])
+], ids=["objective", "objective-row", "hyperbolic-rows"])
 def test_rejected_shape_is_named(call, message):
     with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         call(_two_variable_builder())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("field", ["obj", "obj_offset", "obj_F", "eq_A", "eq_b", "G", "h"])
+@pytest.mark.parametrize("field", ["obj", "obj_offset", "obj_F", "G", "h"])
 def test_non_finite_data_is_named(field, value):
     b = _two_variable_builder()
     b.set_objective_row([1.0, 0.0], 0.0, np.eye(2))
-    b.add_eq_rows(np.ones((1, 2)), np.ones(1))
     prog = b.build()
     data = np.array(getattr(prog, field), dtype=float)  # a writable copy
     data.flat[0] = value

@@ -10,6 +10,7 @@ from helpers import (
     assert_identical_programs,
     assert_same_program,
     double_integrator_mpc,
+    pin_variables,
     reference_mpc_program,
 )
 from soclqc.model import ConicProgramBuilder, DimensionMismatch, NotPositiveDefinite
@@ -29,12 +30,8 @@ MPC_FIELDS = ("A", "B", "E", "f", "G", "h", "K", "P", "Q", "R", "Q_f")
 
 
 def solve_ok(program):
-    # the solve runs in the null space of the equality rows, so x meets
-    # them to rounding
     sol = solve(program)
     assert sol.status is Status.OPTIMAL, sol.status
-    eq_norm = np.linalg.norm(program.eq_A @ sol.x - program.eq_b)
-    assert eq_norm <= 1e-12 * (1.0 + np.linalg.norm(program.eq_b)), eq_norm
     return sol
 
 
@@ -124,7 +121,7 @@ class TestTerminalDiag:
 
     def test_cached(self):
         spec = double_integrator_mpc()
-        for name in ("p_sqrt", "p_inv_sqrt", "terminal_diag", "cost_factors"):
+        for name in ("p_sqrt", "p_inv_sqrt", "terminal_diag", "cost_factors", "dynamics_basis"):
             assert getattr(spec, name) is getattr(spec, name), name
 
     def test_costs_factored_once_per_spec(self, monkeypatch):
@@ -165,6 +162,69 @@ class TestTerminalDiag:
             assert getattr(spec, field) is before
 
 
+class TestNullSpacePosing:
+    """The program is posed in v, with ``(u, x) = x_p + N_ux v`` from the
+    spec's cached basis, and has no equality rows."""
+
+    @staticmethod
+    def specs():
+        rng = np.random.default_rng(3)
+        n_x, n_u = 3, 2
+        A = rng.standard_normal((n_x, n_x))
+        A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+        spec = MpcSpec(A, rng.standard_normal((n_x, n_u)), np.vstack([np.eye(n_x), -np.eye(n_x)]),
+                       np.full(2 * n_x, 5.0), np.vstack([np.eye(n_u), -np.eye(n_u)]),
+                       np.full(2 * n_u, 2.0), np.zeros((n_u, n_x)),
+                       scipy.linalg.solve_discrete_lyapunov(A.T, np.eye(n_x)), 6, np.eye(n_x),
+                       np.eye(n_u), np.eye(n_x))
+        return [double_integrator_mpc(1), double_integrator_mpc(8), double_integrator_mpc(50), spec]
+
+    def test_basis_spans_the_dynamics_null_space(self, rng):
+        # N_ux is orthonormal, its columns meet the dynamics rows, and there
+        # are N n_u of them (the rows have full rank N n_x); x_p = X_p x_0
+        # meets the rows with x_0 and is their least-norm solution
+        for spec in self.specs():
+            N, n_x, n_u = spec.N, spec.n_x, spec.n_u
+            dyn = np.hstack([np.kron(np.eye(N), spec.B),
+                             np.kron(np.eye(N, k=-1), spec.A) - np.eye(N * n_x)])
+            basis, X_p = spec.dynamics_basis
+            assert basis.shape == (N * (n_u + n_x), N * n_u) and X_p.shape == (N * (n_u + n_x), n_x)
+            assert np.abs(basis.T @ basis - np.eye(N * n_u)).max() <= 1e-12
+            assert np.abs(dyn @ basis).max() <= 1e-12
+            for x0 in rng.standard_normal((5, n_x)):
+                x_p = X_p @ x0
+                rhs = np.concatenate([-spec.A @ x0, np.zeros((N - 1) * n_x)])
+                assert np.abs(dyn @ x_p - rhs).max() <= 1e-12 * (1.0 + np.abs(x0).max())
+                assert np.abs(basis.T @ x_p).max() <= 1e-12 * (1.0 + np.abs(x0).max())
+
+    def test_x0_reaches_only_h_and_the_objective(self):
+        # G, the objective factor and the layout are the same bits at two
+        # initial states, and the program has no equality rows
+        spec = double_integrator_mpc(8)
+        first, second = (build_mpc_socp(spec, x0).program for x0 in ([2.0, 0.5], [-1.0, 0.3]))
+        assert not hasattr(first, "eq_b")
+        assert first.G.tobytes() == second.G.tobytes()
+        assert first.obj_F.tobytes() == second.obj_F.tobytes()
+        assert (first.nn, first.soc, first.tags) == (second.nn, second.soc, second.tags)
+        assert first.h.tobytes() != second.h.tobytes()
+        assert first.obj.tobytes() != second.obj.tobytes()
+
+    def test_fixed_terminal_enters_as_constants(self):
+        # c and r are left in no row and no objective term; the result
+        # reports the fixed set itself
+        spec = double_integrator_mpc(8)
+        c0, r0 = np.zeros(2), 0.9 * max_fixed_radius(spec)
+        free = build_mpc_socp(spec, [2.0, 0.5])
+        fixed = build_mpc_socp(spec, [2.0, 0.5], fixed_terminal=(c0, r0))
+        cr = [*fixed.c_index, fixed.r_index]
+        assert not fixed.program.G[:, cr].any() and not fixed.program.obj_F[:, cr].any()
+        assert free.program.G[:, cr].any()
+        ex = fixed.extract(solve_ok(fixed.program))
+        assert np.array_equal(ex["center"], c0) and ex["radius"] == r0
+        report = verify_result("mpc", spec, None, {"mode": "mpc", "x0": ex["states"][0], **ex})
+        assert [check.name for check in report if not check.ok] == []
+
+
 class TestEmittedBlocks:
     def build_terminal_program(self, spec, objective=None):
         td = spec.terminal_diag
@@ -191,8 +251,6 @@ class TestEmittedBlocks:
         # A_cl = 0 maps everything to the origin; centering the set at c with
         # c' P c > r^2 leaves the image point outside, so (c, r) is infeasible
         spec = deadbeat_spec()
-        from soclqc.model import pin_variables
-
         b, c_idx, r_idx = self.build_terminal_program(spec)
         prog = pin_variables(b.build(), list(c_idx) + [r_idx], [1.5, 0.0, 1.0])
         assert solve(prog).status is Status.PRIMAL_INFEASIBLE
@@ -210,8 +268,6 @@ class TestEmittedBlocks:
         x = np.array([0.5, -0.5, 0.0])
         assert len(prog.blocks) == spec.E.shape[0]
         assert all(blk.violation(x) == 0.0 for blk in prog.blocks)
-
-        from soclqc.model import pin_variables
 
         full, c_idx, r_idx = self.build_terminal_program(spec)
         off_center = pin_variables(full.build(), list(c_idx) + [r_idx],
@@ -235,8 +291,6 @@ class TestEmittedBlocks:
         b, c_idx, r_idx = self.build_terminal_program(
             spec, objective=lambda b, c, r: -1.0 * b.var(r)
         )
-        from soclqc.model import pin_variables
-
         prog = pin_variables(b.build(), c_idx, np.zeros(2))
         sol = solve_ok(prog)
         assert abs(sol.x[r_idx] - 1.0) <= 1e-6

@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import ExprBuilder, double_integrator_mpc, epigraph_program, random_lqc_spec
+from helpers import (
+    ExprBuilder,
+    double_integrator_mpc,
+    epigraph_program,
+    max_violation,
+    random_lqc_spec,
+)
 from soclqc.lqc import (
     AmbiguitySpec,
     build_dr_socp,
@@ -13,25 +19,20 @@ from soclqc.lqc import (
     build_robust_socp,
     scalar_benchmark_spec,
 )
-from soclqc.model import ConicProgramBuilder, pin_variables, unit_rows
+from soclqc.model import ConicProgramBuilder, unit_rows
 from soclqc.mpc import build_mpc_socp
 from soclqc.solver import TOL_FEAS, TOL_GAP, SolverConfig, Status, solve
 
 
-def make_kkt_instance(rng, eq_only=False):
+def make_kkt_instance(rng):
     """Random program with a known optimum built from a primal-dual pair.
 
     Picks x*, per-block slacks/duals with zero complementarity, then chooses
-    the objective to satisfy stationarity; by construction x* is optimal
-    with value c @ x*.  With ``eq_only`` the last variable appears in no
-    cone row, only in the (at least one) equality rows, so G lacks full
-    column rank.
+    the objective ``c = sum M_i'z_i`` over the blocks ``M_i x + b_i`` to
+    satisfy stationarity; by construction x* is optimal with value c @ x*.
     """
     n = int(rng.integers(2, 11))
     nb = int(rng.integers(1, 5))
-    p = int(rng.integers(0, min(3, max(1, n - 2))))
-    if eq_only:
-        p = max(p, 1)
     x_star = rng.standard_normal(n)
     b = ConicProgramBuilder()
     b.add_vars(n)
@@ -39,7 +40,7 @@ def make_kkt_instance(rng, eq_only=False):
     n_active = 0
     for _ in range(nb):
         kind = rng.choice(["nonneg", "soc"])
-        active = bool(rng.integers(0, 2)) and (n_active + p < n - 1)
+        active = bool(rng.integers(0, 2)) and (n_active < n - 1)
         if kind == "nonneg":
             M = rng.standard_normal((1, n))
             if active:
@@ -60,14 +61,9 @@ def make_kkt_instance(rng, eq_only=False):
             else:
                 s = np.concatenate([[np.linalg.norm(v) + rng.uniform(0.5, 2.0)], v])
                 z = np.zeros(d)
-        if eq_only:
-            M[:, -1] = 0.0
         b.add_block_rows(M[None], (s - M @ x_star)[None])
         duals.append((M, z))
-    eq_A = rng.standard_normal((p, n))
-    b.add_eq_rows(eq_A, eq_A @ x_star)
-    y_star = rng.standard_normal(p)
-    c = -(eq_A.T @ y_star) if p else np.zeros(n)
+    c = np.zeros(n)
     for M, z in duals:
         c = c + M.T @ z
     b.set_objective_row(c)
@@ -164,55 +160,11 @@ class TestBasics:
             assert abs(sol.objective + np.linalg.norm(c)) <= 1e-7
             assert np.allclose(sol.x, -c / np.linalg.norm(c), atol=1e-6)
 
-    def test_equality_constrained(self):
-        b = ExprBuilder()
-        b.add_vars(2)
-        b.set_objective(b.var(0) + b.var(1))
-        b.add_eq(b.var(0) - b.var(1) - 1.0)
-        b.add_nonneg(b.var(0))
-        b.add_nonneg(b.var(1))
-        sol = solve(b.build())
-        assert sol.status is Status.OPTIMAL
-        assert abs(sol.objective - 1.0) <= 1e-7
-        assert abs(sol.x[0] - 1.0) <= 1e-6
-
-    def test_equality_rows_fix_every_variable(self):
-        # x0 + x1 = 1 and x0 - x1 = 0.2 leave no free variable
-        b = ConicProgramBuilder()
-        b.add_vars(2)
-        b.set_objective_row([1.0, 0.0])
-        b.add_block_rows(np.eye(2)[:, None, :], np.zeros((2, 1)))
-        b.add_eq_rows([[1.0, 1.0], [1.0, -1.0]], [1.0, 0.2])
-        sol = solve(b.build())
-        assert sol.status is Status.OPTIMAL
-        assert abs(sol.objective - 0.6) <= 1e-12
-        assert np.allclose(sol.x, [0.6, 0.4], rtol=0, atol=1e-12)
-
-    def test_duplicated_equality_row(self):
-        # a rank-deficient A: pinning a variable twice solves as pinning it
-        # once
-        prog = build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program
-        once = solve(pin_variables(prog, [0], [0.1]))
-        twice = solve(pin_variables(prog, [0, 0], [0.1, 0.1]))
-        assert once.status is twice.status is Status.OPTIMAL
-        assert abs(twice.objective - once.objective) <= 1e-9 * (1 + abs(once.objective))
-        assert abs(twice.x[0] - 0.1) <= 1e-12
-
 
 class TestKktOracle:
     def test_twenty_random_certified_instances(self, rng):
         for trial in range(20):
             prog, expected = make_kkt_instance(rng)
-            sol = solve(prog)
-            assert sol.status is Status.OPTIMAL, f"trial {trial}: {sol.status}"
-            err = abs(sol.objective - expected) / max(1.0, abs(expected))
-            assert err <= 1e-6, f"trial {trial}: err {err:.2e}"
-
-    def test_variable_in_equality_rows_only(self, rng):
-        # G lacks full column rank, and H + A'A is what the solve factors
-        for trial in range(10):
-            prog, expected = make_kkt_instance(rng, eq_only=True)
-            assert not prog.G[:, -1].any() and prog.eq_A[:, -1].all()
             sol = solve(prog)
             assert sol.status is Status.OPTIMAL, f"trial {trial}: {sol.status}"
             err = abs(sol.objective - expected) / max(1.0, abs(expected))
@@ -282,13 +234,13 @@ class TestSolutionContract:
             prog, _ = make_kkt_instance(rng)
             sol = solve(prog)
             assert sol.status is Status.OPTIMAL
-            assert prog.max_violation(sol.x) <= 1e-6
+            assert max_violation(prog, sol.x) <= 1e-6
 
     def test_weak_duality_at_termination(self, rng):
         prog, _ = make_kkt_instance(rng)
         sol = solve(prog)
         # primal objective dominates the dual bound up to the gap tolerance
-        dual = -(prog.eq_b @ sol.y_eq) - prog.h @ sol.z
+        dual = -prog.h @ sol.z
         assert sol.objective >= dual - 1e-6 * max(1.0, abs(sol.objective))
 
     def test_config_validation(self):
@@ -310,9 +262,9 @@ class TestSolutionContract:
 
     def test_gap_is_relative_to_the_whole_objective(self):
         # the relative gap divides by the objective with its constant
-        # obj_offset, so where a constant sits (in c'x or in the offset,
-        # which the equality presolve also fills) does not change when a
-        # solve stops: at the same iterate, raising the offset scales the
+        # obj_offset, so where a constant sits (in c'x or in the offset, which
+        # a substitution of variables fills) does not change when a solve
+        # stops: at the same iterate, raising the offset scales the
         # gap by the ratio of the two whole objectives
         prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
         raised = replace(prog, obj_offset=prog.obj_offset + 1e6)
@@ -335,18 +287,15 @@ class TestFixedKktWork:
                      id="scalar-N100-compact"),
         pytest.param(lambda: build_regret_socp(random_lqc_spec(np.random.default_rng(6), 3, 2, 2, 12),
                                                np.ones(3)), False, id="lqc-file-size-dense"),
-        pytest.param(lambda: build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]), None,
-                     id="mpc-equality-rows"),
+        pytest.param(lambda: build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]), False,
+                     id="mpc-dense"),
     ])
     def test_four_dpotrs_calls_per_iteration(self, monkeypatch, build, compact):
         from soclqc import solver
 
         prog = build().program
-        if compact is not None:
-            kkt = solver._KktFactor(prog.G, prog.obj_F, solver._Cones(prog.nn, prog.soc))
-            assert kkt.compact is compact
-        else:
-            assert len(prog.eq_b)
+        kkt = solver._KktFactor(prog.G, prog.obj_F, solver._Cones(prog.nn, prog.soc))
+        assert kkt.compact is compact
         real_dpotrs = solver.lapack.dpotrs
         calls = []
 
@@ -432,33 +381,15 @@ class TestInfeasibility:
             assert sol.status is Status.NUMERICAL_FAILURE, (trial, sol.status, sol.reason)
             assert sol.reason == "factorization failed"
 
-    def test_inconsistent_equality_rows(self):
-        # x0 + x1 = 1 and 2 x0 + 2 x1 = 3 have no solution: the solve stops
-        # before the first iteration with the rows' Farkas ray
-        b = ConicProgramBuilder()
-        b.add_vars(2)
-        b.set_objective_row([1.0, 0.0])
-        b.add_block_rows(np.eye(2)[:, None, :], np.zeros((2, 1)))
-        b.add_eq_rows([[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0])
-        prog = b.build()
-        sol = solve(prog)
-        assert sol.status is Status.PRIMAL_INFEASIBLE
-        assert sol.iterations == 0
-        assert sol.reason == "equality rows are inconsistent"
-        assert np.linalg.norm(prog.eq_A.T @ sol.y_eq) <= 1e-12
-        assert prog.eq_b @ sol.y_eq < -0.1
-        assert np.isfinite(sol.x).all()
-
 
 class TestFactorizationGuard:
     """A failed factorization of the reduced KKT matrix ends the solve.
 
     Every factorization is a Cholesky one (dpotrf) of ``H + D`` (of its
-    Schur complement on a large program), with or without equality rows:
-    the start makes one at W = I (call 1), and each iteration one more, so
-    iteration 0 makes call 2.  A case makes one of these calls report a
-    failed pivot, or return a nan pivot, which LAPACK lets through with
-    info = 0."""
+    Schur complement on a large program): the start makes one at W = I
+    (call 1), and each iteration one more, so iteration 0 makes call 2.  A
+    case makes one of these calls report a failed pivot, or return a nan
+    pivot, which LAPACK lets through with info = 0."""
 
     @staticmethod
     def record_factorizations(monkeypatch, failing_call=None, pivot=None, info=None):
@@ -480,17 +411,16 @@ class TestFactorizationGuard:
         monkeypatch.setattr(solver.lapack, "dpotrf", dpotrf)
         return calls
 
-    @pytest.mark.parametrize("eq_rows, pivot, info", [
+    @pytest.mark.parametrize("mpc, pivot, info", [
         pytest.param(False, -1.0, 2, id="dpotrf--1.0-2"),
         pytest.param(False, np.nan, 0, id="dpotrf-nan-0"),
-        pytest.param(True, 0.0, 2, id="eq-rows-dpotrf-0.0-2"),
+        pytest.param(True, 0.0, 2, id="mpc-dpotrf-0.0-2"),
     ])
-    def test_failed_factorization(self, monkeypatch, eq_rows, pivot, info):
-        if eq_rows:
+    def test_failed_factorization(self, monkeypatch, mpc, pivot, info):
+        if mpc:
             prog = build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program
         else:
             prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
-        assert bool(len(prog.eq_b)) == eq_rows
         calls = self.record_factorizations(monkeypatch, 2, pivot, info)
         sol = solve(prog)
         assert calls == [1, 2]
@@ -498,14 +428,14 @@ class TestFactorizationGuard:
         assert sol.reason == "factorization failed"
         assert np.isfinite(sol.x).all()
 
-    @pytest.mark.parametrize("eq_rows", [False, True])
-    def test_failed_start_factorization(self, monkeypatch, eq_rows):
+    @pytest.mark.parametrize("mpc", [False, True])
+    def test_failed_start_factorization(self, monkeypatch, mpc):
         # the solve starts from the zero points shifted inside and still
-        # reaches the optimum of an unpatched solve; with equality rows the
-        # start is that of the reduced program, whose h is h - G x_p
+        # reaches the optimum of an unpatched solve, on an LQC and on an MPC
+        # program
         from soclqc import solver
 
-        if eq_rows:
+        if mpc:
             prog = build_mpc_socp(double_integrator_mpc(4), [2.0, 0.5]).program
         else:
             prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
@@ -522,12 +452,7 @@ class TestFactorizationGuard:
         sol = solve(prog)
         cones = solver._Cones(prog.nn, prog.soc)
         h, kkt, (x, s, z) = starts[0]
-        if eq_rows:
-            x_p, null, _ = solver._null_space(prog.eq_A, prog.eq_b)
-            assert np.array_equal(h, prog.h - prog.G @ x_p)
-            assert kkt.n == null.shape[1] == prog.num_vars - len(prog.eq_b)
-        else:
-            assert h is prog.h and kkt.n == prog.num_vars
+        assert h is prog.h and kkt.n == prog.num_vars
         assert not x.any() and len(x) == kkt.n
         assert np.array_equal(s, cones.shift_inside(h))
         assert np.array_equal(z, cones.shift_inside(np.zeros(cones.total)))
@@ -557,6 +482,74 @@ class TestFactorizationGuard:
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.reason == "factorization failed"
         assert np.isfinite(sol.x).all()
+
+
+class TestNumericalExits:
+    """The NumericalFailure exits of the iteration other than a failed
+    factorization.  Three are reached by programs whose data overflow in the
+    iteration, the three "non-finite or vanishing step" sites by a patched
+    kernel; each returns a finite iterate."""
+
+    @staticmethod
+    def program(c, G, h):
+        """min c'x subject to the nonnegative rows h - G x >= 0."""
+        b = ConicProgramBuilder()
+        b.add_vars(len(c))
+        b.set_objective_row(c)
+        b.add_block_rows(-np.asarray(G, dtype=float)[:, None], np.asarray(h, dtype=float)[:, None])
+        return b.build()
+
+    @pytest.mark.parametrize("c, G, h, reason", [
+        # x <= 1e200: the start's slack squares past the largest double
+        pytest.param([1.0], [[1.0]], [1e200], "scaling left the cone", id="scaling"),
+        # 1e-34 x <= 1e-96 under an objective of scale 1e100: no shrink of
+        # the step keeps the slack inside its cone
+        pytest.param([-1e100], [[1e-34]], [1e-96], "60 line-search shrinks", id="line-search"),
+        # x1 is in no row, so the program is unbounded, and its objective
+        # term overflows before the improving-ray test can fire; x1 then
+        # passes the largest double
+        pytest.param([1.0, -3e297], [[-1.0, 0.0]], [0.0], "non-finite iterate",
+                     id="non-finite-iterate"),
+    ])
+    def test_overflowing_program(self, c, G, h, reason):
+        with np.errstate(all="ignore"):
+            sol = solve(self.program(c, G, h))
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.reason == reason
+        assert np.isfinite(sol.x).all()
+
+    @pytest.mark.parametrize("site", ["predictor", "divisible", "corrector"])
+    def test_non_finite_step(self, monkeypatch, site):
+        # dpotrs call 1 is the start's, and iteration 0 makes calls 2-3 for
+        # the predictor and 4-5 for the corrector: a nan from call 2 or 4
+        # makes that direction's step length nan.  Between the two, a
+        # scaled dual that solve_product cannot divide by ends the solve
+        from soclqc import solver
+
+        prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
+        real_dpotrs, calls, checked = solver.lapack.dpotrs, [], []
+
+        def dpotrs(*args, **kwargs):
+            calls.append(1)
+            x, info = real_dpotrs(*args, **kwargs)
+            if len(calls) == {"predictor": 2, "corrector": 4}.get(site):
+                x[:] = np.nan
+            return x, info
+
+        def divisible(self, lam):
+            checked.append(1)
+            return False
+
+        monkeypatch.setattr(solver.lapack, "dpotrs", dpotrs)
+        if site == "divisible":
+            monkeypatch.setattr(solver._Cones, "divisible", divisible)
+        with np.errstate(invalid="ignore"):
+            sol = solve(prog)
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.reason == "non-finite or vanishing step"
+        assert sol.iterations == 0 and np.isfinite(sol.x).all()
+        assert len(calls) == (5 if site == "corrector" else 3)
+        assert checked == ([1] if site == "divisible" else [])
 
 
 class TestPrivateElimination:
@@ -660,20 +653,6 @@ class TestPrivateElimination:
         assert sol.status is Status.OPTIMAL
         assert np.allclose(sol.x, [1.0] * (n - 1) + [np.sqrt(2.0)], atol=1e-7)
         assert abs(sol.objective - (n + np.sqrt(2.0))) <= 1e-7 * n
-
-    def test_column_used_by_an_equality_row_not_eliminated(self):
-        # the program of test_one_private_variable_per_block with x2 = 2:
-        # the solve runs in the null space of the row, where x2 is fixed
-        b = ConicProgramBuilder()
-        b.add_vars(3)
-        b.set_objective_row([1.0, 1.0, 1.0])
-        b.add_block_rows([[[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]]], [[0.0, 0.0, 1.0]])
-        b.add_block_rows([[[0.0, 0.0, 1.0]]], [[-1.0]])
-        b.add_eq_rows([[0.0, 0.0, 1.0]], [2.0])
-        prog = b.build()
-        sol = solve(prog)
-        assert sol.status is Status.OPTIMAL
-        assert np.allclose(sol.x, [0.5, 0.5, 2.0], atol=1e-7)
 
     def test_zero_column_not_eliminated(self):
         # x1 appears in no block; the regularization keeps H + D definite
@@ -784,80 +763,34 @@ class TestPrivateElimination:
         assert H_pd.shape == ref.shape == (kkt.k, kkt.n - kkt.k)
         assert np.abs(H_pd - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("compact", [False, True])
-    def test_factor_with_equality_rows(self, rng, compact):
-        # the solve runs in the null space of the equality rows, from one
-        # SVD of A: A x_p = b with x_p least-norm, A N = 0, N'N = I, and
-        # y_eq the least-squares y of A'y = -(c + 2F'F x + G'z).  On an MPC program,
-        # and on a scalar N = 60 regret program with two random equality
-        # rows on its inputs y, whose reduced program G N keeps the compact
-        # form
-        from soclqc.solver import _Cones, _KktFactor, _null_space
-
-        if compact:
-            socp = build_regret_socp(scalar_benchmark_spec(60), [0.5])
-            eq_A = np.zeros((2, socp.program.num_vars))
-            eq_A[:, socp.y_index] = rng.standard_normal((2, len(socp.y_index)))
-            prog = replace(socp.program, eq_A=eq_A, eq_b=rng.standard_normal(2))
-        else:
-            prog = build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]).program
-        A, b, n = prog.eq_A, prog.eq_b, prog.num_vars
-        x_p, null, lsq = _null_space(A, b)
-        scale = 1e-12 * (1.0 + np.linalg.norm(b))
-        assert null.shape == (n, n - np.linalg.matrix_rank(A))
-        assert np.linalg.norm(A @ x_p - b) <= scale
-        assert np.linalg.norm(null.T @ x_p) <= scale
-        assert np.abs(A @ null).max() <= 1e-12 * np.abs(A).max()
-        assert np.allclose(null.T @ null, np.eye(null.shape[1]), rtol=0, atol=1e-12)
-        r = rng.standard_normal(n)
-        ref = np.linalg.lstsq(A.T, r, rcond=None)[0]
-        assert np.allclose(lsq(r), ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
-        F = prog.obj_F
-        assert _KktFactor(prog.G @ null, F @ null, _Cones(prog.nn, prog.soc)).compact == compact
-        sol = solve(prog)
-        assert sol.status is Status.OPTIMAL
-        assert np.linalg.norm(A @ sol.x - b) <= scale
-        grad = prog.obj + 2.0 * F.T @ (F @ sol.x) + prog.G.T @ sol.z
-        ref = np.linalg.lstsq(A.T, -grad, rcond=None)[0]
-        assert np.allclose(sol.y_eq, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
-
 
 class TestQuadraticObjective:
     """The objective ``||F x||^2 + c'x``, taken directly, against the same
     program with its cost in an epigraph block (``helpers.epigraph_program``),
-    with and without equality rows, in the dense and the compact form."""
+    in the dense and the compact form."""
 
-    CASES = ["random", "random-eq", "lqc-dense", "lqc-dense-eq", "lqc-compact",
-             "lqc-compact-eq", "mpc"]
+    CASES = ["random", "lqc-dense", "lqc-compact", "mpc"]
 
     @staticmethod
     def program(name, rng):
         if name.startswith("random"):
             # bounded with its linear objective, so with any F; F has full
             # column rank (the epigraph form's Cholesky factor needs it)
-            prog, _ = make_kkt_instance(rng, eq_only=name.endswith("eq"))
+            prog, _ = make_kkt_instance(rng)
             return replace(prog, obj_F=rng.standard_normal((prog.num_vars + 1, prog.num_vars)))
         if name == "mpc":
             return build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]).program
-        socp = build_regret_socp(scalar_benchmark_spec(60 if "compact" in name else 5), [0.5])
-        prog = socp.program
-        if name.endswith("eq"):
-            eq_A = np.zeros((2, prog.num_vars))
-            eq_A[:, socp.y_index] = rng.standard_normal((2, len(socp.y_index)))
-            prog = replace(prog, eq_A=eq_A, eq_b=rng.standard_normal(2))
-        return prog
+        N = 60 if "compact" in name else 5
+        return build_regret_socp(scalar_benchmark_spec(N), [0.5]).program
 
     @pytest.mark.parametrize("name", CASES)
     def test_matches_epigraph_form(self, rng, name):
-        from soclqc.solver import _Cones, _KktFactor, _null_space
+        from soclqc.solver import _Cones, _KktFactor
 
         for _ in range(5 if name.startswith("random") else 1):
             prog = self.program(name, rng)
-            G, F = prog.G, prog.obj_F
-            if len(prog.eq_b):
-                null = _null_space(prog.eq_A, prog.eq_b)[1]
-                G, F = G @ null, F @ null
-            assert _KktFactor(G, F, _Cones(prog.nn, prog.soc)).compact == ("compact" in name)
+            kkt = _KktFactor(prog.G, prog.obj_F, _Cones(prog.nn, prog.soc))
+            assert kkt.compact == ("compact" in name)
             sol, ref = solve(prog), solve(epigraph_program(prog))
             assert sol.status is ref.status is Status.OPTIMAL, (sol.reason, ref.reason)
             assert abs(sol.objective - ref.objective) <= 1e-7 * (1.0 + abs(ref.objective))
