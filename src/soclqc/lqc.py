@@ -173,49 +173,59 @@ class LqcSpec:
         return self.horizon * self.n_w
 
     @cached_property
-    def prediction(self) -> PredictionMatrices:
-        """Stacked maps with (x_1, ..., x_N) = F x0 + G u + H w."""
+    def _prediction_rows(self) -> np.ndarray:
+        """The block row [F | G | H] of :attr:`prediction`, by the recursion
+        [F_k | G_k | H_k] = A_k [F_{k-1} | G_{k-1} | H_{k-1}] plus B_k and C_k
+        in stage k's columns: one product per stage."""
         N, n_x, n_u, n_w = self.horizon, self.n_x, self.n_u, self.n_w
-        F = np.zeros((N * n_x, n_x))
-        G = np.zeros((N * n_x, N * n_u))
-        H = np.zeros((N * n_x, N * n_w))
-        prev_F = np.eye(n_x)
+        S = np.zeros((N * n_x, n_x + N * (n_u + n_w)))
+        S[:n_x, :n_x] = self.A[0]
+        u0, w0 = n_x, n_x + N * n_u  # first columns of G and H
         for k in range(N):
             rows = slice(k * n_x, (k + 1) * n_x)
             if k > 0:
-                prev = slice((k - 1) * n_x, k * n_x)
-                G[rows] = self.A[k] @ G[prev]
-                H[rows] = self.A[k] @ H[prev]
-            G[rows, k * n_u : (k + 1) * n_u] = self.B[k]
-            H[rows, k * n_w : (k + 1) * n_w] = self.C[k]
-            prev_F = self.A[k] @ prev_F
-            F[rows] = prev_F
-        return PredictionMatrices(F, G, H)
+                S[rows] = self.A[k] @ S[(k - 1) * n_x : k * n_x]
+            S[rows, u0 + k * n_u : u0 + (k + 1) * n_u] = self.B[k]
+            S[rows, w0 + k * n_w : w0 + (k + 1) * n_w] = self.C[k]
+        return S
+
+    @cached_property
+    def prediction(self) -> PredictionMatrices:
+        """Stacked maps with (x_1, ..., x_N) = F x0 + G u + H w, views of
+        one block row."""
+        S, n_x = self._prediction_rows, self.n_x
+        w0 = n_x + self.stacked_input_dim
+        return PredictionMatrices(S[:, :n_x], S[:, n_x:w0], S[:, w0:])
 
     @cached_property
     def cost_pieces(self) -> dict:
         """x0-independent pieces of the compact cost: the quadratic and cross
-        blocks, and each linear term as ``*_x0 @ x0 + *_0``."""
-        pred = self.prediction
-        N = self.horizon
-        Qbar = np.zeros((N * self.n_x, N * self.n_x))
-        Rbar = np.zeros((N * self.n_u, N * self.n_u))
-        for k in range(N):
-            Qbar[k * self.n_x : (k + 1) * self.n_x, k * self.n_x : (k + 1) * self.n_x] = self.Q[k]
-            Rbar[k * self.n_u : (k + 1) * self.n_u, k * self.n_u : (k + 1) * self.n_u] = self.R[k]
-        qbar = self.q.reshape(-1)
-        rbar = self.r.reshape(-1)
-        QF = Qbar @ pred.F
+        blocks, and each linear term as ``*_x0 @ x0 + *_0``.  Q is applied
+        stage by stage to the block row S = [F | G | H]; one product of its
+        (u, w) columns with QS gives every block that an input or a
+        disturbance enters."""
+        S, pred = self._prediction_rows, self.prediction
+        N, n_x, n_u = self.horizon, self.n_x, self.n_u
+        nu = N * n_u
+        QS = np.matmul(self.Q, S.reshape(N, n_x, -1)).reshape(S.shape)
+        quad = S[:, n_x:].T @ QS  # rows (u, w), columns (x0, u, w)
+        lin = S.T @ self.q.reshape(-1)  # (x0, u, w)
+        Rbar = np.zeros((N, n_u, N, n_u))
+        stage = np.arange(N)
+        Rbar[stage, :, stage, :] = self.R
+        u_rows, w_rows = quad[:nu], quad[nu:]
+        w0 = n_x + nu
+        # copies of the blocks, so that the cache does not keep all of quad
         return {
-            "w_quad": symmetrize(pred.H.T @ Qbar @ pred.H),
-            "cross": pred.G.T @ Qbar @ pred.H,
-            "u_quad": symmetrize(pred.G.T @ Qbar @ pred.G + Rbar),
-            "w_lin_x0": pred.H.T @ QF,
-            "w_lin_0": pred.H.T @ qbar,
-            "u_lin_x0": pred.G.T @ QF,
-            "u_lin_0": pred.G.T @ qbar + rbar,
-            "x0_quad": symmetrize(pred.F.T @ QF),
-            "x0_lin": pred.F.T @ qbar,
+            "w_quad": symmetrize(w_rows[:, w0:]),
+            "cross": u_rows[:, w0:].copy(),
+            "u_quad": symmetrize(u_rows[:, n_x:w0] + Rbar.reshape(nu, nu)),
+            "w_lin_x0": w_rows[:, :n_x].copy(),
+            "w_lin_0": lin[w0:],
+            "u_lin_x0": u_rows[:, :n_x].copy(),
+            "u_lin_0": lin[n_x:w0] + self.r.reshape(-1),
+            "x0_quad": symmetrize(pred.F.T @ QS[:, :n_x]),
+            "x0_lin": lin[:n_x],
         }
 
     @cached_property

@@ -8,13 +8,14 @@ grid oracles next to the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class BisectionFailure(RuntimeError):
-    """Secular-equation bisection did not converge."""
+    """The secular equation could not be bracketed or solved."""
 
 
 HARD_CASE_RTOL = 1e-10
@@ -35,10 +36,13 @@ def max_quad_over_ball(C: np.ndarray, h: np.ndarray, gamma: float) -> BallMaxRes
 
     Stationarity on the boundary reads (nu I - C) w = h with
     nu >= max(ev_max, 0), where ev are the eigenvalues of C;  nu is
-    found by bisection on ||w(nu)|| = gamma.  An interior stationary point is
-    only optimal when C is negative definite.  The hard case (h orthogonal to
-    the top eigenspace and the pseudo-solution short of the boundary) is
-    resolved by augmenting with a top eigenvector.
+    found by safeguarded Newton on 1/||w(nu)|| = 1/gamma inside a bisection
+    bracket, from a point left of the root, and stops when | ||w(nu)|| -
+    gamma | <= 1e-12 max(1, gamma) or when the root is located within
+    rounding.  An interior stationary point is only optimal when C is negative
+    definite.  The hard case (h orthogonal to the top eigenspace and the
+    pseudo-solution short of the boundary) is resolved by augmenting with a
+    top eigenvector.
     """
     C = 0.5 * (np.asarray(C, dtype=float) + np.asarray(C, dtype=float).T)
     h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -84,7 +88,6 @@ def max_quad_over_ball(C: np.ndarray, h: np.ndarray, gamma: float) -> BallMaxRes
             return BallMaxResult(w, objective(w), float(nu_floor), True)
 
     # bracket: ||w(nu)|| decreases on (nu_floor, inf) toward 0
-    lo = nu_floor
     hi = max(nu_floor + np.linalg.norm(h) / gamma, nu_floor * 1.5 + 1.0)
     for _ in range(200):
         if w_norm(hi) < gamma:
@@ -93,11 +96,21 @@ def max_quad_over_ball(C: np.ndarray, h: np.ndarray, gamma: float) -> BallMaxRes
     else:
         raise BisectionFailure("could not bracket the secular equation")
 
+    # safeguarded Newton on phi(nu) = 1/||w(nu)|| - 1/gamma, which is
+    # concave and increasing on (ev_max, inf) (More & Sorensen, SIAM J. Sci.
+    # Stat. Comput. 1983): from a point left of the root (||w|| >= gamma)
+    # every Newton step stays left of it and climbs to it.  Such a point is
+    # ev_max + |h_1| / gamma, h_1 the top eigenvector's part of h, because
+    # ||w(nu)|| >= |h_1| / (nu - ev_max), and nu_floor = 0 when C is negative
+    # definite (its interior stationary point lies outside the ball).  When
+    # neither exists (h_1 = 0) the iteration starts at hi.  Each evaluation
+    # narrows the bracket, and a step that leaves it is replaced by bisection
+    lo = max(nu_floor, ev_max + abs(h_rot[-1]) / gamma)
+    nu = lo if lo > ev_max else hi
     converged = False
-    nu = hi
     for _ in range(200):
-        nu = 0.5 * (lo + hi)
-        norm = w_norm(nu)
+        w_rot = h_rot / (nu - ev)
+        norm = math.sqrt(w_rot @ w_rot)
         if abs(norm - gamma) <= 1e-12 * max(1.0, gamma):
             converged = True
             break
@@ -105,15 +118,18 @@ def max_quad_over_ball(C: np.ndarray, h: np.ndarray, gamma: float) -> BallMaxRes
             lo = nu
         else:
             hi = nu
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            # the root is within rounding of the top eigenvalue; the norm is
-            # too steep there for bisection, finish like the hard case
+        # phi / phi' with phi' = sum(w_i^2 / (nu - ev_i)) / ||w||^3
+        step = norm * norm * (norm - gamma) / (gamma * (w_rot @ (w_rot / (nu - ev))))
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)) or abs(step) <= 1e-15 * max(1.0, abs(nu)):
+            # the root is within rounding of nu, which lies so near the top
+            # eigenvalue that the norm is too steep for the stopping test:
+            # finish like the hard case
             break
-    w_rot = h_rot / (nu - ev)
+        nu = nu + step if lo < nu + step < hi else 0.5 * (lo + hi)
     if not converged:
         norm_rest = np.linalg.norm(w_rot[~top])
         if norm_rest > gamma or not np.any(top):
-            raise BisectionFailure("secular bisection stalled")
+            raise BisectionFailure("secular iteration stalled")
         need = np.sqrt(gamma**2 - norm_rest**2)
         top_part = np.linalg.norm(w_rot[top])
         if top_part > 0:

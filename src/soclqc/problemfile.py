@@ -52,7 +52,8 @@ def _numbers(values: list, where: str) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def _matrix(obj: Any, where: str) -> np.ndarray:
+def _matrix_shape(obj: Any, where: str) -> tuple[int, int]:
+    """A matrix's (rows, cols), with its keys, counts and data length checked."""
     _require_keys(obj, {"rows", "cols", "data"}, set(), where)
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     if not (type(rows) is int and type(cols) is int) or rows < 0 or cols < 0:
@@ -62,7 +63,12 @@ def _matrix(obj: Any, where: str) -> np.ndarray:
             f"{where}: data length {len(data) if isinstance(data, list) else '?'} "
             f"does not match rows*cols = {rows * cols}"
         )
-    return _numbers(data, where).reshape(rows, cols)
+    return rows, cols
+
+
+def _matrix(obj: Any, where: str) -> np.ndarray:
+    shape = _matrix_shape(obj, where)
+    return _numbers(obj["data"], where).reshape(shape)
 
 
 def _vector(obj: Any, where: str) -> np.ndarray:
@@ -72,9 +78,24 @@ def _vector(obj: Any, where: str) -> np.ndarray:
 
 
 def _matrix_list(obj: Any, count: int, where: str) -> np.ndarray:
+    """The matrices as one (count, rows, cols) array.  Their structure is
+    checked matrix by matrix, then all entries are converted by one
+    :func:`_numbers` call; when that fails, the per-matrix conversion names
+    the matrix."""
     if not isinstance(obj, list) or len(obj) != count:
         raise ProblemFileError(f"{where}: expected a list of {count} matrices")
-    return np.array([_matrix(m, f"{where}[{k}]") for k, m in enumerate(obj)])
+    shapes = [_matrix_shape(m, f"{where}[{k}]") for k, m in enumerate(obj)]
+    for k, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise ProblemFileError(f"{where}[{k}]: shape {shape} differs from {where}[0]'s "
+                                   f"{shapes[0]}")
+    try:
+        values = _numbers([v for m in obj for v in m["data"]], where)
+    except ProblemFileError:
+        for k, m in enumerate(obj):
+            _numbers(m["data"], f"{where}[{k}]")
+        raise
+    return values.reshape(count, *shapes[0])
 
 
 def _vector_list(obj: Any, count: int, where: str) -> np.ndarray:

@@ -14,10 +14,11 @@ congruence S, that matrix inequality collapses to one linear constraint plus
 per-coordinate hyperbolic constraints, which is what
 :func:`emit_simplified_slemma` appends to a conic program.  For positive
 definite A, :func:`simultaneous_diagonalize` finds S by one LAPACK ``dsygvd``
-call, the Cholesky reduction of the generalized eigenproblem, with the
-diagonal of S^T D S ascending.  The bordered matrix itself is kept purely as
-a numerical verification oracle (:func:`assemble_classical_lmi` +
-:func:`check_psd`); it is never solved as a semidefinite program.
+call, the Cholesky reduction of the generalized eigenproblem (by one
+``dsyevd`` when A is the identity), with the diagonal of S^T D S ascending.
+The bordered matrix itself is kept purely as a numerical verification
+oracle (:func:`assemble_classical_lmi` + :func:`check_psd`); it is never
+solved as a semidefinite program.
 :func:`assemble_classical_lmi` is the package's only layout of it: the
 robust LQC certificate (``lqc.robust_certificate_matrix``) is the same
 matrix of a lifted pair.
@@ -101,8 +102,9 @@ def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
     delta comes in ascending order.  S S^T = A^{-1}, so cond(S) =
     sqrt(cond(A)); the positive-definiteness guard, which needs
     lambda_min(A) > 1e-10 max(1, ||A||_F) >= 1e-10 lambda_max(A), keeps it
-    below 1e5.  The identity, the A of every LQC ball pair, passes the guard
-    without an eigenvalue computation.
+    below 1e5.  For the identity, the A of every LQC ball pair, the problem
+    is the plain one D s = delta s, solved by ``np.linalg.eigh`` (``dsyevd``)
+    with no guard and no Cholesky reduction; S is then orthogonal.
     """
     A = symmetrize(A)
     D = symmetrize(D)
@@ -111,11 +113,14 @@ def simultaneous_diagonalize(A: np.ndarray, D: np.ndarray) -> SimulDiag:
         raise DegenerateInput("empty matrix pair")
     if D.shape[0] != n:
         raise DimensionMismatch("A and D sizes differ")
-    if not np.array_equal(A, np.eye(n)):
+    if np.array_equal(A, np.eye(n)):
+        # the pair of every LQC ball: a plain symmetric eigenproblem
+        delta, S = np.linalg.eigh(D)
+    else:
         evals_a = np.linalg.eigvalsh(A)
         if evals_a[0] <= 1e-10 * max(1.0, np.linalg.norm(A)):
             raise NotPositiveDefinite("first matrix of the pair must be positive definite")
-    delta, S = scipy.linalg.eigh(D, A)
+        delta, S = scipy.linalg.eigh(D, A)
     # row-major S: the builders' products with S^T depend on its layout in
     # their last bits
     return SimulDiag(np.ascontiguousarray(S), np.ones(n), delta)

@@ -29,12 +29,18 @@ factorization at W = I, its primal and dual parts from one solve with two
 right-hand sides.
 
 On its own this route loses accuracy near convergence: H carries the squared
-condition number of the scaling, and D biases the step.  Each KKT solve is
-therefore corrected once against the full, unregularized two-block system, as
-CVXOPT's ``coneqp`` refines once when a program has second-order cones: one
-reduced solve, one residual, which needs only products with 2P, G, G' and W,
-and one more reduced solve of that residual from the same factorization.  So
-the work is fixed: two ``dpotrs`` calls per KKT solve, four per iteration.
+condition number of the scaling, and D biases the step.  The combined
+direction, the only one that moves the iterate, is therefore corrected once
+against the full, unregularized two-block system, as CVXOPT's ``coneqp``
+refines once when a program has second-order cones: one reduced solve, one
+residual, which needs only products with 2P, G, G' and W, and one more
+reduced solve of that residual from the same factorization.  The predictor
+direction only chooses sigma, its step and the second-order term (Mehrotra,
+SIAM J. Optim. 1992), so it is one reduced solve, uncorrected.  So the work
+is fixed: three ``dpotrs`` calls per iteration.  A reduced solve takes its
+right-hand side scaled, ``W^-1 r_z``, and returns ``W dz`` beside dz, which
+the residual and the second-order term reuse; with the NT identities ``W z =
+W^-1 s = lam`` an iteration applies W or W^-1 to seven vectors.
 
 The cone layer (:class:`_Cones`) treats every block, nonnegative rows
 included, as a segment of one flat layout, so each cone operation is a fixed
@@ -108,13 +114,13 @@ class Solution:
 
 class _Scaling(NamedTuple):
     """NT scaling ``W = beta (2 v v' - J)`` in the per-row arrays that
-    :meth:`_Cones.apply_w` uses, so its calls do not re-derive them."""
+    :meth:`_Cones.apply_w` uses, so its calls do not re-derive them: per
+    block ``W u = a (v'u) - bJ u`` with ``(v, a, bJ) = fwd``, and ``W^-1 =
+    (2 Jv (Jv)' - J) / beta`` likewise with ``inv`` (beta, v and J per row
+    of each block)."""
 
-    beta: np.ndarray  # beta of each row's block
-    v: np.ndarray
-    v2: np.ndarray  # 2 v
-    jv: np.ndarray  # J v
-    jv2: np.ndarray  # 2 J v
+    fwd: tuple  # (v, 2 beta v, beta J)
+    inv: tuple  # (J v, 2 J v / beta, J / beta)
 
 
 class _Cones:
@@ -145,6 +151,7 @@ class _Cones:
         self.starts = np.cumsum(dims) - dims
         self.total = int(dims.sum())
         self.blk = np.repeat(np.arange(self.num_blocks), dims)
+        self.head = self.starts[self.blk]  # the row of each row's block head
         self.sign = -np.ones(self.total)
         self.sign[self.starts] = 1.0
         self.tail = (self.sign < 0).astype(float)
@@ -171,13 +178,17 @@ class _Cones:
     def _tail_norm(self, u: np.ndarray) -> np.ndarray:
         return np.sqrt(self._sum(u * u * self.tail))
 
+    def heads_and_norms(self, u: np.ndarray):
+        """The block heads of u and the norms of the block tails (of each
+        stacked row): u is interior when every head exceeds its norm.  The
+        line search tests that, and hands both to the next
+        :meth:`nt_scaling`."""
+        return u[..., self.starts], self._tail_norm(u)
+
     def identity(self) -> np.ndarray:
         e = np.zeros(self.total)
         e[self.starts] = 1.0
         return e
-
-    def inside(self, u: np.ndarray) -> bool:
-        return bool((u[..., self.starts] - self._tail_norm(u) > 0).all())
 
     def shift_inside(self, u: np.ndarray, pad: float = 1.0) -> np.ndarray:
         """Translate each block along the cone identity until well interior.
@@ -199,31 +210,31 @@ class _Cones:
         if not np.isfinite(du).all():
             return np.nan
         nn = self.nn
-        # dimension-1 blocks: a linear ratio test (their quadratic below has
-        # a double root, and its discriminant can round negative)
-        b, db = u[..., :nn], du[..., :nn]
-        falling = db < 0
-        alpha = (-b[falling] / db[falling]).min(initial=np.inf)
-        # second-order blocks: first root of a2 a^2 + a1 a + a0 =
-        # (b0+a db0)^2 - ||b1+a db1||^2, where a0 > 0 (factored to limit
-        # cancellation near the boundary); 2 a0 / (sqrt(disc) - a1) is that
-        # root without cancellation, and there is none when disc < 0 or the
-        # denominator is not positive
+        # the step is 1 / rate, the largest rate at which a block nears its
+        # boundary.  Dimension-1 blocks: -db / b, with b > 0 inside (their
+        # quadratic below has a double root, and its discriminant can round
+        # negative)
+        rate = (-du[..., :nn] / u[..., :nn]).max(initial=0.0)
+        # second-order blocks: first root of a2 a^2 + 2 a1 a + a0 =
+        # (b0+a db0)^2 - ||b1+a db1||^2, where a0 > 0 inside (factored to
+        # limit cancellation near the boundary); its rate (sqrt(disc) - a1) /
+        # a0, disc = a1^2 - a2 a0, has no cancellation, and there is no root
+        # when disc < 0 or the rate is not positive
         if dets is None:
-            head, nb = u[..., self.starts], self._tail_norm(u)
-            dets = (head - nb) * (head + nb)
+            heads, norms = self.heads_and_norms(u)
+            dets = (heads - norms) * (heads + norms)
         a0 = dets[..., nn:]
-        a1 = 2.0 * self._sum(u * du * self.sign)[..., nn:]
-        a2 = self._sum(du * du * self.sign)[..., nn:]
-        disc = a1 * a1 - 4.0 * a2 * a0
-        den = np.sqrt(np.maximum(disc, 0.0)) - a1
-        hit = (disc >= 0) & (den > 0)
-        alpha = min(alpha, (2.0 * a0[hit] / den[hit]).min(initial=np.inf))
-        return float(alpha)
+        jdu = du * self.sign
+        a1 = self._sum(u * jdu)[..., nn:]
+        a2 = self._sum(du * jdu)[..., nn:]
+        disc = a1 * a1 - a2 * a0
+        rates = (np.sqrt(np.maximum(disc, 0.0)) - a1) / a0
+        rate = max(rate, rates[disc >= 0].max(initial=0.0))
+        return 1.0 / rate if rate > 0 else np.inf
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Jordan product per block."""
-        out = u[self.starts][self.blk] * v + v[self.starts][self.blk] * u
+        out = u[self.head] * v + v[self.head] * u
         out[self.starts] = self._sum(u * v)
         return out
 
@@ -236,18 +247,19 @@ class _Cones:
         """Solve lam o x = d per block (arrow-matrix inverse); lam must be
         :meth:`divisible`."""
         head = self._sum(lam * d * self.sign) / self._sum(lam * lam * self.sign)
-        out = (d - head[self.blk] * lam) / lam[self.starts][self.blk]
+        out = (d - head[self.blk] * lam) / lam[self.head]
         out[self.starts] = head
         return out
 
-    def nt_scaling(self, sz: np.ndarray):
+    def nt_scaling(self, sz: np.ndarray, heads_and_norms=None):
         """NT scaling at the point (s, z), stacked as the rows of ``sz``.
 
         Returns ``(scaling, dets)``: the :class:`_Scaling` ``W = beta (2 v v'
         - J)``, and the ``(2, blocks)`` block determinants of s and z, which
-        :meth:`max_step` reuses at this point."""
-        heads = sz[:, self.starts]
-        nb = self._tail_norm(sz)
+        :meth:`max_step` reuses at this point.  ``heads_and_norms``, if
+        given, holds :meth:`heads_and_norms` of sz, as the line search that
+        accepted sz computed it."""
+        heads, nb = self.heads_and_norms(sz) if heads_and_norms is None else heads_and_norms
         dets = (heads - nb) * (heads + nb)
         if not ((heads > 0) & (dets > 0)).all():
             raise FloatingPointError("iterate left the cone interior")
@@ -262,23 +274,20 @@ class _Cones:
         v[self.starts] += 1.0
         v /= np.sqrt(2.0 * v[self.starts])[self.blk]
         jv = v * self.sign
-        return _Scaling(((ds / dz) ** 0.25)[self.blk], v, 2.0 * v, jv, 2.0 * jv), dets
+        beta = ((ds / dz) ** 0.25)[self.blk]
+        fwd = (v, 2.0 * beta * v, beta * self.sign)
+        inv = (jv, (2.0 / beta) * jv, self.sign / beta)
+        return _Scaling(fwd, inv), dets
 
     def apply_w(self, scaling, u: np.ndarray, inverse: bool = False) -> np.ndarray:
         """W u (or W^-1 u) for a slack vector or a matrix of slack columns,
         with W^-1 = (2 Jv (Jv)' - J) / beta."""
-        beta = scaling.beta
-        v, v2 = (scaling.jv, scaling.jv2) if inverse else (scaling.v, scaling.v2)
+        v, a, bJ = scaling.inv if inverse else scaling.fwd
         if u.ndim == 1:
-            out = v2 * self._sum(v * u)[self.blk] - self.sign * u
-            return out / beta if inverse else out * beta
+            return a * self._sum(v * u)[self.blk] - bJ * u
         # a matrix takes one batched product per group of second-order
         # blocks, which is faster than per-block sums over its columns: per
-        # row, W = a v' - b J with b = beta (for W^-1, 1/beta and v = Jv)
-        # and a = 2 b v
-        b = 1.0 / beta if inverse else beta
-        a = b * v2
-        bJ = b * self.sign
+        # row, W = a v' - bJ
         nn, cols = self.nn, u.shape[1]
         out = np.empty_like(u)
         np.multiply(u[:nn], (a[:nn] * v[:nn] - bJ[:nn])[:, None], out=out[:nn])
@@ -502,6 +511,8 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
 
     reg = 1e-10
     x, s, z = _initial_point(c, h, kkt, reg)
+    sz = np.array((s, z))  # the slacks and duals, stacked as rows
+    heads_and_norms = None  # of sz, from the line search that accepted it
 
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
@@ -514,6 +525,7 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         mul, tmul, G_mat = np.matmul, lambda M, v: M.T @ v, G
 
     for it in range(max_iters + 1):
+        s, z = sz
         Px2 = hess @ x  # 2 P x
         xPx = 0.5 * float(x @ Px2)
         Gz = tmul(G_mat, z)
@@ -521,8 +533,9 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         r_dual = Gz + c + Px2
         gap = float(s @ z)
         cx = float(c @ x)
+        hz = float(h @ z)
         pobj = cx + xPx
-        dobj = -float(h @ z) - xPx
+        dobj = -hz - xPx
 
         rp = _norm(r_cone) / norm_h
         rd = _norm(r_dual) / norm_c
@@ -535,19 +548,22 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         # infeasibility certificates (heuristic): a Farkas ray, -h'z > 0 and
         # G'z = 0 relative to ||z|| as in ECOS (relative to -h'z, a few rows
         # with large h let an ordinary iterate pass), or an improving ray,
-        # c'x < 0 with G x + s = r_cone + h and P x zero relative to it
-        if -float(h @ z) > 0 and _norm(Gz) <= TOL_FEAS * _norm(z) and rp > 10 * TOL_FEAS:
+        # c'x < 0 with G x + s = r_cone + h and P x zero relative to c'x /
+        # ||c||, as in ECOS (relative to c'x alone, a bounded program whose
+        # objective dwarfs h passes).  A gap that is nan, as when c'x
+        # overflows, does not switch the improving-ray test off
+        if -hz > 0 and _norm(Gz) <= TOL_FEAS * _norm(z) and rp > 10 * TOL_FEAS:
             return finish(Status.PRIMAL_INFEASIBLE, "dual iterate is a Farkas ray")
-        if cx < 0 and rg > 10 * TOL_GAP and max(_norm(r_cone + h), _norm(Px2)) <= -cx * TOL_FEAS:
+        if (cx < 0 and not rg <= 10 * TOL_GAP
+                and norm_c * max(_norm(r_cone + h), _norm(Px2)) <= -cx * TOL_FEAS):
             return finish(Status.DUAL_INFEASIBLE, "primal iterate is an improving ray")
         if it == max_iters:
             return finish(Status.MAX_ITERATIONS, "iteration limit")
 
         mu = gap / cones.num_blocks
 
-        sz = np.array((s, z))
         try:
-            scaling, dets = cones.nt_scaling(sz)
+            scaling, dets = cones.nt_scaling(sz, heads_and_norms)
         except FloatingPointError:
             return finish(Status.NUMERICAL_FAILURE, "scaling left the cone")
         lam = cones.apply_w(scaling, z)
@@ -560,68 +576,69 @@ def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution
         if info:
             return finish(Status.NUMERICAL_FAILURE, "factorization failed")
 
-        def solve_reduced(r_x, r_z):
-            wr = cones.apply_w(scaling, r_z, inverse=True)
+        def solve_reduced(r_x, wr):
+            """The regularized reduced solve of (r_x, r_z), given ``wr = W^-1
+            r_z``: dx, dz and W dz, which is formed before dz = W^-1 (W dz)."""
             dx = kkt.solve(fac, r_x + tmul(Gw, wr))
-            return dx, cones.apply_w(scaling, mul(Gw, dx) - wr, inverse=True)
+            wdz = mul(Gw, dx) - wr
+            return dx, cones.apply_w(scaling, wdz, inverse=True), wdz
 
-        def kkt_residual(r_x, r_z, dx, dz):
-            """(r_x, r_z) minus the unregularized full system applied to
-            (dx, dz)."""
-            W2dz = cones.apply_w(scaling, cones.apply_w(scaling, dz))
-            return r_x - tmul(G_mat, dz) - hess @ dx, r_z - mul(G_mat, dx) + W2dz
-
-        def solve_kkt(r_x, r_z):
-            """Solve [[2P, G'], [G, -W^2]] (dx, dz) = (r_x, r_z) by one reduced
-            solve and one correction from the same factor; returns the
-            solution and its G dx."""
-            dx, dz = solve_reduced(r_x, r_z)
-            ex, ez = solve_reduced(*kkt_residual(r_x, r_z, dx, dz))
-            dx += ex
-            dz += ez
-            return dx, dz, mul(G_mat, dx)
-
-        def direction(d_lam):
-            """Newton direction for complementarity target -d_lam."""
-            dx, dz, Gdx = solve_kkt(-r_dual, -r_cone + cones.apply_w(scaling, d_lam))
-            return dx, dz, -r_cone - Gdx
-
-        def step_length(ds, dz, frac):
+        def step_length(dsz, frac):
             # one pass over the stacked rows (s, z), reusing their block
             # determinants; a nan step length is kept, where min() would
             # return 1.0
-            a = frac * cones.max_step(sz, np.array((ds, dz)), dets)
+            a = frac * cones.max_step(sz, dsz, dets)
             return 1.0 if a >= 1.0 else a
 
-        # predictor
-        dx_a, dz_a, ds_a = direction(lam)
-        alpha_a = step_length(ds_a, dz_a, 1.0)
+        # right-hand sides: r_x = -r_dual and r_z = W d_lam - r_cone for the
+        # complementarity target -d_lam, so W^-1 r_z = d_lam - W^-1 r_cone
+        r_x, wr_cone = -r_dual, cones.apply_w(scaling, r_cone, inverse=True)
+
+        # predictor: one reduced solve, uncorrected, for the target -lam; it
+        # only sets alpha_a, sigma and the second-order term
+        dx_a, dz_a, wdz_a = solve_reduced(r_x, lam - wr_cone)
+        dsz_a = np.array((-r_cone - mul(G_mat, dx_a), dz_a))
+        alpha_a = step_length(dsz_a, 1.0)
         if not np.isfinite(alpha_a):
             return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
-        gap_a = float((s + alpha_a * ds_a) @ (z + alpha_a * dz_a))
-        sigma = min(1.0, max(0.0, gap_a / gap)) ** 3
+        s_a, z_a = sz + alpha_a * dsz_a
+        sigma = min(1.0, max(0.0, float(s_a @ z_a) / gap)) ** 3
 
-        # corrector (Mehrotra second order term in the scaled space)
+        # corrector (Mehrotra second order term in the scaled space): d_lam
+        # solves lam o d_lam = lam o lam + (W^-1 ds_a) o (W dz_a) - sigma mu e,
+        # where W^-1 ds_a = -(lam + W dz_a), so d_lam = lam + lam^-1 o (the
+        # rest)
         if not cones.divisible(lam):
             return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
-        corr = cones.product(
-            cones.apply_w(scaling, ds_a, inverse=True), cones.apply_w(scaling, dz_a)
-        )
-        d_lam = cones.solve_product(lam, cones.product(lam, lam) + corr - sigma * mu * ident)
-        dx, dz, ds = direction(d_lam)
-        alpha = step_length(ds, dz, FRACTION_TO_BOUNDARY)
+        corr = cones.product(-(lam + wdz_a), wdz_a) - sigma * mu * ident
+        d_lam = lam + cones.solve_product(lam, corr)
+        # the combined direction solves [[2P, G'], [G, -W^2]] (dx, dz) =
+        # (r_x, r_z) by one reduced solve and one correction from the same
+        # factor, against the residual of the full, unregularized system:
+        # r_z - G dx + W^2 dz = W (d_lam + W dz) - r_cone - G dx
+        dx, dz, wdz = solve_reduced(r_x, d_lam - wr_cone)
+        res_z = cones.apply_w(scaling, d_lam + wdz) - r_cone - mul(G_mat, dx)
+        fix_x, fix_z, _ = solve_reduced(r_x - tmul(G_mat, dz) - hess @ dx,
+                                        cones.apply_w(scaling, res_z, inverse=True))
+        dx += fix_x
+        dz += fix_z
+        dsz = np.array((-r_cone - mul(G_mat, dx), dz))
+        alpha = step_length(dsz, FRACTION_TO_BOUNDARY)
         if not np.isfinite(alpha) or alpha <= 1e-14:
             return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
 
-        # guard against rounding in the boundary-step roots
+        # guard against rounding in the boundary-step roots; the heads and
+        # tail norms of the point it accepts are the next scaling's
         for _ in range(60):
-            if cones.inside(np.array((s + alpha * ds, z + alpha * dz))):
+            sz_new = sz + alpha * dsz
+            heads_and_norms = cones.heads_and_norms(sz_new)
+            if (heads_and_norms[0] - heads_and_norms[1] > 0).all():
                 break
             alpha *= 0.9
         else:
             return finish(Status.NUMERICAL_FAILURE, "60 line-search shrinks")
 
-        new = (x + alpha * dx, s + alpha * ds, z + alpha * dz)
-        if not all(np.all(np.isfinite(v)) for v in new):
+        x_new = x + alpha * dx
+        if not (np.isfinite(x_new).all() and np.isfinite(sz_new).all()):
             return finish(Status.NUMERICAL_FAILURE, "non-finite iterate")
-        x, s, z = new
+        x, sz = x_new, sz_new

@@ -12,7 +12,6 @@ modules at call time, so a wrapper installed there sees the calls.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -100,17 +99,37 @@ def verify_result(kind: str, spec, amb, result) -> list[Check]:
     return _verify_mpc(spec, result) if mode == "mpc" else _verify_lqc(spec, amb, mode, result)
 
 
-@functools.lru_cache(maxsize=1)
+# the sampled check's normal draws and radii, and the per-row scales of each
+# dimension asked for; the tuple is replaced as a whole (see _ball_samples)
+_draws = (np.empty((10_000, 0)), np.random.default_rng(1).random(10_000), {})
+
+
 def _ball_samples(n_w: int):
     """The sampled check's draws for disturbance dimension n_w, seeded and
     read-only: 10 000 normal directions Z and per-row scales r^(1/n_w) / ||Z||.
     The rows of ``gamma * scale * Z`` are uniform in the ball of radius gamma.
-    The norms are taken without a temporary the size of Z, so a new draw
-    holds at most the old and the new Z."""
-    rng = np.random.default_rng(0)
-    Z = rng.standard_normal((10_000, n_w))
-    scale = rng.random(10_000) ** (1.0 / n_w) / np.sqrt(np.einsum("ij,ij->i", Z, Z))
-    Z.flags.writeable = scale.flags.writeable = False
+
+    Z is the leading n_w columns of one draw at the largest dimension asked
+    for so far.  The draw fills it column by column from one seeded stream,
+    so a column does not depend on how many follow it: a larger dimension
+    draws once again, and the columns it shares with the old draw come out
+    the same.  A verify that alternates dimensions therefore draws only when
+    a new largest dimension comes, each dimension's samples are the same
+    whatever ran before, and two threads that grow the draw at once make
+    equal arrays.  The scales of each dimension are kept, 10 000 entries
+    per dimension up to the largest."""
+    global _draws
+    Z, radii, scales = _draws
+    if Z.shape[1] < n_w:
+        Z = np.random.default_rng(0).standard_normal((n_w, 10_000)).T
+        Z.flags.writeable = False
+        _draws = (Z, radii, scales)
+    Z = Z[:, :n_w]
+    scale = scales.get(n_w)
+    if scale is None:
+        scale = radii ** (1.0 / n_w) / np.sqrt(np.einsum("ij,ij->i", Z, Z))
+        scale.flags.writeable = False
+        scales[n_w] = scale
     return Z, scale
 
 
@@ -161,11 +180,9 @@ def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
     # Z is formed beside the cached one
     Z, scale = _ball_samples(len(lin))
     s = gamma * scale
-    # z'Qz as one BLAS product and a row sum, in place; the three-operand
+    # z'Qz as one BLAS product and a two-operand einsum; the three-operand
     # einsum would run as an unoptimized loop
-    zQz = Z @ quad
-    zQz *= Z
-    vals = s * s * zQz.sum(1) + 2.0 * s * (Z @ h_eff)
+    vals = s * s * np.einsum("ij,ij->i", Z @ quad, Z) + 2.0 * s * (Z @ h_eff)
     report.append(_check("sampled disturbances below bound", float(np.max(vals)) - bound,
                          1e-6 * (1 + abs(bound))))
     return report

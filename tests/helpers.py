@@ -405,9 +405,10 @@ def double_integrator_mpc(N=8, x_bound=5.0, u_bound=1.0) -> MpcSpec:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles that only the tests use: the clairvoyant input, a grid
-# worst case over one- or two-dimensional disturbance balls, and the
-# simplified and classical S-lemma certificates over a multiplier grid
+# brute-force oracles that only the tests use: the clairvoyant input, the
+# ball maximum by plain bisection, a grid worst case over one- or
+# two-dimensional disturbance balls, and the simplified and classical S-lemma
+# certificates over a multiplier grid
 
 
 class DimensionTooLarge(ValueError):
@@ -425,6 +426,43 @@ def closed_form_inner_min(compact, w: np.ndarray):
     rhs = compact.u_lin + compact.cross @ w
     v_star = -np.linalg.solve(compact.u_quad, rhs)
     return v_star, compact.evaluate(v_star, w)
+
+
+def bisection_ball_max(C, h, gamma: float) -> float:
+    """Max of w'Cw + 2h'w over the ball of radius gamma by plain bisection on
+    ||w(nu)|| = gamma, w(nu) = (nu I - C)^-1 h: the bracket and the stopping
+    tests of ``oracle.max_quad_over_ball`` before its safeguarded Newton
+    iteration.  A bisection that stalls at the top eigenvalue fills the top
+    eigenspace up to the boundary, which also covers the hard case."""
+    ev, V = np.linalg.eigh(0.5 * (C + C.T))
+    h_rot = V.T @ h
+
+    def value(w_rot):
+        return float(w_rot @ (ev * w_rot) + 2.0 * h_rot @ w_rot)
+
+    if ev[-1] < 0 and np.linalg.norm(h_rot / ev) <= gamma:
+        return value(-h_rot / ev)
+    lo = max(ev[-1], 0.0)
+    hi = max(lo + np.linalg.norm(h) / gamma, 1.5 * lo + 1.0)
+    while np.linalg.norm(h_rot / (hi - ev)) >= gamma:
+        hi *= 2.0
+    for _ in range(200):
+        nu = 0.5 * (lo + hi)
+        w_rot = h_rot / (nu - ev)
+        norm = np.linalg.norm(w_rot)
+        if abs(norm - gamma) <= 1e-12 * max(1.0, gamma):
+            return value(w_rot)
+        lo, hi = (nu, hi) if norm > gamma else (lo, nu)
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    top = np.abs(ev - ev[-1]) <= 1e-12 * max(1.0, abs(ev[-1]))
+    need = np.sqrt(gamma**2 - np.linalg.norm(w_rot[~top]) ** 2)
+    top_part = np.linalg.norm(w_rot[top])
+    if top_part > 0:
+        w_rot[top] *= need / top_part
+    else:
+        w_rot[np.argmax(top)] = need
+    return value(w_rot)
 
 
 def grid_worst_case(compact, u: np.ndarray, gamma: float, step: float) -> float:

@@ -13,6 +13,11 @@ from soclqc.problemfile import save_problem
 from soclqc.slemma import check_psd
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.fixture
 def lqc_file(tmp_path):
     path = tmp_path / "lqc.json"
@@ -51,7 +56,7 @@ class TestSolve:
         assert code == 0
         printed = capsys.readouterr().out
         assert "Optimal" in printed
-        result = json.load(open(out))
+        result = read_json(out)
         assert abs(result["objective"] - 0.601) <= 1e-6
         assert abs(result["u"][0] - 0.4) <= 1e-6
 
@@ -71,7 +76,7 @@ class TestSolve:
         code = main(["solve", mpc_file, "--mode", "mpc", "--x0", "2,0.5",
                      "--out", out])
         assert code == 0
-        result = json.load(open(out))
+        result = read_json(out)
         assert result["status"] == "Optimal"
         assert len(result["states"]) == 9
 
@@ -80,7 +85,7 @@ class TestSolve:
         code = main(["solve", mpc_file, "--mode", "mpc", "--x0", "-1,0.5",
                      "--out", out])
         assert code == 0
-        assert json.load(open(out))["x0"] == [-1.0, 0.5]
+        assert read_json(out)["x0"] == [-1.0, 0.5]
 
     def test_non_optimal_prints_reason(self, lqc_file, capsys):
         code = main(["solve", lqc_file, "--mode", "robust", "--x0", "-1",
@@ -191,7 +196,7 @@ class TestVerify:
 
     def test_input_violation_fails(self, lqc_file, tmp_path, capsys):
         out = self.make_result(lqc_file, tmp_path)
-        res = json.load(open(out))
+        res = read_json(out)
         res["u"] = [0.45]
         bad = tmp_path / "bad_u.json"
         bad.write_text(json.dumps(res))
@@ -200,7 +205,7 @@ class TestVerify:
 
     def test_negated_multiplier_fails(self, lqc_file, tmp_path, capsys):
         out = self.make_result(lqc_file, tmp_path)
-        res = json.load(open(out))
+        res = read_json(out)
         res["lam"] = -res["lam"]
         bad = tmp_path / "bad_lam.json"
         bad.write_text(json.dumps(res))

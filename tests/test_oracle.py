@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import DimensionTooLarge, closed_form_inner_min, grid_worst_case, random_lqc_spec
+from helpers import (
+    DimensionTooLarge,
+    bisection_ball_max,
+    closed_form_inner_min,
+    grid_worst_case,
+    random_lqc_spec,
+)
+from soclqc import verify
 from soclqc.lqc import build_compact_cost, scalar_benchmark_spec
 from soclqc.oracle import max_quad_over_ball
 from soclqc.verify import worst_case
@@ -106,6 +113,76 @@ class TestBallMax:
         res = max_quad_over_ball(C, h, 1.0)
         assert abs(np.linalg.norm(res.w_star) - 1.0) <= 1e-9
         assert res.value >= 1.0 - 1e-8
+
+
+class TestNewtonMatchesBisection:
+    """The safeguarded Newton iteration of max_quad_over_ball against plain
+    bisection on the secular equation, which it replaced (same bracket, same
+    stopping test |  ||w|| - gamma | <= 1e-12 max(1, gamma))."""
+
+    CASES = [
+        (np.zeros((2, 2)), np.array([1.0, 0.0]), 1.0),
+        (np.eye(3), np.zeros(3), 2.0),  # hard case
+        (np.diag([1.0, -1.0]), np.array([0.0, 1.0]), 1.0),  # hard case
+        (-np.eye(2), np.array([0.25, 0.0]), 10.0),
+        (-np.eye(2), np.array([5.0, 0.0]), 1.0),
+        (np.diag([1.0, 1.0, 0.0]), np.array([1e-12, 0.0, 1.0]), 1.0),  # near the hard case
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_fixed_cases_within_1e_12(self, case):
+        # TestBallMax's cases: the two values agree within 1e-12 relative
+        C, h, gamma = self.CASES[case]
+        new, old = max_quad_over_ball(C, h, gamma).value, bisection_ball_max(C, h, gamma)
+        assert abs(new - old) <= 1e-12 * max(1.0, abs(old)), (new, old)
+
+    def test_random_cases_within_the_bisection_error(self, rng):
+        # drawn as test_kkt_residuals_random and test_dominance_over_samples
+        # draw theirs.  Each iteration may stop 1e-12 max(1, gamma) off the
+        # boundary, bisection on either side and Newton from inside, where
+        # the value changes at the rate 2 nu gamma; so the values may differ
+        # by twice that (3.6e-12 relative here), and not by more
+        for dims, radii in (((1, 7), (0.1, 3.0)), ((1, 6), (0.1, 2.0))):
+            for _ in range(50):
+                n = int(rng.integers(*dims))
+                C = rng.standard_normal((n, n))
+                C = 0.5 * (C + C.T)
+                h, gamma = rng.standard_normal(n), rng.uniform(*radii)
+                res, old = max_quad_over_ball(C, h, gamma), bisection_ball_max(C, h, gamma)
+                stop = 1e-12 * max(1.0, gamma)
+                tol = 1e-12 * max(1.0, abs(old)) + 4.0 * res.multiplier * gamma * stop
+                assert abs(res.value - old) <= tol, (res.value, old)
+                if res.multiplier > 0:
+                    assert abs(np.linalg.norm(res.w_star) - gamma) <= stop
+
+
+class TestBallSamples:
+    """The sampled check's disturbances: one draw serves every dimension."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """An empty draw, with the module's radii."""
+        monkeypatch.setattr(verify, "_draws", (np.empty((10_000, 0)), verify._draws[1], {}))
+
+    def test_alternating_dimensions_draw_once(self, fresh):
+        first = {n: verify._ball_samples(n)[0].copy() for n in (4, 18, 5)}
+        Z = verify._ball_samples(20)[0].base
+        for n in (4, 18, 5, 20, 4, 18):
+            Zn, _ = verify._ball_samples(n)
+            assert Zn.base is Z and Zn.shape == (10_000, n)
+            if n in first:
+                # the columns do not depend on how many were drawn with them
+                assert np.array_equal(Zn, first[n]), n
+        assert verify._draws[0].base is Z
+
+    @pytest.mark.parametrize("n", [1, 4, 18, 24])
+    def test_uniform_in_the_ball(self, fresh, n):
+        Z, scale = verify._ball_samples(n)
+        radius = scale * np.linalg.norm(Z, axis=1)
+        assert radius.max() <= 1.0 + 1e-12
+        # the radial law of the uniform ball: P(||w|| <= 2^(-1/n)) = 1/2
+        assert abs(np.mean(radius <= 2.0 ** (-1.0 / n)) - 0.5) <= 0.02
+        assert not Z.flags.writeable and not scale.flags.writeable
 
 
 class TestInnerMin:

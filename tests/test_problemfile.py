@@ -75,6 +75,20 @@ class TestStrictParsing:
         with pytest.raises(ProblemFileError, match=r"A\[0\]"):
             parse_problem(json.dumps(tree))
 
+    @pytest.mark.parametrize("k, edit", [
+        (1, lambda m: m["data"].__setitem__(0, float("nan"))),
+        (2, lambda m: m["data"].__setitem__(0, "0.5")),
+        (1, lambda m: m["data"].pop()),
+        (2, lambda m: m.update(cols=2, data=[1.0, 2.0])),
+    ], ids=["non-finite", "non-numeric", "wrong-length", "other-shape"])
+    def test_matrix_list_names_the_matrix(self, k, edit):
+        # the entries of all A[k] are converted at once; a failure still
+        # names the matrix
+        tree = json.loads(render_lqc(scalar_benchmark_spec(3)))
+        edit(tree["A"][k])
+        with pytest.raises(ProblemFileError, match=rf"^A\[{k}\]: "):
+            parse_problem(json.dumps(tree))
+
     def test_bad_kind(self):
         with pytest.raises(ProblemFileError, match="kind"):
             parse_problem(json.dumps({"kind": "socp"}))

@@ -74,6 +74,15 @@ class TestSimultaneousDiagonalize:
             assert np.array_equal(sd.delta, delta[order])
             assert np.array_equal(sd.S, Q[:, order]) and sd.S.flags.c_contiguous
 
+    def test_identity_pair_is_orthogonal(self, rng):
+        # the identity pair is solved as a plain eigenproblem: S is orthogonal
+        for n in (1, 4, 12, 30):
+            D = rng.standard_normal((n, n))
+            D = 0.5 * (D + D.T)
+            sd = simultaneous_diagonalize(np.eye(n), D)
+            assert np.max(np.abs(sd.S.T @ sd.S - np.eye(n))) <= 1e-12
+            assert np.max(np.abs(sd.S.T @ D @ sd.S - np.diag(sd.delta))) <= 1e-12 * (1 + np.linalg.norm(D))
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             simultaneous_diagonalize(np.diag([1.0, -1.0]), np.eye(2))

@@ -277,10 +277,11 @@ class TestSolutionContract:
 
 
 class TestFixedKktWork:
-    """Every KKT solve is fixed work: one reduced solve, one residual against
-    the full unregularized system and one correction from the same factor,
-    so two dpotrs calls per KKT solve and four per iteration, plus the
-    start's one call with two right-hand sides."""
+    """Every iteration is fixed work: the predictor is one reduced solve,
+    and the combined direction one reduced solve, one residual against the
+    full unregularized system and one correction from the same factor, so
+    three dpotrs calls per iteration, plus the start's one call with two
+    right-hand sides."""
 
     @pytest.mark.parametrize("build, compact", [
         pytest.param(lambda: build_robust_socp(scalar_benchmark_spec(100), [1.0]), True,
@@ -290,7 +291,7 @@ class TestFixedKktWork:
         pytest.param(lambda: build_mpc_socp(double_integrator_mpc(8), [2.0, 0.5]), False,
                      id="mpc-dense"),
     ])
-    def test_four_dpotrs_calls_per_iteration(self, monkeypatch, build, compact):
+    def test_three_dpotrs_calls_per_iteration(self, monkeypatch, build, compact):
         from soclqc import solver
 
         prog = build().program
@@ -306,7 +307,7 @@ class TestFixedKktWork:
         monkeypatch.setattr(solver.lapack, "dpotrs", dpotrs)
         sol = solve(prog)
         assert sol.status is Status.OPTIMAL
-        assert len(calls) == 1 + 4 * sol.iterations
+        assert len(calls) == 1 + 3 * sol.iterations
 
 
 class TestInfeasibility:
@@ -361,6 +362,28 @@ class TestInfeasibility:
             assert sol.status is Status.DUAL_INFEASIBLE, (i, sol.status, sol.reason)
             assert sol.reason == "primal iterate is an improving ray", (i, sol.reason)
             assert np.isfinite(sol.x).all()
+
+    def test_bounded_program_whose_objective_dwarfs_h(self):
+        # min -1e100 x s.t. x <= 1e-60 is bounded, at x = 1e-60.  The
+        # improving-ray test compares the residual with -c'x / ||c||, the
+        # scale of x; against -c'x alone (1e40 here) an x near 1e-60 passed
+        # it, and the solve ended DualInfeasible at iteration 24
+        sol = solve(TestNumericalExits.program([-1e100], [[1.0]], [1e-60]))
+        assert sol.status is Status.OPTIMAL, (sol.status, sol.reason)
+        assert abs(sol.x[0] - 1e-60) <= 1e-8 * 1e-60
+        assert abs(sol.objective + 1e40) <= 1e-8 * 1e40
+
+    @pytest.mark.parametrize("c1", [-1e295, -3e297])
+    def test_overflowing_objective_is_an_improving_ray(self, c1):
+        # x1 is in no row, so min x0 + c1 x1 s.t. x0 >= 0 is unbounded.  Once
+        # c'x overflows to -inf the gap is nan, which must not switch the
+        # improving-ray test off: the solve ran on until "scaling left the
+        # cone" (-1e295) or "non-finite iterate" (-3e297)
+        with np.errstate(all="ignore"):
+            sol = solve(TestNumericalExits.program([1.0, c1], [[-1.0, 0.0]], [0.0]))
+        assert sol.status is Status.DUAL_INFEASIBLE, (sol.status, sol.reason)
+        assert sol.reason == "primal iterate is an improving ray"
+        assert sol.iterations == 1 and np.isfinite(sol.x).all()
 
     def test_infeasible_programs_end_primal_infeasible(self):
         # every one ends on the loop's Farkas test, with no stall
@@ -486,9 +509,9 @@ class TestFactorizationGuard:
 
 class TestNumericalExits:
     """The NumericalFailure exits of the iteration other than a failed
-    factorization.  Three are reached by programs whose data overflow in the
-    iteration, the three "non-finite or vanishing step" sites by a patched
-    kernel; each returns a finite iterate."""
+    factorization.  Two are reached by programs whose data overflow in the
+    iteration, "non-finite iterate" and the three "non-finite or vanishing
+    step" sites by a patched kernel; each returns a finite iterate."""
 
     @staticmethod
     def program(c, G, h):
@@ -505,11 +528,6 @@ class TestNumericalExits:
         # 1e-34 x <= 1e-96 under an objective of scale 1e100: no shrink of
         # the step keeps the slack inside its cone
         pytest.param([-1e100], [[1e-34]], [1e-96], "60 line-search shrinks", id="line-search"),
-        # x1 is in no row, so the program is unbounded, and its objective
-        # term overflows before the improving-ray test can fire; x1 then
-        # passes the largest double
-        pytest.param([1.0, -3e297], [[-1.0, 0.0]], [0.0], "non-finite iterate",
-                     id="non-finite-iterate"),
     ])
     def test_overflowing_program(self, c, G, h, reason):
         with np.errstate(all="ignore"):
@@ -518,10 +536,34 @@ class TestNumericalExits:
         assert sol.reason == reason
         assert np.isfinite(sol.x).all()
 
+    def test_non_finite_iterate(self, monkeypatch):
+        # x1 is in no row and has no cost, so neither the residuals nor the
+        # objective see it.  A patched dpotrs puts it at the largest double
+        # at the start (call 1) and in the corrector's correction (call 4),
+        # so the step overflows it while the slacks and duals stay finite
+        from soclqc import solver
+
+        prog = self.program([1.0, 0.0], [[-1.0, 0.0]], [0.0])
+        real_dpotrs, calls = solver.lapack.dpotrs, []
+
+        def dpotrs(*args, **kwargs):
+            calls.append(1)
+            x, info = real_dpotrs(*args, **kwargs)
+            if len(calls) in (1, 4):
+                x[1] = np.finfo(float).max
+            return x, info
+
+        monkeypatch.setattr(solver.lapack, "dpotrs", dpotrs)
+        with np.errstate(over="ignore"):
+            sol = solve(prog)
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.reason == "non-finite iterate"
+        assert sol.iterations == 0 and len(calls) == 4 and np.isfinite(sol.x).all()
+
     @pytest.mark.parametrize("site", ["predictor", "divisible", "corrector"])
     def test_non_finite_step(self, monkeypatch, site):
-        # dpotrs call 1 is the start's, and iteration 0 makes calls 2-3 for
-        # the predictor and 4-5 for the corrector: a nan from call 2 or 4
+        # dpotrs call 1 is the start's, and iteration 0 makes call 2 for the
+        # predictor and calls 3-4 for the corrector: a nan from call 2 or 3
         # makes that direction's step length nan.  Between the two, a
         # scaled dual that solve_product cannot divide by ends the solve
         from soclqc import solver
@@ -532,7 +574,7 @@ class TestNumericalExits:
         def dpotrs(*args, **kwargs):
             calls.append(1)
             x, info = real_dpotrs(*args, **kwargs)
-            if len(calls) == {"predictor": 2, "corrector": 4}.get(site):
+            if len(calls) == {"predictor": 2, "corrector": 3}.get(site):
                 x[:] = np.nan
             return x, info
 
@@ -548,7 +590,7 @@ class TestNumericalExits:
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.reason == "non-finite or vanishing step"
         assert sol.iterations == 0 and np.isfinite(sol.x).all()
-        assert len(calls) == (5 if site == "corrector" else 3)
+        assert len(calls) == (4 if site == "corrector" else 2)
         assert checked == ([1] if site == "divisible" else [])
 
 
@@ -839,6 +881,13 @@ class TestConeKernels:
         return np.split(u, np.cumsum([blk.dim for blk in program.blocks])[:-1])
 
     @staticmethod
+    def inside(cones, u):
+        """Whether every block of u (of each stacked row) is interior, as
+        the solver's line search tests it."""
+        heads, norms = cones.heads_and_norms(u)
+        return bool((heads - norms > 0).all())
+
+    @staticmethod
     def interior(rng, program):
         """A random interior point, stacked in layout order."""
         pieces = []
@@ -879,7 +928,7 @@ class TestConeKernels:
             u = self.interior(rng, program)
             du = 3.0 * rng.standard_normal(cones.total)
             a = cones.max_step(u, du)
-            assert cones.inside(u + (1 - 1e-9) * min(a, 1e6) * du)
+            assert self.inside(cones, u + (1 - 1e-9) * min(a, 1e6) * du)
             if np.isfinite(a):
                 slack = [b[0] - np.linalg.norm(b[1:]) for b in self.split(program, u + a * du)]
                 assert min(np.abs(slack)) <= 1e-9 * (1 + a * np.linalg.norm(du))
@@ -907,7 +956,8 @@ class TestConeKernels:
             outcomes.add("nan" if np.isnan(single) else "inf" if np.isinf(single) else "finite")
         assert outcomes == {"finite", "inf", "nan"}
         for a, b in ((s, z), (s, -z), (-s, z), (s, s + 0.5 * moves[0][0])):
-            assert cones.inside(np.array((a, b))) == (cones.inside(a) and cones.inside(b))
+            assert self.inside(cones, np.array((a, b))) == (
+                self.inside(cones, a) and self.inside(cones, b))
 
     def test_max_step_is_scale_free(self, program, cones, rng):
         # blocks near 1e-9 in size, as in an MPC started at the origin, once
@@ -922,7 +972,7 @@ class TestConeKernels:
 
     def test_shift_inside(self, program, cones, rng):
         u = 5.0 * rng.standard_normal(cones.total)
-        assert cones.inside(cones.shift_inside(u))
+        assert self.inside(cones, cones.shift_inside(u))
         inner = self.interior(rng, program) + 10.0 * cones.identity()
         assert np.array_equal(cones.shift_inside(inner, pad=1e-3), inner)
 
@@ -931,11 +981,16 @@ class TestConeKernels:
         sz = np.array((s, z))
         scaling, dets = cones.nt_scaling(sz)
         lam = cones.apply_w(scaling, z)
-        # a dimension-1 block has v = 1 and beta = sqrt(s / z)
-        beta, v = scaling.beta, scaling.v
+        # a dimension-1 block has v = 1, J = 1 and beta = sqrt(s / z)
+        v, _, beta_J = scaling.fwd
         nn = cones.nn
         assert np.allclose(v[:nn], 1.0, rtol=1e-12, atol=1e-12)
-        assert np.allclose(beta[:nn], np.sqrt(s[:nn] / z[:nn]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(beta_J[:nn], np.sqrt(s[:nn] / z[:nn]), rtol=1e-12, atol=1e-12)
+        # the line search's heads and tail norms give the same scaling
+        reused, reused_dets = cones.nt_scaling(sz, cones.heads_and_norms(sz))
+        assert np.array_equal(reused_dets, dets)
+        assert all(np.array_equal(a, b) for a, b in zip(reused.fwd + reused.inv,
+                                                        scaling.fwd + scaling.inv))
         # the block determinants are the ones max_step would compute at (s, z)
         for dsz in 3.0 * rng.standard_normal((5, 2, cones.total)):
             assert cones.max_step(sz, dsz, dets) == cones.max_step(sz, dsz)
