@@ -51,7 +51,6 @@ from .lqc import (
     CompactCost,
     LqcSocp,
     LqcSpec,
-    PredictionMatrices,
     RecedingHorizonError,
     SimulationRecord,
     box_polyhedron,
@@ -61,8 +60,6 @@ from .lqc import (
     build_regret_socp,
     build_robust_socp,
     receding_horizon_simulate,
-    rollout_cost,
-    rollout_states,
     scalar_benchmark_spec,
     time_invariant_spec,
 )

@@ -174,9 +174,9 @@ class LqcSpec:
 
     @cached_property
     def _prediction_rows(self) -> np.ndarray:
-        """The block row [F | G | H] of :attr:`prediction`, by the recursion
-        [F_k | G_k | H_k] = A_k [F_{k-1} | G_{k-1} | H_{k-1}] plus B_k and C_k
-        in stage k's columns: one product per stage."""
+        """The block row [F | G | H] with (x_1, ..., x_N) = F x0 + G u + H w, by
+        the recursion [F_k | G_k | H_k] = A_k [F_{k-1} | G_{k-1} | H_{k-1}]
+        plus B_k and C_k in stage k's columns: one product per stage."""
         N, n_x, n_u, n_w = self.horizon, self.n_x, self.n_u, self.n_w
         S = np.zeros((N * n_x, n_x + N * (n_u + n_w)))
         S[:n_x, :n_x] = self.A[0]
@@ -190,21 +190,13 @@ class LqcSpec:
         return S
 
     @cached_property
-    def prediction(self) -> PredictionMatrices:
-        """Stacked maps with (x_1, ..., x_N) = F x0 + G u + H w, views of
-        one block row."""
-        S, n_x = self._prediction_rows, self.n_x
-        w0 = n_x + self.stacked_input_dim
-        return PredictionMatrices(S[:, :n_x], S[:, n_x:w0], S[:, w0:])
-
-    @cached_property
     def cost_pieces(self) -> dict:
         """x0-independent pieces of the compact cost: the quadratic and cross
         blocks, and each linear term as ``*_x0 @ x0 + *_0``.  Q is applied
         stage by stage to the block row S = [F | G | H]; one product of its
         (u, w) columns with QS gives every block that an input or a
         disturbance enters."""
-        S, pred = self._prediction_rows, self.prediction
+        S = self._prediction_rows
         N, n_x, n_u = self.horizon, self.n_x, self.n_u
         nu = N * n_u
         QS = np.matmul(self.Q, S.reshape(N, n_x, -1)).reshape(S.shape)
@@ -215,16 +207,20 @@ class LqcSpec:
         Rbar[stage, :, stage, :] = self.R
         u_rows, w_rows = quad[:nu], quad[nu:]
         w0 = n_x + nu
-        # copies of the blocks, so that the cache does not keep all of quad
+        w_quad = w_rows[:, w0:]
+        u_quad = u_rows[:, n_x:w0] + Rbar.reshape(nu, nu)
+        x0_quad = S[:, :n_x].T @ QS[:, :n_x]
+        # copies of the blocks, so that the cache does not keep all of quad;
+        # the quadratic blocks are symmetric up to rounding
         return {
-            "w_quad": symmetrize(w_rows[:, w0:]),
+            "w_quad": 0.5 * (w_quad + w_quad.T),
             "cross": u_rows[:, w0:].copy(),
-            "u_quad": symmetrize(u_rows[:, n_x:w0] + Rbar.reshape(nu, nu)),
+            "u_quad": 0.5 * (u_quad + u_quad.T),
             "w_lin_x0": w_rows[:, :n_x].copy(),
             "w_lin_0": lin[w0:],
             "u_lin_x0": u_rows[:, :n_x].copy(),
             "u_lin_0": lin[n_x:w0] + self.r.reshape(-1),
-            "x0_quad": symmetrize(pred.F.T @ QS[:, :n_x]),
+            "x0_quad": 0.5 * (x0_quad + x0_quad.T),
             "x0_lin": lin[:n_x],
         }
 
@@ -288,10 +284,6 @@ class AmbiguitySpec:
     def num_moments(self) -> int:
         return self.H.shape[0]
 
-    @staticmethod
-    def empty(n_w: int) -> "AmbiguitySpec":
-        return AmbiguitySpec(np.zeros((0, n_w)), np.zeros(0))
-
 
 def box_polyhedron(bound: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows for ``-bound <= u_i <= bound`` on every coordinate."""
@@ -340,40 +332,7 @@ def scalar_benchmark_spec(N: int, decay: float = 0.9, gamma: float = 0.1,
 
 
 # ---------------------------------------------------------------------------
-# prediction matrices and the compact cost
-
-
-@dataclass(frozen=True)
-class PredictionMatrices:
-    """Stacked maps with (x_1, ..., x_N) = F x0 + G u + H w."""
-
-    F: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
-
-
-def rollout_states(spec: LqcSpec, x0, u, w) -> np.ndarray:
-    """States x_1..x_N by stepping the dynamics directly."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    u = np.asarray(u, dtype=float).reshape(spec.horizon, spec.n_u)
-    w = np.asarray(w, dtype=float).reshape(spec.horizon, spec.n_w)
-    xs = np.zeros((spec.horizon, spec.n_x))
-    x = x0
-    for k in range(spec.horizon):
-        x = spec.A[k] @ x + spec.B[k] @ u[k] + spec.C[k] @ w[k]
-        xs[k] = x
-    return xs
-
-
-def rollout_cost(spec: LqcSpec, x0, u, w) -> float:
-    """Total cost by direct simulation; the ground truth for the compact form."""
-    xs = rollout_states(spec, x0, u, w)
-    u = np.asarray(u, dtype=float).reshape(spec.horizon, spec.n_u)
-    total = 0.0
-    for k in range(spec.horizon):
-        total += xs[k] @ spec.Q[k] @ xs[k] + 2.0 * spec.q[k] @ xs[k]
-        total += u[k] @ spec.R[k] @ u[k] + 2.0 * spec.r[k] @ u[k]
-    return float(total)
+# the compact cost
 
 
 @dataclass(frozen=True)

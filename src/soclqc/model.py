@@ -74,14 +74,6 @@ class ConeBlock:
     def dim(self) -> int:
         return self.A.shape[0]
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.b
-
-    def violation(self, x: np.ndarray) -> float:
-        """Amount by which x falls outside the cone (0 when feasible)."""
-        s = self.evaluate(x)
-        return max(0.0, float(np.linalg.norm(s[1:]) - s[0]))
-
 
 @dataclass(frozen=True)
 class ConicProgram:

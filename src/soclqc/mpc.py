@@ -172,7 +172,7 @@ class MpcSpec:
         A_cl = self.A_cl
         sd = simultaneous_diagonalize(self.P, A_cl.T @ self.P @ A_cl)
         drift = A_cl - np.eye(self.n_x)
-        m_sqrt = psd_sqrt_factor(symmetrize(drift.T @ self.P @ drift))
+        m_sqrt = psd_sqrt_factor(drift.T @ self.P @ drift)
         return TerminalDiag(S=sd.S, alpha=sd.delta, m_sqrt=m_sqrt,
                             coupling=sd.S.T @ A_cl.T @ self.P @ drift)
 

@@ -134,8 +134,8 @@ class _Cones:
     ``J = diag(1, -I)`` per block, so every per-block sum is one
     ``np.add.reduceat`` and every operation a fixed handful of numpy calls,
     however many blocks and groups there are.  :meth:`max_step`,
-    :meth:`inside` and :meth:`nt_scaling` also take several slack vectors
-    stacked as rows.
+    :meth:`heads_and_norms` and :meth:`nt_scaling` also take several slack
+    vectors stacked as rows.
 
     The NT scaling of a block is ``W = beta (2 v v' - J)`` with ``v' J v = 1``,
     kept as a :class:`_Scaling` of per-row arrays (a dimension-1 block has
@@ -190,15 +190,16 @@ class _Cones:
         e[self.starts] = 1.0
         return e
 
-    def shift_inside(self, u: np.ndarray, pad: float = 1.0) -> np.ndarray:
-        """Translate each block along the cone identity until well interior.
+    def shift_inside(self, u: np.ndarray) -> np.ndarray:
+        """Translate each block along the cone identity until its head
+        exceeds its tail norm by at least 1 + that norm.
 
-        The margin scales with the block magnitude; an absolute pad leaves
+        The margin scales with the block magnitude; an absolute margin leaves
         large blocks nearly on the boundary and the first steps collapse.
         """
         out = u.copy()
         tail = self._tail_norm(u)
-        out[self.starts] += np.maximum(tail + pad * (1.0 + tail) - u[self.starts], 0.0)
+        out[self.starts] += np.maximum(tail + (1.0 + tail) - u[self.starts], 0.0)
         return out
 
     def max_step(self, u: np.ndarray, du: np.ndarray, dets=None) -> float:

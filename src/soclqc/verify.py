@@ -151,8 +151,7 @@ def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
     h_eff = lin - shift
     # the epigraph bound certified by (lam, t) must dominate the exact ball
     # maximum of the shifted disturbance quadratic
-    wc = oracle.max_quad_over_ball(quad, h_eff, gamma).value if np.any(h_eff) or np.any(quad) \
-        else 0.0
+    wc = oracle.max_quad_over_ball(quad, h_eff, gamma).value
     bound = float(np.sum(t)) + gamma**2 * lam
     report = [
         _check("input-set feasibility",

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.linalg
 
-from soclqc.lqc import LqcSpec, box_polyhedron, build_compact_cost
+from soclqc.lqc import AmbiguitySpec, LqcSpec, box_polyhedron, build_compact_cost
 from soclqc.model import (
     ConicProgramBuilder,
     DimensionMismatch,
@@ -144,9 +144,20 @@ class ExprBuilder(ConicProgramBuilder):
         return t
 
 
+def block_slack(blk, x) -> np.ndarray:
+    """The slack ``A x + b`` of one :class:`~soclqc.model.ConeBlock`."""
+    return blk.A @ x + blk.b
+
+
+def block_violation(blk, x) -> float:
+    """Amount by which x puts a block outside its cone (0 when feasible)."""
+    s = block_slack(blk, x)
+    return max(0.0, float(np.linalg.norm(s[1:]) - s[0]))
+
+
 def max_violation(prog, x) -> float:
     """Worst cone violation of a candidate point."""
-    return max(blk.violation(x) for blk in prog.blocks)
+    return max(block_violation(blk, x) for blk in prog.blocks)
 
 
 def diag_residuals(sd: SimulDiag, A, D) -> tuple[float, float]:
@@ -190,6 +201,43 @@ def epigraph_program(prog):
     t = b.add_quadratic_cost(F.T @ F, [xs[j] for j in cols])
     b.set_objective(lin_comb(prog.obj, xs)[0] + t + prog.obj_offset)
     return b.build()
+
+
+def empty_ambiguity(n_w: int) -> AmbiguitySpec:
+    """Moment information with no rows over n_w disturbance coordinates."""
+    return AmbiguitySpec(np.zeros((0, n_w)), np.zeros(0))
+
+
+def prediction_matrices(spec: LqcSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacked maps (F, G, H) with (x_1, ..., x_N) = F x0 + G u + H w,
+    as views of the spec's block row [F | G | H]."""
+    S, n_x = spec._prediction_rows, spec.n_x
+    w0 = n_x + spec.stacked_input_dim
+    return S[:, :n_x], S[:, n_x:w0], S[:, w0:]
+
+
+def rollout_states(spec: LqcSpec, x0, u, w) -> np.ndarray:
+    """States x_1..x_N by stepping the dynamics directly."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    u = np.asarray(u, dtype=float).reshape(spec.horizon, spec.n_u)
+    w = np.asarray(w, dtype=float).reshape(spec.horizon, spec.n_w)
+    xs = np.zeros((spec.horizon, spec.n_x))
+    x = x0
+    for k in range(spec.horizon):
+        x = spec.A[k] @ x + spec.B[k] @ u[k] + spec.C[k] @ w[k]
+        xs[k] = x
+    return xs
+
+
+def rollout_cost(spec: LqcSpec, x0, u, w) -> float:
+    """Total cost by direct simulation; the ground truth for the compact form."""
+    xs = rollout_states(spec, x0, u, w)
+    u = np.asarray(u, dtype=float).reshape(spec.horizon, spec.n_u)
+    total = 0.0
+    for k in range(spec.horizon):
+        total += xs[k] @ spec.Q[k] @ xs[k] + 2.0 * spec.q[k] @ xs[k]
+        total += u[k] @ spec.R[k] @ u[k] + 2.0 * spec.r[k] @ u[k]
+    return float(total)
 
 
 def random_lqc_spec(rng, n_x, n_u, n_w, N, gamma=None, with_linear=True):

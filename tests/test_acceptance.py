@@ -11,9 +11,11 @@ import numpy as np
 from helpers import (
     block_feasible_grid,
     double_integrator_mpc,
+    empty_ambiguity,
     grid_worst_case,
     lmi_psd_grid,
     random_lqc_spec,
+    rollout_cost,
     scalar_regret_grid_oracle,
 )
 from soclqc.cli import bench_row
@@ -24,7 +26,6 @@ from soclqc.lqc import (
     build_regret_socp,
     build_robust_socp,
     robust_certificate_matrix,
-    rollout_cost,
     scalar_benchmark_spec,
 )
 from soclqc.mpc import build_mpc_socp, max_fixed_radius
@@ -209,7 +210,7 @@ def test_criterion_6_dr_degeneracy():
         rob = solve_ok(build_robust_socp(spec, x0).program)
         scale = 1 + abs(rob.objective)
         m0 = solve_ok(
-            build_dr_socp(spec, x0, AmbiguitySpec.empty(spec.stacked_dist_dim)).program
+            build_dr_socp(spec, x0, empty_ambiguity(spec.stacked_dist_dim)).program
         )
         ok &= abs(m0.objective - rob.objective) <= 1e-6 * scale
         amb_huge = AmbiguitySpec(np.ones((1, spec.stacked_dist_dim)), [1e6])

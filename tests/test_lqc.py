@@ -14,9 +14,13 @@ import pytest
 from helpers import (
     assert_identical_programs,
     assert_same_program,
+    empty_ambiguity,
     pin_variables,
+    prediction_matrices,
     random_lqc_spec,
     reference_lqc_program,
+    rollout_cost,
+    rollout_states,
     scalar_regret_grid_oracle,
 )
 from soclqc.lqc import (
@@ -31,8 +35,6 @@ from soclqc.lqc import (
     build_robust_socp,
     receding_horizon_simulate,
     robust_certificate_matrix,
-    rollout_cost,
-    rollout_states,
     scalar_benchmark_spec,
     time_invariant_spec,
 )
@@ -182,40 +184,40 @@ class TestImmutableSpec:
 class TestPredictionMatrices:
     def test_single_step_scalar(self):
         spec = time_invariant_spec(1, 1, 1, 1, 0, 1, 0, N=1, gamma=0.1)
-        pred = spec.prediction
-        assert np.allclose(pred.F, [[1.0]])
-        assert np.allclose(pred.G, [[1.0]])
-        assert np.allclose(pred.H, [[1.0]])
+        F, G, H = prediction_matrices(spec)
+        assert np.allclose(F, [[1.0]])
+        assert np.allclose(G, [[1.0]])
+        assert np.allclose(H, [[1.0]])
 
     def test_two_step_scalar(self):
         spec = time_invariant_spec(1, 1, 1, 1, 0, 1, 0, N=2, gamma=0.1)
-        pred = spec.prediction
-        assert np.allclose(pred.F, [[1.0], [1.0]])
-        assert np.allclose(pred.G, [[1.0, 0.0], [1.0, 1.0]])
-        assert np.allclose(pred.H, pred.G)
+        F, G, H = prediction_matrices(spec)
+        assert np.allclose(F, [[1.0], [1.0]])
+        assert np.allclose(G, [[1.0, 0.0], [1.0, 1.0]])
+        assert np.allclose(H, G)
 
     def test_matches_rollout(self, rng):
         spec = random_lqc_spec(rng, 3, 2, 2, 5)
-        pred = spec.prediction
+        F, G, H = prediction_matrices(spec)
         for _ in range(5):
             x0 = rng.standard_normal(3)
             u = rng.standard_normal(spec.stacked_input_dim)
             w = rng.standard_normal(spec.stacked_dist_dim)
-            stacked = pred.F @ x0 + pred.G @ u + pred.H @ w
+            stacked = F @ x0 + G @ u + H @ w
             direct = rollout_states(spec, x0, u, w).reshape(-1)
             assert np.max(np.abs(stacked - direct)) <= 1e-12 * (1 + np.max(np.abs(direct)))
 
     def test_block_lower_triangular(self, rng):
         spec = random_lqc_spec(rng, 2, 3, 2, 4)
-        pred = spec.prediction
+        _, G, H = prediction_matrices(spec)
         for k in range(4):
             rows = slice(k * 2, (k + 1) * 2)
-            assert not pred.G[rows, (k + 1) * 3 :].any()
-            assert not pred.H[rows, (k + 1) * 2 :].any()
+            assert not G[rows, (k + 1) * 3 :].any()
+            assert not H[rows, (k + 1) * 2 :].any()
 
     def test_cached_per_spec(self, rng):
         spec = random_lqc_spec(rng, 2, 1, 1, 3)
-        for name in ("prediction", "cost_pieces", "input_factor", "robust_diag", "regret_diag"):
+        for name in ("_prediction_rows", "cost_pieces", "input_factor", "robust_diag", "regret_diag"):
             assert getattr(spec, name) is getattr(spec, name), name
 
 
@@ -463,7 +465,7 @@ class TestDistributionallyRobust:
         x0 = rng.standard_normal(2)
         rob = solve_ok(build_robust_socp(spec, x0).program)
         dr = solve_ok(
-            build_dr_socp(spec, x0, AmbiguitySpec.empty(spec.stacked_dist_dim)).program
+            build_dr_socp(spec, x0, empty_ambiguity(spec.stacked_dist_dim)).program
         )
         assert abs(rob.objective - dr.objective) <= 1e-6 * (1 + abs(rob.objective))
 
@@ -533,7 +535,7 @@ class TestDistributionallyRobust:
         x0 = rng.standard_normal(2)
         reg = solve_ok(build_regret_socp(spec, x0).program)
         m0 = solve_ok(
-            build_dr_regret_socp(spec, x0, AmbiguitySpec.empty(spec.stacked_dist_dim)).program
+            build_dr_regret_socp(spec, x0, empty_ambiguity(spec.stacked_dist_dim)).program
         )
         assert abs(reg.objective - m0.objective) <= 1e-6 * (1 + abs(reg.objective))
         amb = AmbiguitySpec(np.ones((1, spec.stacked_dist_dim)), [1e6])

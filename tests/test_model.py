@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import ExprBuilder, LinExpr, pin_variables
+from helpers import ExprBuilder, LinExpr, block_slack, block_violation, pin_variables
 from soclqc.model import (
     ConicProgram,
     ConicProgramBuilder,
@@ -21,7 +21,7 @@ from soclqc.solver import Status, solve
 def block_value(program, x):
     """Value of a one-block program's block at x."""
     (block,) = program.blocks
-    return block.evaluate(np.asarray(x, dtype=float))
+    return block_slack(block, np.asarray(x, dtype=float))
 
 
 def soc_margin(vec):
@@ -349,8 +349,8 @@ class TestRowBlocks:
         for _ in range(20):
             x = 3.0 * rng.standard_normal(2)
             for blk in prog.blocks[:4]:
-                (s0,) = blk.evaluate(x)
-                assert blk.dim == 1 and blk.violation(x) == max(0.0, -s0)
+                (s0,) = block_slack(blk, x)
+                assert blk.dim == 1 and block_violation(blk, x) == max(0.0, -s0)
 
     @pytest.mark.parametrize("oddity", ["constant-row-before-variables", "empty-stack"])
     def test_degenerate_stacks_leave_the_solution(self, oddity):

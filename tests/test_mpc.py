@@ -9,6 +9,7 @@ from helpers import (
     ExprBuilder,
     assert_identical_programs,
     assert_same_program,
+    block_violation,
     double_integrator_mpc,
     pin_variables,
     reference_mpc_program,
@@ -267,7 +268,7 @@ class TestEmittedBlocks:
         prog = b.build()
         x = np.array([0.5, -0.5, 0.0])
         assert len(prog.blocks) == spec.E.shape[0]
-        assert all(blk.violation(x) == 0.0 for blk in prog.blocks)
+        assert all(block_violation(blk, x) == 0.0 for blk in prog.blocks)
 
         full, c_idx, r_idx = self.build_terminal_program(spec)
         off_center = pin_variables(full.build(), list(c_idx) + [r_idx],
@@ -307,7 +308,7 @@ class TestEmittedBlocks:
         x = np.array([10.0, -4.0, 99.0])
         assert len(prog.blocks) == spec.G.shape[0]
         for blk in prog.blocks:
-            assert blk.violation(x) == 0.0
+            assert block_violation(blk, x) == 0.0
 
 
 class TestFullProblem:

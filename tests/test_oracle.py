@@ -42,6 +42,15 @@ class TestBallMax:
         assert abs(res.value - 2.0) <= 1e-12
         assert np.allclose(res.w_star, [1.0, 0.0], atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("gamma", [1e-8, 0.3, 1e5])
+    def test_zero_form(self, n, gamma):
+        # verify calls the oracle on the zero form as well (a cost that no
+        # disturbance enters); it ends in the hard case, on the sphere
+        res = max_quad_over_ball(np.zeros((n, n)), np.zeros(n), gamma)
+        assert res.value == 0.0 and res.hard_case
+        assert abs(np.linalg.norm(res.w_star) - gamma) <= 1e-12 * gamma
+
     def test_isotropic_hard_case(self):
         res = max_quad_over_ball(np.eye(3), np.zeros(3), 2.0)
         assert abs(res.value - 4.0) <= 1e-10
