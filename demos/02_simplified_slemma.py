@@ -48,7 +48,7 @@ def main():
     # one variable f; e(x) = 0 f + e and f(x) = 1 f + 0 as coefficient rows
     builder = ConicProgramBuilder()
     builder.add_var()
-    block = emit_simplified_slemma(inner, D, (np.zeros((n, 1)), e), ([1.0], 0.0), sd, builder)
+    block = emit_simplified_slemma(inner, (np.zeros((n, 1)), e), ([1.0], 0.0), sd, builder)
     builder.set_objective_row([1.0])
     sol = solve(builder.build())
     print(f"\nsolver status      {sol.status.value}")

@@ -33,7 +33,7 @@ def sweep_horizons():
         sol = solve(socp.program)
         ms = (time.perf_counter() - t0) * 1e3
         result = {"mode": "robust", "x0": x0, **socp.extract(sol)}
-        report = {check.name: check for check in verify_result("lqc", spec, None, result)}
+        report = {check.name: check for check in verify_result(spec, None, result)}
         gap = report["objective matches ball oracle"].residual
         psd = report["bordered certificate PSD"].ok
         print(f"{N:>4} {sol.objective:>12.6f} {sol.iterations:>6} {ms:>9.1f} "

@@ -65,7 +65,7 @@ def main():
     # the checks of soclqc verify, among them 50 steps of the terminal
     # controller from the planned endpoint, which the set must trap
     print("\nverification of the plan:")
-    for check in verify_result("mpc", spec, None, {"mode": "mpc", "x0": x_init, **ex}):
+    for check in verify_result(spec, None, {"mode": "mpc", "x0": x_init, **ex}):
         print(f"  [{'pass' if check.ok else 'FAIL'}] {check.name:42s} {check.residual: .1e}")
 
     # mild initial state: both versions feasible, movable never worse

@@ -30,7 +30,7 @@ from .model import (
     psd_sqrt_factor,
     unit_rows,
 )
-from .solver import Solution, SolverConfig, Status, solve
+from .solver import Solution, Status, solve
 from .slemma import (
     DegenerateInput,
     QuadForm,

@@ -32,7 +32,7 @@ from .lqc import (
 )
 from .mpc import build_mpc_socp
 from .problemfile import ProblemFileError, load_problem, require_kind
-from .solver import SolverConfig, Status, solve
+from .solver import Status, solve
 from .verify import verify_result
 
 # not called here: the benchmark tracer (perfbench/spans.py) patches them on this module
@@ -82,8 +82,8 @@ def _build(mode: str, spec, amb, x0):
 
 def cmd_solve(args) -> int:
     try:
-        kind, spec, amb = load_problem(args.problem)
-        require_kind(args.mode, kind)
+        spec, amb = load_problem(args.problem)
+        require_kind(args.mode, spec)
         x0 = _parse_x0(args.x0, spec.n_x, "--x0")
         if args.max_iters < 1:
             raise ValueError("--max-iters: must be at least 1")
@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    sol = solve(socp.program, SolverConfig(max_iters=args.max_iters))
+    sol = solve(socp.program, args.max_iters)
     print(f"status      {sol.status.value}")
     if not sol.optimal:
         print(f"reason      {sol.reason}")
@@ -122,10 +122,10 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        kind, spec, amb = load_problem(args.problem)
+        spec, amb = load_problem(args.problem)
         with open(args.result, "r", encoding="utf-8") as fh:
             result = json.load(fh)
-        report = verify_result(kind, spec, amb, result)
+        report = verify_result(spec, amb, result)
     except (ProblemFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -180,8 +180,8 @@ def bench_row(N: int, reps: int) -> BenchRecord:
         solve_ms=float(np.mean(solve_ms)),
         iterations=sol.iterations,
         objective=sol.objective,
-        n_soc_blocks=socp.n_cone_q,
-        lmi_dim=socp.lmi_dim,
+        n_soc_blocks=len(socp.t_index),
+        lmi_dim=len(socp.y_index) + len(socp.t_index) + 1,
         status=sol.status,
     )
 

@@ -42,9 +42,8 @@ from .slemma import (
     SimulDiag,
     assemble_classical_lmi,
     simultaneous_diagonalize,
-    symmetrize,
 )
-from .solver import Solution, SolverConfig, Status, solve
+from .solver import Solution, Status, solve
 
 
 class RecedingHorizonError(RuntimeError):
@@ -64,16 +63,17 @@ def _as_stack(mats, name: str) -> np.ndarray:
 
 
 def _check_stage_costs(Q: np.ndarray, R: np.ndarray) -> None:
-    """Every Q[k] symmetric PSD and every R[k] positive definite.
+    """Every Q[k] symmetric PSD and every R[k] symmetric positive definite.
 
-    One stacked eigvalsh and one stacked Cholesky test all stages; on a
-    failure the first failing stage k is named, with the per-stage checks
-    of :func:`symmetrize` and :func:`cholesky_factor`.
+    One stacked symmetry test (the tolerance of :func:`slemma.symmetrize`),
+    eigvalsh and Cholesky test all stages; a failure names the matrix and its
+    first failing stage k, as in "R[k] is not symmetric within tolerance".
     """
-    Qt = Q.transpose(0, 2, 1)
-    scale = np.maximum(1.0, np.linalg.norm(Q, axis=(1, 2)))
-    asym = np.linalg.norm(Q - Qt, axis=(1, 2)) > 1e-12 * scale * Q.shape[1] * 100
-    qev = np.linalg.eigvalsh(0.5 * (Q + Qt))
+    q_asym, r_asym = (
+        np.linalg.norm(M - M.transpose(0, 2, 1), axis=(1, 2))
+        > 1e-12 * np.maximum(1.0, np.linalg.norm(M, axis=(1, 2))) * M.shape[1] * 100
+        for M in (Q, R))
+    qev = np.linalg.eigvalsh(0.5 * (Q + Q.transpose(0, 2, 1)))
     indefinite = qev[:, 0] < -1e-9 * np.maximum(1.0, np.abs(qev[:, -1]))
     try:
         L = np.linalg.cholesky(0.5 * (R + R.transpose(0, 2, 1)))
@@ -81,9 +81,9 @@ def _check_stage_costs(Q: np.ndarray, R: np.ndarray) -> None:
         r_bad = pivots <= 1e-12 * np.linalg.norm(R, axis=(1, 2))
     except np.linalg.LinAlgError:
         r_bad = np.ones(len(R), dtype=bool)  # the stacked factorization names no stage
-    for k in np.flatnonzero(asym | indefinite | r_bad):
-        if asym[k]:
-            symmetrize(Q[k])
+    for k in np.flatnonzero(q_asym | r_asym | indefinite | r_bad):
+        if q_asym[k] or r_asym[k]:
+            raise ValueError(f"{'Q' if q_asym[k] else 'R'}[{k}] is not symmetric within tolerance")
         if indefinite[k]:
             raise ValueError(f"Q[{k}] is not positive semidefinite")
         cholesky_factor(R[k], f"R[{k}]")
@@ -408,20 +408,18 @@ class LqcSocp:
     compact: CompactCost
     diag: SimulDiag
     gamma: float
-    kappa: float
     chol_L: np.ndarray
     y_index: np.ndarray
     lam_index: int
     t_index: np.ndarray
     beta_index: np.ndarray
-    n_cone_q: int
-    lmi_dim: int
 
     def extract(self, sol: Solution) -> dict:
         y = sol.x[self.y_index]
+        kappa = max(1.0, self.gamma)
         return {
             "u": scipy.linalg.solve_triangular(self.chol_L.T, y),
-            "lam": float(sol.x[self.lam_index]) * (self.kappa / self.gamma) ** 2,
+            "lam": float(sol.x[self.lam_index]) * (kappa / self.gamma) ** 2,
             "t": sol.x[self.t_index],
             "beta": sol.x[self.beta_index],
             "objective": sol.objective,
@@ -526,14 +524,11 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
         compact=cc,
         diag=sd,
         gamma=spec.gamma,
-        kappa=kappa,
         chol_L=L,
         y_index=y_idx,
         lam_index=lam_idx,
         t_index=t_idx,
         beta_index=beta_idx,
-        n_cone_q=n_w_all,
-        lmi_dim=n_u_all + n_w_all + 1,
     )
 
 
@@ -604,14 +599,15 @@ def receding_horizon_simulate(
     disturbances,
     controller: str = "robust",
     amb: AmbiguitySpec | None = None,
-    config: SolverConfig | None = None,
+    max_iters: int = 100,
 ) -> SimulationRecord:
     """Apply the first input of the re-solved plan at every step.
 
     ``controller`` is one of :data:`LQC_MODES`; the DR modes need ``amb``.
     ``disturbances`` holds the realized disturbance vectors, one row per
-    step; the plant steps with the first-stage dynamics matrices.  Solver
-    failures raise :class:`RecedingHorizonError` with the offending step.
+    step; the plant steps with the first-stage dynamics matrices.  Each
+    solve stops after ``max_iters`` iterations; a solver failure raises
+    :class:`RecedingHorizonError` with the offending step.
     """
     lqc_mode(controller, amb)
     disturbances = np.atleast_2d(np.asarray(disturbances, dtype=float))
@@ -624,7 +620,7 @@ def receding_horizon_simulate(
     objectives, iterations = [], []
     for k, w in enumerate(disturbances):
         socp = _build_minmax_socp(spec, x, controller, amb)
-        sol = solve(socp.program, config)
+        sol = solve(socp.program, max_iters)
         iterations.append(sol.iterations)
         if sol.status is not Status.OPTIMAL:
             raise RecedingHorizonError(k, sol.status)

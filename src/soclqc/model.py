@@ -88,8 +88,7 @@ class ConicProgram:
     shared by concurrent solves.
     """
 
-    num_vars: int
-    obj: np.ndarray
+    obj: np.ndarray  # one entry per variable
     obj_offset: float
     obj_F: np.ndarray  # (r, num_vars); r = 0 for a linear objective
     G: np.ndarray
@@ -99,8 +98,8 @@ class ConicProgram:
     tags: tuple[str, ...]
 
     def __post_init__(self):
-        if self.obj.shape != (self.num_vars,):
-            raise DimensionMismatch("objective length != num_vars")
+        if self.obj.ndim != 1:
+            raise DimensionMismatch("objective must be a vector")
         if self.obj_F.ndim != 2 or self.obj_F.shape[1] != self.num_vars:
             raise DimensionMismatch("objective factor needs num_vars columns")
         if self.h.ndim != 1 or self.G.shape != (len(self.h), self.num_vars):
@@ -115,6 +114,10 @@ class ConicProgram:
                      h=self.h)
         for a in (self.obj_F, self.G, self.h):
             a.setflags(write=False)
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.obj)
 
     @property
     def blocks(self) -> tuple[ConeBlock, ...]:
@@ -198,7 +201,7 @@ class ConicProgramBuilder:
         nn = counts.pop(1, 0)
         rows = [A.reshape(len(A) * A.shape[1], A.shape[2]) for A, _, _ in stacks]  # w may be 0
         return ConicProgram(
-            n, _stack_rows([c[None]], n)[0], offset, _stack_rows([F], n), -_stack_rows(rows, n),
+            _stack_rows([c[None]], n)[0], offset, _stack_rows([F], n), -_stack_rows(rows, n),
             np.concatenate([np.zeros(0), *(b.ravel() for _, b, _ in stacks)]),
             nn, tuple((k, d) for d, k in counts.items() if k),
             tuple(t for *_, tags in stacks for t in tags),

@@ -185,7 +185,7 @@ def _parse_mpc(tree: dict) -> MpcSpec:
 
 
 def parse_problem(text: str):
-    """Return ('lqc', LqcSpec, AmbiguitySpec|None) or ('mpc', MpcSpec, None)."""
+    """Return (LqcSpec, AmbiguitySpec|None) or (MpcSpec, None)."""
     try:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -195,9 +195,9 @@ def parse_problem(text: str):
     kind = tree["kind"]
     if kind == "lqc":
         spec = _parse_lqc(tree)
-        return "lqc", spec, parse_ambiguity(tree, spec.stacked_dist_dim)
+        return spec, parse_ambiguity(tree, spec.stacked_dist_dim)
     if kind == "mpc":
-        return "mpc", _parse_mpc(tree), None
+        return _parse_mpc(tree), None
     raise ProblemFileError(f"kind: must be 'lqc' or 'mpc', got {kind!r}")
 
 
@@ -206,10 +206,10 @@ def load_problem(path):
         return parse_problem(fh.read())
 
 
-def require_kind(mode, kind: str) -> None:
-    """Mode mpc needs an mpc problem file, every other mode an lqc one."""
+def require_kind(mode, spec) -> None:
+    """Mode mpc needs an mpc problem (an MpcSpec), every other mode an lqc one."""
     need = "mpc" if mode == "mpc" else "lqc"
-    if kind != need:
+    if not isinstance(spec, MpcSpec if mode == "mpc" else LqcSpec):
         raise ProblemFileError(f"mode {mode!r} requires an {need} problem file")
 
 

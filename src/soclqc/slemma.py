@@ -136,7 +136,6 @@ class SLemmaBlock:
 
 def emit_simplified_slemma(
     inner: QuadForm,
-    D: np.ndarray,
     e_rows,
     f_rows,
     sd: SimulDiag,
@@ -151,8 +150,9 @@ def emit_simplified_slemma(
     variables, given as ``e_rows = (E, e0)`` with E (n, w) and
     ``f_rows = (f_row, f0)`` with f_row (w,), both over the first
     w <= num_vars variables, and ``sd`` diagonalizes the numeric pair
-    (inner.A, D).  Appends fresh lam >= 0 and t variables, the row
-    f(x) - lam*c >= sum(t), and one hyperbolic block per coordinate:
+    (inner.A, D), so D enters through ``sd`` alone.  Appends fresh lam >= 0
+    and t variables, the row f(x) - lam*c >= sum(t), and one hyperbolic
+    block per coordinate:
 
         ([S^T e(x)]_i - lam*[S^T b]_i)^2 <= t_i * (delta_i - lam*alpha_i).
 
@@ -161,8 +161,7 @@ def emit_simplified_slemma(
     set, which the caller asserts).
     """
     n = inner.dim
-    D = symmetrize(D)
-    if D.shape[0] != n or sd.dim != n:
+    if sd.dim != n:
         raise DimensionMismatch("forms and diagonalization disagree in size")
     E, e0 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in e_rows)
     f_row, f0 = np.atleast_1d(np.asarray(f_rows[0], dtype=float)), float(f_rows[1])

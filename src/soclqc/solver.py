@@ -83,15 +83,6 @@ class Status(enum.Enum):
 
 
 @dataclass
-class SolverConfig:
-    max_iters: int = 100
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
-@dataclass
 class Solution:
     status: Status
     x: np.ndarray
@@ -259,7 +250,8 @@ class _Cones:
         - J)``, and the ``(2, blocks)`` block determinants of s and z, which
         :meth:`max_step` reuses at this point.  ``heads_and_norms``, if
         given, holds :meth:`heads_and_norms` of sz, as the line search that
-        accepted sz computed it."""
+        accepted sz computed it.  ``FloatingPointError`` if sz is not interior
+        or beta leaves the double range."""
         heads, nb = self.heads_and_norms(sz) if heads_and_norms is None else heads_and_norms
         dets = (heads - nb) * (heads + nb)
         if not ((heads > 0) & (dets > 0)).all():
@@ -275,7 +267,11 @@ class _Cones:
         v[self.starts] += 1.0
         v /= np.sqrt(2.0 * v[self.starts])[self.blk]
         jv = v * self.sign
-        beta = ((ds / dz) ** 0.25)[self.blk]
+        with np.errstate(over="ignore"):  # the ratio may pass the double range
+            beta = (ds / dz) ** 0.25
+        if not ((beta > 0) & (beta < np.inf)).all():  # inf or 0 puts nan in W
+            raise FloatingPointError("scaling overflowed")
+        beta = beta[self.blk]
         fwd = (v, 2.0 * beta * v, beta * self.sign)
         inv = (jv, (2.0 / beta) * jv, self.sign / beta)
         return _Scaling(fwd, inv), dets
@@ -483,18 +479,22 @@ def _initial_point(c, h, kkt: _KktFactor, reg: float):
     return x, s, z
 
 
-def solve(program: ConicProgram, config: SolverConfig | None = None) -> Solution:
-    """Solve a conic program; see :class:`Status` for termination meanings.
+def solve(program: ConicProgram, max_iters: int = 100) -> Solution:
+    """Solve a conic program in at most ``max_iters`` (>= 1) iterations; see
+    :class:`Status` for termination meanings.
 
     A status other than ``Optimal`` comes with a ``reason`` naming the guard
     that fired, and the returned iterate is always finite.  Infeasibility is
     decided by the iteration's own ray tests, and a solve that stalls
     (``NumericalFailure`` or ``MaxIterations``) is reported as it is.
     """
-    max_iters = (config or SolverConfig()).max_iters
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     cones = _Cones(program.nn, program.soc)
     if cones.num_blocks == 0:
         raise ValueError("program has no cone blocks; nothing for the solver to do")
+    if program.num_vars == 0:
+        raise ValueError("program has no variables; nothing for the solver to do")
     c, h, obj_offset = program.obj, program.h, program.obj_offset
     kkt = _KktFactor(program.G, program.obj_F, cones)
     G, hess = kkt.G, kkt.hess

@@ -87,7 +87,7 @@ def _field(result: dict, name: str, shape: tuple, default=None) -> np.ndarray:
     return _numbers(list(entries.ravel()), f"result field {name!r}").reshape(shape)
 
 
-def verify_result(kind: str, spec, amb, result) -> list[Check]:
+def verify_result(spec, amb, result) -> list[Check]:
     """The report of a parsed result against ``problemfile.load_problem``'s
     output; ``ValueError`` naming the field when the result is malformed."""
     if not isinstance(result, dict):
@@ -95,7 +95,7 @@ def verify_result(kind: str, spec, amb, result) -> list[Check]:
     mode = result.get("mode")
     if not isinstance(mode, str):
         raise ValueError("result field 'mode': expected a string")
-    require_kind(mode, kind)
+    require_kind(mode, spec)
     return _verify_mpc(spec, result) if mode == "mpc" else _verify_lqc(spec, amb, mode, result)
 
 

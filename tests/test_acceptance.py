@@ -230,7 +230,7 @@ def test_criterion_7_mpc_terminal_set():
     x_init = np.array([2.0, 0.5])
     socp = build_mpc_socp(spec, x_init)
     sol = solve_ok(socp.program)
-    report = verify_result("mpc", spec, None,
+    report = verify_result(spec, None,
                            {"mode": "mpc", "x0": x_init, **socp.extract(sol)})
     inv, state, inputs = (check.residual for check in report if "(sampled)" in check.name)
     fixed = solve_ok(

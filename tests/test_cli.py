@@ -9,7 +9,7 @@ from helpers import double_integrator_mpc
 from soclqc import cli, verify
 from soclqc.cli import BENCH_HEADER, main
 from soclqc.lqc import AmbiguitySpec, build_compact_cost, scalar_benchmark_spec
-from soclqc.problemfile import save_problem
+from soclqc.problemfile import ProblemFileError, save_problem
 from soclqc.slemma import check_psd
 
 
@@ -297,9 +297,19 @@ class TestBench:
 @pytest.mark.parametrize("call, message", [
     (lambda s: verify.worst_case(build_compact_cost(s, [0.5]), "minimax", np.zeros(3)),
      "unknown worst-case kernel 'minimax'"),
-    (lambda s: verify.verify_result("lqc", s, None, {"mode": "robust"}), "result file missing field 'x0'"),
-    (lambda s: verify.verify_result("lqc", s, None, {"mode": 3}), "result field 'mode': expected a string"),
+    (lambda s: verify.verify_result(s, None, {"mode": "robust"}), "result file missing field 'x0'"),
+    (lambda s: verify.verify_result(s, None, {"mode": 3}), "result field 'mode': expected a string"),
 ], ids=["kernel", "missing-field", "mode-not-a-string"])
 def test_verify_rejects_malformed_input(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(scalar_benchmark_spec(3))
+
+
+@pytest.mark.parametrize("mode", ["robust", "regret", "dr", "dr-regret", "mpc"])
+def test_verify_rejects_a_spec_of_the_other_kind(mode):
+    # the kind comes from the spec's type; an MpcSpec under an LQC mode once
+    # failed with an AttributeError inside the LQC checks
+    need = "mpc" if mode == "mpc" else "lqc"
+    spec = scalar_benchmark_spec(3) if mode == "mpc" else double_integrator_mpc()
+    with pytest.raises(ProblemFileError, match=f"^mode '{mode}' requires an {need} problem file$"):
+        verify.verify_result(spec, None, {"mode": mode, "x0": [5.0, 0.5], "u": [0.0]})

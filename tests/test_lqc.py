@@ -310,10 +310,10 @@ class TestRobustSocp:
     def test_problem_size_formulas(self, rng):
         spec = random_lqc_spec(rng, 2, 2, 3, 4)
         socp = build_robust_socp(spec, rng.standard_normal(2))
-        assert socp.n_cone_q == spec.stacked_dist_dim == 12
+        assert len(socp.t_index) == spec.stacked_dist_dim == 12
         tagged = [b for b in socp.program.blocks if b.tag.startswith("coneq")]
-        assert len(tagged) == socp.n_cone_q
-        assert socp.lmi_dim == spec.stacked_input_dim + spec.stacked_dist_dim + 1
+        assert len(tagged) == len(socp.t_index)
+        assert len(socp.y_index) == spec.stacked_input_dim
 
     def test_diagonalization_cached_per_spec(self, rng):
         spec = random_lqc_spec(rng, 2, 1, 2, 3)
@@ -629,13 +629,9 @@ class TestRecedingHorizon:
         assert len(rec2.iterations) == 2
 
     def test_solver_failure_carries_step_index(self):
-        from soclqc.solver import SolverConfig
-
         spec = scalar_benchmark_spec(2)
         with pytest.raises(RecedingHorizonError) as err:
-            receding_horizon_simulate(
-                spec, [-1.0], np.zeros((3, 1)), config=SolverConfig(max_iters=1)
-            )
+            receding_horizon_simulate(spec, [-1.0], np.zeros((3, 1)), max_iters=1)
         assert err.value.step == 0
         assert err.value.status is Status.MAX_ITERATIONS
 
@@ -781,7 +777,7 @@ class TestEdgeCaseCorpus:
             socp = build(spec, x0, amb)
             sol = solve(socp.program)
             assert sol.status is Status.OPTIMAL, (mode, sol.status, sol.reason)
-            report = verify_result("lqc", spec, amb, {"mode": mode, "x0": x0, **socp.extract(sol)})
+            report = verify_result(spec, amb, {"mode": mode, "x0": x0, **socp.extract(sol)})
             assert [check.name for check in report if not check.ok] == [], mode
 
 
@@ -879,7 +875,11 @@ def _asymmetric_stage(spec):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda s: replace(s, A=s.A[0]), DimensionMismatch, "A must be a sequence of matrices"),
-    (_asymmetric_stage, ValueError, "matrix is not symmetric within tolerance"),
+    (_asymmetric_stage, ValueError, "Q[1] is not symmetric within tolerance"),
+    # MpcSpec symmetrizes its R; an LqcSpec stage once took an asymmetric R
+    (lambda s: time_invariant_spec(np.eye(2), np.eye(2), np.ones((2, 1)), np.eye(2), np.zeros(2),
+                                   [[1.0, 0.5], [0.0, 1.0]], np.zeros(2), N=3, gamma=0.5),
+     ValueError, "R[0] is not symmetric within tolerance"),
     (lambda s: replace(s, A=np.ones((3, 2, 3))), DimensionMismatch, "A blocks must be square"),
     (lambda s: replace(s, B=np.ones((3, 3, 1))), DimensionMismatch, "B/C blocks inconsistent with A"),
     (lambda s: replace(s, q=np.zeros((3, 3))), DimensionMismatch, "state cost blocks inconsistent"),
@@ -891,7 +891,7 @@ def _asymmetric_stage(spec):
      "disturbance sequence has wrong shape"),
     (lambda s: _tiny_input_weight(scalar_benchmark_spec(10)), NotPositiveDefinite,
      "stacked input cost has a near-zero Cholesky pivot at stage 3"),
-], ids=["A-not-stacked", "Q-asymmetric", "A-not-square", "B", "q", "r", "moments", "x0",
+], ids=["A-not-stacked", "Q-asymmetric", "R-asymmetric", "A-not-square", "B", "q", "r", "moments", "x0",
         "disturbances", "stacked-input-pivot"])
 def test_rejected_input_is_named(call, error, message):
     # a spec with n_x = 2, n_u = n_w = 1 and N = 3

@@ -301,7 +301,7 @@ class TestRowBlocks:
     )
     def test_program_rejects_inconsistent_layout(self, G_shape, rows, nn, soc, tags):
         with pytest.raises(DimensionMismatch):
-            ConicProgram(2, np.zeros(2), 0.0, np.zeros((0, 2)), np.zeros(G_shape), np.zeros(rows),
+            ConicProgram(np.zeros(2), 0.0, np.zeros((0, 2)), np.zeros(G_shape), np.zeros(rows),
                          nn, soc, tags)
 
     def test_one_tag_for_all_blocks(self):
@@ -403,12 +403,13 @@ def _two_variable_builder():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda b: replace(b.build(), obj=np.zeros(3)), "objective length != num_vars"),
+    (lambda b: replace(b.build(), obj=np.zeros(3)), "objective factor needs num_vars columns"),
+    (lambda b: replace(b.build(), obj=np.zeros((2, 2))), "objective must be a vector"),
     (lambda b: b.set_objective_row(np.zeros(3)), "objective row longer than the variable count"),
     (lambda b: hyperbolic_rows(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2),
                                np.zeros((1, 2)), np.zeros(1)),
      "hyperbolic rows: head, y and z shapes inconsistent"),
-], ids=["objective", "objective-row", "hyperbolic-rows"])
+], ids=["objective", "objective-matrix", "objective-row", "hyperbolic-rows"])
 def test_rejected_shape_is_named(call, message):
     with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         call(_two_variable_builder())

@@ -222,7 +222,7 @@ class TestNullSpacePosing:
         assert free.program.G[:, cr].any()
         ex = fixed.extract(solve_ok(fixed.program))
         assert np.array_equal(ex["center"], c0) and ex["radius"] == r0
-        report = verify_result("mpc", spec, None, {"mode": "mpc", "x0": ex["states"][0], **ex})
+        report = verify_result(spec, None, {"mode": "mpc", "x0": ex["states"][0], **ex})
         assert [check.name for check in report if not check.ok] == []
 
 
@@ -331,7 +331,7 @@ class TestFullProblem:
         # dynamics, path and input constraints, terminal membership, sampled
         # invariance and containment, and 50 steps of the terminal closed loop
         spec, ex = double_integrator
-        report = verify_result("mpc", spec, None, {"mode": "mpc", "x0": ex["states"][0], **ex})
+        report = verify_result(spec, None, {"mode": "mpc", "x0": ex["states"][0], **ex})
         assert [check.name for check in report if not check.ok] == []
         # an absolute bound, tighter than verify's 1e-7 (1 + r^2)
         assert max(check.residual for check in report if "invariance" in check.name) <= 1e-7
@@ -408,7 +408,7 @@ class TestEdgeCaseCorpus:
         spec = double_integrator_mpc(N)
         socp = build_mpc_socp(spec, np.array(x_init))
         ex = socp.extract(solve_ok(socp.program))
-        report = verify_result("mpc", spec, None, {"mode": "mpc", "x0": np.array(x_init), **ex})
+        report = verify_result(spec, None, {"mode": "mpc", "x0": np.array(x_init), **ex})
         assert [check.name for check in report if not check.ok] == []
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import double_integrator_mpc, random_lqc_spec
-from soclqc.lqc import AmbiguitySpec, scalar_benchmark_spec
+from soclqc.lqc import AmbiguitySpec, LqcSpec, scalar_benchmark_spec
+from soclqc.mpc import MpcSpec
 from soclqc.problemfile import (
     ProblemFileError,
     load_problem,
@@ -23,8 +24,8 @@ class TestRoundTrip:
                             rng.standard_normal(2))
         path = tmp_path / "prob.json"
         save_problem(path, spec, amb)
-        kind, spec2, amb2 = load_problem(path)
-        assert kind == "lqc"
+        spec2, amb2 = load_problem(path)
+        assert isinstance(spec2, LqcSpec)
         for name in ("A", "B", "C", "Q", "q", "R", "r", "u_poly_G", "u_poly_h"):
             assert np.array_equal(getattr(spec, name), getattr(spec2, name)), name
         assert spec.gamma == spec2.gamma
@@ -34,8 +35,8 @@ class TestRoundTrip:
         spec = double_integrator_mpc()
         path = tmp_path / "prob.json"
         save_problem(path, spec)
-        kind, spec2, amb = load_problem(path)
-        assert kind == "mpc" and amb is None
+        spec2, amb = load_problem(path)
+        assert isinstance(spec2, MpcSpec) and amb is None
         for name in ("A", "B", "E", "f", "G", "h", "K", "P", "Q", "R", "Q_f"):
             assert np.array_equal(getattr(spec, name), getattr(spec2, name)), name
         assert spec.N == spec2.N

@@ -121,11 +121,10 @@ class TestSimultaneousDiagonalize:
 def emit_interval_program(inner_c, outer_f, objective_on_lambda=False):
     """Scalar containment instance: inner 1*c - z^2 >= 0, outer f - z^2 >= 0."""
     inner = QuadForm(np.array([[-1.0]]), np.zeros(1), inner_c)
-    D = np.array([[-1.0]])
     base = simultaneous_diagonalize(np.eye(1), np.eye(1))
     sd = SimulDiag(base.S, -base.alpha, -base.delta)
     b = ConicProgramBuilder()
-    blk = emit_simplified_slemma(inner, D, (np.zeros((1, 0)), [0.0]), ([], outer_f), sd, b)
+    blk = emit_simplified_slemma(inner, (np.zeros((1, 0)), [0.0]), ([], outer_f), sd, b)
     if objective_on_lambda:
         b.set_objective_row(unit_rows(blk.lambda_index, b.num_vars)[0])
     return b.build(), blk
@@ -159,11 +158,10 @@ class TestEmitSimplifiedSlemma:
         # unit ball inside radius-rho ball exactly when rho >= 1
         for rho, feasible in ((1.5, True), (0.8, False)):
             inner = QuadForm.ball(1.0, 2)
-            D = -np.eye(2)
             base = simultaneous_diagonalize(np.eye(2), np.eye(2))
             sd = SimulDiag(base.S, -base.alpha, -base.delta)
             b = ConicProgramBuilder()
-            emit_simplified_slemma(inner, D, (np.zeros((2, 0)), [0.0, 0.0]), ([], rho**2), sd, b)
+            emit_simplified_slemma(inner, (np.zeros((2, 0)), [0.0, 0.0]), ([], rho**2), sd, b)
             sol = solve(b.build())
             assert (sol.status is Status.OPTIMAL) == feasible
 
@@ -179,7 +177,7 @@ class TestEmitSimplifiedSlemma:
                                ((np.zeros((2, 2)), [0.0, 0.0]), ([1.0], 0.0)),
                                ((np.zeros((2, 1)), [0.0, 0.0]), ([1.0, 0.0], 0.0))):
             with pytest.raises(DimensionMismatch):
-                emit_simplified_slemma(inner, -np.eye(2), e_rows, f_rows, sd, b)
+                emit_simplified_slemma(inner, e_rows, f_rows, sd, b)
         assert b.num_vars == 1
 
     def test_slater_guard(self):
@@ -188,8 +186,7 @@ class TestEmitSimplifiedSlemma:
         sd = SimulDiag(base.S, -base.alpha, -base.delta)
         b = ConicProgramBuilder()
         with pytest.raises(DegenerateInput):
-            emit_simplified_slemma(inner, np.array([[-1.0]]), (np.zeros((1, 0)), [0.0]),
-                                   ([], 1.0), sd, b)
+            emit_simplified_slemma(inner, (np.zeros((1, 0)), [0.0]), ([], 1.0), sd, b)
 
     def test_soundness_by_sampling(self, rng):
         # solve for (e, f) that make the robust constraint hold, then check
@@ -209,7 +206,7 @@ class TestEmitSimplifiedSlemma:
             # column wide and padded past the emitted variables
             builder = ConicProgramBuilder()
             builder.add_var()
-            emit_simplified_slemma(inner, D, (np.zeros((n, 1)), e0), ([1.0], 0.0), sd, builder)
+            emit_simplified_slemma(inner, (np.zeros((n, 1)), e0), ([1.0], 0.0), sd, builder)
             builder.set_objective_row([1.0])
             sol = solve(builder.build())
             assert sol.status is Status.OPTIMAL
@@ -369,8 +366,9 @@ class TestGridEquivalence:
     (lambda: QuadForm(np.eye(2), np.zeros(3), 0.0), DimensionMismatch,
      "QuadForm: A and b dimensions differ"),
     (lambda: simultaneous_diagonalize(np.eye(2), np.eye(3)), DimensionMismatch, "A and D sizes differ"),
-    (lambda: emit_simplified_slemma(QuadForm.ball(1.0, 2), np.eye(3), (np.zeros((2, 1)), np.zeros(2)),
-                                    (np.zeros(1), 0.0), simultaneous_diagonalize(np.eye(2), np.eye(2)),
+    # an sd of another size than inner; the outer D is read from sd alone
+    (lambda: emit_simplified_slemma(QuadForm.ball(1.0, 2), (np.zeros((2, 1)), np.zeros(2)),
+                                    (np.zeros(1), 0.0), simultaneous_diagonalize(np.eye(3), np.eye(3)),
                                     ConicProgramBuilder()),
      DimensionMismatch, "forms and diagonalization disagree in size"),
     (lambda: assemble_classical_lmi(QuadForm.ball(1.0, 2), np.eye(3), np.zeros(3), 0.0, 1.0),

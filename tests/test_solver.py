@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from soclqc.lqc import (
 )
 from soclqc.model import ConicProgramBuilder, unit_rows
 from soclqc.mpc import build_mpc_socp
-from soclqc.solver import TOL_FEAS, TOL_GAP, SolverConfig, Status, solve
+from soclqc.solver import TOL_FEAS, TOL_GAP, Status, solve
 
 
 def make_kkt_instance(rng):
@@ -243,9 +244,10 @@ class TestSolutionContract:
         dual = -prog.h @ sol.z
         assert sol.objective >= dual - 1e-6 * max(1.0, abs(sol.objective))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iters=0)
+    def test_config_validation(self, rng):
+        prog, _ = make_kkt_instance(rng)
+        with pytest.raises(ValueError, match="^max_iters must be at least 1$"):
+            solve(prog, max_iters=0)
 
     def test_program_without_cone_blocks_rejected(self):
         b = ConicProgramBuilder()
@@ -253,9 +255,17 @@ class TestSolutionContract:
         with pytest.raises(ValueError, match="no cone blocks"):
             solve(b.build())
 
+    def test_program_without_variables_rejected(self):
+        # one constant row 1 >= 0 over no variables once reached LAPACK with
+        # an empty right-hand side
+        b = ConicProgramBuilder()
+        b.add_block_rows(np.zeros((1, 1, 0)), [[1.0]])
+        with pytest.raises(ValueError, match="^program has no variables; nothing for the"):
+            solve(b.build())
+
     def test_iteration_budget_exhaustion(self, rng):
         prog, _ = make_kkt_instance(rng)
-        sol = solve(prog, SolverConfig(max_iters=1))
+        sol = solve(prog, max_iters=1)
         assert sol.status is Status.MAX_ITERATIONS
         assert sol.iterations == 1
         assert sol.reason == "iteration limit"
@@ -268,7 +278,7 @@ class TestSolutionContract:
         # gap by the ratio of the two whole objectives
         prog = build_robust_socp(scalar_benchmark_spec(5), [0.5]).program
         raised = replace(prog, obj_offset=prog.obj_offset + 1e6)
-        sol, sol_raised = (solve(p, SolverConfig(max_iters=3)) for p in (prog, raised))
+        sol, sol_raised = (solve(p, max_iters=3) for p in (prog, raised))
         assert sol.status is sol_raised.status is Status.MAX_ITERATIONS
         assert np.array_equal(sol.x, sol_raised.x)
         ratio = max(1.0, abs(sol_raised.objective)) / max(1.0, abs(sol.objective))
@@ -534,6 +544,20 @@ class TestNumericalExits:
             sol = solve(self.program(c, G, h))
         assert sol.status is Status.NUMERICAL_FAILURE
         assert sol.reason == reason
+        assert np.isfinite(sol.x).all()
+
+    def test_scaling_overflow(self):
+        # an MPC program with its rows scaled by 1e3: late in the solve the
+        # ratio of a block's slack and dual determinants passes the largest
+        # double, so beta would be inf; that once put nan in the directions
+        # and ended the solve "non-finite or vanishing step" after an
+        # overflow warning
+        prog = build_mpc_socp(double_integrator_mpc(20), np.array([5.0, 0.5])).program
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve(replace(prog, G=prog.G * 1e3, h=prog.h * 1e3))
+        assert sol.status is Status.NUMERICAL_FAILURE
+        assert sol.reason == "scaling left the cone"
         assert np.isfinite(sol.x).all()
 
     def test_non_finite_iterate(self, monkeypatch):
