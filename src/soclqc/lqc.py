@@ -172,11 +172,11 @@ class LqcSpec:
     def stacked_dist_dim(self) -> int:
         return self.horizon * self.n_w
 
-    @cached_property
     def _prediction_rows(self) -> np.ndarray:
         """The block row [F | G | H] with (x_1, ..., x_N) = F x0 + G u + H w, by
         the recursion [F_k | G_k | H_k] = A_k [F_{k-1} | G_{k-1} | H_{k-1}]
-        plus B_k and C_k in stage k's columns: one product per stage."""
+        plus B_k and C_k in stage k's columns: one product per stage.  Not
+        cached: :attr:`cost_pieces` holds all that the builders read of it."""
         N, n_x, n_u, n_w = self.horizon, self.n_x, self.n_u, self.n_w
         S = np.zeros((N * n_x, n_x + N * (n_u + n_w)))
         S[:n_x, :n_x] = self.A[0]
@@ -196,7 +196,7 @@ class LqcSpec:
         stage by stage to the block row S = [F | G | H]; one product of its
         (u, w) columns with QS gives every block that an input or a
         disturbance enters."""
-        S = self._prediction_rows
+        S = self._prediction_rows()
         N, n_x, n_u = self.horizon, self.n_x, self.n_u
         nu = N * n_u
         QS = np.matmul(self.Q, S.reshape(N, n_x, -1)).reshape(S.shape)
@@ -228,8 +228,8 @@ class LqcSpec:
     def input_factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cholesky factor L of the stacked input cost, Uq = L L', F = L^{-1} X
         and the input-set rows in whitened inputs, G_u L^{-T}, the last two
-        from one triangular solve on [X | G_u'].  The spec computes it when
-        it is made, so that a spec whose Uq fails the pivot test is
+        from one triangular solve in place on [X | G_u'].  The spec computes
+        it when it is made, so that a spec whose Uq fails the pivot test is
         rejected there, with the stage of the first failing pivot named."""
         pieces = self.cost_pieces
         Uq = pieces["u_quad"]
@@ -244,7 +244,9 @@ class LqcSpec:
             stage = (low[0] if low.size else max(info - 1, 0)) // self.n_u
             raise NotPositiveDefinite(f"{exc} at stage {stage}") from None
         X = pieces["cross"]
-        FG = scipy.linalg.solve_triangular(L, np.hstack([X, self.u_poly_G.T]), lower=True)
+        FG = np.empty((len(L), X.shape[1] + len(self.u_poly_G)), order="F")
+        FG[:, : X.shape[1]], FG[:, X.shape[1] :] = X, self.u_poly_G.T
+        FG = scipy.linalg.solve_triangular(L, FG, lower=True, overwrite_b=True)
         return L, FG[:, : X.shape[1]], FG[:, X.shape[1] :].T
 
     @cached_property
@@ -286,9 +288,12 @@ class AmbiguitySpec:
 
 
 def box_polyhedron(bound: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows for ``-bound <= u_i <= bound`` on every coordinate."""
-    eye = np.eye(dim)
-    return np.vstack([eye, -eye]), np.full(2 * dim, float(bound))
+    """Rows ``[I; -I]`` for ``-bound <= u_i <= bound`` on every coordinate;
+    a negative bound, an empty box, is rejected."""
+    if not bound >= 0:
+        raise ValueError("box bound must be nonnegative")
+    G = np.array([1.0, -1.0])[:, None, None] * np.eye(dim)
+    return G.reshape(2 * dim, dim), np.full(2 * dim, float(bound))
 
 
 def time_invariant_spec(A, B, C, Q, q, R, r, N, gamma, u_poly=None) -> LqcSpec:
@@ -323,11 +328,12 @@ def scalar_benchmark_spec(N: int, decay: float = 0.9, gamma: float = 0.1,
     A = B = C = 1, state weight decay^k on x_k (k = 1..N), input weight
     decay^k on u_k (k = 0..N-1), inputs boxed to +-input_bound.
     """
+    if N < 1:
+        raise ValueError("horizon N must be at least 1")
     one = np.ones((N, 1, 1))
-    Q = np.array([[[decay**k]] for k in range(1, N + 1)])
-    R = np.array([[[decay**k]] for k in range(N)])
+    weights = np.array([decay**k for k in range(N + 1)]).reshape(-1, 1, 1)
     G, h = box_polyhedron(input_bound, N)
-    return LqcSpec(one, one, one, Q, np.zeros((N, 1)), R, np.zeros((N, 1)),
+    return LqcSpec(one, one, one, weights[1:], np.zeros((N, 1)), weights[:-1], np.zeros((N, 1)),
                    gamma, G, h)
 
 
@@ -492,13 +498,15 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     obj[t_idx] = 1.0
     if amb is not None:
         obj[beta_idx] = amb.mu
-    b.set_objective_row(obj, offset, unit_rows(y_idx, n))  # ||y||^2 + obj'x
+    b.set_objective_row(obj, offset, unit_rows(y_idx, n_u_all))  # ||y||^2 + obj'x
 
     # lam >= 0, beta >= 0 and the input polyhedron h - G u >= 0, one row each,
-    # in y: h - G_u L^{-T} y >= 0
+    # in y: h - G_u L^{-T} y >= 0.  Rows are stored over the first variables
+    # they reach, beta being the last ones
+    w = n if m else lam_idx + 1
     n_poly = G_y.shape[0]
-    rows = np.zeros((1 + m + n_poly, n))
-    rows[: 1 + m] = unit_rows([lam_idx, *beta_idx], n)
+    rows = np.zeros((1 + m + n_poly, w))
+    rows[: 1 + m] = unit_rows([lam_idx, *beta_idx], w)
     rows[1 + m :, y_idx] = -G_y
     consts = np.concatenate([np.zeros(1 + m), spec.u_poly_h])
     b.add_block_rows(rows[:, None], consts[:, None],
@@ -507,16 +515,17 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     # per-coordinate heads [S^T (linear-in-y disturbance coupling)]_i, with
     # - S'H' beta / 2 for moment information
     head_const = sd.S.T @ head_const
-    heads = np.zeros((n_w_all, n))
+    heads = np.zeros((n_w_all, n if m else n_u_all))
     heads[:, y_idx] = g * (sd.S.T @ F.T)
     if amb is not None:
         heads[:, beta_idx] = g * (-(sd.S.T @ amb.H.T) / 2.0)
     # head_i^2 <= t_i * slack_i with slack_i = alpha_i lam - g^2 delta_i
-    slacks = np.zeros((n_w_all, n))
+    slacks = np.zeros((n_w_all, lam_idx + 1))
     slacks[:, lam_idx] = sd.alpha
     A, rhs = hyperbolic_rows(heads, g * head_const, unit_rows(t_idx, n), np.zeros(n_w_all),
                              slacks, -(g**2 * sd.delta))
     b.add_block_rows(A, rhs, [f"coneq{i}" for i in range(n_w_all)])
+    del heads, slacks  # freed before build() allocates G
 
     return LqcSocp(
         program=b.build(),

@@ -52,16 +52,6 @@ def unit_rows(indices, num_vars: int) -> np.ndarray:
     return rows
 
 
-def _stack_rows(mats, num_vars: int) -> np.ndarray:
-    """The rows of 2-D matrices, padded with zero columns to num_vars, stacked."""
-    out = np.zeros((sum(len(M) for M in mats), num_vars))
-    row = 0
-    for M in mats:
-        out[row : row + len(M), : M.shape[1]] = M
-        row += len(M)
-    return out
-
-
 @dataclass(frozen=True)
 class ConeBlock:
     """View of one cone block ``(A @ x + b) in cone``; row 0 is the head."""
@@ -84,8 +74,8 @@ class ConicProgram:
     then for each ``(k, d)`` in ``soc`` (increasing d) k second-order blocks
     of dimension d, block after block, head first.  ``tags`` names the
     blocks in that order.  Every entry of the data must be finite.
-    ``obj_F``, ``G`` and ``h`` are made read-only, so one program can be
-    shared by concurrent solves.
+    ``obj``, ``obj_F``, ``G`` and ``h`` are made read-only, so one program
+    can be shared by concurrent solves.
     """
 
     obj: np.ndarray  # one entry per variable
@@ -112,7 +102,7 @@ class ConicProgram:
             raise DimensionMismatch("cone layout needs one tag per block")
         check_finite(obj=self.obj, obj_offset=self.obj_offset, obj_F=self.obj_F, G=self.G,
                      h=self.h)
-        for a in (self.obj_F, self.G, self.h):
+        for a in (self.obj, self.obj_F, self.G, self.h):
             a.setflags(write=False)
 
     @property
@@ -132,10 +122,12 @@ class ConicProgramBuilder:
     """Incrementally assembles a :class:`ConicProgram`.
 
     Rows are stored as stacks of cone blocks ``(A (k, d, w), b (k, d),
-    tags)``, where w is the variable count when they were added.
-    :meth:`build` pads every stack with zero columns to the final variable
-    count, so variables may be added after the rows that precede them, and
-    sorts the stacks into the program's layout.
+    tags)``, where w is the variable count when they were added, as given:
+    the builder keeps the caller's arrays, uncopied, until :meth:`build`
+    reads them.  :meth:`build` sorts the stacks into the program's layout
+    and writes each stack's ``-A``, padded with zero columns to the final
+    variable count, straight into the program's one G, so variables may be
+    added after the rows that precede them.
     Single rows are stacks of one, e.g. ``x[i] >= 0`` is
     ``add_block_rows(unit_rows([i], num_vars)[:, None], [[0.0]])``.
     """
@@ -161,9 +153,9 @@ class ConicProgramBuilder:
     def set_objective_row(self, c, offset: float = 0.0, F=None) -> None:
         """Objective ``||F x[:w]||^2 + c @ x[:len(c)] + offset``; the factor
         ``F`` is (r, w) over the first w <= num_vars variables (none: a
-        linear objective)."""
-        c = np.array(c, dtype=float)
-        F = np.zeros((0, 0)) if F is None else np.array(F, dtype=float)
+        linear objective).  Kept uncopied until :meth:`build`, as rows are."""
+        c = np.asarray(c, dtype=float)
+        F = np.zeros((0, 0)) if F is None else np.asarray(F, dtype=float)
         if c.ndim != 1 or len(c) > self._num_vars:
             raise DimensionMismatch("objective row longer than the variable count")
         if F.ndim != 2 or F.shape[1] > self._num_vars:
@@ -177,8 +169,8 @@ class ConicProgramBuilder:
         (k, d); ``tag`` is one string for all k blocks or k strings.  d = 1
         gives nonnegative rows and d >= 2 second-order blocks.
         """
-        A = np.array(A, dtype=float)
-        b = np.array(b, dtype=float)
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
         if A.ndim != 3 or b.shape != A.shape[:2] or A.shape[1] < 1 or A.shape[2] > self._num_vars:
             raise DimensionMismatch(
                 f"row blocks need A (k, d >= 1, w <= {self._num_vars}) and b (k, d); "
@@ -199,10 +191,21 @@ class ConicProgramBuilder:
         for A, _, tags in stacks:
             counts[A.shape[1]] = counts.get(A.shape[1], 0) + len(tags)
         nn = counts.pop(1, 0)
-        rows = [A.reshape(len(A) * A.shape[1], A.shape[2]) for A, _, _ in stacks]  # w may be 0
+        obj = np.zeros(n)
+        obj[: len(c)] = c
+        obj_F = np.zeros((len(F), n))
+        obj_F[:, : F.shape[1]] = F
+        # the padding is -0.0, the negation of the zero it stands for
+        G = np.empty((sum(b.size for _, b, _ in stacks), n))
+        row = 0
+        for A, b, _ in stacks:
+            rows, w = G[row : row + b.size], A.shape[2]  # w may be 0
+            np.negative(A.reshape(b.size, w), out=rows[:, :w])
+            if w < n:
+                rows[:, w:] = -0.0
+            row += b.size
         return ConicProgram(
-            _stack_rows([c[None]], n)[0], offset, _stack_rows([F], n), -_stack_rows(rows, n),
-            np.concatenate([np.zeros(0), *(b.ravel() for _, b, _ in stacks)]),
+            obj, offset, obj_F, G, np.concatenate([np.zeros(0), *(b.ravel() for _, b, _ in stacks)]),
             nn, tuple((k, d) for d, k in counts.items() if k),
             tuple(t for *_, tags in stacks for t in tags),
         )
@@ -213,26 +216,37 @@ def hyperbolic_rows(head_A, head_b, y_A, y_b, z_A, z_b) -> tuple[np.ndarray, np.
 
     Block i is ``[y_i + z_i; 2 head_i; y_i - z_i]``, the second-order form
     ``||(2 head, y - z)|| <= y + z`` (which implies y, z >= 0).  Heads are
-    scalar rows ``head_A`` (k, w) with constants (k,), or vectors (k, m, w)
-    with (k, m); ``y`` and ``z`` are (k, w) rows with (k,) constants.
-    Returns ``A`` (k, m + 2, w) and ``b`` (k, m + 2) for
-    :meth:`ConicProgramBuilder.add_block_rows`.
+    scalar rows ``head_A`` (k, w_h) with constants (k,), or vectors (k, m,
+    w_h) with (k, m); ``y`` and ``z`` are (k, w_y) and (k, w_z) rows with
+    (k,) constants.  Like the rows that
+    :meth:`ConicProgramBuilder.add_block_rows` takes, each covers the first
+    columns only, the rest being zero, so rows over few variables need not
+    be stored at full width.  Returns ``A`` (k, m + 2, w), w the widest of
+    the three, and ``b`` (k, m + 2).
     """
     head_A = np.asarray(head_A, dtype=float)
     head_b = np.asarray(head_b, dtype=float)
     if head_A.ndim == 2:
         head_A, head_b = head_A[:, None], head_b[:, None]
-    k, m, w = head_A.shape
+    k, m, w_h = head_A.shape
     y_A, y_b, z_A, z_b = (np.asarray(v, dtype=float) for v in (y_A, y_b, z_A, z_b))
-    if head_b.shape != (k, m) or not y_A.shape == z_A.shape == (k, w) or not (
-        y_b.shape == z_b.shape == (k,)
+    if head_b.shape != (k, m) or y_A.ndim != 2 or z_A.ndim != 2 or not (
+        len(y_A) == len(z_A) == k and y_b.shape == z_b.shape == (k,)
     ):
         raise DimensionMismatch("hyperbolic rows: head, y and z shapes inconsistent")
-    A = np.empty((k, m + 2, w))
+    w_y, w_z = y_A.shape[1], z_A.shape[1]
+    w, lo = max(w_h, w_y, w_z), min(w_y, w_z)
+    A = np.zeros((k, m + 2, w)) if min(w_h, lo) < w else np.empty((k, m + 2, w))
+    np.multiply(2.0, head_A, out=A[:, 1:-1, :w_h])
+    # y + z and y - z as on rows padded with zeros (y + 0 turns -0.0 to 0.0)
+    for row, op in ((A[:, 0], np.add), (A[:, -1], np.subtract)):
+        op(y_A[:, :lo], z_A[:, :lo], out=row[:, :lo])
+        if w_y > lo:
+            op(y_A[:, lo:], 0.0, out=row[:, lo:w_y])
+        if w_z > lo:
+            op(0.0, z_A[:, lo:], out=row[:, lo:w_z])
     b = np.empty((k, m + 2))
-    A[:, 0], b[:, 0] = y_A + z_A, y_b + z_b
-    A[:, 1:-1], b[:, 1:-1] = 2.0 * head_A, 2.0 * head_b
-    A[:, -1], b[:, -1] = y_A - z_A, y_b - z_b
+    b[:, 0], b[:, 1:-1], b[:, -1] = y_b + z_b, 2.0 * head_b, y_b - z_b
     return A, b
 
 

@@ -23,8 +23,9 @@ Math. Prog. 2003) to ``(2P + H + D) dx = r_x + G'W^-2 r_z`` with ``H =
 because G and F may lack full column rank).  Every program factors it by
 Cholesky (:class:`_KktFactor`), on a large program with the block-private
 variables eliminated first (after Domahidi et al., CDC 2012, and ECOS).
-The factorization and solves are direct LAPACK calls on Fortran-ordered
-arrays, with no copy and no wrapper.  The starting point comes from the same
+The Gram products, the factorization and the solves are direct BLAS and
+LAPACK calls on Fortran-ordered views of buffers that each solve allocates
+once, with no copy and no wrapper.  The starting point comes from the same
 factorization at W = I, its primal and dual parts from one solve with two
 right-hand sides.
 
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .model import ConicProgram
 
@@ -156,15 +157,6 @@ class _Cones:
     def _sum(self, u: np.ndarray) -> np.ndarray:
         """Per-block sums of the rows of u (of each stacked row)."""
         return np.add.reduceat(u, self.starts, axis=-1)
-
-    def block_sums(self, u: np.ndarray) -> np.ndarray:
-        """Per-block sums of the rows of a matrix of slack columns, one row
-        per block, by one reduction per group: at scalar N = 100 (603 x 101)
-        this takes 49 us where ``np.add.reduceat`` along the rows, which
-        reduces block by block, takes 217 us."""
-        cols = u.shape[1]
-        return np.concatenate([u[: self.nn]] + [np.add.reduce(u[sl].reshape(k, d, cols), axis=1)
-                                                for sl, k, d in self.groups])
 
     def _tail_norm(self, u: np.ndarray) -> np.ndarray:
         return np.sqrt(self._sum(u * u * self.tail))
@@ -276,9 +268,10 @@ class _Cones:
         inv = (jv, (2.0 / beta) * jv, self.sign / beta)
         return _Scaling(fwd, inv), dets
 
-    def apply_w(self, scaling, u: np.ndarray, inverse: bool = False) -> np.ndarray:
+    def apply_w(self, scaling, u: np.ndarray, inverse: bool = False, out=None) -> np.ndarray:
         """W u (or W^-1 u) for a slack vector or a matrix of slack columns,
-        with W^-1 = (2 Jv (Jv)' - J) / beta."""
+        with W^-1 = (2 Jv (Jv)' - J) / beta; a matrix's product is written
+        to ``out`` if given."""
         v, a, bJ = scaling.inv if inverse else scaling.fwd
         if u.ndim == 1:
             return a * self._sum(v * u)[self.blk] - bJ * u
@@ -286,7 +279,7 @@ class _Cones:
         # blocks, which is faster than per-block sums over its columns: per
         # row, W = a v' - bJ
         nn, cols = self.nn, u.shape[1]
-        out = np.empty_like(u)
+        out = np.empty_like(u) if out is None else out
         np.multiply(u[:nn], (a[:nn] * v[:nn] - bJ[:nn])[:, None], out=out[:nn])
         for sl, k, d in self.groups:
             M = a[sl].reshape(k, d, 1) * v[sl].reshape(k, 1, d)
@@ -303,39 +296,60 @@ def _private_columns(G: np.ndarray, F: np.ndarray, cones: _Cones):
     """The block-private columns of G, nonzero in the rows of one cone block
     only, and their blocks: the first of each block, never an all-zero
     column nor one that the objective factor F uses, which the Hessian
-    couples to others.  The LQC programs have one per disturbance
-    coordinate, its epigraph t_i."""
-    touched = cones.block_sums(G != 0) > 0
-    single = np.flatnonzero((touched.sum(axis=0) == 1) & ~F.any(axis=0))
-    blocks, first = np.unique(touched[:, single].argmax(axis=0), return_index=True)
+    couples to others.  A column is private when its first and its last
+    nonzero row lie in one block.  The LQC programs have one per
+    disturbance coordinate, its epigraph t_i."""
+    nonzero = G != 0
+    first = nonzero.argmax(axis=0)
+    last = len(G) - 1 - nonzero[::-1].argmax(axis=0)
+    block = cones.blk[first]
+    single = np.flatnonzero(nonzero[first, np.arange(G.shape[1])] & (block == cones.blk[last])
+                            & ~F.any(axis=0))
+    blocks, first = np.unique(block[single], return_index=True)
     return single[first], blocks
 
 
+def _index(cols: np.ndarray):
+    """Indices as a slice when they are one run of consecutive integers,
+    which numpy reads and writes without gathering a copy (the LQC
+    programs' objective factor uses the inputs' columns, one run)."""
+    if len(cols) and cols[-1] - cols[0] == len(cols) - 1:
+        return slice(cols[0], cols[-1] + 1)
+    return cols
+
+
 class _KktFactor:
-    """Cholesky factor ``U'U = 2P + H + D`` of the reduced KKT matrix, ``hess
-    = 2P = 2 F'F`` the objective's Hessian, ``H = (W^-1 G)'(W^-1 G)`` and D
-    the regularization; each reduced solve is one ``dpotrs`` (:meth:`solve`).
+    """Cholesky factorization of the reduced KKT matrix ``2P + H + D``,
+    ``2P = 2 F'F`` the objective's Hessian, ``H = (W^-1 G)'(W^-1 G)`` and D
+    the regularization; each reduced solve makes one ``dpotrs`` call
+    (:meth:`solve`).  One instance serves one solve: it owns the buffers
+    that every iteration refills, ``W^-1 G`` and the matrix that ``dpotrf``
+    factors in place, so an iteration allocates no matrix of that size.
+    2P is held on the columns that F uses only.
 
     A large program (``compact``) orders its block-private variables
     (:func:`_private_columns`) first, as ``order`` gives, and eliminates
     them before ``dpotrf`` (after Domahidi et al., CDC 2012, and ECOS).
-    ``hess`` is zero on them, and their ``H_pp`` is diagonal: the private
+    2P is zero on them, and their ``H_pp`` is diagonal: the private
     columns of ``W^-1 G`` are disjoint segments of the one vector ``gw =
-    W^-1 g_p``, ``g_p`` the sum of the private columns of G.  So W^-1 is
-    applied to ``[g_p, G_d]`` only, H_pp and H_pd come from ``gw`` and
-    ``W^-1 G_d`` (:meth:`private_rows`: H_pd by one batched product per
-    group of second-order blocks, over the blocks that hold a private
-    variable only), only the Schur complement on the other variables goes
-    to ``dpotrf``, and the iteration's products take G and W^-1 G in that
-    form (:meth:`mul`, :meth:`tmul`).  A smaller program keeps its order and
-    factors the whole matrix.
+    W^-1 g_p``, ``g_p`` the sum of the private columns of G.  So G is held
+    as the pair ``(g_p, G_d)`` (``G``; G_d views the program's G when the
+    other columns are one run), W^-1 is applied to that only, H_pp and
+    H_pd come from ``gw`` and ``W^-1 G_d`` (:meth:`private_rows`: H_pd by
+    one batched product per group of second-order blocks, over the blocks
+    that hold a private variable only), the factor is ``U = [[sqrt(H_pp),
+    U_pd], [0, U_s]]`` with ``U_pd = sqrt(H_pp)^-1 H_pd``, and only the
+    Schur complement ``U_s' U_s`` on the other variables goes to
+    ``dpotrf``.  A smaller program keeps its order, holds the program's G
+    and factors the whole matrix (U = U_s).  :meth:`mul` and :meth:`tmul`
+    take G and W^-1 G in either form.
     """
 
     def __init__(self, G: np.ndarray, F: np.ndarray, cones: _Cones):
         m, n = G.shape
         self.cones, self.n = cones, n
         private, blocks = _private_columns(G, F, cones)
-        # the compact form [g_p, G_d] (see mul) skips the m k entries of the
+        # the compact form (g_p, G_d) (see mul) skips the m k entries of the
         # private columns in each product with G or W^-1 G, for more numpy
         # calls.  A scalar robust or regret program has m = 5N + 1 rows and
         # k = N private columns, so the threshold first holds at N = 49
@@ -347,21 +361,24 @@ class _KktFactor:
         self.compact = m * len(private) > 12_000
         self.k = k = len(private) if self.compact else 0  # eliminated
         self.order = None
+        fcols = np.flatnonzero(F.any(axis=0))
+        F_f = F[:, fcols]
+        self.hess_f = 2.0 * (F_f.T @ F_f)  # 2P on the columns F uses
         if self.compact:
             rest = np.ones(n, dtype=bool)
             rest[private] = False
-            self.order = np.concatenate([private, np.flatnonzero(rest)])
-            G = G.take(self.order, axis=1)
-            F = F.take(self.order, axis=1)
+            rest = np.flatnonzero(rest)
+            self.order = np.concatenate([private, rest])
+            fcols = k + np.searchsorted(rest, fcols)  # F never uses a private column
             self.blocks = blocks
-            self.G_pd = np.empty((m, n - k + 1))
-            self.G_pd[:, 0] = G[:, :k].sum(axis=1)
-            self.G_pd[:, 1:] = G[:, k:]
-            # each row's private variable (0 outside the private blocks,
-            # where g_p is zero)
+            # each row's private variable (0 outside the private blocks)
             slot = np.zeros(cones.num_blocks, dtype=int)
             slot[blocks] = np.arange(k)
             self.row_slot = slot[cones.blk]
+            # g_p holds each row's entry in that variable's column, the only
+            # private column nonzero in the row's block (outside the private
+            # blocks, private column 0 is zero too)
+            G = (G[np.arange(m), private[self.row_slot]], G[:, _index(rest)])
             # the private nonnegative rows, and per group of second-order
             # blocks that holds a private one (rows, k, d, the private blocks
             # among its k)
@@ -371,86 +388,125 @@ class _KktFactor:
             for sl, kg, d in cones.groups:
                 local = blocks[(blocks >= first) & (blocks < first + kg)] - first
                 if len(local):
-                    self.private_groups.append((sl, kg, d, local))
+                    self.private_groups.append((sl, kg, d, _index(local)))
                 first += kg
         self.G = G
-        self.hess = 2.0 * (F.T @ F)
-        # upper factor in Fortran order for LAPACK; the off-diagonal entries
-        # of its private block stay zero, and U_pp views its diagonal
-        self.U = np.zeros((n, n), order="F")
-        self.U_pp = self.U.T.reshape(-1)[: k * (n + 1) : n + 1]
+        self.fcols = _index(fcols)
+        local = _index(fcols - k)  # 2P's block of the Schur matrix
+        self.f_block = (local, local) if isinstance(local, slice) else np.ix_(local, local)
+        # the buffers: W^-1 G (its matrix part when compact), and the Schur
+        # matrix, C order, whose transpose dpotrf factors in place (U_s).
+        # S starts at zero: its triangle that no call writes is never read,
+        # but 2P is added to it, so it must hold finite numbers
+        self.Gw = np.empty((m, n - k))
+        self.S = np.zeros((n - k, n - k))
+        self.U = self.d_p = self.U_pd = None  # set by factor
 
-    def private_rows(self, B: np.ndarray):
+    def hess_mul(self, x: np.ndarray) -> np.ndarray:
+        """``2P x``."""
+        out = np.zeros(self.n)
+        out[self.fcols] = self.hess_f @ x[self.fcols]
+        return out
+
+    def private_rows(self, B):
         """``H_pp`` (its diagonal) and ``H_pd``, the private rows of H, from
-        ``B = W^-1 [g_p, G_d]``.  A row of H_pd is ``gw' B_d`` over its
-        block's rows: one batched product per group of second-order blocks
-        that holds a private one, and a scaled row per private nonnegative
-        row.  Rows of blocks without a private variable, where ``gw`` is
-        zero, are never formed."""
-        gw, cols = B[:, 0], B.shape[1] - 1
+        ``B = (gw, B_d) = W^-1 (g_p, G_d)``.  A row of H_pd is ``gw' B_d``
+        over its block's rows: one batched product per group of
+        second-order blocks that holds a private one, and a scaled row per
+        private nonnegative row.  Rows of blocks without a private
+        variable, where ``gw`` is zero, are never formed."""
+        gw, B_d = B
+        cols = B_d.shape[1]
         rows_nn = self.private_nn
-        parts = [gw[rows_nn, None] * B[rows_nn, 1:]] if len(rows_nn) else []
+        parts = [gw[rows_nn, None] * B_d[rows_nn]] if len(rows_nn) else []
         for sl, k, d, local in self.private_groups:
-            rows = np.matmul(gw[sl].reshape(k, 1, d), B[sl, 1:].reshape(k, d, cols)).reshape(k, cols)
+            rows = np.matmul(gw[sl].reshape(k, 1, d), B_d[sl].reshape(k, d, cols)).reshape(k, cols)
             parts.append(rows[local])
-        return self.cones._sum(gw * gw)[self.blocks], np.concatenate(parts)
+        H_pd = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return self.cones._sum(gw * gw)[self.blocks], H_pd
 
-    def mul(self, P: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``M x`` for M = G or W^-1 G in the private-first order, given
-        as ``P = [p, M_d]`` (``G_pd`` or ``B``): a private column of M is
-        p on the rows of its block."""
-        return P[:, 1:] @ x[self.k :] + P[:, 0] * x[self.row_slot]
+    def mul(self, P, x: np.ndarray) -> np.ndarray:
+        """``M x`` for M = G or W^-1 G in the solve's order, given as ``P``
+        (``G`` or the first result of :meth:`factor`); in the compact form
+        ``P = (p, M_d)``, and a private column of M is p on the rows of its
+        block."""
+        if not self.compact:
+            return P @ x
+        p, M_d = P
+        return M_d @ x[self.k :] + p * x[self.row_slot]
 
-    def tmul(self, P: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """``M' z`` for ``P = [p, M_d]`` as in :meth:`mul`."""
-        return np.concatenate([self.cones._sum(P[:, 0] * z)[self.blocks], P[:, 1:].T @ z])
+    def tmul(self, P, z: np.ndarray) -> np.ndarray:
+        """``M' z`` for ``P`` as in :meth:`mul`."""
+        if not self.compact:
+            return P.T @ z
+        p, M_d = P
+        return np.concatenate([self.cones._sum(p * z)[self.blocks], M_d.T @ z])
 
-    def _eliminate(self, B: np.ndarray, reg: float, relative: bool):
-        """Write the private rows ``[sqrt(H_pp), sqrt(H_pp)^-1 H_pd]`` of U,
-        from ``B = W^-1 [g_p, G_d]``, and return their second part; None
-        when a pivot H_pp is not positive."""
+    def _eliminate(self, B, reg: float, relative: bool) -> bool:
+        """The private rows of U, ``d_p = sqrt(H_pp)`` and ``U_pd = d_p^-1
+        H_pd``, from ``B = W^-1 (g_p, G_d)``; False when a pivot H_pp is not
+        positive."""
         H_pp, H_pd = self.private_rows(B)
         H_pp += np.maximum(reg, 1e-14 * H_pp) if relative else reg
         if not H_pp.min(initial=np.inf) > 0:
-            return None
-        self.U_pp[:] = np.sqrt(H_pp)
-        U_pd = self.U[: self.k, self.k :] = H_pd / self.U_pp[:, None]
-        return U_pd
+            return False
+        self.d_p = np.sqrt(H_pp)
+        H_pd /= self.d_p[:, None]
+        self.U_pd = H_pd
+        return True
 
     def factor(self, scaling: _Scaling | None, reg: float):
-        """``(W^-1 G, U, info)``, W^-1 G in the form :meth:`mul` takes when
-        ``compact``.  The regularization is relative to diag(2P + H) (at least
-        ``reg``), or ``reg`` itself for ``scaling=None``, which is W = I.
-        info is nonzero when a pivot is not positive (LAPACK lets a nan
-        pivot through, so U's diagonal is checked)."""
-        k, U = self.k, self.U
+        """Factor the reduced matrix at ``scaling``; returns ``(W^-1 G,
+        info)``, W^-1 G in the form :meth:`mul` takes, its matrix the
+        buffer that the next call overwrites.  The regularization is
+        relative to diag(2P + H) (at least ``reg``), or ``reg`` itself for
+        ``scaling=None``, which is W = I.  info is nonzero when a pivot is
+        not positive (LAPACK lets a nan pivot through, so the diagonal of
+        the factor is checked)."""
         relative = scaling is not None
-        Gw = self.G_pd if self.compact else self.G
+        p, G_d = self.G if self.compact else (None, self.G)
+        # the matrix part of W^-1 G in the buffer (a copy of G at W = I)
+        Gw = Gw_d = self.Gw
         if relative:
-            Gw = self.cones.apply_w(scaling, Gw, inverse=True)
-        Gw_d = Gw
+            self.cones.apply_w(scaling, G_d, inverse=True, out=Gw_d)
+        else:
+            Gw_d[:] = G_d
         if self.compact:
-            Gw_d, U_pd = Gw[:, 1:], self._eliminate(Gw, reg, relative)
-            if U_pd is None:
-                return Gw, U, 1
-        # numpy forms the Gram products exactly symmetric, and S.T is S in
-        # Fortran order, so LAPACK factors it in place
-        S = Gw_d.T @ Gw_d
-        S += self.hess[k:, k:]
+            Gw = (self.cones.apply_w(scaling, p, inverse=True) if relative else p, Gw_d)
+            if not self._eliminate(Gw, reg, relative):
+                return Gw, 1
+        # the transposes of the buffers are in Fortran order: BLAS and LAPACK
+        # write the upper triangle of S.T, the only one that dpotrf reads,
+        # in place
+        S = self.S
+        if len(S):  # dsyrk rejects an empty matrix
+            blas.dsyrk(1.0, Gw_d.T, c=S.T, overwrite_c=True)
+        S[self.f_block] += self.hess_f
         S_dd = S.reshape(-1)[:: len(S) + 1]
         S_dd += np.maximum(reg, 1e-14 * S_dd) if relative else reg
-        if self.compact:
-            S -= U_pd.T @ U_pd
-        fac, info = lapack.dpotrf(S.T, lower=False, overwrite_a=True, clean=False)
+        if self.compact and len(S):
+            blas.dsyrk(-1.0, self.U_pd.T, beta=1.0, c=S.T, overwrite_c=True)
+        self.U, info = lapack.dpotrf(S.T, lower=False, overwrite_a=True, clean=False)
         if info:
-            return Gw, U, info
-        U[k:, k:] = fac
-        return Gw, U, int(not U.diagonal().min(initial=np.inf) > 0)
+            return Gw, info
+        return Gw, int(not self.U.diagonal().min(initial=np.inf) > 0)
 
-    def solve(self, U: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The solution of ``(2P + H + D) x = r``, with U from :meth:`factor` (r
-        is overwritten)."""
-        return lapack.dpotrs(U, r, lower=False, overwrite_b=True)[0]
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """The solution of ``(2P + H + D) x = r`` (r, a vector or a matrix of
+        columns, is overwritten) with the last :meth:`factor`: ``U' y = r``
+        and then ``U x = y``, on the Schur factor by one ``dpotrs``, on the
+        private rows by a division each way."""
+        if not self.compact:
+            return lapack.dpotrs(self.U, r, lower=False, overwrite_b=True)[0]
+        k, U_pd = self.k, self.U_pd
+        d = self.d_p if r.ndim == 1 else self.d_p[:, None]
+        r[:k] /= d
+        r[k:] -= U_pd.T @ r[:k]
+        if k < self.n:  # dpotrs rejects an empty factor
+            r[k:] = lapack.dpotrs(self.U, r[k:], lower=False, overwrite_b=True)[0]
+        r[:k] -= U_pd @ r[k:]
+        r[:k] /= d
+        return r
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +523,15 @@ def _initial_point(c, h, kkt: _KktFactor, reg: float):
     factorization of the reduced KKT matrix at W = I (from zero
     points if that factorization fails)."""
     G, cones = kkt.G, kkt.cones
-    _, U, info = kkt.factor(None, reg)
+    _, info = kkt.factor(None, reg)
     if info:
         x = w = np.zeros(kkt.n)
     else:
         # primal: min ||s||^2 / 2 + x'P x s.t. Gx + s = h, i.e. (2P + G'G) x
         # = G'h; dual: z = G w with 2P w + G'z = -c, i.e. (2P + G'G) w = -c
-        x, w = kkt.solve(U, np.column_stack([G.T @ h, -c])).T
-    s = cones.shift_inside(h - G @ x)
-    z = cones.shift_inside(G @ w)
+        x, w = kkt.solve(np.column_stack([kkt.tmul(G, h), -c])).T
+    s = cones.shift_inside(h - kkt.mul(G, x))
+    z = cones.shift_inside(kkt.mul(G, w))
     return x, s, z
 
 
@@ -497,7 +553,7 @@ def solve(program: ConicProgram, max_iters: int = 100) -> Solution:
         raise ValueError("program has no variables; nothing for the solver to do")
     c, h, obj_offset = program.obj, program.h, program.obj_offset
     kkt = _KktFactor(program.G, program.obj_F, cones)
-    G, hess = kkt.G, kkt.hess
+    G, mul, tmul = kkt.G, kkt.mul, kkt.tmul  # G in the solve's form
     if kkt.compact:
         # the solve runs in the private-first order
         c = c[kkt.order]
@@ -518,19 +574,13 @@ def solve(program: ConicProgram, max_iters: int = 100) -> Solution:
     norm_h = 1.0 + np.linalg.norm(h)
     norm_c = 1.0 + np.linalg.norm(c)
     ident = cones.identity()
-    # products with G and W^-1 G (Gw); for a large program both are held in
-    # the compact form of the KKT factor, G_pd and B
-    if kkt.compact:
-        mul, tmul, G_mat = kkt.mul, kkt.tmul, kkt.G_pd
-    else:
-        mul, tmul, G_mat = np.matmul, lambda M, v: M.T @ v, G
 
     for it in range(max_iters + 1):
         s, z = sz
-        Px2 = hess @ x  # 2 P x
+        Px2 = kkt.hess_mul(x)  # 2 P x
         xPx = 0.5 * float(x @ Px2)
-        Gz = tmul(G_mat, z)
-        r_cone = mul(G_mat, x) + s - h
+        Gz = tmul(G, z)
+        r_cone = mul(G, x) + s - h
         r_dual = Gz + c + Px2
         gap = float(s @ z)
         cx = float(c @ x)
@@ -573,14 +623,14 @@ def solve(program: ConicProgram, max_iters: int = 100) -> Solution:
         # regularization is relative to diag(2P + H), whose entries reach 1/mu,
         # because G may lack full column rank, and enters the factorization
         # only
-        Gw, fac, info = kkt.factor(scaling, reg)
+        Gw, info = kkt.factor(scaling, reg)
         if info:
             return finish(Status.NUMERICAL_FAILURE, "factorization failed")
 
         def solve_reduced(r_x, wr):
             """The regularized reduced solve of (r_x, r_z), given ``wr = W^-1
             r_z``: dx, dz and W dz, which is formed before dz = W^-1 (W dz)."""
-            dx = kkt.solve(fac, r_x + tmul(Gw, wr))
+            dx = kkt.solve(r_x + tmul(Gw, wr))
             wdz = mul(Gw, dx) - wr
             return dx, cones.apply_w(scaling, wdz, inverse=True), wdz
 
@@ -598,7 +648,7 @@ def solve(program: ConicProgram, max_iters: int = 100) -> Solution:
         # predictor: one reduced solve, uncorrected, for the target -lam; it
         # only sets alpha_a, sigma and the second-order term
         dx_a, dz_a, wdz_a = solve_reduced(r_x, lam - wr_cone)
-        dsz_a = np.array((-r_cone - mul(G_mat, dx_a), dz_a))
+        dsz_a = np.array((-r_cone - mul(G, dx_a), dz_a))
         alpha_a = step_length(dsz_a, 1.0)
         if not np.isfinite(alpha_a):
             return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")
@@ -618,12 +668,12 @@ def solve(program: ConicProgram, max_iters: int = 100) -> Solution:
         # factor, against the residual of the full, unregularized system:
         # r_z - G dx + W^2 dz = W (d_lam + W dz) - r_cone - G dx
         dx, dz, wdz = solve_reduced(r_x, d_lam - wr_cone)
-        res_z = cones.apply_w(scaling, d_lam + wdz) - r_cone - mul(G_mat, dx)
-        fix_x, fix_z, _ = solve_reduced(r_x - tmul(G_mat, dz) - hess @ dx,
+        res_z = cones.apply_w(scaling, d_lam + wdz) - r_cone - mul(G, dx)
+        fix_x, fix_z, _ = solve_reduced(r_x - tmul(G, dz) - kkt.hess_mul(dx),
                                         cones.apply_w(scaling, res_z, inverse=True))
         dx += fix_x
         dz += fix_z
-        dsz = np.array((-r_cone - mul(G_mat, dx), dz))
+        dsz = np.array((-r_cone - mul(G, dx), dz))
         alpha = step_length(dsz, FRACTION_TO_BOUNDARY)
         if not np.isfinite(alpha) or alpha <= 1e-14:
             return finish(Status.NUMERICAL_FAILURE, "non-finite or vanishing step")

@@ -211,7 +211,7 @@ def empty_ambiguity(n_w: int) -> AmbiguitySpec:
 def prediction_matrices(spec: LqcSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stacked maps (F, G, H) with (x_1, ..., x_N) = F x0 + G u + H w,
     as views of the spec's block row [F | G | H]."""
-    S, n_x = spec._prediction_rows, spec.n_x
+    S, n_x = spec._prediction_rows(), spec.n_x
     w0 = n_x + spec.stacked_input_dim
     return S[:, :n_x], S[:, n_x:w0], S[:, w0:]
 

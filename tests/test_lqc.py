@@ -217,7 +217,7 @@ class TestPredictionMatrices:
 
     def test_cached_per_spec(self, rng):
         spec = random_lqc_spec(rng, 2, 1, 1, 3)
-        for name in ("_prediction_rows", "cost_pieces", "input_factor", "robust_diag", "regret_diag"):
+        for name in ("cost_pieces", "input_factor", "robust_diag", "regret_diag"):
             assert getattr(spec, name) is getattr(spec, name), name
 
 
@@ -891,8 +891,13 @@ def _asymmetric_stage(spec):
      "disturbance sequence has wrong shape"),
     (lambda s: _tiny_input_weight(scalar_benchmark_spec(10)), NotPositiveDefinite,
      "stacked input cost has a near-zero Cholesky pivot at stage 3"),
+    # the scalar family's own inputs: no horizon, and an empty input box,
+    # which once built a program that ended PrimalInfeasible
+    (lambda s: scalar_benchmark_spec(0), ValueError, "horizon N must be at least 1"),
+    (lambda s: scalar_benchmark_spec(-1), ValueError, "horizon N must be at least 1"),
+    (lambda s: scalar_benchmark_spec(3, input_bound=-1), ValueError, "box bound must be nonnegative"),
 ], ids=["A-not-stacked", "Q-asymmetric", "R-asymmetric", "A-not-square", "B", "q", "r", "moments", "x0",
-        "disturbances", "stacked-input-pivot"])
+        "disturbances", "stacked-input-pivot", "scalar-N0", "scalar-N-negative", "scalar-negative-bound"])
 def test_rejected_input_is_named(call, error, message):
     # a spec with n_x = 2, n_u = n_w = 1 and N = 3
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -284,6 +284,8 @@ class TestRowBlocks:
             prog.G[0, 0] = 1.0  # read-only: solves share the program
         with pytest.raises(ValueError):
             prog.h[0] = 1.0
+        with pytest.raises(ValueError):
+            prog.obj[0] = 1.0
 
     @pytest.mark.parametrize(
         "G_shape, rows, nn, soc, tags",
