@@ -504,13 +504,11 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     # in y: h - G_u L^{-T} y >= 0.  Rows are stored over the first variables
     # they reach, beta being the last ones
     w = n if m else lam_idx + 1
-    n_poly = G_y.shape[0]
-    rows = np.zeros((1 + m + n_poly, w))
+    rows = np.zeros((1 + m + len(G_y), w))
     rows[: 1 + m] = unit_rows([lam_idx, *beta_idx], w)
     rows[1 + m :, y_idx] = -G_y
     consts = np.concatenate([np.zeros(1 + m), spec.u_poly_h])
-    b.add_block_rows(rows[:, None], consts[:, None],
-                     ["lam"] + ["beta"] * m + ["input_set"] * n_poly)
+    b.add_block_rows(rows[:, None], consts[:, None])
 
     # per-coordinate heads [S^T (linear-in-y disturbance coupling)]_i, with
     # - S'H' beta / 2 for moment information
@@ -524,7 +522,7 @@ def _build_minmax_socp(spec: LqcSpec, x0, mode: str, amb: AmbiguitySpec | None) 
     slacks[:, lam_idx] = sd.alpha
     A, rhs = hyperbolic_rows(heads, g * head_const, unit_rows(t_idx, n), np.zeros(n_w_all),
                              slacks, -(g**2 * sd.delta))
-    b.add_block_rows(A, rhs, [f"coneq{i}" for i in range(n_w_all)])
+    b.add_block_rows(A, rhs)
     del heads, slacks  # freed before build() allocates G
 
     return LqcSocp(

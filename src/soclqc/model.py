@@ -25,7 +25,6 @@ that the S-lemma needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class ConeBlock:
 
     A: np.ndarray
     b: np.ndarray
-    tag: str = ""
 
     @property
     def dim(self) -> int:
@@ -72,10 +70,9 @@ class ConicProgram:
 
     K is laid out as the solver works on it: ``nn`` nonnegative rows first,
     then for each ``(k, d)`` in ``soc`` (increasing d) k second-order blocks
-    of dimension d, block after block, head first.  ``tags`` names the
-    blocks in that order.  Every entry of the data must be finite.
-    ``obj``, ``obj_F``, ``G`` and ``h`` are made read-only, so one program
-    can be shared by concurrent solves.
+    of dimension d, block after block, head first.  Every entry of the
+    data must be finite.  ``obj``, ``obj_F``, ``G`` and ``h`` are made
+    read-only, so one program can be shared by concurrent solves.
     """
 
     obj: np.ndarray  # one entry per variable
@@ -85,7 +82,6 @@ class ConicProgram:
     h: np.ndarray
     nn: int
     soc: tuple[tuple[int, int], ...]
-    tags: tuple[str, ...]
 
     def __post_init__(self):
         if self.obj.ndim != 1:
@@ -98,8 +94,6 @@ class ConicProgram:
             raise DimensionMismatch("second-order groups need k >= 1 blocks of dimension d >= 2")
         if self.nn < 0 or self.nn + sum(k * d for k, d in self.soc) != len(self.h):
             raise DimensionMismatch("cone layout does not match the cone rows")
-        if len(self.tags) != self.nn + sum(k for k, _ in self.soc):
-            raise DimensionMismatch("cone layout needs one tag per block")
         check_finite(obj=self.obj, obj_offset=self.obj_offset, obj_F=self.obj_F, G=self.G,
                      h=self.h)
         for a in (self.obj, self.obj_F, self.G, self.h):
@@ -114,15 +108,15 @@ class ConicProgram:
         """One view per block, in layout order."""
         dims = [1] * self.nn + [d for k, d in self.soc for _ in range(k)]
         A, h = -self.G, self.h
-        return tuple(ConeBlock(A[end - d : end], h[end - d : end], tag)
-                     for d, end, tag in zip(dims, np.cumsum(dims).tolist(), self.tags))
+        return tuple(ConeBlock(A[end - d : end], h[end - d : end])
+                     for d, end in zip(dims, np.cumsum(dims).tolist()))
 
 
 class ConicProgramBuilder:
     """Incrementally assembles a :class:`ConicProgram`.
 
-    Rows are stored as stacks of cone blocks ``(A (k, d, w), b (k, d),
-    tags)``, where w is the variable count when they were added, as given:
+    Rows are stored as stacks of cone blocks ``(A (k, d, w), b (k, d))``,
+    where w is the variable count when they were added, as given:
     the builder keeps the caller's arrays, uncopied, until :meth:`build`
     reads them.  :meth:`build` sorts the stacks into the program's layout
     and writes each stack's ``-A``, padded with zero columns to the final
@@ -135,7 +129,7 @@ class ConicProgramBuilder:
     def __init__(self):
         self._num_vars = 0
         self._obj = (np.zeros(0), 0.0, np.zeros((0, 0)))
-        self._blocks: list[tuple[np.ndarray, np.ndarray, list[str]]] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
     @property
     def num_vars(self) -> int:
@@ -162,12 +156,11 @@ class ConicProgramBuilder:
             raise DimensionMismatch(f"objective factor needs F (r, w <= {self._num_vars})")
         self._obj = (c, float(offset), F)
 
-    def add_block_rows(self, A, b, tag: str | Sequence[str] = "") -> None:
+    def add_block_rows(self, A, b) -> None:
         """Append k cone blocks ``A[i] @ x + b[i]`` of dimension d.
 
         ``A`` is (k, d, w) over the first w <= num_vars variables and ``b`` is
-        (k, d); ``tag`` is one string for all k blocks or k strings.  d = 1
-        gives nonnegative rows and d >= 2 second-order blocks.
+        (k, d).  d = 1 gives nonnegative rows and d >= 2 second-order blocks.
         """
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -176,11 +169,7 @@ class ConicProgramBuilder:
                 f"row blocks need A (k, d >= 1, w <= {self._num_vars}) and b (k, d); "
                 f"got {A.shape} and {b.shape}"
             )
-        k = len(A)
-        tags = [tag] * k if isinstance(tag, str) else [str(t) for t in tag]
-        if len(tags) != k:
-            raise DimensionMismatch(f"{len(tags)} tags for {k} blocks")
-        self._blocks.append((A, b, tags))
+        self._blocks.append((A, b))
 
     def build(self) -> ConicProgram:
         n = self._num_vars
@@ -188,26 +177,25 @@ class ConicProgramBuilder:
         # sorted by d, stably: stacks of one dimension keep their added order
         stacks = sorted(self._blocks, key=lambda stack: stack[0].shape[1])
         counts: dict[int, int] = {}
-        for A, _, tags in stacks:
-            counts[A.shape[1]] = counts.get(A.shape[1], 0) + len(tags)
+        for A, _ in stacks:
+            counts[A.shape[1]] = counts.get(A.shape[1], 0) + len(A)
         nn = counts.pop(1, 0)
         obj = np.zeros(n)
         obj[: len(c)] = c
         obj_F = np.zeros((len(F), n))
         obj_F[:, : F.shape[1]] = F
         # the padding is -0.0, the negation of the zero it stands for
-        G = np.empty((sum(b.size for _, b, _ in stacks), n))
+        G = np.empty((sum(b.size for _, b in stacks), n))
         row = 0
-        for A, b, _ in stacks:
+        for A, b in stacks:
             rows, w = G[row : row + b.size], A.shape[2]  # w may be 0
             np.negative(A.reshape(b.size, w), out=rows[:, :w])
             if w < n:
                 rows[:, w:] = -0.0
             row += b.size
         return ConicProgram(
-            obj, offset, obj_F, G, np.concatenate([np.zeros(0), *(b.ravel() for _, b, _ in stacks)]),
+            obj, offset, obj_F, G, np.concatenate([np.zeros(0), *(b.ravel() for _, b in stacks)]),
             nn, tuple((k, d) for d, k in counts.items() if k),
-            tuple(t for *_, tags in stacks for t in tags),
         )
 
 

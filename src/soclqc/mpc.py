@@ -194,7 +194,7 @@ def emit_invariance_constraints(
     lam_idx = builder.add_var()
     t_idx = builder.add_vars(n)
     w = builder.num_vars
-    builder.add_block_rows(unit_rows([lam_idx], w)[:, None], np.zeros((1, 1)), "inv:lam")
+    builder.add_block_rows(unit_rows([lam_idx], w)[:, None], np.zeros((1, 1)))
     C = unit_rows(c_idx, w)
     r_row = unit_rows(r_idx, w)
 
@@ -203,35 +203,34 @@ def emit_invariance_constraints(
     spent[0, [lam_idx, *t_idx]] -= 1.0
     A, b = hyperbolic_rows((td.m_sqrt @ C)[None], np.zeros((1, n)), r_row, np.zeros(1), spent,
                            np.zeros(1))
-    builder.add_block_rows(A, b, "inv:budget")
+    builder.add_block_rows(A, b)
 
     # (coupling c)_i^2 <= t_i * (lam - r * alpha_i)
     slacks = -td.alpha[:, None] * r_row
     slacks[:, lam_idx] = 1.0
     A, b = hyperbolic_rows(td.coupling @ C, np.zeros(n), unit_rows(t_idx, w), np.zeros(n),
                            slacks, np.zeros(n))
-    builder.add_block_rows(A, b, [f"inv:q{i}" for i in range(n)])
+    builder.add_block_rows(A, b)
     return SLemmaBlock(lam_idx, t_idx)
 
 
-def _support_rows(rows, limits, spec: MpcSpec, c_idx, r_idx: int, builder, tag) -> None:
+def _support_rows(rows, limits, spec: MpcSpec, c_idx, r_idx: int, builder) -> None:
     """Rows ``limits_j - rows_j' c - ||rows_j' P^{-1/2}|| r >= 0``."""
     gains = np.linalg.norm(rows @ spec.p_inv_sqrt, axis=1)
     w = builder.num_vars
     A = -(rows @ unit_rows(c_idx, w)) - gains[:, None] * unit_rows(r_idx, w)
-    tags = [f"{tag}{j}" for j in range(rows.shape[0])]
-    builder.add_block_rows(A[:, None], limits[:, None], tags)
+    builder.add_block_rows(A[:, None], limits[:, None])
 
 
 def emit_state_containment(spec: MpcSpec, c_idx, r_idx: int, builder: ConicProgramBuilder) -> None:
     """Rows e_j' c + ||e_j' P^{-1/2}|| r <= f_j keeping the ellipsoid in the
     state set (support function of the ball after whitening by P^{1/2})."""
-    _support_rows(spec.E, spec.f, spec, c_idx, r_idx, builder, "state_cont")
+    _support_rows(spec.E, spec.f, spec, c_idx, r_idx, builder)
 
 
 def emit_input_containment(spec: MpcSpec, c_idx, r_idx: int, builder: ConicProgramBuilder) -> None:
     """Same support-function rows for the terminal controller: rows of G K."""
-    _support_rows(spec.G @ spec.K, spec.h, spec, c_idx, r_idx, builder, "input_cont")
+    _support_rows(spec.G @ spec.K, spec.h, spec, c_idx, r_idx, builder)
 
 
 @dataclass(frozen=True)
@@ -308,10 +307,9 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     w = b.num_vars
     # path constraints f - E x_k >= 0 for states 1..N-1, h - G u_k >= 0 for
     # all inputs
-    for M, B, p, lim, tag in ((spec.E, Bx[: N - 1], xp[: N - 1], spec.f, "state_set"),
-                              (spec.G, Bu, up, spec.h, "input_set")):
+    for M, B, p, lim in ((spec.E, Bx[: N - 1], xp[: N - 1], spec.f), (spec.G, Bu, up, spec.h)):
         A, const = stage_rows(M, B, p)
-        b.add_block_rows(-A.reshape(-1, 1, n_v), (lim - const).reshape(-1, 1), tag)
+        b.add_block_rows(-A.reshape(-1, 1, n_v), (lim - const).reshape(-1, 1))
 
     # terminal membership ||P^{1/2}(x_N - c)|| <= r
     p_half = spec.p_sqrt
@@ -320,9 +318,9 @@ def build_mpc_socp(spec: MpcSpec, x_init, fixed_terminal=None) -> MpcSocp:
     member[0, 0, r_idx] = 1.0
     member[0, 1:, :n_v] = A[0]
     member[0][1:, c_idx] = -p_half
-    b.add_block_rows(member, np.append(0.0, const[0])[None], "terminal_membership")
+    b.add_block_rows(member, np.append(0.0, const[0])[None])
 
-    b.add_block_rows(unit_rows([r_idx], w)[:, None], np.zeros((1, 1)), "radius")
+    b.add_block_rows(unit_rows([r_idx], w)[:, None], np.zeros((1, 1)))
     inv = emit_invariance_constraints(spec.terminal_diag, c_idx, r_idx, b)
     emit_state_containment(spec, c_idx, r_idx, b)
     emit_input_containment(spec, c_idx, r_idx, b)

@@ -228,7 +228,7 @@ def render_lqc(spec: LqcSpec, amb: AmbiguitySpec | None = None) -> str:
         "input_set": {"G": _mat_dict(spec.u_poly_G),
                       "h": [float(v) for v in spec.u_poly_h]},
     }
-    if amb is not None and amb.num_moments:
+    if amb is not None:
         tree["ambiguity"] = {"H": _mat_dict(amb.H), "mu": [float(v) for v in amb.mu]}
     return json.dumps(tree, indent=2, sort_keys=True)
 

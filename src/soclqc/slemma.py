@@ -134,14 +134,8 @@ class SLemmaBlock:
     t_indices: np.ndarray
 
 
-def emit_simplified_slemma(
-    inner: QuadForm,
-    e_rows,
-    f_rows,
-    sd: SimulDiag,
-    builder: ConicProgramBuilder,
-    tag: str = "slemma",
-) -> SLemmaBlock:
+def emit_simplified_slemma(inner: QuadForm, e_rows, f_rows, sd: SimulDiag,
+                           builder: ConicProgramBuilder) -> SLemmaBlock:
     """Append the certificate for the robust constraint
 
         z^T D z + 2 e(x)^T z + f(x) >= 0  for all z in {inner(z) >= 0}
@@ -182,7 +176,7 @@ def emit_simplified_slemma(
     rows[1, : len(f_row)] = f_row
     rows[1, lam_idx] = -inner.c
     rows[1, t_idx] = -1.0
-    builder.add_block_rows(rows[:, None], np.array([[0.0], [f0]]), [f"{tag}:lam", f"{tag}:budget"])
+    builder.add_block_rows(rows[:, None], np.array([[0.0], [f0]]))
 
     # head_i = [S^T e(x)]_i - lam*[S^T b]_i, slack_i = delta_i - lam*alpha_i
     heads = np.zeros((n, w))
@@ -192,7 +186,7 @@ def emit_simplified_slemma(
     slacks = np.zeros((n, w))
     slacks[:, lam_idx] = -sd.alpha
     A, b = hyperbolic_rows(heads, sd.S.T @ e0, unit_rows(t_idx, w), np.zeros(n), slacks, sd.delta)
-    builder.add_block_rows(A, b, [f"{tag}:q{i}" for i in range(n)])
+    builder.add_block_rows(A, b)
     return SLemmaBlock(lam_idx, t_idx)
 
 

@@ -160,6 +160,9 @@ def _verify_lqc(spec, amb, mode: str, result: dict) -> list[Check]:
         _check("epigraph dominates ball maximum", wc - bound, 1e-6 * (1 + abs(wc))),
         _check("objective consistency", abs(obj - (base + bound + extra)), 1e-5 * (1 + abs(obj))),
     ]
+    if m:
+        # weak duality bounds the worst-case expectation only for beta >= 0
+        report.append(_check("moment multipliers nonnegative", -float(np.min(beta)), 1e-9))
     if amb is None:
         # without moment information the bound is tight at the optimum
         report.append(_check("objective matches ball oracle",

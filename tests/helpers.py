@@ -119,28 +119,28 @@ class ExprBuilder(ConicProgramBuilder):
         """Objective ``||F x||^2 + expr``, F over the first variables."""
         self.set_objective_row(*as_expr(expr).to_row(self.num_vars), F)
 
-    def add_nonneg(self, expr, tag: str = "") -> None:
+    def add_nonneg(self, expr) -> None:
         """Constrain ``expr >= 0``."""
         A, b = expr_rows([expr], self.num_vars)
-        self.add_block_rows(A[None], b[None], tag)
+        self.add_block_rows(A[None], b[None])
 
-    def add_soc(self, head, tail, tag: str = "") -> None:
+    def add_soc(self, head, tail) -> None:
         """Constrain ``||tail||_2 <= head``; an empty tail is ``head >= 0``."""
         A, b = expr_rows([head, *tail], self.num_vars)
-        self.add_block_rows(A[None], b[None], tag)
+        self.add_block_rows(A[None], b[None])
 
-    def add_hyperbolic(self, x, y, z, tag: str = "") -> None:
+    def add_hyperbolic(self, x, y, z) -> None:
         """Constrain ``||x||^2 <= y * z`` for one expression x or a list."""
         xs = [x] if isinstance(x, (LinExpr, int, float)) else list(x)
         X, xc = expr_rows(xs, self.num_vars)
         YZ, yz = expr_rows([y, z], self.num_vars)
         A, b = hyperbolic_rows(X[None], xc[None], YZ[:1], yz[:1], YZ[1:], yz[1:])
-        self.add_block_rows(A, b, tag)
+        self.add_block_rows(A, b)
 
-    def add_quadratic_cost(self, M, xs, tag: str = "obj_quad") -> LinExpr:
+    def add_quadratic_cost(self, M, xs) -> LinExpr:
         """A new variable t with ``x' M x <= t``, M positive definite."""
         t = self.var(self.add_var())
-        self.add_hyperbolic(lin_comb(cholesky_factor(M).T, xs), t, 1.0, tag)
+        self.add_hyperbolic(lin_comb(cholesky_factor(M).T, xs), t, 1.0)
         return t
 
 
@@ -195,7 +195,7 @@ def epigraph_program(prog):
     b = ExprBuilder()
     xs = b.var_exprs(b.add_vars(prog.num_vars))
     for blk in prog.blocks:
-        b.add_block_rows(blk.A[None], blk.b[None], blk.tag)
+        b.add_block_rows(blk.A[None], blk.b[None])
     cols = np.flatnonzero(prog.obj_F.any(axis=0))
     F = prog.obj_F[:, cols]
     t = b.add_quadratic_cost(F.T @ F, [xs[j] for j in cols])
@@ -266,13 +266,13 @@ def assert_same_program(built, ref):
     assert np.array_equal(built.obj, ref.obj)
     assert built.obj_offset == ref.obj_offset
     assert np.array_equal(built.obj_F, ref.obj_F)
-    assert (built.nn, built.soc, built.tags) == (ref.nn, ref.soc, ref.tags)
+    assert (built.nn, built.soc) == (ref.nn, ref.soc)
     assert np.array_equal(built.G, ref.G) and np.array_equal(built.h, ref.h)
 
 
 def assert_identical_programs(built, ref):
     """The two programs agree field by field, bit for bit."""
-    for name in ("num_vars", "obj", "obj_offset", "obj_F", "G", "h", "nn", "soc", "tags"):
+    for name in ("num_vars", "obj", "obj_offset", "obj_F", "G", "h", "nn", "soc"):
         a, b = getattr(built, name), getattr(ref, name)
         if isinstance(a, np.ndarray):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -283,7 +283,7 @@ def assert_identical_programs(built, ref):
 def reference_lqc_program(spec, x0, kernel, amb=None):
     """The min-max LQC program assembled expression by expression with
     :class:`ExprBuilder`, one hyperbolic block per coordinate: the variable
-    order, block order, kinds and tags the LQC builders must reproduce.
+    order, block order and kinds the LQC builders must reproduce.
 
     The inputs are whitened, y = L'u with Uq = L L'; the disturbance ball
     is scaled to radius gamma / kappa, kappa = max(1, gamma).
@@ -323,15 +323,15 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
         obj = obj + amb.mu[j] * be
     b.set_objective(obj + offset, F=np.eye(len(y)))  # y are the first variables
 
-    b.add_nonneg(lam, tag="lam")
+    b.add_nonneg(lam)
     for be in betas:
-        b.add_nonneg(be, tag="beta")
+        b.add_nonneg(be)
     for i in range(G_y.shape[0]):
         row = LinExpr.constant(spec.u_poly_h[i])
         for j, ye in enumerate(y):
             if G_y[i, j] != 0.0:
                 row = row - G_y[i, j] * ye
-        b.add_nonneg(row, tag="input_set")
+        b.add_nonneg(row)
 
     head_mat = sd.S.T @ F.T
     head_const = sd.S.T @ head_const
@@ -345,7 +345,7 @@ def reference_lqc_program(spec, x0, kernel, amb=None):
             if beta_mat[i, j] != 0.0:
                 head = head + g * beta_mat[i, j] * be
         slack = 1.0 * lam * sd.alpha[i] - g**2 * sd.delta[i]
-        b.add_hyperbolic(head, ts[i], slack, tag=f"coneq{i}")
+        b.add_hyperbolic(head, ts[i], slack)
     return b.build()
 
 
@@ -371,31 +371,29 @@ def reference_mpc_program(spec, x_init, fixed_terminal=None):
 
     for k in range(N - 1):
         for j, ex in enumerate(lin_comb(spec.E, x[k])):
-            b.add_nonneg(spec.f[j] - ex, tag="state_set")
+            b.add_nonneg(spec.f[j] - ex)
     for k in range(N):
         for j, gu in enumerate(lin_comb(spec.G, u[k])):
-            b.add_nonneg(spec.h[j] - gu, tag="input_set")
+            b.add_nonneg(spec.h[j] - gu)
 
     p_half = spec.p_sqrt
-    b.add_soc(r, [px - pc for px, pc in zip(lin_comb(p_half, x[N - 1]), lin_comb(p_half, c))],
-              tag="terminal_membership")
-    b.add_nonneg(r, tag="radius")
+    b.add_soc(r, [px - pc for px, pc in zip(lin_comb(p_half, x[N - 1]), lin_comb(p_half, c))])
+    b.add_nonneg(r)
 
     # invariance: ||m_sqrt c||^2 <= r (r - lam - sum t) and
     # (coupling c)_i^2 <= t_i (lam - alpha_i r)
     lam = b.var(b.add_var())
     t = b.var_exprs(b.add_vars(n_x))
-    b.add_nonneg(lam, tag="inv:lam")
-    b.add_hyperbolic(lin_comb(td.m_sqrt, c), r, r - lam - sum(t, LinExpr()), tag="inv:budget")
+    b.add_nonneg(lam)
+    b.add_hyperbolic(lin_comb(td.m_sqrt, c), r, r - lam - sum(t, LinExpr()))
     for i, head in enumerate(lin_comb(td.coupling, c)):
-        b.add_hyperbolic(head, t[i], lam - td.alpha[i] * r, tag=f"inv:q{i}")
+        b.add_hyperbolic(head, t[i], lam - td.alpha[i] * r)
 
     # containment: rows_j' c + ||rows_j' P^{-1/2}|| r <= limits_j
-    for rows, limits, tag in ((spec.E, spec.f, "state_cont"),
-                              (spec.G @ spec.K, spec.h, "input_cont")):
+    for rows, limits in ((spec.E, spec.f), (spec.G @ spec.K, spec.h)):
         gains = np.linalg.norm(rows @ spec.p_inv_sqrt, axis=1)
         for j, rc in enumerate(lin_comb(rows, c)):
-            b.add_nonneg(limits[j] - rc - gains[j] * r, tag=f"{tag}{j}")
+            b.add_nonneg(limits[j] - rc - gains[j] * r)
 
     # stage costs ||Q^{1/2} x_k||^2 (k = 1..N-1), ||R^{1/2} u_k||^2 and
     # ||Q_f^{1/2} x_N||^2: heads F v + f0, so the objective is ||F v||^2 +

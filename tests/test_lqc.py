@@ -311,8 +311,8 @@ class TestRobustSocp:
         spec = random_lqc_spec(rng, 2, 2, 3, 4)
         socp = build_robust_socp(spec, rng.standard_normal(2))
         assert len(socp.t_index) == spec.stacked_dist_dim == 12
-        tagged = [b for b in socp.program.blocks if b.tag.startswith("coneq")]
-        assert len(tagged) == len(socp.t_index)
+        # one hyperbolic block of dimension 3 per disturbance coordinate
+        assert socp.program.soc == ((len(socp.t_index), 3),)
         assert len(socp.y_index) == spec.stacked_input_dim
 
     def test_diagonalization_cached_per_spec(self, rng):
@@ -554,6 +554,32 @@ class TestDistributionallyRobust:
         spec = random_lqc_spec(rng, 2, 1, 2, 2)
         with pytest.raises(DimensionMismatch):
             build_dr_socp(spec, np.zeros(2), AmbiguitySpec(np.ones((1, 3)), [0.0]))
+
+    @pytest.mark.parametrize("build, mode, kernel", [
+        (build_dr_socp, "dr", "robust"), (build_dr_regret_socp, "dr-regret", "regret"),
+    ], ids=["dr", "dr-regret"])
+    def test_negative_moment_multipliers_fail_verify(self, build, mode, kernel):
+        # beta < 0 with lam and t recomputed at the shifted heads keeps every
+        # other check consistent while the reported objective falls far below
+        # the optimum (-2.11 against 0.87 for dr, -2.61 against 0.16 for
+        # dr-regret): weak duality needs beta >= 0
+        spec, x0 = scalar_benchmark_spec(4), np.array([-1.0])
+        amb = AmbiguitySpec([[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]], [1.0, 0.01])
+        socp = build(spec, x0, amb)
+        sol = solve_ok(socp.program)
+        result = {"mode": mode, "x0": x0, **socp.extract(sol)}
+        assert all(check.ok for check in verify_result(spec, amb, result))
+        beta = np.array([-3.0, -0.4])
+        quad, lin, base = worst_case(build_compact_cost(spec, x0), kernel, result["u"])
+        h_eff = lin - 0.5 * amb.H.T @ beta
+        lam = max_quad_over_ball(quad, h_eff, spec.gamma).multiplier
+        ev, V = np.linalg.eigh(quad)
+        t = (V.T @ h_eff) ** 2 / (lam - ev)
+        obj = base + float(t.sum()) + spec.gamma**2 * lam + float(amb.mu @ beta)
+        assert obj < sol.objective - 2.5
+        report = verify_result(spec, amb, {**result, "beta": beta, "lam": lam, "t": t,
+                                           "objective": obj})
+        assert [check.name for check in report if not check.ok] == ["moment multipliers nonnegative"]
 
 
 class TestRecedingHorizon:

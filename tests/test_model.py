@@ -231,7 +231,7 @@ class TestProgramStructure:
         assert np.array_equal(pinned.G, [[-1.0, 0.0]]) and np.array_equal(pinned.h, [-2.0])
         assert np.array_equal(pinned.obj, [1.0, 0.0]) and pinned.obj_offset == 10.0
         assert not pinned.obj_F.any()
-        assert (pinned.nn, pinned.soc, pinned.tags) == (prog.nn, prog.soc, prog.tags)
+        assert (pinned.nn, pinned.soc) == (prog.nn, prog.soc)
 
 
 class TestRowBlocks:
@@ -241,13 +241,14 @@ class TestRowBlocks:
         b.set_objective(b.var(1) + 0.5)
         A = np.array([[[1.0, 0.0], [0.0, 2.0]], [[0.5, 0.5], [1.0, 0.0]]])
         rhs = np.array([[3.0, 0.0], [1.0, 1.0]])
-        b.add_block_rows(A, rhs, ["a", "b"])
+        b.add_block_rows(A, rhs)
         b.add_vars(3)
-        b.add_nonneg(b.var(4) + 1.0, tag="late")
+        b.add_nonneg(b.var(4) + 1.0)
         prog = b.build()
         assert prog.num_vars == 5
         # the nonnegative block comes first in the layout
-        assert prog.tags == ("late", "a", "b")
+        assert (prog.nn, prog.soc) == (1, ((2, 2),))
+        assert np.array_equal(prog.h, [1.0, *rhs.ravel()])
         for i in range(2):
             assert np.array_equal(prog.blocks[1 + i].A, np.hstack([A[i], np.zeros((2, 3))]))
             assert np.array_equal(prog.blocks[1 + i].b, rhs[i])
@@ -265,11 +266,11 @@ class TestRowBlocks:
         for i, d in enumerate(layout):
             b.add_vars(1)
             A, rhs = rng.standard_normal((1, d, b.num_vars)), rng.standard_normal((1, d))
-            b.add_block_rows(A, rhs, f"b{i}")
+            b.add_block_rows(A, rhs)
             stacks.append((A, rhs))
         prog = b.build()
         order = [0, 3, 2, 6, 1, 5, 7, 4]
-        assert prog.tags == tuple(f"b{i}" for i in order)
+        assert [blk.dim for blk in prog.blocks] == [layout[i] for i in order]
         assert (prog.nn, prog.soc) == (2, ((2, 2), (3, 3), (1, 5)))
         row = 0
         for i in order:
@@ -288,66 +289,59 @@ class TestRowBlocks:
             prog.obj[0] = 1.0
 
     @pytest.mark.parametrize(
-        "G_shape, rows, nn, soc, tags",
+        "G_shape, rows, nn, soc",
         [
-            ((3, 3), 3, 1, ((1, 2),), ("a", "b")),       # G has 3 columns for 2 variables
-            ((3, 2), 4, 1, ((1, 2),), ("a", "b")),       # G and h differ in rows
-            ((4, 2), 4, 1, ((1, 2),), ("a", "b")),       # layout covers 3 of 4 rows
-            ((5, 2), 5, 1, ((2, 2),), ("a", "b")),       # one tag for three blocks
-            ((3, 2), 3, 1, ((2, 1),), ("a", "b", "c")),  # second-order block without a tail
-            ((3, 2), 3, -1, ((1, 4),), ()),              # negative nonnegative count
-            ((3, 2), 3, 3, ((0, 2),), ("a", "b", "c")),  # second-order group of no blocks
+            ((3, 3), 3, 1, ((1, 2),)),   # G has 3 columns for 2 variables
+            ((3, 2), 4, 1, ((1, 2),)),   # G and h differ in rows
+            ((4, 2), 4, 1, ((1, 2),)),   # layout covers 3 of 4 rows
+            ((3, 2), 3, 1, ((2, 1),)),   # second-order block without a tail
+            ((3, 2), 3, -1, ((1, 4),)),  # negative nonnegative count
+            ((3, 2), 3, 3, ((0, 2),)),   # second-order group of no blocks
         ],
-        ids=["G-columns", "G-h-rows", "rows-uncovered", "tags", "soc-without-tail", "negative-nn",
+        ids=["G-columns", "G-h-rows", "rows-uncovered", "soc-without-tail", "negative-nn",
              "empty-soc-group"],
     )
-    def test_program_rejects_inconsistent_layout(self, G_shape, rows, nn, soc, tags):
+    def test_program_rejects_inconsistent_layout(self, G_shape, rows, nn, soc):
         with pytest.raises(DimensionMismatch):
             ConicProgram(np.zeros(2), 0.0, np.zeros((0, 2)), np.zeros(G_shape), np.zeros(rows),
-                         nn, soc, tags)
-
-    def test_one_tag_for_all_blocks(self):
-        b = ConicProgramBuilder()
-        b.add_vars(1)
-        b.add_block_rows(np.ones((3, 1, 1)), np.zeros((3, 1)), "row")
-        assert [blk.tag for blk in b.build().blocks] == ["row"] * 3
+                         nn, soc)
 
     @pytest.mark.parametrize(
-        "A_shape, b_shape, tags",
+        "A_shape, b_shape",
         [
-            ((2, 3), (2,), ""),            # A not a stack of blocks
-            ((2, 3, 2), (2, 2), ""),       # b rows differ from A rows
-            ((2, 3, 2), (3, 3), ""),       # b blocks differ from A blocks
-            ((1, 3, 3), (1, 3), ""),       # more columns than variables
-            ((2, 3, 2), (2, 3), ["a"]),    # one tag for two blocks
-            ((2, 0, 2), (2, 0), ""),       # blocks of dimension 0
+            ((2, 3), (2,)),          # A not a stack of blocks
+            ((2, 3, 2), (2, 2)),     # b rows differ from A rows
+            ((2, 3, 2), (3, 3)),     # b blocks differ from A blocks
+            ((1, 3, 3), (1, 3)),     # more columns than variables
+            ((2, 0, 2), (2, 0)),     # blocks of dimension 0
         ],
         ids=["soc-A_shape0-b_shape0-", "soc-A_shape1-b_shape1-", "soc-A_shape2-b_shape2-",
-             "soc-A_shape3-b_shape3-", "soc-A_shape6-b_shape6-tags6", "zero-dimension"],
+             "soc-A_shape3-b_shape3-", "zero-dimension"],
     )
-    def test_rejects_mismatched_shapes(self, A_shape, b_shape, tags):
+    def test_rejects_mismatched_shapes(self, A_shape, b_shape):
         b = ConicProgramBuilder()
         b.add_vars(2)
         with pytest.raises(DimensionMismatch):
-            b.add_block_rows(np.ones(A_shape), np.ones(b_shape), tags)
+            b.add_block_rows(np.ones(A_shape), np.ones(b_shape))
 
     def test_dimension_one_stacks_are_nonnegative_rows(self, rng):
         # a d = 1 stack added between second-order stacks lands in the nn
-        # rows with its tags in insertion order, as does the expression
-        # reference's second-order block with an empty tail; a d = 1 block
-        # is violated by max(0, -s0)
+        # rows in insertion order, as does the expression reference's
+        # second-order block with an empty tail; a d = 1 block is violated
+        # by max(0, -s0)
         b = ExprBuilder()
         b.add_vars(2)
-        b.add_block_rows(rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3)), "before")
+        before = rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3))
+        b.add_block_rows(*before)
         A, rhs = rng.standard_normal((3, 1, 2)), rng.standard_normal((3, 1))
-        b.add_block_rows(A, rhs, ["r0", "r1", "r2"])
-        b.add_soc(b.var(1) - 0.5, [], tag="r3")
-        b.add_block_rows(rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2)), "after")
+        b.add_block_rows(A, rhs)
+        b.add_soc(b.var(1) - 0.5, [])
+        after = rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2))
+        b.add_block_rows(*after)
         prog = b.build()
         assert (prog.nn, prog.soc) == (4, ((2, 2), (1, 3)))
-        assert prog.tags == ("r0", "r1", "r2", "r3", "after", "after", "before")
         assert np.array_equal(prog.G[:4], -np.vstack([A[:, 0], [[0.0, 1.0]]]))
-        assert np.array_equal(prog.h[:4], [*rhs[:, 0], -0.5])
+        assert np.array_equal(prog.h, [*rhs[:, 0], -0.5, *after[1].ravel(), *before[1].ravel()])
         for _ in range(20):
             x = 3.0 * rng.standard_normal(2)
             for blk in prog.blocks[:4]:
@@ -362,7 +356,7 @@ class TestRowBlocks:
         def program(odd):
             b = ConicProgramBuilder()
             if odd and oddity == "constant-row-before-variables":
-                b.add_block_rows(np.zeros((1, 1, 0)), [[1.0]], "const")
+                b.add_block_rows(np.zeros((1, 1, 0)), [[1.0]])
             x = b.add_vars(2)
             b.set_objective_row([3.0, -4.0])
             b.add_block_rows(np.vstack([np.zeros(2), unit_rows(x, 2)])[None], [[1.0, 0.0, 0.0]])

@@ -206,7 +206,7 @@ class TestNullSpacePosing:
         assert not hasattr(first, "eq_b")
         assert first.G.tobytes() == second.G.tobytes()
         assert first.obj_F.tobytes() == second.obj_F.tobytes()
-        assert (first.nn, first.soc, first.tags) == (second.nn, second.soc, second.tags)
+        assert (first.nn, first.soc) == (second.nn, second.soc)
         assert first.h.tobytes() != second.h.tobytes()
         assert first.obj.tobytes() != second.obj.tobytes()
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import double_integrator_mpc, random_lqc_spec
+from soclqc.cli import main
 from soclqc.lqc import AmbiguitySpec, LqcSpec, scalar_benchmark_spec
 from soclqc.mpc import MpcSpec
 from soclqc.problemfile import (
@@ -30,6 +31,18 @@ class TestRoundTrip:
             assert np.array_equal(getattr(spec, name), getattr(spec2, name)), name
         assert spec.gamma == spec2.gamma
         assert np.array_equal(amb.H, amb2.H) and np.array_equal(amb.mu, amb2.mu)
+
+    def test_empty_ambiguity_block_survives(self, tmp_path):
+        # moment information with no rows is still moment information: the
+        # dr modes solve from the saved file
+        spec = scalar_benchmark_spec(3)
+        path = tmp_path / "prob.json"
+        save_problem(path, spec, AmbiguitySpec(np.zeros((0, spec.stacked_dist_dim)), np.zeros(0)))
+        _, amb = load_problem(path)
+        assert amb.H.shape == (0, spec.stacked_dist_dim) and amb.mu.shape == (0,)
+        out = str(tmp_path / "res.json")
+        assert main(["solve", str(path), "--mode", "dr", "--x0", "-1", "--out", out]) == 0
+        assert main(["verify", str(path), out]) == 0
 
     def test_mpc_numbers_survive_exactly(self, tmp_path):
         spec = double_integrator_mpc()

@@ -60,5 +60,5 @@ def test_build_counts_match_the_program_layout():
     finally:
         tracer.uninstall()
     assert tracer.counts["model.cone_rows"] == sum(p.G.shape[0] for p in programs)
-    assert tracer.counts["model.blocks"] == sum(len(p.tags) for p in programs)
+    assert tracer.counts["model.blocks"] == sum(p.nn + sum(k for k, _ in p.soc) for p in programs)
     assert tracer.counts["model.num_vars"] == sum(p.num_vars for p in programs)
